@@ -27,15 +27,12 @@ DEFAULT_CHECKS = [
 ]
 
 
-def _manifest_base(scenario: Scenario, seed: int, threads: Optional[int]) -> dict:
+def _manifest_base(scenario: Scenario, seed: int) -> dict:
     mesh = scenario.build_mesh()
     op = scenario.build_operator(mesh)
     return {
         "config_echo": scenario.raw_text,
         "seed": seed,
-        "threads": threads if threads is not None else 1,
-        "threads_note": "assembly is sequential and deterministic; the flag is "
-                        "recorded for reproducibility only",
         "regime": classify_regime(op.exponent, scenario.q).value,
         "p_minus": op.exponent.p_minus,
         "p_plus": op.exponent.p_plus,
@@ -50,11 +47,13 @@ def _report_dict(report) -> dict:
         "energy": report.energy,
         "line_search_failures": report.line_search_failures,
         "regularization_floor_hit": report.regularization_floor_hit,
+        "converged": report.converged,
+        "floor_steps": report.floor_steps,
+        "fallback": report.fallback,
     }
 
 
-def run_solve_elliptic(scenario: Scenario, out_dir: str, seed: int,
-                       threads: Optional[int]) -> int:
+def run_solve_elliptic(scenario: Scenario, out_dir: str, seed: int) -> int:
     mesh = scenario.build_mesh()
     op = scenario.build_operator(mesh)
     h0 = scenario.build_potential(mesh)(0.0)
@@ -62,29 +61,27 @@ def run_solve_elliptic(scenario: Scenario, out_dir: str, seed: int,
                                        scenario.build_source(mesh))
     field_, report = solve(problem, bump_seed(mesh), scenario.tolerance)
     write_field_csv(field_, os.path.join(out_dir, "solution.csv"))
-    manifest = _manifest_base(scenario, seed, threads)
+    manifest = _manifest_base(scenario, seed)
     manifest["solver_report"] = _report_dict(report)
     manifest["sup_norm"] = field_.sup_norm
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return 0
 
 
-def run_stationary(scenario: Scenario, out_dir: str, seed: int,
-                   threads: Optional[int]) -> int:
+def run_stationary(scenario: Scenario, out_dir: str, seed: int) -> int:
     mesh = scenario.build_mesh()
     op = scenario.build_operator(mesh)
     potential = scenario.build_potential(mesh)
     v_stat = solve_stationary(mesh, op, scenario.q, potential.limit,
                               scenario.build_source(mesh), scenario.tolerance)
     write_field_csv(v_stat, os.path.join(out_dir, "stationary.csv"))
-    manifest = _manifest_base(scenario, seed, threads)
+    manifest = _manifest_base(scenario, seed)
     manifest["sup_norm"] = v_stat.sup_norm
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return 0
 
 
-def run_evolve(scenario: Scenario, out_dir: str, seed: int,
-               threads: Optional[int]) -> int:
+def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
     setup = scenario.build_evolution_setup()
     traj = evolve(setup)
     for pos, n in enumerate(traj.stored_indices):
@@ -93,7 +90,7 @@ def run_evolve(scenario: Scenario, out_dir: str, seed: int,
     v_stat = solve_stationary(mesh, setup.op, setup.q, setup.potential.limit,
                               setup.source, setup.tolerance)
     e_final = l2_norm_diff_power(traj.final, v_stat, setup.q)
-    manifest = _manifest_base(scenario, seed, threads)
+    manifest = _manifest_base(scenario, seed)
     manifest.update({
         "times": traj.times.tolist(),
         "stored_indices": traj.stored_indices,
@@ -124,7 +121,7 @@ def _scenario_trajectories(scenario: Scenario, max_steps: int = 50):
 
 
 def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
-               seed: int, threads: Optional[int]) -> int:
+               seed: int) -> int:
     names = names or DEFAULT_CHECKS
     mesh = scenario.build_mesh()
     op = scenario.build_operator(mesh)
@@ -225,10 +222,9 @@ def _positive_field(mesh, rng):
     return DiscreteField(mesh, vals)
 
 
-def run_sweep(scenario: Scenario, out_dir: str, seed: int,
-              threads: Optional[int]) -> int:
+def run_sweep(scenario: Scenario, out_dir: str, seed: int) -> int:
     mesh = scenario.build_mesh()
-    manifest = _manifest_base(scenario, seed, threads)
+    manifest = _manifest_base(scenario, seed)
     lines = []
     if scenario.sweep_kind == "lambda":
         op = scenario.build_operator(mesh)
@@ -269,20 +265,19 @@ def run_sweep(scenario: Scenario, out_dir: str, seed: int,
 
 
 def run(command: str, scenario: Scenario, out_dir: str,
-        checks: Optional[List[str]] = None, seed: Optional[int] = None,
-        threads: Optional[int] = None) -> int:
+        checks: Optional[List[str]] = None, seed: Optional[int] = None) -> int:
     os.makedirs(out_dir, exist_ok=True)
     actual_seed = seed if seed is not None else scenario.seed
     if command == "solve-elliptic":
-        return run_solve_elliptic(scenario, out_dir, actual_seed, threads)
+        return run_solve_elliptic(scenario, out_dir, actual_seed)
     if command == "stationary":
-        return run_stationary(scenario, out_dir, actual_seed, threads)
+        return run_stationary(scenario, out_dir, actual_seed)
     if command == "evolve":
-        return run_evolve(scenario, out_dir, actual_seed, threads)
+        return run_evolve(scenario, out_dir, actual_seed)
     if command == "verify":
-        return run_verify(scenario, out_dir, checks, actual_seed, threads)
+        return run_verify(scenario, out_dir, checks, actual_seed)
     if command == "sweep":
-        return run_sweep(scenario, out_dir, actual_seed, threads)
+        return run_sweep(scenario, out_dir, actual_seed)
     raise ParseError(f"unknown command '{command}'")
 
 
@@ -298,12 +293,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--check", action="append", default=None,
                         help="verify: run this named check (repeatable)")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
     try:
         scenario = load_scenario(args.config)
         return run(args.command, scenario, args.out, checks=args.check,
-                   seed=args.seed, threads=args.threads)
+                   seed=args.seed)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

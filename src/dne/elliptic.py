@@ -68,6 +68,7 @@ class SolverReport:
     regularization_floor_hit: bool = False
     converged: bool = False
     floor_steps: int = 0
+    fallback: bool = False
     energy_history: list = field(default_factory=list)
 
 
@@ -276,7 +277,9 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
         report.iterations = it - 1
         report.final_gradient_norm = kkt
         report.energy = e_now
-        if kkt <= tolerance:
+        # A start counts as converged only after one step: a warm start that
+        # already meets the tolerance would otherwise never move.
+        if kkt <= tolerance and it > 1:
             report.converged = True
             return vals, report
         gnorm2 = np.sum(mesh.gradient_of(vals) ** 2, axis=1)
@@ -319,8 +322,7 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
                     moved = True
                     break
         if not moved:
-            report.final_gradient_norm = kkt
-            report.energy = e_now
+            report.converged = kkt <= tolerance
             return vals, report
     grad = _gradient_values(problem, vals)
     report.iterations = max_iterations
@@ -346,36 +348,37 @@ def bump_seed(mesh: Mesh, amplitude: float = 0.1) -> DiscreteField:
 
 
 def solve(problem: EllipticProblem, initial_guess: DiscreteField,
-          tolerance: Optional[float] = None, max_iterations: int = 200,
-          extra_starts: Optional[list] = None) -> tuple[DiscreteField, SolverReport]:
-    """Global minimization with multistart; returns the lowest-energy converged
-    run.  The caller's guess always participates; STANDARD/STATIONARY problems
-    add a small bump and the pure-load solution as defensive extra seeds."""
+          tolerance: Optional[float] = None,
+          max_iterations: int = 200) -> tuple[DiscreteField, SolverReport]:
+    """One minimization from the caller's guess.  For STANDARD/STATIONARY
+    problems a result that is not the positive solution falls back to a small
+    bump and the pure-load solution as extra starts; the lowest-energy
+    converged run wins and its report has `fallback` set."""
     mesh = problem.mesh
     if tolerance is None:
         tolerance = DEFAULT_TOL[mesh.dimension]
-    starts = [np.asarray(initial_guess.values, dtype=float)]
-    if extra_starts:
-        starts.extend(np.asarray(s.values, dtype=float) for s in extra_starts)
-    if problem.variant in (Variant.STANDARD, Variant.STATIONARY) and extra_starts is None:
-        starts.append(bump_seed(mesh).values)
+    vals, report = _minimize(problem, initial_guess.values, tolerance, max_iterations)
+    runs = [(vals, report)]
+    # v = 0 is a KKT point with J(0) = 0; the positive solution is the only
+    # other one (Picone's identity), and J < 0 there.
+    positive = (report.converged and report.energy < 0.0
+                and np.all(vals[mesh.interior] > 0.0))
+    if problem.variant in (Variant.STANDARD, Variant.STATIONARY) and not positive:
+        starts = [bump_seed(mesh).values]
         lam_prob = EllipticProblem.pure_lambda(mesh, problem.op, problem.lam)
         lam_vals, lam_rep = _minimize(lam_prob, bump_seed(mesh).values,
                                       tolerance, max_iterations)
         if lam_rep.converged:
             starts.append(lam_vals)
-    best = None
-    last_report = None
-    for start in starts:
-        vals, report = _minimize(problem, start, tolerance, max_iterations)
-        last_report = report
-        if report.converged and (best is None or report.energy < best[1].energy):
-            best = (vals, report)
-    if best is None:
+        runs.extend(_minimize(problem, s, tolerance, max_iterations) for s in starts)
+    converged = [run for run in runs if run[1].converged]
+    if not converged:
         raise NonConvergence(
             f"elliptic solve failed to reach tolerance {tolerance:g} "
-            f"(residual {last_report.final_gradient_norm:g})", last_report)
-    return DiscreteField(mesh, best[0]), best[1]
+            f"(residual {runs[-1][1].final_gradient_norm:g})", runs[-1][1])
+    vals, report = min(converged, key=lambda run: run[1].energy)
+    report.fallback = len(runs) > 1
+    return DiscreteField(mesh, vals), report
 
 
 def solve_lambda_problem(lam: float, mesh: Mesh, op: LerayLionsOperator,
@@ -399,7 +402,7 @@ def _picard(mesh, op, rhs_of, start: DiscreteField, variant,
     for _ in range(max_picard):
         load = rhs_of(np.maximum(w.barycenter_values(), 0.0))
         problem = EllipticProblem.frozen_load(mesh, op, load, variant)
-        w_new, _ = solve(problem, w, tolerance, extra_starts=[])
+        w_new, _ = solve(problem, w, tolerance)
         scale = max(1.0, float(np.sqrt(np.sum(mesh.measures
                                               * w_new.barycenter_values() ** 2))))
         if l2_norm_diff_power(w_new, w, 1.0) <= PICARD_TOL * scale:

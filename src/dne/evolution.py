@@ -18,8 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .elliptic import (EllipticProblem, NonConvergence, SolverReport, bump_seed,
-                       solve, solve_lambda_problem)
+from .elliptic import EllipticProblem, NonConvergence, SolverReport, solve
 from .meshing import (DiscreteField, Mesh, boundary_distance_field,
                       l2_norm_diff_power, l2_norm_values, modular)
 from .operators import (LerayLionsOperator, PotentialField, SourceTerm,
@@ -134,13 +133,13 @@ def time_integral_norm(mesh: Mesh, h: PotentialField, g: PotentialField,
 
 
 def step(setup: EvolutionSetup, previous: DiscreteField, h_n: np.ndarray,
-         dt: float, extra_starts=None) -> tuple[DiscreteField, SolverReport]:
+         dt: float) -> tuple[DiscreteField, SolverReport]:
     """One implicit Euler step, warm-started from the previous iterate."""
     vbq = np.maximum(previous.barycenter_values(), 0.0) ** setup.q
     h0 = dt * h_n + vbq
     problem = EllipticProblem.standard(setup.mesh, setup.op, setup.q, dt, h0,
                                        setup.source)
-    return solve(problem, previous, setup.tolerance, extra_starts=extra_starts)
+    return solve(problem, previous, setup.tolerance)
 
 
 def _f_ratio_sq(setup: EvolutionSetup, v: DiscreteField) -> float:
@@ -158,11 +157,6 @@ def evolve(setup: EvolutionSetup) -> Trajectory:
     """Run the full scheme; step failures carry the step index and leave the
     partial trajectory on the exception."""
     mesh, dt = setup.mesh, setup.dt
-    seeds = [bump_seed(mesh)]
-    try:
-        seeds.append(solve_lambda_problem(1.0, mesh, setup.op, setup.tolerance))
-    except NonConvergence:
-        pass  # defensive seed only; the warm start still participates
     times = np.linspace(0.0, setup.horizon, setup.steps + 1)
     traj = Trajectory(times=times, fields=[setup.initial], stored_indices=[0],
                       diagnostics=[], q=setup.q)
@@ -174,7 +168,7 @@ def evolve(setup: EvolutionSetup) -> Trajectory:
     for n in range(1, setup.steps + 1):
         h_n = average_potential(setup.potential, n, dt)
         try:
-            v_new, report = step(setup, v, h_n, dt, extra_starts=seeds)
+            v_new, report = step(setup, v, h_n, dt)
         except NonConvergence as exc:
             exc.args = (f"step {n}: {exc.args[0]}",)
             exc.trajectory = traj

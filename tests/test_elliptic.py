@@ -103,6 +103,32 @@ class TestSolve:
         assert report.final_gradient_norm <= 1e-11
         assert np.all(v.values[mesh_1d.interior] > 0.0)
 
+    def test_trivial_start_falls_back_to_positive_solution(self, mesh_1d, data_1d):
+        # without a source v = 0 is a KKT point with J(0) = 0
+        op, _, pot = data_1d
+        prob = EllipticProblem.standard(mesh_1d, op, 1.25, 1.0, pot(0.0))
+        v, report = solve(prob, zero_field(mesh_1d))
+        assert report.fallback and report.converged
+        assert report.energy < 0.0
+        assert np.all(v.values[mesh_1d.interior] > 0.0)
+        w, warm = solve(prob, bump_seed(mesh_1d))
+        assert not warm.fallback
+        assert np.max(np.abs(v.values - w.values)) <= 1e-8
+
+    def test_converged_warm_start_still_steps(self, mesh_1d, data_1d):
+        # regression: a start inside the tolerance used to be returned as is,
+        # freezing trajectories whose step residual starts below it
+        op, src, pot = data_1d
+        prob = EllipticProblem.standard(mesh_1d, op, 1.25, 1.0, pot(0.0), src)
+        v, _ = solve(prob, bump_seed(mesh_1d))
+        start = v.with_values(v.values * (1.0 + 1e-7))
+        start_kkt = np.max(np.abs(energy_gradient(prob, start).values))
+        assert 0.0 < start_kkt <= 1e-6
+        w, report = solve(prob, start, tolerance=1e-6)
+        assert report.iterations >= 1 and not report.fallback
+        assert report.final_gradient_norm < 1e-3 * start_kkt
+        assert np.max(np.abs(w.values - v.values)) <= 1e-9
+
     def test_rejects_bad_q(self, mesh_1d, data_1d):
         op, _, pot = data_1d
         with pytest.raises(InvalidProblem):

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dne import elliptic
 from dne.elliptic import NonConvergence, make_subsolution, make_supersolution, solve_stationary
 from dne.evolution import (EvolutionSetup, Trajectory, average_potential,
                            change_of_variables_u, evolve, step,
@@ -8,8 +11,10 @@ from dne.evolution import (EvolutionSetup, Trajectory, average_potential,
 from dne.meshing import (boundary_distance_field, interpolate,
                          l2_norm_diff_power, zero_field)
 from dne.operators import PotentialField
+from dne.scenario import load_scenario
 
 Q = 1.25
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_setup(mesh, data, horizon, steps, scale=0.5, **kw):
@@ -125,6 +130,23 @@ class TestEvolve:
         traj = evolve(setup)
         assert traj.stored_indices[0] == 0 and traj.stored_indices[-1] == 10
         assert len(traj.diagnostics) == 10
+
+    def test_one_minimization_per_step(self, monkeypatch):
+        scenario = load_scenario(str(CONFIGS / "default_1d.cfg"))
+        full = scenario.build_evolution_setup()
+        setup = EvolutionSetup.create(full.mesh, full.op, full.q, full.source,
+                                      full.potential, 20 * full.dt, 20,
+                                      full.initial, tolerance=full.tolerance)
+        minimize, calls = elliptic._minimize, []
+
+        def counting(*args):
+            calls.append(args[0].variant)
+            return minimize(*args)
+
+        monkeypatch.setattr(elliptic, "_minimize", counting)
+        traj = evolve(setup)
+        assert calls == [elliptic.Variant.STANDARD] * setup.steps
+        assert not any(d.report.fallback for d in traj.diagnostics)
 
     def test_step_failure_annotated(self, mesh_1d, data_1d):
         setup = make_setup(mesh_1d, data_1d, horizon=1.0, steps=4, tolerance=0.0)
