@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .elliptic import EllipticProblem, solve, solve_lambda_problem
+from .elliptic import EllipticProblem, bump_seed, solve, solve_lambda_problem
 from .evolution import Trajectory, time_integral_norm
 from .meshing import (DiscreteField, Mesh, eval_at_points, gradient,
                       l2_norm_diff_power, l2_norm_values, lr_norm_diff_power)
@@ -159,17 +159,19 @@ def picone_pair_integral(mesh, op, r, w1, w2):
     return value, scale
 
 
+def _solve_pair(mesh, op, q, lam, source, h1, h2, tolerance):
+    """Time-step solutions for the two potentials, both from the bump seed."""
+    return [solve(EllipticProblem.standard(mesh, op, q, lam, h, source),
+                  bump_seed(mesh), tolerance)[0] for h in (h1, h2)]
+
+
 def check_contraction_elliptic(mesh, op, q, lam, source, h1, h2,
                                tolerance=None) -> CheckReport:
     """Discrete one-sided contraction of the time-step problem in the potential:
     ||(v1^q - v2^q)^+||_L2 <= slack * ||(h1 - h2)^+||_L2, both orientations."""
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
-    from .elliptic import bump_seed
-    v1, _ = solve(EllipticProblem.standard(mesh, op, q, lam, h1, source),
-                  bump_seed(mesh), tolerance)
-    v2, _ = solve(EllipticProblem.standard(mesh, op, q, lam, h2, source),
-                  bump_seed(mesh), tolerance)
+    v1, v2 = _solve_pair(mesh, op, q, lam, source, h1, h2, tolerance)
     margins, locs = [], []
     for (a, b, ha, hb, tag) in ((v1, v2, h1, h2, "h1 vs h2"),
                                 (v2, v1, h2, h1, "h2 vs h1")):
@@ -187,13 +189,11 @@ def check_contraction_elliptic(mesh, op, q, lam, source, h1, h2,
 
 def contraction_ratio(mesh, op, q, lam, source, h1, h2, tolerance=None) -> float:
     """lhs/rhs of the one-sided contraction for a refinement study."""
-    from .elliptic import bump_seed
-    v1, _ = solve(EllipticProblem.standard(mesh, op, q, lam, np.asarray(h1, float),
-                                           source), bump_seed(mesh), tolerance)
-    v2, _ = solve(EllipticProblem.standard(mesh, op, q, lam, np.asarray(h2, float),
-                                           source), bump_seed(mesh), tolerance)
+    h1 = np.asarray(h1, dtype=float)
+    h2 = np.asarray(h2, dtype=float)
+    v1, v2 = _solve_pair(mesh, op, q, lam, source, h1, h2, tolerance)
     lhs = l2_norm_diff_power(v1, v2, q, positive_part=True)
-    rhs = l2_norm_values(mesh, np.maximum(np.asarray(h1, float) - np.asarray(h2, float), 0.0))
+    rhs = l2_norm_values(mesh, np.maximum(h1 - h2, 0.0))
     return lhs / rhs if rhs > 0 else 0.0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import List, Optional
@@ -14,10 +15,10 @@ from .elliptic import (EllipticProblem, FailedToFit, NonConvergence, bump_seed,
                        make_subsolution, make_supersolution, solve,
                        solve_lambda_problem, solve_stationary)
 from .evolution import EvolutionSetup, evolve
-from .io_utils import write_field_csv, write_json
-from .meshing import l2_norm_diff_power
-from .operators import (ExponentField, LerayLionsOperator, classify_regime,
-                        seeded_rng)
+from .io_utils import atomic_write_text, write_field_csv, write_json
+from .meshing import DiscreteField, l2_norm_diff_power
+from .operators import (ExponentField, LerayLionsOperator, PotentialField,
+                        classify_regime, seeded_rng)
 from .scenario import ParseError, Scenario, ValidationError, load_scenario
 
 DEFAULT_CHECKS = [
@@ -109,97 +110,94 @@ def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
     return 0
 
 
-def _scenario_trajectories(scenario: Scenario, max_steps: int = 50):
-    """Shortened runs (same dt) reused by the trajectory-based checks."""
-    setup = scenario.build_evolution_setup()
-    steps = min(setup.steps, max_steps)
-    horizon = setup.dt * steps
-    base = EvolutionSetup.create(setup.mesh, setup.op, setup.q, setup.source,
-                                 setup.potential, horizon, steps, setup.initial,
-                                 tolerance=setup.tolerance)
-    return setup, base
-
-
 def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
                seed: int) -> int:
+    """Run the named checks (default suite if none) against one setup.
+
+    The shortened base run, the sub/supersolution bracket and the stationary
+    solution are each computed at most once and shared by the checks."""
     names = names or DEFAULT_CHECKS
-    mesh = scenario.build_mesh()
-    op = scenario.build_operator(mesh)
-    source = scenario.build_source(mesh)
-    potential = scenario.build_potential(mesh)
-    q = scenario.q
+    unknown = [name for name in names if name not in DEFAULT_CHECKS]
+    if unknown:
+        raise ParseError(f"unknown check '{unknown[0]}' "
+                         f"(available: {', '.join(DEFAULT_CHECKS)})")
+    setup = scenario.build_evolution_setup()
+    mesh, op, source, potential = setup.mesh, setup.op, setup.source, setup.potential
+    q, tol = setup.q, setup.tolerance
     r_mid = (1.0 + op.exponent.p_minus) / 2.0
-    reports = []
-    for name in names:
-        if name == "alg-inequality":
-            reports.append(ck.check_alg_inequality(q, seed=seed))
-        elif name == "picone":
-            reports.append(ck.check_picone(mesh, op, r_mid, seed=seed))
-        elif name == "picone-pair":
-            rng = seeded_rng(seed, "picone-pair-fields")
-            worst = None
-            for _ in range(8):
-                w1 = _positive_field(mesh, rng)
-                w2 = _positive_field(mesh, rng)
-                rep = ck.check_picone_pair(mesh, op, r_mid, w1, w2)
-                if worst is None or rep.worst_margin < worst.worst_margin:
-                    worst = rep
-            reports.append(worst)
-        elif name == "lambda-scaling":
-            op_const = LerayLionsOperator.from_blocks(
-                ExponentField.constant(mesh.n_elements, op.exponent.p_minus),
-                op.partition, [op.weights[j] for j in range(len(op.partition))])
-            reports.append(ck.check_lambda_scaling(mesh, op_const, [0.5, 1.0, 2.0, 4.0],
-                                                   scenario.tolerance))
-        elif name == "positivity-hopf":
-            v_stat = solve_stationary(mesh, op, q, potential.limit, source,
-                                      scenario.tolerance)
-            reports.append(ck.check_positivity_hopf(v_stat))
-        elif name == "contraction-elliptic":
-            h1 = potential(0.0)
-            reports.append(ck.check_contraction_elliptic(
-                mesh, op, q, scenario.lam, source, h1, h1 + 0.1,
-                scenario.tolerance))
-        elif name == "contraction-parabolic":
-            _, base = _scenario_trajectories(scenario)
-            traj1 = evolve(base)
-            shrunk = base.initial.with_values(0.7 * base.initial.values)
-            base2 = EvolutionSetup.create(base.mesh, base.op, base.q, base.source,
-                                          base.potential, base.horizon, base.steps,
-                                          shrunk, tolerance=base.tolerance)
-            traj2 = evolve(base2)
-            reports.append(ck.check_contraction_parabolic(
-                traj1, traj2, base.potential, base.potential))
-        elif name in ("sandwich", "monotone"):
-            _, base = _scenario_trajectories(scenario)
-            w_lo, _ = make_subsolution(mesh, op, q, source,
-                                       potential.lower_envelope, base.initial,
-                                       tolerance=scenario.tolerance)
-            w_hi, _ = make_supersolution(mesh, op, q, source, potential.sup_norm,
-                                         base.initial, tolerance=scenario.tolerance)
-            traj = evolve(base)
-            if name == "sandwich":
-                reports.append(ck.check_sandwich(traj, w_lo, w_hi))
-            else:
-                lo_setup = EvolutionSetup.create(base.mesh, base.op, base.q,
-                                                 base.source, base.potential,
-                                                 base.horizon, base.steps, w_lo,
-                                                 tolerance=base.tolerance)
-                hi_setup = EvolutionSetup.create(base.mesh, base.op, base.q,
-                                                 base.source, base.potential,
-                                                 base.horizon, base.steps, w_hi,
-                                                 tolerance=base.tolerance)
-                reports.append(ck.check_monotone_run(evolve(lo_setup), "nondecreasing"))
-                reports.append(ck.check_monotone_run(evolve(hi_setup), "nonincreasing"))
-        elif name == "stabilization":
-            setup = scenario.build_evolution_setup()
-            traj = evolve(setup)
-            v_stat = solve_stationary(mesh, op, q, potential.limit, source,
-                                      scenario.tolerance)
-            reports.append(ck.check_stabilization(traj, v_stat, [2.0], potential))
-        else:
-            raise ParseError(f"unknown check '{name}' "
-                             f"(available: {', '.join(DEFAULT_CHECKS)})")
+    short_steps = min(setup.steps, 50)
+
+    def short_run(initial, pot=potential):
+        """The first (at most) 50 steps, same dt, every step stored."""
+        return evolve(EvolutionSetup.create(mesh, op, q, source, pot,
+                                            setup.dt * short_steps, short_steps,
+                                            initial, tolerance=tol))
+
+    @functools.cache
+    def base_run():
+        return short_run(setup.initial)
+
+    @functools.cache
+    def bracket():
+        w_lo, _ = make_subsolution(mesh, op, q, source, potential.lower_envelope,
+                                   setup.initial, tolerance=tol)
+        w_hi, _ = make_supersolution(mesh, op, q, source, potential.sup_norm,
+                                     setup.initial, tolerance=tol)
+        return w_lo, w_hi
+
+    @functools.cache
+    def stationary():
+        return solve_stationary(mesh, op, q, potential.limit, source, tol)
+
+    def picone_pair():
+        rng = seeded_rng(seed, "picone-pair-fields")
+        worst = None
+        for _ in range(8):
+            w1 = _positive_field(mesh, rng)
+            w2 = _positive_field(mesh, rng)
+            rep = ck.check_picone_pair(mesh, op, r_mid, w1, w2)
+            if worst is None or rep.worst_margin < worst.worst_margin:
+                worst = rep
+        return [worst]
+
+    def lambda_scaling():
+        op_const = LerayLionsOperator.from_blocks(
+            ExponentField.constant(mesh.n_elements, op.exponent.p_minus),
+            op.partition, list(op.weights))
+        return [ck.check_lambda_scaling(mesh, op_const, [0.5, 1.0, 2.0, 4.0], tol)]
+
+    def contraction_elliptic():
+        h1 = potential(0.0)
+        return [ck.check_contraction_elliptic(mesh, op, q, scenario.lam, source,
+                                              h1, h1 + 0.1, tol)]
+
+    def contraction_parabolic():
+        shrunk = setup.initial.with_values(0.7 * setup.initial.values)
+        return [ck.check_contraction_parabolic(base_run(), short_run(shrunk),
+                                               potential, potential)]
+
+    def monotone():
+        # time monotonicity from a sub/supersolution needs an h that does not
+        # depend on t: both runs use the potential's large-time limit
+        w_lo, w_hi = bracket()
+        frozen = PotentialField.constant(potential.limit)
+        return [ck.check_monotone_run(short_run(w_lo, frozen), "nondecreasing"),
+                ck.check_monotone_run(short_run(w_hi, frozen), "nonincreasing")]
+
+    checks = {
+        "alg-inequality": lambda: [ck.check_alg_inequality(q, seed=seed)],
+        "picone": lambda: [ck.check_picone(mesh, op, r_mid, seed=seed)],
+        "picone-pair": picone_pair,
+        "lambda-scaling": lambda_scaling,
+        "positivity-hopf": lambda: [ck.check_positivity_hopf(stationary())],
+        "contraction-elliptic": contraction_elliptic,
+        "contraction-parabolic": contraction_parabolic,
+        "sandwich": lambda: [ck.check_sandwich(base_run(), *bracket())],
+        "monotone": monotone,
+        "stabilization": lambda: [ck.check_stabilization(
+            evolve(setup), stationary(), [2.0], potential)],
+    }
+    reports = [rep for name in names for rep in checks[name]()]
     payload = [r.to_dict() for r in reports]
     write_json(payload, os.path.join(out_dir, "report.json"))
     failed = [r for r in reports if not r.passed]
@@ -212,7 +210,6 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
 
 def _positive_field(mesh, rng):
     """Random strictly positive interior field for the paired-comparison loop."""
-    from .meshing import DiscreteField
     vals = np.zeros(mesh.n_vertices)
     interior = mesh.interior
     scale = float(rng.uniform(0.5, 2.0))
@@ -257,7 +254,6 @@ def run_sweep(scenario: Scenario, out_dir: str, seed: int) -> int:
                 lines.append(f"{p!r},{qv!r},{regime},{v.sup_norm!r}")
     else:
         raise ParseError("scenario has no [sweep] section or unknown sweep kind")
-    from .io_utils import atomic_write_text
     atomic_write_text(os.path.join(out_dir, "summary.csv"),
                       "\n".join([header] + lines) + "\n")
     write_json(manifest, os.path.join(out_dir, "manifest.json"))

@@ -41,8 +41,7 @@ class Variant(enum.Enum):
     STANDARD = "standard"
     PURE_LAMBDA = "pure-lambda"
     STATIONARY = "stationary"
-    SUBSOLUTION = "subsolution"
-    SUPERSOLUTION = "supersolution"
+    FROZEN_LOAD = "frozen-load"
 
 
 class InvalidProblem(ValueError):
@@ -117,8 +116,8 @@ class EllipticProblem:
         return cls(mesh, op, Variant.STATIONARY, lam=1.0, q=q, h0=b, source=source)
 
     @classmethod
-    def frozen_load(cls, mesh, op, load, variant):
-        return cls(mesh, op, variant, lam=1.0, load=load)
+    def frozen_load(cls, mesh, op, load):
+        return cls(mesh, op, Variant.FROZEN_LOAD, lam=1.0, load=load)
 
     @property
     def diffusion_weight(self) -> float:
@@ -363,11 +362,13 @@ def solve(problem: EllipticProblem, initial_guess: DiscreteField,
     # other one (Picone's identity), and J < 0 there.
     positive = (report.converged and report.energy < 0.0
                 and np.all(vals[mesh.interior] > 0.0))
-    if problem.variant in (Variant.STANDARD, Variant.STATIONARY) and not positive:
-        starts = [bump_seed(mesh).values]
+    fallback = problem.variant in (Variant.STANDARD, Variant.STATIONARY) and not positive
+    if fallback:
+        bump = bump_seed(mesh).values
+        # a bump guess has already been minimized: the rerun would tie with it
+        starts = [] if np.array_equal(bump, initial_guess.values) else [bump]
         lam_prob = EllipticProblem.pure_lambda(mesh, problem.op, problem.lam)
-        lam_vals, lam_rep = _minimize(lam_prob, bump_seed(mesh).values,
-                                      tolerance, max_iterations)
+        lam_vals, lam_rep = _minimize(lam_prob, bump, tolerance, max_iterations)
         if lam_rep.converged:
             starts.append(lam_vals)
         runs.extend(_minimize(problem, s, tolerance, max_iterations) for s in starts)
@@ -377,7 +378,7 @@ def solve(problem: EllipticProblem, initial_guess: DiscreteField,
             f"elliptic solve failed to reach tolerance {tolerance:g} "
             f"(residual {runs[-1][1].final_gradient_norm:g})", runs[-1][1])
     vals, report = min(converged, key=lambda run: run[1].energy)
-    report.fallback = len(runs) > 1
+    report.fallback = fallback
     return DiscreteField(mesh, vals), report
 
 
@@ -393,15 +394,14 @@ def solve_lambda_problem(lam: float, mesh: Mesh, op: LerayLionsOperator,
     return field_
 
 
-def _picard(mesh, op, rhs_of, start: DiscreteField, variant,
-            tolerance=None, max_picard: int = 200) -> DiscreteField:
+def _picard(mesh, op, rhs_of, start: DiscreteField, tolerance=None, max_picard: int = 200) -> DiscreteField:
     """Fixed-point iteration on the frozen right-hand side; the semilinear
     terms grow sublinearly relative to the operator, so the positive fixed
     point attracts every positive start."""
     w = start
     for _ in range(max_picard):
         load = rhs_of(np.maximum(w.barycenter_values(), 0.0))
-        problem = EllipticProblem.frozen_load(mesh, op, load, variant)
+        problem = EllipticProblem.frozen_load(mesh, op, load)
         w_new, _ = solve(problem, w, tolerance)
         scale = max(1.0, float(np.sqrt(np.sum(mesh.measures
                                               * w_new.barycenter_values() ** 2))))
@@ -426,7 +426,7 @@ def solve_subsolution_problem(mesh, op, q, source, lower_envelope, mu,
         return mu * out
 
     start = solve_lambda_problem(mu, mesh, op, tolerance)
-    return _picard(mesh, op, rhs, start, Variant.SUBSOLUTION, tolerance)
+    return _picard(mesh, op, rhs, start, tolerance)
 
 
 def solve_supersolution_problem(mesh, op, q, source, sup_norm_h, kappa,
@@ -443,7 +443,7 @@ def solve_supersolution_problem(mesh, op, q, source, sup_norm_h, kappa,
         return out
 
     start = solve_lambda_problem(kappa, mesh, op, tolerance)
-    return _picard(mesh, op, rhs, start, Variant.SUPERSOLUTION, tolerance)
+    return _picard(mesh, op, rhs, start, tolerance)
 
 
 def make_subsolution(mesh, op, q, source, lower_envelope, v0: DiscreteField,

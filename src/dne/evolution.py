@@ -206,11 +206,10 @@ def _stationary_energy(setup: EvolutionSetup, h_n: np.ndarray,
 def change_of_variables_u(traj: Trajectory) -> Trajectory:
     """Nodal power map u = v^q; the transformed run solves the operator-form
     problem and inherits the distance sandwich with exponent q."""
-    p = traj.q * traj.power if traj.power != 1.0 else traj.q
     fields = [DiscreteField(f.mesh, np.maximum(f.values, 0.0) ** traj.q)
               for f in traj.fields]
     return Trajectory(times=traj.times, fields=fields,
                       stored_indices=list(traj.stored_indices),
-                      diagnostics=traj.diagnostics, q=traj.q, power=p,
+                      diagnostics=traj.diagnostics, q=traj.q, power=traj.q * traj.power,
                       dissipation_ok=traj.dissipation_ok,
                       dissipation_margin=traj.dissipation_margin)

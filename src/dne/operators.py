@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -118,9 +118,6 @@ class LerayLionsOperator:
     @property
     def n_points(self) -> int:
         return self.exponent.n_points
-
-    def with_gamma0(self, gamma0: float) -> "LerayLionsOperator":
-        return replace(self, gamma0=float(gamma0))
 
 
 def _maybe_scalar(x):
@@ -310,14 +307,6 @@ def morawetz_gap(op: LerayLionsOperator, k, xi, eta):
     lhs = eval_A(op, k, (xi - eta) / 2.0)
     rhs = zeta * a_sum ** (1.0 - s) * defect ** s
     return _maybe_scalar(lhs), _maybe_scalar(rhs)
-
-
-def ellipticity_constants(op: LerayLionsOperator):
-    """Module constants (gamma, Gamma) for the prototype:
-    gamma = weight_floor * min(1, p_- - 1), Gamma = weight_ceiling * max(1, p_+ - 1) * N."""
-    gamma = op.weight_floor * min(1.0, op.exponent.p_minus - 1.0)
-    big_gamma = op.weight_ceiling * max(1.0, op.exponent.p_plus - 1.0) * op.ndim
-    return gamma, big_gamma
 
 
 def ellipticity_floor(op: LerayLionsOperator, k, xi):

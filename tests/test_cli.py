@@ -1,12 +1,16 @@
 import json
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dne.cli import main
+from dne import checks, cli
+from dne.cli import DEFAULT_CHECKS, main
 from dne.io_utils import field_from_csv, write_field_csv
 from dne.meshing import interpolate
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CONFIG = """
 [mesh]
@@ -142,3 +146,54 @@ class TestCommands:
         code = main(["evolve", "--config", str(tmp_path / "none.cfg"), "--out",
                      str(tmp_path / "o8")])
         assert code == 2
+
+
+class TestVerifyPipeline:
+    def test_shared_artifacts_built_once(self, config_path, tmp_path, monkeypatch):
+        calls = {}
+
+        def counting(name):
+            inner = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in ("evolve", "make_subsolution", "make_supersolution",
+                     "solve_stationary"):
+            monkeypatch.setattr(cli, name, counting(name))
+        main(["verify", "--config", config_path, "--out", str(tmp_path / "o")])
+        # base run, shrunk start, two bracket runs, full stabilization run
+        assert calls == {"evolve": 5, "make_subsolution": 1,
+                         "make_supersolution": 1, "solve_stationary": 1}
+
+    def test_suite_entries_match_single_checks(self, config_path, tmp_path):
+        main(["verify", "--config", config_path, "--out", str(tmp_path / "all")])
+        suite = json.load(open(tmp_path / "all" / "report.json"))
+        alone = []
+        for name in DEFAULT_CHECKS:
+            out = tmp_path / name
+            main(["verify", "--config", config_path, "--out", str(out),
+                  "--check", name])
+            alone.extend(json.load(open(out / "report.json")))
+        assert alone == suite
+
+    def test_unknown_check_rejected_before_any_check(self, config_path, tmp_path,
+                                                     monkeypatch):
+        ran = []
+        monkeypatch.setattr(checks, "check_alg_inequality",
+                            lambda *args, **kwargs: ran.append(args))
+        out = tmp_path / "o"
+        code = main(["verify", "--config", config_path, "--out", str(out),
+                     "--check", "alg-inequality", "--check", "nope"])
+        assert code == 2
+        assert ran == []
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+    def test_default_suite_passes_on_shipped_config(self, config, tmp_path):
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(CONFIGS / config),
+                     "--out", str(out)]) == 0
+        assert all(r["passed"] for r in json.load(open(out / "report.json")))

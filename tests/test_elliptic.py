@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dne import elliptic
 from dne.elliptic import (EllipticProblem, InvalidProblem, NonConvergence,
-                          Variant, bump_seed, energy, energy_gradient,
+                          bump_seed, energy, energy_gradient,
                           make_subsolution, make_supersolution, solve,
                           solve_lambda_problem, solve_stationary,
                           solve_subsolution_problem)
@@ -80,13 +81,24 @@ class TestEnergyGradient:
 
 
 class TestSolve:
-    def test_zero_data_gives_zero(self, mesh_1d, data_1d):
+    def test_zero_data_gives_zero(self, mesh_1d, data_1d, monkeypatch):
         op, _, _ = data_1d
         prob = EllipticProblem.standard(mesh_1d, op, 1.25, 1.0,
                                         np.zeros(mesh_1d.n_elements))
+        minimize, calls = elliptic._minimize, []
+
+        def counting(*args):
+            calls.append(args[0].variant)
+            return minimize(*args)
+
+        monkeypatch.setattr(elliptic, "_minimize", counting)
         v, report = solve(prob, bump_seed(mesh_1d))
         assert report.converged
+        assert report.fallback
         assert v.sup_norm <= 1e-5
+        # the bump guess, the pure-load solve and its solution as a start; the
+        # bump is not minimized a second time
+        assert len(calls) == 3
 
     def test_energy_descent_per_accepted_step(self, mesh_1d, data_1d):
         op, src, pot = data_1d
@@ -207,7 +219,7 @@ class TestSubSupersolutions:
         ks = np.arange(mesh_1d.n_elements)
         load = 0.5 * (pot.lower_envelope * wb ** 0.25
                       + np.asarray(eval_source(src, ks, wb)))
-        frozen = EllipticProblem.frozen_load(mesh_1d, op, load, Variant.SUBSOLUTION)
+        frozen = EllipticProblem.frozen_load(mesh_1d, op, load)
         res = energy_gradient(frozen, w)
         assert np.max(np.abs(res.values)) < 1e-8
 
