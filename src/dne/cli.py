@@ -28,9 +28,7 @@ DEFAULT_CHECKS = [
 ]
 
 
-def _manifest_base(scenario: Scenario, seed: int) -> dict:
-    mesh = scenario.build_mesh()
-    op = scenario.build_operator(mesh)
+def _manifest_base(scenario: Scenario, op: LerayLionsOperator, seed: int) -> dict:
     return {
         "config_echo": scenario.raw_text,
         "seed": seed,
@@ -62,7 +60,7 @@ def run_solve_elliptic(scenario: Scenario, out_dir: str, seed: int) -> int:
                                        scenario.build_source(mesh))
     field_, report = solve(problem, bump_seed(mesh), scenario.tolerance)
     write_field_csv(field_, os.path.join(out_dir, "solution.csv"))
-    manifest = _manifest_base(scenario, seed)
+    manifest = _manifest_base(scenario, op, seed)
     manifest["solver_report"] = _report_dict(report)
     manifest["sup_norm"] = field_.sup_norm
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
@@ -76,7 +74,7 @@ def run_stationary(scenario: Scenario, out_dir: str, seed: int) -> int:
     v_stat = solve_stationary(mesh, op, scenario.q, potential.limit,
                               scenario.build_source(mesh), scenario.tolerance)
     write_field_csv(v_stat, os.path.join(out_dir, "stationary.csv"))
-    manifest = _manifest_base(scenario, seed)
+    manifest = _manifest_base(scenario, op, seed)
     manifest["sup_norm"] = v_stat.sup_norm
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return 0
@@ -91,7 +89,7 @@ def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
     v_stat = solve_stationary(mesh, setup.op, setup.q, setup.potential.limit,
                               setup.source, setup.tolerance)
     e_final = l2_norm_diff_power(traj.final, v_stat, setup.q)
-    manifest = _manifest_base(scenario, seed)
+    manifest = _manifest_base(scenario, setup.op, seed)
     manifest.update({
         "times": traj.times.tolist(),
         "stored_indices": traj.stored_indices,
@@ -221,10 +219,10 @@ def _positive_field(mesh, rng):
 
 def run_sweep(scenario: Scenario, out_dir: str, seed: int) -> int:
     mesh = scenario.build_mesh()
-    manifest = _manifest_base(scenario, seed)
+    op = scenario.build_operator(mesh)
+    manifest = _manifest_base(scenario, op, seed)
     lines = []
     if scenario.sweep_kind == "lambda":
-        op = scenario.build_operator(mesh)
         sups = []
         for lam in scenario.sweep_lambdas:
             w = solve_lambda_problem(lam, mesh, op, scenario.tolerance)

@@ -6,15 +6,16 @@ Every variant minimizes (a sub-family of)
            - 1/q int h0 (v+)^q  -  s_w int F(x, v)  -  int load * v
 
 over the nonnegative cone of the P1 space.  The time-step problem keeps all
-terms with s_w = lam; the pure-load problem keeps only diffusion and a linear
-load; the stationary problem drops the (v+)^2q term.  Iterates are projected
-onto {v >= 0}, realizing the positive-part truncation the energy is built on.
+terms with s_w = lam; the frozen-load problems (the pure-load problem among
+them, load = lam) keep only diffusion and a linear load; the stationary
+problem drops the (v+)^2q term.  Iterates are projected onto {v >= 0},
+realizing the positive-part truncation the energy is built on.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,7 +40,6 @@ KAPPA_CEIL = 1e12
 
 class Variant(enum.Enum):
     STANDARD = "standard"
-    PURE_LAMBDA = "pure-lambda"
     STATIONARY = "stationary"
     FROZEN_LOAD = "frozen-load"
 
@@ -68,7 +68,6 @@ class SolverReport:
     converged: bool = False
     floor_steps: int = 0
     fallback: bool = False
-    energy_history: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -105,11 +104,6 @@ class EllipticProblem:
     @classmethod
     def standard(cls, mesh, op, q, lam, h0, source=None):
         return cls(mesh, op, Variant.STANDARD, lam=lam, q=q, h0=h0, source=source)
-
-    @classmethod
-    def pure_lambda(cls, mesh, op, lam):
-        return cls(mesh, op, Variant.PURE_LAMBDA, lam=lam,
-                   load=np.full(mesh.n_elements, float(lam)))
 
     @classmethod
     def stationary(cls, mesh, op, q, b, source=None):
@@ -249,19 +243,18 @@ def _newton_direction(problem, vals, grad, include_concave):
     return d
 
 
-def _directions(problem: EllipticProblem, vals, grad):
-    """Search directions in preference order, produced lazily: full Newton,
-    then (for problems with concave terms, or if the full solve failed) the
-    convex-majorant Newton step that drops the concave second derivatives,
-    then projected steepest descent."""
-    d_full = _newton_direction(problem, vals, grad, include_concave=True)
-    if d_full is not None:
-        yield d_full
-    if d_full is None or problem.h0 is not None or problem.source_weight:
-        d_convex = _newton_direction(problem, vals, grad, include_concave=False)
-        if d_convex is not None:
-            yield d_convex
-    yield np.where(problem.mesh.boundary_mask, 0.0, -grad)
+def _directions(problem: EllipticProblem, vals, grad, descend: bool):
+    """Search directions in preference order, produced lazily: one Newton step
+    (the full one, or the convex-majorant step that drops the concave second
+    derivatives when the full step is not a descent direction), then, if
+    `descend`, projected steepest descent."""
+    d = _newton_direction(problem, vals, grad, include_concave=True)
+    if d is None:
+        d = _newton_direction(problem, vals, grad, include_concave=False)
+    if d is not None:
+        yield d
+    if descend:
+        yield np.where(problem.mesh.boundary_mask, 0.0, -grad)
 
 
 def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
@@ -286,9 +279,9 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
             report.regularization_floor_hit = True
 
         moved = False
-        tried = []
-        for d in _directions(problem, vals, grad):
-            tried.append(d)
+        # steepest descent only while the residual is above the tolerance: a
+        # start inside it tries the Newton step alone
+        for d in _directions(problem, vals, grad, kkt > tolerance):
             t = 1.0
             for _ in range(MAX_BACKTRACKS):
                 trial = _project(mesh, vals + t * d)
@@ -297,28 +290,22 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
                     break
                 e_trial = _energy_values(problem, trial)
                 if e_trial < e_now and e_trial <= e_now + ARMIJO_C * float(grad @ step):
-                    vals, e_now = trial, e_trial
-                    report.energy_history.append(e_trial)
-                    moved = True
+                    vals, e_now, moved = trial, e_trial, True
                     break
                 t *= BACKTRACK
             if moved:
                 break
             report.line_search_failures += 1
-        if not moved:
-            # Roundoff floor of the energy: accept a full polish step when it
-            # still reduces the first-order residual without raising the energy
+            # Roundoff floor of the energy: accept the full step when it still
+            # reduces the first-order residual without raising the energy
             # beyond machine slack.
-            for d in tried:
-                trial = _project(mesh, vals + d)
-                if not np.any(trial - vals):
-                    continue
+            trial = _project(mesh, vals + d)
+            if np.any(trial - vals):
                 e_trial = _energy_values(problem, trial)
                 if (e_trial <= e_now + 1e-13 * (1.0 + abs(e_now))
                         and _kkt_norm(mesh, trial, _gradient_values(problem, trial)) < kkt):
-                    vals, e_now = trial, e_trial
+                    vals, e_now, moved = trial, e_trial, True
                     report.floor_steps += 1
-                    moved = True
                     break
         if not moved:
             report.converged = kkt <= tolerance
@@ -349,36 +336,37 @@ def bump_seed(mesh: Mesh, amplitude: float = 0.1) -> DiscreteField:
 def solve(problem: EllipticProblem, initial_guess: DiscreteField,
           tolerance: Optional[float] = None,
           max_iterations: int = 200) -> tuple[DiscreteField, SolverReport]:
-    """One minimization from the caller's guess.  For STANDARD/STATIONARY
-    problems a result that is not the positive solution falls back to a small
-    bump and the pure-load solution as extra starts; the lowest-energy
-    converged run wins and its report has `fallback` set."""
+    """One minimization from the caller's guess.
+
+    A STANDARD/STATIONARY problem has exactly one positive solution, where
+    J < 0; the only other KKT point is v = 0, with J(0) = 0 (Picone's
+    identity), so a descent that starts below J = 0 cannot end there.  A warm
+    result that is not positive is replaced by one minimization from the bump,
+    halved until J < 0, and its report has `fallback` set.  When no halving
+    gets below zero there is no positive solution (e.g. h0 = 0) and the warm
+    result stands."""
     mesh = problem.mesh
     if tolerance is None:
         tolerance = DEFAULT_TOL[mesh.dimension]
-    vals, report = _minimize(problem, initial_guess.values, tolerance, max_iterations)
-    runs = [(vals, report)]
-    # v = 0 is a KKT point with J(0) = 0; the positive solution is the only
-    # other one (Picone's identity), and J < 0 there.
+    guess = initial_guess.values
+    vals, report = _minimize(problem, guess, tolerance, max_iterations)
     positive = (report.converged and report.energy < 0.0
                 and np.all(vals[mesh.interior] > 0.0))
-    fallback = problem.variant in (Variant.STANDARD, Variant.STATIONARY) and not positive
-    if fallback:
-        bump = bump_seed(mesh).values
-        # a bump guess has already been minimized: the rerun would tie with it
-        starts = [] if np.array_equal(bump, initial_guess.values) else [bump]
-        lam_prob = EllipticProblem.pure_lambda(mesh, problem.op, problem.lam)
-        lam_vals, lam_rep = _minimize(lam_prob, bump, tolerance, max_iterations)
-        if lam_rep.converged:
-            starts.append(lam_vals)
-        runs.extend(_minimize(problem, s, tolerance, max_iterations) for s in starts)
-    converged = [run for run in runs if run[1].converged]
-    if not converged:
+    if problem.variant in (Variant.STANDARD, Variant.STATIONARY) and not positive:
+        # J(t * bump) ~ a t^p - b t^q near t = 0, so J < 0 can need a tiny t
+        # when p - q is small; halving is exact and reaches zero only when no
+        # t gives J < 0
+        start = bump_seed(mesh).values
+        while np.any(start) and _energy_values(problem, start) >= 0.0:
+            start = 0.5 * start
+        # a guess that is this start has been minimized already
+        if np.any(start) and not np.array_equal(start, guess):
+            vals, report = _minimize(problem, start, tolerance, max_iterations)
+        report.fallback = True
+    if not report.converged:
         raise NonConvergence(
             f"elliptic solve failed to reach tolerance {tolerance:g} "
-            f"(residual {runs[-1][1].final_gradient_norm:g})", runs[-1][1])
-    vals, report = min(converged, key=lambda run: run[1].energy)
-    report.fallback = fallback
+            f"(residual {report.final_gradient_norm:g})", report)
     return DiscreteField(mesh, vals), report
 
 
@@ -389,7 +377,7 @@ def solve_lambda_problem(lam: float, mesh: Mesh, op: LerayLionsOperator,
     boundary; monotone and power-law scaling in lam for constant exponents."""
     if not (lam > 0.0):
         raise InvalidProblem("lambda must be positive")
-    problem = EllipticProblem.pure_lambda(mesh, op, lam)
+    problem = EllipticProblem.frozen_load(mesh, op, np.full(mesh.n_elements, float(lam)))
     field_, _ = solve(problem, bump_seed(mesh), tolerance, max_iterations)
     return field_
 

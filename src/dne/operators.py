@@ -66,8 +66,7 @@ class LerayLionsOperator:
     """Prototype operator: disjoint axis blocks, per-block weights, one exponent field.
 
     `partition` holds 0-based axis index arrays; `weights` has shape
-    (n_blocks, n_points). `gamma0` is the empirically calibrated constant of the
-    strong-monotonicity lower bound (None until calibrated).
+    (n_blocks, n_points).
     """
 
     partition: tuple
@@ -75,7 +74,6 @@ class LerayLionsOperator:
     exponent: ExponentField
     weight_floor: float
     weight_ceiling: float
-    gamma0: Optional[float] = None
 
     def __post_init__(self):
         blocks = tuple(np.asarray(b, dtype=int) for b in self.partition)
@@ -210,13 +208,11 @@ def flux_jacobian_batch(op: LerayLionsOperator, k, xi: np.ndarray,
     return jac
 
 
-def monotonicity_gap(op: LerayLionsOperator, k, xi, eta, gamma0: Optional[float] = None):
+def monotonicity_gap(op: LerayLionsOperator, k, xi, eta, gamma0: float = 1.0):
     """Both sides of the strong monotonicity bound
     <a(x,xi)-a(x,eta), xi-eta> >= gamma0 * |xi-eta|^p            (p > 2)
                                >= gamma0 * |xi-eta|^2 / (1+|xi|+|eta|)^(2-p)  (p <= 2).
     Returns (lhs, rhs); the caller asserts lhs >= rhs."""
-    if gamma0 is None:
-        gamma0 = op.gamma0 if op.gamma0 is not None else 1.0
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     p = op.exponent.values[k]

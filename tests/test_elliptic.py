@@ -96,16 +96,46 @@ class TestSolve:
         assert report.converged
         assert report.fallback
         assert v.sup_norm <= 1e-5
-        # the bump guess, the pure-load solve and its solution as a start; the
-        # bump is not minimized a second time
-        assert len(calls) == 3
+        # the bump guess only: with zero data no start has J < 0
+        assert len(calls) == 1
 
     def test_energy_descent_per_accepted_step(self, mesh_1d, data_1d):
         op, src, pot = data_1d
         prob = EllipticProblem.standard(mesh_1d, op, 1.25, 1.0, pot(0.0), src)
-        _, report = solve(prob, bump_seed(mesh_1d))
-        hist = np.array(report.energy_history)
-        assert np.all(np.diff(hist) < 0.0)
+        start = bump_seed(mesh_1d)
+        energies = [energy(prob, start)]
+        for k in range(1, 200):
+            _, report = elliptic._minimize(prob, start.values, 1e-11, max_iterations=k)
+            if report.iterations < k or report.floor_steps:
+                break
+            energies.append(report.energy)
+        assert len(energies) >= 4
+        assert np.all(np.diff(energies) < 0.0)
+
+    def test_converged_start_assembles_one_hessian(self, mesh_1d, data_1d,
+                                                   monkeypatch):
+        op, src, pot = data_1d
+        prob = EllipticProblem.standard(mesh_1d, op, 1.25, 1.0, pot(0.0), src)
+        v, _ = solve(prob, bump_seed(mesh_1d))
+        hessian, calls = elliptic._hessian_matrix, []
+
+        def counting(*args):
+            calls.append(args[2])
+            return hessian(*args)
+
+        monkeypatch.setattr(elliptic, "_hessian_matrix", counting)
+        w, report = solve(prob, v)
+        assert report.converged and not report.fallback
+        assert calls == [True]
+        assert np.max(np.abs(w.values - v.values)) <= 1e-10
+
+    def test_singular_problem_finds_positive_solution(self, mesh_1d):
+        # p < 2 without a source: descent from the bump used to end at v = 0
+        prob = EllipticProblem.standard(mesh_1d, iso_op(mesh_1d, 1.5), 1.25, 1.0,
+                                        np.ones(mesh_1d.n_elements))
+        v, report = solve(prob, bump_seed(mesh_1d))
+        assert report.converged and report.energy < 0.0
+        assert np.all(v.values[mesh_1d.interior] > 0.0)
 
     def test_nontrivial_when_potential_nontrivial(self, mesh_1d, data_1d):
         op, src, pot = data_1d
