@@ -6,23 +6,24 @@ Every variant minimizes (a sub-family of)
            - 1/q int h0 (v+)^q  -  s_w int F(x, v)  -  int load * v
 
 over the nonnegative cone of the P1 space.  The time-step problem keeps all
-terms with s_w = lam; the frozen-load problems (the pure-load problem among
-them, load = lam) keep only diffusion and a linear load; the stationary
-problem drops the (v+)^2q term.  Iterates are projected onto {v >= 0},
+terms with s_w = lam and no load; the frozen-load problem keeps only diffusion
+and a linear load, and serves the pure-load problem (load = lam); the
+stationary problem drops the (v+)^2q term and may carry a constant load (the
+supersolution problem).  Iterates are projected onto {v >= 0},
 realizing the positive-part truncation the energy is built on.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .meshing import DiscreteField, Mesh, l2_norm_diff_power
+from .meshing import DiscreteField, Mesh
 from .operators import (LerayLionsOperator, SourceTerm, eval_A, eval_flux,
                         eval_source, flux_jacobian_batch, source_antiderivative)
 
@@ -33,7 +34,6 @@ HESSIAN_EPS = 1e-8
 # Tighter than strictly needed for the residual itself: keeps nodal noise well
 # below the 1e-8 ordering slack used by the comparison checks.
 DEFAULT_TOL = {1: 1e-11, 2: 1e-8}
-PICARD_TOL = 1e-10
 MU_FLOOR = 1e-12
 KAPPA_CEIL = 1e12
 
@@ -106,8 +106,9 @@ class EllipticProblem:
         return cls(mesh, op, Variant.STANDARD, lam=lam, q=q, h0=h0, source=source)
 
     @classmethod
-    def stationary(cls, mesh, op, q, b, source=None):
-        return cls(mesh, op, Variant.STATIONARY, lam=1.0, q=q, h0=b, source=source)
+    def stationary(cls, mesh, op, q, b, source=None, load=None):
+        return cls(mesh, op, Variant.STATIONARY, lam=1.0, q=q, h0=b, source=source,
+                   load=load)
 
     @classmethod
     def frozen_load(cls, mesh, op, load):
@@ -382,56 +383,28 @@ def solve_lambda_problem(lam: float, mesh: Mesh, op: LerayLionsOperator,
     return field_
 
 
-def _picard(mesh, op, rhs_of, start: DiscreteField, tolerance=None, max_picard: int = 200) -> DiscreteField:
-    """Fixed-point iteration on the frozen right-hand side; the semilinear
-    terms grow sublinearly relative to the operator, so the positive fixed
-    point attracts every positive start."""
-    w = start
-    for _ in range(max_picard):
-        load = rhs_of(np.maximum(w.barycenter_values(), 0.0))
-        problem = EllipticProblem.frozen_load(mesh, op, load)
-        w_new, _ = solve(problem, w, tolerance)
-        scale = max(1.0, float(np.sqrt(np.sum(mesh.measures
-                                              * w_new.barycenter_values() ** 2))))
-        if l2_norm_diff_power(w_new, w, 1.0) <= PICARD_TOL * scale:
-            return w_new
-        w = w_new
-    raise NonConvergence("Picard iteration on the frozen right-hand side stalled")
-
-
 def solve_subsolution_problem(mesh, op, q, source, lower_envelope, mu,
                               tolerance=None) -> DiscreteField:
-    """Positive solution of -div a = mu (h_lower w^(q-1) + f(x, w)) at fixed mu."""
+    """Positive solution of -div a = mu (h_lower w^(q-1) + f(x, w)) at fixed mu:
+    the stationary problem with potential mu * h_lower and source mu * f."""
     if not (mu > 0.0):
         raise InvalidProblem("mu must be positive")
-    env = np.asarray(lower_envelope, dtype=float)
-    ks = np.arange(mesh.n_elements)
-
-    def rhs(wb):
-        out = env * wb ** (q - 1.0)
-        if source is not None:
-            out = out + np.asarray(eval_source(source, ks, wb))
-        return mu * out
-
-    start = solve_lambda_problem(mu, mesh, op, tolerance)
-    return _picard(mesh, op, rhs, start, tolerance)
+    if source is not None:
+        source = replace(source, g=mu * source.g)
+    return solve_stationary(mesh, op, q, mu * np.asarray(lower_envelope), source,
+                            tolerance)
 
 
 def solve_supersolution_problem(mesh, op, q, source, sup_norm_h, kappa,
                                 tolerance=None) -> DiscreteField:
-    """Positive solution of -div a = ||h||_inf w^(q-1) + f(x, w) + kappa."""
+    """Positive solution of -div a = ||h||_inf w^(q-1) + f(x, w) + kappa: the
+    stationary problem with constant potential ||h||_inf and constant load."""
     if not (kappa > 0.0):
         raise InvalidProblem("kappa must be positive")
-    ks = np.arange(mesh.n_elements)
-
-    def rhs(wb):
-        out = sup_norm_h * wb ** (q - 1.0) + kappa
-        if source is not None:
-            out = out + np.asarray(eval_source(source, ks, wb))
-        return out
-
-    start = solve_lambda_problem(kappa, mesh, op, tolerance)
-    return _picard(mesh, op, rhs, start, tolerance)
+    ne = mesh.n_elements
+    problem = EllipticProblem.stationary(mesh, op, q, np.full(ne, float(sup_norm_h)),
+                                         source, load=np.full(ne, float(kappa)))
+    return solve(problem, bump_seed(mesh), tolerance)[0]
 
 
 def make_subsolution(mesh, op, q, source, lower_envelope, v0: DiscreteField,

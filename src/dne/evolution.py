@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .elliptic import EllipticProblem, NonConvergence, SolverReport, solve
+from .elliptic import EllipticProblem, NonConvergence, SolverReport, energy, solve
 from .meshing import (DiscreteField, Mesh, boundary_distance_field,
                       l2_norm_diff_power, l2_norm_values, modular)
 from .operators import (LerayLionsOperator, PotentialField, SourceTerm,
@@ -197,7 +197,6 @@ def evolve(setup: EvolutionSetup) -> Trajectory:
 
 def _stationary_energy(setup: EvolutionSetup, h_n: np.ndarray,
                        v: DiscreteField) -> float:
-    from .elliptic import energy
     problem = EllipticProblem.stationary(setup.mesh, setup.op, setup.q, h_n,
                                          setup.source)
     return energy(problem, v)

@@ -28,9 +28,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def field_to_csv(field: DiscreteField) -> str:
     cols = "x,value" if field.mesh.dimension == 1 else "x,y,value"
-    lines = [f"# columns: {cols}"]
-    for coords, value in zip(field.mesh.vertices, field.values):
-        lines.append(",".join(repr(float(c)) for c in coords) + "," + repr(float(value)))
+    rows = np.column_stack([field.mesh.vertices, field.values]).tolist()
+    lines = [f"# columns: {cols}"] + [",".join(map(repr, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -65,12 +65,6 @@ class Mesh:
         return self.elements.shape[0]
 
     @property
-    def domain_measure(self) -> float:
-        if self.dimension == 1:
-            return self.bounds[1] - self.bounds[0]
-        return (self.bounds[1] - self.bounds[0]) * (self.bounds[3] - self.bounds[2])
-
-    @property
     def spacing(self) -> float:
         if self.dimension == 1:
             return (self.bounds[1] - self.bounds[0]) / self.resolution[0]
@@ -155,9 +149,6 @@ class DiscreteField:
 
     def barycenter_values(self) -> np.ndarray:
         return self.mesh.element_means(self.values)
-
-    def power(self, exponent: float) -> "DiscreteField":
-        return DiscreteField(self.mesh, np.maximum(self.values, 0.0) ** exponent)
 
     @property
     def sup_norm(self) -> float:

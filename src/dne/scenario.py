@@ -17,8 +17,8 @@ import numpy as np
 
 from .evolution import EvolutionSetup
 from .io_utils import field_from_csv, read_field_csv
-from .meshing import (DiscreteField, Mesh, boundary_distance_field, interpolate,
-                      interval_mesh, rectangle_mesh)
+from .meshing import (DiscreteField, Mesh, _distance, boundary_distance_field,
+                      interpolate, interval_mesh, rectangle_mesh)
 from .operators import (ExponentField, LerayLionsOperator, PotentialField,
                         SourceTerm)
 
@@ -73,12 +73,8 @@ class Primitive:
             return self.params[0] * _sin_product(points, mesh)
         if self.name == "power-of-delta":
             scale, expo = self.params
-            from .meshing import _distance
             return scale * _distance(points, mesh) ** expo
         raise AssertionError(self.name)
-
-    def describe(self) -> str:
-        return " ".join([self.name] + [repr(p) for p in self.params])
 
 
 _PRIMITIVES = {

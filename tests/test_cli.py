@@ -72,6 +72,17 @@ class TestFieldCsvRoundTrip:
         write_field_csv(interpolate(mesh_1d, lambda x: x[:, 0]), str(path))
         assert open(path).readline().strip() == "# columns: x,value"
 
+    def test_interior_row_text(self, tmp_path, mesh_2d):
+        v = interpolate(mesh_2d, lambda x: np.sin(np.pi * x[:, 0])
+                        * np.sin(np.pi * x[:, 1]) / 3.0)
+        path = tmp_path / "f.csv"
+        write_field_csv(v, str(path))
+        lines = open(path).read().splitlines()
+        k = int(mesh_2d.interior[len(mesh_2d.interior) // 2])
+        x, y = (float(c) for c in mesh_2d.vertices[k])
+        val = float(v.values[k])
+        assert lines[k + 1] == f"{x!r},{y!r},{val!r}"
+
 
 class TestCommands:
     def test_solve_elliptic(self, config_path, tmp_path):

@@ -6,10 +6,11 @@ from dne.elliptic import (EllipticProblem, InvalidProblem, NonConvergence,
                           bump_seed, energy, energy_gradient,
                           make_subsolution, make_supersolution, solve,
                           solve_lambda_problem, solve_stationary,
-                          solve_subsolution_problem)
+                          solve_subsolution_problem, solve_supersolution_problem)
 from dne.meshing import (DiscreteField, interpolate, interval_mesh,
                          l2_norm_diff_power, zero_field)
-from dne.operators import ExponentField, LerayLionsOperator, seeded_rng
+from dne.operators import (ExponentField, LerayLionsOperator, eval_source,
+                           seeded_rng)
 
 
 def iso_op(mesh, p):
@@ -240,18 +241,51 @@ class TestSubSupersolutions:
         wb = solve_subsolution_problem(mesh_1d, op, 1.25, src, pot.lower_envelope, 0.5)
         assert np.all(wa.values <= wb.values + 1e-10)
 
-    def test_subsolution_residual(self, mesh_1d, data_1d):
+    @pytest.mark.parametrize("kind", ["subsolution", "supersolution"])
+    def test_subsolution_residual(self, kind, mesh_1d, data_1d):
         # the returned field satisfies the frozen weak form to solver accuracy
         op, src, pot = data_1d
-        from dne.operators import eval_source
-        w = solve_subsolution_problem(mesh_1d, op, 1.25, src, pot.lower_envelope, 0.5)
-        wb = np.maximum(w.barycenter_values(), 0.0)
         ks = np.arange(mesh_1d.n_elements)
-        load = 0.5 * (pot.lower_envelope * wb ** 0.25
-                      + np.asarray(eval_source(src, ks, wb)))
+        if kind == "subsolution":
+            w = solve_subsolution_problem(mesh_1d, op, 1.25, src, pot.lower_envelope, 0.5)
+            scale, b, kappa = 0.5, pot.lower_envelope, 0.0
+        else:
+            w = solve_supersolution_problem(mesh_1d, op, 1.25, src, pot.sup_norm, 2.0)
+            scale, b, kappa = 1.0, pot.sup_norm, 2.0
+        wb = np.maximum(w.barycenter_values(), 0.0)
+        load = scale * (b * wb ** 0.25 + np.asarray(eval_source(src, ks, wb))) + kappa
         frozen = EllipticProblem.frozen_load(mesh_1d, op, load)
         res = energy_gradient(frozen, w)
         assert np.max(np.abs(res.values)) < 1e-8
+
+    def test_one_minimization_per_fit_trial(self, mesh_1d, data_1d, monkeypatch):
+        # each mu or kappa tried is one stationary solve: one minimization
+        op, src, pot = data_1d
+        v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
+        calls = []
+        minimize = elliptic._minimize
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(elliptic, "_minimize", counted)
+        _, mu = make_subsolution(mesh_1d, op, 1.25, src, pot.lower_envelope, v0)
+        assert (mu, len(calls)) == (1.0, 1)
+        calls.clear()
+        _, kappa = make_supersolution(mesh_1d, op, 1.25, src, pot.sup_norm, v0)
+        assert (kappa, len(calls)) == (4.0, 3)
+
+    def test_subsolution_near_singular_exponents(self, mesh_1d, data_1d):
+        # p = 1.6, q = 1.5, no source: the positive solution is tiny (sup
+        # ~3e-9), close to where the absolute 1D tolerance is out of reach
+        _, _, pot = data_1d
+        v0 = interpolate(mesh_1d, lambda x: 0.05 * np.sin(np.pi * x[:, 0]))
+        w, mu = make_subsolution(mesh_1d, iso_op(mesh_1d, 1.6), 1.5, None,
+                                 pot.lower_envelope, v0)
+        assert mu == 1.0
+        assert np.all(w.values <= v0.values)
+        assert np.all(w.values[mesh_1d.interior] > 0.0)
 
     def test_supersolution_dominates(self, mesh_1d, data_1d):
         op, src, pot = data_1d
