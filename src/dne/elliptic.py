@@ -1,21 +1,21 @@
-"""Elliptic solves by projected damped Newton on a coercive step energy.
+"""Elliptic solves by projected damped Newton on a coercive energy.
 
-Every variant minimizes (a sub-family of)
+Every problem minimizes the one energy
 
-    J(v) = 1/(2q) int (v+)^2q  +  lam int A(x, grad v)/p(x)
-           - 1/q int h0 (v+)^q  -  s_w int F(x, v)  -  int load * v
+    J(v) = lam int A(x, grad v)/p(x)  +  sum_(c, r) int c (v+)^r / r  -  int load * v
 
-over the nonnegative cone of the P1 space.  The time-step problem keeps all
-terms with s_w = lam and no load; the frozen-load problem keeps only diffusion
-and a linear load, and serves the pure-load problem (load = lam); the
-stationary problem drops the (v+)^2q term and may carry a constant load (the
-supersolution problem).  Iterates are projected onto {v >= 0},
-realizing the positive-part truncation the energy is built on.
+over the nonnegative cone of the P1 space, with per-element coefficients c.
+The constructors differ only in the power terms (c, r) they set:
+`standard` (the implicit Euler step) has the mass term (1, 2q), the potential
+term (-h0, q) and the source term (-lam g delta^gamma, beta + 1); `stationary`
+has lam = 1, the potential and source terms and an optional load (the
+supersolution problem); the pure-load problem is the bare constructor with a
+load and no terms.  Iterates are projected onto {v >= 0}, realizing the
+positive-part truncation the energy is built on.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -24,24 +24,18 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .meshing import DiscreteField, Mesh
-from .operators import (LerayLionsOperator, SourceTerm, eval_A, eval_flux,
-                        eval_source, flux_jacobian_batch, source_antiderivative)
+from .operators import LerayLionsOperator, eval_A, eval_flux, flux_jacobian_batch
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
 HESSIAN_EPS = 1e-8
-# Tighter than strictly needed for the residual itself: keeps nodal noise well
-# below the 1e-8 ordering slack used by the comparison checks.
+# Absolute bounds on the nodal KKT residual.  In 1D the nodal noise stays well
+# below the 1e-8 ordering slack of the comparison checks; in 2D the tolerance
+# equals that slack.
 DEFAULT_TOL = {1: 1e-11, 2: 1e-8}
 MU_FLOOR = 1e-12
 KAPPA_CEIL = 1e12
-
-
-class Variant(enum.Enum):
-    STANDARD = "standard"
-    STATIONARY = "stationary"
-    FROZEN_LOAD = "frozen-load"
 
 
 class InvalidProblem(ValueError):
@@ -70,17 +64,29 @@ class SolverReport:
     fallback: bool = False
 
 
+def _forcing_terms(mesh, op, q, h0, lam, source) -> tuple:
+    """The potential term (-h0, q) and, with a source, the source term
+    (-lam g delta^gamma, beta + 1), after checking q and h0."""
+    if not (1.0 < q < op.exponent.p_minus):
+        raise InvalidProblem("q must lie in (1, p_-)")
+    h0 = np.asarray(h0, dtype=float)
+    if h0.shape != (mesh.n_elements,) or h0.min() < 0.0:
+        raise InvalidProblem("h0 must be a nonnegative per-element field")
+    if source is None:
+        return ((-h0, q),)
+    return ((-h0, q), (-lam * source.g * source.delta ** source.gamma,
+                       source.beta + 1.0))
+
+
 @dataclass(frozen=True)
 class EllipticProblem:
-    """One elliptic solve: which terms are active is fixed by the variant."""
+    """One elliptic solve: diffusion weight lam, power terms (c, r) with
+    per-element coefficients c, and an optional per-element linear load."""
 
     mesh: Mesh
     op: LerayLionsOperator
-    variant: Variant
     lam: float = 1.0
-    q: Optional[float] = None
-    h0: Optional[np.ndarray] = None
-    source: Optional[SourceTerm] = None
+    terms: tuple = ()
     load: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -88,45 +94,27 @@ class EllipticProblem:
             raise InvalidProblem("operator does not match the mesh quadrature")
         if not (self.lam > 0.0):
             raise InvalidProblem("lambda must be positive")
-        if self.variant in (Variant.STANDARD, Variant.STATIONARY):
-            if self.q is None or not (1.0 < self.q < self.op.exponent.p_minus):
-                raise InvalidProblem("q must lie in (1, p_-)")
-            if self.h0 is None:
-                raise InvalidProblem("h0 is required for this variant")
-        if self.h0 is not None:
-            h0 = np.asarray(self.h0, dtype=float)
-            object.__setattr__(self, "h0", h0)
-            if h0.shape != (self.mesh.n_elements,) or h0.min() < 0.0:
-                raise InvalidProblem("h0 must be a nonnegative per-element field")
+        terms = tuple((np.asarray(c, dtype=float), float(r)) for c, r in self.terms)
+        if any(c.shape != (self.mesh.n_elements,) for c, _ in terms):
+            raise InvalidProblem("term coefficients must be per-element fields")
+        object.__setattr__(self, "terms", terms)
         if self.load is not None:
             object.__setattr__(self, "load", np.asarray(self.load, dtype=float))
 
     @classmethod
     def standard(cls, mesh, op, q, lam, h0, source=None):
-        return cls(mesh, op, Variant.STANDARD, lam=lam, q=q, h0=h0, source=source)
+        mass = (np.ones(mesh.n_elements), 2.0 * q)
+        return cls(mesh, op, lam, (mass,) + _forcing_terms(mesh, op, q, h0, lam, source))
 
     @classmethod
     def stationary(cls, mesh, op, q, b, source=None, load=None):
-        return cls(mesh, op, Variant.STATIONARY, lam=1.0, q=q, h0=b, source=source,
-                   load=load)
+        return cls(mesh, op, 1.0, _forcing_terms(mesh, op, q, b, 1.0, source), load)
 
-    @classmethod
-    def frozen_load(cls, mesh, op, load):
-        return cls(mesh, op, Variant.FROZEN_LOAD, lam=1.0, load=load)
 
-    @property
-    def diffusion_weight(self) -> float:
-        return self.lam if self.variant is Variant.STANDARD else 1.0
-
-    @property
-    def source_weight(self) -> float:
-        if self.source is None:
-            return 0.0
-        return self.lam if self.variant is Variant.STANDARD else 1.0
-
-    @property
-    def mass_on(self) -> bool:
-        return self.variant is Variant.STANDARD
+def _power(vbp: np.ndarray, s: float) -> np.ndarray:
+    """vbp^s where vbp > 0 and exactly 0 elsewhere, for any exponent s."""
+    pos = vbp > 0.0
+    return np.where(pos, np.where(pos, vbp, 1.0) ** s, 0.0)
 
 
 def _energy_values(problem: EllipticProblem, vals: np.ndarray) -> float:
@@ -135,15 +123,9 @@ def _energy_values(problem: EllipticProblem, vals: np.ndarray) -> float:
     vb = mesh.element_means(vals)
     vbp = np.maximum(vb, 0.0)
     dens = np.asarray(eval_A(problem.op, ks, mesh.gradient_of(vals)))
-    total = problem.diffusion_weight * np.sum(
-        mesh.measures * dens / problem.op.exponent.values)
-    if problem.mass_on:
-        total += np.sum(mesh.measures * vbp ** (2.0 * problem.q)) / (2.0 * problem.q)
-    if problem.h0 is not None:
-        total -= np.sum(mesh.measures * problem.h0 * vbp ** problem.q) / problem.q
-    if problem.source_weight:
-        f_prim = np.asarray(source_antiderivative(problem.source, ks, vb))
-        total -= problem.source_weight * np.sum(mesh.measures * f_prim)
+    total = problem.lam * np.sum(mesh.measures * dens / problem.op.exponent.values)
+    for c, r in problem.terms:
+        total += np.sum(mesh.measures * c * vbp ** r) / r
     if problem.load is not None:
         total -= np.sum(mesh.measures * problem.load * vb)
     return float(total)
@@ -153,21 +135,15 @@ def _gradient_values(problem: EllipticProblem, vals: np.ndarray) -> np.ndarray:
     mesh = problem.mesh
     nloc = mesh.elements.shape[1]
     ks = np.arange(mesh.n_elements)
-    vb = mesh.element_means(vals)
-    vbp = np.maximum(vb, 0.0)
+    vbp = np.maximum(mesh.element_means(vals), 0.0)
     dens = np.zeros(mesh.n_elements)
-    if problem.mass_on:
-        dens += vbp ** (2.0 * problem.q - 1.0)
-    if problem.h0 is not None:
-        dens -= problem.h0 * vbp ** (problem.q - 1.0)
-    if problem.source_weight:
-        dens -= problem.source_weight * np.asarray(
-            eval_source(problem.source, ks, vbp))
+    for c, r in problem.terms:
+        dens += c * _power(vbp, r - 1.0)
     if problem.load is not None:
         dens -= problem.load
     contrib = (mesh.measures * dens)[:, None] / nloc
     flux = eval_flux(problem.op, ks, mesh.gradient_of(vals))
-    contrib = contrib + problem.diffusion_weight * mesh.measures[:, None] * np.einsum(
+    contrib = contrib + problem.lam * mesh.measures[:, None] * np.einsum(
         "ed,eld->el", flux, mesh.grads)
     grad = np.zeros(mesh.n_vertices)
     np.add.at(grad, mesh.elements.ravel(), contrib.ravel())
@@ -177,26 +153,20 @@ def _gradient_values(problem: EllipticProblem, vals: np.ndarray) -> np.ndarray:
 
 def _hessian_matrix(problem: EllipticProblem, vals: np.ndarray,
                     include_concave: bool) -> sp.csr_matrix:
+    """Hessian of the energy with the flux Jacobian regularized by HESSIAN_EPS;
+    without `include_concave` the terms with negative coefficients are dropped,
+    which leaves a convex majorant."""
     mesh = problem.mesh
     nloc = mesh.elements.shape[1]
     ks = np.arange(mesh.n_elements)
     jac = flux_jacobian_batch(problem.op, ks, mesh.gradient_of(vals), eps=HESSIAN_EPS)
-    elem = problem.diffusion_weight * mesh.measures[:, None, None] * np.einsum(
+    elem = problem.lam * mesh.measures[:, None, None] * np.einsum(
         "eld,edc,emc->elm", mesh.grads, jac, mesh.grads)
     vbp = np.maximum(mesh.element_means(vals), 0.0)
     dd = np.zeros(mesh.n_elements)
-    if problem.mass_on:
-        dd += (2.0 * problem.q - 1.0) * vbp ** (2.0 * problem.q - 2.0)
-    if include_concave:
-        pos = vbp > 0.0
-        safe = np.where(pos, vbp, 1.0)
-        if problem.h0 is not None:
-            dd -= np.where(pos, (problem.q - 1.0) * problem.h0
-                           * safe ** (problem.q - 2.0), 0.0)
-        if problem.source_weight and problem.source.beta > 0.0:
-            src = problem.source
-            dd -= np.where(pos, problem.source_weight * src.beta * src.g
-                           * src.delta ** src.gamma * safe ** (src.beta - 1.0), 0.0)
+    for c, r in problem.terms:
+        if include_concave or c.min() >= 0.0:
+            dd += (r - 1.0) * c * _power(vbp, r - 2.0)
     elem = elem + (mesh.measures * dd)[:, None, None] / nloc ** 2
     rows = np.repeat(mesh.elements, nloc, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, nloc)).ravel()
@@ -206,7 +176,7 @@ def _hessian_matrix(problem: EllipticProblem, vals: np.ndarray,
 
 
 def energy(problem: EllipticProblem, v: DiscreteField) -> float:
-    """Quadrature value of the variant's energy functional at v."""
+    """Quadrature value of the energy functional at v."""
     return _energy_values(problem, v.values)
 
 
@@ -339,13 +309,14 @@ def solve(problem: EllipticProblem, initial_guess: DiscreteField,
           max_iterations: int = 200) -> tuple[DiscreteField, SolverReport]:
     """One minimization from the caller's guess.
 
-    A STANDARD/STATIONARY problem has exactly one positive solution, where
-    J < 0; the only other KKT point is v = 0, with J(0) = 0 (Picone's
-    identity), so a descent that starts below J = 0 cannot end there.  A warm
-    result that is not positive is replaced by one minimization from the bump,
-    halved until J < 0, and its report has `fallback` set.  When no halving
-    gets below zero there is no positive solution (e.g. h0 = 0) and the warm
-    result stands."""
+    With a potential or source term the problem has exactly one positive
+    solution, where J < 0; the only other KKT point is v = 0, with J(0) = 0
+    (Picone's identity), so a descent that starts below J = 0 cannot end
+    there.  A warm result that is not positive is replaced by one minimization
+    from the bump, halved until J < 0, and its report has `fallback` set.
+    When no halving gets below zero there is no positive solution (e.g. h0 = 0)
+    and the warm result stands.  The pure-load problem is strictly convex with
+    a positive minimizer, so a converged solve of it never falls back."""
     mesh = problem.mesh
     if tolerance is None:
         tolerance = DEFAULT_TOL[mesh.dimension]
@@ -353,7 +324,7 @@ def solve(problem: EllipticProblem, initial_guess: DiscreteField,
     vals, report = _minimize(problem, guess, tolerance, max_iterations)
     positive = (report.converged and report.energy < 0.0
                 and np.all(vals[mesh.interior] > 0.0))
-    if problem.variant in (Variant.STANDARD, Variant.STATIONARY) and not positive:
+    if not positive:
         # J(t * bump) ~ a t^p - b t^q near t = 0, so J < 0 can need a tiny t
         # when p - q is small; halving is exact and reaches zero only when no
         # t gives J < 0
@@ -378,7 +349,7 @@ def solve_lambda_problem(lam: float, mesh: Mesh, op: LerayLionsOperator,
     boundary; monotone and power-law scaling in lam for constant exponents."""
     if not (lam > 0.0):
         raise InvalidProblem("lambda must be positive")
-    problem = EllipticProblem.frozen_load(mesh, op, np.full(mesh.n_elements, float(lam)))
+    problem = EllipticProblem(mesh, op, load=np.full(mesh.n_elements, float(lam)))
     field_, _ = solve(problem, bump_seed(mesh), tolerance, max_iterations)
     return field_
 

@@ -75,8 +75,6 @@ class StepDiagnostics:
     report: SolverReport
     increment_norm: float
     stationary_energy: float
-    h_norm_sq: float
-    f_ratio_norm_sq: float
 
 
 @dataclass
@@ -179,8 +177,7 @@ def evolve(setup: EvolutionSetup) -> Trajectory:
         stat_energy = _stationary_energy(setup, h_n, v_new)
         traj.diagnostics.append(StepDiagnostics(
             index=n, time=times[n], report=report, increment_norm=inc,
-            stationary_energy=stat_energy, h_norm_sq=h_norm_sq,
-            f_ratio_norm_sq=f_sq))
+            stationary_energy=stat_energy))
         inc_sq_sum += 0.5 * dt * inc ** 2
         budget_sum += dt * (h_norm_sq + f_sq)
         lhs = inc_sq_sum + setup.q * (modular(v_new, setup.op) - mod0)

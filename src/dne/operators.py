@@ -157,32 +157,6 @@ def eval_flux(op: LerayLionsOperator, k, xi):
     return out
 
 
-def eval_flux_jacobian(op: LerayLionsOperator, k: int, xi) -> np.ndarray:
-    """Closed-form d a / d xi at one point; symmetric N x N. Rejects xi = 0."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 1:
-        raise ValueError("eval_flux_jacobian takes a single N-vector")
-    _check_dim(op, xi)
-    if not np.any(xi != 0.0):
-        raise ValueError("flux Jacobian is undefined at xi = 0")
-    p = float(op.exponent.values[k])
-    jac = np.zeros((xi.size, xi.size))
-    for j, block in enumerate(op.partition):
-        w = float(op.weights[j][k])
-        xb = xi[block]
-        rho = float(xb @ xb)
-        if rho == 0.0:
-            if p < 2.0:
-                raise ValueError("flux Jacobian is singular on a vanishing block for p < 2")
-            if p == 2.0:
-                jac[block, block] = w
-            continue
-        blockmat = w * (rho ** ((p - 2.0) / 2.0) * np.eye(block.size)
-                        + (p - 2.0) * rho ** ((p - 4.0) / 2.0) * np.outer(xb, xb))
-        jac[np.ix_(block, block)] = blockmat
-    return jac
-
-
 def flux_jacobian_batch(op: LerayLionsOperator, k, xi: np.ndarray,
                         eps: float = 0.0) -> np.ndarray:
     """Vectorized flux Jacobian over rows of xi (m, N) -> (m, N, N).
@@ -378,13 +352,6 @@ def eval_source(src: SourceTerm, k, s):
     pos = s > 0.0
     out = np.where(pos, coef * np.where(pos, s, 1.0) ** src.beta, 0.0)
     return _maybe_scalar(out)
-
-
-def source_antiderivative(src: SourceTerm, k, t):
-    """F(x_k, t) = integral_0^(t+) f = g delta^gamma (t+)^(beta+1) / (beta+1)."""
-    t = np.asarray(t, dtype=float)
-    coef = src.g[k] * src.delta[k] ** src.gamma
-    return _maybe_scalar(coef * np.maximum(t, 0.0) ** (src.beta + 1.0) / (src.beta + 1.0))
 
 
 @dataclass(frozen=True)

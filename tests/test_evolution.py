@@ -140,12 +140,14 @@ class TestEvolve:
         minimize, calls = elliptic._minimize, []
 
         def counting(*args):
-            calls.append(args[0].variant)
+            calls.append([r for _, r in args[0].terms])
             return minimize(*args)
 
         monkeypatch.setattr(elliptic, "_minimize", counting)
         traj = evolve(setup)
-        assert calls == [elliptic.Variant.STANDARD] * setup.steps
+        assert len(calls) == setup.steps
+        # every step problem carries the mass term (v+)^2q
+        assert all(2.0 * setup.q in powers for powers in calls)
         assert not any(d.report.fallback for d in traj.diagnostics)
 
     def test_step_failure_annotated(self, mesh_1d, data_1d):

