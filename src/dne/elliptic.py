@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from .meshing import DiscreteField, Mesh
 from .operators import LerayLionsOperator, eval_A, eval_flux, flux_jacobian_batch
@@ -152,27 +151,28 @@ def _gradient_values(problem: EllipticProblem, vals: np.ndarray) -> np.ndarray:
 
 
 def _hessian_matrix(problem: EllipticProblem, vals: np.ndarray,
-                    include_concave: bool) -> sp.csr_matrix:
-    """Hessian of the energy with the flux Jacobian regularized by HESSIAN_EPS;
-    without `include_concave` the terms with negative coefficients are dropped,
-    which leaves a convex majorant."""
+                    include_concave: bool) -> np.ndarray:
+    """Interior block of the energy's Hessian in the LAPACK band storage of
+    `Mesh.band_scatter`, shape (2 bandwidth + 1, n_interior), with the flux
+    Jacobian regularized by HESSIAN_EPS; without `include_concave` the terms
+    with negative coefficients are dropped, which leaves a convex majorant."""
     mesh = problem.mesh
     nloc = mesh.elements.shape[1]
     ks = np.arange(mesh.n_elements)
     jac = flux_jacobian_batch(problem.op, ks, mesh.gradient_of(vals), eps=HESSIAN_EPS)
-    elem = problem.lam * mesh.measures[:, None, None] * np.einsum(
-        "eld,edc,emc->elm", mesh.grads, jac, mesh.grads)
+    elem = (mesh.grads @ jac) @ mesh.grads.transpose(0, 2, 1)
+    elem *= (problem.lam * mesh.measures)[:, None, None]
     vbp = np.maximum(mesh.element_means(vals), 0.0)
     dd = np.zeros(mesh.n_elements)
     for c, r in problem.terms:
         if include_concave or c.min() >= 0.0:
             dd += (r - 1.0) * c * _power(vbp, r - 2.0)
-    elem = elem + (mesh.measures * dd)[:, None, None] / nloc ** 2
-    rows = np.repeat(mesh.elements, nloc, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nloc)).ravel()
-    mat = sp.coo_matrix((elem.ravel(), (rows, cols)),
-                        shape=(mesh.n_vertices, mesh.n_vertices)).tocsr()
-    return mat
+    elem += (mesh.measures * dd)[:, None, None] / nloc ** 2
+    scatter = mesh.band_scatter
+    n_diagonals = 2 * scatter.bandwidth + 1
+    band = np.bincount(scatter.index, weights=elem.ravel()[scatter.keep],
+                       minlength=n_diagonals * mesh.interior.size)
+    return band.reshape(n_diagonals, -1)
 
 
 def energy(problem: EllipticProblem, v: DiscreteField) -> float:
@@ -198,14 +198,18 @@ def _kkt_norm(mesh: Mesh, vals: np.ndarray, grad: np.ndarray) -> float:
 
 
 def _newton_direction(problem, vals, grad, include_concave):
+    """Newton direction on the interior nodes, or None when the system is
+    singular or its solution is not a finite descent direction.  The band
+    Hessian is solved by banded LU with partial pivoting, since with
+    `include_concave` it can be indefinite."""
     mesh = problem.mesh
-    hess = _hessian_matrix(problem, vals, include_concave)
+    band = _hessian_matrix(problem, vals, include_concave)
+    bw = mesh.band_scatter.bandwidth
     ii = mesh.interior
-    sub = hess[ii][:, ii].tocsc()
     gi = grad[ii]
     try:
-        di = spla.spsolve(sub, -gi)
-    except Exception:
+        di = solve_banded((bw, bw), band, -gi, overwrite_ab=True, check_finite=False)
+    except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(di)) or float(gi @ di) >= 0.0:
         return None
@@ -315,8 +319,10 @@ def solve(problem: EllipticProblem, initial_guess: DiscreteField,
     there.  A warm result that is not positive is replaced by one minimization
     from the bump, halved until J < 0, and its report has `fallback` set.
     When no halving gets below zero there is no positive solution (e.g. h0 = 0)
-    and the warm result stands.  The pure-load problem is strictly convex with
-    a positive minimizer, so a converged solve of it never falls back."""
+    and the warm result stands; without a negative coefficient or a positive
+    load J >= 0 on the whole cone, so the halving is skipped.  The pure-load
+    problem is strictly convex with a positive minimizer, so a converged solve
+    of it never falls back."""
     mesh = problem.mesh
     if tolerance is None:
         tolerance = DEFAULT_TOL[mesh.dimension]
@@ -328,7 +334,9 @@ def solve(problem: EllipticProblem, initial_guess: DiscreteField,
         # J(t * bump) ~ a t^p - b t^q near t = 0, so J < 0 can need a tiny t
         # when p - q is small; halving is exact and reaches zero only when no
         # t gives J < 0
-        start = bump_seed(mesh).values
+        nonnegative = (all(c.min() >= 0.0 for c, _ in problem.terms)
+                       and (problem.load is None or problem.load.max() <= 0.0))
+        start = np.zeros_like(guess) if nonnegative else bump_seed(mesh).values
         while np.any(start) and _energy_values(problem, start) >= 0.0:
             start = 0.5 * start
         # a guess that is this start has been minimized already

@@ -9,6 +9,7 @@ piecewise-linear field is integrated exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -20,8 +21,23 @@ class MeshMismatch(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class BandScatter:
+    """Where the element-local matrix entries of a P1 assembly land in LAPACK
+    band storage of the interior block, an array of shape
+    (2 bandwidth + 1, n_interior) holding entry (i, j) at [bandwidth + i - j, j].
+
+    `keep` masks the flattened (element, l, m) pairs whose two vertices are
+    both interior; `index` is the flat band position of each kept pair."""
+
+    bandwidth: int
+    keep: np.ndarray
+    index: np.ndarray
+
+
 class Mesh:
-    """Immutable simplicial mesh with cached P1 shape-function gradients."""
+    """Immutable simplicial mesh with cached P1 shape-function gradients and a
+    cached interior band scatter map (`band_scatter`) for Hessian assembly."""
 
     def __init__(self, dimension, bounds, resolution, vertices, elements, boundary_mask):
         self.dimension = int(dimension)
@@ -71,6 +87,22 @@ class Mesh:
         hx = (self.bounds[1] - self.bounds[0]) / self.resolution[0]
         hy = (self.bounds[3] - self.bounds[2]) / self.resolution[1]
         return max(hx, hy)
+
+    @cached_property
+    def band_scatter(self) -> BandScatter:
+        """Interior band scatter map, built once from the element table; the
+        bandwidth is measured from the pattern (1 on an interval, ny on a
+        rectangle in the vertex order of `rectangle_mesh`)."""
+        n = self.interior.size
+        pos = np.full(self.n_vertices, -1)
+        pos[self.interior] = np.arange(n)
+        loc = pos[self.elements]
+        rows = np.repeat(loc, loc.shape[1], axis=1).ravel()
+        cols = np.tile(loc, (1, loc.shape[1])).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        rows, cols = rows[keep], cols[keep]
+        bandwidth = int(np.max(np.abs(rows - cols), initial=0))
+        return BandScatter(bandwidth, keep, (bandwidth + rows - cols) * n + cols)
 
     def element_means(self, nodal_values: np.ndarray) -> np.ndarray:
         return np.asarray(nodal_values, dtype=float)[self.elements].mean(axis=1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dne import elliptic
 from dne.elliptic import (EllipticProblem, InvalidProblem, NonConvergence,
@@ -8,9 +9,10 @@ from dne.elliptic import (EllipticProblem, InvalidProblem, NonConvergence,
                           solve_lambda_problem, solve_stationary,
                           solve_subsolution_problem, solve_supersolution_problem)
 from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
-                         interval_mesh, l2_norm_diff_power, zero_field)
+                         interval_mesh, l2_norm_diff_power, rectangle_mesh,
+                         zero_field)
 from dne.operators import (ExponentField, LerayLionsOperator, SourceTerm,
-                           eval_source, seeded_rng)
+                           eval_source, flux_jacobian_batch, seeded_rng)
 
 
 def iso_op(mesh, p):
@@ -32,6 +34,39 @@ def problem_of_kind(kind, mesh, op, q, h0, source):
     if kind == "stationary-load":
         return EllipticProblem.stationary(mesh, op, q, h0, source, load=load)
     return EllipticProblem(mesh, op, load=load)
+
+
+def band_to_dense(band):
+    """Dense matrix of a LAPACK band array with equal lower and upper bandwidth."""
+    bw, n = (band.shape[0] - 1) // 2, band.shape[1]
+    i, j = np.indices((n, n))
+    inside = np.abs(i - j) <= bw
+    dense = np.zeros((n, n))
+    dense[inside] = band[(bw + i - j)[inside], j[inside]]
+    return dense
+
+
+def coo_interior_hessian(problem, vals, include_concave):
+    """Reference: the interior Hessian block assembled over all vertices as a
+    COO matrix with an einsum per element, then sliced to the interior."""
+    mesh = problem.mesh
+    nloc = mesh.elements.shape[1]
+    jac = flux_jacobian_batch(problem.op, np.arange(mesh.n_elements),
+                              mesh.gradient_of(vals), eps=elliptic.HESSIAN_EPS)
+    elem = problem.lam * mesh.measures[:, None, None] * np.einsum(
+        "eld,edc,emc->elm", mesh.grads, jac, mesh.grads)
+    vbp = np.maximum(mesh.element_means(vals), 0.0)
+    dd = np.zeros(mesh.n_elements)
+    for c, r in problem.terms:
+        if include_concave or c.min() >= 0.0:
+            dd += (r - 1.0) * c * elliptic._power(vbp, r - 2.0)
+    elem = elem + (mesh.measures * dd)[:, None, None] / nloc ** 2
+    rows = np.repeat(mesh.elements, nloc, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, nloc)).ravel()
+    mat = sp.coo_matrix((elem.ravel(), (rows, cols)),
+                        shape=(mesh.n_vertices, mesh.n_vertices)).tocsr()
+    ii = mesh.interior
+    return mat[ii][:, ii].toarray()
 
 
 def lambda_closed_form(x, p, lam):
@@ -114,8 +149,7 @@ class TestHessian:
         vals = np.zeros(mesh.n_vertices)
         vals[mesh.interior] = rng.uniform(0.2, 1.2, mesh.interior.size)
         ii = mesh.interior
-        hess = elliptic._hessian_matrix(prob, vals, include_concave=True)
-        hess = hess[ii][:, ii].toarray()
+        hess = band_to_dense(elliptic._hessian_matrix(prob, vals, include_concave=True))
         h = 1e-6
         fd = np.zeros_like(hess)
         for col, i in enumerate(ii):
@@ -127,24 +161,100 @@ class TestHessian:
         assert np.max(np.abs(fd - hess)) / np.max(np.abs(hess)) < 1e-7
 
 
+BANDED_MESHES = {"interval-20": lambda: interval_mesh(0.0, 1.0, 20),
+                 "rectangle-6x9": lambda: rectangle_mesh(0.0, 1.0, 0.0, 1.5, 6, 9),
+                 "rectangle-9x6": lambda: rectangle_mesh(0.0, 1.5, 0.0, 1.0, 9, 6)}
+
+
+def banded_operator(mesh, kind):
+    """Variable-exponent operator: one isotropic block, or the two axis blocks
+    ([0], [1]) with different weights."""
+    xb = mesh.barycenters[:, 0]
+    exponent = ExponentField.from_values(2.2 + 0.6 * xb / xb.max())
+    if kind == "isotropic":
+        return LerayLionsOperator.isotropic(exponent, 1.0 + xb, ndim=mesh.dimension)
+    yb = mesh.barycenters[:, 1]
+    return LerayLionsOperator.from_blocks(exponent, ([0], [1]), [1.0 + xb, 2.0 - yb])
+
+
+class TestBandedNewton:
+    @pytest.mark.parametrize("include_concave", [True, False])
+    @pytest.mark.parametrize("mesh_name, op_kind", [
+        ("interval-20", "isotropic"), ("rectangle-6x9", "isotropic"),
+        ("rectangle-9x6", "isotropic"), ("rectangle-6x9", "anisotropic"),
+        ("rectangle-9x6", "anisotropic")])
+    def test_matches_dense_solve_of_coo_hessian(self, mesh_name, op_kind,
+                                                include_concave):
+        mesh = BANDED_MESHES[mesh_name]()
+        op = banded_operator(mesh, op_kind)
+        q = 1.25
+        delta = boundary_distance_field(mesh).quadrature
+        src = SourceTerm(np.ones(mesh.n_elements), delta, gamma=1.0, beta=0.1, q=q)
+        prob = EllipticProblem.standard(mesh, op, q, 0.3, 0.5 + mesh.barycenters[:, 0],
+                                        src)
+        rng = seeded_rng(53, f"banded-{mesh_name}")
+        vals = np.zeros(mesh.n_vertices)
+        vals[mesh.interior] = rng.uniform(0.2, 1.2, mesh.interior.size)
+        grad = elliptic._gradient_values(prob, vals)
+        ii = mesh.interior
+        hess = coo_interior_hessian(prob, vals, include_concave)
+        band = elliptic._hessian_matrix(prob, vals, include_concave)
+        np.testing.assert_allclose(band_to_dense(band), hess,
+                                   rtol=0.0, atol=1e-13 * np.max(np.abs(hess)))
+        expected = np.linalg.solve(hess, -grad[ii])
+        d = elliptic._newton_direction(prob, vals, grad, include_concave)
+        assert d is not None
+        assert np.all(d[mesh.boundary_mask] == 0.0)
+        assert np.linalg.norm(d[ii] - expected) / np.linalg.norm(expected) < 1e-12
+
+    def test_bandwidth_is_measured_and_scatter_built_once(self):
+        interval = BANDED_MESHES["interval-20"]()
+        assert interval.band_scatter.bandwidth == 1
+        for name in ("rectangle-6x9", "rectangle-9x6"):
+            mesh = BANDED_MESHES[name]()
+            scatter = mesh.band_scatter
+            assert scatter.bandwidth == mesh.resolution[1]
+            assert mesh.band_scatter is scatter
+            # every interior pair the elements couple, and no other, is kept
+            nloc = mesh.elements.shape[1]
+            pairs = np.stack([np.repeat(mesh.elements, nloc, axis=1).ravel(),
+                              np.tile(mesh.elements, (1, nloc)).ravel()])
+            interior = ~mesh.boundary_mask
+            np.testing.assert_array_equal(
+                scatter.keep, interior[pairs[0]] & interior[pairs[1]])
+
+
 class TestSolve:
     def test_zero_data_gives_zero(self, mesh_1d, data_1d, monkeypatch):
         op, _, _ = data_1d
         prob = EllipticProblem.standard(mesh_1d, op, 1.25, 1.0,
                                         np.zeros(mesh_1d.n_elements))
-        minimize, calls = elliptic._minimize, []
+        minimize, energy_values = elliptic._minimize, elliptic._energy_values
+        calls, inside, outside_evals = [], [], []
 
         def counting(*args):
             calls.append(1)
-            return minimize(*args)
+            inside.append(1)
+            try:
+                return minimize(*args)
+            finally:
+                inside.pop()
+
+        def counting_energy(*args):
+            if not inside:
+                outside_evals.append(1)
+            return energy_values(*args)
 
         monkeypatch.setattr(elliptic, "_minimize", counting)
+        monkeypatch.setattr(elliptic, "_energy_values", counting_energy)
         v, report = solve(prob, bump_seed(mesh_1d))
         assert report.converged
         assert report.fallback
         assert v.sup_norm <= 1e-5
         # the bump guess only: with zero data no start has J < 0
         assert len(calls) == 1
+        # J >= 0 on the whole cone, so no halving search for such a start
+        assert len(outside_evals) <= 5
 
     def test_energy_descent_per_accepted_step(self, mesh_1d, data_1d):
         op, src, pot = data_1d
