@@ -159,19 +159,18 @@ def picone_pair_integral(mesh, op, r, w1, w2):
     return value, scale
 
 
-def _solve_pair(mesh, op, q, lam, source, h1, h2, tolerance):
+def _solve_pair(mesh, op, q, lam, source, h1, h2):
     """Time-step solutions for the two potentials, both from the bump seed."""
     return [solve(EllipticProblem.standard(mesh, op, q, lam, h, source),
-                  bump_seed(mesh), tolerance)[0] for h in (h1, h2)]
+                  bump_seed(mesh))[0] for h in (h1, h2)]
 
 
-def check_contraction_elliptic(mesh, op, q, lam, source, h1, h2,
-                               tolerance=None) -> CheckReport:
+def check_contraction_elliptic(mesh, op, q, lam, source, h1, h2) -> CheckReport:
     """Discrete one-sided contraction of the time-step problem in the potential:
     ||(v1^q - v2^q)^+||_L2 <= slack * ||(h1 - h2)^+||_L2, both orientations."""
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
-    v1, v2 = _solve_pair(mesh, op, q, lam, source, h1, h2, tolerance)
+    v1, v2 = _solve_pair(mesh, op, q, lam, source, h1, h2)
     margins, locs = [], []
     for (a, b, ha, hb, tag) in ((v1, v2, h1, h2, "h1 vs h2"),
                                 (v2, v1, h2, h1, "h2 vs h1")):
@@ -187,11 +186,11 @@ def check_contraction_elliptic(mesh, op, q, lam, source, h1, h2,
     return report
 
 
-def contraction_ratio(mesh, op, q, lam, source, h1, h2, tolerance=None) -> float:
+def contraction_ratio(mesh, op, q, lam, source, h1, h2) -> float:
     """lhs/rhs of the one-sided contraction for a refinement study."""
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
-    v1, v2 = _solve_pair(mesh, op, q, lam, source, h1, h2, tolerance)
+    v1, v2 = _solve_pair(mesh, op, q, lam, source, h1, h2)
     lhs = l2_norm_diff_power(v1, v2, q, positive_part=True)
     rhs = l2_norm_values(mesh, np.maximum(h1 - h2, 0.0))
     return lhs / rhs if rhs > 0 else 0.0
@@ -285,8 +284,7 @@ def check_stabilization(traj: Trajectory, v_stat: DiscreteField,
                    slack=STABILIZATION_GROWTH)
 
 
-def check_lambda_scaling(mesh, op, lambdas: Sequence[float],
-                         tolerance=None) -> CheckReport:
+def check_lambda_scaling(mesh, op, lambdas: Sequence[float]) -> CheckReport:
     """Sup-norm power law ||w_lambda||_inf ~ lambda^(1/(p-1)) for constant p,
     plus nodal monotonicity in lambda."""
     if len(lambdas) < 3:
@@ -294,7 +292,7 @@ def check_lambda_scaling(mesh, op, lambdas: Sequence[float],
     if not op.exponent.is_constant:
         raise ValueError("the power law is exact only for constant exponents")
     p = op.exponent.p_minus
-    sols = [solve_lambda_problem(lam, mesh, op, tolerance) for lam in lambdas]
+    sols = [solve_lambda_problem(lam, mesh, op) for lam in lambdas]
     sups = np.array([s.sup_norm for s in sols])
     slope = float(np.polyfit(np.log(lambdas), np.log(sups), 1)[0])
     margins = [SLOPE_TOL - abs(slope - 1.0 / (p - 1.0))]
@@ -316,20 +314,17 @@ def check_positivity_hopf(field: DiscreteField, hopf_floor: float = HOPF_FLOOR,
     if mesh.dimension == 1:
         a, b = mesh.bounds
         probes = np.array([[a + off], [b - off]])
-        normals_in = [1.0, 1.0]
     else:
         x0, x1, y0, y1 = mesh.bounds
         nx, ny = mesh.resolution
         hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
-        probes, normals_in = [], []
+        probes = []
         for i in range(corner_cells, nx - corner_cells + 1):
             xc = x0 + i * hx
             probes.extend([[xc, y0 + off], [xc, y1 - off]])
-            normals_in.extend([1.0, 1.0])
         for j in range(corner_cells, ny - corner_cells + 1):
             yc = y0 + j * hy
             probes.extend([[x0 + off, yc], [x1 - off, yc]])
-            normals_in.extend([1.0, 1.0])
         probes = np.array(probes)
     quot = eval_at_points(field, probes) / off
     for i, qv in enumerate(quot):

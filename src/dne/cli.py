@@ -58,7 +58,7 @@ def run_solve_elliptic(scenario: Scenario, out_dir: str, seed: int) -> int:
     h0 = scenario.build_potential(mesh)(0.0)
     problem = EllipticProblem.standard(mesh, op, scenario.q, scenario.lam, h0,
                                        scenario.build_source(mesh))
-    field_, report = solve(problem, bump_seed(mesh), scenario.tolerance)
+    field_, report = solve(problem, bump_seed(mesh))
     write_field_csv(field_, os.path.join(out_dir, "solution.csv"))
     manifest = _manifest_base(scenario, op, seed)
     manifest["solver_report"] = _report_dict(report)
@@ -72,7 +72,7 @@ def run_stationary(scenario: Scenario, out_dir: str, seed: int) -> int:
     op = scenario.build_operator(mesh)
     potential = scenario.build_potential(mesh)
     v_stat = solve_stationary(mesh, op, scenario.q, potential.limit,
-                              scenario.build_source(mesh), scenario.tolerance)
+                              scenario.build_source(mesh))
     write_field_csv(v_stat, os.path.join(out_dir, "stationary.csv"))
     manifest = _manifest_base(scenario, op, seed)
     manifest["sup_norm"] = v_stat.sup_norm
@@ -87,7 +87,7 @@ def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
         write_field_csv(traj.fields[pos], os.path.join(out_dir, f"field_{n:05d}.csv"))
     mesh = setup.mesh
     v_stat = solve_stationary(mesh, setup.op, setup.q, setup.potential.limit,
-                              setup.source, setup.tolerance)
+                              setup.source)
     e_final = l2_norm_diff_power(traj.final, v_stat, setup.q)
     manifest = _manifest_base(scenario, setup.op, seed)
     manifest.update({
@@ -121,7 +121,7 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
                          f"(available: {', '.join(DEFAULT_CHECKS)})")
     setup = scenario.build_evolution_setup()
     mesh, op, source, potential = setup.mesh, setup.op, setup.source, setup.potential
-    q, tol = setup.q, setup.tolerance
+    q = setup.q
     r_mid = (1.0 + op.exponent.p_minus) / 2.0
     short_steps = min(setup.steps, 50)
 
@@ -129,7 +129,7 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
         """The first (at most) 50 steps, same dt, every step stored."""
         return evolve(EvolutionSetup.create(mesh, op, q, source, pot,
                                             setup.dt * short_steps, short_steps,
-                                            initial, tolerance=tol))
+                                            initial))
 
     @functools.cache
     def base_run():
@@ -138,14 +138,14 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
     @functools.cache
     def bracket():
         w_lo, _ = make_subsolution(mesh, op, q, source, potential.lower_envelope,
-                                   setup.initial, tolerance=tol)
+                                   setup.initial)
         w_hi, _ = make_supersolution(mesh, op, q, source, potential.sup_norm,
-                                     setup.initial, tolerance=tol)
+                                     setup.initial)
         return w_lo, w_hi
 
     @functools.cache
     def stationary():
-        return solve_stationary(mesh, op, q, potential.limit, source, tol)
+        return solve_stationary(mesh, op, q, potential.limit, source)
 
     def picone_pair():
         rng = seeded_rng(seed, "picone-pair-fields")
@@ -162,12 +162,12 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
         op_const = LerayLionsOperator.from_blocks(
             ExponentField.constant(mesh.n_elements, op.exponent.p_minus),
             op.partition, list(op.weights))
-        return [ck.check_lambda_scaling(mesh, op_const, [0.5, 1.0, 2.0, 4.0], tol)]
+        return [ck.check_lambda_scaling(mesh, op_const, [0.5, 1.0, 2.0, 4.0])]
 
     def contraction_elliptic():
         h1 = potential(0.0)
         return [ck.check_contraction_elliptic(mesh, op, q, scenario.lam, source,
-                                              h1, h1 + 0.1, tol)]
+                                              h1, h1 + 0.1)]
 
     def contraction_parabolic():
         shrunk = setup.initial.with_values(0.7 * setup.initial.values)
@@ -225,7 +225,7 @@ def run_sweep(scenario: Scenario, out_dir: str, seed: int) -> int:
     if scenario.sweep_kind == "lambda":
         sups = []
         for lam in scenario.sweep_lambdas:
-            w = solve_lambda_problem(lam, mesh, op, scenario.tolerance)
+            w = solve_lambda_problem(lam, mesh, op)
             sups.append(w.sup_norm)
             lines.append(f"{lam!r},{w.sup_norm!r}")
         header = "# columns: lambda,sup_norm"
@@ -247,8 +247,7 @@ def run_sweep(scenario: Scenario, out_dir: str, seed: int) -> int:
                     lines.append(f"{p!r},{qv!r},invalid,nan")
                     continue
                 regime = classify_regime(exponent, qv).value
-                v = solve_stationary(mesh, op, qv, potential.limit, None,
-                                     scenario.tolerance)
+                v = solve_stationary(mesh, op, qv, potential.limit, None)
                 lines.append(f"{p!r},{qv!r},{regime},{v.sup_norm!r}")
     else:
         raise ParseError("scenario has no [sweep] section or unknown sweep kind")

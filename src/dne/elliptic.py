@@ -29,10 +29,12 @@ ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
 HESSIAN_EPS = 1e-8
-# Absolute bounds on the nodal KKT residual.  In 1D the nodal noise stays well
-# below the 1e-8 ordering slack of the comparison checks; in 2D the tolerance
-# equals that slack.
+# The stopping policy of every solve, read by `solve` alone.  Absolute bounds
+# on the nodal KKT residual: in 1D the nodal noise stays well below the 1e-8
+# ordering slack of the comparison checks; in 2D the tolerance equals that
+# slack.
 DEFAULT_TOL = {1: 1e-11, 2: 1e-8}
+MAX_ITERATIONS = 200
 MU_FLOOR = 1e-12
 KAPPA_CEIL = 1e12
 
@@ -293,8 +295,8 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
     return vals, report
 
 
-def bump_seed(mesh: Mesh, amplitude: float = 0.1) -> DiscreteField:
-    """Small interior bump used as the generic positive starting guess."""
+def bump_seed(mesh: Mesh) -> DiscreteField:
+    """Interior bump of height 0.1, the generic positive starting guess."""
     pts = mesh.vertices
     if mesh.dimension == 1:
         a, b = mesh.bounds
@@ -303,15 +305,17 @@ def bump_seed(mesh: Mesh, amplitude: float = 0.1) -> DiscreteField:
         x0, x1, y0, y1 = mesh.bounds
         prof = (4.0 * (pts[:, 0] - x0) * (x1 - pts[:, 0]) / (x1 - x0) ** 2
                 * 4.0 * (pts[:, 1] - y0) * (y1 - pts[:, 1]) / (y1 - y0) ** 2)
-    vals = amplitude * prof
+    vals = 0.1 * prof
     vals[mesh.boundary_mask] = 0.0
     return DiscreteField(mesh, vals)
 
 
-def solve(problem: EllipticProblem, initial_guess: DiscreteField,
-          tolerance: Optional[float] = None,
-          max_iterations: int = 200) -> tuple[DiscreteField, SolverReport]:
-    """One minimization from the caller's guess.
+def solve(problem: EllipticProblem,
+          guess: DiscreteField) -> tuple[DiscreteField, SolverReport]:
+    """One minimization from the caller's guess under the module's fixed
+    stopping policy: converged once the KKT residual is at most
+    DEFAULT_TOL[dimension] (1e-11 in 1D, 1e-8 in 2D) within MAX_ITERATIONS
+    (200) iterations, else NonConvergence.
 
     With a potential or source term the problem has exactly one positive
     solution, where J < 0; the only other KKT point is v = 0, with J(0) = 0
@@ -324,10 +328,8 @@ def solve(problem: EllipticProblem, initial_guess: DiscreteField,
     problem is strictly convex with a positive minimizer, so a converged solve
     of it never falls back."""
     mesh = problem.mesh
-    if tolerance is None:
-        tolerance = DEFAULT_TOL[mesh.dimension]
-    guess = initial_guess.values
-    vals, report = _minimize(problem, guess, tolerance, max_iterations)
+    tolerance = DEFAULT_TOL[mesh.dimension]
+    vals, report = _minimize(problem, guess.values, tolerance, MAX_ITERATIONS)
     positive = (report.converged and report.energy < 0.0
                 and np.all(vals[mesh.interior] > 0.0))
     if not positive:
@@ -336,12 +338,12 @@ def solve(problem: EllipticProblem, initial_guess: DiscreteField,
         # t gives J < 0
         nonnegative = (all(c.min() >= 0.0 for c, _ in problem.terms)
                        and (problem.load is None or problem.load.max() <= 0.0))
-        start = np.zeros_like(guess) if nonnegative else bump_seed(mesh).values
+        start = np.zeros_like(vals) if nonnegative else bump_seed(mesh).values
         while np.any(start) and _energy_values(problem, start) >= 0.0:
             start = 0.5 * start
         # a guess that is this start has been minimized already
-        if np.any(start) and not np.array_equal(start, guess):
-            vals, report = _minimize(problem, start, tolerance, max_iterations)
+        if np.any(start) and not np.array_equal(start, guess.values):
+            vals, report = _minimize(problem, start, tolerance, MAX_ITERATIONS)
         report.fallback = True
     if not report.converged:
         raise NonConvergence(
@@ -350,32 +352,27 @@ def solve(problem: EllipticProblem, initial_guess: DiscreteField,
     return DiscreteField(mesh, vals), report
 
 
-def solve_lambda_problem(lam: float, mesh: Mesh, op: LerayLionsOperator,
-                         tolerance: Optional[float] = None,
-                         max_iterations: int = 200) -> DiscreteField:
+def solve_lambda_problem(lam: float, mesh: Mesh, op: LerayLionsOperator) -> DiscreteField:
     """Solution of the pure-load problem -div a(x, grad w) = lam, w = 0 on the
     boundary; monotone and power-law scaling in lam for constant exponents."""
     if not (lam > 0.0):
         raise InvalidProblem("lambda must be positive")
     problem = EllipticProblem(mesh, op, load=np.full(mesh.n_elements, float(lam)))
-    field_, _ = solve(problem, bump_seed(mesh), tolerance, max_iterations)
+    field_, _ = solve(problem, bump_seed(mesh))
     return field_
 
 
-def solve_subsolution_problem(mesh, op, q, source, lower_envelope, mu,
-                              tolerance=None) -> DiscreteField:
+def solve_subsolution_problem(mesh, op, q, source, lower_envelope, mu) -> DiscreteField:
     """Positive solution of -div a = mu (h_lower w^(q-1) + f(x, w)) at fixed mu:
     the stationary problem with potential mu * h_lower and source mu * f."""
     if not (mu > 0.0):
         raise InvalidProblem("mu must be positive")
     if source is not None:
         source = replace(source, g=mu * source.g)
-    return solve_stationary(mesh, op, q, mu * np.asarray(lower_envelope), source,
-                            tolerance)
+    return solve_stationary(mesh, op, q, mu * np.asarray(lower_envelope), source)
 
 
-def solve_supersolution_problem(mesh, op, q, source, sup_norm_h, kappa,
-                                tolerance=None) -> DiscreteField:
+def solve_supersolution_problem(mesh, op, q, source, sup_norm_h, kappa) -> DiscreteField:
     """Positive solution of -div a = ||h||_inf w^(q-1) + f(x, w) + kappa: the
     stationary problem with constant potential ||h||_inf and constant load."""
     if not (kappa > 0.0):
@@ -383,43 +380,40 @@ def solve_supersolution_problem(mesh, op, q, source, sup_norm_h, kappa,
     ne = mesh.n_elements
     problem = EllipticProblem.stationary(mesh, op, q, np.full(ne, float(sup_norm_h)),
                                          source, load=np.full(ne, float(kappa)))
-    return solve(problem, bump_seed(mesh), tolerance)[0]
+    return solve(problem, bump_seed(mesh))[0]
 
 
-def make_subsolution(mesh, op, q, source, lower_envelope, v0: DiscreteField,
-                     mu: float = 1.0, tolerance=None):
-    """Shrink mu geometrically until the subsolution sits below v0 nodally.
+def make_subsolution(mesh, op, q, source, lower_envelope, v0: DiscreteField):
+    """Halve mu from 1 until the subsolution sits below v0 nodally.
     Returns (w_lower, mu_used)."""
+    mu = 1.0
     while mu >= MU_FLOOR:
-        w = solve_subsolution_problem(mesh, op, q, source, lower_envelope, mu,
-                                      tolerance)
+        w = solve_subsolution_problem(mesh, op, q, source, lower_envelope, mu)
         if np.all(w.values <= v0.values) and np.all(w.values[mesh.interior] > 0.0):
             return w, mu
         mu *= 0.5
     raise FailedToFit("no mu above the floor produced a subsolution below v0")
 
 
-def make_supersolution(mesh, op, q, source, sup_norm_h, v0: DiscreteField,
-                       kappa: float = 1.0, tolerance=None):
-    """Grow kappa geometrically until the supersolution dominates v0 nodally.
+def make_supersolution(mesh, op, q, source, sup_norm_h, v0: DiscreteField):
+    """Double kappa from 1 until the supersolution dominates v0 nodally.
     Returns (w_upper, kappa_used)."""
+    kappa = 1.0
     while kappa <= KAPPA_CEIL:
-        w = solve_supersolution_problem(mesh, op, q, source, sup_norm_h, kappa,
-                                        tolerance)
+        w = solve_supersolution_problem(mesh, op, q, source, sup_norm_h, kappa)
         if np.all(w.values >= v0.values):
             return w, kappa
         kappa *= 2.0
     raise FailedToFit("no kappa below the ceiling produced a supersolution above v0")
 
 
-def solve_stationary(mesh, op, q, b, source=None, tolerance=None,
-                     max_iterations: int = 200,
-                     initial_guess: Optional[DiscreteField] = None) -> DiscreteField:
-    """Global minimizer of the stationary energy with potential b >= 0, b != 0."""
+def solve_stationary(mesh, op, q, b, source=None) -> DiscreteField:
+    """Global minimizer of the stationary energy with potential b >= 0, b != 0,
+    from the bump seed; a caller with its own start calls
+    `solve(EllipticProblem.stationary(...), start)`."""
     b = np.asarray(b, dtype=float)
     if b.min() < 0.0 or not np.any(b > 0.0):
         raise InvalidProblem("stationary potential must be nonnegative and nontrivial")
     problem = EllipticProblem.stationary(mesh, op, q, b, source)
-    guess = initial_guess if initial_guess is not None else bump_seed(mesh)
-    field_, _ = solve(problem, guess, tolerance, max_iterations)
+    field_, _ = solve(problem, bump_seed(mesh))
     return field_

@@ -42,14 +42,15 @@ class EvolutionSetup:
     steps: int
     initial: DiscreteField
     sandwich_constant: float
-    tolerance: Optional[float] = None
     store_stride: int = 1
 
     @classmethod
     def create(cls, mesh, op, q, source, potential, horizon, steps, initial,
-               tolerance=None, store_stride=1) -> "EvolutionSetup":
+               store_stride=1) -> "EvolutionSetup":
         if horizon <= 0.0 or steps < 1:
             raise ValueError("need horizon > 0 and at least one step")
+        if store_stride < 1:
+            raise ValueError("store_stride must be at least 1")
         if not (1.0 < q < op.exponent.p_minus):
             raise ValueError("q must lie in (1, p_-)")
         if initial.mesh is not mesh:
@@ -60,8 +61,7 @@ class EvolutionSetup:
             raise ValueError("initial datum must be positive at interior quadrature points")
         c = float(max(np.max(vb / delta), np.max(delta / vb)))
         return cls(mesh, op, q, source, potential, horizon, steps, initial,
-                   sandwich_constant=c, tolerance=tolerance,
-                   store_stride=max(1, int(store_stride)))
+                   sandwich_constant=c, store_stride=store_stride)
 
     @property
     def dt(self) -> float:
@@ -137,7 +137,7 @@ def step(setup: EvolutionSetup, previous: DiscreteField, h_n: np.ndarray,
     h0 = dt * h_n + vbq
     problem = EllipticProblem.standard(setup.mesh, setup.op, setup.q, dt, h0,
                                        setup.source)
-    return solve(problem, previous, setup.tolerance)
+    return solve(problem, previous)
 
 
 def _f_ratio_sq(setup: EvolutionSetup, v: DiscreteField) -> float:

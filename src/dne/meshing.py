@@ -113,8 +113,8 @@ class Mesh:
 
 
 def interval_mesh(a: float, b: float, n: int) -> Mesh:
-    if n < 2:
-        raise ValueError("interval mesh needs at least 2 subdivisions")
+    if n < 2 or not a < b:
+        raise ValueError("interval mesh needs a < b and at least 2 subdivisions")
     x = np.linspace(a, b, n + 1)
     vertices = x[:, None]
     elements = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
@@ -133,8 +133,9 @@ def rectangle_mesh(x0: float, x1: float, y0: float, y1: float,
                    nx: int, ny: int) -> Mesh:
     """Uniform right-triangle subdivision: each grid cell splits along a
     diagonal, oriented so that every triangle keeps an interior vertex."""
-    if nx < 2 or ny < 2:
-        raise ValueError("rectangle mesh needs at least 2 subdivisions per axis")
+    if nx < 2 or ny < 2 or not (x0 < x1 and y0 < y1):
+        raise ValueError("rectangle mesh needs increasing extents and at least "
+                         "2 subdivisions per axis")
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")

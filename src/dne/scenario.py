@@ -136,7 +136,6 @@ class Scenario:
     steps: int
     lam: float
     seed: int
-    tolerance: Optional[float]
     store_stride: int
     sweep_kind: Optional[str]
     sweep_lambdas: List[float]
@@ -264,7 +263,7 @@ class Scenario:
         return EvolutionSetup.create(
             mesh, op, self.q, self.build_source(mesh), self.build_potential(mesh),
             self.horizon, self.steps, self.build_initial(mesh),
-            tolerance=self.tolerance, store_stride=self.store_stride)
+            store_stride=self.store_stride)
 
     def _check_q(self, op: LerayLionsOperator) -> None:
         if not (1.0 < self.q < op.exponent.p_minus):
@@ -273,12 +272,7 @@ class Scenario:
 
     def validate(self) -> None:
         """Run every hypothesis check without solving anything."""
-        mesh = self.build_mesh()
-        op = self.build_operator(mesh)
-        self._check_q(op)
-        self.build_source(mesh)
-        self.build_potential(mesh)
-        self.build_initial(mesh)
+        self.build_evolution_setup()
 
 
 def _section(cp: configparser.ConfigParser, name: str) -> dict:
@@ -382,7 +376,9 @@ def load_scenario(path: str) -> Scenario:
         steps = int(run_sec.get("steps", "20"))
         lam = float(run_sec.get("lambda", "1.0"))
         seed = int(run_sec.get("seed", "20240801"))
-        tolerance = float(run_sec["tolerance"]) if "tolerance" in run_sec else None
+        if "tolerance" in run_sec:
+            raise ParseError("[run] tolerance was removed: the solver tolerance "
+                             "is fixed")
         store_stride = int(run_sec.get("store_stride", "1"))
 
         sweep_sec = _section(cp, "sweep")
@@ -405,9 +401,14 @@ def load_scenario(path: str) -> Scenario:
         potential_eta=potential_eta, potential_times=potential_times,
         potential_profiles=potential_profiles, lower_envelope=lower_envelope,
         initial_profile=initial_profile, initial_file=initial_file,
-        horizon=horizon, steps=steps, lam=lam, seed=seed, tolerance=tolerance,
+        horizon=horizon, steps=steps, lam=lam, seed=seed,
         store_stride=store_stride, sweep_kind=sweep_kind,
         sweep_lambdas=sweep_lambdas, sweep_p_values=sweep_p_values,
         sweep_q_values=sweep_q_values)
-    scenario.validate()
+    try:
+        scenario.validate()
+    except ValidationError:
+        raise
+    except ValueError as exc:
+        raise ParseError(f"invalid scenario file {path}: {exc}") from exc
     return scenario

@@ -146,12 +146,25 @@ class TestCommands:
                      str(tmp_path / "o6"), "--check", "nope"])
         assert code == 2
 
-    def test_invalid_config_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("old, new", [
+        ("q = 1.25", "q = 3.0"),
+        ("steps = 5", "steps = 0"),
+        ("horizon = 0.5", "horizon = -1.0"),
+        ("resolution = 40", "resolution = 1"),
+        ("extents = 0 1", "extents = 1 0"),
+        ("profile = bump 0.5", "profile = constant 0.0"),
+        ("steps = 5", "steps = 5\nstore_stride = 0"),
+        ("steps = 5", "steps = 5\nstore_stride = -3"),
+    ], ids=["q", "steps", "horizon", "resolution", "extents", "initial",
+            "stride-0", "stride-negative"])
+    def test_invalid_config_exit_code(self, tmp_path, capsys, old, new):
+        # a violated hypothesis or a malformed value is a configuration error
+        # (exit 2), not a failed check (exit 1) or a traceback
         bad = tmp_path / "bad.cfg"
-        bad.write_text(textwrap.dedent(CONFIG).replace("q = 1.25", "q = 3.0"))
-        code = main(["stationary", "--config", str(bad), "--out",
-                     str(tmp_path / "o7")])
+        bad.write_text(textwrap.dedent(CONFIG).replace(old, new, 1))
+        code = main(["evolve", "--config", str(bad), "--out", str(tmp_path / "o7")])
         assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_config_exit_code(self, tmp_path):
         code = main(["evolve", "--config", str(tmp_path / "none.cfg"), "--out",

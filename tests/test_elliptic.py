@@ -314,7 +314,7 @@ class TestSolve:
         assert not warm.fallback
         assert np.max(np.abs(v.values - w.values)) <= 1e-8
 
-    def test_converged_warm_start_still_steps(self, mesh_1d, data_1d):
+    def test_converged_warm_start_still_steps(self, mesh_1d, data_1d, monkeypatch):
         # regression: a start inside the tolerance used to be returned as is,
         # freezing trajectories whose step residual starts below it
         op, src, pot = data_1d
@@ -323,7 +323,8 @@ class TestSolve:
         start = v.with_values(v.values * (1.0 + 1e-7))
         start_kkt = np.max(np.abs(energy_gradient(prob, start).values))
         assert 0.0 < start_kkt <= 1e-6
-        w, report = solve(prob, start, tolerance=1e-6)
+        monkeypatch.setitem(elliptic.DEFAULT_TOL, 1, 1e-6)
+        w, report = solve(prob, start)
         assert report.iterations >= 1 and not report.fallback
         assert report.final_gradient_norm < 1e-3 * start_kkt
         assert np.max(np.abs(w.values - v.values)) <= 1e-9
@@ -333,14 +334,16 @@ class TestSolve:
         with pytest.raises(InvalidProblem):
             EllipticProblem.standard(mesh_1d, op, 2.6, 1.0, pot(0.0))
 
-    def test_nonconvergence_carries_report(self, data_1d):
+    def test_nonconvergence_carries_report(self, data_1d, monkeypatch):
         mesh = interval_mesh(0.0, 1.0, 16)
         op, src, pot = (LerayLionsOperator.isotropic(
             ExponentField.constant(mesh.n_elements, 2.5), 1.0), None, None)
         xb = mesh.barycenters[:, 0]
         prob = EllipticProblem.standard(mesh, op, 1.25, 1.0, 4 * xb * (1 - xb))
+        monkeypatch.setitem(elliptic.DEFAULT_TOL, 1, 0.0)
+        monkeypatch.setattr(elliptic, "MAX_ITERATIONS", 5)
         with pytest.raises(NonConvergence) as err:
-            solve(prob, bump_seed(mesh), tolerance=0.0, max_iterations=5)
+            solve(prob, bump_seed(mesh))
         assert err.value.report is not None
         assert err.value.report.final_gradient_norm > 0.0
 
@@ -457,9 +460,8 @@ class TestStationary:
         op, src, pot = data_1d
         b = pot.limit
         v1 = solve_stationary(mesh_1d, op, 1.25, b, src)
-        v2 = solve_stationary(mesh_1d, op, 1.25, b, src,
-                              initial_guess=interpolate(
-                                  mesh_1d, lambda x: 2.0 * np.sin(np.pi * x[:, 0])))
+        v2, _ = solve(EllipticProblem.stationary(mesh_1d, op, 1.25, b, src),
+                      interpolate(mesh_1d, lambda x: 2.0 * np.sin(np.pi * x[:, 0])))
         assert l2_norm_diff_power(v1, v2, 1.0) < 1e-6
 
     def test_positive_interior(self, mesh_1d, data_1d):

@@ -95,6 +95,11 @@ class TestEvolve:
             EvolutionSetup.create(mesh_1d, op, Q, src, pot, 1.0, 4,
                                   zero_field(mesh_1d))
 
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_setup_rejects_store_stride_below_one(self, mesh_1d, data_1d, stride):
+        with pytest.raises(ValueError, match="store_stride"):
+            make_setup(mesh_1d, data_1d, horizon=1.0, steps=4, store_stride=stride)
+
     def test_distance_sandwich_along_run(self, mesh_1d, data_1d):
         op, src, pot = data_1d
         v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
@@ -136,7 +141,7 @@ class TestEvolve:
         full = scenario.build_evolution_setup()
         setup = EvolutionSetup.create(full.mesh, full.op, full.q, full.source,
                                       full.potential, 20 * full.dt, 20,
-                                      full.initial, tolerance=full.tolerance)
+                                      full.initial)
         minimize, calls = elliptic._minimize, []
 
         def counting(*args):
@@ -150,8 +155,9 @@ class TestEvolve:
         assert all(2.0 * setup.q in powers for powers in calls)
         assert not any(d.report.fallback for d in traj.diagnostics)
 
-    def test_step_failure_annotated(self, mesh_1d, data_1d):
-        setup = make_setup(mesh_1d, data_1d, horizon=1.0, steps=4, tolerance=0.0)
+    def test_step_failure_annotated(self, mesh_1d, data_1d, monkeypatch):
+        monkeypatch.setitem(elliptic.DEFAULT_TOL, 1, 0.0)
+        setup = make_setup(mesh_1d, data_1d, horizon=1.0, steps=4)
         with pytest.raises(NonConvergence) as err:
             evolve(setup)
         assert "step 1" in str(err.value)

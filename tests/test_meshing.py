@@ -21,6 +21,17 @@ class TestMeshGeometry:
         assert m2.measures.sum() == pytest.approx(4.0, rel=1e-12)
         assert np.all(m2.measures > 0.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: interval_mesh(1.0, 0.0, 4), lambda: interval_mesh(0.0, 0.0, 4),
+        lambda: rectangle_mesh(0.0, 1.0, 1.0, 0.0, 4, 4),
+        lambda: rectangle_mesh(1.0, 0.0, 0.0, 1.0, 4, 4)],
+        ids=["interval-reversed", "interval-empty", "rectangle-y", "rectangle-x"])
+    def test_rejects_nonincreasing_extents(self, build):
+        # reversed bounds used to be accepted: in 1D they failed later, at the
+        # boundary distance, and in 2D not at all
+        with pytest.raises(ValueError, match="a < b|increasing extents"):
+            build()
+
     def test_boundary_vertices_are_geometric_boundary(self):
         m = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 5, 5)
         on_edge = ((m.vertices[:, 0] in (0.0, 1.0)) if False else

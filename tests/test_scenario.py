@@ -112,6 +112,17 @@ class TestLoadScenario:
             load_scenario(write(tmp_path, text))
         assert err.value.tag == "(A_1)"
 
+    def test_removed_tolerance_key_rejected(self, tmp_path):
+        # the solver's stopping policy is fixed; the old override must not be
+        # silently ignored
+        text = MINIMAL + "\n[run]\ntolerance = 1e-6\n"
+        with pytest.raises(ParseError, match="removed.*fixed"):
+            load_scenario(write(tmp_path, text))
+
+    def test_bad_run_value_is_parse_error(self, tmp_path):
+        with pytest.raises(ParseError, match="store_stride"):
+            load_scenario(write(tmp_path, MINIMAL + "\n[run]\nstore_stride = 0\n"))
+
 
 class TestPrimitives:
     def test_parse_errors(self):
