@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -28,68 +29,51 @@ DEFAULT_CHECKS = [
 ]
 
 
-def _manifest_base(scenario: Scenario, op: LerayLionsOperator, seed: int) -> dict:
+def _manifest_base(scenario: Scenario, seed: int) -> dict:
+    exponent, q = scenario.setup.op.exponent, scenario.setup.q
     return {
         "config_echo": scenario.raw_text,
         "seed": seed,
-        "regime": classify_regime(op.exponent, scenario.q).value,
-        "p_minus": op.exponent.p_minus,
-        "p_plus": op.exponent.p_plus,
-        "q": scenario.q,
-    }
-
-
-def _report_dict(report) -> dict:
-    return {
-        "iterations": report.iterations,
-        "final_gradient_norm": report.final_gradient_norm,
-        "energy": report.energy,
-        "line_search_failures": report.line_search_failures,
-        "regularization_floor_hit": report.regularization_floor_hit,
-        "converged": report.converged,
-        "floor_steps": report.floor_steps,
-        "fallback": report.fallback,
+        "regime": classify_regime(exponent, q).value,
+        "p_minus": exponent.p_minus,
+        "p_plus": exponent.p_plus,
+        "q": q,
     }
 
 
 def run_solve_elliptic(scenario: Scenario, out_dir: str, seed: int) -> int:
-    mesh = scenario.build_mesh()
-    op = scenario.build_operator(mesh)
-    h0 = scenario.build_potential(mesh)(0.0)
-    problem = EllipticProblem.standard(mesh, op, scenario.q, scenario.lam, h0,
-                                       scenario.build_source(mesh))
-    field_, report = solve(problem, bump_seed(mesh))
+    setup = scenario.setup
+    problem = EllipticProblem.standard(setup.mesh, setup.op, setup.q, scenario.lam,
+                                       setup.potential(0.0), setup.source)
+    field_, report = solve(problem, bump_seed(setup.mesh))
     write_field_csv(field_, os.path.join(out_dir, "solution.csv"))
-    manifest = _manifest_base(scenario, op, seed)
-    manifest["solver_report"] = _report_dict(report)
+    manifest = _manifest_base(scenario, seed)
+    manifest["solver_report"] = dataclasses.asdict(report)
     manifest["sup_norm"] = field_.sup_norm
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return 0
 
 
 def run_stationary(scenario: Scenario, out_dir: str, seed: int) -> int:
-    mesh = scenario.build_mesh()
-    op = scenario.build_operator(mesh)
-    potential = scenario.build_potential(mesh)
-    v_stat = solve_stationary(mesh, op, scenario.q, potential.limit,
-                              scenario.build_source(mesh))
+    setup = scenario.setup
+    v_stat = solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,
+                              setup.source)
     write_field_csv(v_stat, os.path.join(out_dir, "stationary.csv"))
-    manifest = _manifest_base(scenario, op, seed)
+    manifest = _manifest_base(scenario, seed)
     manifest["sup_norm"] = v_stat.sup_norm
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return 0
 
 
 def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
-    setup = scenario.build_evolution_setup()
+    setup = scenario.setup
     traj = evolve(setup)
     for pos, n in enumerate(traj.stored_indices):
         write_field_csv(traj.fields[pos], os.path.join(out_dir, f"field_{n:05d}.csv"))
-    mesh = setup.mesh
-    v_stat = solve_stationary(mesh, setup.op, setup.q, setup.potential.limit,
+    v_stat = solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,
                               setup.source)
     e_final = l2_norm_diff_power(traj.final, v_stat, setup.q)
-    manifest = _manifest_base(scenario, setup.op, seed)
+    manifest = _manifest_base(scenario, seed)
     manifest.update({
         "times": traj.times.tolist(),
         "stored_indices": traj.stored_indices,
@@ -101,7 +85,7 @@ def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
             "index": d.index, "time": d.time,
             "increment_norm": d.increment_norm,
             "stationary_energy": d.stationary_energy,
-            "solver": _report_dict(d.report),
+            "solver": dataclasses.asdict(d.report),
         } for d in traj.diagnostics],
     })
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
@@ -119,7 +103,7 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
     if unknown:
         raise ParseError(f"unknown check '{unknown[0]}' "
                          f"(available: {', '.join(DEFAULT_CHECKS)})")
-    setup = scenario.build_evolution_setup()
+    setup = scenario.setup
     mesh, op, source, potential = setup.mesh, setup.op, setup.source, setup.potential
     q = setup.q
     r_mid = (1.0 + op.exponent.p_minus) / 2.0
@@ -218,9 +202,8 @@ def _positive_field(mesh, rng):
 
 
 def run_sweep(scenario: Scenario, out_dir: str, seed: int) -> int:
-    mesh = scenario.build_mesh()
-    op = scenario.build_operator(mesh)
-    manifest = _manifest_base(scenario, op, seed)
+    mesh, op = scenario.setup.mesh, scenario.setup.op
+    manifest = _manifest_base(scenario, seed)
     lines = []
     if scenario.sweep_kind == "lambda":
         sups = []
@@ -238,16 +221,16 @@ def run_sweep(scenario: Scenario, out_dir: str, seed: int) -> int:
         # the grid q generally breaks the scenario source's (f_1)/(f_2)
         # constraints, so the stationary solves run without the source term
         header = "# columns: p,q,regime,stationary_sup_norm"
-        potential = scenario.build_potential(mesh)
+        limit = scenario.setup.potential.limit
         for p in scenario.sweep_p_values:
             for qv in scenario.sweep_q_values:
-                exponent = ExponentField.constant(mesh.n_elements, p)
-                op = LerayLionsOperator.isotropic(exponent, 1.0, mesh.dimension)
                 if not (1.0 < qv < p):
                     lines.append(f"{p!r},{qv!r},invalid,nan")
                     continue
+                exponent = ExponentField.constant(mesh.n_elements, p)
+                op_pq = LerayLionsOperator.isotropic(exponent, 1.0, mesh.dimension)
                 regime = classify_regime(exponent, qv).value
-                v = solve_stationary(mesh, op, qv, potential.limit, None)
+                v = solve_stationary(mesh, op_pq, qv, limit, None)
                 lines.append(f"{p!r},{qv!r},{regime},{v.sup_norm!r}")
     else:
         raise ParseError("scenario has no [sweep] section or unknown sweep kind")

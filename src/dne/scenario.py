@@ -2,15 +2,18 @@
 
 Values are scalars, space-separated lists, or named function primitives
 (`constant c`, `affine a0 ax [ay]`, `bump s`, `sin-product s`,
-`power-of-delta s e`).  Every hypothesis the solver relies on is re-validated
-at load time and violations raise a ValidationError naming the violated tag.
-The full grammar is documented in the README.
+`power-of-delta s e`).  `load_scenario` parses each section straight into its
+runtime object (mesh, exponent, operator, source, potential, initial datum),
+checks every hypothesis the solver relies on as it goes, and returns a
+`Scenario` holding the validated `EvolutionSetup` that every command runs on.
+A malformed value raises a ParseError; a violated hypothesis raises a
+ValidationError naming its tag.  The full grammar is documented in the README.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -106,173 +109,42 @@ def _sin_product(points, mesh):
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Parsed and validated run description; builders construct the runtime
-    objects lazily and cache the mesh."""
+    """A loaded scenario: the config text, the validated evolution setup every
+    command runs on, and the run and sweep values read besides it.
+
+    `dimension`, `resolution`, `steps`, `horizon` and `build_mesh()` are
+    read-only views of `setup` that exist only for the benchmark harness
+    (`perfbench/`); the commands read `setup`."""
 
     raw_text: str
-    dimension: int
-    extents: List[float]
-    resolution: List[int]
-    exponent_kind: str
-    exponent_params: dict
-    partition: List[List[int]]
-    weight_primitives: List[Primitive]
-    q: float
-    source_enabled: bool
-    source_g: Optional[Primitive]
-    source_gamma: float
-    source_beta: float
-    potential_kind: str
-    potential_profile: Optional[Primitive]
-    potential_eta: float
-    potential_times: List[float]
-    potential_profiles: List[Primitive]
-    lower_envelope: Optional[Primitive]
-    initial_profile: Optional[Primitive]
-    initial_file: Optional[str]
-    horizon: float
-    steps: int
+    setup: EvolutionSetup
     lam: float
     seed: int
-    store_stride: int
     sweep_kind: Optional[str]
     sweep_lambdas: List[float]
     sweep_p_values: List[float]
     sweep_q_values: List[float]
-    _mesh: Optional[Mesh] = field(default=None, repr=False)
 
-    # -- builders ----------------------------------------------------------
+    @property
+    def dimension(self) -> int:
+        return self.setup.mesh.dimension
+
+    @property
+    def resolution(self) -> tuple:
+        return self.setup.mesh.resolution
+
+    @property
+    def steps(self) -> int:
+        return self.setup.steps
+
+    @property
+    def horizon(self) -> float:
+        return self.setup.horizon
+
     def build_mesh(self) -> Mesh:
-        if self._mesh is None:
-            if self.dimension == 1:
-                self._mesh = interval_mesh(self.extents[0], self.extents[1],
-                                           self.resolution[0])
-            else:
-                self._mesh = rectangle_mesh(self.extents[0], self.extents[1],
-                                            self.extents[2], self.extents[3],
-                                            self.resolution[0], self.resolution[1])
-        return self._mesh
-
-    def build_exponent(self, mesh: Mesh) -> ExponentField:
-        pts = mesh.barycenters
-        if self.exponent_kind == "constant":
-            vals = np.full(mesh.n_elements, self.exponent_params["value"])
-        elif self.exponent_kind == "affine":
-            vals = np.full(mesh.n_elements, self.exponent_params["value"])
-            slope = self.exponent_params["slope"]
-            for axis in range(min(mesh.dimension, len(slope))):
-                vals = vals + slope[axis] * pts[:, axis]
-        else:
-            _, vals = read_field_csv(self.exponent_params["file"])
-            if vals.size != mesh.n_elements:
-                raise ValidationError("1 < p_-", "tabulated exponent size does not "
-                                      "match the element count")
-        try:
-            return ExponentField.from_values(vals)
-        except ValueError as exc:
-            raise ValidationError("1 < p_-", str(exc)) from exc
-
-    def build_operator(self, mesh: Mesh) -> LerayLionsOperator:
-        exponent = self.build_exponent(mesh)
-        blocks = [np.asarray(b, dtype=int) for b in self.partition]
-        flat = sorted(int(i) for b in blocks for i in b)
-        if flat != list(range(mesh.dimension)):
-            raise ValidationError("(A_0)", "partition must cover every mesh axis "
-                                  "exactly once")
-        weights = []
-        for prim in self.weight_primitives:
-            w = prim(mesh.barycenters, mesh)
-            if w.min() <= 0.0:
-                raise ValidationError("(A_1)", "operator weights must satisfy "
-                                      "g_j(x) >= c > 0")
-            weights.append(w)
-        return LerayLionsOperator.from_blocks(exponent, blocks, weights)
-
-    def build_source(self, mesh: Mesh) -> Optional[SourceTerm]:
-        if not self.source_enabled:
-            return None
-        if not (0.0 <= self.source_beta < self.q - 1.0):
-            raise ValidationError("(f_1)", f"beta = {self.source_beta} must lie in "
-                                  f"[0, q-1) = [0, {self.q - 1.0})")
-        if not (self.source_beta + self.source_gamma > self.q - 1.5):
-            raise ValidationError("(f_2)", f"beta + gamma = "
-                                  f"{self.source_beta + self.source_gamma} must "
-                                  f"exceed q - 3/2 = {self.q - 1.5}")
-        g = self.source_g(mesh.barycenters, mesh)
-        if g.min() < 0.0:
-            raise ValidationError("(f_0)", "source weight g must be nonnegative")
-        delta = boundary_distance_field(mesh).quadrature
-        return SourceTerm(g, delta, self.source_gamma, self.source_beta, self.q)
-
-    def build_potential(self, mesh: Mesh) -> PotentialField:
-        pts = mesh.barycenters
-        if self.potential_kind == "tabulated":
-            times = np.asarray(self.potential_times, dtype=float)
-            profiles = np.stack([p(pts, mesh) for p in self.potential_profiles])
-
-            def evaluator(t, times=times, profiles=profiles):
-                t = np.clip(t, times[0], times[-1])
-                i = int(np.searchsorted(times, t, side="right") - 1)
-                i = min(i, len(times) - 2)
-                w = (t - times[i]) / (times[i + 1] - times[i])
-                return (1.0 - w) * profiles[i] + w * profiles[i + 1]
-
-            sup = float(np.abs(profiles).max())
-            limit = profiles[-1]
-        else:
-            profile = self.potential_profile(pts, mesh)
-            if self.potential_kind == "constant":
-                evaluator = lambda t, profile=profile: profile
-                sup = float(np.abs(profile).max())
-                limit = profile
-            else:  # decaying toward the limit at rate (1+t)^-(1+eta)
-                eta = self.potential_eta
-
-                def evaluator(t, profile=profile, eta=eta):
-                    return profile * (1.0 + (1.0 + t) ** (-(1.0 + eta)))
-
-                sup = float(2.0 * np.abs(profile).max())
-                limit = profile
-        if self.lower_envelope is not None:
-            envelope = self.lower_envelope(pts, mesh)
-        else:
-            envelope = np.asarray(limit, dtype=float)
-        if envelope.min() < 0.0 or not np.any(envelope > 0.0):
-            raise ValidationError("(H_h)", "lower envelope must be nonnegative and "
-                                  "not identically zero")
-        sample_times = np.linspace(0.0, max(self.horizon, 1e-9), 7)
-        try:
-            pot = PotentialField(evaluator, envelope, sup, limit=limit)
-            pot.check_envelope(sample_times)
-        except ValueError as exc:
-            raise ValidationError("(H_h)", str(exc)) from exc
-        return pot
-
-    def build_initial(self, mesh: Mesh) -> DiscreteField:
-        if self.initial_file is not None:
-            return field_from_csv(mesh, self.initial_file)
-        prim = self.initial_profile
-        return interpolate(mesh, lambda pts: prim(pts, mesh))
-
-    def build_evolution_setup(self) -> EvolutionSetup:
-        mesh = self.build_mesh()
-        op = self.build_operator(mesh)
-        self._check_q(op)
-        return EvolutionSetup.create(
-            mesh, op, self.q, self.build_source(mesh), self.build_potential(mesh),
-            self.horizon, self.steps, self.build_initial(mesh),
-            store_stride=self.store_stride)
-
-    def _check_q(self, op: LerayLionsOperator) -> None:
-        if not (1.0 < self.q < op.exponent.p_minus):
-            raise ValidationError("q ∈ (1, p_-)", f"q = {self.q} is outside "
-                                  f"(1, {op.exponent.p_minus})")
-
-    def validate(self) -> None:
-        """Run every hypothesis check without solving anything."""
-        self.build_evolution_setup()
+        return self.setup.mesh
 
 
 def _section(cp: configparser.ConfigParser, name: str) -> dict:
@@ -283,13 +155,144 @@ def _floats(text: str) -> List[float]:
     return [float(p) for p in text.split()]
 
 
-def _ints(text: str) -> List[int]:
-    return [int(p) for p in text.split()]
+def _mesh(sec: dict) -> Mesh:
+    dimension = int(sec.get("dimension", "1"))
+    if dimension not in (1, 2):
+        raise ParseError("dimension must be 1 or 2")
+    extents = _floats(sec.get("extents", "0 1" if dimension == 1 else "0 1 0 1"))
+    if len(extents) != 2 * dimension:
+        raise ParseError("extents must list 2 values per axis")
+    res = [int(n) for n in sec.get("resolution", "100").split()]
+    if dimension == 2 and len(res) == 1:
+        res = [res[0], res[0]]
+    if len(res) != dimension:
+        raise ParseError("resolution must list one value per axis")
+    if dimension == 1:
+        return interval_mesh(extents[0], extents[1], res[0])
+    return rectangle_mesh(*extents, *res)
+
+
+def _exponent(sec: dict, mesh: Mesh) -> ExponentField:
+    kind = sec.get("kind", "constant")
+    if kind in ("constant", "affine"):
+        vals = np.full(mesh.n_elements, float(sec.get("value", "2.0")))
+        if kind == "affine":
+            slope = _floats(sec.get("slope", "0"))
+            for axis in range(min(mesh.dimension, len(slope))):
+                vals = vals + slope[axis] * mesh.barycenters[:, axis]
+    elif kind == "tabulated":
+        _, vals = read_field_csv(sec["file"])
+        if vals.size != mesh.n_elements:
+            raise ValidationError("1 < p_-", "tabulated exponent size does not "
+                                  "match the element count")
+    else:
+        raise ParseError(f"unknown exponent kind '{kind}'")
+    try:
+        return ExponentField.from_values(vals)
+    except ValueError as exc:
+        raise ValidationError("1 < p_-", str(exc)) from exc
+
+
+def _operator(sec: dict, mesh: Mesh, exponent: ExponentField) -> LerayLionsOperator:
+    part_text = sec.get("partition",
+                        " | ".join(str(i + 1) for i in range(mesh.dimension)))
+    blocks = [np.asarray([int(tok) - 1 for tok in blk.split()], dtype=int)
+              for blk in part_text.split("|") if blk.strip()]
+    weights = [Primitive.parse(sec.get(f"weight.{j}", "constant 1.0"))
+               for j in range(1, len(blocks) + 1)]
+    if sorted(int(i) for b in blocks for i in b) != list(range(mesh.dimension)):
+        raise ValidationError("(A_0)", "partition must cover every mesh axis "
+                              "exactly once")
+    values = []
+    for prim in weights:
+        w = prim(mesh.barycenters, mesh)
+        if w.min() <= 0.0:
+            raise ValidationError("(A_1)", "operator weights must satisfy "
+                                  "g_j(x) >= c > 0")
+        values.append(w)
+    return LerayLionsOperator.from_blocks(exponent, blocks, values)
+
+
+def _source(sec: dict, mesh: Mesh, q: float) -> Optional[SourceTerm]:
+    gamma = float(sec.get("gamma", "1.0"))
+    beta = float(sec.get("beta", "0.0"))
+    if sec.get("enabled", "false").lower() not in ("1", "true", "yes"):
+        return None
+    g_prim = Primitive.parse(sec.get("g", "constant 1.0"))
+    if not (0.0 <= beta < q - 1.0):
+        raise ValidationError("(f_1)", f"beta = {beta} must lie in "
+                              f"[0, q-1) = [0, {q - 1.0})")
+    if not (beta + gamma > q - 1.5):
+        raise ValidationError("(f_2)", f"beta + gamma = {beta + gamma} must "
+                              f"exceed q - 3/2 = {q - 1.5}")
+    g = g_prim(mesh.barycenters, mesh)
+    if g.min() < 0.0:
+        raise ValidationError("(f_0)", "source weight g must be nonnegative")
+    delta = boundary_distance_field(mesh).quadrature
+    return SourceTerm(g, delta, gamma, beta, q)
+
+
+def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
+    pts = mesh.barycenters
+    kind = sec.get("kind", "constant")
+    eta = float(sec.get("eta", "0.5"))
+    if kind == "tabulated":
+        times = np.asarray(_floats(sec["times"]))
+        if times.size < 2 or np.any(np.diff(times) <= 0):
+            raise ParseError("tabulated potential needs increasing times")
+        profiles = np.stack([Primitive.parse(sec[f"profile.{i}"])(pts, mesh)
+                             for i in range(1, times.size + 1)])
+
+        def evaluator(t):
+            t = np.clip(t, times[0], times[-1])
+            i = int(np.searchsorted(times, t, side="right") - 1)
+            i = min(i, len(times) - 2)
+            w = (t - times[i]) / (times[i + 1] - times[i])
+            return (1.0 - w) * profiles[i] + w * profiles[i + 1]
+
+        sup = float(np.abs(profiles).max())
+        limit = profiles[-1]
+    elif kind in ("constant", "decaying"):
+        profile = Primitive.parse(sec.get("profile", "bump 1.0"))(pts, mesh)
+        limit = profile
+        if kind == "constant":
+            evaluator = lambda t: profile
+            sup = float(np.abs(profile).max())
+        else:  # decaying toward the limit at rate (1+t)^-(1+eta)
+            if not eta > -1.0:
+                raise ParseError(f"[potential] eta = {eta} must exceed -1, or h "
+                                 f"does not decay to its profile")
+            evaluator = lambda t: profile * (1.0 + (1.0 + t) ** (-(1.0 + eta)))
+            sup = float(2.0 * np.abs(profile).max())
+    else:
+        raise ParseError(f"unknown potential kind '{kind}'")
+    if "lower_envelope" in sec:
+        envelope = Primitive.parse(sec["lower_envelope"])(pts, mesh)
+    else:
+        envelope = np.asarray(limit, dtype=float)
+    if envelope.min() < 0.0 or not np.any(envelope > 0.0):
+        raise ValidationError("(H_h)", "lower envelope must be nonnegative and "
+                              "not identically zero")
+    try:
+        pot = PotentialField(evaluator, envelope, sup, limit=limit)
+        pot.check_envelope(np.linspace(0.0, max(horizon, 1e-9), 7))
+    except ValueError as exc:
+        raise ValidationError("(H_h)", str(exc)) from exc
+    return pot
+
+
+def _initial(sec: dict, mesh: Mesh) -> DiscreteField:
+    if "file" in sec:
+        return field_from_csv(mesh, sec["file"])
+    prim = Primitive.parse(sec.get("profile", "bump 0.5"))
+    return interpolate(mesh, lambda pts: prim(pts, mesh))
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse and validate; distinct errors for malformed files (ParseError) and
-    violated hypotheses (ValidationError with the tag)."""
+    """Parse and validate every section straight into its runtime object;
+    distinct errors for malformed files (ParseError) and violated hypotheses
+    (ValidationError with the tag).  An OSError from a field file passes
+    through."""
     try:
         with open(path) as handle:
             raw = handle.read()
@@ -303,112 +306,38 @@ def load_scenario(path: str) -> Scenario:
         raise ParseError(f"malformed scenario file {path}: {exc}") from exc
 
     try:
-        mesh_sec = _section(cp, "mesh")
-        dimension = int(mesh_sec.get("dimension", "1"))
-        if dimension not in (1, 2):
-            raise ParseError("dimension must be 1 or 2")
-        extents = _floats(mesh_sec.get("extents", "0 1" if dimension == 1
-                                       else "0 1 0 1"))
-        if len(extents) != 2 * dimension:
-            raise ParseError("extents must list 2 values per axis")
-        res = _ints(mesh_sec.get("resolution", "100"))
-        if dimension == 2 and len(res) == 1:
-            res = [res[0], res[0]]
-        if len(res) != dimension:
-            raise ParseError("resolution must list one value per axis")
-
-        exp_sec = _section(cp, "exponent")
-        exponent_kind = exp_sec.get("kind", "constant")
-        if exponent_kind not in ("constant", "affine", "tabulated"):
-            raise ParseError(f"unknown exponent kind '{exponent_kind}'")
-        exponent_params: dict = {}
-        if exponent_kind in ("constant", "affine"):
-            exponent_params["value"] = float(exp_sec.get("value", "2.0"))
-        if exponent_kind == "affine":
-            exponent_params["slope"] = _floats(exp_sec.get("slope", "0"))
-        if exponent_kind == "tabulated":
-            exponent_params["file"] = exp_sec["file"]
-
-        op_sec = _section(cp, "operator")
-        part_text = op_sec.get("partition",
-                               " | ".join(str(i + 1) for i in range(dimension)))
-        partition = [[int(tok) - 1 for tok in blk.split()]
-                     for blk in part_text.split("|") if blk.strip()]
-        weights = []
-        for j in range(1, len(partition) + 1):
-            weights.append(Primitive.parse(op_sec.get(f"weight.{j}", "constant 1.0")))
-
-        prob_sec = _section(cp, "problem")
-        q = float(prob_sec.get("q", "1.25"))
-
-        src_sec = _section(cp, "source")
-        source_enabled = src_sec.get("enabled", "false").lower() in ("1", "true", "yes")
-        source_g = Primitive.parse(src_sec.get("g", "constant 1.0")) if source_enabled else None
-        source_gamma = float(src_sec.get("gamma", "1.0"))
-        source_beta = float(src_sec.get("beta", "0.0"))
-
-        pot_sec = _section(cp, "potential")
-        potential_kind = pot_sec.get("kind", "constant")
-        if potential_kind not in ("constant", "decaying", "tabulated"):
-            raise ParseError(f"unknown potential kind '{potential_kind}'")
-        potential_profile = None
-        potential_times: List[float] = []
-        potential_profiles: List[Primitive] = []
-        if potential_kind == "tabulated":
-            potential_times = _floats(pot_sec["times"])
-            if len(potential_times) < 2 or np.any(np.diff(potential_times) <= 0):
-                raise ParseError("tabulated potential needs increasing times")
-            for i in range(1, len(potential_times) + 1):
-                potential_profiles.append(Primitive.parse(pot_sec[f"profile.{i}"]))
-        else:
-            potential_profile = Primitive.parse(pot_sec.get("profile", "bump 1.0"))
-        potential_eta = float(pot_sec.get("eta", "0.5"))
-        lower_envelope = (Primitive.parse(pot_sec["lower_envelope"])
-                          if "lower_envelope" in pot_sec else None)
-
-        init_sec = _section(cp, "initial")
-        initial_file = init_sec.get("file")
-        initial_profile = (Primitive.parse(init_sec.get("profile", "bump 0.5"))
-                           if initial_file is None else None)
-
         run_sec = _section(cp, "run")
-        horizon = float(run_sec.get("horizon", "1.0"))
-        steps = int(run_sec.get("steps", "20"))
-        lam = float(run_sec.get("lambda", "1.0"))
-        seed = int(run_sec.get("seed", "20240801"))
         if "tolerance" in run_sec:
             raise ParseError("[run] tolerance was removed: the solver tolerance "
                              "is fixed")
-        store_stride = int(run_sec.get("store_stride", "1"))
-
+        horizon = float(run_sec.get("horizon", "1.0"))
+        mesh = _mesh(_section(cp, "mesh"))
+        op = _operator(_section(cp, "operator"), mesh,
+                       _exponent(_section(cp, "exponent"), mesh))
+        q = float(_section(cp, "problem").get("q", "1.25"))
+        if not (1.0 < q < op.exponent.p_minus):
+            raise ValidationError("q ∈ (1, p_-)", f"q = {q} is outside "
+                                  f"(1, {op.exponent.p_minus})")
+        setup = EvolutionSetup.create(
+            mesh, op, q, _source(_section(cp, "source"), mesh, q),
+            _potential(_section(cp, "potential"), mesh, horizon), horizon,
+            int(run_sec.get("steps", "20")), _initial(_section(cp, "initial"), mesh),
+            store_stride=int(run_sec.get("store_stride", "1")))
+        # solve-elliptic and every solve of a lambda sweep need lambda > 0
+        lam = float(run_sec.get("lambda", "1.0"))
+        if not lam > 0.0:
+            raise ParseError(f"[run] lambda = {lam} must be positive")
         sweep_sec = _section(cp, "sweep")
-        sweep_kind = sweep_sec.get("kind")
-        sweep_lambdas = _floats(sweep_sec.get("lambdas", "")) if sweep_sec else []
-        sweep_p_values = _floats(sweep_sec.get("p_values", "")) if sweep_sec else []
-        sweep_q_values = _floats(sweep_sec.get("q_values", "")) if sweep_sec else []
-    except ParseError:
+        lambdas = _floats(sweep_sec.get("lambdas", ""))
+        if not all(v > 0.0 for v in lambdas):
+            raise ParseError(f"[sweep] lambdas must all be positive, got {lambdas}")
+        return Scenario(
+            raw_text=raw, setup=setup, lam=lam,
+            seed=int(run_sec.get("seed", "20240801")),
+            sweep_kind=sweep_sec.get("kind"), sweep_lambdas=lambdas,
+            sweep_p_values=_floats(sweep_sec.get("p_values", "")),
+            sweep_q_values=_floats(sweep_sec.get("q_values", "")))
+    except (ParseError, ValidationError):
         raise
     except (KeyError, ValueError) as exc:
         raise ParseError(f"malformed scenario file {path}: {exc}") from exc
-
-    scenario = Scenario(
-        raw_text=raw, dimension=dimension, extents=extents, resolution=res,
-        exponent_kind=exponent_kind, exponent_params=exponent_params,
-        partition=partition, weight_primitives=weights, q=q,
-        source_enabled=source_enabled, source_g=source_g,
-        source_gamma=source_gamma, source_beta=source_beta,
-        potential_kind=potential_kind, potential_profile=potential_profile,
-        potential_eta=potential_eta, potential_times=potential_times,
-        potential_profiles=potential_profiles, lower_envelope=lower_envelope,
-        initial_profile=initial_profile, initial_file=initial_file,
-        horizon=horizon, steps=steps, lam=lam, seed=seed,
-        store_stride=store_stride, sweep_kind=sweep_kind,
-        sweep_lambdas=sweep_lambdas, sweep_p_values=sweep_p_values,
-        sweep_q_values=sweep_q_values)
-    try:
-        scenario.validate()
-    except ValidationError:
-        raise
-    except ValueError as exc:
-        raise ParseError(f"invalid scenario file {path}: {exc}") from exc
-    return scenario

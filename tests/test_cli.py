@@ -9,6 +9,7 @@ from dne import checks, cli
 from dne.cli import DEFAULT_CHECKS, main
 from dne.io_utils import field_from_csv, write_field_csv
 from dne.meshing import interpolate
+from dne.scenario import load_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -129,14 +130,17 @@ class TestCommands:
     def test_sweep_pq_grid(self, config_path, tmp_path):
         text = textwrap.dedent(CONFIG).replace(
             "kind = lambda\nlambdas = 0.5 1 2 4",
-            "kind = pq\np_values = 2.5 3.0\nq_values = 1.2 1.4")
+            "kind = pq\np_values = 0.9 2.5 3.0\nq_values = 1.2 1.4")
         cfg = tmp_path / "pq.cfg"
         cfg.write_text(text)
         out = tmp_path / "opq"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         rows = [l.strip().split(",") for l in open(out / "summary.csv")
                 if not l.startswith("#")]
-        assert len(rows) == 4
+        assert len(rows) == 6
+        # no exponent field exists for p <= 1: such a cell is inadmissible
+        # like any cell outside 1 < q < p
+        assert rows[:2] == [["0.9", q, "invalid", "nan"] for q in ("1.2", "1.4")]
         regimes = {(r[0], r[1]): r[2] for r in rows}
         assert regimes[("3.0", "1.2")] == "slow-diffusion"
         assert regimes[("2.5", "1.4")] == "fast-diffusion"
@@ -155,8 +159,10 @@ class TestCommands:
         ("profile = bump 0.5", "profile = constant 0.0"),
         ("steps = 5", "steps = 5\nstore_stride = 0"),
         ("steps = 5", "steps = 5\nstore_stride = -3"),
+        ("lambda = 1.0", "lambda = 0.0"),
+        ("lambdas = 0.5 1 2 4", "lambdas = -1 1 2 4"),
     ], ids=["q", "steps", "horizon", "resolution", "extents", "initial",
-            "stride-0", "stride-negative"])
+            "stride-0", "stride-negative", "lambda", "sweep-lambdas"])
     def test_invalid_config_exit_code(self, tmp_path, capsys, old, new):
         # a violated hypothesis or a malformed value is a configuration error
         # (exit 2), not a failed check (exit 1) or a traceback
@@ -170,6 +176,24 @@ class TestCommands:
         code = main(["evolve", "--config", str(tmp_path / "none.cfg"), "--out",
                      str(tmp_path / "o8")])
         assert code == 2
+
+    def test_commands_do_not_rebuild_the_scenario(self, config_path, tmp_path,
+                                                  monkeypatch):
+        # every command runs on the setup built at load; building any part of
+        # the scenario a second time trips one of these
+        scenario = load_scenario(config_path)
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("scenario rebuilt after load")
+
+        for name in ("LerayLionsOperator", "EvolutionSetup", "interpolate",
+                     "interval_mesh"):
+            monkeypatch.setattr(f"dne.scenario.{name}", rebuilt)
+        # five steps are too few for the stabilization check to pass
+        suite = [name for name in DEFAULT_CHECKS if name != "stabilization"]
+        for command in ("solve-elliptic", "stationary", "evolve", "verify", "sweep"):
+            assert cli.run(command, scenario, str(tmp_path / command),
+                           checks=suite) == 0
 
 
 class TestVerifyPipeline:

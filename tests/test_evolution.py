@@ -137,8 +137,7 @@ class TestEvolve:
         assert len(traj.diagnostics) == 10
 
     def test_one_minimization_per_step(self, monkeypatch):
-        scenario = load_scenario(str(CONFIGS / "default_1d.cfg"))
-        full = scenario.build_evolution_setup()
+        full = load_scenario(str(CONFIGS / "default_1d.cfg")).setup
         setup = EvolutionSetup.create(full.mesh, full.op, full.q, full.source,
                                       full.potential, 20 * full.dt, 20,
                                       full.initial)

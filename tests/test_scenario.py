@@ -37,19 +37,18 @@ def write(tmp_path, text, name="scenario.cfg"):
 class TestLoadScenario:
     def test_minimal_config_defaults(self, tmp_path):
         sc = load_scenario(write(tmp_path, MINIMAL))
-        assert sc.dimension == 1
-        assert sc.resolution == [50]
-        assert sc.q == 1.25
-        assert sc.steps == 20 and sc.horizon == 1.0  # documented defaults
-        assert not sc.source_enabled
+        assert sc.setup.mesh.dimension == 1
+        assert sc.setup.mesh.resolution == (50,)
+        assert sc.setup.q == 1.25
+        assert sc.setup.steps == 20 and sc.setup.horizon == 1.0  # documented defaults
+        assert sc.setup.source is None
 
     def test_builds_runtime_objects(self, tmp_path):
-        sc = load_scenario(write(tmp_path, MINIMAL))
-        setup = sc.build_evolution_setup()
+        setup = load_scenario(write(tmp_path, MINIMAL)).setup
         assert setup.mesh.n_elements == 50
         assert setup.op.exponent.p_minus == 2.5
         # 2q = 2.5 = p exactly: the boundary case classifies as mixed
-        assert classify_regime(setup.op.exponent, sc.q) is Regime.MIXED
+        assert classify_regime(setup.op.exponent, setup.q) is Regime.MIXED
 
     def test_missing_file_is_parse_error(self):
         with pytest.raises(ParseError):
@@ -150,9 +149,7 @@ class TestPotentialKinds:
     def test_decaying_reaches_limit(self, tmp_path):
         text = MINIMAL.replace("kind = constant\nprofile = bump 1.0",
                                "kind = decaying\nprofile = bump 1.0\neta = 0.5")
-        sc = load_scenario(write(tmp_path, text))
-        mesh = sc.build_mesh()
-        pot = sc.build_potential(mesh)
+        pot = load_scenario(write(tmp_path, text)).setup.potential
         assert pot.limit is not None
         h0 = pot(0.0)
         h_late = pot(1e6)
@@ -163,14 +160,21 @@ class TestPotentialKinds:
         drift = np.max(np.abs(pot(t) - pot.limit))
         assert drift <= np.max(pot.limit) * (1.0 + t) ** (-1.5) + 1e-15
 
+    def test_decaying_eta_at_most_minus_one_rejected(self, tmp_path):
+        # for eta <= -1 the potential does not decay to its profile (below -1
+        # it grows without bound), so limit = profile and, below -1, the
+        # declared sup-norm 2 max|profile| would be false
+        text = MINIMAL.replace("kind = constant\nprofile = bump 1.0",
+                               "kind = decaying\nprofile = bump 1.0\neta = -2")
+        with pytest.raises(ParseError, match="eta"):
+            load_scenario(write(tmp_path, text))
+
     def test_tabulated_interpolation(self, tmp_path):
         text = MINIMAL.replace(
             "kind = constant\nprofile = bump 1.0",
             "kind = tabulated\ntimes = 0 1\nprofile.1 = constant 1.0\n"
             "profile.2 = constant 2.0\nlower_envelope = constant 1.0")
-        sc = load_scenario(write(tmp_path, text))
-        mesh = sc.build_mesh()
-        pot = sc.build_potential(mesh)
+        pot = load_scenario(write(tmp_path, text)).setup.potential
         assert pot(0.5)[0] == pytest.approx(1.5)
         assert pot(5.0)[0] == pytest.approx(2.0)  # clamped at the last profile
 
@@ -180,12 +184,10 @@ class TestInitialFromFile:
         from dne.io_utils import write_field_csv
         from dne.meshing import interpolate
 
-        sc = load_scenario(write(tmp_path, MINIMAL))
-        mesh = sc.build_mesh()
+        mesh = load_scenario(write(tmp_path, MINIMAL)).setup.mesh
         v = interpolate(mesh, lambda x: 0.25 * np.sin(np.pi * x[:, 0]))
         path = tmp_path / "v0.csv"
         write_field_csv(v, str(path))
         text = MINIMAL.replace("profile = bump 0.5", f"file = {path}")
-        sc2 = load_scenario(write(tmp_path, text, name="file_init.cfg"))
-        v2 = sc2.build_initial(sc2.build_mesh())
+        v2 = load_scenario(write(tmp_path, text, name="file_init.cfg")).setup.initial
         np.testing.assert_array_equal(v2.values, v.values)
