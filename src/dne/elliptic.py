@@ -37,6 +37,10 @@ DEFAULT_TOL = {1: 1e-11, 2: 1e-8}
 MAX_ITERATIONS = 200
 MU_FLOOR = 1e-12
 KAPPA_CEIL = 1e12
+# Relative roundoff of the energy.  A predicted decrease at most ROUNDOFF times
+# the energy's term scale is below what the Armijo test can resolve, and a
+# trial energy within ROUNDOFF (1 + |J|) of the current one is no increase.
+ROUNDOFF = 1e-13
 
 
 class InvalidProblem(ValueError):
@@ -59,6 +63,7 @@ class SolverReport:
     final_gradient_norm: float = np.inf
     energy: float = np.inf
     line_search_failures: int = 0
+    searches_skipped: int = 0
     regularization_floor_hit: bool = False
     converged: bool = False
     floor_steps: int = 0
@@ -118,18 +123,30 @@ def _power(vbp: np.ndarray, s: float) -> np.ndarray:
     return np.where(pos, np.where(pos, vbp, 1.0) ** s, 0.0)
 
 
-def _energy_values(problem: EllipticProblem, vals: np.ndarray) -> float:
+def _energy_parts(problem: EllipticProblem, vals: np.ndarray) -> tuple[float, float]:
+    """The energy J and its roundoff scale S, the sum of the absolute values
+    of its terms (diffusion, each power term, the load).  The terms cancel,
+    so |J| can be far below S."""
     mesh = problem.mesh
     ks = np.arange(mesh.n_elements)
     vb = mesh.element_means(vals)
     vbp = np.maximum(vb, 0.0)
     dens = np.asarray(eval_A(problem.op, ks, mesh.gradient_of(vals)))
     total = problem.lam * np.sum(mesh.measures * dens / problem.op.exponent.values)
+    scale = abs(total)
     for c, r in problem.terms:
-        total += np.sum(mesh.measures * c * vbp ** r) / r
+        term = np.sum(mesh.measures * c * vbp ** r) / r
+        total += term
+        scale += abs(term)
     if problem.load is not None:
-        total -= np.sum(mesh.measures * problem.load * vb)
-    return float(total)
+        term = np.sum(mesh.measures * problem.load * vb)
+        total -= term
+        scale += abs(term)
+    return float(total), float(scale)
+
+
+def _energy_values(problem: EllipticProblem, vals: np.ndarray) -> float:
+    return _energy_parts(problem, vals)[0]
 
 
 def _gradient_values(problem: EllipticProblem, vals: np.ndarray) -> np.ndarray:
@@ -239,9 +256,9 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
     mesh = problem.mesh
     vals = _project(mesh, np.array(start, dtype=float))
     report = SolverReport()
-    e_now = _energy_values(problem, vals)
+    e_now, s_now = _energy_parts(problem, vals)
+    grad = _gradient_values(problem, vals)
     for it in range(1, max_iterations + 1):
-        grad = _gradient_values(problem, vals)
         kkt = _kkt_norm(mesh, vals, grad)
         report.iterations = it - 1
         report.final_gradient_norm = kkt
@@ -255,39 +272,46 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
         if np.any(gnorm2 < HESSIAN_EPS ** 2):
             report.regularization_floor_hit = True
 
-        moved = False
+        moved, next_grad = False, None
         # steepest descent only while the residual is above the tolerance: a
         # start inside it tries the Newton step alone
         for d in _directions(problem, vals, grad, kkt > tolerance):
-            t = 1.0
-            for _ in range(MAX_BACKTRACKS):
-                trial = _project(mesh, vals + t * d)
-                step = trial - vals
-                if not np.any(step):
+            full = _project(mesh, vals + d)
+            # Backtracking cannot resolve a predicted decrease of the full
+            # step below the energy's roundoff: go straight to the floor test.
+            if -float(grad @ (full - vals)) <= ROUNDOFF * s_now:
+                report.searches_skipped += 1
+            else:
+                t = 1.0
+                for _ in range(MAX_BACKTRACKS):
+                    trial = _project(mesh, vals + t * d)
+                    step = trial - vals
+                    if not np.any(step):
+                        break
+                    e_trial, s_trial = _energy_parts(problem, trial)
+                    if e_trial < e_now and e_trial <= e_now + ARMIJO_C * float(grad @ step):
+                        vals, e_now, s_now, moved = trial, e_trial, s_trial, True
+                        break
+                    t *= BACKTRACK
+                if moved:
                     break
-                e_trial = _energy_values(problem, trial)
-                if e_trial < e_now and e_trial <= e_now + ARMIJO_C * float(grad @ step):
-                    vals, e_now, moved = trial, e_trial, True
-                    break
-                t *= BACKTRACK
-            if moved:
-                break
-            report.line_search_failures += 1
+                report.line_search_failures += 1
             # Roundoff floor of the energy: accept the full step when it still
             # reduces the first-order residual without raising the energy
             # beyond machine slack.
-            trial = _project(mesh, vals + d)
-            if np.any(trial - vals):
-                e_trial = _energy_values(problem, trial)
-                if (e_trial <= e_now + 1e-13 * (1.0 + abs(e_now))
-                        and _kkt_norm(mesh, trial, _gradient_values(problem, trial)) < kkt):
-                    vals, e_now, moved = trial, e_trial, True
-                    report.floor_steps += 1
-                    break
+            if np.any(full - vals):
+                e_trial, s_trial = _energy_parts(problem, full)
+                if e_trial <= e_now + ROUNDOFF * (1.0 + abs(e_now)):
+                    g_trial = _gradient_values(problem, full)
+                    if _kkt_norm(mesh, full, g_trial) < kkt:
+                        vals, e_now, s_now, moved = full, e_trial, s_trial, True
+                        next_grad = g_trial
+                        report.floor_steps += 1
+                        break
         if not moved:
             report.converged = kkt <= tolerance
             return vals, report
-    grad = _gradient_values(problem, vals)
+        grad = _gradient_values(problem, vals) if next_grad is None else next_grad
     report.iterations = max_iterations
     report.final_gradient_norm = _kkt_norm(mesh, vals, grad)
     report.energy = e_now

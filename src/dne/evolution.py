@@ -47,8 +47,8 @@ class EvolutionSetup:
     @classmethod
     def create(cls, mesh, op, q, source, potential, horizon, steps, initial,
                store_stride=1) -> "EvolutionSetup":
-        if horizon <= 0.0 or steps < 1:
-            raise ValueError("need horizon > 0 and at least one step")
+        if not 0.0 < horizon < np.inf or steps < 1:
+            raise ValueError("need a finite horizon > 0 and at least one step")
         if store_stride < 1:
             raise ValueError("store_stride must be at least 1")
         if not (1.0 < q < op.exponent.p_minus):

@@ -311,6 +311,9 @@ def load_scenario(path: str) -> Scenario:
             raise ParseError("[run] tolerance was removed: the solver tolerance "
                              "is fixed")
         horizon = float(run_sec.get("horizon", "1.0"))
+        # before the potential is sampled on [0, horizon]
+        if not np.isfinite(horizon):
+            raise ParseError(f"[run] horizon = {horizon} must be finite")
         mesh = _mesh(_section(cp, "mesh"))
         op = _operator(_section(cp, "operator"), mesh,
                        _exponent(_section(cp, "exponent"), mesh))
@@ -325,12 +328,13 @@ def load_scenario(path: str) -> Scenario:
             store_stride=int(run_sec.get("store_stride", "1")))
         # solve-elliptic and every solve of a lambda sweep need lambda > 0
         lam = float(run_sec.get("lambda", "1.0"))
-        if not lam > 0.0:
-            raise ParseError(f"[run] lambda = {lam} must be positive")
+        if not 0.0 < lam < np.inf:
+            raise ParseError(f"[run] lambda = {lam} must be positive and finite")
         sweep_sec = _section(cp, "sweep")
         lambdas = _floats(sweep_sec.get("lambdas", ""))
-        if not all(v > 0.0 for v in lambdas):
-            raise ParseError(f"[sweep] lambdas must all be positive, got {lambdas}")
+        if not all(0.0 < v < np.inf for v in lambdas):
+            raise ParseError(f"[sweep] lambdas must all be positive and finite, "
+                             f"got {lambdas}")
         return Scenario(
             raw_text=raw, setup=setup, lam=lam,
             seed=int(run_sec.get("seed", "20240801")),

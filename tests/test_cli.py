@@ -161,8 +161,12 @@ class TestCommands:
         ("steps = 5", "steps = 5\nstore_stride = -3"),
         ("lambda = 1.0", "lambda = 0.0"),
         ("lambdas = 0.5 1 2 4", "lambdas = -1 1 2 4"),
+        ("horizon = 0.5", "horizon = inf"),
+        ("horizon = 0.5", "horizon = nan"),
+        ("lambda = 1.0", "lambda = inf"),
     ], ids=["q", "steps", "horizon", "resolution", "extents", "initial",
-            "stride-0", "stride-negative", "lambda", "sweep-lambdas"])
+            "stride-0", "stride-negative", "lambda", "sweep-lambdas",
+            "horizon-inf", "horizon-nan", "lambda-inf"])
     def test_invalid_config_exit_code(self, tmp_path, capsys, old, new):
         # a violated hypothesis or a malformed value is a configuration error
         # (exit 2), not a failed check (exit 1) or a traceback
@@ -170,7 +174,8 @@ class TestCommands:
         bad.write_text(textwrap.dedent(CONFIG).replace(old, new, 1))
         code = main(["evolve", "--config", str(bad), "--out", str(tmp_path / "o7")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_missing_config_exit_code(self, tmp_path):
         code = main(["evolve", "--config", str(tmp_path / "none.cfg"), "--out",

@@ -12,7 +12,7 @@ from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
                          interval_mesh, l2_norm_diff_power, rectangle_mesh,
                          zero_field)
 from dne.operators import (ExponentField, LerayLionsOperator, SourceTerm,
-                           eval_source, flux_jacobian_batch, seeded_rng)
+                           eval_A, eval_source, flux_jacobian_batch, seeded_rng)
 
 
 def iso_op(mesh, p):
@@ -97,6 +97,25 @@ class TestEnergy:
         values = [energy(prob, phi.with_values(2.0 ** (-k) * phi.values))
                   for k in range(40)]
         assert min(values) < 0.0
+
+    def test_parts_scale_sums_absolute_terms(self, mesh_1d, data_1d):
+        op, src, pot = data_1d
+        load = np.full(mesh_1d.n_elements, 0.8)
+        prob = EllipticProblem.stationary(mesh_1d, op, 1.25, pot(0.0), src, load=load)
+        v = interpolate(mesh_1d, lambda x: 0.3 * np.sin(np.pi * x[:, 0]))
+        j, s = elliptic._energy_parts(prob, v.values)
+        assert j == energy(prob, v)
+        # diffusion, potential, source and load, each integrated here
+        m, vb = mesh_1d, mesh_1d.element_means(v.values)
+        dens = eval_A(op, np.arange(m.n_elements), m.gradient_of(v.values))
+        terms = ([np.sum(m.measures * dens / op.exponent.values)]
+                 + [np.sum(m.measures * c * np.maximum(vb, 0.0) ** r) / r
+                    for c, r in prob.terms]
+                 + [-np.sum(m.measures * load * vb)])
+        assert len(terms) == 4
+        assert j == pytest.approx(sum(terms), rel=1e-12)
+        assert s >= abs(j)
+        assert s == pytest.approx(sum(abs(t) for t in terms), rel=1e-14)
 
 
 class TestEnergyGradient:
@@ -260,14 +279,39 @@ class TestSolve:
         op, src, pot = data_1d
         prob = EllipticProblem.standard(mesh_1d, op, 1.25, 1.0, pot(0.0), src)
         start = bump_seed(mesh_1d)
-        energies = [energy(prob, start)]
+        energies, skipped = [energy(prob, start)], []
         for k in range(1, 200):
             _, report = elliptic._minimize(prob, start.values, 1e-11, max_iterations=k)
             if report.iterations < k or report.floor_steps:
                 break
             energies.append(report.energy)
+            skipped.append(report.searches_skipped)
         assert len(energies) >= 4
         assert np.all(np.diff(energies) < 0.0)
+        # far from the solution every line search runs
+        assert skipped == [0] * len(skipped)
+
+    def test_fixed_point_start_skips_the_line_search(self, mesh_1d, data_1d,
+                                                     monkeypatch):
+        # at the discrete fixed point the Newton step predicts a decrease
+        # below the energy's roundoff: no backtracking, only the floor test
+        # (running the search here takes 6 energy evaluations, 4 of them in
+        # backtracking that fails)
+        op, src, pot = data_1d
+        prob = EllipticProblem.standard(mesh_1d, op, 1.25, 2.0, pot(0.0), src)
+        v, _ = solve(prob, bump_seed(mesh_1d))
+        counts = {"_energy_parts": 0, "_gradient_values": 0}
+        for name in counts:
+            def counting(*args, _name=name, _f=getattr(elliptic, name)):
+                counts[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(elliptic, name, counting)
+        w, report = elliptic._minimize(prob, v.values, elliptic.DEFAULT_TOL[1],
+                                       elliptic.MAX_ITERATIONS)
+        assert report.converged
+        assert report.searches_skipped >= 1
+        assert counts["_energy_parts"] <= 2 and counts["_gradient_values"] <= 2
+        assert np.max(np.abs(w - v.values)) <= 1e-10
 
     def test_converged_start_assembles_one_hessian(self, mesh_1d, data_1d,
                                                    monkeypatch):

@@ -100,6 +100,11 @@ class TestEvolve:
         with pytest.raises(ValueError, match="store_stride"):
             make_setup(mesh_1d, data_1d, horizon=1.0, steps=4, store_stride=stride)
 
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_setup_rejects_nonfinite_horizon(self, mesh_1d, data_1d, horizon):
+        with pytest.raises(ValueError, match="finite horizon"):
+            make_setup(mesh_1d, data_1d, horizon=horizon, steps=4)
+
     def test_distance_sandwich_along_run(self, mesh_1d, data_1d):
         op, src, pot = data_1d
         v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
@@ -153,6 +158,24 @@ class TestEvolve:
         # every step problem carries the mass term (v+)^2q
         assert all(2.0 * setup.q in powers for powers in calls)
         assert not any(d.report.fallback for d in traj.diagnostics)
+
+    def test_energy_evaluations_per_step(self, monkeypatch):
+        # 50 near-stationary steps of default_1d: backtracking below the
+        # energy's roundoff made 385 energy evaluations (7.7 per step);
+        # skipping it makes 174 (3.5 per step)
+        full = load_scenario(str(CONFIGS / "default_1d.cfg")).setup
+        setup = EvolutionSetup.create(full.mesh, full.op, full.q, full.source,
+                                      full.potential, 50 * full.dt, 50,
+                                      full.initial)
+        parts, calls = elliptic._energy_parts, []
+
+        def counting(*args):
+            calls.append(1)
+            return parts(*args)
+
+        monkeypatch.setattr(elliptic, "_energy_parts", counting)
+        evolve(setup)
+        assert len(calls) / setup.steps <= 5.0
 
     def test_step_failure_annotated(self, mesh_1d, data_1d, monkeypatch):
         monkeypatch.setitem(elliptic.DEFAULT_TOL, 1, 0.0)

@@ -1,4 +1,5 @@
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,22 @@ class TestLoadScenario:
     def test_bad_run_value_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError, match="store_stride"):
             load_scenario(write(tmp_path, MINIMAL + "\n[run]\nstore_stride = 0\n"))
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("section, line", [
+        ("run", "horizon = {}"),
+        ("run", "lambda = {}"),
+        ("sweep", "lambdas = 1 {}"),
+    ], ids=["horizon", "lambda", "sweep-lambdas"])
+    def test_nonfinite_run_value_is_parse_error(self, tmp_path, section, line, value):
+        text = MINIMAL + f"\n[{section}]\n{line.format(value)}\n"
+        key = line.split()[0]
+        # rejected before the potential is sampled on [0, horizon], so no
+        # numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=rf"\[{section}\] {key}"):
+                load_scenario(write(tmp_path, text))
 
 
 class TestPrimitives:
