@@ -8,7 +8,7 @@ constants; refinement is expected to improve every margin they cover.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ PICONE_SLACK = 1e-12              # relative, pointwise Picone margin
 ALG_SLACK = 1e-14                 # absolute, scalar power inequality
 STABILIZATION_GROWTH = 1e-6       # relative per-step growth allowed after burn-in
 HOPF_FLOOR = 1e-6                 # smallest admissible boundary difference quotient
+HOPF_CORNER_CELLS = 3             # rectangle cells per corner without Hopf probes
 SLOPE_TOL = 0.02                  # allowed deviation of the fitted scaling slope
 
 
@@ -256,15 +257,12 @@ def check_monotone_run(traj: Trajectory, direction: str) -> CheckReport:
 
 def check_stabilization(traj: Trajectory, v_stat: DiscreteField,
                         r_norms: Sequence[float], potential: PotentialField,
-                        threshold: float = 1e-3,
-                        burn_in: Optional[int] = None) -> CheckReport:
-    """Decay of ||v^q(t) - v_stat^q||_{L^r}: eventually nonincreasing after the
-    burn-in index and below the threshold at the final time."""
+                        threshold: float = 1e-3) -> CheckReport:
+    """Decay of ||v^q(t) - v_stat^q||_{L^r}: nonincreasing after a burn-in of
+    the first fifth of the steps, and below the threshold at the final time."""
     if potential.limit is None:
         raise ValueError("stabilization requires the potential's large-time limit")
-    n_total = len(traj.times) - 1
-    if burn_in is None:
-        burn_in = n_total // 5
+    burn_in = (len(traj.times) - 1) // 5
     margins, locs = [], []
     for r in r_norms:
         errs = np.array([lr_norm_diff_power(traj.fields[pos], v_stat, traj.q, r)
@@ -303,8 +301,7 @@ def check_lambda_scaling(mesh, op, lambdas: Sequence[float]) -> CheckReport:
     return _report("lambda-scaling", len(lambdas), margins, locs, slack=SLOPE_TOL)
 
 
-def check_positivity_hopf(field: DiscreteField, hopf_floor: float = HOPF_FLOOR,
-                          corner_cells: int = 3) -> CheckReport:
+def check_positivity_hopf(field: DiscreteField) -> CheckReport:
     """Interior positivity plus a one-sided boundary difference quotient at
     offset 2 * spacing; rectangle corners are excluded by a cell band."""
     mesh = field.mesh
@@ -319,18 +316,18 @@ def check_positivity_hopf(field: DiscreteField, hopf_floor: float = HOPF_FLOOR,
         nx, ny = mesh.resolution
         hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
         probes = []
-        for i in range(corner_cells, nx - corner_cells + 1):
+        for i in range(HOPF_CORNER_CELLS, nx - HOPF_CORNER_CELLS + 1):
             xc = x0 + i * hx
             probes.extend([[xc, y0 + off], [xc, y1 - off]])
-        for j in range(corner_cells, ny - corner_cells + 1):
+        for j in range(HOPF_CORNER_CELLS, ny - HOPF_CORNER_CELLS + 1):
             yc = y0 + j * hy
             probes.extend([[x0 + off, yc], [x1 - off, yc]])
         probes = np.array(probes)
     quot = eval_at_points(field, probes) / off
     for i, qv in enumerate(quot):
-        margins.append(float(qv) - hopf_floor)
+        margins.append(float(qv) - HOPF_FLOOR)
         locs.append(f"boundary probe {i} quotient {qv:.4g}")
-    return _report("positivity-hopf", len(margins), margins, locs, slack=hopf_floor)
+    return _report("positivity-hopf", len(margins), margins, locs, slack=HOPF_FLOOR)
 
 
 def check_alg_inequality(q: float, sample_count: int = 10 ** 5,

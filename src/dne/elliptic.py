@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .meshing import DiscreteField, Mesh
+from .meshing import DiscreteField, Mesh, _unit_bump, interpolate
 from .operators import LerayLionsOperator, eval_A, eval_flux, flux_jacobian_batch
 
 ARMIJO_C = 1e-4
@@ -64,7 +64,6 @@ class SolverReport:
     energy: float = np.inf
     line_search_failures: int = 0
     searches_skipped: int = 0
-    regularization_floor_hit: bool = False
     converged: bool = False
     floor_steps: int = 0
     fallback: bool = False
@@ -123,15 +122,21 @@ def _power(vbp: np.ndarray, s: float) -> np.ndarray:
     return np.where(pos, np.where(pos, vbp, 1.0) ** s, 0.0)
 
 
-def _energy_parts(problem: EllipticProblem, vals: np.ndarray) -> tuple[float, float]:
+def _point(mesh: Mesh, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Element state of one iterate, (element means, element gradients): the
+    only views of the nodal values that the energy, its gradient and its
+    Hessian read, so each point visited takes one pass over the mesh."""
+    return mesh.element_means(vals), mesh.gradient_of(vals)
+
+
+def _energy_parts(problem: EllipticProblem, point) -> tuple[float, float]:
     """The energy J and its roundoff scale S, the sum of the absolute values
     of its terms (diffusion, each power term, the load).  The terms cancel,
     so |J| can be far below S."""
     mesh = problem.mesh
-    ks = np.arange(mesh.n_elements)
-    vb = mesh.element_means(vals)
+    vb, gv = point
     vbp = np.maximum(vb, 0.0)
-    dens = np.asarray(eval_A(problem.op, ks, mesh.gradient_of(vals)))
+    dens = np.asarray(eval_A(problem.op, np.arange(mesh.n_elements), gv))
     total = problem.lam * np.sum(mesh.measures * dens / problem.op.exponent.values)
     scale = abs(total)
     for c, r in problem.terms:
@@ -145,22 +150,18 @@ def _energy_parts(problem: EllipticProblem, vals: np.ndarray) -> tuple[float, fl
     return float(total), float(scale)
 
 
-def _energy_values(problem: EllipticProblem, vals: np.ndarray) -> float:
-    return _energy_parts(problem, vals)[0]
-
-
-def _gradient_values(problem: EllipticProblem, vals: np.ndarray) -> np.ndarray:
+def _gradient_values(problem: EllipticProblem, point) -> np.ndarray:
     mesh = problem.mesh
     nloc = mesh.elements.shape[1]
-    ks = np.arange(mesh.n_elements)
-    vbp = np.maximum(mesh.element_means(vals), 0.0)
+    vb, gv = point
+    vbp = np.maximum(vb, 0.0)
     dens = np.zeros(mesh.n_elements)
     for c, r in problem.terms:
         dens += c * _power(vbp, r - 1.0)
     if problem.load is not None:
         dens -= problem.load
     contrib = (mesh.measures * dens)[:, None] / nloc
-    flux = eval_flux(problem.op, ks, mesh.gradient_of(vals))
+    flux = eval_flux(problem.op, np.arange(mesh.n_elements), gv)
     contrib = contrib + problem.lam * mesh.measures[:, None] * np.einsum(
         "ed,eld->el", flux, mesh.grads)
     grad = np.zeros(mesh.n_vertices)
@@ -169,7 +170,7 @@ def _gradient_values(problem: EllipticProblem, vals: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _hessian_matrix(problem: EllipticProblem, vals: np.ndarray,
+def _hessian_matrix(problem: EllipticProblem, point,
                     include_concave: bool) -> np.ndarray:
     """Interior block of the energy's Hessian in the LAPACK band storage of
     `Mesh.band_scatter`, shape (2 bandwidth + 1, n_interior), with the flux
@@ -177,11 +178,12 @@ def _hessian_matrix(problem: EllipticProblem, vals: np.ndarray,
     with negative coefficients are dropped, which leaves a convex majorant."""
     mesh = problem.mesh
     nloc = mesh.elements.shape[1]
-    ks = np.arange(mesh.n_elements)
-    jac = flux_jacobian_batch(problem.op, ks, mesh.gradient_of(vals), eps=HESSIAN_EPS)
+    vb, gv = point
+    jac = flux_jacobian_batch(problem.op, np.arange(mesh.n_elements), gv,
+                              eps=HESSIAN_EPS)
     elem = (mesh.grads @ jac) @ mesh.grads.transpose(0, 2, 1)
     elem *= (problem.lam * mesh.measures)[:, None, None]
-    vbp = np.maximum(mesh.element_means(vals), 0.0)
+    vbp = np.maximum(vb, 0.0)
     dd = np.zeros(mesh.n_elements)
     for c, r in problem.terms:
         if include_concave or c.min() >= 0.0:
@@ -196,13 +198,14 @@ def _hessian_matrix(problem: EllipticProblem, vals: np.ndarray,
 
 def energy(problem: EllipticProblem, v: DiscreteField) -> float:
     """Quadrature value of the energy functional at v."""
-    return _energy_values(problem, v.values)
+    return _energy_parts(problem, _point(problem.mesh, v.values))[0]
 
 
 def energy_gradient(problem: EllipticProblem, v: DiscreteField) -> DiscreteField:
     """Nodal partial derivatives of the energy; equals the hat-function residual
     of the weak form, and vanishes at interior nodes of a discrete solution."""
-    return DiscreteField(problem.mesh, _gradient_values(problem, v.values))
+    return DiscreteField(problem.mesh,
+                         _gradient_values(problem, _point(problem.mesh, v.values)))
 
 
 def _project(mesh: Mesh, vals: np.ndarray) -> np.ndarray:
@@ -216,13 +219,13 @@ def _kkt_norm(mesh: Mesh, vals: np.ndarray, grad: np.ndarray) -> float:
     return float(np.max(r[mesh.interior], initial=0.0))
 
 
-def _newton_direction(problem, vals, grad, include_concave):
+def _newton_direction(problem, point, grad, include_concave):
     """Newton direction on the interior nodes, or None when the system is
     singular or its solution is not a finite descent direction.  The band
     Hessian is solved by banded LU with partial pivoting, since with
     `include_concave` it can be indefinite."""
     mesh = problem.mesh
-    band = _hessian_matrix(problem, vals, include_concave)
+    band = _hessian_matrix(problem, point, include_concave)
     bw = mesh.band_scatter.bandwidth
     ii = mesh.interior
     gi = grad[ii]
@@ -232,19 +235,19 @@ def _newton_direction(problem, vals, grad, include_concave):
         return None
     if not np.all(np.isfinite(di)) or float(gi @ di) >= 0.0:
         return None
-    d = np.zeros_like(vals)
+    d = np.zeros_like(grad)
     d[ii] = di
     return d
 
 
-def _directions(problem: EllipticProblem, vals, grad, descend: bool):
+def _directions(problem: EllipticProblem, point, grad, descend: bool):
     """Search directions in preference order, produced lazily: one Newton step
     (the full one, or the convex-majorant step that drops the concave second
     derivatives when the full step is not a descent direction), then, if
     `descend`, projected steepest descent."""
-    d = _newton_direction(problem, vals, grad, include_concave=True)
+    d = _newton_direction(problem, point, grad, include_concave=True)
     if d is None:
-        d = _newton_direction(problem, vals, grad, include_concave=False)
+        d = _newton_direction(problem, point, grad, include_concave=False)
     if d is not None:
         yield d
     if descend:
@@ -256,8 +259,9 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
     mesh = problem.mesh
     vals = _project(mesh, np.array(start, dtype=float))
     report = SolverReport()
-    e_now, s_now = _energy_parts(problem, vals)
-    grad = _gradient_values(problem, vals)
+    point = _point(mesh, vals)
+    e_now, s_now = _energy_parts(problem, point)
+    grad = _gradient_values(problem, point)
     for it in range(1, max_iterations + 1):
         kkt = _kkt_norm(mesh, vals, grad)
         report.iterations = it - 1
@@ -268,14 +272,11 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
         if kkt <= tolerance and it > 1:
             report.converged = True
             return vals, report
-        gnorm2 = np.sum(mesh.gradient_of(vals) ** 2, axis=1)
-        if np.any(gnorm2 < HESSIAN_EPS ** 2):
-            report.regularization_floor_hit = True
 
         moved, next_grad = False, None
         # steepest descent only while the residual is above the tolerance: a
         # start inside it tries the Newton step alone
-        for d in _directions(problem, vals, grad, kkt > tolerance):
+        for d in _directions(problem, point, grad, kkt > tolerance):
             full = _project(mesh, vals + d)
             # Backtracking cannot resolve a predicted decrease of the full
             # step below the energy's roundoff: go straight to the floor test.
@@ -288,9 +289,11 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
                     step = trial - vals
                     if not np.any(step):
                         break
-                    e_trial, s_trial = _energy_parts(problem, trial)
+                    trial_point = _point(mesh, trial)
+                    e_trial, s_trial = _energy_parts(problem, trial_point)
                     if e_trial < e_now and e_trial <= e_now + ARMIJO_C * float(grad @ step):
-                        vals, e_now, s_now, moved = trial, e_trial, s_trial, True
+                        vals, point, e_now, s_now = trial, trial_point, e_trial, s_trial
+                        moved = True
                         break
                     t *= BACKTRACK
                 if moved:
@@ -300,18 +303,19 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
             # reduces the first-order residual without raising the energy
             # beyond machine slack.
             if np.any(full - vals):
-                e_trial, s_trial = _energy_parts(problem, full)
+                full_point = _point(mesh, full)
+                e_trial, s_trial = _energy_parts(problem, full_point)
                 if e_trial <= e_now + ROUNDOFF * (1.0 + abs(e_now)):
-                    g_trial = _gradient_values(problem, full)
+                    g_trial = _gradient_values(problem, full_point)
                     if _kkt_norm(mesh, full, g_trial) < kkt:
-                        vals, e_now, s_now, moved = full, e_trial, s_trial, True
-                        next_grad = g_trial
+                        vals, point, e_now, s_now = full, full_point, e_trial, s_trial
+                        moved, next_grad = True, g_trial
                         report.floor_steps += 1
                         break
         if not moved:
             report.converged = kkt <= tolerance
             return vals, report
-        grad = _gradient_values(problem, vals) if next_grad is None else next_grad
+        grad = _gradient_values(problem, point) if next_grad is None else next_grad
     report.iterations = max_iterations
     report.final_gradient_norm = _kkt_norm(mesh, vals, grad)
     report.energy = e_now
@@ -321,17 +325,7 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
 
 def bump_seed(mesh: Mesh) -> DiscreteField:
     """Interior bump of height 0.1, the generic positive starting guess."""
-    pts = mesh.vertices
-    if mesh.dimension == 1:
-        a, b = mesh.bounds
-        prof = 4.0 * (pts[:, 0] - a) * (b - pts[:, 0]) / (b - a) ** 2
-    else:
-        x0, x1, y0, y1 = mesh.bounds
-        prof = (4.0 * (pts[:, 0] - x0) * (x1 - pts[:, 0]) / (x1 - x0) ** 2
-                * 4.0 * (pts[:, 1] - y0) * (y1 - pts[:, 1]) / (y1 - y0) ** 2)
-    vals = 0.1 * prof
-    vals[mesh.boundary_mask] = 0.0
-    return DiscreteField(mesh, vals)
+    return interpolate(mesh, lambda pts: 0.1 * _unit_bump(pts, mesh))
 
 
 def solve(problem: EllipticProblem,
@@ -363,7 +357,7 @@ def solve(problem: EllipticProblem,
         nonnegative = (all(c.min() >= 0.0 for c, _ in problem.terms)
                        and (problem.load is None or problem.load.max() <= 0.0))
         start = np.zeros_like(vals) if nonnegative else bump_seed(mesh).values
-        while np.any(start) and _energy_values(problem, start) >= 0.0:
+        while np.any(start) and _energy_parts(problem, _point(mesh, start))[0] >= 0.0:
             start = 0.5 * start
         # a guess that is this start has been minimized already
         if np.any(start) and not np.array_equal(start, guess.values):

@@ -10,6 +10,8 @@ import numpy as np
 
 from .meshing import DiscreteField, Mesh
 
+VERTEX_TOL = 1e-12  # largest coordinate mismatch of a field file and the mesh
+
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temporary file in the same directory, then rename."""
@@ -54,9 +56,10 @@ def read_field_csv(path: str):
     return np.asarray(coords), np.asarray(values)
 
 
-def field_from_csv(mesh: Mesh, path: str, tol: float = 1e-12) -> DiscreteField:
+def field_from_csv(mesh: Mesh, path: str) -> DiscreteField:
     coords, values = read_field_csv(path)
-    if coords.shape != mesh.vertices.shape or np.max(np.abs(coords - mesh.vertices)) > tol:
+    if (coords.shape != mesh.vertices.shape
+            or np.max(np.abs(coords - mesh.vertices)) > VERTEX_TOL):
         raise ValueError(f"field file {path} does not match the mesh vertices")
     return DiscreteField(mesh, values)
 

@@ -123,7 +123,7 @@ def interval_mesh(a: float, b: float, n: int) -> Mesh:
     return Mesh(1, (a, b), (n,), vertices, elements, boundary)
 
 
-def _cell_flipped(i: int, j: int, nx: int, ny: int) -> bool:
+def _cell_flipped(i, j, nx: int, ny: int):
     # flip the diagonal in the last column/row so no triangle has all three
     # vertices on the boundary (discrete fields would vanish identically there)
     return (i == nx - 1) != (j == ny - 1)
@@ -279,6 +279,20 @@ def _distance(points: np.ndarray, mesh: Mesh) -> np.ndarray:
                               points[:, 1] - y0, y1 - points[:, 1]])
 
 
+def _axis_bounds(mesh: Mesh):
+    if mesh.dimension == 1:
+        return [(mesh.bounds[0], mesh.bounds[1])]
+    return [(mesh.bounds[0], mesh.bounds[1]), (mesh.bounds[2], mesh.bounds[3])]
+
+
+def _unit_bump(points: np.ndarray, mesh: Mesh) -> np.ndarray:
+    """Product over the axes of 4 (x - lo)(hi - x)/(hi - lo)^2, 1 at the centre."""
+    out = np.ones(points.shape[0])
+    for axis, (lo, hi) in enumerate(_axis_bounds(mesh)):
+        out = out * 4.0 * (points[:, axis] - lo) * (hi - points[:, axis]) / (hi - lo) ** 2
+    return out
+
+
 def boundary_distance_field(mesh: Mesh) -> BoundaryDistance:
     """Exact distance to the boundary of the interval/rectangle."""
     return BoundaryDistance(_distance(mesh.vertices, mesh),
@@ -303,7 +317,7 @@ def eval_at_points(field: DiscreteField, points: np.ndarray) -> np.ndarray:
     v10 = field.values[(i + 1) * stride + j]
     v01 = field.values[i * stride + j + 1]
     v11 = field.values[(i + 1) * stride + j + 1]
-    flipped = (i == nx - 1) != (j == ny - 1)
+    flipped = _cell_flipped(i, j, nx, ny)
     plain = np.where(sx >= sy,  # triangle (v00, v10, v11) else (v00, v11, v01)
                      v00 * (1.0 - sx) + v10 * (sx - sy) + v11 * sy,
                      v00 * (1.0 - sy) + v11 * sx + v01 * (sy - sx))

@@ -19,6 +19,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+ENVELOPE_TOL = 1e-12  # roundoff a potential may dip below its lower envelope
+
 
 def seeded_rng(seed: int, label: str) -> np.random.Generator:
     """Deterministic per-purpose generator: one stream per (seed, label)."""
@@ -379,9 +381,9 @@ class PotentialField:
     def __call__(self, t: float) -> np.ndarray:
         return np.asarray(self.evaluator(t), dtype=float)
 
-    def check_envelope(self, times: Sequence[float], tol: float = 1e-12) -> None:
+    def check_envelope(self, times: Sequence[float]) -> None:
         for t in times:
-            if np.any(self(t) < self.lower_envelope - tol):
+            if np.any(self(t) < self.lower_envelope - ENVELOPE_TOL):
                 raise ValueError(f"potential drops below its lower envelope at t={t}")
 
     @classmethod

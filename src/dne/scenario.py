@@ -20,8 +20,8 @@ import numpy as np
 
 from .evolution import EvolutionSetup
 from .io_utils import field_from_csv, read_field_csv
-from .meshing import (DiscreteField, Mesh, _distance, boundary_distance_field,
-                      interpolate, interval_mesh, rectangle_mesh)
+from .meshing import (DiscreteField, Mesh, _axis_bounds, _distance, _unit_bump,
+                      boundary_distance_field, interpolate, interval_mesh, rectangle_mesh)
 from .operators import (ExponentField, LerayLionsOperator, PotentialField,
                         SourceTerm)
 
@@ -87,19 +87,6 @@ _PRIMITIVES = {
     "sin-product": {1},
     "power-of-delta": {2},
 }
-
-
-def _axis_bounds(mesh: Mesh):
-    if mesh.dimension == 1:
-        return [(mesh.bounds[0], mesh.bounds[1])]
-    return [(mesh.bounds[0], mesh.bounds[1]), (mesh.bounds[2], mesh.bounds[3])]
-
-
-def _unit_bump(points, mesh):
-    out = np.ones(points.shape[0])
-    for axis, (lo, hi) in enumerate(_axis_bounds(mesh)):
-        out = out * 4.0 * (points[:, axis] - lo) * (hi - points[:, axis]) / (hi - lo) ** 2
-    return out
 
 
 def _sin_product(points, mesh):
@@ -183,8 +170,8 @@ def _exponent(sec: dict, mesh: Mesh) -> ExponentField:
     elif kind == "tabulated":
         _, vals = read_field_csv(sec["file"])
         if vals.size != mesh.n_elements:
-            raise ValidationError("1 < p_-", "tabulated exponent size does not "
-                                  "match the element count")
+            raise ParseError(f"[exponent] file {sec['file']} has {vals.size} "
+                             f"values, one per element needs {mesh.n_elements}")
     else:
         raise ParseError(f"unknown exponent kind '{kind}'")
     try:

@@ -6,6 +6,8 @@ import dne
 
 # the solver's stopping policy and start values belong to dne.elliptic alone
 FORBIDDEN = {"tolerance", "max_iterations", "initial_guess"}
+# values no caller sets are module constants of checks, io_utils and operators
+FIXED = {"hopf_floor", "corner_cells", "burn_in", "tol"}
 
 
 def public_callables():
@@ -36,12 +38,20 @@ def test_walk_covers_the_solve_api():
         assert name in names
 
 
-def test_no_stopping_policy_or_start_overrides():
+def offending_parameters(forbidden):
     offenders = []
     for name, obj in public_callables().items():
         try:
             params = inspect.signature(obj).parameters
         except (TypeError, ValueError):
             continue
-        offenders += [f"{name}({p})" for p in params if p in FORBIDDEN]
-    assert offenders == []
+        offenders += [f"{name}({p})" for p in params if p in forbidden]
+    return offenders
+
+
+def test_no_stopping_policy_or_start_overrides():
+    assert offending_parameters(FORBIDDEN) == []
+
+
+def test_no_fixed_knobs():
+    assert offending_parameters(FIXED) == []

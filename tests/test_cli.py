@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dne import checks, cli
+from dne import checks, cli, elliptic
 from dne.cli import DEFAULT_CHECKS, main
 from dne.io_utils import field_from_csv, write_field_csv
 from dne.meshing import interpolate
@@ -181,6 +184,36 @@ class TestCommands:
         code = main(["evolve", "--config", str(tmp_path / "none.cfg"), "--out",
                      str(tmp_path / "o8")])
         assert code == 2
+
+    def test_missing_initial_file_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(textwrap.dedent(CONFIG).replace("profile = bump 0.5",
+                                                       "file = missing.csv", 1))
+        code = main(["evolve", "--config", str(bad), "--out", str(tmp_path / "o9")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "Traceback" not in err
+
+    def test_solver_failure_exit_code(self, config_path, tmp_path, capsys,
+                                      monkeypatch):
+        monkeypatch.setitem(elliptic.DEFAULT_TOL, 1, 0.0)
+        code = main(["evolve", "--config", config_path, "--out", str(tmp_path / "o10")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: step 1") and "Traceback" not in err
+
+    def test_module_entry_point(self, config_path, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "o11"
+        proc = subprocess.run([sys.executable, "-m", "dne", "stationary", "--config",
+                               config_path, "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (out / "stationary.csv").exists()
 
     def test_commands_do_not_rebuild_the_scenario(self, config_path, tmp_path,
                                                   monkeypatch):

@@ -103,7 +103,7 @@ class TestEnergy:
         load = np.full(mesh_1d.n_elements, 0.8)
         prob = EllipticProblem.stationary(mesh_1d, op, 1.25, pot(0.0), src, load=load)
         v = interpolate(mesh_1d, lambda x: 0.3 * np.sin(np.pi * x[:, 0]))
-        j, s = elliptic._energy_parts(prob, v.values)
+        j, s = elliptic._energy_parts(prob, elliptic._point(mesh_1d, v.values))
         assert j == energy(prob, v)
         # diffusion, potential, source and load, each integrated here
         m, vb = mesh_1d, mesh_1d.element_means(v.values)
@@ -168,15 +168,18 @@ class TestHessian:
         vals = np.zeros(mesh.n_vertices)
         vals[mesh.interior] = rng.uniform(0.2, 1.2, mesh.interior.size)
         ii = mesh.interior
-        hess = band_to_dense(elliptic._hessian_matrix(prob, vals, include_concave=True))
+        def grad_at(x):
+            return elliptic._gradient_values(prob, elliptic._point(mesh, x))
+
+        hess = band_to_dense(elliptic._hessian_matrix(prob, elliptic._point(mesh, vals),
+                                                      include_concave=True))
         h = 1e-6
         fd = np.zeros_like(hess)
         for col, i in enumerate(ii):
             up, dn = vals.copy(), vals.copy()
             up[i] += h
             dn[i] -= h
-            fd[:, col] = (elliptic._gradient_values(prob, up)
-                          - elliptic._gradient_values(prob, dn))[ii] / (2.0 * h)
+            fd[:, col] = (grad_at(up) - grad_at(dn))[ii] / (2.0 * h)
         assert np.max(np.abs(fd - hess)) / np.max(np.abs(hess)) < 1e-7
 
 
@@ -214,14 +217,15 @@ class TestBandedNewton:
         rng = seeded_rng(53, f"banded-{mesh_name}")
         vals = np.zeros(mesh.n_vertices)
         vals[mesh.interior] = rng.uniform(0.2, 1.2, mesh.interior.size)
-        grad = elliptic._gradient_values(prob, vals)
+        point = elliptic._point(mesh, vals)
+        grad = elliptic._gradient_values(prob, point)
         ii = mesh.interior
         hess = coo_interior_hessian(prob, vals, include_concave)
-        band = elliptic._hessian_matrix(prob, vals, include_concave)
+        band = elliptic._hessian_matrix(prob, point, include_concave)
         np.testing.assert_allclose(band_to_dense(band), hess,
                                    rtol=0.0, atol=1e-13 * np.max(np.abs(hess)))
         expected = np.linalg.solve(hess, -grad[ii])
-        d = elliptic._newton_direction(prob, vals, grad, include_concave)
+        d = elliptic._newton_direction(prob, point, grad, include_concave)
         assert d is not None
         assert np.all(d[mesh.boundary_mask] == 0.0)
         assert np.linalg.norm(d[ii] - expected) / np.linalg.norm(expected) < 1e-12
@@ -248,7 +252,7 @@ class TestSolve:
         op, _, _ = data_1d
         prob = EllipticProblem.standard(mesh_1d, op, 1.25, 1.0,
                                         np.zeros(mesh_1d.n_elements))
-        minimize, energy_values = elliptic._minimize, elliptic._energy_values
+        minimize, energy_parts = elliptic._minimize, elliptic._energy_parts
         calls, inside, outside_evals = [], [], []
 
         def counting(*args):
@@ -262,10 +266,10 @@ class TestSolve:
         def counting_energy(*args):
             if not inside:
                 outside_evals.append(1)
-            return energy_values(*args)
+            return energy_parts(*args)
 
         monkeypatch.setattr(elliptic, "_minimize", counting)
-        monkeypatch.setattr(elliptic, "_energy_values", counting_energy)
+        monkeypatch.setattr(elliptic, "_energy_parts", counting_energy)
         v, report = solve(prob, bump_seed(mesh_1d))
         assert report.converged
         assert report.fallback

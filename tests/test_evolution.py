@@ -3,12 +3,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dne import elliptic
+from dne import elliptic, evolution
 from dne.elliptic import NonConvergence, make_subsolution, make_supersolution, solve_stationary
 from dne.evolution import (EvolutionSetup, Trajectory, average_potential,
                            change_of_variables_u, evolve, step,
                            time_integral_norm)
-from dne.meshing import (boundary_distance_field, interpolate,
+from dne.meshing import (Mesh, boundary_distance_field, interpolate,
                          l2_norm_diff_power, zero_field)
 from dne.operators import PotentialField
 from dne.scenario import load_scenario
@@ -176,6 +176,44 @@ class TestEvolve:
         monkeypatch.setattr(elliptic, "_energy_parts", counting)
         evolve(setup)
         assert len(calls) / setup.steps <= 5.0
+
+    def test_one_element_pass_per_point(self, monkeypatch):
+        # inside the solves of 50 default_1d steps every point visited gets
+        # one element_means and one gradient_of pass, shared by the energy,
+        # gradient and Hessian there (recomputing them per evaluation made
+        # 322 element_means and 396 gradient_of passes for 124 energies)
+        full = load_scenario(str(CONFIGS / "default_1d.cfg")).setup
+        setup = EvolutionSetup.create(full.mesh, full.op, full.q, full.source,
+                                      full.potential, 50 * full.dt, 50,
+                                      full.initial)
+        counts = {"element_means": 0, "gradient_of": 0, "_energy_parts": 0}
+        inside = []
+
+        def counting(name, inner):
+            def wrapper(*args):
+                if inside:
+                    counts[name] += 1
+                return inner(*args)
+            return wrapper
+
+        solve = evolution.solve
+
+        def solving(*args):
+            inside.append(1)
+            try:
+                return solve(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(evolution, "solve", solving)
+        for name in ("element_means", "gradient_of"):
+            monkeypatch.setattr(Mesh, name, counting(name, getattr(Mesh, name)))
+        monkeypatch.setattr(elliptic, "_energy_parts",
+                            counting("_energy_parts", elliptic._energy_parts))
+        evolve(setup)
+        assert counts["_energy_parts"] >= setup.steps
+        assert counts["element_means"] == counts["_energy_parts"]
+        assert counts["gradient_of"] == counts["_energy_parts"]
 
     def test_step_failure_annotated(self, mesh_1d, data_1d, monkeypatch):
         monkeypatch.setitem(elliptic.DEFAULT_TOL, 1, 0.0)

@@ -208,3 +208,34 @@ class TestInitialFromFile:
         text = MINIMAL.replace("profile = bump 0.5", f"file = {path}")
         v2 = load_scenario(write(tmp_path, text, name="file_init.cfg")).setup.initial
         np.testing.assert_array_equal(v2.values, v.values)
+
+
+class TestTabulatedExponent:
+    @staticmethod
+    def exponent_file(tmp_path, xs, ps):
+        path = tmp_path / "p.csv"
+        rows = [f"{float(x)!r},{float(p)!r}" for x, p in zip(xs, ps)]
+        path.write_text("\n".join(["# columns: x,value"] + rows) + "\n")
+        return path
+
+    def test_round_trip(self, tmp_path):
+        mesh = load_scenario(write(tmp_path, MINIMAL)).setup.mesh
+        xb = mesh.barycenters[:, 0]
+        ps = 2.2 + 0.6 * xb
+        path = self.exponent_file(tmp_path, xb, ps)
+        text = MINIMAL.replace("kind = constant\nvalue = 2.5",
+                               f"kind = tabulated\nfile = {path}")
+        exponent = load_scenario(write(tmp_path, text, "tab.cfg")).setup.op.exponent
+        np.testing.assert_array_equal(exponent.values, ps)
+        assert exponent.p_minus == ps.min() and exponent.p_plus == ps.max()
+
+    def test_wrong_length_is_parse_error(self, tmp_path):
+        # a malformed file, not a violated 1 < p_- hypothesis
+        xs = np.linspace(0.01, 0.99, 49)
+        path = self.exponent_file(tmp_path, xs, np.full(xs.size, 2.5))
+        text = MINIMAL.replace("kind = constant\nvalue = 2.5",
+                               f"kind = tabulated\nfile = {path}")
+        with pytest.raises(ParseError, match=r"\[exponent\] file") as err:
+            load_scenario(write(tmp_path, text, "tab.cfg"))
+        assert not isinstance(err.value, ValidationError)
+        assert "49" in str(err.value) and "50" in str(err.value)
