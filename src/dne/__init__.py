@@ -7,7 +7,7 @@ from .operators import (ExponentField, LerayLionsOperator, PotentialField,
                         eval_source, monotonicity_gap, picone_gap)
 from .meshing import (DiscreteField, Mesh, boundary_distance_field, gradient,
                       interpolate, interval_mesh, l2_norm_diff_power,
-                      lq_integral, modular, rectangle_mesh)
+                      rectangle_mesh)
 from .elliptic import (EllipticProblem, FailedToFit, InvalidProblem,
                        NonConvergence, SolverReport, energy, energy_gradient,
                        make_subsolution, make_supersolution, solve,

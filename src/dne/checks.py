@@ -7,7 +7,7 @@ constants; refinement is expected to improve every margin they cover.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ PICONE_PAIR_SLACK = 1e-10         # relative, integrated two-function sum
 PICONE_SLACK = 1e-12              # relative, pointwise Picone margin
 ALG_SLACK = 1e-14                 # absolute, scalar power inequality
 STABILIZATION_GROWTH = 1e-6       # relative per-step growth allowed after burn-in
+STABILIZATION_THRESHOLD = 1e-3    # largest final L2 distance to the stationary state
 HOPF_FLOOR = 1e-6                 # smallest admissible boundary difference quotient
 HOPF_CORNER_CELLS = 3             # rectangle cells per corner without Hopf probes
 SLOPE_TOL = 0.02                  # allowed deviation of the fitted scaling slope
@@ -38,9 +39,6 @@ class CheckReport:
     location: str
     passed: bool
     slack: float = 0.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _report(name, samples, margins, locations, slack=0.0, extra_pass=True) -> CheckReport:
@@ -256,28 +254,27 @@ def check_monotone_run(traj: Trajectory, direction: str) -> CheckReport:
 
 
 def check_stabilization(traj: Trajectory, v_stat: DiscreteField,
-                        r_norms: Sequence[float], potential: PotentialField,
-                        threshold: float = 1e-3) -> CheckReport:
-    """Decay of ||v^q(t) - v_stat^q||_{L^r}: nonincreasing after a burn-in of
-    the first fifth of the steps, and below the threshold at the final time."""
+                        potential: PotentialField) -> CheckReport:
+    """Decay of ||v^q(t) - v_stat^q||_{L^2}: nonincreasing after a burn-in of
+    the first fifth of the steps, and below STABILIZATION_THRESHOLD at the
+    final time."""
     if potential.limit is None:
         raise ValueError("stabilization requires the potential's large-time limit")
     burn_in = (len(traj.times) - 1) // 5
+    errs = np.array([lr_norm_diff_power(field, v_stat, traj.q, 2.0)
+                     for field in traj.fields])
+    steps = np.array(traj.stored_indices)
+    mask = steps[:-1] >= burn_in
     margins, locs = [], []
-    for r in r_norms:
-        errs = np.array([lr_norm_diff_power(traj.fields[pos], v_stat, traj.q, r)
-                         for pos in range(len(traj.fields))])
-        steps = np.array(traj.stored_indices)
-        mask = steps[:-1] >= burn_in
-        if np.any(mask):
-            # the 1e-13 absolute term guards the comparison once e(t) sits at
-            # the solver-noise floor, where relative slack alone is meaningless
-            growth = (errs[1:][mask]
-                      - errs[:-1][mask] * (1.0 + STABILIZATION_GROWTH) - 1e-13)
-            margins.append(float(-np.max(growth)))
-            locs.append(f"r={r} monotone tail")
-        margins.append(threshold - float(errs[-1]))
-        locs.append(f"r={r} final error {errs[-1]:.3g}")
+    if np.any(mask):
+        # the 1e-13 absolute term guards the comparison once e(t) sits at
+        # the solver-noise floor, where relative slack alone is meaningless
+        growth = (errs[1:][mask]
+                  - errs[:-1][mask] * (1.0 + STABILIZATION_GROWTH) - 1e-13)
+        margins.append(float(-np.max(growth)))
+        locs.append("r=2.0 monotone tail")
+    margins.append(STABILIZATION_THRESHOLD - float(errs[-1]))
+    locs.append(f"r=2.0 final error {errs[-1]:.3g}")
     return _report("stabilization", len(margins), margins, locs,
                    slack=STABILIZATION_GROWTH)
 

@@ -177,10 +177,10 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
         "sandwich": lambda: [ck.check_sandwich(base_run(), *bracket())],
         "monotone": monotone,
         "stabilization": lambda: [ck.check_stabilization(
-            evolve(setup), stationary(), [2.0], potential)],
+            evolve(setup), stationary(), potential)],
     }
     reports = [rep for name in names for rep in checks[name]()]
-    payload = [r.to_dict() for r in reports]
+    payload = [dataclasses.asdict(r) for r in reports]
     write_json(payload, os.path.join(out_dir, "report.json"))
     failed = [r for r in reports if not r.passed]
     for r in reports:

@@ -129,25 +129,28 @@ def _point(mesh: Mesh, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mesh.element_means(vals), mesh.gradient_of(vals)
 
 
-def _energy_parts(problem: EllipticProblem, point) -> tuple[float, float]:
-    """The energy J and its roundoff scale S, the sum of the absolute values
-    of its terms (diffusion, each power term, the load).  The terms cancel,
-    so |J| can be far below S."""
+def _energy_terms(problem: EllipticProblem, point) -> list[float]:
+    """The signed integrals of the energy's terms: the diffusion term
+    lam int A(x, grad v)/p(x), each power term int c (v+)^r / r, and minus
+    the load term, in that order; J is their sum."""
     mesh = problem.mesh
     vb, gv = point
     vbp = np.maximum(vb, 0.0)
     dens = np.asarray(eval_A(problem.op, np.arange(mesh.n_elements), gv))
-    total = problem.lam * np.sum(mesh.measures * dens / problem.op.exponent.values)
-    scale = abs(total)
+    diffusion = problem.lam * np.sum(mesh.measures * dens / problem.op.exponent.values)
+    terms = [float(diffusion)]
     for c, r in problem.terms:
-        term = np.sum(mesh.measures * c * vbp ** r) / r
-        total += term
-        scale += abs(term)
+        terms.append(float(np.sum(mesh.measures * c * vbp ** r) / r))
     if problem.load is not None:
-        term = np.sum(mesh.measures * problem.load * vb)
-        total -= term
-        scale += abs(term)
-    return float(total), float(scale)
+        terms.append(-float(np.sum(mesh.measures * problem.load * vb)))
+    return terms
+
+
+def _energy_parts(problem: EllipticProblem, point) -> tuple[float, float]:
+    """The energy J and its roundoff scale S, the sum of the absolute values
+    of its terms.  The terms cancel, so |J| can be far below S."""
+    terms = _energy_terms(problem, point)
+    return sum(terms), sum(map(abs, terms))
 
 
 def _gradient_values(problem: EllipticProblem, point) -> np.ndarray:

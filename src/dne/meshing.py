@@ -14,8 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import LerayLionsOperator, eval_A
-
 
 class MeshMismatch(ValueError):
     pass
@@ -203,31 +201,6 @@ def interpolate(mesh: Mesh, fn: Callable[[np.ndarray], np.ndarray]) -> DiscreteF
 def gradient(field: DiscreteField) -> np.ndarray:
     """Exact per-element gradient of the piecewise-linear interpolant, (ne, dim)."""
     return field.mesh.gradient_of(field.values)
-
-
-def _check_op(mesh: Mesh, op: LerayLionsOperator) -> None:
-    if op.n_points != mesh.n_elements or op.ndim != mesh.dimension:
-        raise MeshMismatch("operator point set does not match the mesh quadrature")
-
-
-def modular(field: DiscreteField, op: LerayLionsOperator) -> float:
-    """Quadrature value of the modular integral of A(x, grad v)/p(x)."""
-    mesh = field.mesh
-    _check_op(mesh, op)
-    ks = np.arange(mesh.n_elements)
-    dens = np.asarray(eval_A(op, ks, gradient(field)))
-    return float(np.sum(mesh.measures * dens / op.exponent.values))
-
-
-def lq_integral(field: DiscreteField, weight, exponent: float) -> float:
-    """Quadrature value of the weighted positive-part power integral
-    of weight * (v+)^exponent; the weight is a scalar or per-element array."""
-    if exponent <= 0.0:
-        raise ValueError("lq_integral requires a positive exponent")
-    mesh = field.mesh
-    vb = np.maximum(field.barycenter_values(), 0.0)
-    w = np.broadcast_to(np.asarray(weight, dtype=float), (mesh.n_elements,))
-    return float(np.sum(mesh.measures * w * vb ** exponent))
 
 
 def l2_norm_diff_power(u: DiscreteField, v: DiscreteField, power: float,

@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from .evolution import EvolutionSetup
-from .io_utils import field_from_csv, read_field_csv
+from .io_utils import VERTEX_TOL, field_from_csv, read_field_csv
 from .meshing import (DiscreteField, Mesh, _axis_bounds, _distance, _unit_bump,
                       boundary_distance_field, interpolate, interval_mesh, rectangle_mesh)
 from .operators import (ExponentField, LerayLionsOperator, PotentialField,
@@ -168,10 +168,14 @@ def _exponent(sec: dict, mesh: Mesh) -> ExponentField:
             for axis in range(min(mesh.dimension, len(slope))):
                 vals = vals + slope[axis] * mesh.barycenters[:, axis]
     elif kind == "tabulated":
-        _, vals = read_field_csv(sec["file"])
+        coords, vals = read_field_csv(sec["file"])
         if vals.size != mesh.n_elements:
             raise ParseError(f"[exponent] file {sec['file']} has {vals.size} "
                              f"values, one per element needs {mesh.n_elements}")
+        if (coords.shape != mesh.barycenters.shape
+                or np.max(np.abs(coords - mesh.barycenters)) > VERTEX_TOL):
+            raise ParseError(f"[exponent] file {sec['file']} does not match the "
+                             "element barycenters")
     else:
         raise ParseError(f"unknown exponent kind '{kind}'")
     try:

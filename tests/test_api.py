@@ -1,13 +1,16 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+
+import pytest
 
 import dne
 
 # the solver's stopping policy and start values belong to dne.elliptic alone
 FORBIDDEN = {"tolerance", "max_iterations", "initial_guess"}
 # values no caller sets are module constants of checks, io_utils and operators
-FIXED = {"hopf_floor", "corner_cells", "burn_in", "tol"}
+FIXED = {"hopf_floor", "corner_cells", "burn_in", "tol", "r_norms", "threshold"}
 
 
 def public_callables():
@@ -55,3 +58,24 @@ def test_no_stopping_policy_or_start_overrides():
 
 def test_no_fixed_knobs():
     assert offending_parameters(FIXED) == []
+
+
+def dne_imports(module_name):
+    """The dne modules, relative or absolute, that a module's source imports."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(module_name)))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            target = "." * node.level + (node.module or "")
+            if node.level or target.split(".")[0] == "dne":
+                found.add(target)
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.split(".")[0] == "dne"}
+    return found
+
+
+@pytest.mark.parametrize("module_name", ["dne.meshing", "dne.operators"])
+def test_base_layers_import_no_dne_module(module_name):
+    # meshes and operators are the two bottom layers: the energy's integrals
+    # live in dne.elliptic, which reads both
+    assert dne_imports(module_name) == set()

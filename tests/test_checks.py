@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from dne import checks
 from dne.checks import (check_alg_inequality, check_contraction_elliptic,
                         check_contraction_parabolic, check_lambda_scaling,
                         check_picone_pair, check_monotone_run, check_picone,
@@ -187,13 +190,14 @@ class TestSandwichAndMonotone:
 
 
 class TestStabilization:
-    def test_constant_potential_perturbed_start(self, mesh_1d, data_1d):
+    def test_constant_potential_perturbed_start(self, mesh_1d, data_1d, monkeypatch):
+        monkeypatch.setattr(checks, "STABILIZATION_THRESHOLD", 1e-4)
         op, src, pot = data_1d
         v_stat = solve_stationary(mesh_1d, op, Q, pot.limit, src)
         v0 = v_stat.with_values(
             np.where(mesh_1d.boundary_mask, 0.0, 1.3 * v_stat.values))
         traj = evolve(EvolutionSetup.create(mesh_1d, op, Q, src, pot, 50.0, 250, v0))
-        report = check_stabilization(traj, v_stat, [2.0], pot, threshold=1e-4)
+        report = check_stabilization(traj, v_stat, pot)
         assert report.passed
 
     def test_bracketing_runs_meet(self, mesh_1d, data_1d):
@@ -213,7 +217,7 @@ class TestStabilization:
         v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
         traj = evolve(EvolutionSetup.create(mesh_1d, op, Q, src, pot, 0.5, 5, v0))
         with pytest.raises(ValueError):
-            check_stabilization(traj, v_stat, [2.0], no_limit)
+            check_stabilization(traj, v_stat, no_limit)
 
 
 class TestLambdaScaling:
@@ -275,7 +279,7 @@ class TestAlgInequality:
 
     def test_reports_are_serializable(self):
         report = check_alg_inequality(1.5, sample_count=100, seed=0)
-        d = report.to_dict()
+        d = dataclasses.asdict(report)
         assert set(d) == {"check_name", "samples", "worst_margin", "location",
                           "passed", "slack"}
 

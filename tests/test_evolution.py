@@ -3,8 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dne import elliptic, evolution
-from dne.elliptic import NonConvergence, make_subsolution, make_supersolution, solve_stationary
+from dne import elliptic, evolution, meshing, operators
+from dne.elliptic import (EllipticProblem, NonConvergence, energy,
+                          make_subsolution, make_supersolution, solve_stationary)
 from dne.evolution import (EvolutionSetup, Trajectory, average_potential,
                            change_of_variables_u, evolve, step,
                            time_integral_norm)
@@ -15,6 +16,13 @@ from dne.scenario import load_scenario
 
 Q = 1.25
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def fifty_default_steps():
+    """The first 50 steps of configs/default_1d.cfg, every step stored."""
+    full = load_scenario(str(CONFIGS / "default_1d.cfg")).setup
+    return EvolutionSetup.create(full.mesh, full.op, full.q, full.source,
+                                 full.potential, 50 * full.dt, 50, full.initial)
 
 
 def make_setup(mesh, data, horizon, steps, scale=0.5, **kw):
@@ -182,10 +190,7 @@ class TestEvolve:
         # one element_means and one gradient_of pass, shared by the energy,
         # gradient and Hessian there (recomputing them per evaluation made
         # 322 element_means and 396 gradient_of passes for 124 energies)
-        full = load_scenario(str(CONFIGS / "default_1d.cfg")).setup
-        setup = EvolutionSetup.create(full.mesh, full.op, full.q, full.source,
-                                      full.potential, 50 * full.dt, 50,
-                                      full.initial)
+        setup = fifty_default_steps()
         counts = {"element_means": 0, "gradient_of": 0, "_energy_parts": 0}
         inside = []
 
@@ -214,6 +219,63 @@ class TestEvolve:
         assert counts["_energy_parts"] >= setup.steps
         assert counts["element_means"] == counts["_energy_parts"]
         assert counts["gradient_of"] == counts["_energy_parts"]
+
+    def test_one_element_state_per_step(self, monkeypatch):
+        # outside the solves, each of 50 default_1d steps reads the new
+        # iterate through one element state: one element_means pass in `step`
+        # and one _point pass (element_means, gradient_of) whose A density
+        # all diagnostics share; the initial datum's state is the one extra
+        setup = fifty_default_steps()
+        counts = {"element_means": 0, "gradient_of": 0, "eval_A": 0}
+        inside = []
+
+        def counting(name, inner):
+            def wrapper(*args, **kwargs):
+                if not inside:
+                    counts[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        solve = evolution.solve
+
+        def solving(*args):
+            inside.append(1)
+            try:
+                return solve(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(evolution, "solve", solving)
+        for name in ("element_means", "gradient_of"):
+            monkeypatch.setattr(Mesh, name, counting(name, getattr(Mesh, name)))
+        for module in (elliptic, evolution, meshing):
+            if getattr(module, "eval_A", None) is operators.eval_A:
+                monkeypatch.setattr(module, "eval_A",
+                                    counting("eval_A", operators.eval_A))
+        evolve(setup)
+        assert counts["element_means"] <= 2 * setup.steps + 1
+        assert counts["gradient_of"] <= setup.steps + 1
+        assert counts["eval_A"] <= setup.steps + 1
+
+    def test_diagnostics_match_their_definitions(self):
+        # bit for bit: the stationary energy of each stored step is the
+        # energy of the stationary problem at h^n, and the increment norm is
+        # ||v_n^q - v_{n-1}^q|| / dt
+        setup = fifty_default_steps()
+        traj = evolve(setup)
+        assert traj.stored_indices == list(range(setup.steps + 1))
+        for d in traj.diagnostics:
+            n = d.index
+            v_n, v_prev = traj.field_at(n), traj.field_at(n - 1)
+            h_n = average_potential(setup.potential, n, setup.dt)
+            problem = EllipticProblem.stationary(setup.mesh, setup.op, setup.q,
+                                                 h_n, setup.source)
+            assert d.stationary_energy == energy(problem, v_n)
+            assert d.increment_norm == l2_norm_diff_power(v_n, v_prev,
+                                                          setup.q) / setup.dt
+        # plain Python types, so the flags serialize as JSON
+        assert type(traj.dissipation_ok) is bool
+        assert type(traj.dissipation_margin) is float
 
     def test_step_failure_annotated(self, mesh_1d, data_1d, monkeypatch):
         monkeypatch.setitem(elliptic.DEFAULT_TOL, 1, 0.0)

@@ -239,3 +239,18 @@ class TestTabulatedExponent:
             load_scenario(write(tmp_path, text, "tab.cfg"))
         assert not isinstance(err.value, ValidationError)
         assert "49" in str(err.value) and "50" in str(err.value)
+
+    @pytest.mark.parametrize("xs", [np.linspace(7.0, 9.0, 50),
+                                    (np.arange(50) + 0.5) / 50 + 1e-9,
+                                    np.column_stack([np.linspace(0.01, 0.99, 50)] * 2)],
+                             ids=["elsewhere", "shifted", "two-columns"])
+    def test_coordinates_off_the_barycenters_are_parse_error(self, tmp_path, xs):
+        # a file written for another mesh with the same element count: its
+        # coordinates are checked, as the vertices of an [initial] file are
+        path = tmp_path / "p.csv"
+        rows = [",".join(map(repr, np.atleast_1d(x).tolist())) + ",2.5" for x in xs]
+        path.write_text("\n".join(["# columns: x,value"] + rows) + "\n")
+        text = MINIMAL.replace("kind = constant\nvalue = 2.5",
+                               f"kind = tabulated\nfile = {path}")
+        with pytest.raises(ParseError, match=r"\[exponent\] file .* barycenters"):
+            load_scenario(write(tmp_path, text, "tab.cfg"))
