@@ -15,7 +15,7 @@ import numpy as np
 from .elliptic import EllipticProblem, bump_seed, solve, solve_lambda_problem
 from .evolution import Trajectory, time_integral_norm
 from .meshing import (DiscreteField, Mesh, eval_at_points, gradient,
-                      l2_norm_diff_power, l2_norm_values, lr_norm_diff_power)
+                      l2_norm_diff_power, l2_norm_values)
 from .operators import (LerayLionsOperator, PotentialField, eval_flux,
                         picone_gap, seeded_rng)
 
@@ -261,7 +261,7 @@ def check_stabilization(traj: Trajectory, v_stat: DiscreteField,
     if potential.limit is None:
         raise ValueError("stabilization requires the potential's large-time limit")
     burn_in = (len(traj.times) - 1) // 5
-    errs = np.array([lr_norm_diff_power(field, v_stat, traj.q, 2.0)
+    errs = np.array([l2_norm_diff_power(field, v_stat, traj.q)
                      for field in traj.fields])
     steps = np.array(traj.stored_indices)
     mask = steps[:-1] >= burn_in

@@ -111,9 +111,8 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
 
     def short_run(initial, pot=potential):
         """The first (at most) 50 steps, same dt, every step stored."""
-        return evolve(EvolutionSetup.create(mesh, op, q, source, pot,
-                                            setup.dt * short_steps, short_steps,
-                                            initial))
+        return evolve(EvolutionSetup(mesh, op, q, source, pot,
+                                     setup.dt * short_steps, short_steps, initial))
 
     @functools.cache
     def base_run():
@@ -143,9 +142,9 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
         return [worst]
 
     def lambda_scaling():
-        op_const = LerayLionsOperator.from_blocks(
+        op_const = LerayLionsOperator(
             ExponentField.constant(mesh.n_elements, op.exponent.p_minus),
-            op.partition, list(op.weights))
+            op.partition, op.weights)
         return [ck.check_lambda_scaling(mesh, op_const, [0.5, 1.0, 2.0, 4.0])]
 
     def contraction_elliptic():

@@ -28,6 +28,9 @@ from .operators import LerayLionsOperator, eval_A, eval_flux, flux_jacobian_batc
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
+# Relative regularization of the flux Jacobian: block norms are smoothed by
+# HESSIAN_EPS times the iterate's largest element gradient, so for p < 2 the
+# smoothing stays below the gradients of a tiny solution.
 HESSIAN_EPS = 1e-8
 # The stopping policy of every solve, read by `solve` alone.  Absolute bounds
 # on the nodal KKT residual: in 1D the nodal noise stays well below the 1e-8
@@ -71,9 +74,13 @@ class SolverReport:
 
 def _forcing_terms(mesh, op, q, h0, lam, source) -> tuple:
     """The potential term (-h0, q) and, with a source, the source term
-    (-lam g delta^gamma, beta + 1), after checking q and h0."""
+    (-lam g delta^gamma, beta + 1), after checking q, h0 and that the source
+    was checked for this q."""
     if not (1.0 < q < op.exponent.p_minus):
         raise InvalidProblem("q must lie in (1, p_-)")
+    if source is not None and source.q != q:
+        raise InvalidProblem(f"source was checked for q = {source.q}, "
+                             f"the problem has q = {q}")
     h0 = np.asarray(h0, dtype=float)
     if h0.shape != (mesh.n_elements,) or h0.min() < 0.0:
         raise InvalidProblem("h0 must be a nonnegative per-element field")
@@ -177,13 +184,15 @@ def _hessian_matrix(problem: EllipticProblem, point,
                     include_concave: bool) -> np.ndarray:
     """Interior block of the energy's Hessian in the LAPACK band storage of
     `Mesh.band_scatter`, shape (2 bandwidth + 1, n_interior), with the flux
-    Jacobian regularized by HESSIAN_EPS; without `include_concave` the terms
-    with negative coefficients are dropped, which leaves a convex majorant."""
+    Jacobian regularized by HESSIAN_EPS max|grad v| (HESSIAN_EPS when
+    grad v = 0); without `include_concave` the terms with negative
+    coefficients are dropped, which leaves a convex majorant."""
     mesh = problem.mesh
     nloc = mesh.elements.shape[1]
     vb, gv = point
+    scale = float(np.sqrt(np.einsum("ed,ed->e", gv, gv).max()))
     jac = flux_jacobian_batch(problem.op, np.arange(mesh.n_elements), gv,
-                              eps=HESSIAN_EPS)
+                              eps=HESSIAN_EPS * (scale if scale > 0.0 else 1.0))
     elem = (mesh.grads @ jac) @ mesh.grads.transpose(0, 2, 1)
     elem *= (problem.lam * mesh.measures)[:, None, None]
     vbp = np.maximum(vb, 0.0)

@@ -18,7 +18,7 @@ integrals, whose diffusion term (lam = 1) is the modular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -28,7 +28,7 @@ from .elliptic import (EllipticProblem, NonConvergence, SolverReport,
 from .meshing import (DiscreteField, Mesh, boundary_distance_field,
                       l2_norm_values)
 from .operators import (LerayLionsOperator, PotentialField, SourceTerm,
-                        eval_source)
+                        ValidationError, eval_source)
 
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 DISSIPATION_SLACK = 1.05
@@ -36,7 +36,8 @@ DISSIPATION_SLACK = 1.05
 
 @dataclass(frozen=True)
 class EvolutionSetup:
-    """A validated run description; `sandwich_constant` is the smallest c with
+    """A validated run description; owns `q ∈ (1, p_-)` and, for the operator
+    on this mesh, `(A_0)`.  `sandwich_constant` is the smallest c with
     delta/c <= v0 <= c*delta at the interior quadrature points."""
 
     mesh: Mesh
@@ -47,27 +48,31 @@ class EvolutionSetup:
     horizon: float
     steps: int
     initial: DiscreteField
-    sandwich_constant: float
     store_stride: int = 1
+    sandwich_constant: float = field(init=False)
 
-    @classmethod
-    def create(cls, mesh, op, q, source, potential, horizon, steps, initial,
-               store_stride=1) -> "EvolutionSetup":
-        if not 0.0 < horizon < np.inf or steps < 1:
+    def __post_init__(self):
+        mesh, q, p_minus = self.mesh, self.q, self.op.exponent.p_minus
+        if self.op.ndim != mesh.dimension:
+            raise ValidationError("(A_0)", "partition must cover every mesh axis "
+                                  "exactly once")
+        if not (1.0 < q < p_minus):
+            raise ValidationError("q ∈ (1, p_-)", f"q = {q} is outside (1, {p_minus})")
+        if self.source is not None and self.source.q != q:
+            raise ValueError(f"source was checked for q = {self.source.q}, "
+                             f"the run has q = {q}")
+        if not 0.0 < self.horizon < np.inf or self.steps < 1:
             raise ValueError("need a finite horizon > 0 and at least one step")
-        if store_stride < 1:
+        if self.store_stride < 1:
             raise ValueError("store_stride must be at least 1")
-        if not (1.0 < q < op.exponent.p_minus):
-            raise ValueError("q must lie in (1, p_-)")
-        if initial.mesh is not mesh:
+        if self.initial.mesh is not mesh:
             raise ValueError("initial datum lives on a different mesh")
         delta = boundary_distance_field(mesh).quadrature
-        vb = initial.barycenter_values()
+        vb = self.initial.barycenter_values()
         if np.any(vb <= 0.0):
             raise ValueError("initial datum must be positive at interior quadrature points")
-        c = float(max(np.max(vb / delta), np.max(delta / vb)))
-        return cls(mesh, op, q, source, potential, horizon, steps, initial,
-                   sandwich_constant=c, store_stride=store_stride)
+        object.__setattr__(self, "sandwich_constant",
+                           float(max(np.max(vb / delta), np.max(delta / vb))))
 
     @property
     def dt(self) -> float:

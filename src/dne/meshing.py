@@ -221,16 +221,6 @@ def l2_norm_diff_power(u: DiscreteField, v: DiscreteField, power: float,
     return float(np.sqrt(np.sum(u.mesh.measures * diff ** 2)))
 
 
-def lr_norm_diff_power(u: DiscreteField, v: DiscreteField, power: float,
-                       r: float) -> float:
-    """L^r norm of (u^power - v^power) for r >= 1, by the same quadrature."""
-    if u.mesh is not v.mesh:
-        raise MeshMismatch("fields live on different meshes")
-    diff = np.abs(np.maximum(u.barycenter_values(), 0.0) ** power
-                  - np.maximum(v.barycenter_values(), 0.0) ** power)
-    return float(np.sum(u.mesh.measures * diff ** r) ** (1.0 / r))
-
-
 def l2_norm_values(mesh: Mesh, element_values) -> float:
     """L2 norm of a per-element sampled function."""
     vals = np.broadcast_to(np.asarray(element_values, dtype=float), (mesh.n_elements,))

@@ -14,12 +14,21 @@ from __future__ import annotations
 
 import enum
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 ENVELOPE_TOL = 1e-12  # roundoff a potential may dip below its lower envelope
+
+
+class ValidationError(ValueError):
+    """A violated admissibility hypothesis, named by its tag (`(A_1)`, ...).
+    Each value object raises it for the hypotheses on its own inputs."""
+
+    def __init__(self, tag: str, message: str):
+        super().__init__(f"[{tag}] {message}")
+        self.tag = tag
 
 
 def seeded_rng(seed: int, label: str) -> np.random.Generator:
@@ -29,11 +38,12 @@ def seeded_rng(seed: int, label: str) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ExponentField:
-    """Variable exponent p sampled on a fixed point set, with cached extrema."""
+    """Variable exponent p sampled on a fixed point set; owns `1 < p_-` and
+    derives the extrema p_- and p_+."""
 
     values: np.ndarray
-    p_minus: float
-    p_plus: float
+    p_minus: float = field(init=False)
+    p_plus: float = field(init=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -41,18 +51,13 @@ class ExponentField:
         if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
             raise ValueError("exponent values must be a nonempty finite 1-d array")
         if not (1.0 < v.min()):
-            raise ValueError("exponent field requires 1 < p everywhere")
-        if not (np.isclose(self.p_minus, v.min()) and np.isclose(self.p_plus, v.max())):
-            raise ValueError("cached p_minus/p_plus do not match the values")
-
-    @classmethod
-    def from_values(cls, values) -> "ExponentField":
-        v = np.asarray(values, dtype=float)
-        return cls(v, float(v.min()), float(v.max()))
+            raise ValidationError("1 < p_-", "exponent field requires 1 < p everywhere")
+        object.__setattr__(self, "p_minus", float(v.min()))
+        object.__setattr__(self, "p_plus", float(v.max()))
 
     @classmethod
     def constant(cls, n_points: int, p: float) -> "ExponentField":
-        return cls.from_values(np.full(n_points, float(p)))
+        return cls(np.full(n_points, float(p)))
 
     @property
     def n_points(self) -> int:
@@ -65,51 +70,45 @@ class ExponentField:
 
 @dataclass(frozen=True)
 class LerayLionsOperator:
-    """Prototype operator: disjoint axis blocks, per-block weights, one exponent field.
+    """Prototype operator: disjoint axis blocks, per-block weights, one exponent
+    field; owns `(A_0)` for its partition and `(A_1)`.
 
-    `partition` holds 0-based axis index arrays; `weights` has shape
-    (n_blocks, n_points).
+    `partition` holds 0-based axis index arrays; `weights` takes one scalar or
+    per-point array per block and is stored with shape (n_blocks, n_points).
     """
 
+    exponent: ExponentField
     partition: tuple
     weights: np.ndarray
-    exponent: ExponentField
-    weight_floor: float
-    weight_ceiling: float
+    weight_floor: float = field(init=False)
+    weight_ceiling: float = field(init=False)
 
     def __post_init__(self):
         blocks = tuple(np.asarray(b, dtype=int) for b in self.partition)
         object.__setattr__(self, "partition", blocks)
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
         flat = np.concatenate(blocks) if blocks else np.empty(0, int)
-        n = flat.size
-        if n == 0 or sorted(flat.tolist()) != list(range(n)):
-            raise ValueError("partition blocks must be disjoint and cover all axes")
-        if w.shape != (len(blocks), self.exponent.n_points):
-            raise ValueError("weights must have shape (n_blocks, n_points)")
-        if not np.all(np.isfinite(w)) or w.min() <= 0:
-            raise ValueError("weights must be finite and strictly positive")
-        if self.weight_floor <= 0 or w.min() < self.weight_floor - 1e-14:
-            raise ValueError("weight values fall below the stored floor")
-        if w.max() > self.weight_ceiling + 1e-14:
-            raise ValueError("weight values exceed the stored ceiling")
+        if flat.size == 0 or sorted(flat.tolist()) != list(range(flat.size)):
+            raise ValidationError("(A_0)", "partition must cover every mesh axis "
+                                  "exactly once")
+        if len(self.weights) != len(blocks):
+            raise ValueError("weights must hold one entry per partition block")
+        w = np.vstack([np.broadcast_to(np.asarray(wj, dtype=float),
+                                       (self.exponent.n_points,))
+                       for wj in self.weights])
+        object.__setattr__(self, "weights", w)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("operator weights must be finite")
+        if w.min() <= 0.0:
+            raise ValidationError("(A_1)", "operator weights must satisfy "
+                                  "g_j(x) >= c > 0")
+        object.__setattr__(self, "weight_floor", float(w.min()))
+        object.__setattr__(self, "weight_ceiling", float(w.max()))
 
     @classmethod
     def isotropic(cls, exponent: ExponentField, weight_values,
                   ndim: int = 1) -> "LerayLionsOperator":
         """Single-block operator A = g(x) |xi|^p(x) on ndim axes."""
-        w = np.asarray(weight_values, dtype=float)
-        if w.ndim == 0:
-            w = np.full(exponent.n_points, float(w))
-        return cls.from_blocks(exponent, (np.arange(ndim),), [w])
-
-    @classmethod
-    def from_blocks(cls, exponent, partition, weight_list) -> "LerayLionsOperator":
-        weights = np.vstack([np.broadcast_to(np.asarray(w, float), (exponent.n_points,))
-                             for w in weight_list])
-        return cls(tuple(partition), weights, exponent,
-                   float(weights.min()), float(weights.max()))
+        return cls(exponent, (np.arange(ndim),), [weight_values])
 
     @property
     def ndim(self) -> int:
@@ -315,7 +314,8 @@ def growth_envelope(op: LerayLionsOperator, k, xi):
 
 @dataclass(frozen=True)
 class SourceTerm:
-    """Prototype source f(x, s) = g(x) * delta(x)^gamma * s^beta with f(x,0) = 0.
+    """Prototype source f(x, s) = g(x) * delta(x)^gamma * s^beta with f(x,0) = 0,
+    checked for the doubling exponent q; owns `(f_0)`, `(f_1)` and `(f_2)`.
 
     Requires beta in [0, q-1) and beta + gamma > q - 3/2 so that f/s^(q-1) is
     nonincreasing and the boundary-weighted ratio f/v^(q-1) stays square
@@ -333,16 +333,21 @@ class SourceTerm:
         d = np.asarray(self.delta, dtype=float)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "delta", d)
+        beta, gamma, q = self.beta, self.gamma, self.q
+        if not (0.0 <= beta < q - 1.0):
+            raise ValidationError("(f_1)", f"beta = {beta} must lie in "
+                                  f"[0, q-1) = [0, {q - 1.0})")
+        if not (beta + gamma > q - 1.5):
+            raise ValidationError("(f_2)", f"beta + gamma = {beta + gamma} must "
+                                  f"exceed q - 3/2 = {q - 1.5}")
         if g.shape != d.shape:
             raise ValueError("g and delta must live on the same point set")
-        if not np.all(np.isfinite(g)) or g.min() < 0.0:
-            raise ValueError("source weight g must be nonnegative and bounded")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("source weight g must be finite")
+        if g.min() < 0.0:
+            raise ValidationError("(f_0)", "source weight g must be nonnegative")
         if np.any(d < 0.0):
             raise ValueError("boundary distance must be nonnegative")
-        if not (0.0 <= self.beta < self.q - 1.0):
-            raise ValueError("source requires beta in [0, q-1)")
-        if not (self.beta + self.gamma > self.q - 1.5):
-            raise ValueError("source requires beta + gamma > q - 3/2")
 
 
 def eval_source(src: SourceTerm, k, s):
@@ -362,7 +367,8 @@ class PotentialField:
 
     `evaluator` maps a time to the per-point values; `lower_envelope` is the
     nonnegative, not identically zero floor h(t,.) >= h_lower required of
-    admissible potentials, and `limit` the large-time profile when one exists.
+    admissible potentials (`(H_h)`, checked here and, at sampled times, by
+    `check_envelope`), and `limit` the large-time profile when one exists.
     """
 
     evaluator: Callable[[float], np.ndarray]
@@ -374,7 +380,8 @@ class PotentialField:
         env = np.asarray(self.lower_envelope, dtype=float)
         object.__setattr__(self, "lower_envelope", env)
         if np.any(env < 0.0) or not np.any(env > 0.0):
-            raise ValueError("lower envelope must be nonnegative and not identically zero")
+            raise ValidationError("(H_h)", "lower envelope must be nonnegative and "
+                                  "not identically zero")
         if self.limit is not None:
             object.__setattr__(self, "limit", np.asarray(self.limit, dtype=float))
 
@@ -382,9 +389,11 @@ class PotentialField:
         return np.asarray(self.evaluator(t), dtype=float)
 
     def check_envelope(self, times: Sequence[float]) -> None:
+        """`(H_h)` at the sampled times: h(t, .) >= h_lower up to roundoff."""
         for t in times:
             if np.any(self(t) < self.lower_envelope - ENVELOPE_TOL):
-                raise ValueError(f"potential drops below its lower envelope at t={t}")
+                raise ValidationError("(H_h)", "potential drops below its lower "
+                                      f"envelope at t={t}")
 
     @classmethod
     def constant(cls, values) -> "PotentialField":

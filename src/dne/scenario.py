@@ -3,11 +3,11 @@
 Values are scalars, space-separated lists, or named function primitives
 (`constant c`, `affine a0 ax [ay]`, `bump s`, `sin-product s`,
 `power-of-delta s e`).  `load_scenario` parses each section straight into its
-runtime object (mesh, exponent, operator, source, potential, initial datum),
-checks every hypothesis the solver relies on as it goes, and returns a
-`Scenario` holding the validated `EvolutionSetup` that every command runs on.
-A malformed value raises a ParseError; a violated hypothesis raises a
-ValidationError naming its tag.  The full grammar is documented in the README.
+runtime object (mesh, exponent, operator, source, potential, initial datum)
+and returns a `Scenario` holding the `EvolutionSetup` that every command runs
+on.  A malformed value raises a ParseError; a violated hypothesis raises the
+ValidationError, naming its tag, of the object that owns it.  The full
+grammar is documented in the README.
 """
 
 from __future__ import annotations
@@ -23,17 +23,11 @@ from .io_utils import VERTEX_TOL, field_from_csv, read_field_csv
 from .meshing import (DiscreteField, Mesh, _axis_bounds, _distance, _unit_bump,
                       boundary_distance_field, interpolate, interval_mesh, rectangle_mesh)
 from .operators import (ExponentField, LerayLionsOperator, PotentialField,
-                        SourceTerm)
+                        SourceTerm, ValidationError)
 
 
 class ParseError(ValueError):
     pass
-
-
-class ValidationError(ValueError):
-    def __init__(self, tag: str, message: str):
-        super().__init__(f"[{tag}] {message}")
-        self.tag = tag
 
 
 @dataclass(frozen=True)
@@ -178,10 +172,7 @@ def _exponent(sec: dict, mesh: Mesh) -> ExponentField:
                              "element barycenters")
     else:
         raise ParseError(f"unknown exponent kind '{kind}'")
-    try:
-        return ExponentField.from_values(vals)
-    except ValueError as exc:
-        raise ValidationError("1 < p_-", str(exc)) from exc
+    return ExponentField(vals)
 
 
 def _operator(sec: dict, mesh: Mesh, exponent: ExponentField) -> LerayLionsOperator:
@@ -191,17 +182,8 @@ def _operator(sec: dict, mesh: Mesh, exponent: ExponentField) -> LerayLionsOpera
               for blk in part_text.split("|") if blk.strip()]
     weights = [Primitive.parse(sec.get(f"weight.{j}", "constant 1.0"))
                for j in range(1, len(blocks) + 1)]
-    if sorted(int(i) for b in blocks for i in b) != list(range(mesh.dimension)):
-        raise ValidationError("(A_0)", "partition must cover every mesh axis "
-                              "exactly once")
-    values = []
-    for prim in weights:
-        w = prim(mesh.barycenters, mesh)
-        if w.min() <= 0.0:
-            raise ValidationError("(A_1)", "operator weights must satisfy "
-                                  "g_j(x) >= c > 0")
-        values.append(w)
-    return LerayLionsOperator.from_blocks(exponent, blocks, values)
+    return LerayLionsOperator(exponent, blocks,
+                              [prim(mesh.barycenters, mesh) for prim in weights])
 
 
 def _source(sec: dict, mesh: Mesh, q: float) -> Optional[SourceTerm]:
@@ -209,18 +191,8 @@ def _source(sec: dict, mesh: Mesh, q: float) -> Optional[SourceTerm]:
     beta = float(sec.get("beta", "0.0"))
     if sec.get("enabled", "false").lower() not in ("1", "true", "yes"):
         return None
-    g_prim = Primitive.parse(sec.get("g", "constant 1.0"))
-    if not (0.0 <= beta < q - 1.0):
-        raise ValidationError("(f_1)", f"beta = {beta} must lie in "
-                              f"[0, q-1) = [0, {q - 1.0})")
-    if not (beta + gamma > q - 1.5):
-        raise ValidationError("(f_2)", f"beta + gamma = {beta + gamma} must "
-                              f"exceed q - 3/2 = {q - 1.5}")
-    g = g_prim(mesh.barycenters, mesh)
-    if g.min() < 0.0:
-        raise ValidationError("(f_0)", "source weight g must be nonnegative")
-    delta = boundary_distance_field(mesh).quadrature
-    return SourceTerm(g, delta, gamma, beta, q)
+    g = Primitive.parse(sec.get("g", "constant 1.0"))(mesh.barycenters, mesh)
+    return SourceTerm(g, boundary_distance_field(mesh).quadrature, gamma, beta, q)
 
 
 def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
@@ -260,15 +232,9 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
     if "lower_envelope" in sec:
         envelope = Primitive.parse(sec["lower_envelope"])(pts, mesh)
     else:
-        envelope = np.asarray(limit, dtype=float)
-    if envelope.min() < 0.0 or not np.any(envelope > 0.0):
-        raise ValidationError("(H_h)", "lower envelope must be nonnegative and "
-                              "not identically zero")
-    try:
-        pot = PotentialField(evaluator, envelope, sup, limit=limit)
-        pot.check_envelope(np.linspace(0.0, max(horizon, 1e-9), 7))
-    except ValueError as exc:
-        raise ValidationError("(H_h)", str(exc)) from exc
+        envelope = limit
+    pot = PotentialField(evaluator, envelope, sup, limit=limit)
+    pot.check_envelope(np.linspace(0.0, max(horizon, 1e-9), 7))
     return pot
 
 
@@ -280,10 +246,10 @@ def _initial(sec: dict, mesh: Mesh) -> DiscreteField:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse and validate every section straight into its runtime object;
-    distinct errors for malformed files (ParseError) and violated hypotheses
-    (ValidationError with the tag).  An OSError from a field file passes
-    through."""
+    """Parse every section straight into its runtime object; distinct errors
+    for malformed files (ParseError) and violated hypotheses (the owning
+    object's ValidationError with the tag).  An OSError from a field file
+    passes through."""
     try:
         with open(path) as handle:
             raw = handle.read()
@@ -309,10 +275,7 @@ def load_scenario(path: str) -> Scenario:
         op = _operator(_section(cp, "operator"), mesh,
                        _exponent(_section(cp, "exponent"), mesh))
         q = float(_section(cp, "problem").get("q", "1.25"))
-        if not (1.0 < q < op.exponent.p_minus):
-            raise ValidationError("q ∈ (1, p_-)", f"q = {q} is outside "
-                                  f"(1, {op.exponent.p_minus})")
-        setup = EvolutionSetup.create(
+        setup = EvolutionSetup(
             mesh, op, q, _source(_section(cp, "source"), mesh, q),
             _potential(_section(cp, "potential"), mesh, horizon), horizon,
             int(run_sec.get("steps", "20")), _initial(_section(cp, "initial"), mesh),

@@ -37,10 +37,10 @@ def _line(num, name, ok, detail):
 def _mixed_operators(rng):
     n = 512
     single = LerayLionsOperator.isotropic(
-        ExponentField.from_values(rng.uniform(1.2, 4.0, n)),
+        ExponentField(rng.uniform(1.2, 4.0, n)),
         rng.uniform(0.5, 2.0, n), ndim=3)
-    blocks = LerayLionsOperator.from_blocks(
-        ExponentField.from_values(rng.uniform(1.2, 4.0, n)),
+    blocks = LerayLionsOperator(
+        ExponentField(rng.uniform(1.2, 4.0, n)),
         (np.array([0]), np.array([1, 2])),
         [rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)])
     return single, blocks
@@ -101,7 +101,7 @@ def test_criterion_1_pointwise_algebra_suite():
 
     mesh = interval_mesh(0.0, 1.0, 256)
     op_mesh = LerayLionsOperator.isotropic(
-        ExponentField.from_values(2.0 + 0.8 * np.sin(np.pi * mesh.barycenters[:, 0])),
+        ExponentField(2.0 + 0.8 * np.sin(np.pi * mesh.barycenters[:, 0])),
         1.0)
     picone = check_picone(mesh, op_mesh, 1.5, sample_count=100_000, seed=SEED)
     assert picone.passed, "picone sampling"
@@ -194,8 +194,8 @@ def test_criterion_4_parabolic_contraction():
     v0 = interpolate(mesh, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
     w0 = v0.with_values(0.7 * v0.values)
     T, steps = 5.0, 100
-    run_v = evolve(EvolutionSetup.create(mesh, op, q, src, pot_h, T, steps, v0))
-    run_w = evolve(EvolutionSetup.create(mesh, op, q, src, pot_g, T, steps, w0))
+    run_v = evolve(EvolutionSetup(mesh, op, q, src, pot_h, T, steps, v0))
+    run_w = evolve(EvolutionSetup(mesh, op, q, src, pot_g, T, steps, w0))
 
     cum_plain = time_integral_norm(mesh, pot_h, pot_g, T, steps)
     cum_pos = time_integral_norm(mesh, pot_h, pot_g, T, steps, positive_part=True)
@@ -212,7 +212,7 @@ def test_criterion_4_parabolic_contraction():
         worst = min(worst, 1.02 * rhs_p - lhs_p)
     assert worst >= 0.0, f"contraction violated, worst margin {worst:.3e}"
 
-    rerun = evolve(EvolutionSetup.create(mesh, op, q, src, pot_h, T, steps, v0))
+    rerun = evolve(EvolutionSetup(mesh, op, q, src, pot_h, T, steps, v0))
     drift = l2_norm_diff_power(run_v.final, rerun.final, q)
     assert drift <= 10.0 * 1e-11, f"identical runs differ by {drift:.2e}"
     elapsed = time.perf_counter() - t0
@@ -229,8 +229,7 @@ def test_criterion_5_sandwich_and_monotone_bracketing():
     w_lo, _ = make_subsolution(mesh, op, q, src, pot.lower_envelope, v0)
     w_hi, _ = make_supersolution(mesh, op, q, src, pot.sup_norm, v0)
     T, steps = 2.0, 40
-    runs = {start: evolve(EvolutionSetup.create(mesh, op, q, src, pot, T, steps,
-                                                field))
+    runs = {start: evolve(EvolutionSetup(mesh, op, q, src, pot, T, steps, field))
             for start, field in (("lo", w_lo), ("mid", v0), ("hi", w_hi))}
     for n in range(steps + 1):
         lo = runs["lo"].field_at(n).values
@@ -258,16 +257,16 @@ def test_criterion_6_stabilization():
     T, steps = 100.0, 2000
     errs = {}
     for name, pot in (("constant", pot_const), ("decaying", pot_decay)):
-        traj = evolve(EvolutionSetup.create(mesh, op, q, src, pot, T, steps, v0,
-                                            store_stride=100))
+        traj = evolve(EvolutionSetup(mesh, op, q, src, pot, T, steps, v0,
+                                     store_stride=100))
         errs[name] = l2_norm_diff_power(traj.final, v_stat, q)
         assert errs[name] <= 1e-3, f"{name}: e(T) = {errs[name]:.2e} > 1e-3"
     w_lo, _ = make_subsolution(mesh, op, q, src, pot_const.lower_envelope, v0)
     w_hi, _ = make_supersolution(mesh, op, q, src, pot_const.sup_norm, v0)
-    lo = evolve(EvolutionSetup.create(mesh, op, q, src, pot_const, T, steps, w_lo,
-                                      store_stride=100))
-    hi = evolve(EvolutionSetup.create(mesh, op, q, src, pot_const, T, steps, w_hi,
-                                      store_stride=100))
+    lo = evolve(EvolutionSetup(mesh, op, q, src, pot_const, T, steps, w_lo,
+                               store_stride=100))
+    hi = evolve(EvolutionSetup(mesh, op, q, src, pot_const, T, steps, w_hi,
+                               store_stride=100))
     gap = l2_norm_diff_power(lo.final, hi.final, 1.0)
     assert gap <= 2e-4, f"bracketing runs differ by {gap:.2e}"
     elapsed = time.perf_counter() - t0
@@ -326,8 +325,7 @@ def test_criterion_8_self_convergence_in_dt():
     T = 1.0
 
     def final(steps):
-        return evolve(EvolutionSetup.create(mesh, op, q, src, pot, T, steps,
-                                            v0)).final
+        return evolve(EvolutionSetup(mesh, op, q, src, pot, T, steps, v0)).final
 
     # reference refined 4x beyond the finest tested run (8x the base step)
     coarse, half, ref = final(10), final(20), final(80)

@@ -36,7 +36,7 @@ def public_callables():
 def test_walk_covers_the_solve_api():
     names = public_callables()
     for name in ("dne.elliptic.solve", "dne.elliptic.solve_stationary",
-                 "dne.evolution.EvolutionSetup.create", "dne.checks.contraction_ratio",
+                 "dne.evolution.EvolutionSetup", "dne.checks.contraction_ratio",
                  "dne.scenario.Scenario"):
         assert name in names
 
@@ -79,3 +79,25 @@ def test_base_layers_import_no_dne_module(module_name):
     # meshes and operators are the two bottom layers: the energy's integrals
     # live in dne.elliptic, which reads both
     assert dne_imports(module_name) == set()
+
+
+# each value object has one constructor that derives what it caches
+SECOND_CONSTRUCTORS = {"create", "from_values", "from_blocks"}
+
+
+def test_no_second_constructors():
+    offenders = [name for name in public_callables()
+                 if name.rsplit(".", 1)[-1] in SECOND_CONSTRUCTORS]
+    assert offenders == []
+
+
+def test_scenario_constructs_no_validation_error():
+    # every hypothesis is checked by the object that holds its inputs; the
+    # scenario loader only re-exports the error
+    tree = ast.parse(inspect.getsource(importlib.import_module("dne.scenario")))
+    raised = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "ValidationError"]
+    assert raised == []
+    assert dne.scenario.ValidationError is dne.operators.ValidationError
+    assert dne.ValidationError is dne.operators.ValidationError

@@ -119,8 +119,8 @@ def runs(mesh_1d, data_1d):
     op, src, pot = data_1d
     v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
     w0 = v0.with_values(0.7 * v0.values)
-    s1 = EvolutionSetup.create(mesh_1d, op, Q, src, pot, 1.0, 20, v0)
-    s2 = EvolutionSetup.create(mesh_1d, op, Q, src, pot, 1.0, 20, w0)
+    s1 = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 20, v0)
+    s2 = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 20, w0)
     return evolve(s1), evolve(s2), pot
 
 
@@ -137,7 +137,7 @@ class TestContractionParabolic:
     def test_identical_runs_agree(self, mesh_1d, data_1d):
         op, src, pot = data_1d
         v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-        s = EvolutionSetup.create(mesh_1d, op, Q, src, pot, 0.5, 10, v0)
+        s = EvolutionSetup(mesh_1d, op, Q, src, pot, 0.5, 10, v0)
         t1, t2 = evolve(s), evolve(s)
         assert l2_norm_diff_power(t1.final, t2.final, Q) <= 10 * 1e-11
 
@@ -156,8 +156,8 @@ class TestContractionParabolic:
         pot2 = PotentialField(lambda t: prof * (1.0 + 0.3 * np.exp(-t)), prof,
                               1.3 * float(prof.max()), limit=prof)
         v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-        s1 = EvolutionSetup.create(mesh_1d, op, Q, src, pot, 1.0, 20, v0)
-        s2 = EvolutionSetup.create(mesh_1d, op, Q, src, pot2, 1.0, 20, v0)
+        s1 = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 20, v0)
+        s2 = EvolutionSetup(mesh_1d, op, Q, src, pot2, 1.0, 20, v0)
         report = check_contraction_parabolic(evolve(s1), evolve(s2), pot, pot2)
         assert report.passed
 
@@ -165,7 +165,7 @@ class TestContractionParabolic:
         op, src, pot = data_1d
         traj1, _, _ = runs
         v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-        other = evolve(EvolutionSetup.create(mesh_1d, op, Q, src, pot, 1.0, 10, v0))
+        other = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, v0))
         with pytest.raises(ValueError):
             check_contraction_parabolic(traj1, other, pot, pot)
 
@@ -174,15 +174,15 @@ class TestSandwichAndMonotone:
     def test_run_stays_bracketed(self, mesh_1d, data_1d, bracketing):
         op, src, pot = data_1d
         v0, w_lo, w_hi = bracketing
-        traj = evolve(EvolutionSetup.create(mesh_1d, op, Q, src, pot, 1.0, 15, v0))
+        traj = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 15, v0))
         report = check_sandwich(traj, w_lo, w_hi)
         assert report.passed
 
     def test_monotone_bracketing_runs(self, mesh_1d, data_1d, bracketing):
         op, src, pot = data_1d
         _, w_lo, w_hi = bracketing
-        lo_run = evolve(EvolutionSetup.create(mesh_1d, op, Q, src, pot, 1.0, 15, w_lo))
-        hi_run = evolve(EvolutionSetup.create(mesh_1d, op, Q, src, pot, 1.0, 15, w_hi))
+        lo_run = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 15, w_lo))
+        hi_run = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 15, w_hi))
         assert check_monotone_run(lo_run, "nondecreasing").passed
         assert check_monotone_run(hi_run, "nonincreasing").passed
         assert check_sandwich(lo_run, w_lo, w_hi).passed
@@ -196,7 +196,7 @@ class TestStabilization:
         v_stat = solve_stationary(mesh_1d, op, Q, pot.limit, src)
         v0 = v_stat.with_values(
             np.where(mesh_1d.boundary_mask, 0.0, 1.3 * v_stat.values))
-        traj = evolve(EvolutionSetup.create(mesh_1d, op, Q, src, pot, 50.0, 250, v0))
+        traj = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 50.0, 250, v0))
         report = check_stabilization(traj, v_stat, pot)
         assert report.passed
 
@@ -205,8 +205,8 @@ class TestStabilization:
         v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
         w_lo, _ = make_subsolution(mesh_1d, op, Q, src, pot.lower_envelope, v0)
         w_hi, _ = make_supersolution(mesh_1d, op, Q, src, pot.sup_norm, v0)
-        lo = evolve(EvolutionSetup.create(mesh_1d, op, Q, src, pot, 50.0, 250, w_lo))
-        hi = evolve(EvolutionSetup.create(mesh_1d, op, Q, src, pot, 50.0, 250, w_hi))
+        lo = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 50.0, 250, w_lo))
+        hi = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 50.0, 250, w_hi))
         assert l2_norm_diff_power(lo.final, hi.final, 1.0) <= 2e-4
 
     def test_requires_limit(self, mesh_1d, data_1d):
@@ -215,7 +215,7 @@ class TestStabilization:
         no_limit = PotentialField(lambda t: np.ones(ne), np.ones(ne), 1.0)
         v_stat = solve_stationary(mesh_1d, op, Q, pot.limit, src)
         v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-        traj = evolve(EvolutionSetup.create(mesh_1d, op, Q, src, pot, 0.5, 5, v0))
+        traj = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 0.5, 5, v0))
         with pytest.raises(ValueError):
             check_stabilization(traj, v_stat, no_limit)
 
@@ -235,7 +235,7 @@ class TestLambdaScaling:
 
     def test_rejects_variable_exponent(self, mesh_1d):
         values = 2.0 + np.linspace(0.0, 0.5, mesh_1d.n_elements)
-        op = LerayLionsOperator.isotropic(ExponentField.from_values(values), 1.0)
+        op = LerayLionsOperator.isotropic(ExponentField(values), 1.0)
         with pytest.raises(ValueError):
             check_lambda_scaling(mesh_1d, op, [0.5, 1.0, 2.0])
 

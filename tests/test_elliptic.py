@@ -51,8 +51,12 @@ def coo_interior_hessian(problem, vals, include_concave):
     COO matrix with an einsum per element, then sliced to the interior."""
     mesh = problem.mesh
     nloc = mesh.elements.shape[1]
-    jac = flux_jacobian_batch(problem.op, np.arange(mesh.n_elements),
-                              mesh.gradient_of(vals), eps=elliptic.HESSIAN_EPS)
+    grads = mesh.gradient_of(vals)
+    # regularized by HESSIAN_EPS times the largest element gradient, or by
+    # HESSIAN_EPS itself when every gradient vanishes
+    largest = np.sqrt((grads ** 2).sum(axis=1)).max()
+    eps = elliptic.HESSIAN_EPS * (largest if largest > 0.0 else 1.0)
+    jac = flux_jacobian_batch(problem.op, np.arange(mesh.n_elements), grads, eps=eps)
     elem = problem.lam * mesh.measures[:, None, None] * np.einsum(
         "eld,edc,emc->elm", mesh.grads, jac, mesh.grads)
     vbp = np.maximum(mesh.element_means(vals), 0.0)
@@ -159,7 +163,7 @@ class TestHessian:
         mesh = mesh_1d if dim == 1 else mesh_2d
         q = 1.25 if dim == 1 else 1.3
         xb = mesh.barycenters[:, 0]
-        op = LerayLionsOperator.isotropic(ExponentField.from_values(2.2 + 0.5 * xb),
+        op = LerayLionsOperator.isotropic(ExponentField(2.2 + 0.5 * xb),
                                           1.0 + xb, ndim=dim)
         delta = boundary_distance_field(mesh).quadrature
         src = SourceTerm(np.ones(mesh.n_elements), delta, gamma=1.0, beta=beta, q=q)
@@ -192,11 +196,11 @@ def banded_operator(mesh, kind):
     """Variable-exponent operator: one isotropic block, or the two axis blocks
     ([0], [1]) with different weights."""
     xb = mesh.barycenters[:, 0]
-    exponent = ExponentField.from_values(2.2 + 0.6 * xb / xb.max())
+    exponent = ExponentField(2.2 + 0.6 * xb / xb.max())
     if kind == "isotropic":
         return LerayLionsOperator.isotropic(exponent, 1.0 + xb, ndim=mesh.dimension)
     yb = mesh.barycenters[:, 1]
-    return LerayLionsOperator.from_blocks(exponent, ([0], [1]), [1.0 + xb, 2.0 - yb])
+    return LerayLionsOperator(exponent, ([0], [1]), [1.0 + xb, 2.0 - yb])
 
 
 class TestBandedNewton:
@@ -381,6 +385,24 @@ class TestSolve:
         op, _, pot = data_1d
         with pytest.raises(InvalidProblem):
             EllipticProblem.standard(mesh_1d, op, 2.6, 1.0, pot(0.0))
+
+    def test_rejects_source_checked_for_another_q(self, mesh_1d, data_1d):
+        # beta = 0.4 satisfies (f_1) for q = 1.5 but not for q = 1.25
+        op, _, pot = data_1d
+        delta = boundary_distance_field(mesh_1d).quadrature
+        src = SourceTerm(np.ones(mesh_1d.n_elements), delta, 1.0, 0.4, 1.5)
+        with pytest.raises(InvalidProblem, match="source was checked"):
+            EllipticProblem.standard(mesh_1d, op, 1.25, 1.0, pot(0.0), src)
+
+    def test_tiny_solution_with_p_below_two_converges(self):
+        # the positive solution is tiny, its gradients far below HESSIAN_EPS:
+        # an absolute Jacobian regularization would swamp the p < 2 Hessian
+        mesh = interval_mesh(0.0, 1.0, 50)
+        prob = EllipticProblem.standard(mesh, iso_op(mesh, 1.5), 1.3, 1.0,
+                                        np.full(mesh.n_elements, 0.2))
+        v, report = solve(prob, bump_seed(mesh))
+        assert report.converged and report.energy < 0.0
+        assert np.all(v.values[mesh.interior] > 0.0)
 
     def test_nonconvergence_carries_report(self, data_1d, monkeypatch):
         mesh = interval_mesh(0.0, 1.0, 16)

@@ -10,8 +10,9 @@ from dne.evolution import (EvolutionSetup, Trajectory, average_potential,
                            change_of_variables_u, evolve, step,
                            time_integral_norm)
 from dne.meshing import (Mesh, boundary_distance_field, interpolate,
-                         l2_norm_diff_power, zero_field)
-from dne.operators import PotentialField
+                         l2_norm_diff_power, rectangle_mesh, zero_field)
+from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
+                           SourceTerm, ValidationError)
 from dne.scenario import load_scenario
 
 Q = 1.25
@@ -21,14 +22,14 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def fifty_default_steps():
     """The first 50 steps of configs/default_1d.cfg, every step stored."""
     full = load_scenario(str(CONFIGS / "default_1d.cfg")).setup
-    return EvolutionSetup.create(full.mesh, full.op, full.q, full.source,
-                                 full.potential, 50 * full.dt, 50, full.initial)
+    return EvolutionSetup(full.mesh, full.op, full.q, full.source,
+                          full.potential, 50 * full.dt, 50, full.initial)
 
 
 def make_setup(mesh, data, horizon, steps, scale=0.5, **kw):
     op, src, pot = data
     v0 = interpolate(mesh, lambda x: scale * np.sin(np.pi * x[:, 0]))
-    return EvolutionSetup.create(mesh, op, Q, src, pot, horizon, steps, v0, **kw)
+    return EvolutionSetup(mesh, op, Q, src, pot, horizon, steps, v0, **kw)
 
 
 class TestAveragePotential:
@@ -63,7 +64,7 @@ class TestStep:
     def test_stationary_fixed_point(self, mesh_1d, data_1d):
         op, src, pot = data_1d
         v_stat = solve_stationary(mesh_1d, op, Q, pot.limit, src)
-        setup = EvolutionSetup.create(mesh_1d, op, Q, src, pot, 1.0, 10, v_stat)
+        setup = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, v_stat)
         h1 = average_potential(pot, 1, setup.dt)
         v1, report = step(setup, v_stat, h1, setup.dt)
         assert report.converged
@@ -73,7 +74,7 @@ class TestStep:
         op, src, pot = data_1d
         small = interpolate(mesh_1d, lambda x: 0.3 * np.sin(np.pi * x[:, 0]))
         large = interpolate(mesh_1d, lambda x: 0.6 * np.sin(np.pi * x[:, 0]))
-        s_small = EvolutionSetup.create(mesh_1d, op, Q, src, pot, 1.0, 10, small)
+        s_small = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, small)
         h1 = average_potential(pot, 1, s_small.dt)
         v1, _ = step(s_small, small, h1, s_small.dt)
         w1, _ = step(s_small, large, h1, s_small.dt)
@@ -84,7 +85,7 @@ class TestStep:
         v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
         w_lo, _ = make_subsolution(mesh_1d, op, Q, src, pot.lower_envelope, v0)
         w_hi, _ = make_supersolution(mesh_1d, op, Q, src, pot.sup_norm, v0)
-        setup = EvolutionSetup.create(mesh_1d, op, Q, src, pot, 1.0, 10, v0)
+        setup = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, v0)
         h1 = average_potential(pot, 1, setup.dt)
         v1, _ = step(setup, v0, h1, setup.dt)
         assert np.all(v1.values >= w_lo.values - 1e-8)
@@ -100,8 +101,16 @@ class TestEvolve:
     def test_setup_requires_positive_initial(self, mesh_1d, data_1d):
         op, src, pot = data_1d
         with pytest.raises(ValueError):
-            EvolutionSetup.create(mesh_1d, op, Q, src, pot, 1.0, 4,
-                                  zero_field(mesh_1d))
+            EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 4, zero_field(mesh_1d))
+
+    def test_setup_rejects_source_checked_for_another_q(self, mesh_1d, data_1d):
+        # beta = 0.4 satisfies (f_1) for q = 1.5 but not for the run's q = 1.25
+        op, _, pot = data_1d
+        delta = boundary_distance_field(mesh_1d).quadrature
+        src = SourceTerm(np.ones(mesh_1d.n_elements), delta, 1.0, 0.4, 1.5)
+        v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
+        with pytest.raises(ValueError, match="source was checked for q = 1.5"):
+            EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 4, v0)
 
     @pytest.mark.parametrize("stride", [0, -3])
     def test_setup_rejects_store_stride_below_one(self, mesh_1d, data_1d, stride):
@@ -121,7 +130,7 @@ class TestEvolve:
         delta = boundary_distance_field(mesh_1d).quadrature
         c = max(np.max(w_hi.barycenter_values() / delta),
                 np.max(delta / w_lo.barycenter_values()))
-        setup = EvolutionSetup.create(mesh_1d, op, Q, src, pot, 1.0, 10, v0)
+        setup = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, v0)
         traj = evolve(setup)
         for f in traj.fields:
             vb = f.barycenter_values()
@@ -151,9 +160,8 @@ class TestEvolve:
 
     def test_one_minimization_per_step(self, monkeypatch):
         full = load_scenario(str(CONFIGS / "default_1d.cfg")).setup
-        setup = EvolutionSetup.create(full.mesh, full.op, full.q, full.source,
-                                      full.potential, 20 * full.dt, 20,
-                                      full.initial)
+        setup = EvolutionSetup(full.mesh, full.op, full.q, full.source,
+                               full.potential, 20 * full.dt, 20, full.initial)
         minimize, calls = elliptic._minimize, []
 
         def counting(*args):
@@ -172,9 +180,8 @@ class TestEvolve:
         # energy's roundoff made 385 energy evaluations (7.7 per step);
         # skipping it makes 174 (3.5 per step)
         full = load_scenario(str(CONFIGS / "default_1d.cfg")).setup
-        setup = EvolutionSetup.create(full.mesh, full.op, full.q, full.source,
-                                      full.potential, 50 * full.dt, 50,
-                                      full.initial)
+        setup = EvolutionSetup(full.mesh, full.op, full.q, full.source,
+                               full.potential, 50 * full.dt, 50, full.initial)
         parts, calls = elliptic._energy_parts, []
 
         def counting(*args):
@@ -321,3 +328,46 @@ class TestTimeIntegralNorm:
         g = PotentialField(lambda t: np.full(ne, 1.0), np.full(ne, 1.0), 1.0)
         cum = time_integral_norm(mesh_1d, h, g, 2.0, 4)
         np.testing.assert_allclose(cum, np.linspace(0.0, 2.0, 5), rtol=1e-12)
+
+
+def _owner_violations():
+    """One direct construction per admissibility tag, each breaking only the
+    hypothesis its owner checks."""
+    mesh = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 4, 4)
+    ne = mesh.n_elements
+    p = ExponentField.constant(ne, 2.5)
+    op = LerayLionsOperator.isotropic(p, 1.0, ndim=2)
+    delta = boundary_distance_field(mesh).quadrature
+    ones = np.ones(ne)
+    pot = PotentialField.constant(ones)
+    v0 = interpolate(mesh, lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
+    falling = PotentialField(lambda t: ones * (1.0 - t), ones, 1.0)
+    return [
+        pytest.param("1 < p_-", lambda: ExponentField(np.linspace(1.0, 2.0, ne)),
+                     id="p-minus"),
+        pytest.param("(A_0)", lambda: LerayLionsOperator(p, ([0], [0]), [1.0, 1.0]),
+                     id="A0-partition"),
+        pytest.param("(A_0)", lambda: EvolutionSetup(
+            mesh, LerayLionsOperator.isotropic(p, 1.0, ndim=1), 1.25, None, pot,
+            1.0, 4, v0), id="A0-mesh"),
+        pytest.param("(A_1)", lambda: LerayLionsOperator(p, ([0, 1],), [ones - 1.0]),
+                     id="A1"),
+        pytest.param("(f_0)", lambda: SourceTerm(-ones, delta, 1.0, 0.0, 1.25), id="f0"),
+        pytest.param("(f_1)", lambda: SourceTerm(ones, delta, 1.0, 0.25, 1.25), id="f1"),
+        pytest.param("(f_2)", lambda: SourceTerm(ones, delta, -0.3, 0.0, 1.25), id="f2"),
+        pytest.param("(H_h)", lambda: PotentialField(lambda t: ones, 0.0 * ones, 1.0),
+                     id="Hh-envelope"),
+        pytest.param("(H_h)", lambda: falling.check_envelope([0.0, 0.5]),
+                     id="Hh-sampled"),
+        pytest.param("q ∈ (1, p_-)",
+                     lambda: EvolutionSetup(mesh, op, 2.5, None, pot, 1.0, 4, v0),
+                     id="q-range"),
+    ]
+
+
+@pytest.mark.parametrize("tag, build", _owner_violations())
+def test_each_owner_raises_its_tag(tag, build):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert err.value.tag == tag
+    assert str(err.value).startswith(f"[{tag}] ")

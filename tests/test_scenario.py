@@ -112,6 +112,15 @@ class TestLoadScenario:
             load_scenario(write(tmp_path, text))
         assert err.value.tag == "(A_1)"
 
+    def test_partition_missing_a_mesh_axis_tagged(self, tmp_path):
+        # a valid one-axis partition on a 2D mesh: the setup owns the match
+        text = (MINIMAL.replace("dimension = 1\nextents = 0 1\nresolution = 50",
+                                "dimension = 2\nresolution = 6")
+                + "\n[operator]\npartition = 1\n")
+        with pytest.raises(ValidationError) as err:
+            load_scenario(write(tmp_path, text))
+        assert err.value.tag == "(A_0)"
+
     def test_removed_tolerance_key_rejected(self, tmp_path):
         # the solver's stopping policy is fixed; the old override must not be
         # silently ignored
