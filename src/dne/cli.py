@@ -15,7 +15,7 @@ from . import checks as ck
 from .elliptic import (EllipticProblem, FailedToFit, NonConvergence, bump_seed,
                        make_subsolution, make_supersolution, solve,
                        solve_lambda_problem, solve_stationary)
-from .evolution import EvolutionSetup, evolve
+from .evolution import evolve
 from .io_utils import atomic_write_text, write_field_csv, write_json
 from .meshing import DiscreteField, l2_norm_diff_power
 from .operators import (ExponentField, LerayLionsOperator, PotentialField,
@@ -96,8 +96,11 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
                seed: int) -> int:
     """Run the named checks (default suite if none) against one setup.
 
-    The shortened base run, the sub/supersolution bracket and the stationary
-    solution are each computed at most once and shared by the checks."""
+    The scenario's own datum is evolved once, over the full horizon with every
+    step stored whatever `store_stride` says: `stabilization` reads the whole
+    run, `sandwich` and `contraction-parabolic` its first (at most) 50 steps.
+    That run, the sub/supersolution bracket and the stationary solution are
+    each computed at most once and shared by the checks."""
     names = names or DEFAULT_CHECKS
     unknown = [name for name in names if name not in DEFAULT_CHECKS]
     if unknown:
@@ -111,12 +114,22 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
 
     def short_run(initial, pot=potential):
         """The first (at most) 50 steps, same dt, every step stored."""
-        return evolve(EvolutionSetup(mesh, op, q, source, pot,
-                                     setup.dt * short_steps, short_steps, initial))
+        return evolve(dataclasses.replace(
+            setup, potential=pot, horizon=setup.dt * short_steps,
+            steps=short_steps, initial=initial, store_stride=1))
 
     @functools.cache
-    def base_run():
-        return short_run(setup.initial)
+    def scenario_run():
+        return evolve(dataclasses.replace(setup, store_stride=1))
+
+    def head():
+        """The scenario run's first `short_steps` steps."""
+        full = scenario_run()
+        return dataclasses.replace(
+            full, times=full.times[:short_steps + 1],
+            fields=full.fields[:short_steps + 1],
+            stored_indices=full.stored_indices[:short_steps + 1],
+            diagnostics=full.diagnostics[:short_steps])
 
     @functools.cache
     def bracket():
@@ -154,7 +167,7 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
 
     def contraction_parabolic():
         shrunk = setup.initial.with_values(0.7 * setup.initial.values)
-        return [ck.check_contraction_parabolic(base_run(), short_run(shrunk),
+        return [ck.check_contraction_parabolic(head(), short_run(shrunk),
                                                potential, potential)]
 
     def monotone():
@@ -173,10 +186,10 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
         "positivity-hopf": lambda: [ck.check_positivity_hopf(stationary())],
         "contraction-elliptic": contraction_elliptic,
         "contraction-parabolic": contraction_parabolic,
-        "sandwich": lambda: [ck.check_sandwich(base_run(), *bracket())],
+        "sandwich": lambda: [ck.check_sandwich(head(), *bracket())],
         "monotone": monotone,
         "stabilization": lambda: [ck.check_stabilization(
-            evolve(setup), stationary(), potential)],
+            scenario_run(), stationary(), potential)],
     }
     reports = [rep for name in names for rep in checks[name]()]
     payload = [dataclasses.asdict(r) for r in reports]
@@ -239,21 +252,24 @@ def run_sweep(scenario: Scenario, out_dir: str, seed: int) -> int:
     return 0
 
 
+_COMMANDS = {
+    "solve-elliptic": run_solve_elliptic,
+    "evolve": run_evolve,
+    "stationary": run_stationary,
+    "verify": run_verify,
+    "sweep": run_sweep,
+}
+
+
 def run(command: str, scenario: Scenario, out_dir: str,
         checks: Optional[List[str]] = None, seed: Optional[int] = None) -> int:
+    if command not in _COMMANDS:
+        raise ParseError(f"unknown command '{command}'")
     os.makedirs(out_dir, exist_ok=True)
     actual_seed = seed if seed is not None else scenario.seed
-    if command == "solve-elliptic":
-        return run_solve_elliptic(scenario, out_dir, actual_seed)
-    if command == "stationary":
-        return run_stationary(scenario, out_dir, actual_seed)
-    if command == "evolve":
-        return run_evolve(scenario, out_dir, actual_seed)
     if command == "verify":
         return run_verify(scenario, out_dir, checks, actual_seed)
-    if command == "sweep":
-        return run_sweep(scenario, out_dir, actual_seed)
-    raise ParseError(f"unknown command '{command}'")
+    return _COMMANDS[command](scenario, out_dir, actual_seed)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -261,14 +277,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="dne",
         description="Doubly nonlinear p(x)-diffusion: elliptic and parabolic "
                     "solves plus the verification suite.")
-    parser.add_argument("command", choices=["solve-elliptic", "evolve",
-                                            "stationary", "verify", "sweep"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True, help="scenario file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--check", action="append", default=None,
                         help="verify: run this named check (repeatable)")
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be nonnegative, got {args.seed}")
     try:
         scenario = load_scenario(args.config)
         return run(args.command, scenario, args.out, checks=args.check,

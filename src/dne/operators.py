@@ -334,6 +334,9 @@ class SourceTerm:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "delta", d)
         beta, gamma, q = self.beta, self.gamma, self.q
+        if not (np.isfinite(beta) and np.isfinite(gamma)):
+            raise ValueError(f"source exponents must be finite, got "
+                             f"beta = {beta}, gamma = {gamma}")
         if not (0.0 <= beta < q - 1.0):
             raise ValidationError("(f_1)", f"beta = {beta} must lie in "
                                   f"[0, q-1) = [0, {q - 1.0})")

@@ -284,14 +284,17 @@ def load_scenario(path: str) -> Scenario:
         lam = float(run_sec.get("lambda", "1.0"))
         if not 0.0 < lam < np.inf:
             raise ParseError(f"[run] lambda = {lam} must be positive and finite")
+        # the seed feeds numpy's SeedSequence, which takes no negative entropy
+        seed = int(run_sec.get("seed", "20240801"))
+        if seed < 0:
+            raise ParseError(f"[run] seed = {seed} must be nonnegative")
         sweep_sec = _section(cp, "sweep")
         lambdas = _floats(sweep_sec.get("lambdas", ""))
         if not all(0.0 < v < np.inf for v in lambdas):
             raise ParseError(f"[sweep] lambdas must all be positive and finite, "
                              f"got {lambdas}")
         return Scenario(
-            raw_text=raw, setup=setup, lam=lam,
-            seed=int(run_sec.get("seed", "20240801")),
+            raw_text=raw, setup=setup, lam=lam, seed=seed,
             sweep_kind=sweep_sec.get("kind"), sweep_lambdas=lambdas,
             sweep_p_values=_floats(sweep_sec.get("p_values", "")),
             sweep_q_values=_floats(sweep_sec.get("q_values", "")))

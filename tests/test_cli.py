@@ -12,7 +12,7 @@ from dne import checks, cli, elliptic
 from dne.cli import DEFAULT_CHECKS, main
 from dne.io_utils import field_from_csv, write_field_csv
 from dne.meshing import interpolate
-from dne.scenario import load_scenario
+from dne.scenario import ParseError, ValidationError, load_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -153,24 +153,28 @@ class TestCommands:
                      str(tmp_path / "o6"), "--check", "nope"])
         assert code == 2
 
-    @pytest.mark.parametrize("old, new", [
-        ("q = 1.25", "q = 3.0"),
-        ("steps = 5", "steps = 0"),
-        ("horizon = 0.5", "horizon = -1.0"),
-        ("resolution = 40", "resolution = 1"),
-        ("extents = 0 1", "extents = 1 0"),
-        ("profile = bump 0.5", "profile = constant 0.0"),
-        ("steps = 5", "steps = 5\nstore_stride = 0"),
-        ("steps = 5", "steps = 5\nstore_stride = -3"),
-        ("lambda = 1.0", "lambda = 0.0"),
-        ("lambdas = 0.5 1 2 4", "lambdas = -1 1 2 4"),
-        ("horizon = 0.5", "horizon = inf"),
-        ("horizon = 0.5", "horizon = nan"),
-        ("lambda = 1.0", "lambda = inf"),
+    @pytest.mark.parametrize("old, new, error", [
+        ("q = 1.25", "q = 3.0", ValidationError),
+        ("steps = 5", "steps = 0", ParseError),
+        ("horizon = 0.5", "horizon = -1.0", ParseError),
+        ("resolution = 40", "resolution = 1", ParseError),
+        ("extents = 0 1", "extents = 1 0", ParseError),
+        ("profile = bump 0.5", "profile = constant 0.0", ParseError),
+        ("steps = 5", "steps = 5\nstore_stride = 0", ParseError),
+        ("steps = 5", "steps = 5\nstore_stride = -3", ParseError),
+        ("lambda = 1.0", "lambda = 0.0", ParseError),
+        ("lambdas = 0.5 1 2 4", "lambdas = -1 1 2 4", ParseError),
+        ("horizon = 0.5", "horizon = inf", ParseError),
+        ("horizon = 0.5", "horizon = nan", ParseError),
+        ("lambda = 1.0", "lambda = inf", ParseError),
+        ("gamma = 1.0", "gamma = inf", ParseError),
+        ("beta = 0.0", "beta = nan", ParseError),
+        ("seed = 4242", "seed = -3", ParseError),
     ], ids=["q", "steps", "horizon", "resolution", "extents", "initial",
             "stride-0", "stride-negative", "lambda", "sweep-lambdas",
-            "horizon-inf", "horizon-nan", "lambda-inf"])
-    def test_invalid_config_exit_code(self, tmp_path, capsys, old, new):
+            "horizon-inf", "horizon-nan", "lambda-inf", "gamma-inf", "beta-nan",
+            "seed-negative"])
+    def test_invalid_config_exit_code(self, tmp_path, capsys, old, new, error):
         # a violated hypothesis or a malformed value is a configuration error
         # (exit 2), not a failed check (exit 1) or a traceback
         bad = tmp_path / "bad.cfg"
@@ -179,6 +183,22 @@ class TestCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        # q = 3.0 breaks a hypothesis; every other case is a malformed value
+        with pytest.raises(error):
+            load_scenario(str(bad))
+
+    def test_negative_seed_option_exit_code(self, config_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", config_path, "--out", str(tmp_path / "o"),
+                  "--check", "alg-inequality", "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_command_rejected(self, config_path, tmp_path):
+        with pytest.raises(ParseError, match="unknown command 'nope'"):
+            cli.run("nope", load_scenario(config_path), str(tmp_path / "o"))
 
     def test_missing_config_exit_code(self, tmp_path):
         code = main(["evolve", "--config", str(tmp_path / "none.cfg"), "--out",
@@ -250,8 +270,9 @@ class TestVerifyPipeline:
                      "solve_stationary"):
             monkeypatch.setattr(cli, name, counting(name))
         main(["verify", "--config", config_path, "--out", str(tmp_path / "o")])
-        # base run, shrunk start, two bracket runs, full stabilization run
-        assert calls == {"evolve": 5, "make_subsolution": 1,
+        # the scenario's own run (shared by sandwich, contraction-parabolic
+        # and stabilization), the shrunk start and the two bracket runs
+        assert calls == {"evolve": 4, "make_subsolution": 1,
                          "make_supersolution": 1, "solve_stationary": 1}
 
     def test_suite_entries_match_single_checks(self, config_path, tmp_path):
@@ -264,6 +285,23 @@ class TestVerifyPipeline:
                   "--check", name])
             alone.extend(json.load(open(out / "report.json")))
         assert alone == suite
+
+    def test_stabilization_ignores_store_stride(self, tmp_path):
+        # store_stride thins what evolve writes; the check reads every step
+        text = (CONFIGS / "decaying_1d.cfg").read_text()
+        text = text.replace("horizon = 100.0", "horizon = 20.0").replace(
+            "steps = 2000", "steps = 400")
+        assert "store_stride = 20" in text
+        reports = []
+        for stride in (20, 1):
+            cfg = tmp_path / f"stride{stride}.cfg"
+            cfg.write_text(text.replace("store_stride = 20",
+                                        f"store_stride = {stride}"))
+            out = tmp_path / f"o{stride}"
+            assert main(["verify", "--config", str(cfg), "--out", str(out),
+                         "--check", "stabilization"]) == 0
+            reports.append((out / "report.json").read_text())
+        assert reports[0] == reports[1]
 
     def test_unknown_check_rejected_before_any_check(self, config_path, tmp_path,
                                                      monkeypatch):
