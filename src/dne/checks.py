@@ -198,7 +198,7 @@ def contraction_ratio(mesh, op, q, lam, source, h1, h2) -> float:
 def check_contraction_parabolic(traj1: Trajectory, traj2: Trajectory,
                                 h: PotentialField, g: PotentialField) -> CheckReport:
     """Discrete analogues of the two-trajectory contraction, plain and
-    positive-part form, at every stored step."""
+    positive-part form, at every step."""
     if traj1.fields[0].mesh is not traj2.fields[0].mesh:
         raise ValueError("trajectories live on different meshes")
     if traj1.q != traj2.q or len(traj1.times) != len(traj2.times):
@@ -213,8 +213,7 @@ def check_contraction_parabolic(traj1: Trajectory, traj2: Trajectory,
     base_pos = l2_norm_diff_power(traj1.fields[0], traj2.fields[0], q,
                                   positive_part=True)
     margins, locs = [], []
-    for pos, n in enumerate(traj1.stored_indices):
-        v, w = traj1.fields[pos], traj2.field_at(n)
+    for n, (v, w) in enumerate(zip(traj1.fields, traj2.fields, strict=True)):
         lhs = l2_norm_diff_power(v, w, q)
         rhs = base_plain + cum_plain[n]
         margins.append(CONTRACTION_SLACK * rhs + 1e-12 - lhs)
@@ -231,12 +230,12 @@ def check_sandwich(traj: Trajectory, sub: DiscreteField,
                    sup: DiscreteField) -> CheckReport:
     """Nodal bracketing w_lower <= v_n <= w_upper along the whole run."""
     margins, locs = [], []
-    for pos, n in enumerate(traj.stored_indices):
-        v = traj.fields[pos].values
+    for t, field in zip(traj.times, traj.fields):
+        v = field.values
         lo = float(np.min(v - sub.values)) + ORDERING_SLACK
         hi = float(np.min(sup.values - v)) + ORDERING_SLACK
         margins.extend([lo, hi])
-        locs.extend([f"t={traj.times[n]:.6g} lower", f"t={traj.times[n]:.6g} upper"])
+        locs.extend([f"t={t:.6g} lower", f"t={t:.6g} upper"])
     return _report("sandwich", len(margins), margins, locs, slack=ORDERING_SLACK)
 
 
@@ -245,10 +244,10 @@ def check_monotone_run(traj: Trajectory, direction: str) -> CheckReport:
     runs started at the supersolution nonincreasing."""
     sign = 1.0 if direction == "nondecreasing" else -1.0
     margins, locs = [], []
-    for pos in range(1, len(traj.fields)):
-        diff = sign * (traj.fields[pos].values - traj.fields[pos - 1].values)
+    for n in range(1, len(traj.fields)):
+        diff = sign * (traj.fields[n].values - traj.fields[n - 1].values)
         margins.append(float(np.min(diff)) + ORDERING_SLACK)
-        locs.append(f"step {traj.stored_indices[pos]}")
+        locs.append(f"step {n}")
     return _report(f"monotone-{direction}", len(margins), margins, locs,
                    slack=ORDERING_SLACK)
 
@@ -263,14 +262,12 @@ def check_stabilization(traj: Trajectory, v_stat: DiscreteField,
     burn_in = (len(traj.times) - 1) // 5
     errs = np.array([l2_norm_diff_power(field, v_stat, traj.q)
                      for field in traj.fields])
-    steps = np.array(traj.stored_indices)
-    mask = steps[:-1] >= burn_in
+    tail = errs[burn_in:]
     margins, locs = [], []
-    if np.any(mask):
+    if tail.size > 1:
         # the 1e-13 absolute term guards the comparison once e(t) sits at
         # the solver-noise floor, where relative slack alone is meaningless
-        growth = (errs[1:][mask]
-                  - errs[:-1][mask] * (1.0 + STABILIZATION_GROWTH) - 1e-13)
+        growth = tail[1:] - tail[:-1] * (1.0 + STABILIZATION_GROWTH) - 1e-13
         margins.append(float(-np.max(growth)))
         locs.append("r=2.0 monotone tail")
     margins.append(STABILIZATION_THRESHOLD - float(errs[-1]))

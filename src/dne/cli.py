@@ -68,25 +68,27 @@ def run_stationary(scenario: Scenario, out_dir: str, seed: int) -> int:
 def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
     setup = scenario.setup
     traj = evolve(setup)
-    for pos, n in enumerate(traj.stored_indices):
-        write_field_csv(traj.fields[pos], os.path.join(out_dir, f"field_{n:05d}.csv"))
+    # the stride thins only what is written; the last step is always written
+    stored = sorted({*range(0, setup.steps + 1, scenario.store_stride), setup.steps})
+    for n in stored:
+        write_field_csv(traj.fields[n], os.path.join(out_dir, f"field_{n:05d}.csv"))
     v_stat = solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,
                               setup.source)
     e_final = l2_norm_diff_power(traj.final, v_stat, setup.q)
     manifest = _manifest_base(scenario, seed)
     manifest.update({
         "times": traj.times.tolist(),
-        "stored_indices": traj.stored_indices,
+        "stored_indices": stored,
         "dissipation_ok": traj.dissipation_ok,
         "dissipation_margin": traj.dissipation_margin,
         "sandwich_constant": setup.sandwich_constant,
         "stabilization_error_final": e_final,
         "diagnostics": [{
-            "index": d.index, "time": d.time,
+            "index": n, "time": traj.times[n],
             "increment_norm": d.increment_norm,
             "stationary_energy": d.stationary_energy,
             "solver": dataclasses.asdict(d.report),
-        } for d in traj.diagnostics],
+        } for n, d in enumerate(traj.diagnostics, 1)],
     })
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return 0
@@ -96,9 +98,9 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
                seed: int) -> int:
     """Run the named checks (default suite if none) against one setup.
 
-    The scenario's own datum is evolved once, over the full horizon with every
-    step stored whatever `store_stride` says: `stabilization` reads the whole
-    run, `sandwich` and `contraction-parabolic` its first (at most) 50 steps.
+    The scenario's own datum is evolved once, over the full horizon:
+    `stabilization` reads the whole run, `sandwich` and
+    `contraction-parabolic` its first (at most) 50 steps.
     That run, the sub/supersolution bracket and the stationary solution are
     each computed at most once and shared by the checks."""
     names = names or DEFAULT_CHECKS
@@ -113,14 +115,14 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
     short_steps = min(setup.steps, 50)
 
     def short_run(initial, pot=potential):
-        """The first (at most) 50 steps, same dt, every step stored."""
+        """The first (at most) 50 steps, same dt."""
         return evolve(dataclasses.replace(
             setup, potential=pot, horizon=setup.dt * short_steps,
-            steps=short_steps, initial=initial, store_stride=1))
+            steps=short_steps, initial=initial))
 
     @functools.cache
     def scenario_run():
-        return evolve(dataclasses.replace(setup, store_stride=1))
+        return evolve(setup)
 
     def head():
         """The scenario run's first `short_steps` steps."""
@@ -128,7 +130,6 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
         return dataclasses.replace(
             full, times=full.times[:short_steps + 1],
             fields=full.fields[:short_steps + 1],
-            stored_indices=full.stored_indices[:short_steps + 1],
             diagnostics=full.diagnostics[:short_steps])
 
     @functools.cache
@@ -265,6 +266,8 @@ def run(command: str, scenario: Scenario, out_dir: str,
         checks: Optional[List[str]] = None, seed: Optional[int] = None) -> int:
     if command not in _COMMANDS:
         raise ParseError(f"unknown command '{command}'")
+    if checks is not None and command != "verify":
+        raise ParseError("--check applies only to verify")
     os.makedirs(out_dir, exist_ok=True)
     actual_seed = seed if seed is not None else scenario.seed
     if command == "verify":

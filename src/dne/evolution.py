@@ -38,7 +38,8 @@ DISSIPATION_SLACK = 1.05
 class EvolutionSetup:
     """A validated run description; owns `q ∈ (1, p_-)` and, for the operator
     on this mesh, `(A_0)`.  `sandwich_constant` is the smallest c with
-    delta/c <= v0 <= c*delta at the interior quadrature points."""
+    delta/c <= v0 <= c*delta at the interior quadrature points.  It says what
+    to compute, not what to write: `evolve` keeps every step."""
 
     mesh: Mesh
     op: LerayLionsOperator
@@ -48,7 +49,6 @@ class EvolutionSetup:
     horizon: float
     steps: int
     initial: DiscreteField
-    store_stride: int = 1
     sandwich_constant: float = field(init=False)
 
     def __post_init__(self):
@@ -63,8 +63,6 @@ class EvolutionSetup:
                              f"the run has q = {q}")
         if not 0.0 < self.horizon < np.inf or self.steps < 1:
             raise ValueError("need a finite horizon > 0 and at least one step")
-        if self.store_stride < 1:
-            raise ValueError("store_stride must be at least 1")
         if self.initial.mesh is not mesh:
             raise ValueError("initial datum lives on a different mesh")
         delta = boundary_distance_field(mesh).quadrature
@@ -81,8 +79,6 @@ class EvolutionSetup:
 
 @dataclass
 class StepDiagnostics:
-    index: int
-    time: float
     report: SolverReport
     increment_norm: float
     stationary_energy: float
@@ -90,20 +86,15 @@ class StepDiagnostics:
 
 @dataclass
 class Trajectory:
+    """`fields[n]` is the iterate at `times[n]`; `diagnostics[n - 1]` reports step n."""
+
     times: np.ndarray
     fields: List[DiscreteField]
-    stored_indices: List[int]
     diagnostics: List[StepDiagnostics]
     q: float
     power: float = 1.0
     dissipation_ok: bool = True
     dissipation_margin: float = np.inf
-
-    def field_at(self, n: int) -> DiscreteField:
-        try:
-            return self.fields[self.stored_indices.index(n)]
-        except ValueError:
-            raise KeyError(f"step {n} was not stored (stride thinning)") from None
 
     @property
     def final(self) -> DiscreteField:
@@ -163,12 +154,11 @@ def _f_ratio_sq(setup: EvolutionSetup, vb: np.ndarray) -> float:
 
 
 def evolve(setup: EvolutionSetup) -> Trajectory:
-    """Run the full scheme; step failures carry the step index and leave the
-    partial trajectory on the exception."""
+    """Run the full scheme, keeping every step; step failures carry the step
+    index and leave the partial trajectory on the exception."""
     mesh, op, q, dt = setup.mesh, setup.op, setup.q, setup.dt
     times = np.linspace(0.0, setup.horizon, setup.steps + 1)
-    traj = Trajectory(times=times, fields=[setup.initial], stored_indices=[0],
-                      diagnostics=[], q=q)
+    traj = Trajectory(times=times, fields=[setup.initial], diagnostics=[], q=q)
     v = setup.initial
     point = _point(mesh, v.values)
     mod0 = _energy_terms(EllipticProblem(mesh, op), point)[0]
@@ -194,16 +184,13 @@ def evolve(setup: EvolutionSetup) -> Trajectory:
         stationary = EllipticProblem.stationary(mesh, op, q, h_n, setup.source)
         terms = _energy_terms(stationary, point)
         traj.diagnostics.append(StepDiagnostics(
-            index=n, time=times[n], report=report, increment_norm=inc,
-            stationary_energy=sum(terms)))
+            report=report, increment_norm=inc, stationary_energy=sum(terms)))
         inc_sq_sum += 0.5 * dt * inc ** 2
         budget_sum += dt * (h_norm_sq + f_sq)
         lhs = inc_sq_sum + q * (terms[0] - mod0)
         margin = DISSIPATION_SLACK * budget_sum + 1e-12 - lhs
         worst_margin = min(worst_margin, margin)
-        if n % setup.store_stride == 0 or n == setup.steps:
-            traj.fields.append(v_new)
-            traj.stored_indices.append(n)
+        traj.fields.append(v_new)
         v, vbq = v_new, vbq_new
     traj.dissipation_margin = worst_margin
     traj.dissipation_ok = worst_margin >= 0.0
@@ -215,8 +202,7 @@ def change_of_variables_u(traj: Trajectory) -> Trajectory:
     problem and inherits the distance sandwich with exponent q."""
     fields = [DiscreteField(f.mesh, np.maximum(f.values, 0.0) ** traj.q)
               for f in traj.fields]
-    return Trajectory(times=traj.times, fields=fields,
-                      stored_indices=list(traj.stored_indices),
-                      diagnostics=traj.diagnostics, q=traj.q, power=traj.q * traj.power,
+    return Trajectory(times=traj.times, fields=fields, diagnostics=traj.diagnostics,
+                      q=traj.q, power=traj.q * traj.power,
                       dissipation_ok=traj.dissipation_ok,
                       dissipation_margin=traj.dissipation_margin)

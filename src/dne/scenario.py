@@ -94,6 +94,8 @@ def _sin_product(points, mesh):
 class Scenario:
     """A loaded scenario: the config text, the validated evolution setup every
     command runs on, and the run and sweep values read besides it.
+    `store_stride` is a setting of the `evolve` writer alone: it thins the
+    fields written, never the run.
 
     `dimension`, `resolution`, `steps`, `horizon` and `build_mesh()` are
     read-only views of `setup` that exist only for the benchmark harness
@@ -103,6 +105,7 @@ class Scenario:
     setup: EvolutionSetup
     lam: float
     seed: int
+    store_stride: int
     sweep_kind: Optional[str]
     sweep_lambdas: List[float]
     sweep_p_values: List[float]
@@ -201,8 +204,10 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
     eta = float(sec.get("eta", "0.5"))
     if kind == "tabulated":
         times = np.asarray(_floats(sec["times"]))
-        if times.size < 2 or np.any(np.diff(times) <= 0):
-            raise ParseError("tabulated potential needs increasing times")
+        if times.size < 2 or not (np.all(np.isfinite(times))
+                                  and np.all(np.diff(times) > 0)):
+            raise ParseError(f"[potential] times must be finite and increasing, "
+                             f"got {times.tolist()}")
         profiles = np.stack([Primitive.parse(sec[f"profile.{i}"])(pts, mesh)
                              for i in range(1, times.size + 1)])
 
@@ -278,8 +283,7 @@ def load_scenario(path: str) -> Scenario:
         setup = EvolutionSetup(
             mesh, op, q, _source(_section(cp, "source"), mesh, q),
             _potential(_section(cp, "potential"), mesh, horizon), horizon,
-            int(run_sec.get("steps", "20")), _initial(_section(cp, "initial"), mesh),
-            store_stride=int(run_sec.get("store_stride", "1")))
+            int(run_sec.get("steps", "20")), _initial(_section(cp, "initial"), mesh))
         # solve-elliptic and every solve of a lambda sweep need lambda > 0
         lam = float(run_sec.get("lambda", "1.0"))
         if not 0.0 < lam < np.inf:
@@ -288,16 +292,24 @@ def load_scenario(path: str) -> Scenario:
         seed = int(run_sec.get("seed", "20240801"))
         if seed < 0:
             raise ParseError(f"[run] seed = {seed} must be nonnegative")
+        stride = int(run_sec.get("store_stride", "1"))
+        if stride < 1:
+            raise ParseError(f"[run] store_stride = {stride} must be at least 1")
         sweep_sec = _section(cp, "sweep")
         lambdas = _floats(sweep_sec.get("lambdas", ""))
         if not all(0.0 < v < np.inf for v in lambdas):
             raise ParseError(f"[sweep] lambdas must all be positive and finite, "
                              f"got {lambdas}")
+        # a finite p <= 1 or q outside (1, p) is an `invalid` grid row, not an error
+        grid = {key: _floats(sweep_sec.get(key, ""))
+                for key in ("p_values", "q_values")}
+        for key, values in grid.items():
+            if not np.all(np.isfinite(values)):
+                raise ParseError(f"[sweep] {key} must all be finite, got {values}")
         return Scenario(
-            raw_text=raw, setup=setup, lam=lam, seed=seed,
+            raw_text=raw, setup=setup, lam=lam, seed=seed, store_stride=stride,
             sweep_kind=sweep_sec.get("kind"), sweep_lambdas=lambdas,
-            sweep_p_values=_floats(sweep_sec.get("p_values", "")),
-            sweep_q_values=_floats(sweep_sec.get("q_values", "")))
+            sweep_p_values=grid["p_values"], sweep_q_values=grid["q_values"])
     except (ParseError, ValidationError):
         raise
     except (KeyError, ValueError) as exc:

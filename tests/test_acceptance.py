@@ -203,7 +203,7 @@ def test_criterion_4_parabolic_contraction():
     base_pos = l2_norm_diff_power(v0, w0, q, positive_part=True)
     worst = np.inf
     for n in range(steps + 1):
-        a, b = run_v.field_at(n), run_w.field_at(n)
+        a, b = run_v.fields[n], run_w.fields[n]
         lhs = l2_norm_diff_power(a, b, q)
         rhs = base_plain + cum_plain[n]
         worst = min(worst, 1.02 * rhs - lhs)
@@ -232,9 +232,9 @@ def test_criterion_5_sandwich_and_monotone_bracketing():
     runs = {start: evolve(EvolutionSetup(mesh, op, q, src, pot, T, steps, field))
             for start, field in (("lo", w_lo), ("mid", v0), ("hi", w_hi))}
     for n in range(steps + 1):
-        lo = runs["lo"].field_at(n).values
-        mid = runs["mid"].field_at(n).values
-        hi = runs["hi"].field_at(n).values
+        lo = runs["lo"].fields[n].values
+        mid = runs["mid"].fields[n].values
+        hi = runs["hi"].fields[n].values
         assert np.all(lo <= mid + 1e-8) and np.all(mid <= hi + 1e-8), \
             f"cross-run ordering lost at step {n}"
     assert check_sandwich(runs["mid"], w_lo, w_hi).passed
@@ -257,16 +257,13 @@ def test_criterion_6_stabilization():
     T, steps = 100.0, 2000
     errs = {}
     for name, pot in (("constant", pot_const), ("decaying", pot_decay)):
-        traj = evolve(EvolutionSetup(mesh, op, q, src, pot, T, steps, v0,
-                                     store_stride=100))
+        traj = evolve(EvolutionSetup(mesh, op, q, src, pot, T, steps, v0))
         errs[name] = l2_norm_diff_power(traj.final, v_stat, q)
         assert errs[name] <= 1e-3, f"{name}: e(T) = {errs[name]:.2e} > 1e-3"
     w_lo, _ = make_subsolution(mesh, op, q, src, pot_const.lower_envelope, v0)
     w_hi, _ = make_supersolution(mesh, op, q, src, pot_const.sup_norm, v0)
-    lo = evolve(EvolutionSetup(mesh, op, q, src, pot_const, T, steps, w_lo,
-                               store_stride=100))
-    hi = evolve(EvolutionSetup(mesh, op, q, src, pot_const, T, steps, w_hi,
-                               store_stride=100))
+    lo = evolve(EvolutionSetup(mesh, op, q, src, pot_const, T, steps, w_lo))
+    hi = evolve(EvolutionSetup(mesh, op, q, src, pot_const, T, steps, w_hi))
     gap = l2_norm_diff_power(lo.final, hi.final, 1.0)
     assert gap <= 2e-4, f"bracketing runs differ by {gap:.2e}"
     elapsed = time.perf_counter() - t0

@@ -112,6 +112,21 @@ class TestCommands:
         assert manifest["config_echo"].strip().startswith("[mesh]")
         assert (out / "field_00005.csv").exists()
 
+    def test_evolve_store_stride_thins_only_the_written_fields(self, config_path,
+                                                                tmp_path):
+        cfg = tmp_path / "stride.cfg"
+        cfg.write_text(open(config_path).read().replace(
+            "steps = 5", "steps = 10\nstore_stride = 4"))
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.load(open(out / "manifest.json"))
+        # every stride-th step plus the last one
+        assert manifest["stored_indices"] == [0, 4, 8, 10]
+        assert sorted(f.name for f in out.glob("field_*.csv")) == [
+            f"field_{n:05d}.csv" for n in (0, 4, 8, 10)]
+        assert [d["index"] for d in manifest["diagnostics"]] == list(range(1, 11))
+        assert [d["time"] for d in manifest["diagnostics"]] == manifest["times"][1:]
+
     def test_verify_subset(self, config_path, tmp_path):
         out = tmp_path / "o4"
         code = main(["verify", "--config", config_path, "--out", str(out),
@@ -148,6 +163,18 @@ class TestCommands:
         assert regimes[("3.0", "1.2")] == "slow-diffusion"
         assert regimes[("2.5", "1.4")] == "fast-diffusion"
 
+    @pytest.mark.parametrize("command", ["solve-elliptic", "stationary", "evolve",
+                                         "sweep"])
+    def test_check_on_other_command_rejected(self, config_path, tmp_path, capsys,
+                                             command):
+        out = tmp_path / "o"
+        code = main([command, "--config", config_path, "--out", str(out),
+                     "--check", "nope"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: --check applies only to verify\n"
+        assert not out.exists()
+
     def test_unknown_check_fails(self, config_path, tmp_path):
         code = main(["verify", "--config", config_path, "--out",
                      str(tmp_path / "o6"), "--check", "nope"])
@@ -170,10 +197,14 @@ class TestCommands:
         ("gamma = 1.0", "gamma = inf", ParseError),
         ("beta = 0.0", "beta = nan", ParseError),
         ("seed = 4242", "seed = -3", ParseError),
+        ("lambdas = 0.5 1 2 4", "lambdas = 0.5 1 2 4\np_values = inf 2.5", ParseError),
+        ("kind = constant\nprofile = bump 1.0",
+         "kind = tabulated\ntimes = 0 nan\nprofile.1 = bump 1.0\n"
+         "profile.2 = bump 1.0", ParseError),
     ], ids=["q", "steps", "horizon", "resolution", "extents", "initial",
             "stride-0", "stride-negative", "lambda", "sweep-lambdas",
             "horizon-inf", "horizon-nan", "lambda-inf", "gamma-inf", "beta-nan",
-            "seed-negative"])
+            "seed-negative", "sweep-p-inf", "tabulated-times-nan"])
     def test_invalid_config_exit_code(self, tmp_path, capsys, old, new, error):
         # a violated hypothesis or a malformed value is a configuration error
         # (exit 2), not a failed check (exit 1) or a traceback
@@ -251,7 +282,7 @@ class TestCommands:
         suite = [name for name in DEFAULT_CHECKS if name != "stabilization"]
         for command in ("solve-elliptic", "stationary", "evolve", "verify", "sweep"):
             assert cli.run(command, scenario, str(tmp_path / command),
-                           checks=suite) == 0
+                           checks=suite if command == "verify" else None) == 0
 
 
 class TestVerifyPipeline:

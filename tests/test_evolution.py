@@ -20,16 +20,16 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def fifty_default_steps():
-    """The first 50 steps of configs/default_1d.cfg, every step stored."""
+    """The first 50 steps of configs/default_1d.cfg."""
     full = load_scenario(str(CONFIGS / "default_1d.cfg")).setup
     return EvolutionSetup(full.mesh, full.op, full.q, full.source,
                           full.potential, 50 * full.dt, 50, full.initial)
 
 
-def make_setup(mesh, data, horizon, steps, scale=0.5, **kw):
+def make_setup(mesh, data, horizon, steps, scale=0.5):
     op, src, pot = data
     v0 = interpolate(mesh, lambda x: scale * np.sin(np.pi * x[:, 0]))
-    return EvolutionSetup(mesh, op, Q, src, pot, horizon, steps, v0, **kw)
+    return EvolutionSetup(mesh, op, Q, src, pot, horizon, steps, v0)
 
 
 class TestAveragePotential:
@@ -112,11 +112,6 @@ class TestEvolve:
         with pytest.raises(ValueError, match="source was checked for q = 1.5"):
             EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 4, v0)
 
-    @pytest.mark.parametrize("stride", [0, -3])
-    def test_setup_rejects_store_stride_below_one(self, mesh_1d, data_1d, stride):
-        with pytest.raises(ValueError, match="store_stride"):
-            make_setup(mesh_1d, data_1d, horizon=1.0, steps=4, store_stride=stride)
-
     @pytest.mark.parametrize("horizon", [np.inf, np.nan], ids=["inf", "nan"])
     def test_setup_rejects_nonfinite_horizon(self, mesh_1d, data_1d, horizon):
         with pytest.raises(ValueError, match="finite horizon"):
@@ -151,12 +146,6 @@ class TestEvolve:
 
         coarse, fine = inc_sum(10), inc_sum(20)
         assert fine <= 2.0 * coarse and coarse <= 2.0 * fine
-
-    def test_store_stride_keeps_endpoints(self, mesh_1d, data_1d):
-        setup = make_setup(mesh_1d, data_1d, horizon=1.0, steps=10, store_stride=4)
-        traj = evolve(setup)
-        assert traj.stored_indices[0] == 0 and traj.stored_indices[-1] == 10
-        assert len(traj.diagnostics) == 10
 
     def test_one_minimization_per_step(self, monkeypatch):
         full = load_scenario(str(CONFIGS / "default_1d.cfg")).setup
@@ -265,15 +254,14 @@ class TestEvolve:
         assert counts["eval_A"] <= setup.steps + 1
 
     def test_diagnostics_match_their_definitions(self):
-        # bit for bit: the stationary energy of each stored step is the
-        # energy of the stationary problem at h^n, and the increment norm is
+        # bit for bit: the stationary energy of each step is the energy of
+        # the stationary problem at h^n, and the increment norm is
         # ||v_n^q - v_{n-1}^q|| / dt
         setup = fifty_default_steps()
         traj = evolve(setup)
-        assert traj.stored_indices == list(range(setup.steps + 1))
-        for d in traj.diagnostics:
-            n = d.index
-            v_n, v_prev = traj.field_at(n), traj.field_at(n - 1)
+        assert len(traj.fields) == setup.steps + 1
+        for n, d in enumerate(traj.diagnostics, 1):
+            v_n, v_prev = traj.fields[n], traj.fields[n - 1]
             h_n = average_potential(setup.potential, n, setup.dt)
             problem = EllipticProblem.stationary(setup.mesh, setup.op, setup.q,
                                                  h_n, setup.source)
@@ -304,7 +292,7 @@ class TestChangeOfVariables:
     def test_zero_trajectory_maps_to_zero(self, mesh_1d):
         z = zero_field(mesh_1d)
         traj = Trajectory(times=np.array([0.0, 1.0]), fields=[z, z],
-                          stored_indices=[0, 1], diagnostics=[], q=Q)
+                          diagnostics=[], q=Q)
         u_traj = change_of_variables_u(traj)
         for u in u_traj.fields:
             np.testing.assert_array_equal(u.values, 0.0)

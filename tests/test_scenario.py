@@ -137,7 +137,9 @@ class TestLoadScenario:
         ("run", "horizon = {}"),
         ("run", "lambda = {}"),
         ("sweep", "lambdas = 1 {}"),
-    ], ids=["horizon", "lambda", "sweep-lambdas"])
+        ("sweep", "p_values = {} 2.5"),
+        ("sweep", "q_values = 1.2 {}"),
+    ], ids=["horizon", "lambda", "sweep-lambdas", "sweep-p", "sweep-q"])
     def test_nonfinite_run_value_is_parse_error(self, tmp_path, section, line, value):
         text = MINIMAL + f"\n[{section}]\n{line.format(value)}\n"
         key = line.split()[0]
@@ -203,6 +205,17 @@ class TestPotentialKinds:
         pot = load_scenario(write(tmp_path, text)).setup.potential
         assert pot(0.5)[0] == pytest.approx(1.5)
         assert pot(5.0)[0] == pytest.approx(2.0)  # clamped at the last profile
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_tabulated_nonfinite_time_is_parse_error(self, tmp_path, value):
+        # a nan time fails no ordering test, and an inf time freezes h at the
+        # first profile while its limit is the last one
+        text = MINIMAL.replace(
+            "kind = constant\nprofile = bump 1.0",
+            f"kind = tabulated\ntimes = 0 {value}\nprofile.1 = constant 1.0\n"
+            "profile.2 = constant 2.0\nlower_envelope = constant 1.0")
+        with pytest.raises(ParseError, match=r"\[potential\] times"):
+            load_scenario(write(tmp_path, text))
 
 
 class TestInitialFromFile:
