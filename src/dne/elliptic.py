@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .meshing import DiscreteField, Mesh, _unit_bump, interpolate
-from .operators import LerayLionsOperator, eval_A, eval_flux, flux_jacobian_batch
+from .operators import LerayLionsOperator, eval_flux, flux_jacobian_batch
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
@@ -129,21 +129,23 @@ def _power(vbp: np.ndarray, s: float) -> np.ndarray:
     return np.where(pos, np.where(pos, vbp, 1.0) ** s, 0.0)
 
 
-def _point(mesh: Mesh, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Element state of one iterate, (element means, element gradients): the
-    only views of the nodal values that the energy, its gradient and its
-    Hessian read, so each point visited takes one pass over the mesh."""
-    return mesh.element_means(vals), mesh.gradient_of(vals)
+def _point(mesh: Mesh, op: LerayLionsOperator, vals: np.ndarray) -> tuple:
+    """Element state of one iterate, (element means, element gradients, flux
+    a(x, grad v)): the only views of the nodal values that the energy, its
+    gradient and its Hessian read, so each point visited takes one pass over
+    the mesh and one operator pass."""
+    gv = mesh.gradient_of(vals)
+    return mesh.element_means(vals), gv, eval_flux(op, np.arange(mesh.n_elements), gv)
 
 
 def _energy_terms(problem: EllipticProblem, point) -> list[float]:
     """The signed integrals of the energy's terms: the diffusion term
-    lam int A(x, grad v)/p(x), each power term int c (v+)^r / r, and minus
-    the load term, in that order; J is their sum."""
+    lam int A(x, grad v)/p(x), with A = a(x, grad v) . grad v, each power term
+    int c (v+)^r / r, and minus the load term, in that order; J is their sum."""
     mesh = problem.mesh
-    vb, gv = point
+    vb, gv, flux = point
     vbp = np.maximum(vb, 0.0)
-    dens = np.asarray(eval_A(problem.op, np.arange(mesh.n_elements), gv))
+    dens = np.einsum("ed,ed->e", flux, gv)
     diffusion = problem.lam * np.sum(mesh.measures * dens / problem.op.exponent.values)
     terms = [float(diffusion)]
     for c, r in problem.terms:
@@ -163,7 +165,7 @@ def _energy_parts(problem: EllipticProblem, point) -> tuple[float, float]:
 def _gradient_values(problem: EllipticProblem, point) -> np.ndarray:
     mesh = problem.mesh
     nloc = mesh.elements.shape[1]
-    vb, gv = point
+    vb, _, flux = point
     vbp = np.maximum(vb, 0.0)
     dens = np.zeros(mesh.n_elements)
     for c, r in problem.terms:
@@ -171,7 +173,6 @@ def _gradient_values(problem: EllipticProblem, point) -> np.ndarray:
     if problem.load is not None:
         dens -= problem.load
     contrib = (mesh.measures * dens)[:, None] / nloc
-    flux = eval_flux(problem.op, np.arange(mesh.n_elements), gv)
     contrib = contrib + problem.lam * mesh.measures[:, None] * np.einsum(
         "ed,eld->el", flux, mesh.grads)
     grad = np.zeros(mesh.n_vertices)
@@ -189,7 +190,7 @@ def _hessian_matrix(problem: EllipticProblem, point,
     coefficients are dropped, which leaves a convex majorant."""
     mesh = problem.mesh
     nloc = mesh.elements.shape[1]
-    vb, gv = point
+    vb, gv, _ = point
     scale = float(np.sqrt(np.einsum("ed,ed->e", gv, gv).max()))
     jac = flux_jacobian_batch(problem.op, np.arange(mesh.n_elements), gv,
                               eps=HESSIAN_EPS * (scale if scale > 0.0 else 1.0))
@@ -210,14 +211,14 @@ def _hessian_matrix(problem: EllipticProblem, point,
 
 def energy(problem: EllipticProblem, v: DiscreteField) -> float:
     """Quadrature value of the energy functional at v."""
-    return _energy_parts(problem, _point(problem.mesh, v.values))[0]
+    return _energy_parts(problem, _point(problem.mesh, problem.op, v.values))[0]
 
 
 def energy_gradient(problem: EllipticProblem, v: DiscreteField) -> DiscreteField:
     """Nodal partial derivatives of the energy; equals the hat-function residual
     of the weak form, and vanishes at interior nodes of a discrete solution."""
-    return DiscreteField(problem.mesh,
-                         _gradient_values(problem, _point(problem.mesh, v.values)))
+    point = _point(problem.mesh, problem.op, v.values)
+    return DiscreteField(problem.mesh, _gradient_values(problem, point))
 
 
 def _project(mesh: Mesh, vals: np.ndarray) -> np.ndarray:
@@ -268,10 +269,10 @@ def _directions(problem: EllipticProblem, point, grad, descend: bool):
 
 def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
               max_iterations: int) -> tuple[np.ndarray, SolverReport]:
-    mesh = problem.mesh
+    mesh, op = problem.mesh, problem.op
     vals = _project(mesh, np.array(start, dtype=float))
     report = SolverReport()
-    point = _point(mesh, vals)
+    point = _point(mesh, op, vals)
     e_now, s_now = _energy_parts(problem, point)
     grad = _gradient_values(problem, point)
     for it in range(1, max_iterations + 1):
@@ -301,7 +302,7 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
                     step = trial - vals
                     if not np.any(step):
                         break
-                    trial_point = _point(mesh, trial)
+                    trial_point = _point(mesh, op, trial)
                     e_trial, s_trial = _energy_parts(problem, trial_point)
                     if e_trial < e_now and e_trial <= e_now + ARMIJO_C * float(grad @ step):
                         vals, point, e_now, s_now = trial, trial_point, e_trial, s_trial
@@ -315,7 +316,7 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
             # reduces the first-order residual without raising the energy
             # beyond machine slack.
             if np.any(full - vals):
-                full_point = _point(mesh, full)
+                full_point = _point(mesh, op, full)
                 e_trial, s_trial = _energy_parts(problem, full_point)
                 if e_trial <= e_now + ROUNDOFF * (1.0 + abs(e_now)):
                     g_trial = _gradient_values(problem, full_point)
@@ -357,7 +358,7 @@ def solve(problem: EllipticProblem,
     load J >= 0 on the whole cone, so the halving is skipped.  The pure-load
     problem is strictly convex with a positive minimizer, so a converged solve
     of it never falls back."""
-    mesh = problem.mesh
+    mesh, op = problem.mesh, problem.op
     tolerance = DEFAULT_TOL[mesh.dimension]
     vals, report = _minimize(problem, guess.values, tolerance, MAX_ITERATIONS)
     positive = (report.converged and report.energy < 0.0
@@ -369,7 +370,7 @@ def solve(problem: EllipticProblem,
         nonnegative = (all(c.min() >= 0.0 for c, _ in problem.terms)
                        and (problem.load is None or problem.load.max() <= 0.0))
         start = np.zeros_like(vals) if nonnegative else bump_seed(mesh).values
-        while np.any(start) and _energy_parts(problem, _point(mesh, start))[0] >= 0.0:
+        while np.any(start) and _energy_parts(problem, _point(mesh, op, start))[0] >= 0.0:
             start = 0.5 * start
         # a guess that is this start has been minimized already
         if np.any(start) and not np.array_equal(start, guess.values):

@@ -160,7 +160,7 @@ def evolve(setup: EvolutionSetup) -> Trajectory:
     times = np.linspace(0.0, setup.horizon, setup.steps + 1)
     traj = Trajectory(times=times, fields=[setup.initial], diagnostics=[], q=q)
     v = setup.initial
-    point = _point(mesh, v.values)
+    point = _point(mesh, op, v.values)
     mod0 = _energy_terms(EllipticProblem(mesh, op), point)[0]
     vbq = np.maximum(point[0], 0.0) ** q
     inc_sq_sum = 0.0
@@ -174,7 +174,7 @@ def evolve(setup: EvolutionSetup) -> Trajectory:
             exc.args = (f"step {n}: {exc.args[0]}",)
             exc.trajectory = traj
             raise
-        point = _point(mesh, v_new.values)
+        point = _point(mesh, op, v_new.values)
         vb = np.maximum(point[0], 0.0)
         vbq_new = vb ** q
         inc = l2_norm_values(mesh, vbq_new - vbq) / dt

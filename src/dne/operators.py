@@ -2,9 +2,10 @@
 
 The energy density is A(x, xi) = sum_j g_j(x) * (sum_{i in P_j} xi_i^2)^(p(x)/2)
 over a partition (P_j) of the coordinate axes, with weights g_j(x) >= c > 0.
-Its flux a(x, xi) = (1/p(x)) * grad_xi A is evaluated in closed form, together
-with the flux Jacobian and the pointwise inequalities the solver and the
-verification harness rely on.
+Its flux a(x, xi) = (1/p(x)) * grad_xi A, the flux Jacobian and the
+ellipticity floor read one owner of the block formula (`_blocks`); A itself is
+a(x, xi) . xi by Euler's identity.  The pointwise inequalities the
+verification harness relies on are built on these.
 
 All evaluation functions broadcast: the point index `k` may be a scalar or an
 integer array, `xi` an array of shape (..., N).
@@ -15,6 +16,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -129,16 +131,22 @@ def _check_dim(op: LerayLionsOperator, xi: np.ndarray) -> None:
         raise ValueError(f"xi has {xi.shape[-1]} components, operator acts on {op.ndim}")
 
 
-def eval_A(op: LerayLionsOperator, k, xi):
-    """Energy density A(x_k, xi) = sum_j g_j (sum_{i in P_j} xi_i^2)^(p/2)."""
-    xi = np.asarray(xi, dtype=float)
-    _check_dim(op, xi)
+def _blocks(op: LerayLionsOperator, k, xi: np.ndarray, eps: float = 0.0):
+    """Per block j: its axes, rho_j = |xi_Bj|^2 + eps^2 and the coefficient
+    c_j = g_j rho_j^((p-2)/2) of the flux a = c_j xi on the block.  The one
+    guard: c_j = 0 where rho_j = 0 and p < 2 (inf to a negative power is 0);
+    for p >= 2 the power's limit is g_j at p = 2 and 0 above."""
     p = op.exponent.values[k]
-    total = np.zeros(np.broadcast_shapes(np.shape(p), xi.shape[:-1]))
     for j, block in enumerate(op.partition):
-        rho = np.sum(xi[..., block] ** 2, axis=-1)
-        total = total + op.weights[j][k] * rho ** (p / 2.0)
-    return _maybe_scalar(total)
+        rho = np.sum(xi[..., block] ** 2, axis=-1) + eps ** 2
+        base = np.where((rho > 0.0) | (p >= 2.0), rho, np.inf)
+        yield block, rho, op.weights[j][k] * base ** ((p - 2.0) / 2.0)
+
+
+def eval_A(op: LerayLionsOperator, k, xi):
+    """Energy density A(x_k, xi) = sum_j g_j (sum_{i in P_j} xi_i^2)^(p/2),
+    evaluated as a(x_k, xi) . xi by Euler's identity for the p-homogeneous A."""
+    return _maybe_scalar(np.sum(eval_flux(op, k, xi) * xi, axis=-1))
 
 
 def eval_flux(op: LerayLionsOperator, k, xi):
@@ -146,39 +154,32 @@ def eval_flux(op: LerayLionsOperator, k, xi):
     g_j * rho_j^((p-2)/2) * xi_i, extended by 0 where the block vanishes."""
     xi = np.asarray(xi, dtype=float)
     _check_dim(op, xi)
-    p = op.exponent.values[k]
-    shape = np.broadcast_shapes(np.shape(p), xi.shape[:-1])
-    out = np.zeros(shape + (xi.shape[-1],))
-    xi_b = np.broadcast_to(xi, shape + (xi.shape[-1],))
-    for j, block in enumerate(op.partition):
-        rho = np.sum(xi_b[..., block] ** 2, axis=-1)
-        safe = np.where(rho > 0.0, rho, 1.0)
-        coef = np.where(rho > 0.0, op.weights[j][k] * safe ** ((p - 2.0) / 2.0), 0.0)
-        out[..., block] = coef[..., None] * xi_b[..., block]
+    shape = np.broadcast_shapes(np.shape(op.exponent.values[k]), xi.shape[:-1])
+    xi = np.broadcast_to(xi, shape + xi.shape[-1:])
+    out = np.empty(xi.shape)
+    for block, _, c in _blocks(op, k, xi):
+        out[..., block] = c[..., None] * xi[..., block]
     return out
 
 
 def flux_jacobian_batch(op: LerayLionsOperator, k, xi: np.ndarray,
                         eps: float = 0.0) -> np.ndarray:
-    """Vectorized flux Jacobian over rows of xi (m, N) -> (m, N, N).
+    """Vectorized flux Jacobian over rows of xi (m, N) -> (m, N, N); block j
+    is c_j I + (p-2) (c_j/rho_j) xi_Bj xi_Bj^T, the second term 0 where
+    rho_j = 0.
 
     With eps > 0 every block norm is smoothed, rho -> rho + eps^2, which is the
     regularized Newton preconditioner; the exact Jacobian is eps = 0.
     """
     xi = np.asarray(xi, dtype=float)
-    p = np.asarray(op.exponent.values[k], dtype=float)
+    p = op.exponent.values[k]
     m, n = xi.shape
     jac = np.zeros((m, n, n))
-    for j, block in enumerate(op.partition):
-        w = np.asarray(op.weights[j][k], dtype=float)
+    for block, rho, c in _blocks(op, k, xi, eps):
         xb = xi[:, block]
-        rho = np.sum(xb ** 2, axis=1) + eps ** 2
-        safe = np.where(rho > 0.0, rho, 1.0)
-        c1 = np.where(rho > 0.0, w * safe ** ((p - 2.0) / 2.0), 0.0)
-        c2 = np.where(rho > 0.0, w * (p - 2.0) * safe ** ((p - 4.0) / 2.0), 0.0)
-        outer = xb[:, :, None] * xb[:, None, :]
-        eye = np.eye(block.size)
-        sub = c1[:, None, None] * eye + c2[:, None, None] * outer
+        c2 = (p - 2.0) * np.divide(c, rho, out=np.zeros(m), where=rho > 0.0)
+        sub = (c[:, None, None] * np.eye(block.size)
+               + c2[:, None, None] * (xb[:, :, None] * xb[:, None, :]))
         jac[np.ix_(np.arange(m), block, block)] = sub
     return jac
 
@@ -283,19 +284,15 @@ def morawetz_gap(op: LerayLionsOperator, k, xi, eta):
 def ellipticity_floor(op: LerayLionsOperator, k, xi):
     """Provable smallest-eigenvalue floor of the flux Jacobian at (x_k, xi).
 
-    Per block the spectrum is g_j rho_j^((p-2)/2) * {1, p-1}, so the floor is
-    min(1, p-1) * min_j g_j rho_j^((p-2)/2).  For a single block (or p <= 2)
+    Per block the spectrum is c_j * {1, p-1} with c_j = g_j rho_j^((p-2)/2),
+    so the floor is min(1, p-1) * min_j c_j.  For a single block (or p <= 2)
     this dominates gamma * |xi|^(p-2); for several blocks and p > 2 the
     |xi|-based form of the literature bound fails and the blockwise floor is
     the honest statement.
     """
     xi = np.asarray(xi, dtype=float)
-    p = np.asarray(op.exponent.values[k], dtype=float)
-    floor = None
-    for j, block in enumerate(op.partition):
-        rho = np.sum(xi[..., block] ** 2, axis=-1)
-        val = np.asarray(op.weights[j][k], dtype=float) * rho ** ((p - 2.0) / 2.0)
-        floor = val if floor is None else np.minimum(floor, val)
+    p = op.exponent.values[k]
+    floor = reduce(np.minimum, (c for _, _, c in _blocks(op, k, xi)))
     return _maybe_scalar(np.minimum(1.0, p - 1.0) * floor)
 
 

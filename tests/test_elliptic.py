@@ -107,7 +107,7 @@ class TestEnergy:
         load = np.full(mesh_1d.n_elements, 0.8)
         prob = EllipticProblem.stationary(mesh_1d, op, 1.25, pot(0.0), src, load=load)
         v = interpolate(mesh_1d, lambda x: 0.3 * np.sin(np.pi * x[:, 0]))
-        j, s = elliptic._energy_parts(prob, elliptic._point(mesh_1d, v.values))
+        j, s = elliptic._energy_parts(prob, elliptic._point(mesh_1d, op, v.values))
         assert j == energy(prob, v)
         # diffusion, potential, source and load, each integrated here
         m, vb = mesh_1d, mesh_1d.element_means(v.values)
@@ -173,10 +173,10 @@ class TestHessian:
         vals[mesh.interior] = rng.uniform(0.2, 1.2, mesh.interior.size)
         ii = mesh.interior
         def grad_at(x):
-            return elliptic._gradient_values(prob, elliptic._point(mesh, x))
+            return elliptic._gradient_values(prob, elliptic._point(mesh, prob.op, x))
 
-        hess = band_to_dense(elliptic._hessian_matrix(prob, elliptic._point(mesh, vals),
-                                                      include_concave=True))
+        point = elliptic._point(mesh, prob.op, vals)
+        hess = band_to_dense(elliptic._hessian_matrix(prob, point, include_concave=True))
         h = 1e-6
         fd = np.zeros_like(hess)
         for col, i in enumerate(ii):
@@ -221,7 +221,7 @@ class TestBandedNewton:
         rng = seeded_rng(53, f"banded-{mesh_name}")
         vals = np.zeros(mesh.n_vertices)
         vals[mesh.interior] = rng.uniform(0.2, 1.2, mesh.interior.size)
-        point = elliptic._point(mesh, vals)
+        point = elliptic._point(mesh, prob.op, vals)
         grad = elliptic._gradient_values(prob, point)
         ii = mesh.interior
         hess = coo_interior_hessian(prob, vals, include_concave)

@@ -183,18 +183,20 @@ class TestEvolve:
 
     def test_one_element_pass_per_point(self, monkeypatch):
         # inside the solves of 50 default_1d steps every point visited gets
-        # one element_means and one gradient_of pass, shared by the energy,
-        # gradient and Hessian there (recomputing them per evaluation made
-        # 322 element_means and 396 gradient_of passes for 124 energies)
+        # one element_means, one gradient_of and one eval_flux pass, shared
+        # by the energy (density a . grad v), gradient and Hessian there
+        # (recomputing them per evaluation made 322 element_means and 396
+        # gradient_of passes for 124 energies); eval_A is never called
         setup = fifty_default_steps()
-        counts = {"element_means": 0, "gradient_of": 0, "_energy_parts": 0}
+        counts = {"element_means": 0, "gradient_of": 0, "_energy_parts": 0,
+                  "eval_flux": 0, "eval_A": 0}
         inside = []
 
         def counting(name, inner):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 if inside:
                     counts[name] += 1
-                return inner(*args)
+                return inner(*args, **kwargs)
             return wrapper
 
         solve = evolution.solve
@@ -211,18 +213,26 @@ class TestEvolve:
             monkeypatch.setattr(Mesh, name, counting(name, getattr(Mesh, name)))
         monkeypatch.setattr(elliptic, "_energy_parts",
                             counting("_energy_parts", elliptic._energy_parts))
+        for name in ("eval_flux", "eval_A"):
+            original = getattr(operators, name)
+            for module in (operators, elliptic, evolution, meshing):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name, original))
         evolve(setup)
         assert counts["_energy_parts"] >= setup.steps
         assert counts["element_means"] == counts["_energy_parts"]
         assert counts["gradient_of"] == counts["_energy_parts"]
+        assert counts["eval_flux"] == counts["_energy_parts"]
+        assert counts["eval_A"] == 0
 
     def test_one_element_state_per_step(self, monkeypatch):
         # outside the solves, each of 50 default_1d steps reads the new
         # iterate through one element state: one element_means pass in `step`
-        # and one _point pass (element_means, gradient_of) whose A density
-        # all diagnostics share; the initial datum's state is the one extra
+        # and one _point pass (element_means, gradient_of, eval_flux) whose
+        # flux all diagnostics share; the initial datum's state is the one
+        # extra
         setup = fifty_default_steps()
-        counts = {"element_means": 0, "gradient_of": 0, "eval_A": 0}
+        counts = {"element_means": 0, "gradient_of": 0, "eval_flux": 0}
         inside = []
 
         def counting(name, inner):
@@ -245,13 +255,13 @@ class TestEvolve:
         for name in ("element_means", "gradient_of"):
             monkeypatch.setattr(Mesh, name, counting(name, getattr(Mesh, name)))
         for module in (elliptic, evolution, meshing):
-            if getattr(module, "eval_A", None) is operators.eval_A:
-                monkeypatch.setattr(module, "eval_A",
-                                    counting("eval_A", operators.eval_A))
+            if getattr(module, "eval_flux", None) is operators.eval_flux:
+                monkeypatch.setattr(module, "eval_flux",
+                                    counting("eval_flux", operators.eval_flux))
         evolve(setup)
         assert counts["element_means"] <= 2 * setup.steps + 1
         assert counts["gradient_of"] <= setup.steps + 1
-        assert counts["eval_A"] <= setup.steps + 1
+        assert counts["eval_flux"] <= setup.steps + 1
 
     def test_diagnostics_match_their_definitions(self):
         # bit for bit: the stationary energy of each step is the energy of

@@ -142,7 +142,7 @@ class TestLqIntegral:
         mesh = v.mesh
         problem = EllipticProblem(mesh, iso_op(mesh, 2.0),
                                   terms=((np.full(mesh.n_elements, weight), exponent),))
-        return exponent * _energy_terms(problem, _point(mesh, v.values))[1]
+        return exponent * _energy_terms(problem, _point(mesh, problem.op, v.values))[1]
 
     def test_zero_field(self, mesh_1d):
         assert self.lq_integral(zero_field(mesh_1d), 1.0, 2.0) == 0.0

@@ -88,6 +88,18 @@ class TestEvalFlux:
         rhs = np.asarray(eval_A(op, ks, xi))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
+    def test_A_matches_block_sum_of_powers(self):
+        # eval_A is a . xi; this is its closed form sum_j g_j rho_j^(p/2),
+        # written out here, on variable p and two blocks
+        rng = seeded_rng(17, "block-powers")
+        op = random_op(rng)
+        ks = rng.integers(0, op.n_points, 5000)
+        xi = rng.standard_normal((5000, 3)) * 10.0 ** rng.uniform(-2, 1, (5000, 1))
+        p = op.exponent.values[ks]
+        expected = (op.weights[0][ks] * (xi[:, 0] ** 2) ** (p / 2.0)
+                    + op.weights[1][ks] * (xi[:, 1] ** 2 + xi[:, 2] ** 2) ** (p / 2.0))
+        np.testing.assert_allclose(eval_A(op, ks, xi), expected, rtol=1e-12)
+
 
 def exact_jacobian(op, k, xi):
     """Exact flux Jacobian at one point: the eps = 0 row of the batch the
@@ -103,6 +115,19 @@ class TestFluxJacobian:
     def test_p4_closed_form(self):
         np.testing.assert_allclose(exact_jacobian(const_op(4.0), 0, [1.0, 0.0]),
                                    [[3.0, 0.0], [0.0, 1.0]])
+
+    def test_p2_at_zero_is_weight_times_identity(self):
+        # the flux is a = g xi, so the exact Jacobian at xi = 0 is g I
+        np.testing.assert_array_equal(
+            exact_jacobian(const_op(2.0, weight=2.0), 0, [0.0, 0.0]), 2.0 * np.eye(2))
+
+    def test_p2_vanishing_block_is_its_weight_times_identity(self):
+        exponent = ExponentField.constant(4, 2.0)
+        op = LerayLionsOperator(exponent, (np.array([0]), np.array([1, 2])), [3.0, 0.5])
+        jac = exact_jacobian(op, 0, [0.7, 0.0, 0.0])
+        np.testing.assert_allclose(jac[1:, 1:], 0.5 * np.eye(2))
+        np.testing.assert_allclose(jac[0, 0], 3.0)
+        assert not np.any(jac[0, 1:]) and not np.any(jac[1:, 0])
 
     def test_matches_finite_differences(self):
         rng = seeded_rng(7, "fd-jacobian")
