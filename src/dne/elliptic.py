@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import solveh_banded
 
 from .meshing import DiscreteField, Mesh, _unit_bump, interpolate
 from .operators import LerayLionsOperator, eval_flux, flux_jacobian_batch
@@ -70,6 +70,9 @@ class SolverReport:
     converged: bool = False
     floor_steps: int = 0
     fallback: bool = False
+    # Newton directions taken from the convex majorant because the full
+    # Hessian was not positive definite or its step did not descend
+    majorant_directions: int = 0
 
 
 def _forcing_terms(mesh, op, q, h0, lam, source) -> tuple:
@@ -183,9 +186,9 @@ def _gradient_values(problem: EllipticProblem, point) -> np.ndarray:
 
 def _hessian_matrix(problem: EllipticProblem, point,
                     include_concave: bool) -> np.ndarray:
-    """Interior block of the energy's Hessian in the LAPACK band storage of
-    `Mesh.band_scatter`, shape (2 bandwidth + 1, n_interior), with the flux
-    Jacobian regularized by HESSIAN_EPS max|grad v| (HESSIAN_EPS when
+    """Upper band of the interior block of the energy's Hessian in the LAPACK
+    storage of `Mesh.band_scatter`, shape (bandwidth + 1, n_interior), with
+    the flux Jacobian regularized by HESSIAN_EPS max|grad v| (HESSIAN_EPS when
     grad v = 0); without `include_concave` the terms with negative
     coefficients are dropped, which leaves a convex majorant."""
     mesh = problem.mesh
@@ -203,7 +206,7 @@ def _hessian_matrix(problem: EllipticProblem, point,
             dd += (r - 1.0) * c * _power(vbp, r - 2.0)
     elem += (mesh.measures * dd)[:, None, None] / nloc ** 2
     scatter = mesh.band_scatter
-    n_diagonals = 2 * scatter.bandwidth + 1
+    n_diagonals = scatter.bandwidth + 1
     band = np.bincount(scatter.index, weights=elem.ravel()[scatter.keep],
                        minlength=n_diagonals * mesh.interior.size)
     return band.reshape(n_diagonals, -1)
@@ -233,17 +236,16 @@ def _kkt_norm(mesh: Mesh, vals: np.ndarray, grad: np.ndarray) -> float:
 
 
 def _newton_direction(problem, point, grad, include_concave):
-    """Newton direction on the interior nodes, or None when the system is
-    singular or its solution is not a finite descent direction.  The band
-    Hessian is solved by banded LU with partial pivoting, since with
-    `include_concave` it can be indefinite."""
-    mesh = problem.mesh
+    """Newton direction on the interior nodes, or None when the Hessian is not
+    positive definite or the solution is not a finite descent direction.  The
+    upper band of the Hessian is solved by banded Cholesky (tridiagonal LDL^T
+    in 1D); with `include_concave` the Hessian can be indefinite, and the
+    factorization then fails."""
     band = _hessian_matrix(problem, point, include_concave)
-    bw = mesh.band_scatter.bandwidth
-    ii = mesh.interior
+    ii = problem.mesh.interior
     gi = grad[ii]
     try:
-        di = solve_banded((bw, bw), band, -gi, overwrite_ab=True, check_finite=False)
+        di = solveh_banded(band, -gi, overwrite_ab=True, check_finite=False)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(di)) or float(gi @ di) >= 0.0:
@@ -253,14 +255,18 @@ def _newton_direction(problem, point, grad, include_concave):
     return d
 
 
-def _directions(problem: EllipticProblem, point, grad, descend: bool):
+def _directions(problem: EllipticProblem, point, grad, descend: bool,
+                report: SolverReport):
     """Search directions in preference order, produced lazily: one Newton step
     (the full one, or the convex-majorant step that drops the concave second
-    derivatives when the full step is not a descent direction), then, if
+    derivatives when the full Hessian is not positive definite or its step is
+    not a descent direction; the majorant is positive definite), then, if
     `descend`, projected steepest descent."""
     d = _newton_direction(problem, point, grad, include_concave=True)
     if d is None:
         d = _newton_direction(problem, point, grad, include_concave=False)
+        if d is not None:
+            report.majorant_directions += 1
     if d is not None:
         yield d
     if descend:
@@ -289,7 +295,7 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
         moved, next_grad = False, None
         # steepest descent only while the residual is above the tolerance: a
         # start inside it tries the Newton step alone
-        for d in _directions(problem, point, grad, kkt > tolerance):
+        for d in _directions(problem, point, grad, kkt > tolerance, report):
             full = _project(mesh, vals + d)
             # Backtracking cannot resolve a predicted decrease of the full
             # step below the energy's roundoff: go straight to the floor test.

@@ -30,9 +30,9 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def field_to_csv(field: DiscreteField) -> str:
     cols = "x,value" if field.mesh.dimension == 1 else "x,y,value"
-    rows = np.column_stack([field.mesh.vertices, field.values]).tolist()
-    lines = [f"# columns: {cols}"] + [",".join(map(repr, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    values = map(repr, field.values.tolist())
+    rows = map(str.__add__, field.mesh.coordinate_text, values)
+    return "\n".join([f"# columns: {cols}", *rows]) + "\n"
 
 
 def write_field_csv(field: DiscreteField, path: str) -> None:

@@ -21,12 +21,14 @@ class MeshMismatch(ValueError):
 
 @dataclass(frozen=True)
 class BandScatter:
-    """Where the element-local matrix entries of a P1 assembly land in LAPACK
-    band storage of the interior block, an array of shape
-    (2 bandwidth + 1, n_interior) holding entry (i, j) at [bandwidth + i - j, j].
+    """Where the element-local matrix entries of a symmetric P1 assembly land
+    in LAPACK upper band storage of the interior block, an array of shape
+    (bandwidth + 1, n_interior) holding entry (i, j), i <= j, at
+    [bandwidth + i - j, j].
 
     `keep` masks the flattened (element, l, m) pairs whose two vertices are
-    both interior; `index` is the flat band position of each kept pair."""
+    both interior, at interior positions i <= j; `index` is the flat band
+    position of each kept pair."""
 
     bandwidth: int
     keep: np.ndarray
@@ -34,8 +36,9 @@ class BandScatter:
 
 
 class Mesh:
-    """Immutable simplicial mesh with cached P1 shape-function gradients and a
-    cached interior band scatter map (`band_scatter`) for Hessian assembly."""
+    """Immutable simplicial mesh with cached P1 shape-function gradients, a
+    cached interior band scatter map (`band_scatter`) for Hessian assembly
+    and cached coordinate text (`coordinate_text`) for field files."""
 
     def __init__(self, dimension, bounds, resolution, vertices, elements, boundary_mask):
         self.dimension = int(dimension)
@@ -88,19 +91,26 @@ class Mesh:
 
     @cached_property
     def band_scatter(self) -> BandScatter:
-        """Interior band scatter map, built once from the element table; the
-        bandwidth is measured from the pattern (1 on an interval, ny on a
-        rectangle in the vertex order of `rectangle_mesh`)."""
+        """Upper band scatter map of the interior block, built once from the
+        element table; the bandwidth is measured from the pattern (1 on an
+        interval, ny on a rectangle in the vertex order of `rectangle_mesh`)."""
         n = self.interior.size
         pos = np.full(self.n_vertices, -1)
         pos[self.interior] = np.arange(n)
         loc = pos[self.elements]
         rows = np.repeat(loc, loc.shape[1], axis=1).ravel()
         cols = np.tile(loc, (1, loc.shape[1])).ravel()
-        keep = (rows >= 0) & (cols >= 0)
+        keep = (rows >= 0) & (cols >= rows)
         rows, cols = rows[keep], cols[keep]
-        bandwidth = int(np.max(np.abs(rows - cols), initial=0))
+        bandwidth = int(np.max(cols - rows, initial=0))
         return BandScatter(bandwidth, keep, (bandwidth + rows - cols) * n + cols)
+
+    @cached_property
+    def coordinate_text(self) -> list[str]:
+        """Each vertex's coordinates as field-file text, "x," or "x,y,", with
+        full-precision `repr`; built once, since the coordinates of every
+        field written on the mesh are the same."""
+        return ["".join(f"{c!r}," for c in row) for row in self.vertices.tolist()]
 
     def element_means(self, nodal_values: np.ndarray) -> np.ndarray:
         return np.asarray(nodal_values, dtype=float)[self.elements].mean(axis=1)

@@ -101,3 +101,26 @@ def test_scenario_constructs_no_validation_error():
     assert raised == []
     assert dne.scenario.ValidationError is dne.operators.ValidationError
     assert dne.ValidationError is dne.operators.ValidationError
+
+
+def scipy_imports(module_name):
+    """The (module, name) pairs a module's source imports from scipy; a plain
+    `import` gives the name None."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(module_name)))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+            found |= {(node.module, a.name) for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {(a.name, None) for a in node.names if a.name.startswith("scipy")}
+    return found
+
+
+def test_one_newton_solve_path():
+    # the Newton systems are symmetric: one banded Cholesky solve, no LU or
+    # sparse path beside it
+    imports = scipy_imports("dne.elliptic")
+    names = {name for _, name in imports}
+    assert ("scipy.linalg", "solveh_banded") in imports
+    assert "solve_banded" not in names
+    assert not any(module.startswith("scipy.sparse") for module, _ in imports)

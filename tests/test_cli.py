@@ -11,7 +11,7 @@ import pytest
 from dne import checks, cli, elliptic
 from dne.cli import DEFAULT_CHECKS, main
 from dne.io_utils import field_from_csv, write_field_csv
-from dne.meshing import interpolate
+from dne.meshing import interpolate, interval_mesh, rectangle_mesh
 from dne.scenario import ParseError, ValidationError, load_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -86,6 +86,47 @@ class TestFieldCsvRoundTrip:
         x, y = (float(c) for c in mesh_2d.vertices[k])
         val = float(v.values[k])
         assert lines[k + 1] == f"{x!r},{y!r},{val!r}"
+
+
+    def test_whole_files(self, tmp_path):
+        # every byte of a 1D and a 2D field file: header, vertex order,
+        # full-precision coordinates and values
+        interval = interval_mesh(0.0, 1.0, 5)
+        rectangle = rectangle_mesh(0.0, 1.0, 0.0, 1.5, 3, 3)
+        fields = {
+            "1d": interpolate(interval, lambda x: np.sin(np.pi * x[:, 0]) / 3.0),
+            "2d": interpolate(rectangle, lambda x: (x[:, 0] + x[:, 1]) / 7.0)}
+        expected = {
+            "1d": ("# columns: x,value\n"
+                   "0.0,0.0\n"
+                   "0.2,0.19592841743082437\n"
+                   "0.4,0.31701883876505116\n"
+                   "0.6000000000000001,0.31701883876505116\n"
+                   "0.8,0.19592841743082443\n"
+                   "1.0,0.0\n"),
+            "2d": ("# columns: x,y,value\n"
+                   "0.0,0.0,0.0\n"
+                   "0.0,0.5,0.0\n"
+                   "0.0,1.0,0.0\n"
+                   "0.0,1.5,0.0\n"
+                   "0.3333333333333333,0.0,0.0\n"
+                   "0.3333333333333333,0.5,0.11904761904761904\n"
+                   "0.3333333333333333,1.0,0.19047619047619047\n"
+                   "0.3333333333333333,1.5,0.0\n"
+                   "0.6666666666666666,0.0,0.0\n"
+                   "0.6666666666666666,0.5,0.16666666666666666\n"
+                   "0.6666666666666666,1.0,0.23809523809523808\n"
+                   "0.6666666666666666,1.5,0.0\n"
+                   "1.0,0.0,0.0\n"
+                   "1.0,0.5,0.0\n"
+                   "1.0,1.0,0.0\n"
+                   "1.0,1.5,0.0\n")}
+        for name, field in fields.items():
+            path = tmp_path / f"{name}.csv"
+            # twice on one mesh: the second file reads the cached coordinates
+            for _ in range(2):
+                write_field_csv(field, str(path))
+                assert path.read_bytes() == expected[name].encode()
 
 
 class TestCommands:

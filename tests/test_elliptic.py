@@ -37,13 +37,14 @@ def problem_of_kind(kind, mesh, op, q, h0, source):
 
 
 def band_to_dense(band):
-    """Dense matrix of a LAPACK band array with equal lower and upper bandwidth."""
-    bw, n = (band.shape[0] - 1) // 2, band.shape[1]
+    """Dense symmetric matrix of a LAPACK upper band array, entry (i, j) with
+    i <= j at [bw + i - j, j]."""
+    bw, n = band.shape[0] - 1, band.shape[1]
     i, j = np.indices((n, n))
-    inside = np.abs(i - j) <= bw
+    upper = (i <= j) & (j - i <= bw)
     dense = np.zeros((n, n))
-    dense[inside] = band[(bw + i - j)[inside], j[inside]]
-    return dense
+    dense[upper] = band[(bw + i - j)[upper], j[upper]]
+    return dense + np.triu(dense, 1).T
 
 
 def coo_interior_hessian(problem, vals, include_concave):
@@ -242,13 +243,53 @@ class TestBandedNewton:
             scatter = mesh.band_scatter
             assert scatter.bandwidth == mesh.resolution[1]
             assert mesh.band_scatter is scatter
-            # every interior pair the elements couple, and no other, is kept
+            # every interior pair (i, j) with i <= j that the elements couple,
+            # and no other, is kept
             nloc = mesh.elements.shape[1]
             pairs = np.stack([np.repeat(mesh.elements, nloc, axis=1).ravel(),
                               np.tile(mesh.elements, (1, nloc)).ravel()])
             interior = ~mesh.boundary_mask
+            pos = np.cumsum(interior) - 1
             np.testing.assert_array_equal(
-                scatter.keep, interior[pairs[0]] & interior[pairs[1]])
+                scatter.keep, interior[pairs[0]] & interior[pairs[1]]
+                & (pos[pairs[0]] <= pos[pairs[1]]))
+
+    @staticmethod
+    def indefinite_case(mesh):
+        """A strong potential at a tiny flat iterate: the concave potential
+        term outweighs the diffusion, so the full Hessian is indefinite."""
+        op = LerayLionsOperator.isotropic(
+            ExponentField.constant(mesh.n_elements, 2.5), 1.0, ndim=mesh.dimension)
+        prob = EllipticProblem.standard(mesh, op, 1.25, 1.0,
+                                        np.full(mesh.n_elements, 5.0))
+        vals = np.zeros(mesh.n_vertices)
+        vals[mesh.interior] = 1e-3
+        return prob, vals
+
+    @pytest.mark.parametrize("mesh_name", ["interval-20", "rectangle-6x9"])
+    def test_indefinite_hessian_falls_back_to_the_majorant(self, mesh_name):
+        mesh = BANDED_MESHES[mesh_name]()
+        prob, vals = self.indefinite_case(mesh)
+        point = elliptic._point(mesh, prob.op, vals)
+        grad = elliptic._gradient_values(prob, point)
+        ii = mesh.interior
+        assert np.linalg.eigvalsh(coo_interior_hessian(prob, vals, True)).min() < 0.0
+        assert elliptic._newton_direction(prob, point, grad, include_concave=True) is None
+        majorant = coo_interior_hessian(prob, vals, include_concave=False)
+        expected = np.linalg.solve(majorant, -grad[ii])
+        d = elliptic._newton_direction(prob, point, grad, include_concave=False)
+        assert d is not None
+        assert np.all(d[mesh.boundary_mask] == 0.0)
+        assert np.linalg.norm(d[ii] - expected) / np.linalg.norm(expected) < 1e-12
+
+    @pytest.mark.parametrize("mesh_name", ["interval-20", "rectangle-6x9"])
+    def test_minimize_counts_majorant_directions(self, mesh_name):
+        mesh = BANDED_MESHES[mesh_name]()
+        prob, vals = self.indefinite_case(mesh)
+        _, report = elliptic._minimize(prob, vals, elliptic.DEFAULT_TOL[mesh.dimension],
+                                       elliptic.MAX_ITERATIONS)
+        assert report.converged
+        assert report.majorant_directions > 0
 
 
 class TestSolve:

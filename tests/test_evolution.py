@@ -164,6 +164,13 @@ class TestEvolve:
         assert all(2.0 * setup.q in powers for powers in calls)
         assert not any(d.report.fallback for d in traj.diagnostics)
 
+    def test_shipped_2d_steps_take_full_newton_directions(self):
+        # every step Hessian of smoke_2d is positive definite, so no Newton
+        # direction comes from the convex majorant
+        traj = evolve(load_scenario(str(CONFIGS / "smoke_2d.cfg")).setup)
+        assert len(traj.diagnostics) == 10
+        assert [d.report.majorant_directions for d in traj.diagnostics] == [0] * 10
+
     def test_energy_evaluations_per_step(self, monkeypatch):
         # 50 near-stationary steps of default_1d: backtracking below the
         # energy's roundoff made 385 energy evaluations (7.7 per step);
