@@ -73,6 +73,9 @@ class SolverReport:
     # Newton directions taken from the convex majorant because the full
     # Hessian was not positive definite or its step did not descend
     majorant_directions: int = 0
+    # the step repeated the previous call's inputs and returned its result
+    # without a solve (`evolution.step`); the other fields are that solve's
+    repeated: bool = False
 
 
 def _forcing_terms(mesh, op, q, h0, lam, source) -> tuple:

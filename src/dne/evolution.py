@@ -14,11 +14,16 @@ Every diagnostic of a step reads one element state of the new iterate
 (`elliptic._point`): the increment norm and the source ratio read its element
 means, and the stationary energy sums the stationary problem's term
 integrals, whose diffusion term (lam = 1) is the modular.
+
+A step is a deterministic function of its start, h^n and dt, so `evolve`
+hands each step the previous one's inputs and result: once the scheme has
+reached its discrete steady state under a constant h^n, a step whose inputs
+repeat the previous step's bitwise returns that step's field without a solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -133,8 +138,18 @@ def time_integral_norm(mesh: Mesh, h: PotentialField, g: PotentialField,
 
 
 def step(setup: EvolutionSetup, previous: DiscreteField, h_n: np.ndarray,
-         dt: float) -> tuple[DiscreteField, SolverReport]:
-    """One implicit Euler step, warm-started from the previous iterate."""
+         dt: float, last: Optional[tuple] = None) -> tuple[DiscreteField, SolverReport]:
+    """One implicit Euler step, warm-started from the previous iterate.
+
+    `last` is an earlier call's `(previous, h_n, dt, field, report)` on this
+    setup.  The step is a deterministic function of its inputs, so when they
+    equal that call's bitwise its field is returned, with a copy of its
+    report marked `repeated`, and nothing is solved."""
+    if last is not None:
+        last_previous, last_h, last_dt, last_field, last_report = last
+        if (dt == last_dt and np.array_equal(h_n, last_h)
+                and np.array_equal(previous.values, last_previous.values)):
+            return last_field, replace(last_report, repeated=True)
     vbq = np.maximum(previous.barycenter_values(), 0.0) ** setup.q
     h0 = dt * h_n + vbq
     problem = EllipticProblem.standard(setup.mesh, setup.op, setup.q, dt, h0,
@@ -166,10 +181,11 @@ def evolve(setup: EvolutionSetup) -> Trajectory:
     inc_sq_sum = 0.0
     budget_sum = 0.0
     worst_margin = np.inf
+    last = None
     for n in range(1, setup.steps + 1):
         h_n = average_potential(setup.potential, n, dt)
         try:
-            v_new, report = step(setup, v, h_n, dt)
+            v_new, report = step(setup, v, h_n, dt, last)
         except NonConvergence as exc:
             exc.args = (f"step {n}: {exc.args[0]}",)
             exc.trajectory = traj
@@ -191,6 +207,7 @@ def evolve(setup: EvolutionSetup) -> Trajectory:
         margin = DISSIPATION_SLACK * budget_sum + 1e-12 - lhs
         worst_margin = min(worst_margin, margin)
         traj.fields.append(v_new)
+        last = (v, h_n, dt, v_new, report)
         v, vbq = v_new, vbq_new
     traj.dissipation_margin = worst_margin
     traj.dissipation_ok = worst_margin >= 0.0

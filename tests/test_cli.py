@@ -153,6 +153,13 @@ class TestCommands:
         assert manifest["config_echo"].strip().startswith("[mesh]")
         assert (out / "field_00005.csv").exists()
 
+    def test_evolve_manifest_marks_repeated_steps(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", str(CONFIGS / "smoke_2d.cfg"),
+                     "--out", str(out)]) == 0
+        manifest = json.load(open(out / "manifest.json"))
+        assert [d["solver"]["repeated"] for d in manifest["diagnostics"]] == [False] * 10
+
     def test_evolve_store_stride_thins_only_the_written_fields(self, config_path,
                                                                 tmp_path):
         cfg = tmp_path / "stride.cfg"

@@ -1,3 +1,5 @@
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,9 @@ from dne.elliptic import (EllipticProblem, NonConvergence, energy,
 from dne.evolution import (EvolutionSetup, Trajectory, average_potential,
                            change_of_variables_u, evolve, step,
                            time_integral_norm)
-from dne.meshing import (Mesh, boundary_distance_field, interpolate,
-                         l2_norm_diff_power, rectangle_mesh, zero_field)
+from dne.meshing import (DiscreteField, Mesh, boundary_distance_field,
+                         interpolate, l2_norm_diff_power, rectangle_mesh,
+                         zero_field)
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            SourceTerm, ValidationError)
 from dne.scenario import load_scenario
@@ -19,11 +22,28 @@ Q = 1.25
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def fifty_default_steps():
-    """The first 50 steps of configs/default_1d.cfg."""
-    full = load_scenario(str(CONFIGS / "default_1d.cfg")).setup
+def first_steps(config, steps):
+    """The first `steps` steps of the shipped configs/<config>.cfg."""
+    full = load_scenario(str(CONFIGS / f"{config}.cfg")).setup
     return EvolutionSetup(full.mesh, full.op, full.q, full.source,
-                          full.potential, 50 * full.dt, 50, full.initial)
+                          full.potential, steps * full.dt, steps, full.initial)
+
+
+def count_calls(monkeypatch, module, name):
+    """Rebind `module.name` wherever a `dne` module binds it, as a harness
+    timing it does, and return the list that gets one entry per call."""
+    original, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "dne" or mod_name.startswith("dne."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
 
 
 def make_setup(mesh, data, horizon, steps, scale=0.5):
@@ -148,9 +168,7 @@ class TestEvolve:
         assert fine <= 2.0 * coarse and coarse <= 2.0 * fine
 
     def test_one_minimization_per_step(self, monkeypatch):
-        full = load_scenario(str(CONFIGS / "default_1d.cfg")).setup
-        setup = EvolutionSetup(full.mesh, full.op, full.q, full.source,
-                               full.potential, 20 * full.dt, 20, full.initial)
+        setup = first_steps("default_1d", 20)
         minimize, calls = elliptic._minimize, []
 
         def counting(*args):
@@ -175,9 +193,7 @@ class TestEvolve:
         # 50 near-stationary steps of default_1d: backtracking below the
         # energy's roundoff made 385 energy evaluations (7.7 per step);
         # skipping it makes 174 (3.5 per step)
-        full = load_scenario(str(CONFIGS / "default_1d.cfg")).setup
-        setup = EvolutionSetup(full.mesh, full.op, full.q, full.source,
-                               full.potential, 50 * full.dt, 50, full.initial)
+        setup = first_steps("default_1d", 50)
         parts, calls = elliptic._energy_parts, []
 
         def counting(*args):
@@ -194,7 +210,7 @@ class TestEvolve:
         # by the energy (density a . grad v), gradient and Hessian there
         # (recomputing them per evaluation made 322 element_means and 396
         # gradient_of passes for 124 energies); eval_A is never called
-        setup = fifty_default_steps()
+        setup = first_steps("default_1d", 50)
         counts = {"element_means": 0, "gradient_of": 0, "_energy_parts": 0,
                   "eval_flux": 0, "eval_A": 0}
         inside = []
@@ -238,7 +254,7 @@ class TestEvolve:
         # and one _point pass (element_means, gradient_of, eval_flux) whose
         # flux all diagnostics share; the initial datum's state is the one
         # extra
-        setup = fifty_default_steps()
+        setup = first_steps("default_1d", 50)
         counts = {"element_means": 0, "gradient_of": 0, "eval_flux": 0}
         inside = []
 
@@ -274,7 +290,7 @@ class TestEvolve:
         # bit for bit: the stationary energy of each step is the energy of
         # the stationary problem at h^n, and the increment norm is
         # ||v_n^q - v_{n-1}^q|| / dt
-        setup = fifty_default_steps()
+        setup = first_steps("default_1d", 50)
         traj = evolve(setup)
         assert len(traj.fields) == setup.steps + 1
         for n, d in enumerate(traj.diagnostics, 1):
@@ -296,6 +312,81 @@ class TestEvolve:
             evolve(setup)
         assert "step 1" in str(err.value)
         assert err.value.trajectory.times.size == 5
+
+
+class TestRepeatedStep:
+    def test_repeated_steps_are_exact(self, monkeypatch):
+        # from step 49 on, each default_1d step returns its start under the
+        # same constant h^n, so steps 50-60 repeat their predecessor's inputs
+        setup = first_steps("default_1d", 60)
+        original = evolution.step
+        with monkeypatch.context() as patch:
+            patch.setattr(evolution, "step",
+                          lambda setup, previous, h_n, dt, last=None:
+                          original(setup, previous, h_n, dt))
+            plain = evolve(setup)
+        steps = count_calls(monkeypatch, evolution, "step")
+        minimizations = count_calls(monkeypatch, elliptic, "_minimize")
+        traj = evolve(setup)
+
+        for f, g in zip(traj.fields, plain.fields, strict=True):
+            assert f.values.tobytes() == g.values.tobytes()
+        for d, e in zip(traj.diagnostics, plain.diagnostics, strict=True):
+            assert d.increment_norm == e.increment_norm
+            assert d.stationary_energy == e.stationary_energy
+            assert replace(d.report, repeated=False) == e.report
+        assert traj.dissipation_margin == plain.dissipation_margin
+
+        h = [average_potential(setup.potential, n, setup.dt)
+             for n in range(1, setup.steps + 1)]
+        expected = [n >= 2 and np.array_equal(h[n - 1], h[n - 2])
+                    and np.array_equal(plain.fields[n - 1].values,
+                                       plain.fields[n - 2].values)
+                    for n in range(1, setup.steps + 1)]
+        repeats = sum(expected)
+        assert repeats > 0
+        assert [d.report.repeated for d in traj.diagnostics] == expected
+        # every step has its own report object
+        assert len({id(d.report) for d in traj.diagnostics}) == setup.steps
+        assert len(steps) == setup.steps
+        assert len(minimizations) == setup.steps - repeats
+
+    def test_moving_potential_never_repeats(self, monkeypatch):
+        setup = first_steps("decaying_1d", 50)
+        minimizations = count_calls(monkeypatch, elliptic, "_minimize")
+        traj = evolve(setup)
+        assert not any(d.report.repeated for d in traj.diagnostics)
+        assert len(minimizations) == setup.steps
+
+    def test_step_solves_unless_last_matches_bitwise(self, mesh_1d, data_1d,
+                                                     monkeypatch):
+        setup = make_setup(mesh_1d, data_1d, horizon=1.0, steps=10)
+        v0, dt = setup.initial, setup.dt
+        h1 = average_potential(setup.potential, 1, dt)
+        v1, r1 = step(setup, v0, h1, dt)
+        minimizations = count_calls(monkeypatch, elliptic, "_minimize")
+
+        def up(x):
+            return np.nextafter(x, np.inf)
+
+        h_moved, start_moved = h1.copy(), v0.values.copy()
+        h_moved[0] = up(h_moved[0])
+        start_moved[50] = up(start_moved[50])
+        moved = DiscreteField(mesh_1d, start_moved)
+        for last in [(v0, h1, up(dt), v1, r1), (v0, h_moved, dt, v1, r1),
+                     (moved, h1, dt, v1, r1)]:
+            minimizations.clear()
+            v, report = step(setup, v0, h1, dt, last)
+            assert len(minimizations) == 1
+            assert not report.repeated
+            assert v.values.tobytes() == v1.values.tobytes()
+
+        minimizations.clear()
+        v, report = step(setup, v0, h1, dt, (v0, h1, dt, v1, r1))
+        assert minimizations == []
+        assert v is v1
+        assert report.repeated and report is not r1
+        assert replace(report, repeated=False) == r1
 
 
 class TestChangeOfVariables:
