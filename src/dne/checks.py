@@ -185,16 +185,6 @@ def check_contraction_elliptic(mesh, op, q, lam, source, h1, h2) -> CheckReport:
     return report
 
 
-def contraction_ratio(mesh, op, q, lam, source, h1, h2) -> float:
-    """lhs/rhs of the one-sided contraction for a refinement study."""
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    v1, v2 = _solve_pair(mesh, op, q, lam, source, h1, h2)
-    lhs = l2_norm_diff_power(v1, v2, q, positive_part=True)
-    rhs = l2_norm_values(mesh, np.maximum(h1 - h2, 0.0))
-    return lhs / rhs if rhs > 0 else 0.0
-
-
 def check_contraction_parabolic(traj1: Trajectory, traj2: Trajectory,
                                 h: PotentialField, g: PotentialField) -> CheckReport:
     """Discrete analogues of the two-trajectory contraction, plain and

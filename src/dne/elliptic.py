@@ -215,18 +215,6 @@ def _hessian_matrix(problem: EllipticProblem, point,
     return band.reshape(n_diagonals, -1)
 
 
-def energy(problem: EllipticProblem, v: DiscreteField) -> float:
-    """Quadrature value of the energy functional at v."""
-    return _energy_parts(problem, _point(problem.mesh, problem.op, v.values))[0]
-
-
-def energy_gradient(problem: EllipticProblem, v: DiscreteField) -> DiscreteField:
-    """Nodal partial derivatives of the energy; equals the hat-function residual
-    of the weak form, and vanishes at interior nodes of a discrete solution."""
-    point = _point(problem.mesh, problem.op, v.values)
-    return DiscreteField(problem.mesh, _gradient_values(problem, point))
-
-
 def _project(mesh: Mesh, vals: np.ndarray) -> np.ndarray:
     out = np.maximum(vals, 0.0)
     out[mesh.boundary_mask] = 0.0

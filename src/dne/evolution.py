@@ -97,7 +97,6 @@ class Trajectory:
     fields: List[DiscreteField]
     diagnostics: List[StepDiagnostics]
     q: float
-    power: float = 1.0
     dissipation_ok: bool = True
     dissipation_margin: float = np.inf
 
@@ -212,14 +211,3 @@ def evolve(setup: EvolutionSetup) -> Trajectory:
     traj.dissipation_margin = worst_margin
     traj.dissipation_ok = worst_margin >= 0.0
     return traj
-
-
-def change_of_variables_u(traj: Trajectory) -> Trajectory:
-    """Nodal power map u = v^q; the transformed run solves the operator-form
-    problem and inherits the distance sandwich with exponent q."""
-    fields = [DiscreteField(f.mesh, np.maximum(f.values, 0.0) ** traj.q)
-              for f in traj.fields]
-    return Trajectory(times=traj.times, fields=fields, diagnostics=traj.diagnostics,
-                      q=traj.q, power=traj.q * traj.power,
-                      dissipation_ok=traj.dissipation_ok,
-                      dissipation_margin=traj.dissipation_margin)

@@ -70,8 +70,8 @@ class Mesh:
             inv_t /= det[:, None, None]
             ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
             self.grads = np.einsum("ld,edk->elk", ref, inv_t)
-        if np.any(self.measures <= 0.0):
-            raise ValueError("mesh has elements of nonpositive measure")
+        if not np.all(self.measures > 0.0):
+            raise ValueError("mesh has elements of nonpositive or undefined measure")
 
     @property
     def n_vertices(self) -> int:
@@ -121,8 +121,9 @@ class Mesh:
 
 
 def interval_mesh(a: float, b: float, n: int) -> Mesh:
-    if n < 2 or not a < b:
-        raise ValueError("interval mesh needs a < b and at least 2 subdivisions")
+    if n < 2 or not -np.inf < a < b < np.inf:
+        raise ValueError("interval mesh needs finite a < b and at least 2 "
+                         "subdivisions")
     x = np.linspace(a, b, n + 1)
     vertices = x[:, None]
     elements = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
@@ -141,9 +142,10 @@ def rectangle_mesh(x0: float, x1: float, y0: float, y1: float,
                    nx: int, ny: int) -> Mesh:
     """Uniform right-triangle subdivision: each grid cell splits along a
     diagonal, oriented so that every triangle keeps an interior vertex."""
-    if nx < 2 or ny < 2 or not (x0 < x1 and y0 < y1):
-        raise ValueError("rectangle mesh needs increasing extents and at least "
-                         "2 subdivisions per axis")
+    if nx < 2 or ny < 2 or not (-np.inf < x0 < x1 < np.inf
+                                and -np.inf < y0 < y1 < np.inf):
+        raise ValueError("rectangle mesh needs finite increasing extents and at "
+                         "least 2 subdivisions per axis")
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -194,10 +196,6 @@ class DiscreteField:
     @property
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
-
-
-def zero_field(mesh: Mesh) -> DiscreteField:
-    return DiscreteField(mesh, np.zeros(mesh.n_vertices))
 
 
 def interpolate(mesh: Mesh, fn: Callable[[np.ndarray], np.ndarray]) -> DiscreteField:

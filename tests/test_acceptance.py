@@ -12,19 +12,20 @@ import time
 import numpy as np
 
 from dne.checks import (check_alg_inequality, check_monotone_run, check_picone,
-                        check_sandwich, contraction_ratio)
+                        check_sandwich)
 from dne.cli import main
-from dne.elliptic import (EllipticProblem, energy, energy_gradient,
-                          make_subsolution, make_supersolution,
+from dne.elliptic import (EllipticProblem, make_subsolution, make_supersolution,
                           solve_lambda_problem, solve_stationary)
 from dne.evolution import EvolutionSetup, evolve, time_integral_norm
 from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
                          interval_mesh, l2_norm_diff_power, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
-                           SourceTerm, calibrate_gamma0, ellipticity_floor,
-                           eval_A, eval_flux, flux_jacobian_batch,
-                           growth_envelope, picone_pair_sum, monotonicity_gap,
+                           SourceTerm, eval_A, eval_flux, flux_jacobian_batch,
                            seeded_rng)
+
+from oracles import (calibrate_gamma0, contraction_ratio, ellipticity_floor,
+                     energy, energy_gradient, growth_envelope, monotonicity_gap,
+                     picone_pair_sum)
 
 SEED = 20240801
 

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +37,7 @@ def public_callables():
 def test_walk_covers_the_solve_api():
     names = public_callables()
     for name in ("dne.elliptic.solve", "dne.elliptic.solve_stationary",
-                 "dne.evolution.EvolutionSetup", "dne.checks.contraction_ratio",
+                 "dne.evolution.EvolutionSetup", "dne.checks.check_contraction_elliptic",
                  "dne.scenario.Scenario"):
         assert name in names
 
@@ -124,3 +125,65 @@ def test_one_newton_solve_path():
     assert ("scipy.linalg", "solveh_banded") in imports
     assert "solve_banded" not in names
     assert not any(module.startswith("scipy.sparse") for module, _ in imports)
+
+
+def module_trees():
+    """The parsed source of every dne module but the package's re-exports."""
+    package = Path(dne.__file__).parent
+    return {f"dne.{path.stem}": ast.parse(path.read_text())
+            for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+
+
+def resolve(module_name, node):
+    """The dne module an `import ... from` statement reads from, or None."""
+    if node.level:
+        base = module_name.rsplit(".", node.level)[0]
+        return f"{base}.{node.module}" if node.module else base
+    module = node.module or ""
+    return module if module.split(".")[0] == "dne" else None
+
+
+def statement_uses(module_name, tree, modules):
+    """For each top-level statement of a module, the (module, name) pairs it
+    uses: names it imports from a dne module, attributes it reads off a dne
+    module imported by name (`ck.check_picone`), and names it loads.  An
+    attribute of any other object (`report.energy`) is no use."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and resolve(module_name, node):
+            source = resolve(module_name, node)
+            aliases.update({a.asname or a.name: f"{source}.{a.name}"
+                            for a in node.names if f"{source}.{a.name}" in modules})
+    for statement in tree.body:
+        uses = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.ImportFrom) and resolve(module_name, node):
+                uses |= {(resolve(module_name, node), a.name) for a in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                uses.add((aliases[node.value.id], node.attr))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.add((module_name, node.id))
+        yield statement, uses
+
+
+def test_every_public_function_has_a_library_caller():
+    # the library holds what a command runs: a function that only tests, or
+    # only other such functions, call belongs with the tests
+    statements = []
+    trees = module_trees()
+    for module, tree in trees.items():
+        for statement, uses in statement_uses(module, tree, trees):
+            owner = ((module, statement.name)
+                     if isinstance(statement, ast.FunctionDef) else None)
+            statements.append((owner, uses - {owner}))
+    public = {owner for owner, _ in statements
+              if owner and not owner[1].startswith("_")}
+    dead = set()
+    while True:
+        used = set().union(*(uses for owner, uses in statements if owner not in dead))
+        if public - used == dead:
+            break
+        dead = public - used
+    assert not dead, "no library caller: " + ", ".join(
+        sorted(f"{module}.{name}" for module, name in dead))

@@ -8,15 +8,16 @@ from dne.checks import (check_alg_inequality, check_contraction_elliptic,
                         check_contraction_parabolic, check_lambda_scaling,
                         check_picone_pair, check_monotone_run, check_picone,
                         check_positivity_hopf, check_sandwich,
-                        check_stabilization, contraction_ratio,
-                        picone_pair_integral)
+                        check_stabilization, picone_pair_integral)
 from dne.elliptic import (make_subsolution, make_supersolution,
                           solve_lambda_problem, solve_stationary)
 from dne.evolution import EvolutionSetup, evolve
 from dne.meshing import (DiscreteField, interpolate, interval_mesh,
-                         l2_norm_diff_power, zero_field)
+                         l2_norm_diff_power)
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            seeded_rng)
+
+from oracles import contraction_ratio, zero_field
 
 Q = 1.25
 

@@ -249,10 +249,13 @@ class TestCommands:
         ("kind = constant\nprofile = bump 1.0",
          "kind = tabulated\ntimes = 0 nan\nprofile.1 = bump 1.0\n"
          "profile.2 = bump 1.0", ParseError),
+        ("extents = 0 1", "extents = 0 inf", ParseError),
+        ("profile = bump 1.0", "profile = constant inf", ParseError),
     ], ids=["q", "steps", "horizon", "resolution", "extents", "initial",
             "stride-0", "stride-negative", "lambda", "sweep-lambdas",
             "horizon-inf", "horizon-nan", "lambda-inf", "gamma-inf", "beta-nan",
-            "seed-negative", "sweep-p-inf", "tabulated-times-nan"])
+            "seed-negative", "sweep-p-inf", "tabulated-times-nan", "extents-inf",
+            "potential-inf"])
     def test_invalid_config_exit_code(self, tmp_path, capsys, old, new, error):
         # a violated hypothesis or a malformed value is a configuration error
         # (exit 2), not a failed check (exit 1) or a traceback

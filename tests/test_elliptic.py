@@ -4,15 +4,15 @@ import scipy.sparse as sp
 
 from dne import elliptic
 from dne.elliptic import (EllipticProblem, InvalidProblem, NonConvergence,
-                          bump_seed, energy, energy_gradient,
-                          make_subsolution, make_supersolution, solve,
+                          bump_seed, make_subsolution, make_supersolution, solve,
                           solve_lambda_problem, solve_stationary,
                           solve_subsolution_problem, solve_supersolution_problem)
 from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
-                         interval_mesh, l2_norm_diff_power, rectangle_mesh,
-                         zero_field)
+                         interval_mesh, l2_norm_diff_power, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, SourceTerm,
                            eval_A, eval_source, flux_jacobian_batch, seeded_rng)
+
+from oracles import energy, energy_gradient, zero_field
 
 
 def iso_op(mesh, p):

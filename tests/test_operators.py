@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
-                           Regime, SourceTerm, calibrate_gamma0, classify_regime,
-                           ellipticity_floor, eval_A, eval_flux, eval_source,
-                           flux_jacobian_batch, growth_envelope,
-                           picone_pair_sum, monotonicity_gap, morawetz_gap,
+                           Regime, SourceTerm, classify_regime, eval_A,
+                           eval_flux, eval_source, flux_jacobian_batch,
                            picone_gap, seeded_rng)
+
+from oracles import (calibrate_gamma0, ellipticity_floor, growth_envelope,
+                     monotonicity_gap, morawetz_gap, picone_pair_sum)
 
 
 def const_op(p, ndim=2, weight=1.0, n_points=8):
@@ -320,6 +321,15 @@ class TestPotential:
         pot.check_envelope([0.0, 0.25])
         with pytest.raises(ValueError):
             pot.check_envelope([0.5])
+
+    def test_rejects_infinite_values(self):
+        # an infinite potential used to load and fail at the first solve
+        with pytest.raises(ValueError, match="finite"):
+            PotentialField.constant(np.full(4, np.inf))
+        pot = PotentialField(lambda t: np.full(4, 1.0 if t == 0.0 else np.inf),
+                             np.ones(4), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            pot.check_envelope([0.0, 1.0])
 
 
 class TestRegimeClassification:
