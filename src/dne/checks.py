@@ -306,7 +306,7 @@ def check_positivity_hopf(field: DiscreteField) -> CheckReport:
         for j in range(HOPF_CORNER_CELLS, ny - HOPF_CORNER_CELLS + 1):
             yc = y0 + j * hy
             probes.extend([[x0 + off, yc], [x1 - off, yc]])
-        probes = np.array(probes)
+        probes = np.array(probes).reshape(-1, 2)
     quot = eval_at_points(field, probes) / off
     for i, qv in enumerate(quot):
         margins.append(float(qv) - HOPF_FLOOR)

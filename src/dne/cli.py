@@ -15,7 +15,7 @@ from . import checks as ck
 from .elliptic import (EllipticProblem, FailedToFit, NonConvergence, bump_seed,
                        make_subsolution, make_supersolution, solve,
                        solve_lambda_problem, solve_stationary)
-from .evolution import evolve
+from .evolution import diagnose, evolve
 from .io_utils import atomic_write_text, write_field_csv, write_json
 from .meshing import DiscreteField, l2_norm_diff_power
 from .operators import (ExponentField, LerayLionsOperator, PotentialField,
@@ -68,6 +68,7 @@ def run_stationary(scenario: Scenario, out_dir: str, seed: int) -> int:
 def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
     setup = scenario.setup
     traj = evolve(setup)
+    diagnostics, margin = diagnose(setup, traj)
     # the stride thins only what is written; the last step is always written
     stored = sorted({*range(0, setup.steps + 1, scenario.store_stride), setup.steps})
     for n in stored:
@@ -79,16 +80,16 @@ def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
     manifest.update({
         "times": traj.times.tolist(),
         "stored_indices": stored,
-        "dissipation_ok": traj.dissipation_ok,
-        "dissipation_margin": traj.dissipation_margin,
+        "dissipation_ok": margin >= 0.0,
+        "dissipation_margin": margin,
         "sandwich_constant": setup.sandwich_constant,
         "stabilization_error_final": e_final,
         "diagnostics": [{
             "index": n, "time": traj.times[n],
             "increment_norm": d.increment_norm,
             "stationary_energy": d.stationary_energy,
-            "solver": dataclasses.asdict(d.report),
-        } for n, d in enumerate(traj.diagnostics, 1)],
+            "solver": dataclasses.asdict(report),
+        } for n, (d, report) in enumerate(zip(diagnostics, traj.reports), 1)],
     })
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return 0
@@ -104,10 +105,6 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
     That run, the sub/supersolution bracket and the stationary solution are
     each computed at most once and shared by the checks."""
     names = names or DEFAULT_CHECKS
-    unknown = [name for name in names if name not in DEFAULT_CHECKS]
-    if unknown:
-        raise ParseError(f"unknown check '{unknown[0]}' "
-                         f"(available: {', '.join(DEFAULT_CHECKS)})")
     setup = scenario.setup
     mesh, op, source, potential = setup.mesh, setup.op, setup.source, setup.potential
     q = setup.q
@@ -130,7 +127,7 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
         return dataclasses.replace(
             full, times=full.times[:short_steps + 1],
             fields=full.fields[:short_steps + 1],
-            diagnostics=full.diagnostics[:short_steps])
+            reports=full.reports[:short_steps])
 
     @functools.cache
     def bracket():
@@ -266,8 +263,14 @@ def run(command: str, scenario: Scenario, out_dir: str,
         checks: Optional[List[str]] = None, seed: Optional[int] = None) -> int:
     if command not in _COMMANDS:
         raise ParseError(f"unknown command '{command}'")
-    if checks is not None and command != "verify":
-        raise ParseError("--check applies only to verify")
+    if checks is not None:
+        if command != "verify":
+            raise ParseError("--check applies only to verify")
+        unknown = [name for name in checks if name not in DEFAULT_CHECKS]
+        if unknown:
+            raise ParseError(f"unknown check '{unknown[0]}' "
+                             f"(available: {', '.join(DEFAULT_CHECKS)})")
+        checks = list(dict.fromkeys(checks))
     os.makedirs(out_dir, exist_ok=True)
     actual_seed = seed if seed is not None else scenario.seed
     if command == "verify":

@@ -6,14 +6,13 @@ iterate satisfies
 
     ((v_n^q - v_{n-1}^q)/dt) v_n^{q-1} - div a(x, grad v_n) = h^n v_n^{q-1} + f(x, v_n).
 
-The per-run dissipation diagnostic accumulates the squared increments and the
-telescoped modular difference and compares them against the potential and
-source budget; a violation beyond the stated slack marks the trajectory.
-
-Every diagnostic of a step reads one element state of the new iterate
-(`elliptic._point`): the increment norm and the source ratio read its element
-means, and the stationary energy sums the stationary problem's term
-integrals, whose diffusion term (lam = 1) is the modular.
+`evolve` runs the scheme alone; `diagnose` walks a finished run: it sums the
+squared increments and the telescoped modular difference and compares them
+against the potential and source budget, beyond a stated slack.  Each step's
+diagnostics read one element state of its iterate (`elliptic._point`): the
+increment norm and the source ratio read its element means, and the
+stationary energy sums the stationary problem's term integrals, whose
+diffusion term (lam = 1) is the modular.
 
 A step is a deterministic function of its start, h^n and dt, so `evolve`
 hands each step the previous one's inputs and result: once the scheme has
@@ -84,21 +83,18 @@ class EvolutionSetup:
 
 @dataclass
 class StepDiagnostics:
-    report: SolverReport
     increment_norm: float
     stationary_energy: float
 
 
 @dataclass
 class Trajectory:
-    """`fields[n]` is the iterate at `times[n]`; `diagnostics[n - 1]` reports step n."""
+    """`fields[n]` is the iterate at `times[n]`; `reports[n - 1]` reports step n."""
 
     times: np.ndarray
     fields: List[DiscreteField]
-    diagnostics: List[StepDiagnostics]
+    reports: List[SolverReport]
     q: float
-    dissipation_ok: bool = True
-    dissipation_margin: float = np.inf
 
     @property
     def final(self) -> DiscreteField:
@@ -156,31 +152,13 @@ def step(setup: EvolutionSetup, previous: DiscreteField, h_n: np.ndarray,
     return solve(problem, previous)
 
 
-def _f_ratio_sq(setup: EvolutionSetup, vb: np.ndarray) -> float:
-    """||f(x, v) / v^(q-1)||^2 from the clipped element means vb of v."""
-    if setup.source is None:
-        return 0.0
-    mesh = setup.mesh
-    ks = np.arange(mesh.n_elements)
-    fv = np.asarray(eval_source(setup.source, ks, vb))
-    ratio = np.where(vb > 0.0, fv / np.where(vb > 0.0, vb, 1.0) ** (setup.q - 1.0), 0.0)
-    return l2_norm_values(mesh, ratio) ** 2
-
-
 def evolve(setup: EvolutionSetup) -> Trajectory:
     """Run the full scheme, keeping every step; step failures carry the step
     index and leave the partial trajectory on the exception."""
-    mesh, op, q, dt = setup.mesh, setup.op, setup.q, setup.dt
-    times = np.linspace(0.0, setup.horizon, setup.steps + 1)
-    traj = Trajectory(times=times, fields=[setup.initial], diagnostics=[], q=q)
-    v = setup.initial
-    point = _point(mesh, op, v.values)
-    mod0 = _energy_terms(EllipticProblem(mesh, op), point)[0]
-    vbq = np.maximum(point[0], 0.0) ** q
-    inc_sq_sum = 0.0
-    budget_sum = 0.0
-    worst_margin = np.inf
-    last = None
+    dt = setup.dt
+    traj = Trajectory(times=np.linspace(0.0, setup.horizon, setup.steps + 1),
+                      fields=[setup.initial], reports=[], q=setup.q)
+    v, last = setup.initial, None
     for n in range(1, setup.steps + 1):
         h_n = average_potential(setup.potential, n, dt)
         try:
@@ -189,25 +167,43 @@ def evolve(setup: EvolutionSetup) -> Trajectory:
             exc.args = (f"step {n}: {exc.args[0]}",)
             exc.trajectory = traj
             raise
-        point = _point(mesh, op, v_new.values)
-        vb = np.maximum(point[0], 0.0)
-        vbq_new = vb ** q
-        inc = l2_norm_values(mesh, vbq_new - vbq) / dt
-        h_norm_sq = l2_norm_values(mesh, h_n) ** 2
-        f_sq = _f_ratio_sq(setup, vb)
-        # the stationary problem has lam = 1, so its diffusion term is the modular
-        stationary = EllipticProblem.stationary(mesh, op, q, h_n, setup.source)
-        terms = _energy_terms(stationary, point)
-        traj.diagnostics.append(StepDiagnostics(
-            report=report, increment_norm=inc, stationary_energy=sum(terms)))
-        inc_sq_sum += 0.5 * dt * inc ** 2
-        budget_sum += dt * (h_norm_sq + f_sq)
-        lhs = inc_sq_sum + q * (terms[0] - mod0)
-        margin = DISSIPATION_SLACK * budget_sum + 1e-12 - lhs
-        worst_margin = min(worst_margin, margin)
         traj.fields.append(v_new)
+        traj.reports.append(report)
         last = (v, h_n, dt, v_new, report)
-        v, vbq = v_new, vbq_new
-    traj.dissipation_margin = worst_margin
-    traj.dissipation_ok = worst_margin >= 0.0
+        v = v_new
     return traj
+
+
+def diagnose(setup: EvolutionSetup,
+             traj: Trajectory) -> tuple[List[StepDiagnostics], float]:
+    """Each step's diagnostics of a run of `setup` and its worst dissipation
+    margin; a repeated step has its predecessor's field, h^n and values."""
+    mesh, op, q, dt, source = setup.mesh, setup.op, setup.q, setup.dt, setup.source
+    point = _point(mesh, op, traj.fields[0].values)
+    mod0 = _energy_terms(EllipticProblem(mesh, op), point)[0]
+    vbq = np.maximum(point[0], 0.0) ** q
+    diagnostics = []
+    inc_sq_sum = budget_sum = 0.0
+    worst_margin = np.inf
+    for n, (v, report) in enumerate(zip(traj.fields[1:], traj.reports), 1):
+        if not report.repeated:
+            h_n = average_potential(setup.potential, n, dt)
+            point = _point(mesh, op, v.values)
+            vb = np.maximum(point[0], 0.0)
+            vbq, vbq_prev = vb ** q, vbq
+            inc = l2_norm_values(mesh, vbq - vbq_prev) / dt
+            f_sq = 0.0  # ||f(x, v) / v^(q-1)||^2 from the clipped element means
+            if source is not None:
+                fv = np.asarray(eval_source(source, np.arange(mesh.n_elements), vb))
+                ratio = np.where(vb > 0.0, fv / np.where(vb > 0.0, vb, 1.0) ** (q - 1.0), 0.0)
+                f_sq = l2_norm_values(mesh, ratio) ** 2
+            budget = dt * (l2_norm_values(mesh, h_n) ** 2 + f_sq)
+            # the stationary problem has lam = 1, so its diffusion term is the modular
+            stationary = EllipticProblem.stationary(mesh, op, q, h_n, source)
+            terms = _energy_terms(stationary, point)
+        diagnostics.append(StepDiagnostics(inc, sum(terms)))
+        inc_sq_sum += 0.5 * dt * inc ** 2
+        budget_sum += budget
+        lhs = inc_sq_sum + q * (terms[0] - mod0)
+        worst_margin = min(worst_margin, DISSIPATION_SLACK * budget_sum + 1e-12 - lhs)
+    return diagnostics, worst_margin

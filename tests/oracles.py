@@ -151,10 +151,8 @@ def change_of_variables_u(traj: Trajectory) -> Trajectory:
     problem and inherits the distance sandwich with exponent q."""
     fields = [DiscreteField(f.mesh, np.maximum(f.values, 0.0) ** traj.q)
               for f in traj.fields]
-    return Trajectory(times=traj.times, fields=fields, diagnostics=traj.diagnostics,
-                      q=traj.q,
-                      dissipation_ok=traj.dissipation_ok,
-                      dissipation_margin=traj.dissipation_margin)
+    return Trajectory(times=traj.times, fields=fields, reports=traj.reports,
+                      q=traj.q)
 
 
 def contraction_ratio(mesh, op, q, lam, source, h1, h2) -> float:

@@ -13,7 +13,7 @@ from dne.elliptic import (make_subsolution, make_supersolution,
                           solve_lambda_problem, solve_stationary)
 from dne.evolution import EvolutionSetup, evolve
 from dne.meshing import (DiscreteField, interpolate, interval_mesh,
-                         l2_norm_diff_power)
+                         l2_norm_diff_power, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            seeded_rng)
 
@@ -261,6 +261,16 @@ class TestPositivityHopf:
         report = check_positivity_hopf(zero_field(mesh_1d))
         assert not report.passed
         assert report.worst_margin < 0.0
+
+    def test_coarse_rectangle_reads_the_interior_minimum(self):
+        # on 4 x 4 cells the corner bands cover every boundary probe
+        mesh = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 4, 4)
+        v = interpolate(mesh, lambda x: 0.1 + np.sin(np.pi * x[:, 0])
+                        * np.sin(np.pi * x[:, 1]))
+        report = check_positivity_hopf(v)
+        assert report.samples == 1
+        assert report.location == "interior minimum"
+        assert report.passed
 
 
 class TestAlgInequality:

@@ -177,9 +177,10 @@ class TestCommands:
 
     def test_verify_subset(self, config_path, tmp_path):
         out = tmp_path / "o4"
+        # a name given twice runs once, where it is first named
         code = main(["verify", "--config", config_path, "--out", str(out),
                      "--check", "alg-inequality", "--check", "picone",
-                     "--seed", "7"])
+                     "--check", "alg-inequality", "--seed", "7"])
         assert code == 0
         report = json.load(open(out / "report.json"))
         assert [r["check_name"] for r in report] == ["alg-inequality", "picone"]
@@ -223,10 +224,27 @@ class TestCommands:
         assert err == "error: --check applies only to verify\n"
         assert not out.exists()
 
-    def test_unknown_check_fails(self, config_path, tmp_path):
-        code = main(["verify", "--config", config_path, "--out",
-                     str(tmp_path / "o6"), "--check", "nope"])
+    def test_unknown_check_fails(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o6"
+        code = main(["verify", "--config", config_path, "--out", str(out),
+                     "--check", "nope"])
         assert code == 2
+        # rejected before `--out` is created, as `--check` on another command is
+        assert capsys.readouterr().err.startswith("error: unknown check 'nope'")
+        assert not out.exists()
+
+    def test_positivity_hopf_on_coarse_rectangle(self, tmp_path, capsys):
+        # with at most 5 cells per axis the corner bands hold every boundary
+        # probe, so the check reads the interior minimum alone
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text((CONFIGS / "smoke_2d.cfg").read_text().replace(
+            "resolution = 12", "resolution = 4"))
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--check", "positivity-hopf"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        [report] = json.load(open(out / "report.json"))
+        assert report["samples"] == 1
 
     @pytest.mark.parametrize("old, new, error", [
         ("q = 1.25", "q = 3.0", ValidationError),

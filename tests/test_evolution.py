@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dne import elliptic, evolution, meshing, operators
+from dne import cli, elliptic, evolution, meshing, operators
 from dne.elliptic import (EllipticProblem, NonConvergence, make_subsolution,
                           make_supersolution, solve_stationary)
 from dne.evolution import (EvolutionSetup, Trajectory, average_potential,
-                           evolve, step, time_integral_norm)
+                           diagnose, evolve, step, time_integral_norm)
 from dne.meshing import (DiscreteField, Mesh, boundary_distance_field,
                          interpolate, l2_norm_diff_power, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
@@ -29,21 +29,45 @@ def first_steps(config, steps):
                           full.potential, steps * full.dt, steps, full.initial)
 
 
-def count_calls(monkeypatch, module, name):
-    """Rebind `module.name` wherever a `dne` module binds it, as a harness
-    timing it does, and return the list that gets one entry per call."""
-    original, calls = getattr(module, name), []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
+def rebind(monkeypatch, module, name, replacement):
+    """Rebind `module.name` there and wherever a `dne` module binds it, as a
+    harness timing it does."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, replacement)
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "dne" or mod_name.startswith("dne."):
             for attr, obj in list(vars(mod).items()):
                 if obj is original:
-                    monkeypatch.setattr(mod, attr, counting)
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+def count_calls(monkeypatch, module, name, counted=lambda: True):
+    """Return the list that gets one entry per call of `module.name` made
+    while `counted()` holds."""
+    original, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        if counted():
+            calls.append(1)
+        return original(*args, **kwargs)
+
+    rebind(monkeypatch, module, name, counting)
     return calls
+
+
+def outside_solve(monkeypatch):
+    """A `counted` test for `count_calls`: no `elliptic.solve` is running."""
+    solve, inside = elliptic.solve, []
+
+    def solving(*args, **kwargs):
+        inside.append(1)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    rebind(monkeypatch, elliptic, "solve", solving)
+    return lambda: not inside
 
 
 def make_setup(mesh, data, horizon, steps, scale=0.5):
@@ -153,16 +177,17 @@ class TestEvolve:
             assert np.all(vb >= delta / c - 1e-8)
 
     def test_dissipation_bound_flag(self, mesh_1d, data_1d):
-        traj = evolve(make_setup(mesh_1d, data_1d, horizon=1.0, steps=20))
-        assert traj.dissipation_ok
-        assert traj.dissipation_margin >= 0.0
+        setup = make_setup(mesh_1d, data_1d, horizon=1.0, steps=20)
+        diagnostics, margin = diagnose(setup, evolve(setup))
+        assert len(diagnostics) == setup.steps
+        assert margin >= 0.0
 
     def test_increment_sum_stable_under_dt_refinement(self, mesh_1d, data_1d):
         def inc_sum(steps):
-            traj = evolve(make_setup(mesh_1d, data_1d, horizon=0.5, steps=steps,
-                                     scale=0.3))
+            setup = make_setup(mesh_1d, data_1d, horizon=0.5, steps=steps, scale=0.3)
+            diagnostics, _ = diagnose(setup, evolve(setup))
             dt = 0.5 / steps
-            return sum(dt * d.increment_norm ** 2 for d in traj.diagnostics)
+            return sum(dt * d.increment_norm ** 2 for d in diagnostics)
 
         coarse, fine = inc_sum(10), inc_sum(20)
         assert fine <= 2.0 * coarse and coarse <= 2.0 * fine
@@ -180,14 +205,14 @@ class TestEvolve:
         assert len(calls) == setup.steps
         # every step problem carries the mass term (v+)^2q
         assert all(2.0 * setup.q in powers for powers in calls)
-        assert not any(d.report.fallback for d in traj.diagnostics)
+        assert not any(r.fallback for r in traj.reports)
 
     def test_shipped_2d_steps_take_full_newton_directions(self):
         # every step Hessian of smoke_2d is positive definite, so no Newton
         # direction comes from the convex majorant
         traj = evolve(load_scenario(str(CONFIGS / "smoke_2d.cfg")).setup)
-        assert len(traj.diagnostics) == 10
-        assert [d.report.majorant_directions for d in traj.diagnostics] == [0] * 10
+        assert len(traj.reports) == 10
+        assert [r.majorant_directions for r in traj.reports] == [0] * 10
 
     def test_energy_evaluations_per_step(self, monkeypatch):
         # 50 near-stationary steps of default_1d: backtracking below the
@@ -249,42 +274,19 @@ class TestEvolve:
         assert counts["eval_A"] == 0
 
     def test_one_element_state_per_step(self, monkeypatch):
-        # outside the solves, each of 50 default_1d steps reads the new
-        # iterate through one element state: one element_means pass in `step`
-        # and one _point pass (element_means, gradient_of, eval_flux) whose
-        # flux all diagnostics share; the initial datum's state is the one
-        # extra
+        # outside the solves, `evolve` reads each solved step's start through
+        # one element_means pass (in `step`) and computes no diagnostic: no
+        # gradient_of or eval_flux pass (the diagnostics made one of each per
+        # step, plus one for the initial datum)
         setup = first_steps("default_1d", 50)
-        counts = {"element_means": 0, "gradient_of": 0, "eval_flux": 0}
-        inside = []
-
-        def counting(name, inner):
-            def wrapper(*args, **kwargs):
-                if not inside:
-                    counts[name] += 1
-                return inner(*args, **kwargs)
-            return wrapper
-
-        solve = evolution.solve
-
-        def solving(*args):
-            inside.append(1)
-            try:
-                return solve(*args)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(evolution, "solve", solving)
-        for name in ("element_means", "gradient_of"):
-            monkeypatch.setattr(Mesh, name, counting(name, getattr(Mesh, name)))
-        for module in (elliptic, evolution, meshing):
-            if getattr(module, "eval_flux", None) is operators.eval_flux:
-                monkeypatch.setattr(module, "eval_flux",
-                                    counting("eval_flux", operators.eval_flux))
-        evolve(setup)
-        assert counts["element_means"] <= 2 * setup.steps + 1
-        assert counts["gradient_of"] <= setup.steps + 1
-        assert counts["eval_flux"] <= setup.steps + 1
+        outside = outside_solve(monkeypatch)
+        counts = {name: count_calls(monkeypatch, Mesh, name, outside)
+                  for name in ("element_means", "gradient_of")}
+        counts["eval_flux"] = count_calls(monkeypatch, operators, "eval_flux", outside)
+        traj = evolve(setup)
+        assert len(counts["element_means"]) == sum(not r.repeated for r in traj.reports)
+        assert counts["gradient_of"] == []
+        assert counts["eval_flux"] == []
 
     def test_diagnostics_match_their_definitions(self):
         # bit for bit: the stationary energy of each step is the energy of
@@ -292,8 +294,10 @@ class TestEvolve:
         # ||v_n^q - v_{n-1}^q|| / dt
         setup = first_steps("default_1d", 50)
         traj = evolve(setup)
+        diagnostics, margin = diagnose(setup, traj)
         assert len(traj.fields) == setup.steps + 1
-        for n, d in enumerate(traj.diagnostics, 1):
+        assert len(diagnostics) == setup.steps
+        for n, d in enumerate(diagnostics, 1):
             v_n, v_prev = traj.fields[n], traj.fields[n - 1]
             h_n = average_potential(setup.potential, n, setup.dt)
             problem = EllipticProblem.stationary(setup.mesh, setup.op, setup.q,
@@ -301,9 +305,10 @@ class TestEvolve:
             assert d.stationary_energy == energy(problem, v_n)
             assert d.increment_norm == l2_norm_diff_power(v_n, v_prev,
                                                           setup.q) / setup.dt
-        # plain Python types, so the flags serialize as JSON
-        assert type(traj.dissipation_ok) is bool
-        assert type(traj.dissipation_margin) is float
+        # plain Python types, so the margin and the flag `evolve` writes
+        # from it serialize as JSON
+        assert type(margin >= 0.0) is bool
+        assert type(margin) is float
 
     def test_step_failure_annotated(self, mesh_1d, data_1d, monkeypatch):
         monkeypatch.setitem(elliptic.DEFAULT_TOL, 1, 0.0)
@@ -331,11 +336,16 @@ class TestRepeatedStep:
 
         for f, g in zip(traj.fields, plain.fields, strict=True):
             assert f.values.tobytes() == g.values.tobytes()
-        for d, e in zip(traj.diagnostics, plain.diagnostics, strict=True):
+        for r, e in zip(traj.reports, plain.reports, strict=True):
+            assert replace(r, repeated=False) == e
+        # a repeated step reuses its predecessor's diagnostics, which are
+        # bitwise those computed afresh
+        diagnostics, margin = diagnose(setup, traj)
+        plain_diagnostics, plain_margin = diagnose(setup, plain)
+        for d, e in zip(diagnostics, plain_diagnostics, strict=True):
             assert d.increment_norm == e.increment_norm
             assert d.stationary_energy == e.stationary_energy
-            assert replace(d.report, repeated=False) == e.report
-        assert traj.dissipation_margin == plain.dissipation_margin
+        assert margin == plain_margin
 
         h = [average_potential(setup.potential, n, setup.dt)
              for n in range(1, setup.steps + 1)]
@@ -345,9 +355,9 @@ class TestRepeatedStep:
                     for n in range(1, setup.steps + 1)]
         repeats = sum(expected)
         assert repeats > 0
-        assert [d.report.repeated for d in traj.diagnostics] == expected
+        assert [r.repeated for r in traj.reports] == expected
         # every step has its own report object
-        assert len({id(d.report) for d in traj.diagnostics}) == setup.steps
+        assert len({id(r) for r in traj.reports}) == setup.steps
         assert len(steps) == setup.steps
         assert len(minimizations) == setup.steps - repeats
 
@@ -355,7 +365,7 @@ class TestRepeatedStep:
         setup = first_steps("decaying_1d", 50)
         minimizations = count_calls(monkeypatch, elliptic, "_minimize")
         traj = evolve(setup)
-        assert not any(d.report.repeated for d in traj.diagnostics)
+        assert not any(r.repeated for r in traj.reports)
         assert len(minimizations) == setup.steps
 
     def test_step_solves_unless_last_matches_bitwise(self, mesh_1d, data_1d,
@@ -389,6 +399,33 @@ class TestRepeatedStep:
         assert replace(report, repeated=False) == r1
 
 
+class TestDiagnose:
+    @pytest.mark.parametrize("config, points", [
+        ("default_1d", 50), ("decaying_1d", 2001), ("smoke_2d", 11)])
+    def test_one_element_state_per_solved_step(self, monkeypatch, config, points):
+        # the initial datum and each solved step's iterate are read through
+        # one element state; a repeated step reuses its predecessor's values
+        setup = load_scenario(str(CONFIGS / f"{config}.cfg")).setup
+        traj = evolve(setup)
+        calls = count_calls(monkeypatch, elliptic, "_point")
+        diagnose(setup, traj)
+        assert len(calls) == points
+        assert points == sum(not r.repeated for r in traj.reports) + 1
+
+    @pytest.mark.parametrize("command, points", [("verify", 0), ("evolve", 50)])
+    def test_only_evolve_command_diagnoses(self, monkeypatch, tmp_path, command,
+                                           points):
+        # outside the solves, an element state is a step diagnostic: `verify`
+        # on default_1d computes none (its four runs computed 554 when
+        # `evolve` diagnosed every run), `evolve` one per solved step plus one
+        scenario = load_scenario(str(CONFIGS / "default_1d.cfg"))
+        every = count_calls(monkeypatch, elliptic, "_point")
+        outside = count_calls(monkeypatch, elliptic, "_point",
+                              outside_solve(monkeypatch))
+        assert cli.run(command, scenario, str(tmp_path / "o")) == 0
+        assert len(outside) == points
+        assert len(every) > points
+
 class TestChangeOfVariables:
     def test_round_trip(self, mesh_1d, data_1d):
         traj = evolve(make_setup(mesh_1d, data_1d, horizon=0.5, steps=5))
@@ -399,7 +436,7 @@ class TestChangeOfVariables:
     def test_zero_trajectory_maps_to_zero(self, mesh_1d):
         z = zero_field(mesh_1d)
         traj = Trajectory(times=np.array([0.0, 1.0]), fields=[z, z],
-                          diagnostics=[], q=Q)
+                          reports=[], q=Q)
         u_traj = change_of_variables_u(traj)
         for u in u_traj.fields:
             np.testing.assert_array_equal(u.values, 0.0)
