@@ -12,8 +12,8 @@ from .elliptic import (EllipticProblem, FailedToFit, InvalidProblem,
                        NonConvergence, SolverReport, make_subsolution,
                        make_supersolution, solve, solve_lambda_problem,
                        solve_stationary)
-from .evolution import (EvolutionSetup, Trajectory, average_potential, diagnose,
-                        evolve, step)
+from .evolution import (EvolutionSetup, Run, Trajectory, average_potential,
+                        diagnose, step)
 from .checks import CheckReport
 from .scenario import ParseError, Scenario, ValidationError, load_scenario
 

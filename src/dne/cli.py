@@ -15,7 +15,7 @@ from . import checks as ck
 from .elliptic import (EllipticProblem, FailedToFit, NonConvergence, bump_seed,
                        make_subsolution, make_supersolution, solve,
                        solve_lambda_problem, solve_stationary)
-from .evolution import diagnose, evolve
+from .evolution import Run, diagnose
 from .io_utils import atomic_write_text, write_field_csv, write_json
 from .meshing import DiscreteField, l2_norm_diff_power
 from .operators import (ExponentField, LerayLionsOperator, PotentialField,
@@ -67,12 +67,13 @@ def run_stationary(scenario: Scenario, out_dir: str, seed: int) -> int:
 
 def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
     setup = scenario.setup
-    traj = evolve(setup)
-    diagnostics, margin = diagnose(setup, traj)
-    # the stride thins only what is written; the last step is always written
+    run = Run(setup)
+    # each field is written as the run reaches it; the stride never drops the last
     stored = sorted({*range(0, setup.steps + 1, scenario.store_stride), setup.steps})
     for n in stored:
-        write_field_csv(traj.fields[n], os.path.join(out_dir, f"field_{n:05d}.csv"))
+        write_field_csv(run.head(n).final, os.path.join(out_dir, f"field_{n:05d}.csv"))
+    traj = run.head()
+    diagnostics, margin = diagnose(setup, traj)
     v_stat = solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,
                               setup.source)
     e_final = l2_norm_diff_power(traj.final, v_stat, setup.q)
@@ -99,11 +100,10 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
                seed: int) -> int:
     """Run the named checks (default suite if none) against one setup.
 
-    The scenario's own datum is evolved once, over the full horizon:
-    `stabilization` reads the whole run, `sandwich` and
-    `contraction-parabolic` its first (at most) 50 steps.
-    That run, the sub/supersolution bracket and the stationary solution are
-    each computed at most once and shared by the checks."""
+    The scenario's own datum is evolved once, only as far as the checks read
+    (`sandwich` and `contraction-parabolic` its first 50 steps at most,
+    `stabilization` all); that run, the sub/supersolution bracket and the
+    stationary solution are each computed at most once and shared by the checks."""
     names = names or DEFAULT_CHECKS
     setup = scenario.setup
     mesh, op, source, potential = setup.mesh, setup.op, setup.source, setup.potential
@@ -111,23 +111,12 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
     r_mid = (1.0 + op.exponent.p_minus) / 2.0
     short_steps = min(setup.steps, 50)
 
+    scenario_run = Run(setup).head
+
     def short_run(initial, pot=potential):
-        """The first (at most) 50 steps, same dt."""
-        return evolve(dataclasses.replace(
-            setup, potential=pot, horizon=setup.dt * short_steps,
-            steps=short_steps, initial=initial))
-
-    @functools.cache
-    def scenario_run():
-        return evolve(setup)
-
-    def head():
-        """The scenario run's first `short_steps` steps."""
-        full = scenario_run()
-        return dataclasses.replace(
-            full, times=full.times[:short_steps + 1],
-            fields=full.fields[:short_steps + 1],
-            reports=full.reports[:short_steps])
+        """The first (at most) 50 steps of another run, same dt."""
+        return Run(dataclasses.replace(setup, potential=pot,
+                                       initial=initial)).head(short_steps)
 
     @functools.cache
     def bracket():
@@ -165,7 +154,8 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
 
     def contraction_parabolic():
         shrunk = setup.initial.with_values(0.7 * setup.initial.values)
-        return [ck.check_contraction_parabolic(head(), short_run(shrunk),
+        return [ck.check_contraction_parabolic(scenario_run(short_steps),
+                                               short_run(shrunk),
                                                potential, potential)]
 
     def monotone():
@@ -184,7 +174,7 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
         "positivity-hopf": lambda: [ck.check_positivity_hopf(stationary())],
         "contraction-elliptic": contraction_elliptic,
         "contraction-parabolic": contraction_parabolic,
-        "sandwich": lambda: [ck.check_sandwich(head(), *bracket())],
+        "sandwich": lambda: [ck.check_sandwich(scenario_run(short_steps), *bracket())],
         "monotone": monotone,
         "stabilization": lambda: [ck.check_stabilization(
             scenario_run(), stationary(), potential)],

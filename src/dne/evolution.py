@@ -6,15 +6,15 @@ iterate satisfies
 
     ((v_n^q - v_{n-1}^q)/dt) v_n^{q-1} - div a(x, grad v_n) = h^n v_n^{q-1} + f(x, v_n).
 
-`evolve` runs the scheme alone; `diagnose` walks a finished run: it sums the
-squared increments and the telescoped modular difference and compares them
-against the potential and source budget, beyond a stated slack.  Each step's
-diagnostics read one element state of its iterate (`elliptic._point`): the
-increment norm and the source ratio read its element means, and the
-stationary energy sums the stationary problem's term integrals, whose
-diffusion term (lam = 1) is the modular.
+`Run` advances the scheme alone, as far as it is read; `diagnose` walks a
+finished run: it sums the squared increments and the telescoped modular
+difference and compares them against the potential and source budget, beyond
+a stated slack.  Each step's diagnostics read one element state of its
+iterate (`elliptic._point`): the increment norm and the source ratio read its
+element means, and the stationary energy sums the stationary problem's term
+integrals, whose diffusion term (lam = 1) is the modular.
 
-A step is a deterministic function of its start, h^n and dt, so `evolve`
+A step is a deterministic function of its start, h^n and dt, so `Run`
 hands each step the previous one's inputs and result: once the scheme has
 reached its discrete steady state under a constant h^n, a step whose inputs
 repeat the previous step's bitwise returns that step's field without a solve.
@@ -43,7 +43,7 @@ class EvolutionSetup:
     """A validated run description; owns `q ∈ (1, p_-)` and, for the operator
     on this mesh, `(A_0)`.  `sandwich_constant` is the smallest c with
     delta/c <= v0 <= c*delta at the interior quadrature points.  It says what
-    to compute, not what to write: `evolve` keeps every step."""
+    to compute, not what to write: its `Run` keeps every step taken."""
 
     mesh: Mesh
     op: LerayLionsOperator
@@ -152,26 +152,35 @@ def step(setup: EvolutionSetup, previous: DiscreteField, h_n: np.ndarray,
     return solve(problem, previous)
 
 
-def evolve(setup: EvolutionSetup) -> Trajectory:
-    """Run the full scheme, keeping every step; step failures carry the step
-    index and leave the partial trajectory on the exception."""
-    dt = setup.dt
-    traj = Trajectory(times=np.linspace(0.0, setup.horizon, setup.steps + 1),
-                      fields=[setup.initial], reports=[], q=setup.q)
-    v, last = setup.initial, None
-    for n in range(1, setup.steps + 1):
-        h_n = average_potential(setup.potential, n, dt)
-        try:
-            v_new, report = step(setup, v, h_n, dt, last)
-        except NonConvergence as exc:
-            exc.args = (f"step {n}: {exc.args[0]}",)
-            exc.trajectory = traj
-            raise
-        traj.fields.append(v_new)
-        traj.reports.append(report)
-        last = (v, h_n, dt, v_new, report)
-        v = v_new
-    return traj
+class Run:
+    """One run of `setup`, advanced only as far as it is read: `head(n)` takes
+    the steps up to n not yet taken, each once, and returns the first n (all by
+    default).  A failed step's error names it; the steps before stay in `taken`."""
+
+    def __init__(self, setup: EvolutionSetup):
+        self.setup = setup
+        self.times = np.linspace(0.0, setup.horizon, setup.steps + 1)
+        self.fields, self.reports, self._last = [setup.initial], [], None
+
+    taken = property(lambda self: self.head(len(self.reports)))
+
+    def head(self, n: Optional[int] = None) -> Trajectory:
+        setup, dt = self.setup, self.setup.dt
+        n = setup.steps if n is None else n
+        if not 0 <= n <= setup.steps:
+            raise ValueError(f"the run has steps 0..{setup.steps}, not {n}")
+        for k in range(len(self.reports) + 1, n + 1):
+            v, h_k = self.fields[-1], average_potential(setup.potential, k, dt)
+            try:
+                v_new, report = step(setup, v, h_k, dt, self._last)
+            except NonConvergence as exc:
+                exc.args = (f"step {k}: {exc.args[0]}",)
+                raise
+            self.fields.append(v_new)
+            self.reports.append(report)
+            self._last = (v, h_k, dt, v_new, report)
+        return Trajectory(self.times[:n + 1], self.fields[:n + 1],
+                          self.reports[:n], setup.q)
 
 
 def diagnose(setup: EvolutionSetup,

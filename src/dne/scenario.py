@@ -202,6 +202,7 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
     pts = mesh.barycenters
     kind = sec.get("kind", "constant")
     eta = float(sec.get("eta", "0.5"))
+    knots = []  # a tabulated h takes its extremes at its knots; h(inf) is its limit
     if kind == "tabulated":
         times = np.asarray(_floats(sec["times"]))
         if times.size < 2 or not (np.all(np.isfinite(times))
@@ -219,7 +220,7 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
             return (1.0 - w) * profiles[i] + w * profiles[i + 1]
 
         sup = float(np.abs(profiles).max())
-        limit = profiles[-1]
+        limit, knots = profiles[-1], times.tolist()
     elif kind in ("constant", "decaying"):
         profile = Primitive.parse(sec.get("profile", "bump 1.0"))(pts, mesh)
         limit = profile
@@ -239,7 +240,7 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
     else:
         envelope = limit
     pot = PotentialField(evaluator, envelope, sup, limit=limit)
-    pot.check_envelope(np.linspace(0.0, max(horizon, 1e-9), 7))
+    pot.check_envelope([*np.linspace(0.0, max(horizon, 1e-9), 7), *knots, np.inf])
     return pot
 
 

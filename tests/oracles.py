@@ -3,10 +3,10 @@
 The operator oracles sample both sides of the prototype operator's pointwise
 inequalities (strong monotonicity, the Picone pair sum, the Clarkson-type
 convexity defect, the ellipticity floor and the growth sandwich); the energy
-helpers evaluate J and its nodal gradient at a field; the u = v^q change of
-variables and the contraction ratio of a refinement study feed the
-acceptance tests.  They read the library's private element state the same way
-the solver does.
+helpers evaluate J and its nodal gradient at a field; `evolve` takes every
+step of a run; the u = v^q change of variables and the contraction ratio of a
+refinement study feed the acceptance tests.  They read the library's private
+element state the same way the solver does.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from dne.checks import _solve_pair
 from dne.elliptic import EllipticProblem, _energy_parts, _gradient_values, _point
-from dne.evolution import Trajectory
+from dne.evolution import EvolutionSetup, Run, Trajectory
 from dne.meshing import DiscreteField, Mesh, l2_norm_diff_power, l2_norm_values
 from dne.operators import (LerayLionsOperator, _blocks, _maybe_scalar, eval_A,
                            eval_flux, seeded_rng)
@@ -144,6 +144,11 @@ def energy_gradient(problem: EllipticProblem, v: DiscreteField) -> DiscreteField
 
 def zero_field(mesh: Mesh) -> DiscreteField:
     return DiscreteField(mesh, np.zeros(mesh.n_vertices))
+
+
+def evolve(setup: EvolutionSetup) -> Trajectory:
+    """Every step of a run of `setup`."""
+    return Run(setup).head()
 
 
 def change_of_variables_u(traj: Trajectory) -> Trajectory:

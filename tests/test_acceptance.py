@@ -16,7 +16,7 @@ from dne.checks import (check_alg_inequality, check_monotone_run, check_picone,
 from dne.cli import main
 from dne.elliptic import (EllipticProblem, make_subsolution, make_supersolution,
                           solve_lambda_problem, solve_stationary)
-from dne.evolution import EvolutionSetup, evolve, time_integral_norm
+from dne.evolution import EvolutionSetup, time_integral_norm
 from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
                          interval_mesh, l2_norm_diff_power, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
@@ -24,8 +24,8 @@ from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            seeded_rng)
 
 from oracles import (calibrate_gamma0, contraction_ratio, ellipticity_floor,
-                     energy, energy_gradient, growth_envelope, monotonicity_gap,
-                     picone_pair_sum)
+                     energy, energy_gradient, evolve, growth_envelope,
+                     monotonicity_gap, picone_pair_sum)
 
 SEED = 20240801
 

@@ -11,13 +11,13 @@ from dne.checks import (check_alg_inequality, check_contraction_elliptic,
                         check_stabilization, picone_pair_integral)
 from dne.elliptic import (make_subsolution, make_supersolution,
                           solve_lambda_problem, solve_stationary)
-from dne.evolution import EvolutionSetup, evolve
+from dne.evolution import EvolutionSetup
 from dne.meshing import (DiscreteField, interpolate, interval_mesh,
                          l2_norm_diff_power, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            seeded_rng)
 
-from oracles import contraction_ratio, zero_field
+from oracles import contraction_ratio, evolve, zero_field
 
 Q = 1.25
 

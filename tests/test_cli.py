@@ -269,11 +269,26 @@ class TestCommands:
          "profile.2 = bump 1.0", ParseError),
         ("extents = 0 1", "extents = 0 inf", ParseError),
         ("profile = bump 1.0", "profile = constant inf", ParseError),
+        # (H_h) fails only off the evenly sampled times: at a knot, or in the
+        # large-time limit
+        ("kind = constant\nprofile = bump 1.0",
+         "kind = tabulated\ntimes = 0 0.25 0.26 0.27 1\n"
+         "profile.1 = constant 1.0\nprofile.2 = constant 1.0\n"
+         "profile.3 = constant -10\nprofile.4 = constant 1.0\n"
+         "profile.5 = constant 1.0\nlower_envelope = constant 0.5", ValidationError),
+        ("kind = constant\nprofile = bump 1.0",
+         "kind = tabulated\ntimes = 0 1 100\nprofile.1 = constant 1.0\n"
+         "profile.2 = constant 1.0\nprofile.3 = constant 0\n"
+         "lower_envelope = constant 0.5", ValidationError),
+        ("kind = constant\nprofile = bump 1.0",
+         "kind = decaying\nprofile = constant 0.4\nlower_envelope = constant 0.5",
+         ValidationError),
     ], ids=["q", "steps", "horizon", "resolution", "extents", "initial",
             "stride-0", "stride-negative", "lambda", "sweep-lambdas",
             "horizon-inf", "horizon-nan", "lambda-inf", "gamma-inf", "beta-nan",
             "seed-negative", "sweep-p-inf", "tabulated-times-nan", "extents-inf",
-            "potential-inf"])
+            "potential-inf", "tabulated-dip-between-samples",
+            "tabulated-limit-past-horizon", "decaying-limit-below-envelope"])
     def test_invalid_config_exit_code(self, tmp_path, capsys, old, new, error):
         # a violated hypothesis or a malformed value is a configuration error
         # (exit 2), not a failed check (exit 1) or a traceback
@@ -283,7 +298,8 @@ class TestCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-        # q = 3.0 breaks a hypothesis; every other case is a malformed value
+        # q = 3.0 and the last three potentials break a hypothesis; every
+        # other case is a malformed value
         with pytest.raises(error):
             load_scenario(str(bad))
 
@@ -366,13 +382,13 @@ class TestVerifyPipeline:
                 return inner(*args, **kwargs)
             return wrapper
 
-        for name in ("evolve", "make_subsolution", "make_supersolution",
+        for name in ("Run", "make_subsolution", "make_supersolution",
                      "solve_stationary"):
             monkeypatch.setattr(cli, name, counting(name))
         main(["verify", "--config", config_path, "--out", str(tmp_path / "o")])
         # the scenario's own run (shared by sandwich, contraction-parabolic
         # and stabilization), the shrunk start and the two bracket runs
-        assert calls == {"evolve": 4, "make_subsolution": 1,
+        assert calls == {"Run": 4, "make_subsolution": 1,
                          "make_supersolution": 1, "solve_stationary": 1}
 
     def test_suite_entries_match_single_checks(self, config_path, tmp_path):

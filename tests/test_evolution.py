@@ -8,15 +8,15 @@ import pytest
 from dne import cli, elliptic, evolution, meshing, operators
 from dne.elliptic import (EllipticProblem, NonConvergence, make_subsolution,
                           make_supersolution, solve_stationary)
-from dne.evolution import (EvolutionSetup, Trajectory, average_potential,
-                           diagnose, evolve, step, time_integral_norm)
+from dne.evolution import (EvolutionSetup, Run, Trajectory, average_potential,
+                           diagnose, step, time_integral_norm)
 from dne.meshing import (DiscreteField, Mesh, boundary_distance_field,
                          interpolate, l2_norm_diff_power, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            SourceTerm, ValidationError)
 from dne.scenario import load_scenario
 
-from oracles import change_of_variables_u, energy, zero_field
+from oracles import change_of_variables_u, energy, evolve, zero_field
 
 Q = 1.25
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -68,6 +68,19 @@ def outside_solve(monkeypatch):
 
     rebind(monkeypatch, elliptic, "solve", solving)
     return lambda: not inside
+
+
+def fail_on_call(monkeypatch, n):
+    """Make the n-th `elliptic.solve` call from here on raise NonConvergence."""
+    solve, calls = elliptic.solve, []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == n:
+            raise NonConvergence("injected failure")
+        return solve(*args, **kwargs)
+
+    rebind(monkeypatch, elliptic, "solve", failing)
 
 
 def make_setup(mesh, data, horizon, steps, scale=0.5):
@@ -316,7 +329,76 @@ class TestEvolve:
         with pytest.raises(NonConvergence) as err:
             evolve(setup)
         assert "step 1" in str(err.value)
-        assert err.value.trajectory.times.size == 5
+
+
+class TestRun:
+    def test_head_takes_each_step_once(self, mesh_1d, data_1d, monkeypatch):
+        # a head reads the steps already taken and takes only the missing
+        # ones; the whole run equals a run taken in one go
+        setup = make_setup(mesh_1d, data_1d, horizon=1.0, steps=6)
+        full = evolve(setup)
+        steps = count_calls(monkeypatch, evolution, "step")
+        run = Run(setup)
+        first = run.head(3)
+        assert len(steps) == 3
+        shorter = run.head(2)
+        assert len(steps) == 3
+        traj = run.head()
+        assert len(steps) == 6
+        assert all(f is g for f, g in zip(shorter.fields, first.fields[:3], strict=True))
+        assert all(f is g for f, g in zip(first.fields, traj.fields[:4], strict=True))
+        assert run.head(0).fields[0] is setup.initial
+        np.testing.assert_array_equal(traj.times, full.times)
+        np.testing.assert_array_equal(first.times, full.times[:4])
+        for f, g in zip(traj.fields, full.fields, strict=True):
+            assert f.values.tobytes() == g.values.tobytes()
+        assert traj.reports == full.reports
+        for outside in (-1, 7):
+            with pytest.raises(ValueError, match="steps 0..6"):
+                run.head(outside)
+
+    def test_failure_keeps_the_steps_taken(self, mesh_1d, data_1d, monkeypatch):
+        setup = make_setup(mesh_1d, data_1d, horizon=1.0, steps=6)
+        run = Run(setup)
+        fail_on_call(monkeypatch, 3)
+        with pytest.raises(NonConvergence, match="^step 3: "):
+            run.head()
+        taken = run.taken
+        assert len(taken.fields) == 3 and len(taken.reports) == 2
+        np.testing.assert_array_equal(taken.times, [0.0, setup.dt, 2 * setup.dt])
+
+    def test_failed_evolve_leaves_the_fields_before(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # each stored field is written as the run reaches it, so a failure
+        # at step 3 leaves the start and steps 1 and 2 on disk, and no manifest
+        fail_on_call(monkeypatch, 3)
+        out = tmp_path / "o"
+        assert cli.main(["evolve", "--config", str(CONFIGS / "default_1d.cfg"),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("solver failure: step 3")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "field_00000.csv", "field_00001.csv", "field_00002.csv"]
+
+    @pytest.mark.parametrize("config, command, check, calls", [
+        ("decaying_1d", "verify", "sandwich", 50),
+        ("decaying_1d", "verify", "contraction-parabolic", 100),
+        ("decaying_1d", "verify", "monotone", 100),
+        ("decaying_1d", "verify", "stabilization", 2000),
+        ("default_1d", "verify", None, 550),
+        ("default_1d", "evolve", None, 400),
+    ])
+    def test_steps_taken_per_command(self, monkeypatch, tmp_path, config, command,
+                                     check, calls):
+        # a harness times each step by rebinding `evolution.step` wherever
+        # `dne` binds it: a lone check takes only the steps it reads, the
+        # default suite 400 + 3 x 50 steps and `evolve` every step
+        scenario = load_scenario(str(CONFIGS / f"{config}.cfg"))
+        steps = count_calls(monkeypatch, evolution, "step")
+        assert cli.run(command, scenario, str(tmp_path / "o"),
+                       checks=[check] if check else None) == 0
+        assert len(steps) == calls
+        if command == "evolve":
+            assert calls == scenario.setup.steps
 
 
 class TestRepeatedStep:
