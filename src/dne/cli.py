@@ -16,7 +16,7 @@ from .elliptic import (EllipticProblem, FailedToFit, NonConvergence, bump_seed,
                        make_subsolution, make_supersolution, solve,
                        solve_lambda_problem, solve_stationary)
 from .evolution import Run, diagnose
-from .io_utils import atomic_write_text, write_field_csv, write_json
+from .io_utils import atomic_write_text, field_to_csv, write_field_csv, write_json
 from .meshing import DiscreteField, l2_norm_diff_power
 from .operators import (ExponentField, LerayLionsOperator, PotentialField,
                         classify_regime, seeded_rng)
@@ -68,10 +68,16 @@ def run_stationary(scenario: Scenario, out_dir: str, seed: int) -> int:
 def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
     setup = scenario.setup
     run = Run(setup)
-    # each field is written as the run reaches it; the stride never drops the last
+    # each field is written as the run reaches it; the stride never drops the last.
+    # A repeated step returns the same field object, so a field that is the one
+    # written last reuses its text
     stored = sorted({*range(0, setup.steps + 1, scenario.store_stride), setup.steps})
+    written = text = None
     for n in stored:
-        write_field_csv(run.head(n).final, os.path.join(out_dir, f"field_{n:05d}.csv"))
+        field_ = run.head(n).final
+        if field_ is not written:
+            written, text = field_, field_to_csv(field_)
+        atomic_write_text(os.path.join(out_dir, f"field_{n:05d}.csv"), text)
     traj = run.head()
     diagnostics, margin = diagnose(setup, traj)
     v_stat = solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,

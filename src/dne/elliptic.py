@@ -131,6 +131,8 @@ class EllipticProblem:
 
 def _power(vbp: np.ndarray, s: float) -> np.ndarray:
     """vbp^s where vbp > 0 and exactly 0 elsewhere, for any exponent s."""
+    if vbp.min() > 0.0:
+        return vbp ** s
     pos = vbp > 0.0
     return np.where(pos, np.where(pos, vbp, 1.0) ** s, 0.0)
 
@@ -141,7 +143,7 @@ def _point(mesh: Mesh, op: LerayLionsOperator, vals: np.ndarray) -> tuple:
     gradient and its Hessian read, so each point visited takes one pass over
     the mesh and one operator pass."""
     gv = mesh.gradient_of(vals)
-    return mesh.element_means(vals), gv, eval_flux(op, np.arange(mesh.n_elements), gv)
+    return mesh.element_means(vals), gv, eval_flux(op, slice(None), gv)
 
 
 def _energy_terms(problem: EllipticProblem, point) -> list[float]:
@@ -152,12 +154,13 @@ def _energy_terms(problem: EllipticProblem, point) -> list[float]:
     vb, gv, flux = point
     vbp = np.maximum(vb, 0.0)
     dens = np.einsum("ed,ed->e", flux, gv)
-    diffusion = problem.lam * np.sum(mesh.measures * dens / problem.op.exponent.values)
+    # the `sum` method: np.sum's summation order without its dispatch
+    diffusion = problem.lam * (mesh.measures * dens / problem.op.exponent.values).sum()
     terms = [float(diffusion)]
     for c, r in problem.terms:
-        terms.append(float(np.sum(mesh.measures * c * vbp ** r) / r))
+        terms.append(float((mesh.measures * c * vbp ** r).sum() / r))
     if problem.load is not None:
-        terms.append(-float(np.sum(mesh.measures * problem.load * vb)))
+        terms.append(-float((mesh.measures * problem.load * vb).sum()))
     return terms
 
 
@@ -181,8 +184,8 @@ def _gradient_values(problem: EllipticProblem, point) -> np.ndarray:
     contrib = (mesh.measures * dens)[:, None] / nloc
     contrib = contrib + problem.lam * mesh.measures[:, None] * np.einsum(
         "ed,eld->el", flux, mesh.grads)
-    grad = np.zeros(mesh.n_vertices)
-    np.add.at(grad, mesh.elements.ravel(), contrib.ravel())
+    grad = np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.n_vertices)
     grad[mesh.boundary_mask] = 0.0
     return grad
 
@@ -198,7 +201,7 @@ def _hessian_matrix(problem: EllipticProblem, point,
     nloc = mesh.elements.shape[1]
     vb, gv, _ = point
     scale = float(np.sqrt(np.einsum("ed,ed->e", gv, gv).max()))
-    jac = flux_jacobian_batch(problem.op, np.arange(mesh.n_elements), gv,
+    jac = flux_jacobian_batch(problem.op, slice(None), gv,
                               eps=HESSIAN_EPS * (scale if scale > 0.0 else 1.0))
     elem = (mesh.grads @ jac) @ mesh.grads.transpose(0, 2, 1)
     elem *= (problem.lam * mesh.measures)[:, None, None]
@@ -223,7 +226,7 @@ def _project(mesh: Mesh, vals: np.ndarray) -> np.ndarray:
 
 def _kkt_norm(mesh: Mesh, vals: np.ndarray, grad: np.ndarray) -> float:
     r = np.where(vals > 0.0, np.abs(grad), np.maximum(-grad, 0.0))
-    return float(np.max(r[mesh.interior], initial=0.0))
+    return float(r[mesh.interior].max(initial=0.0))
 
 
 def _newton_direction(problem, point, grad, include_concave):
@@ -239,7 +242,7 @@ def _newton_direction(problem, point, grad, include_concave):
         di = solveh_banded(band, -gi, overwrite_ab=True, check_finite=False)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(di)) or float(gi @ di) >= 0.0:
+    if not np.isfinite(di).all() or float(gi @ di) >= 0.0:
         return None
     d = np.zeros_like(grad)
     d[ii] = di
@@ -297,7 +300,7 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
                 for _ in range(MAX_BACKTRACKS):
                     trial = _project(mesh, vals + t * d)
                     step = trial - vals
-                    if not np.any(step):
+                    if not step.any():
                         break
                     trial_point = _point(mesh, op, trial)
                     e_trial, s_trial = _energy_parts(problem, trial_point)
@@ -312,7 +315,7 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
             # Roundoff floor of the energy: accept the full step when it still
             # reduces the first-order residual without raising the energy
             # beyond machine slack.
-            if np.any(full - vals):
+            if (full - vals).any():
                 full_point = _point(mesh, op, full)
                 e_trial, s_trial = _energy_parts(problem, full_point)
                 if e_trial <= e_now + ROUNDOFF * (1.0 + abs(e_now)):

@@ -9,8 +9,9 @@ the oracles for the operator's other pointwise inequalities (monotonicity,
 convexity defect, ellipticity floor, growth) are test code, in
 `tests/oracles.py`.
 
-All evaluation functions broadcast: the point index `k` may be a scalar or an
-integer array, `xi` an array of shape (..., N).
+All evaluation functions broadcast: the point index `k` may be a scalar, an
+integer array or a slice (the solver passes `slice(None)`, every point, which
+reads views instead of gathers), `xi` an array of shape (..., N).
 """
 
 from __future__ import annotations
@@ -42,11 +43,14 @@ def seeded_rng(seed: int, label: str) -> np.random.Generator:
 @dataclass(frozen=True)
 class ExponentField:
     """Variable exponent p sampled on a fixed point set; owns `1 < p_-` and
-    derives the extrema p_- and p_+."""
+    derives the extrema p_- and p_+, and for `_blocks` the power (p - 2)/2 of
+    a block norm in the flux and the mask p >= 2."""
 
     values: np.ndarray
     p_minus: float = field(init=False)
     p_plus: float = field(init=False)
+    flux_power: np.ndarray = field(init=False, repr=False, compare=False)
+    at_least_two: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -57,6 +61,8 @@ class ExponentField:
             raise ValidationError("1 < p_-", "exponent field requires 1 < p everywhere")
         object.__setattr__(self, "p_minus", float(v.min()))
         object.__setattr__(self, "p_plus", float(v.max()))
+        object.__setattr__(self, "flux_power", (v - 2.0) / 2.0)
+        object.__setattr__(self, "at_least_two", v >= 2.0)
 
     @classmethod
     def constant(cls, n_points: int, p: float) -> "ExponentField":
@@ -78,6 +84,8 @@ class LerayLionsOperator:
 
     `partition` holds 0-based axis index arrays; `weights` takes one scalar or
     per-point array per block and is stored with shape (n_blocks, n_points).
+    `axes` indexes the same blocks, each a slice when its axes are a
+    contiguous ascending run (a view of xi, not a gather).
     """
 
     exponent: ExponentField
@@ -85,6 +93,7 @@ class LerayLionsOperator:
     weights: np.ndarray
     weight_floor: float = field(init=False)
     weight_ceiling: float = field(init=False)
+    axes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(np.asarray(b, dtype=int) for b in self.partition)
@@ -93,6 +102,10 @@ class LerayLionsOperator:
         if flat.size == 0 or sorted(flat.tolist()) != list(range(flat.size)):
             raise ValidationError("(A_0)", "partition must cover every mesh axis "
                                   "exactly once")
+        object.__setattr__(self, "axes", tuple(
+            slice(int(b[0]), int(b[-1]) + 1)
+            if b.size and np.array_equal(b, np.arange(b[0], b[-1] + 1)) else b
+            for b in blocks))
         if len(self.weights) != len(blocks):
             raise ValueError("weights must hold one entry per partition block")
         w = np.vstack([np.broadcast_to(np.asarray(wj, dtype=float),
@@ -133,15 +146,15 @@ def _check_dim(op: LerayLionsOperator, xi: np.ndarray) -> None:
 
 
 def _blocks(op: LerayLionsOperator, k, xi: np.ndarray, eps: float = 0.0):
-    """Per block j: its axes, rho_j = |xi_Bj|^2 + eps^2 and the coefficient
-    c_j = g_j rho_j^((p-2)/2) of the flux a = c_j xi on the block.  The one
-    guard: c_j = 0 where rho_j = 0 and p < 2 (inf to a negative power is 0);
-    for p >= 2 the power's limit is g_j at p = 2 and 0 above."""
-    p = op.exponent.values[k]
-    for j, block in enumerate(op.partition):
-        rho = np.sum(xi[..., block] ** 2, axis=-1) + eps ** 2
-        base = np.where((rho > 0.0) | (p >= 2.0), rho, np.inf)
-        yield block, rho, op.weights[j][k] * base ** ((p - 2.0) / 2.0)
+    """Per block j: its axes (`op.axes`), rho_j = |xi_Bj|^2 + eps^2 and the
+    coefficient c_j = g_j rho_j^((p-2)/2) of the flux a = c_j xi on the block.
+    The one guard: c_j = 0 where rho_j = 0 and p < 2 (inf to a negative power
+    is 0); for p >= 2 the power's limit is g_j at p = 2 and 0 above."""
+    power, at_least_two = op.exponent.flux_power[k], op.exponent.at_least_two[k]
+    for j, axes in enumerate(op.axes):
+        rho = (xi[..., axes] ** 2).sum(axis=-1) + eps ** 2
+        base = np.where((rho > 0.0) | at_least_two, rho, np.inf)
+        yield axes, rho, op.weights[j][k] * base ** power
 
 
 def eval_A(op: LerayLionsOperator, k, xi):
@@ -155,11 +168,13 @@ def eval_flux(op: LerayLionsOperator, k, xi):
     g_j * rho_j^((p-2)/2) * xi_i, extended by 0 where the block vanishes."""
     xi = np.asarray(xi, dtype=float)
     _check_dim(op, xi)
-    shape = np.broadcast_shapes(np.shape(op.exponent.values[k]), xi.shape[:-1])
-    xi = np.broadcast_to(xi, shape + xi.shape[-1:])
+    k_shape = np.shape(op.exponent.values[k])
+    if k_shape != xi.shape[:-1]:
+        shape = np.broadcast_shapes(k_shape, xi.shape[:-1])
+        xi = np.broadcast_to(xi, shape + xi.shape[-1:])
     out = np.empty(xi.shape)
-    for block, _, c in _blocks(op, k, xi):
-        out[..., block] = c[..., None] * xi[..., block]
+    for axes, _, c in _blocks(op, k, xi):
+        out[..., axes] = c[..., None] * xi[..., axes]
     return out
 
 
@@ -176,12 +191,14 @@ def flux_jacobian_batch(op: LerayLionsOperator, k, xi: np.ndarray,
     p = op.exponent.values[k]
     m, n = xi.shape
     jac = np.zeros((m, n, n))
-    for block, rho, c in _blocks(op, k, xi, eps):
-        xb = xi[:, block]
+    for axes, rho, c in _blocks(op, k, xi, eps):
+        xb = xi[:, axes]
         c2 = (p - 2.0) * np.divide(c, rho, out=np.zeros(m), where=rho > 0.0)
-        sub = (c[:, None, None] * np.eye(block.size)
-               + c2[:, None, None] * (xb[:, :, None] * xb[:, None, :]))
-        jac[np.ix_(np.arange(m), block, block)] = sub
+        sub = c2[:, None, None] * (xb[:, :, None] * xb[:, None, :])
+        size = xb.shape[1]
+        sub.reshape(m, size * size)[:, ::size + 1] += c[:, None]  # + c_j I
+        # the (axes, axes) square: basic slicing, or an outer fancy index
+        jac[:, axes if isinstance(axes, slice) else axes[:, None], axes] = sub
     return jac
 
 

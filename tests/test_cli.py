@@ -10,7 +10,7 @@ import pytest
 
 from dne import checks, cli, elliptic
 from dne.cli import DEFAULT_CHECKS, main
-from dne.io_utils import field_from_csv, write_field_csv
+from dne.io_utils import field_from_csv, field_to_csv, write_field_csv
 from dne.meshing import interpolate, interval_mesh, rectangle_mesh
 from dne.scenario import ParseError, ValidationError, load_scenario
 
@@ -174,6 +174,37 @@ class TestCommands:
             f"field_{n:05d}.csv" for n in (0, 4, 8, 10)]
         assert [d["index"] for d in manifest["diagnostics"]] == list(range(1, 11))
         assert [d["time"] for d in manifest["diagnostics"]] == manifest["times"][1:]
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_evolve_renders_each_distinct_field_once(self, config_path, tmp_path,
+                                                      monkeypatch, stride):
+        # past the discrete steady state every step returns the same field
+        # object, whose text is rendered once and written to each of its files
+        cfg = tmp_path / "steady.cfg"
+        cfg.write_text(open(config_path).read().replace("horizon = 0.5", "horizon = 20.0")
+                       .replace("steps = 5", f"steps = 40\nstore_stride = {stride}"))
+        runs, rendered = [], []
+
+        class RecordedRun(cli.Run):
+            def __init__(self, setup):
+                super().__init__(setup)
+                runs.append(self)
+
+        def render(field_):
+            rendered.append(field_)
+            return field_to_csv(field_)
+
+        monkeypatch.setattr(cli, "Run", RecordedRun)
+        monkeypatch.setattr(cli, "field_to_csv", render)
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        stored = json.load(open(out / "manifest.json"))["stored_indices"]
+        fields = [runs[0].head().fields[n] for n in stored]
+        distinct = {id(f) for f in fields}
+        assert len(distinct) < len(stored)  # the run reached its steady state
+        assert len(rendered) == len({id(f) for f in rendered}) == len(distinct)
+        for n, field_ in zip(stored, fields):
+            assert (out / f"field_{n:05d}.csv").read_text() == field_to_csv(field_)
 
     def test_verify_subset(self, config_path, tmp_path):
         out = tmp_path / "o4"

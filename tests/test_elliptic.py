@@ -80,6 +80,20 @@ def lambda_closed_form(x, p, lam):
                                                        - np.abs(x - 0.5) ** exp)
 
 
+class TestPower:
+    def test_zero_with_negative_exponent_is_exact_zero_without_warning(self):
+        # tier-1 turns a RuntimeWarning (here 0 ** -0.75) into an error
+        vbp = np.array([0.0, 0.5, 0.0, 2.0])
+        out = elliptic._power(vbp, -0.75)
+        np.testing.assert_array_equal(out, [0.0, 0.5 ** -0.75, 0.0, 2.0 ** -0.75])
+        assert not np.signbit(out).any()
+
+    @pytest.mark.parametrize("s", [-0.75, 0.25, 1.5])
+    def test_positive_input_is_the_plain_power(self, s):
+        vbp = seeded_rng(3, "power").uniform(1e-12, 3.0, 64)
+        np.testing.assert_array_equal(elliptic._power(vbp, s), vbp ** s)
+
+
 class TestEnergy:
     def test_zero_field_zero_energy(self, mesh_1d, data_1d):
         op, src, pot = data_1d

@@ -158,6 +158,74 @@ class TestFluxJacobian:
             assert lam_min >= floor * (1.0 - 1e-10) - 1e-14
 
 
+class TestIndexForms:
+    """The solver passes k = slice(None) (views), the checks integer arrays or
+    scalars; every form must give the same bits."""
+
+    def cases(self):
+        rng = seeded_rng(11, "index-forms")
+        two_blocks = random_op(rng, n_points=16)
+        xi = rng.standard_normal((16, 3))
+        singular = LerayLionsOperator(
+            ExponentField(rng.uniform(1.2, 1.9, 16)),
+            (np.array([0]), np.array([1, 2])), [rng.uniform(0.5, 2.0, 16), 1.5])
+        vanishing = xi.copy()
+        vanishing[::3, 1:] = 0.0  # the p < 2 block vanishes at every third point
+        return [(two_blocks, xi), (singular, vanishing)]
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_jacobian_slice_array_and_scalar_agree(self, eps):
+        for op, xi in self.cases():
+            n = op.n_points
+            by_slice = flux_jacobian_batch(op, slice(None), xi, eps=eps)
+            np.testing.assert_array_equal(
+                by_slice, flux_jacobian_batch(op, np.arange(n), xi, eps=eps))
+            for k in range(n):
+                np.testing.assert_array_equal(
+                    by_slice[k], flux_jacobian_batch(op, k, xi[k:k + 1], eps=eps)[0])
+
+    def test_flux_slice_array_and_scalar_agree(self):
+        for op, xi in self.cases():
+            n = op.n_points
+            by_slice = eval_flux(op, slice(None), xi)
+            np.testing.assert_array_equal(by_slice, eval_flux(op, np.arange(n), xi))
+            for k in range(n):
+                np.testing.assert_array_equal(by_slice[k], eval_flux(op, k, xi[k]))
+
+    def test_broadcast_xi(self):
+        # one gradient at every point, and the checks' (samples, points) grid
+        for op, xi in self.cases():
+            n, one = op.n_points, xi[0]
+            by_slice = eval_flux(op, slice(None), one)
+            assert by_slice.shape == (n, 3)
+            np.testing.assert_array_equal(by_slice, eval_flux(op, np.arange(n), one))
+            for k in range(n):
+                np.testing.assert_array_equal(by_slice[k], eval_flux(op, k, one))
+            grid = eval_flux(op, np.arange(n), xi[:5, None, :])
+            assert grid.shape == (5, n, 3)
+            for s in range(5):
+                np.testing.assert_array_equal(grid[s], eval_flux(op, slice(None),
+                                                                 np.tile(xi[s], (n, 1))))
+
+    def test_scattered_block_matches_its_permuted_contiguous_twin(self):
+        # a block on axes {0, 2} is indexed by its array, not a slice
+        rng = seeded_rng(12, "scattered-block")
+        exponent = ExponentField(rng.uniform(1.3, 3.5, 8))
+        w = [rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8)]
+        scattered = LerayLionsOperator(exponent, (np.array([0, 2]), np.array([1])), w)
+        contiguous = LerayLionsOperator(exponent, (np.array([0, 1]), np.array([2])), w)
+        assert not isinstance(scattered.axes[0], slice)
+        assert contiguous.axes == (slice(0, 2), slice(2, 3))
+        xi = rng.standard_normal((8, 3))
+        swap = [0, 2, 1]
+        np.testing.assert_array_equal(eval_flux(scattered, slice(None), xi),
+                                      eval_flux(contiguous, slice(None), xi[:, swap])[:, swap])
+        np.testing.assert_array_equal(
+            flux_jacobian_batch(scattered, slice(None), xi, eps=1e-3),
+            flux_jacobian_batch(contiguous, slice(None), xi[:, swap],
+                                eps=1e-3)[:, swap][:, :, swap])
+
+
 class TestMonotonicityGap:
     def test_linear_flux_exact(self):
         lhs, rhs = monotonicity_gap(const_op(2.0), 0, [1.0, 0.0], [0.0, 1.0],
