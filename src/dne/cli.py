@@ -95,7 +95,9 @@ def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
             "index": n, "time": traj.times[n],
             "increment_norm": d.increment_norm,
             "stationary_energy": d.stationary_energy,
-            "solver": dataclasses.asdict(report),
+            # the report's own field dict: its values are numbers, so the
+            # deep copy of `dataclasses.asdict` would write the same JSON
+            "solver": vars(report),
         } for n, (d, report) in enumerate(zip(diagnostics, traj.reports), 1)],
     })
     write_json(manifest, os.path.join(out_dir, "manifest.json"))

@@ -88,18 +88,20 @@ def _forcing_terms(mesh, op, q, h0, lam, source) -> tuple:
         raise InvalidProblem(f"source was checked for q = {source.q}, "
                              f"the problem has q = {q}")
     h0 = np.asarray(h0, dtype=float)
-    if h0.shape != (mesh.n_elements,) or h0.min() < 0.0:
+    if h0.shape[-1:] != (mesh.n_elements,) or h0.min() < 0.0:
         raise InvalidProblem("h0 must be a nonnegative per-element field")
     if source is None:
         return ((-h0, q),)
-    return ((-h0, q), (-lam * source.g * source.delta ** source.gamma,
-                       source.beta + 1.0))
+    return ((-h0, q), (-lam * source.g * source.delta_power, source.beta + 1.0))
 
 
 @dataclass(frozen=True)
 class EllipticProblem:
     """One elliptic solve: diffusion weight lam, power terms (c, r) with
-    per-element coefficients c, and an optional per-element linear load."""
+    per-element coefficients c, and an optional per-element linear load.
+    A coefficient of shape (S, n_elements) holds one row per iterate of a
+    point with that leading axis (`evolution.diagnose`); `solve` takes
+    per-element fields."""
 
     mesh: Mesh
     op: LerayLionsOperator
@@ -113,7 +115,7 @@ class EllipticProblem:
         if not (self.lam > 0.0):
             raise InvalidProblem("lambda must be positive")
         terms = tuple((np.asarray(c, dtype=float), float(r)) for c, r in self.terms)
-        if any(c.shape != (self.mesh.n_elements,) for c, _ in terms):
+        if any(c.shape[-1:] != (self.mesh.n_elements,) for c, _ in terms):
             raise InvalidProblem("term coefficients must be per-element fields")
         object.__setattr__(self, "terms", terms)
         if self.load is not None:
@@ -141,33 +143,37 @@ def _point(mesh: Mesh, op: LerayLionsOperator, vals: np.ndarray) -> tuple:
     """Element state of one iterate, (element means, element gradients, flux
     a(x, grad v)): the only views of the nodal values that the energy, its
     gradient and its Hessian read, so each point visited takes one pass over
-    the mesh and one operator pass."""
+    the mesh and one operator pass.  Nodal values of shape (S, n_vertices)
+    give the states of S iterates in one pass, each with that leading axis."""
     gv = mesh.gradient_of(vals)
     return mesh.element_means(vals), gv, eval_flux(op, slice(None), gv)
 
 
-def _energy_terms(problem: EllipticProblem, point) -> list[float]:
+def _energy_terms(problem: EllipticProblem, point) -> list:
     """The signed integrals of the energy's terms: the diffusion term
     lam int A(x, grad v)/p(x), with A = a(x, grad v) . grad v, each power term
-    int c (v+)^r / r, and minus the load term, in that order; J is their sum."""
+    int c (v+)^r / r, and minus the load term, in that order; J is their sum.
+    Each is a numpy scalar, or for a point with a leading axis of S iterates
+    the array of their S values: every integral sums over the last axis,
+    which numpy reduces row by row as it reduces one iterate's array."""
     mesh = problem.mesh
     vb, gv, flux = point
     vbp = np.maximum(vb, 0.0)
-    dens = np.einsum("ed,ed->e", flux, gv)
+    dens = np.einsum("...d,...d->...", flux, gv)
     # the `sum` method: np.sum's summation order without its dispatch
-    diffusion = problem.lam * (mesh.measures * dens / problem.op.exponent.values).sum()
-    terms = [float(diffusion)]
+    diffusion = (mesh.measures * dens / problem.op.exponent.values).sum(axis=-1)
+    terms = [problem.lam * diffusion]
     for c, r in problem.terms:
-        terms.append(float((mesh.measures * c * vbp ** r).sum() / r))
+        terms.append((mesh.measures * c * vbp ** r).sum(axis=-1) / r)
     if problem.load is not None:
-        terms.append(-float((mesh.measures * problem.load * vb).sum()))
+        terms.append(-(mesh.measures * problem.load * vb).sum(axis=-1))
     return terms
 
 
 def _energy_parts(problem: EllipticProblem, point) -> tuple[float, float]:
     """The energy J and its roundoff scale S, the sum of the absolute values
     of its terms.  The terms cancel, so |J| can be far below S."""
-    terms = _energy_terms(problem, point)
+    terms = [float(t) for t in _energy_terms(problem, point)]
     return sum(terms), sum(map(abs, terms))
 
 
@@ -275,8 +281,8 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
     point = _point(mesh, op, vals)
     e_now, s_now = _energy_parts(problem, point)
     grad = _gradient_values(problem, point)
+    kkt = _kkt_norm(mesh, vals, grad)
     for it in range(1, max_iterations + 1):
-        kkt = _kkt_norm(mesh, vals, grad)
         report.iterations = it - 1
         report.final_gradient_norm = kkt
         report.energy = e_now
@@ -286,7 +292,7 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
             report.converged = True
             return vals, report
 
-        moved, next_grad = False, None
+        moved, measured = False, None
         # steepest descent only while the residual is above the tolerance: a
         # start inside it tries the Newton step alone
         for d in _directions(problem, point, grad, kkt > tolerance, report):
@@ -320,17 +326,23 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
                 e_trial, s_trial = _energy_parts(problem, full_point)
                 if e_trial <= e_now + ROUNDOFF * (1.0 + abs(e_now)):
                     g_trial = _gradient_values(problem, full_point)
-                    if _kkt_norm(mesh, full, g_trial) < kkt:
+                    kkt_trial = _kkt_norm(mesh, full, g_trial)
+                    if kkt_trial < kkt:
                         vals, point, e_now, s_now = full, full_point, e_trial, s_trial
-                        moved, next_grad = True, g_trial
+                        moved, measured = True, (g_trial, kkt_trial)
                         report.floor_steps += 1
                         break
         if not moved:
             report.converged = kkt <= tolerance
             return vals, report
-        grad = _gradient_values(problem, point) if next_grad is None else next_grad
+        # a floor step carries the gradient and residual its test measured
+        if measured is None:
+            grad = _gradient_values(problem, point)
+            kkt = _kkt_norm(mesh, vals, grad)
+        else:
+            grad, kkt = measured
     report.iterations = max_iterations
-    report.final_gradient_norm = _kkt_norm(mesh, vals, grad)
+    report.final_gradient_norm = kkt
     report.energy = e_now
     report.converged = report.final_gradient_norm <= tolerance
     return vals, report

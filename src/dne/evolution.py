@@ -12,7 +12,11 @@ difference and compares them against the potential and source budget, beyond
 a stated slack.  Each step's diagnostics read one element state of its
 iterate (`elliptic._point`): the increment norm and the source ratio read its
 element means, and the stationary energy sums the stationary problem's term
-integrals, whose diffusion term (lam = 1) is the modular.
+integrals, whose diffusion term (lam = 1) is the modular.  The solved steps
+are diagnosed in chunks of steps, each in one broadcast pass over a leading
+axis of iterates (h^n, element states, norms and energy terms), so a 1D
+mesh of 100 elements takes 40 steps a pass; the sums and the worst margin
+then walk the steps in order.
 
 A step is a deterministic function of its start, h^n and dt, so `Run`
 hands each step the previous one's inputs and result: once the scheme has
@@ -36,6 +40,9 @@ from .operators import (LerayLionsOperator, PotentialField, SourceTerm,
 
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 DISSIPATION_SLACK = 1.05
+# Element-steps one diagnostic pass covers: its steps times the mesh's
+# elements, and at least one step a pass.
+DIAGNOSTIC_ELEMENT_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -101,15 +108,17 @@ class Trajectory:
         return self.fields[-1]
 
 
-def average_potential(h: PotentialField, n: int, dt: float) -> np.ndarray:
-    """h^n(x) = (1/dt) int_{t_{n-1}}^{t_n} h(s, x) ds by 5-point Gauss-Legendre."""
-    if n < 1:
+def average_potential(h: PotentialField, n, dt: float) -> np.ndarray:
+    """h^n(x) = (1/dt) int_{t_{n-1}}^{t_n} h(s, x) ds by 5-point Gauss-Legendre.
+    An array of S step indices gives their averages as the rows of an
+    (S, n_points) array, accumulated node by node in the same order."""
+    rows = isinstance(n, np.ndarray)
+    if (n.min() if rows else n) < 1:
         raise ValueError("step index starts at 1")
     t0 = (n - 1) * dt
-    ts = t0 + (GAUSS_NODES + 1.0) * dt / 2.0
     acc = None
-    for t, w in zip(ts, GAUSS_WEIGHTS):
-        term = w * h(t)
+    for x, w in zip((GAUSS_NODES + 1.0) * dt / 2.0, GAUSS_WEIGHTS):
+        term = w * (np.array([h(t) for t in t0 + x]) if rows else h(t0 + x))
         acc = term if acc is None else acc + term
     return acc / 2.0
 
@@ -187,32 +196,56 @@ def diagnose(setup: EvolutionSetup,
              traj: Trajectory) -> tuple[List[StepDiagnostics], float]:
     """Each step's diagnostics of a run of `setup` and its worst dissipation
     margin; a repeated step has its predecessor's field, h^n and values."""
-    mesh, op, q, dt, source = setup.mesh, setup.op, setup.q, setup.dt, setup.source
+    mesh, op, q, dt = setup.mesh, setup.op, setup.q, setup.dt
     point = _point(mesh, op, traj.fields[0].values)
-    mod0 = _energy_terms(EllipticProblem(mesh, op), point)[0]
-    vbq = np.maximum(point[0], 0.0) ** q
+    mod0 = float(_energy_terms(EllipticProblem(mesh, op), point)[0])
+    solved_values = _solved_steps(setup, traj, np.maximum(point[0], 0.0) ** q)
     diagnostics = []
     inc_sq_sum = budget_sum = 0.0
     worst_margin = np.inf
-    for n, (v, report) in enumerate(zip(traj.fields[1:], traj.reports), 1):
+    for report in traj.reports:
         if not report.repeated:
-            h_n = average_potential(setup.potential, n, dt)
-            point = _point(mesh, op, v.values)
-            vb = np.maximum(point[0], 0.0)
-            vbq, vbq_prev = vb ** q, vbq
-            inc = l2_norm_values(mesh, vbq - vbq_prev) / dt
-            f_sq = 0.0  # ||f(x, v) / v^(q-1)||^2 from the clipped element means
-            if source is not None:
-                fv = np.asarray(eval_source(source, np.arange(mesh.n_elements), vb))
-                ratio = np.where(vb > 0.0, fv / np.where(vb > 0.0, vb, 1.0) ** (q - 1.0), 0.0)
-                f_sq = l2_norm_values(mesh, ratio) ** 2
-            budget = dt * (l2_norm_values(mesh, h_n) ** 2 + f_sq)
-            # the stationary problem has lam = 1, so its diffusion term is the modular
-            stationary = EllipticProblem.stationary(mesh, op, q, h_n, source)
-            terms = _energy_terms(stationary, point)
+            inc, budget, terms = next(solved_values)
         diagnostics.append(StepDiagnostics(inc, sum(terms)))
         inc_sq_sum += 0.5 * dt * inc ** 2
         budget_sum += budget
         lhs = inc_sq_sum + q * (terms[0] - mod0)
         worst_margin = min(worst_margin, DISSIPATION_SLACK * budget_sum + 1e-12 - lhs)
     return diagnostics, worst_margin
+
+
+def _solved_steps(setup: EvolutionSetup, traj: Trajectory, vbq: np.ndarray):
+    """(increment norm, budget, stationary energy terms) of each solved step
+    of `traj` in order, whose start has (v+)^q = `vbq` at the element means.
+    The steps are evaluated DIAGNOSTIC_ELEMENT_STEPS // n_elements (at least
+    one) at a time; a chunk's arrays are freed before the next is built."""
+    solved = [n for n, report in enumerate(traj.reports, 1) if not report.repeated]
+    size = max(1, DIAGNOSTIC_ELEMENT_STEPS // setup.mesh.n_elements)
+    for i in range(0, len(solved), size):
+        values, vbq = _diagnose_chunk(setup, traj, solved[i:i + size], vbq)
+        yield from values
+
+
+def _diagnose_chunk(setup: EvolutionSetup, traj: Trajectory, steps: list,
+                    vbq: np.ndarray) -> tuple[list, np.ndarray]:
+    """The values of `_solved_steps` for `steps`, in one pass over their
+    iterates with a leading axis of steps, and their last (v+)^q."""
+    mesh, op, q, dt, source = setup.mesh, setup.op, setup.q, setup.dt, setup.source
+    h_n = average_potential(setup.potential, np.array(steps), dt)
+    point = _point(mesh, op, np.array([traj.fields[n].values for n in steps]))
+    vb = np.maximum(point[0], 0.0)
+    rows = vb ** q
+    incs = l2_norm_values(mesh, np.diff(rows, axis=0, prepend=vbq[None]))
+    # ||f(x, v) / v^(q-1)||^2 from the clipped element means
+    f_sq = [0.0] * len(steps)
+    if source is not None:
+        fv = eval_source(source, slice(None), vb)
+        ratio = np.where(vb > 0.0, fv / np.where(vb > 0.0, vb, 1.0) ** (q - 1.0), 0.0)
+        f_sq = [norm ** 2 for norm in l2_norm_values(mesh, ratio)]
+    h_norms = l2_norm_values(mesh, h_n)
+    # the stationary problem has lam = 1, so its diffusion term is the modular
+    stationary = EllipticProblem.stationary(mesh, op, q, h_n, source)
+    terms = zip(*(t.tolist() for t in _energy_terms(stationary, point)))
+    values = [(inc / dt, dt * (h ** 2 + f), row)
+              for inc, h, f, row in zip(incs, h_norms, f_sq, terms)]
+    return values, rows[-1].copy()

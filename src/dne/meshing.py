@@ -112,14 +112,17 @@ class Mesh:
         field written on the mesh are the same."""
         return ["".join(f"{c!r}," for c in row) for row in self.vertices.tolist()]
 
+    # Both take nodal values of shape (..., n_vertices): a leading axis of
+    # iterates gives one row of element values per iterate.
+
     def element_means(self, nodal_values: np.ndarray) -> np.ndarray:
         # the arithmetic of `mean` (a sum, then one division), without its dispatch
-        vals = np.asarray(nodal_values, dtype=float)[self.elements]
-        return vals.sum(axis=1) / self.elements.shape[1]
+        vals = np.asarray(nodal_values, dtype=float).take(self.elements, axis=-1)
+        return vals.sum(axis=-1) / self.elements.shape[1]
 
     def gradient_of(self, nodal_values: np.ndarray) -> np.ndarray:
-        vals = np.asarray(nodal_values, dtype=float)[self.elements]
-        return np.einsum("el,eld->ed", vals, self.grads)
+        vals = np.asarray(nodal_values, dtype=float).take(self.elements, axis=-1)
+        return np.einsum("...el,eld->...ed", vals, self.grads)
 
 
 def interval_mesh(a: float, b: float, n: int) -> Mesh:
@@ -231,10 +234,12 @@ def l2_norm_diff_power(u: DiscreteField, v: DiscreteField, power: float,
     return float(np.sqrt(np.sum(u.mesh.measures * diff ** 2)))
 
 
-def l2_norm_values(mesh: Mesh, element_values) -> float:
-    """L2 norm of a per-element sampled function."""
-    vals = np.broadcast_to(np.asarray(element_values, dtype=float), (mesh.n_elements,))
-    return float(np.sqrt(np.sum(mesh.measures * vals ** 2)))
+def l2_norm_values(mesh: Mesh, element_values):
+    """L2 norm of a per-element sampled function, a float; values of shape
+    (S, n_elements) give the list of the S rows' norms."""
+    vals = np.asarray(element_values, dtype=float)
+    vals = np.broadcast_to(vals, vals.shape[:-1] + (mesh.n_elements,))
+    return np.sqrt((mesh.measures * vals ** 2).sum(axis=-1)).tolist()
 
 
 @dataclass(frozen=True)

@@ -227,7 +227,7 @@ class SourceTerm:
 
     Requires beta in [0, q-1) and beta + gamma > q - 3/2 so that f/s^(q-1) is
     nonincreasing and the boundary-weighted ratio f/v^(q-1) stays square
-    integrable along distance-comparable fields.
+    integrable along distance-comparable fields.  Derives delta^gamma once.
     """
 
     g: np.ndarray
@@ -235,6 +235,7 @@ class SourceTerm:
     gamma: float
     beta: float
     q: float
+    delta_power: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -259,6 +260,7 @@ class SourceTerm:
             raise ValidationError("(f_0)", "source weight g must be nonnegative")
         if np.any(d < 0.0):
             raise ValueError("boundary distance must be nonnegative")
+        object.__setattr__(self, "delta_power", d ** gamma)
 
 
 def eval_source(src: SourceTerm, k, s):
@@ -266,7 +268,7 @@ def eval_source(src: SourceTerm, k, s):
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("source is defined for s >= 0 only")
-    coef = src.g[k] * src.delta[k] ** src.gamma
+    coef = src.g[k] * src.delta_power[k]
     pos = s > 0.0
     out = np.where(pos, coef * np.where(pos, s, 1.0) ** src.beta, 0.0)
     return _maybe_scalar(out)

@@ -4,8 +4,10 @@ The operator oracles sample both sides of the prototype operator's pointwise
 inequalities (strong monotonicity, the Picone pair sum, the Clarkson-type
 convexity defect, the ellipticity floor and the growth sandwich); the energy
 helpers evaluate J and its nodal gradient at a field; `evolve` takes every
-step of a run; the u = v^q change of variables and the contraction ratio of a
-refinement study feed the acceptance tests.  They read the library's private
+step of a run and `diagnose_per_step` diagnoses it one step at a time, the
+reference for the chunked `evolution.diagnose`; the u = v^q change of
+variables and the contraction ratio of a refinement study feed the acceptance
+tests.  They read the library's private
 element state the same way the solver does.
 """
 
@@ -16,11 +18,13 @@ from functools import reduce
 import numpy as np
 
 from dne.checks import _solve_pair
-from dne.elliptic import EllipticProblem, _energy_parts, _gradient_values, _point
-from dne.evolution import EvolutionSetup, Run, Trajectory
+from dne.elliptic import (EllipticProblem, _energy_parts, _energy_terms,
+                          _gradient_values, _point)
+from dne.evolution import (DISSIPATION_SLACK, EvolutionSetup, Run, StepDiagnostics,
+                           Trajectory, average_potential)
 from dne.meshing import DiscreteField, Mesh, l2_norm_diff_power, l2_norm_values
 from dne.operators import (LerayLionsOperator, _blocks, _maybe_scalar, eval_A,
-                           eval_flux, seeded_rng)
+                           eval_flux, eval_source, seeded_rng)
 
 
 def monotonicity_gap(op: LerayLionsOperator, k, xi, eta, gamma0: float = 1.0):
@@ -149,6 +153,39 @@ def zero_field(mesh: Mesh) -> DiscreteField:
 def evolve(setup: EvolutionSetup) -> Trajectory:
     """Every step of a run of `setup`."""
     return Run(setup).head()
+
+
+def diagnose_per_step(setup: EvolutionSetup, traj: Trajectory):
+    """`evolution.diagnose` one solved step at a time: each step's h^n, element
+    state, norms and stationary energy terms from its own 1-D arrays."""
+    mesh, op, q, dt, source = setup.mesh, setup.op, setup.q, setup.dt, setup.source
+    point = _point(mesh, op, traj.fields[0].values)
+    mod0 = float(_energy_terms(EllipticProblem(mesh, op), point)[0])
+    vbq = np.maximum(point[0], 0.0) ** q
+    diagnostics = []
+    inc_sq_sum = budget_sum = 0.0
+    worst_margin = np.inf
+    for n, (v, report) in enumerate(zip(traj.fields[1:], traj.reports), 1):
+        if not report.repeated:
+            h_n = average_potential(setup.potential, n, dt)
+            point = _point(mesh, op, v.values)
+            vb = np.maximum(point[0], 0.0)
+            vbq, vbq_prev = vb ** q, vbq
+            inc = l2_norm_values(mesh, vbq - vbq_prev) / dt
+            f_sq = 0.0
+            if source is not None:
+                fv = np.asarray(eval_source(source, np.arange(mesh.n_elements), vb))
+                ratio = np.where(vb > 0.0, fv / np.where(vb > 0.0, vb, 1.0) ** (q - 1.0), 0.0)
+                f_sq = l2_norm_values(mesh, ratio) ** 2
+            budget = dt * (l2_norm_values(mesh, h_n) ** 2 + f_sq)
+            stationary = EllipticProblem.stationary(mesh, op, q, h_n, source)
+            terms = [float(t) for t in _energy_terms(stationary, point)]
+        diagnostics.append(StepDiagnostics(inc, sum(terms)))
+        inc_sq_sum += 0.5 * dt * inc ** 2
+        budget_sum += budget
+        lhs = inc_sq_sum + q * (terms[0] - mod0)
+        worst_margin = min(worst_margin, DISSIPATION_SLACK * budget_sum + 1e-12 - lhs)
+    return diagnostics, worst_margin
 
 
 def change_of_variables_u(traj: Trajectory) -> Trajectory:

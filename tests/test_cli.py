@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ from dne.cli import DEFAULT_CHECKS, main
 from dne.io_utils import field_from_csv, field_to_csv, write_field_csv
 from dne.meshing import interpolate, interval_mesh, rectangle_mesh
 from dne.scenario import ParseError, ValidationError, load_scenario
+
+from oracles import evolve
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -152,6 +155,17 @@ class TestCommands:
         assert len(manifest["diagnostics"]) == 5
         assert manifest["config_echo"].strip().startswith("[mesh]")
         assert (out / "field_00005.csv").exists()
+
+    def test_evolve_manifest_solver_entries_are_the_reports(self, config_path,
+                                                             tmp_path):
+        # each step's `solver` entry writes its report's fields, as
+        # `dataclasses.asdict` of the report does
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", config_path, "--out", str(out)]) == 0
+        manifest = json.load(open(out / "manifest.json"))
+        reports = evolve(load_scenario(config_path).setup).reports
+        assert [d["solver"] for d in manifest["diagnostics"]] == [
+            dataclasses.asdict(r) for r in reports]
 
     def test_evolve_manifest_marks_repeated_steps(self, tmp_path):
         out = tmp_path / "o"

@@ -16,7 +16,8 @@ from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            SourceTerm, ValidationError)
 from dne.scenario import load_scenario
 
-from oracles import change_of_variables_u, energy, evolve, zero_field
+from oracles import (change_of_variables_u, diagnose_per_step, energy, evolve,
+                     zero_field)
 
 Q = 1.25
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -53,6 +54,33 @@ def count_calls(monkeypatch, module, name, counted=lambda: True):
 
     rebind(monkeypatch, module, name, counting)
     return calls
+
+
+def count_iterates(monkeypatch, counted=lambda: True):
+    """Return the list that gets, per `elliptic._point` call made while
+    `counted()` holds, the number of iterates whose element state it computes
+    (the rows of a leading axis of iterates, else one)."""
+    original, iterates = elliptic._point, []
+
+    def counting(mesh, op, vals):
+        if counted():
+            iterates.append(len(vals) if np.ndim(vals) == 2 else 1)
+        return original(mesh, op, vals)
+
+    rebind(monkeypatch, elliptic, "_point", counting)
+    return iterates
+
+
+def with_repeats(traj, repeated):
+    """`traj` with each step in `repeated` turned into a repeat of its
+    predecessor: its field object and a copy of its report marked `repeated`."""
+    fields, reports = [traj.fields[0]], []
+    for n, (v, report) in enumerate(zip(traj.fields[1:], traj.reports), 1):
+        if n in repeated:
+            v, report = fields[-1], replace(reports[-1], repeated=True)
+        fields.append(v)
+        reports.append(report)
+    return Trajectory(traj.times, fields, reports, traj.q)
 
 
 def outside_solve(monkeypatch):
@@ -115,6 +143,18 @@ class TestAveragePotential:
         _, _, pot = data_1d
         with pytest.raises(ValueError):
             average_potential(pot, 0, 0.1)
+        with pytest.raises(ValueError):
+            average_potential(pot, np.array([2, 0, 1]), 0.1)
+
+    def test_rows_are_each_steps_average(self):
+        # an array of steps evaluates the same times and accumulates the same
+        # nodes in the same order as one step at a time: bitwise the same rows
+        pot = load_scenario(str(CONFIGS / "decaying_1d.cfg")).setup.potential
+        steps = np.array([1, 2, 7, 40, 41])
+        rows = average_potential(pot, steps, 0.05)
+        assert rows.shape == (steps.size, pot(0.0).size)
+        for n, row in zip(steps, rows, strict=True):
+            assert row.tobytes() == average_potential(pot, int(n), 0.05).tobytes()
 
 
 class TestStep:
@@ -285,6 +325,18 @@ class TestEvolve:
         assert counts["gradient_of"] == counts["_energy_parts"]
         assert counts["eval_flux"] == counts["_energy_parts"]
         assert counts["eval_A"] == 0
+
+    def test_one_residual_per_gradient(self, monkeypatch):
+        # each gradient's KKT residual is measured once: a floor step carries
+        # the residual its test measured to the next iteration (measuring it
+        # again made 1077 residuals for 973 gradients on the 400 steps of the
+        # stabilize-1d benchmark, one more per floor step)
+        setup = first_steps("decaying_1d", 50)
+        residuals = count_calls(monkeypatch, elliptic, "_kkt_norm")
+        gradients = count_calls(monkeypatch, elliptic, "_gradient_values")
+        traj = evolve(setup)
+        assert sum(r.floor_steps for r in traj.reports) > 0
+        assert len(residuals) == len(gradients)
 
     def test_one_element_state_per_step(self, monkeypatch):
         # outside the solves, `evolve` reads each solved step's start through
@@ -486,13 +538,18 @@ class TestDiagnose:
         ("default_1d", 50), ("decaying_1d", 2001), ("smoke_2d", 11)])
     def test_one_element_state_per_solved_step(self, monkeypatch, config, points):
         # the initial datum and each solved step's iterate are read through
-        # one element state; a repeated step reuses its predecessor's values
+        # one element state; a repeated step reuses its predecessor's values.
+        # The solved steps take one pass per chunk: 40 steps of 100 elements
+        # (49 and 2000 solved steps: 2 and 50 passes), 14 of 288 (10 solved
+        # steps: 1 pass)
         setup = load_scenario(str(CONFIGS / f"{config}.cfg")).setup
         traj = evolve(setup)
-        calls = count_calls(monkeypatch, elliptic, "_point")
+        iterates = count_iterates(monkeypatch)
         diagnose(setup, traj)
-        assert len(calls) == points
+        assert sum(iterates) == points
         assert points == sum(not r.repeated for r in traj.reports) + 1
+        passes = {"default_1d": 3, "decaying_1d": 51, "smoke_2d": 2}
+        assert len(iterates) == passes[config]
 
     @pytest.mark.parametrize("command, points", [("verify", 0), ("evolve", 50)])
     def test_only_evolve_command_diagnoses(self, monkeypatch, tmp_path, command,
@@ -501,12 +558,70 @@ class TestDiagnose:
         # on default_1d computes none (its four runs computed 554 when
         # `evolve` diagnosed every run), `evolve` one per solved step plus one
         scenario = load_scenario(str(CONFIGS / "default_1d.cfg"))
-        every = count_calls(monkeypatch, elliptic, "_point")
-        outside = count_calls(monkeypatch, elliptic, "_point",
-                              outside_solve(monkeypatch))
+        every = count_iterates(monkeypatch)
+        outside = count_iterates(monkeypatch, outside_solve(monkeypatch))
         assert cli.run(command, scenario, str(tmp_path / "o")) == 0
-        assert len(outside) == points
-        assert len(every) > points
+        assert sum(outside) == points
+        assert sum(every) > points
+
+    @staticmethod
+    def assert_matches_per_step(setup, traj):
+        # bitwise: every chunk row is reduced over its last axis as a 1-D
+        # array is, and the walk adds the same floats in the same order
+        diagnostics, margin = diagnose(setup, traj)
+        reference, reference_margin = diagnose_per_step(setup, traj)
+        assert len(diagnostics) == len(reference) == setup.steps
+        for d, e in zip(diagnostics, reference):
+            assert d.increment_norm == e.increment_norm
+            assert d.stationary_energy == e.stationary_energy
+        assert margin == reference_margin
+        assert type(margin) is float
+
+    @pytest.mark.parametrize("config, steps, source, chunks", [
+        ("decaying_1d", 100, True, 3), ("decaying_1d", 100, False, 3),
+        ("default_1d", 400, True, 2), ("smoke_2d", 10, True, 1),
+        ("smoke_2d", 10, False, 1)])
+    def test_chunks_match_per_step_reference(self, config, steps, source, chunks):
+        # default_1d reaches its steady state at step 49: its last chunk is
+        # followed by 351 repeated steps
+        setup = first_steps(config, steps)
+        if not source:
+            setup = replace(setup, source=None)
+        traj = evolve(setup)
+        solved = sum(not r.repeated for r in traj.reports)
+        size = evolution.DIAGNOSTIC_ELEMENT_STEPS // setup.mesh.n_elements
+        assert -(-solved // size) == chunks
+        self.assert_matches_per_step(setup, traj)
+
+    @pytest.mark.parametrize("budget", [300, 4096])
+    def test_repeats_around_chunk_boundaries(self, monkeypatch, budget):
+        # repeated steps inside a chunk, between two chunks and at the end:
+        # 3 and 40 solved steps a chunk
+        monkeypatch.setattr(evolution, "DIAGNOSTIC_ELEMENT_STEPS", budget)
+        setup = first_steps("decaying_1d", 100)
+        size = budget // setup.mesh.n_elements
+        repeated = {2, 3, 6, 7, 45, 46, 98, 99, 100}
+        traj = with_repeats(evolve(setup), repeated)
+        solved = [n for n in range(1, 101) if n not in repeated]
+        boundaries = solved[size - 1::size]
+        assert any(n + 1 in repeated for n in boundaries)
+        self.assert_matches_per_step(setup, traj)
+
+    def test_mesh_beyond_the_budget_takes_one_step_a_pass(self, monkeypatch,
+                                                          tmp_path):
+        # smoke_2d at resolution 48 has 4608 elements: one step a chunk
+        config = tmp_path / "smoke_48.cfg"
+        config.write_text((CONFIGS / "smoke_2d.cfg").read_text().replace(
+            "resolution = 12", "resolution = 48"))
+        full = load_scenario(str(config)).setup
+        assert full.mesh.n_elements > evolution.DIAGNOSTIC_ELEMENT_STEPS
+        setup = replace(full, horizon=3 * full.dt, steps=3)
+        traj = evolve(setup)
+        iterates = count_iterates(monkeypatch)
+        diagnose(setup, traj)
+        assert iterates == [1, 1, 1, 1]
+        self.assert_matches_per_step(setup, traj)
+
 
 class TestChangeOfVariables:
     def test_round_trip(self, mesh_1d, data_1d):

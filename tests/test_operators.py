@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -371,6 +373,21 @@ class TestSource:
         r1 = eval_source(src, 5, s1) / s1 ** (src.q - 1.0)
         r2 = eval_source(src, 5, s2) / s2 ** (src.q - 1.0)
         assert r1 >= r2
+
+    def test_delta_power_derived_once(self):
+        # delta^gamma is derived at construction, out of repr and comparison,
+        # and derived again by `dataclasses.replace`
+        src = self.make(beta=0.1, gamma=0.7)
+        assert src.delta_power.tobytes() == (src.delta ** 0.7).tobytes()
+        assert "delta_power" not in repr(src)
+        moved = replace(src, delta=2.0 * src.delta)
+        assert moved.delta_power.tobytes() == ((2.0 * src.delta) ** 0.7).tobytes()
+        scaled = replace(src, g=3.0 * src.g)
+        assert scaled.delta_power.tobytes() == src.delta_power.tobytes()
+        ks = np.arange(src.g.size)
+        s = np.linspace(0.0, 2.0, src.g.size)
+        expected = np.where(s > 0.0, src.g * src.delta ** 0.7 * s ** 0.1, 0.0)
+        assert eval_source(src, ks, s).tobytes() == expected.tobytes()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
