@@ -1,8 +1,12 @@
 """Named, machine-runnable checks for every estimate the solver is built on.
 
-Each check samples or solves, measures a signed margin (>= 0 means the
-inequality holds with room), and returns a CheckReport.  Slacks are named
-constants; refinement is expected to improve every margin they cover.
+Each check samples or solves, measures one array of signed margins over its
+locations (>= 0 means the inequality holds with room) and returns the
+CheckReport that `_report` builds from it: the worst margin and where it
+lies.  A check on a run reads the run once, as one array with a leading axis
+of stored times: nodal values for the ordering checks, and (v+)^q element
+means, normed row by row, for the norm checks.  Slacks are named constants;
+refinement is expected to improve every margin they cover.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from .elliptic import EllipticProblem, bump_seed, solve, solve_lambda_problem
 from .evolution import Trajectory, time_integral_norm
-from .meshing import (DiscreteField, Mesh, eval_at_points, gradient,
+from .meshing import (DiscreteField, Mesh, MeshMismatch, _mean_powers, gradient,
                       l2_norm_diff_power, l2_norm_values)
 from .operators import (LerayLionsOperator, PotentialField, eval_flux,
                         picone_gap, seeded_rng)
@@ -41,13 +45,20 @@ class CheckReport:
     slack: float = 0.0
 
 
-def _report(name, samples, margins, locations, slack=0.0, extra_pass=True) -> CheckReport:
-    margins = np.asarray(margins, dtype=float)
+def _report(name, samples, margins, locate, slack=0.0, extra_pass=True) -> CheckReport:
+    """The report of margins over a check's locations, taken in flat order:
+    the first smallest margin, and `locate(i)` of its flat index i."""
+    margins = np.asarray(margins, dtype=float).ravel()
     i = int(np.argmin(margins))
     worst = float(margins[i])
     return CheckReport(check_name=name, samples=int(samples), worst_margin=worst,
-                       location=str(locations[i]), passed=bool(worst >= 0.0) and extra_pass,
+                       location=str(locate(i)), passed=bool(worst >= 0.0) and extra_pass,
                        slack=slack)
+
+
+def _stack(traj: Trajectory) -> np.ndarray:
+    """The nodal values of a run, one row per stored time."""
+    return np.array([field.values for field in traj.fields])
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +109,7 @@ def check_picone(mesh: Mesh, op: LerayLionsOperator, r: float,
         raise ValueError("check_picone requires r in [1, p_-)")
     rng = seeded_rng(seed, "picone")
     lib = function_library(mesh)
-    worst = np.inf
-    worst_loc = ""
-    strict_ok = True
-    n_done = 0
+    margins, strict_ok = [], True
     per_pair = max(1, sample_count // (len(lib) ** 2))
     for iu, fu in enumerate(lib):
         for iv, fv in enumerate(lib):
@@ -113,30 +121,31 @@ def check_picone(mesh: Mesh, op: LerayLionsOperator, r: float,
             ratio_grad = (u[:, None] ** (-(r - 1.0) / r) * gv
                           - ((r - 1.0) / r) * (v * u ** (-(r - 1.0) / r - 1.0))[:, None] * gu)
             lhs, rhs = picone_gap(op, ks, grad_u_root, grad_v_root, ratio_grad, r)
-            margins = rhs - lhs + PICONE_SLACK * np.maximum(1.0, np.abs(rhs))
-            m = float(np.min(margins))
-            if m < worst:
-                worst, worst_loc = m, f"pair ({fu['name']}, {fv['name']})"
+            margins.append(rhs - lhs + PICONE_SLACK * np.maximum(1.0, np.abs(rhs)))
             if r > 1.0 and iu != iv and np.min(rhs - lhs) <= 0.0:
                 strict_ok = False
-            n_done += per_pair
-    return CheckReport("picone", n_done, worst, worst_loc,
-                       passed=bool(worst >= 0.0 and strict_ok), slack=PICONE_SLACK)
+    # margins[pair, sample], pairs in library order
+    names = [(fu["name"], fv["name"]) for fu in lib for fv in lib]
+    return _report("picone", len(margins) * per_pair, margins,
+                   lambda i: "pair ({}, {})".format(*names[i // per_pair]),
+                   slack=PICONE_SLACK, extra_pass=strict_ok)
 
 
 def check_picone_pair(mesh: Mesh, op: LerayLionsOperator, r: float,
-                  w1: DiscreteField, w2: DiscreteField) -> CheckReport:
-    """Integrated two-function inequality on interpolated quotient fields."""
+                      pairs: Sequence[tuple[DiscreteField, DiscreteField]]) -> CheckReport:
+    """Integrated two-function inequality on interpolated quotient fields,
+    for each pair (w1, w2) of strictly positive interior fields; the worst
+    pair is reported."""
     if not (1.0 <= r < op.exponent.p_minus):
         raise ValueError("check_picone_pair requires r in [1, p_-)")
-    for w in (w1, w2):
-        if np.any(w.values[mesh.interior] <= 0.0):
-            raise ValueError("check_picone_pair requires strictly positive interior fields")
-    value, scale = picone_pair_integral(mesh, op, r, w1, w2)
-    margin = value + PICONE_PAIR_SLACK * max(scale, 1e-300)
-    return CheckReport("picone-pair", mesh.n_elements, float(margin),
-                       "integrated quotient sum", passed=bool(margin >= 0.0),
-                       slack=PICONE_PAIR_SLACK)
+    if any(np.any(w.values[mesh.interior] <= 0.0) for pair in pairs for w in pair):
+        raise ValueError("check_picone_pair requires strictly positive interior fields")
+    margins = []
+    for w1, w2 in pairs:
+        value, scale = picone_pair_integral(mesh, op, r, w1, w2)
+        margins.append(value + PICONE_PAIR_SLACK * max(scale, 1e-300))
+    return _report("picone-pair", mesh.n_elements, margins,
+                   lambda i: "integrated quotient sum", slack=PICONE_PAIR_SLACK)
 
 
 def picone_pair_integral(mesh, op, r, w1, w2):
@@ -170,19 +179,14 @@ def check_contraction_elliptic(mesh, op, q, lam, source, h1, h2) -> CheckReport:
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
     v1, v2 = _solve_pair(mesh, op, q, lam, source, h1, h2)
-    margins, locs = [], []
-    for (a, b, ha, hb, tag) in ((v1, v2, h1, h2, "h1 vs h2"),
-                                (v2, v1, h2, h1, "h2 vs h1")):
-        lhs = l2_norm_diff_power(a, b, q, positive_part=True)
-        rhs = l2_norm_values(mesh, np.maximum(ha - hb, 0.0))
-        margins.append(CONTRACTION_SLACK * rhs - lhs)
-        locs.append(tag)
+    margins = [CONTRACTION_SLACK * l2_norm_values(mesh, np.maximum(ha - hb, 0.0))
+               - l2_norm_diff_power(a, b, q, positive_part=True)
+               for a, b, ha, hb in ((v1, v2, h1, h2), (v2, v1, h2, h1))]
     ordered_ok = True
     if np.all(h1 <= h2):
         ordered_ok = bool(np.all(v1.values <= v2.values + ORDERING_SLACK))
-    report = _report("contraction-elliptic", 2, margins, locs,
-                     slack=CONTRACTION_SLACK, extra_pass=ordered_ok)
-    return report
+    return _report("contraction-elliptic", 2, margins, ("h1 vs h2", "h2 vs h1").__getitem__,
+                   slack=CONTRACTION_SLACK, extra_pass=ordered_ok)
 
 
 def check_contraction_parabolic(traj1: Trajectory, traj2: Trajectory,
@@ -197,49 +201,38 @@ def check_contraction_parabolic(traj1: Trajectory, traj2: Trajectory,
     q = traj1.q
     n_steps = len(traj1.times) - 1
     t_end = float(traj1.times[-1])
-    cum_plain = time_integral_norm(mesh, h, g, t_end, n_steps)
-    cum_pos = time_integral_norm(mesh, h, g, t_end, n_steps, positive_part=True)
-    base_plain = l2_norm_diff_power(traj1.fields[0], traj2.fields[0], q)
-    base_pos = l2_norm_diff_power(traj1.fields[0], traj2.fields[0], q,
-                                  positive_part=True)
-    margins, locs = [], []
-    for n, (v, w) in enumerate(zip(traj1.fields, traj2.fields, strict=True)):
-        lhs = l2_norm_diff_power(v, w, q)
-        rhs = base_plain + cum_plain[n]
-        margins.append(CONTRACTION_SLACK * rhs + 1e-12 - lhs)
-        locs.append(f"t={traj1.times[n]:.6g} (plain)")
-        lhs_p = l2_norm_diff_power(v, w, q, positive_part=True)
-        rhs_p = base_pos + cum_pos[n]
-        margins.append(CONTRACTION_SLACK * rhs_p + 1e-12 - lhs_p)
-        locs.append(f"t={traj1.times[n]:.6g} (positive part)")
-    return _report("contraction-parabolic", len(margins), margins, locs,
+    diff = _mean_powers(mesh, _stack(traj1), q) - _mean_powers(mesh, _stack(traj2), q)
+    # margins[n, form], form 0 plain and 1 positive part
+    margins = np.empty((n_steps + 1, 2))
+    for form, positive in enumerate((False, True)):
+        cum = time_integral_norm(mesh, h, g, t_end, n_steps, positive_part=positive)
+        lhs = np.array(l2_norm_values(mesh, np.maximum(diff, 0.0) if positive else diff))
+        margins[:, form] = CONTRACTION_SLACK * (lhs[0] + cum) + 1e-12 - lhs
+    return _report("contraction-parabolic", margins.size, margins,
+                   lambda i: f"t={traj1.times[i // 2]:.6g} "
+                             f"({('plain', 'positive part')[i % 2]})",
                    slack=CONTRACTION_SLACK)
 
 
 def check_sandwich(traj: Trajectory, sub: DiscreteField,
                    sup: DiscreteField) -> CheckReport:
     """Nodal bracketing w_lower <= v_n <= w_upper along the whole run."""
-    margins, locs = [], []
-    for t, field in zip(traj.times, traj.fields):
-        v = field.values
-        lo = float(np.min(v - sub.values)) + ORDERING_SLACK
-        hi = float(np.min(sup.values - v)) + ORDERING_SLACK
-        margins.extend([lo, hi])
-        locs.extend([f"t={t:.6g} lower", f"t={t:.6g} upper"])
-    return _report("sandwich", len(margins), margins, locs, slack=ORDERING_SLACK)
+    values = _stack(traj)
+    # margins[n, side], side 0 lower and 1 upper
+    margins = np.stack([(values - sub.values).min(axis=1),
+                        (sup.values - values).min(axis=1)], axis=1) + ORDERING_SLACK
+    return _report("sandwich", margins.size, margins,
+                   lambda i: f"t={traj.times[i // 2]:.6g} {('lower', 'upper')[i % 2]}",
+                   slack=ORDERING_SLACK)
 
 
 def check_monotone_run(traj: Trajectory, direction: str) -> CheckReport:
     """Runs started at the subsolution must be nodally nondecreasing in n,
     runs started at the supersolution nonincreasing."""
     sign = 1.0 if direction == "nondecreasing" else -1.0
-    margins, locs = [], []
-    for n in range(1, len(traj.fields)):
-        diff = sign * (traj.fields[n].values - traj.fields[n - 1].values)
-        margins.append(float(np.min(diff)) + ORDERING_SLACK)
-        locs.append(f"step {n}")
-    return _report(f"monotone-{direction}", len(margins), margins, locs,
-                   slack=ORDERING_SLACK)
+    margins = (sign * np.diff(_stack(traj), axis=0)).min(axis=1) + ORDERING_SLACK
+    return _report(f"monotone-{direction}", margins.size, margins,
+                   lambda i: f"step {i + 1}", slack=ORDERING_SLACK)
 
 
 def check_stabilization(traj: Trajectory, v_stat: DiscreteField,
@@ -249,9 +242,12 @@ def check_stabilization(traj: Trajectory, v_stat: DiscreteField,
     final time."""
     if potential.limit is None:
         raise ValueError("stabilization requires the potential's large-time limit")
+    mesh, q = v_stat.mesh, traj.q
+    if traj.fields[0].mesh is not mesh:
+        raise MeshMismatch("fields live on different meshes")
     burn_in = (len(traj.times) - 1) // 5
-    errs = np.array([l2_norm_diff_power(field, v_stat, traj.q)
-                     for field in traj.fields])
+    errs = np.array(l2_norm_values(mesh, _mean_powers(mesh, _stack(traj), q)
+                                   - _mean_powers(mesh, v_stat.values, q)))
     tail = errs[burn_in:]
     margins, locs = [], []
     if tail.size > 1:
@@ -262,7 +258,7 @@ def check_stabilization(traj: Trajectory, v_stat: DiscreteField,
         locs.append("r=2.0 monotone tail")
     margins.append(STABILIZATION_THRESHOLD - float(errs[-1]))
     locs.append(f"r=2.0 final error {errs[-1]:.3g}")
-    return _report("stabilization", len(margins), margins, locs,
+    return _report("stabilization", len(margins), margins, locs.__getitem__,
                    slack=STABILIZATION_GROWTH)
 
 
@@ -277,41 +273,43 @@ def check_lambda_scaling(mesh, op, lambdas: Sequence[float]) -> CheckReport:
     sols = [solve_lambda_problem(lam, mesh, op) for lam in lambdas]
     sups = np.array([s.sup_norm for s in sols])
     slope = float(np.polyfit(np.log(lambdas), np.log(sups), 1)[0])
-    margins = [SLOPE_TOL - abs(slope - 1.0 / (p - 1.0))]
-    locs = [f"fitted slope {slope:.4f} vs {1.0 / (p - 1.0):.4f}"]
-    for i in range(len(sols) - 1):
-        margins.append(float(np.min(sols[i + 1].values - sols[i].values)) + 1e-10)
-        locs.append(f"monotonicity {lambdas[i]} -> {lambdas[i + 1]}")
-    return _report("lambda-scaling", len(lambdas), margins, locs, slack=SLOPE_TOL)
+    monotone = np.diff([s.values for s in sols], axis=0).min(axis=1) + 1e-10
+    margins = np.concatenate([[SLOPE_TOL - abs(slope - 1.0 / (p - 1.0))], monotone])
+    return _report("lambda-scaling", len(lambdas), margins,
+                   lambda i: (f"monotonicity {lambdas[i - 1]} -> {lambdas[i]}" if i
+                              else f"fitted slope {slope:.4f} vs {1.0 / (p - 1.0):.4f}"),
+                   slack=SLOPE_TOL)
 
 
 def check_positivity_hopf(field: DiscreteField) -> CheckReport:
     """Interior positivity plus a one-sided boundary difference quotient at
-    offset 2 * spacing; rectangle corners are excluded by a cell band."""
+    offset 2 * spacing; rectangle corners are excluded by a cell band.  A
+    rectangle's probes lie on its grid lines, whose segments are triangle
+    edges, so the P1 field is read there by linear interpolation along the
+    line."""
     mesh = field.mesh
-    margins = [float(np.min(field.values[mesh.interior]))]
-    locs = ["interior minimum"]
     off = 2.0 * mesh.spacing
     if mesh.dimension == 1:
         a, b = mesh.bounds
-        probes = np.array([[a + off], [b - off]])
+        probes = np.interp([a + off, b - off], mesh.vertices[:, 0], field.values)
     else:
         x0, x1, y0, y1 = mesh.bounds
         nx, ny = mesh.resolution
-        hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
-        probes = []
-        for i in range(HOPF_CORNER_CELLS, nx - HOPF_CORNER_CELLS + 1):
-            xc = x0 + i * hx
-            probes.extend([[xc, y0 + off], [xc, y1 - off]])
-        for j in range(HOPF_CORNER_CELLS, ny - HOPF_CORNER_CELLS + 1):
-            yc = y0 + j * hy
-            probes.extend([[x0 + off, yc], [x1 - off, yc]])
-        probes = np.array(probes).reshape(-1, 2)
-    quot = eval_at_points(field, probes) / off
-    for i, qv in enumerate(quot):
-        margins.append(float(qv) - HOPF_FLOOR)
-        locs.append(f"boundary probe {i} quotient {qv:.4g}")
-    return _report("positivity-hopf", len(margins), margins, locs, slack=HOPF_FLOOR)
+        grid = field.values.reshape(nx + 1, ny + 1)  # [i, j] at (xs[i], ys[j])
+        xs, ys = mesh.vertices[::ny + 1, 0], mesh.vertices[:ny + 1, 1]
+        # near the bottom and top edge of each inner vertical line, then near
+        # the left and right edge of each inner horizontal line
+        probes = np.ravel(
+            [np.interp([y0 + off, y1 - off], ys, grid[i])
+             for i in range(HOPF_CORNER_CELLS, nx - HOPF_CORNER_CELLS + 1)]
+            + [np.interp([x0 + off, x1 - off], xs, grid[:, j])
+               for j in range(HOPF_CORNER_CELLS, ny - HOPF_CORNER_CELLS + 1)])
+    quot = probes / off
+    margins = np.concatenate([[np.min(field.values[mesh.interior])], quot - HOPF_FLOOR])
+    return _report("positivity-hopf", margins.size, margins,
+                   lambda i: (f"boundary probe {i - 1} quotient {quot[i - 1]:.4g}"
+                              if i else "interior minimum"),
+                   slack=HOPF_FLOOR)
 
 
 def check_alg_inequality(q: float, sample_count: int = 10 ** 5,
@@ -324,8 +322,6 @@ def check_alg_inequality(q: float, sample_count: int = 10 ** 5,
     b = rng.uniform(0.0, 2.0, size=sample_count)
     a[: sample_count // 100] = b[: sample_count // 100]        # equality edge
     b[sample_count // 100: sample_count // 50] = 0.0           # b = 0 edge
-    margin = (a ** q - b ** q) ** 2 + ALG_SLACK - np.abs(a - b) ** (2.0 * q)
-    i = int(np.argmin(margin))
-    return CheckReport("alg-inequality", sample_count, float(margin[i]),
-                       f"(a, b) = ({a[i]:.6g}, {b[i]:.6g})",
-                       passed=bool(margin[i] >= 0.0), slack=ALG_SLACK)
+    margins = (a ** q - b ** q) ** 2 + ALG_SLACK - np.abs(a - b) ** (2.0 * q)
+    return _report("alg-inequality", sample_count, margins,
+                   lambda i: f"(a, b) = ({a[i]:.6g}, {b[i]:.6g})", slack=ALG_SLACK)

@@ -77,7 +77,7 @@ def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
         field_ = run.head(n).final
         if field_ is not written:
             written, text = field_, field_to_csv(field_)
-        atomic_write_text(os.path.join(out_dir, f"field_{n:05d}.csv"), text)
+        atomic_write_text(os.path.join(out_dir, f"field_{n:05d}.csv"), [text])
     traj = run.head()
     diagnostics, margin = diagnose(setup, traj)
     v_stat = solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,
@@ -140,14 +140,9 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
 
     def picone_pair():
         rng = seeded_rng(seed, "picone-pair-fields")
-        worst = None
-        for _ in range(8):
-            w1 = _positive_field(mesh, rng)
-            w2 = _positive_field(mesh, rng)
-            rep = ck.check_picone_pair(mesh, op, r_mid, w1, w2)
-            if worst is None or rep.worst_margin < worst.worst_margin:
-                worst = rep
-        return [worst]
+        pairs = [(_positive_field(mesh, rng), _positive_field(mesh, rng))
+                 for _ in range(8)]
+        return [ck.check_picone_pair(mesh, op, r_mid, pairs)]
 
     def lambda_scaling():
         op_const = LerayLionsOperator(
@@ -199,7 +194,7 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
 
 
 def _positive_field(mesh, rng):
-    """Random strictly positive interior field for the paired-comparison loop."""
+    """Random strictly positive interior field for the paired comparison."""
     vals = np.zeros(mesh.n_vertices)
     interior = mesh.interior
     scale = float(rng.uniform(0.5, 2.0))
@@ -243,7 +238,7 @@ def run_sweep(scenario: Scenario, out_dir: str, seed: int) -> int:
     else:
         raise ParseError("scenario has no [sweep] section or unknown sweep kind")
     atomic_write_text(os.path.join(out_dir, "summary.csv"),
-                      "\n".join([header] + lines) + "\n")
+                      ["\n".join([header] + lines) + "\n"])
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return 0
 

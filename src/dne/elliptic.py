@@ -16,6 +16,7 @@ positive-part truncation the energy is built on.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -282,14 +283,16 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
     e_now, s_now = _energy_parts(problem, point)
     grad = _gradient_values(problem, point)
     kkt = _kkt_norm(mesh, vals, grad)
-    for it in range(1, max_iterations + 1):
-        report.iterations = it - 1
+    # the report describes the iterate at the loop top, where the loop exits
+    # at the iteration cap
+    for it in itertools.count():
+        report.iterations = it
         report.final_gradient_norm = kkt
         report.energy = e_now
+        report.converged = kkt <= tolerance
         # A start counts as converged only after one step: a warm start that
         # already meets the tolerance would otherwise never move.
-        if kkt <= tolerance and it > 1:
-            report.converged = True
+        if (report.converged and it > 0) or it == max_iterations:
             return vals, report
 
         moved, measured = False, None
@@ -333,7 +336,6 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
                         report.floor_steps += 1
                         break
         if not moved:
-            report.converged = kkt <= tolerance
             return vals, report
         # a floor step carries the gradient and residual its test measured
         if measured is None:
@@ -341,11 +343,6 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
             kkt = _kkt_norm(mesh, vals, grad)
         else:
             grad, kkt = measured
-    report.iterations = max_iterations
-    report.final_gradient_norm = kkt
-    report.energy = e_now
-    report.converged = report.final_gradient_norm <= tolerance
-    return vals, report
 
 
 def bump_seed(mesh: Mesh) -> DiscreteField:

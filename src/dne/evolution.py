@@ -18,7 +18,7 @@ axis of iterates (h^n, element states, norms and energy terms), so a 1D
 mesh of 100 elements takes 40 steps a pass; the sums and the worst margin
 then walk the steps in order.
 
-A step is a deterministic function of its start, h^n and dt, so `Run`
+A step is a deterministic function of its start and h^n, so `Run`
 hands each step the previous one's inputs and result: once the scheme has
 reached its discrete steady state under a constant h^n, a step whose inputs
 repeat the previous step's bitwise returns that step's field without a solve.
@@ -142,18 +142,20 @@ def time_integral_norm(mesh: Mesh, h: PotentialField, g: PotentialField,
 
 
 def step(setup: EvolutionSetup, previous: DiscreteField, h_n: np.ndarray,
-         dt: float, last: Optional[tuple] = None) -> tuple[DiscreteField, SolverReport]:
-    """One implicit Euler step, warm-started from the previous iterate.
+         last: Optional[tuple] = None) -> tuple[DiscreteField, SolverReport]:
+    """One implicit Euler step of length `setup.dt`, warm-started from the
+    previous iterate.
 
-    `last` is an earlier call's `(previous, h_n, dt, field, report)` on this
+    `last` is an earlier call's `(previous, h_n, field, report)` on this
     setup.  The step is a deterministic function of its inputs, so when they
     equal that call's bitwise its field is returned, with a copy of its
     report marked `repeated`, and nothing is solved."""
     if last is not None:
-        last_previous, last_h, last_dt, last_field, last_report = last
-        if (dt == last_dt and np.array_equal(h_n, last_h)
+        last_previous, last_h, last_field, last_report = last
+        if (np.array_equal(h_n, last_h)
                 and np.array_equal(previous.values, last_previous.values)):
             return last_field, replace(last_report, repeated=True)
+    dt = setup.dt
     vbq = np.maximum(previous.barycenter_values(), 0.0) ** setup.q
     h0 = dt * h_n + vbq
     problem = EllipticProblem.standard(setup.mesh, setup.op, setup.q, dt, h0,
@@ -181,13 +183,13 @@ class Run:
         for k in range(len(self.reports) + 1, n + 1):
             v, h_k = self.fields[-1], average_potential(setup.potential, k, dt)
             try:
-                v_new, report = step(setup, v, h_k, dt, self._last)
+                v_new, report = step(setup, v, h_k, self._last)
             except NonConvergence as exc:
                 exc.args = (f"step {k}: {exc.args[0]}",)
                 raise
             self.fields.append(v_new)
             self.reports.append(report)
-            self._last = (v, h_k, dt, v_new, report)
+            self._last = (v, h_k, v_new, report)
         return Trajectory(self.times[:n + 1], self.fields[:n + 1],
                           self.reports[:n], setup.q)
 

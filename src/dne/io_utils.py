@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
+from typing import Iterable
 
 import numpy as np
 
@@ -13,14 +15,16 @@ from .meshing import DiscreteField, Mesh
 VERTEX_TOL = 1e-12  # largest coordinate mismatch of a field file and the mesh
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temporary file in the same directory, then rename."""
+def atomic_write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write the strings `chunks` in order via a temporary file in the same
+    directory, then rename.  A single text is passed as `[text]`: a bare str
+    would be written one character at a time."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -36,7 +40,7 @@ def field_to_csv(field: DiscreteField) -> str:
 
 
 def write_field_csv(field: DiscreteField, path: str) -> None:
-    atomic_write_text(path, field_to_csv(field))
+    atomic_write_text(path, [field_to_csv(field)])
 
 
 def read_field_csv(path: str):
@@ -65,4 +69,7 @@ def field_from_csv(mesh: Mesh, path: str) -> DiscreteField:
 
 
 def write_json(payload, path: str) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """`json.dumps(payload, indent=2, sort_keys=True)` and a newline, written
+    chunk by chunk as the encoder produces it, without joining the text."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    atomic_write_text(path, itertools.chain(chunks, ["\n"]))

@@ -216,22 +216,27 @@ def gradient(field: DiscreteField) -> np.ndarray:
     return field.mesh.gradient_of(field.values)
 
 
+def _mean_powers(mesh: Mesh, nodal_values: np.ndarray, power: float) -> np.ndarray:
+    """Element means of nodal values of shape (..., n_vertices) raised to
+    `power`; a non-integer power needs nonnegative values and is taken of
+    the means clipped at zero."""
+    means = mesh.element_means(nodal_values)
+    if abs(power - round(power)) > 1e-14:
+        if np.min(nodal_values) < 0.0:
+            raise ValueError("non-integer powers require nonnegative fields")
+        means = np.maximum(means, 0.0)
+    return means ** power
+
+
 def l2_norm_diff_power(u: DiscreteField, v: DiscreteField, power: float,
                        positive_part: bool = False) -> float:
     """L2 norm of (u^power - v^power), or of its positive part."""
     if u.mesh is not v.mesh:
         raise MeshMismatch("fields live on different meshes")
-    non_integer = abs(power - round(power)) > 1e-14
-    if non_integer and (u.values.min() < 0.0 or v.values.min() < 0.0):
-        raise ValueError("non-integer powers require nonnegative fields")
-    ub = u.barycenter_values()
-    vb = v.barycenter_values()
-    if non_integer:
-        ub, vb = np.maximum(ub, 0.0), np.maximum(vb, 0.0)
-    diff = ub ** power - vb ** power
+    diff = _mean_powers(u.mesh, u.values, power) - _mean_powers(v.mesh, v.values, power)
     if positive_part:
         diff = np.maximum(diff, 0.0)
-    return float(np.sqrt(np.sum(u.mesh.measures * diff ** 2)))
+    return l2_norm_values(u.mesh, diff)
 
 
 def l2_norm_values(mesh: Mesh, element_values):
@@ -275,31 +280,3 @@ def boundary_distance_field(mesh: Mesh) -> BoundaryDistance:
     """Exact distance to the boundary of the interval/rectangle."""
     return BoundaryDistance(_distance(mesh.vertices, mesh),
                             _distance(mesh.barycenters, mesh))
-
-
-def eval_at_points(field: DiscreteField, points: np.ndarray) -> np.ndarray:
-    """Evaluate the P1 interpolant at arbitrary interior points (structured meshes)."""
-    mesh = field.mesh
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if mesh.dimension == 1:
-        return np.interp(pts[:, 0], mesh.vertices[:, 0], field.values)
-    x0, x1, y0, y1 = mesh.bounds
-    nx, ny = mesh.resolution
-    hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
-    i = np.clip(((pts[:, 0] - x0) / hx).astype(int), 0, nx - 1)
-    j = np.clip(((pts[:, 1] - y0) / hy).astype(int), 0, ny - 1)
-    sx = (pts[:, 0] - x0) / hx - i
-    sy = (pts[:, 1] - y0) / hy - j
-    stride = ny + 1
-    v00 = field.values[i * stride + j]
-    v10 = field.values[(i + 1) * stride + j]
-    v01 = field.values[i * stride + j + 1]
-    v11 = field.values[(i + 1) * stride + j + 1]
-    flipped = _cell_flipped(i, j, nx, ny)
-    plain = np.where(sx >= sy,  # triangle (v00, v10, v11) else (v00, v11, v01)
-                     v00 * (1.0 - sx) + v10 * (sx - sy) + v11 * sy,
-                     v00 * (1.0 - sy) + v11 * sx + v01 * (sy - sx))
-    flip = np.where(sx + sy <= 1.0,  # triangle (v00, v10, v01) else (v10, v11, v01)
-                    v00 * (1.0 - sx - sy) + v10 * sx + v01 * sy,
-                    v10 * (1.0 - sy) + v11 * (sx + sy - 1.0) + v01 * (1.0 - sx))
-    return np.where(flipped, flip, plain)

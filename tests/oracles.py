@@ -9,6 +9,13 @@ reference for the chunked `evolution.diagnose`; the u = v^q change of
 variables and the contraction ratio of a refinement study feed the acceptance
 tests.  They read the library's private
 element state the same way the solver does.
+
+The run-check references (`sandwich_per_step`, `monotone_run_per_step`,
+`contraction_parabolic_per_step`, `stabilization_per_step`) walk a run one
+stored time at a time through `l2_norm_diff_power` and per-field minima, the
+reference for the stacked checks of `dne.checks`; `eval_at_points` evaluates
+a P1 field anywhere in a rectangle from `rectangle_mesh`'s triangle layout,
+the reference for the Hopf probes read along grid lines.
 """
 
 from __future__ import annotations
@@ -17,12 +24,15 @@ from functools import reduce
 
 import numpy as np
 
-from dne.checks import _solve_pair
+from dne import checks
+from dne.checks import _report, _solve_pair
 from dne.elliptic import (EllipticProblem, _energy_parts, _energy_terms,
                           _gradient_values, _point)
 from dne.evolution import (DISSIPATION_SLACK, EvolutionSetup, Run, StepDiagnostics,
                            Trajectory, average_potential)
-from dne.meshing import DiscreteField, Mesh, l2_norm_diff_power, l2_norm_values
+from dne.evolution import time_integral_norm
+from dne.meshing import (DiscreteField, Mesh, _cell_flipped, l2_norm_diff_power,
+                         l2_norm_values)
 from dne.operators import (LerayLionsOperator, _blocks, _maybe_scalar, eval_A,
                            eval_flux, eval_source, seeded_rng)
 
@@ -205,3 +215,120 @@ def contraction_ratio(mesh, op, q, lam, source, h1, h2) -> float:
     lhs = l2_norm_diff_power(v1, v2, q, positive_part=True)
     rhs = l2_norm_values(mesh, np.maximum(h1 - h2, 0.0))
     return lhs / rhs if rhs > 0 else 0.0
+
+
+def sandwich_per_step(traj: Trajectory, sub: DiscreteField, sup: DiscreteField):
+    """`checks.check_sandwich` one stored time at a time."""
+    margins, locs = [], []
+    for t, field in zip(traj.times, traj.fields):
+        v = field.values
+        lo = float(np.min(v - sub.values)) + checks.ORDERING_SLACK
+        hi = float(np.min(sup.values - v)) + checks.ORDERING_SLACK
+        margins.extend([lo, hi])
+        locs.extend([f"t={t:.6g} lower", f"t={t:.6g} upper"])
+    return _report("sandwich", len(margins), margins, locs.__getitem__,
+                   slack=checks.ORDERING_SLACK)
+
+
+def monotone_run_per_step(traj: Trajectory, direction: str):
+    """`checks.check_monotone_run` one step at a time."""
+    sign = 1.0 if direction == "nondecreasing" else -1.0
+    margins, locs = [], []
+    for n in range(1, len(traj.fields)):
+        diff = sign * (traj.fields[n].values - traj.fields[n - 1].values)
+        margins.append(float(np.min(diff)) + checks.ORDERING_SLACK)
+        locs.append(f"step {n}")
+    return _report(f"monotone-{direction}", len(margins), margins, locs.__getitem__,
+                   slack=checks.ORDERING_SLACK)
+
+
+def contraction_parabolic_per_step(traj1: Trajectory, traj2: Trajectory, h, g):
+    """`checks.check_contraction_parabolic` one stored time at a time, each
+    norm from its own `l2_norm_diff_power` call."""
+    mesh, q = traj1.fields[0].mesh, traj1.q
+    n_steps = len(traj1.times) - 1
+    t_end = float(traj1.times[-1])
+    cum_plain = time_integral_norm(mesh, h, g, t_end, n_steps)
+    cum_pos = time_integral_norm(mesh, h, g, t_end, n_steps, positive_part=True)
+    base_plain = l2_norm_diff_power(traj1.fields[0], traj2.fields[0], q)
+    base_pos = l2_norm_diff_power(traj1.fields[0], traj2.fields[0], q,
+                                  positive_part=True)
+    margins, locs = [], []
+    for n, (v, w) in enumerate(zip(traj1.fields, traj2.fields, strict=True)):
+        lhs = l2_norm_diff_power(v, w, q)
+        margins.append(checks.CONTRACTION_SLACK * (base_plain + cum_plain[n])
+                       + 1e-12 - lhs)
+        locs.append(f"t={traj1.times[n]:.6g} (plain)")
+        lhs_p = l2_norm_diff_power(v, w, q, positive_part=True)
+        margins.append(checks.CONTRACTION_SLACK * (base_pos + cum_pos[n])
+                       + 1e-12 - lhs_p)
+        locs.append(f"t={traj1.times[n]:.6g} (positive part)")
+    return _report("contraction-parabolic", len(margins), margins, locs.__getitem__,
+                   slack=checks.CONTRACTION_SLACK)
+
+
+def stabilization_per_step(traj: Trajectory, v_stat: DiscreteField):
+    """`checks.check_stabilization` with one `l2_norm_diff_power` call per
+    stored time."""
+    burn_in = (len(traj.times) - 1) // 5
+    errs = np.array([l2_norm_diff_power(field, v_stat, traj.q)
+                     for field in traj.fields])
+    tail = errs[burn_in:]
+    margins, locs = [], []
+    if tail.size > 1:
+        growth = (tail[1:] - tail[:-1] * (1.0 + checks.STABILIZATION_GROWTH)
+                  - 1e-13)
+        margins.append(float(-np.max(growth)))
+        locs.append("r=2.0 monotone tail")
+    margins.append(checks.STABILIZATION_THRESHOLD - float(errs[-1]))
+    locs.append(f"r=2.0 final error {errs[-1]:.3g}")
+    return _report("stabilization", len(margins), margins, locs.__getitem__,
+                   slack=checks.STABILIZATION_GROWTH)
+
+
+def eval_at_points(field: DiscreteField, points: np.ndarray) -> np.ndarray:
+    """Evaluate the P1 interpolant at arbitrary interior points (structured meshes)."""
+    mesh = field.mesh
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if mesh.dimension == 1:
+        return np.interp(pts[:, 0], mesh.vertices[:, 0], field.values)
+    x0, x1, y0, y1 = mesh.bounds
+    nx, ny = mesh.resolution
+    hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
+    i = np.clip(((pts[:, 0] - x0) / hx).astype(int), 0, nx - 1)
+    j = np.clip(((pts[:, 1] - y0) / hy).astype(int), 0, ny - 1)
+    sx = (pts[:, 0] - x0) / hx - i
+    sy = (pts[:, 1] - y0) / hy - j
+    stride = ny + 1
+    v00 = field.values[i * stride + j]
+    v10 = field.values[(i + 1) * stride + j]
+    v01 = field.values[i * stride + j + 1]
+    v11 = field.values[(i + 1) * stride + j + 1]
+    flipped = _cell_flipped(i, j, nx, ny)
+    plain = np.where(sx >= sy,  # triangle (v00, v10, v11) else (v00, v11, v01)
+                     v00 * (1.0 - sx) + v10 * (sx - sy) + v11 * sy,
+                     v00 * (1.0 - sy) + v11 * sx + v01 * (sy - sx))
+    flip = np.where(sx + sy <= 1.0,  # triangle (v00, v10, v01) else (v10, v11, v01)
+                    v00 * (1.0 - sx - sy) + v10 * sx + v01 * sy,
+                    v10 * (1.0 - sy) + v11 * (sx + sy - 1.0) + v01 * (1.0 - sx))
+    return np.where(flipped, flip, plain)
+
+
+def hopf_probe_quotients(field: DiscreteField) -> np.ndarray:
+    """The boundary difference quotients of `checks.check_positivity_hopf`,
+    in its probe order, each probe evaluated by `eval_at_points`."""
+    mesh = field.mesh
+    off = 2.0 * mesh.spacing
+    if mesh.dimension == 1:
+        a, b = mesh.bounds
+        probes = [[a + off], [b - off]]
+    else:
+        x0, x1, y0, y1 = mesh.bounds
+        nx, ny = mesh.resolution
+        hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
+        cells = checks.HOPF_CORNER_CELLS
+        probes = ([[x0 + i * hx, y] for i in range(cells, nx - cells + 1)
+                   for y in (y0 + off, y1 - off)]
+                  + [[x, y0 + j * hy] for j in range(cells, ny - cells + 1)
+                     for x in (x0 + off, x1 - off)])
+    return eval_at_points(field, np.array(probes).reshape(-1, mesh.dimension)) / off

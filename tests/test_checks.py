@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +17,13 @@ from dne.meshing import (DiscreteField, interpolate, interval_mesh,
                          l2_norm_diff_power, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            seeded_rng)
+from dne.scenario import load_scenario
 
-from oracles import contraction_ratio, evolve, zero_field
+from oracles import (contraction_parabolic_per_step, contraction_ratio, evolve,
+                     hopf_probe_quotients, monotone_run_per_step, sandwich_per_step,
+                     stabilization_per_step, zero_field)
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 Q = 1.25
 
 
@@ -77,15 +82,48 @@ class TestPiconePair:
             ii = mesh_1d.interior
             vals1[ii] = rng.uniform(0.05, 2.0, ii.size)
             vals2[ii] = rng.uniform(0.05, 2.0, ii.size)
-            report = check_picone_pair(mesh_1d, op, 1.2, DiscreteField(mesh_1d, vals1),
-                                   DiscreteField(mesh_1d, vals2))
+            report = check_picone_pair(mesh_1d, op, 1.2, [(DiscreteField(mesh_1d, vals1),
+                                                           DiscreteField(mesh_1d, vals2))])
             assert report.passed
 
     def test_rejects_nonpositive_interior(self, mesh_1d, data_1d):
         op, _, _ = data_1d
         with pytest.raises(ValueError):
-            check_picone_pair(mesh_1d, op, 1.2, zero_field(mesh_1d),
-                          zero_field(mesh_1d))
+            check_picone_pair(mesh_1d, op, 1.2, [(zero_field(mesh_1d),
+                                                  zero_field(mesh_1d))])
+
+    @staticmethod
+    def positive_pairs(mesh, count):
+        rng = seeded_rng(6, "picone-pair-worst-test")
+        ii = mesh.interior
+        pairs = []
+        for _ in range(count):
+            w1, w2 = np.zeros((2, mesh.n_vertices))
+            w1[ii], w2[ii] = rng.uniform(0.05, 2.0, (2, ii.size))
+            pairs.append((DiscreteField(mesh, w1), DiscreteField(mesh, w2)))
+        return pairs
+
+    def test_reports_the_worst_of_several_pairs(self, mesh_1d, data_1d):
+        op, _, _ = data_1d
+        pairs = self.positive_pairs(mesh_1d, 5)
+        singles = [check_picone_pair(mesh_1d, op, 1.2, [pair]) for pair in pairs]
+        margins = [r.worst_margin for r in singles]
+        assert len(set(margins)) == len(pairs)
+        # rotate the worst pair to the end, then to the middle
+        k = int(np.argmin(margins))
+        for shift in (k + 1, k - 2):
+            rotated = pairs[shift:] + pairs[:shift]
+            assert check_picone_pair(mesh_1d, op, 1.2, rotated) == singles[k]
+
+    def test_rejects_a_nonpositive_field_in_any_pair(self, mesh_1d, data_1d):
+        op, _, _ = data_1d
+        pairs = self.positive_pairs(mesh_1d, 3)
+        good = pairs[0][0]
+        for bad in [(good, zero_field(mesh_1d)), (zero_field(mesh_1d), good)]:
+            for position in (0, 1, 3):
+                with pytest.raises(ValueError):
+                    check_picone_pair(mesh_1d, op, 1.2,
+                                      pairs[:position] + [bad] + pairs[position:])
 
 
 class TestContractionElliptic:
@@ -301,6 +339,146 @@ class TestImmutability:
         w1 = interpolate(mesh_1d, lambda x: 0.4 + np.sin(np.pi * x[:, 0]))
         w2 = interpolate(mesh_1d, lambda x: 0.6 + x[:, 0] * (1.0 - x[:, 0]))
         before1, before2 = w1.values.copy(), w2.values.copy()
-        check_picone_pair(mesh_1d, op, 1.2, w1, w2)
+        check_picone_pair(mesh_1d, op, 1.2, [(w1, w2)])
         np.testing.assert_array_equal(w1.values, before1)
         np.testing.assert_array_equal(w2.values, before2)
+
+
+@pytest.fixture()
+def recorded_margins(monkeypatch):
+    """The margins each check hands to `_report`, flat, by check name."""
+    recorded = {}
+    report = checks._report
+
+    def recording(name, samples, margins, *args, **kwargs):
+        recorded[name] = np.asarray(margins, dtype=float).ravel()
+        return report(name, samples, margins, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "_report", recording)
+    return recorded
+
+
+def _shipped_runs(config, steps):
+    """The first `steps` steps of configs/<config>.cfg and of the same run
+    from 0.7 times its datum."""
+    full = load_scenario(str(CONFIGS / f"{config}.cfg")).setup
+    setup = dataclasses.replace(full, horizon=steps * full.dt, steps=steps)
+    shrunk = setup.initial.with_values(0.7 * setup.initial.values)
+    return setup, evolve(setup), evolve(dataclasses.replace(setup, initial=shrunk))
+
+
+def _data_1d_runs(mesh, data, source):
+    op, src, pot = data
+    v0 = interpolate(mesh, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
+    setup = EvolutionSetup(mesh, op, Q, src if source else None, pot, 1.0, 20, v0)
+    shrunk = dataclasses.replace(setup, initial=v0.with_values(0.7 * v0.values))
+    return setup, evolve(setup), evolve(shrunk)
+
+
+@pytest.fixture(scope="module", params=["default_1d", "decaying_1d", "smoke_2d",
+                                        "with_source", "without_source"])
+def run_pair(request, mesh_1d, data_1d):
+    """(setup, run, run from 0.7 times its datum, stationary state)."""
+    if request.param.endswith("source"):
+        runs = _data_1d_runs(mesh_1d, data_1d, request.param == "with_source")
+    else:
+        runs = _shipped_runs(request.param, 40 if "1d" in request.param else 10)
+    setup = runs[0]
+    v_stat = solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,
+                              setup.source)
+    return (*runs, v_stat)
+
+
+class TestStackedRunChecks:
+    """The run checks read a run as one array; each report equals, field for
+    field and bitwise, the one built one stored time at a time."""
+
+    def test_sandwich(self, run_pair):
+        _, traj, other, v_stat = run_pair
+        for sub, sup in [(other.final, v_stat), (other.fields[0], traj.fields[0])]:
+            assert check_sandwich(traj, sub, sup) == sandwich_per_step(traj, sub, sup)
+
+    def test_monotone(self, run_pair):
+        _, traj, other, _ = run_pair
+        for run in (traj, other):
+            for direction in ("nondecreasing", "nonincreasing"):
+                assert (check_monotone_run(run, direction)
+                        == monotone_run_per_step(run, direction))
+
+    def test_contraction_parabolic(self, run_pair):
+        setup, traj, other, _ = run_pair
+        pot = setup.potential
+        for a, b in [(traj, other), (other, traj)]:
+            assert (check_contraction_parabolic(a, b, pot, pot)
+                    == contraction_parabolic_per_step(a, b, pot, pot))
+
+    def test_stabilization(self, run_pair):
+        setup, traj, other, v_stat = run_pair
+        for run in (traj, other):
+            assert (check_stabilization(run, v_stat, setup.potential)
+                    == stabilization_per_step(run, v_stat))
+
+    def test_worst_at_the_initial_time(self, mesh_1d, data_1d, bracketing):
+        # the two runs differ most at t = 0; the bracket's margin is the slack
+        # at the boundary nodes from t = 0 on, and the first worst is reported
+        _, traj, other = _data_1d_runs(mesh_1d, data_1d, True)
+        pot = data_1d[2]
+        report = check_contraction_parabolic(traj, other, pot, pot)
+        assert report.location == "t=0 (plain)"
+        assert report == contraction_parabolic_per_step(traj, other, pot, pot)
+        _, w_lo, w_hi = bracketing
+        report = check_sandwich(traj, w_lo, w_hi)
+        assert report.location == "t=0 lower"
+        assert report == sandwich_per_step(traj, w_lo, w_hi)
+
+    def test_stabilization_rejects_another_mesh(self, runs):
+        traj, _, pot = runs
+        mesh = interval_mesh(0.0, 1.0, 7)
+        v_other = interpolate(mesh, lambda x: np.sin(np.pi * x[:, 0]))
+        with pytest.raises(ValueError):
+            check_stabilization(traj, v_other, pot)
+
+
+def _hopf_field(mesh):
+    """Positive inside, zero on the boundary, a different slope at each side."""
+    values = np.ones(mesh.n_vertices)
+    for axis in range(mesh.dimension):
+        lo, hi = mesh.bounds[2 * axis], mesh.bounds[2 * axis + 1]
+        s = (mesh.vertices[:, axis] - lo) / (hi - lo)
+        values = values * np.sin(np.pi * s) * (1.0 + s) * (1.5 - 0.3 * axis)
+    values[mesh.boundary_mask] = 0.0
+    return DiscreteField(mesh, values)
+
+
+class TestHopfProbes:
+    """The probes read along grid lines agree with evaluation at the probe
+    points through the triangle layout."""
+
+    MESHES = {"interval": lambda: interval_mesh(-0.7, 2.3, 37),
+              "12x12": lambda: rectangle_mesh(0.0, 1.0, 0.0, 1.0, 12, 12),
+              "30x10": lambda: rectangle_mesh(0.5, 2.0, -1.0, 0.2, 30, 10),
+              "9x23": lambda: rectangle_mesh(0.0, 1.0, 0.0, 1.0, 9, 23)}
+
+    @pytest.mark.parametrize("name", MESHES)
+    def test_quotients_match_point_evaluation(self, name, recorded_margins):
+        field = _hopf_field(self.MESHES[name]())
+        report = check_positivity_hopf(field)
+        reference = hopf_probe_quotients(field)
+        margins = recorded_margins["positivity-hopf"]
+        assert report.samples == margins.size == reference.size + 1
+        assert report.location == "interior minimum"
+        np.testing.assert_allclose(margins[1:] + checks.HOPF_FLOOR, reference,
+                                   rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["interval", "30x10", "9x23"])
+    def test_worst_probe_located(self, name):
+        # scaled down, every quotient falls below the floor
+        field = _hopf_field(self.MESHES[name]())
+        field = field.with_values(1e-9 * field.values)
+        report = check_positivity_hopf(field)
+        reference = hopf_probe_quotients(field)
+        k = int(np.argmin(reference))
+        assert not report.passed
+        assert report.location.startswith(f"boundary probe {k} quotient ")
+        assert report.worst_margin == pytest.approx(reference[k] - checks.HOPF_FLOOR,
+                                                    rel=1e-14, abs=0.0)

@@ -436,6 +436,21 @@ class TestVerifyPipeline:
         assert calls == {"Run": 4, "make_subsolution": 1,
                          "make_supersolution": 1, "solve_stationary": 1}
 
+    def test_every_report_is_built_by_one_constructor(self, config_path, tmp_path,
+                                                     monkeypatch):
+        built = []
+        report = checks._report
+
+        def recording(*args, **kwargs):
+            built.append(report(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(checks, "_report", recording)
+        main(["verify", "--config", config_path, "--out", str(tmp_path / "o")])
+        written = json.load(open(tmp_path / "o" / "report.json"))
+        assert len(written) == 11
+        assert [dataclasses.asdict(r) for r in built] == written
+
     def test_suite_entries_match_single_checks(self, config_path, tmp_path):
         main(["verify", "--config", config_path, "--out", str(tmp_path / "all")])
         suite = json.load(open(tmp_path / "all" / "report.json"))

@@ -163,7 +163,7 @@ class TestStep:
         v_stat = solve_stationary(mesh_1d, op, Q, pot.limit, src)
         setup = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, v_stat)
         h1 = average_potential(pot, 1, setup.dt)
-        v1, report = step(setup, v_stat, h1, setup.dt)
+        v1, report = step(setup, v_stat, h1)
         assert report.converged
         assert l2_norm_diff_power(v1, v_stat, 1.0) <= 10 * 1e-10
 
@@ -173,8 +173,8 @@ class TestStep:
         large = interpolate(mesh_1d, lambda x: 0.6 * np.sin(np.pi * x[:, 0]))
         s_small = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, small)
         h1 = average_potential(pot, 1, s_small.dt)
-        v1, _ = step(s_small, small, h1, s_small.dt)
-        w1, _ = step(s_small, large, h1, s_small.dt)
+        v1, _ = step(s_small, small, h1)
+        w1, _ = step(s_small, large, h1)
         assert np.all(v1.values <= w1.values + 1e-8)
 
     def test_sandwich_preserved(self, mesh_1d, data_1d):
@@ -184,7 +184,7 @@ class TestStep:
         w_hi, _ = make_supersolution(mesh_1d, op, Q, src, pot.sup_norm, v0)
         setup = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, v0)
         h1 = average_potential(pot, 1, setup.dt)
-        v1, _ = step(setup, v0, h1, setup.dt)
+        v1, _ = step(setup, v0, h1)
         assert np.all(v1.values >= w_lo.values - 1e-8)
         assert np.all(v1.values <= w_hi.values + 1e-8)
 
@@ -461,8 +461,8 @@ class TestRepeatedStep:
         original = evolution.step
         with monkeypatch.context() as patch:
             patch.setattr(evolution, "step",
-                          lambda setup, previous, h_n, dt, last=None:
-                          original(setup, previous, h_n, dt))
+                          lambda setup, previous, h_n, last=None:
+                          original(setup, previous, h_n))
             plain = evolve(setup)
         steps = count_calls(monkeypatch, evolution, "step")
         minimizations = count_calls(monkeypatch, elliptic, "_minimize")
@@ -507,7 +507,7 @@ class TestRepeatedStep:
         setup = make_setup(mesh_1d, data_1d, horizon=1.0, steps=10)
         v0, dt = setup.initial, setup.dt
         h1 = average_potential(setup.potential, 1, dt)
-        v1, r1 = step(setup, v0, h1, dt)
+        v1, r1 = step(setup, v0, h1)
         minimizations = count_calls(monkeypatch, elliptic, "_minimize")
 
         def up(x):
@@ -517,16 +517,15 @@ class TestRepeatedStep:
         h_moved[0] = up(h_moved[0])
         start_moved[50] = up(start_moved[50])
         moved = DiscreteField(mesh_1d, start_moved)
-        for last in [(v0, h1, up(dt), v1, r1), (v0, h_moved, dt, v1, r1),
-                     (moved, h1, dt, v1, r1)]:
+        for last in [(v0, h_moved, v1, r1), (moved, h1, v1, r1)]:
             minimizations.clear()
-            v, report = step(setup, v0, h1, dt, last)
+            v, report = step(setup, v0, h1, last)
             assert len(minimizations) == 1
             assert not report.repeated
             assert v.values.tobytes() == v1.values.tobytes()
 
         minimizations.clear()
-        v, report = step(setup, v0, h1, dt, (v0, h1, dt, v1, r1))
+        v, report = step(setup, v0, h1, (v0, h1, v1, r1))
         assert minimizations == []
         assert v is v1
         assert report.repeated and report is not r1

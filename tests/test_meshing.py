@@ -3,11 +3,11 @@ import pytest
 
 from dne.elliptic import EllipticProblem, InvalidProblem, _energy_terms, _point
 from dne.meshing import (DiscreteField, MeshMismatch, boundary_distance_field,
-                         eval_at_points, gradient, interpolate, interval_mesh,
+                         gradient, interpolate, interval_mesh,
                          l2_norm_diff_power, rectangle_mesh)
 from dne.operators import ExponentField, LerayLionsOperator, seeded_rng
 
-from oracles import energy, zero_field
+from oracles import energy, eval_at_points, zero_field
 
 
 def iso_op(mesh, p, weight=1.0):
