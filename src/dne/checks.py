@@ -5,8 +5,11 @@ locations (>= 0 means the inequality holds with room) and returns the
 CheckReport that `_report` builds from it: the worst margin and where it
 lies.  A check on a run reads the run once, as one array with a leading axis
 of stored times: nodal values for the ordering checks, and (v+)^q element
-means, normed row by row, for the norm checks.  Slacks are named constants;
-refinement is expected to improve every margin they cover.
+means, normed row by row, for the norm checks.  The two contraction checks
+take both of their forms from one difference: the plain norm and that of its
+positive part, or the positive parts of d and -d for the two orientations.
+Slacks are named constants; refinement is expected to improve every margin
+they cover.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .elliptic import EllipticProblem, bump_seed, solve, solve_lambda_problem
 from .evolution import Trajectory, time_integral_norm
 from .meshing import (DiscreteField, Mesh, MeshMismatch, _mean_powers, gradient,
-                      l2_norm_diff_power, l2_norm_values)
+                      l2_norm_values)
 from .operators import (LerayLionsOperator, PotentialField, eval_flux,
                         picone_gap, seeded_rng)
 
@@ -175,16 +178,21 @@ def _solve_pair(mesh, op, q, lam, source, h1, h2):
 
 def check_contraction_elliptic(mesh, op, q, lam, source, h1, h2) -> CheckReport:
     """Discrete one-sided contraction of the time-step problem in the potential:
-    ||(v1^q - v2^q)^+||_L2 <= slack * ||(h1 - h2)^+||_L2, both orientations."""
+    ||(v1^q - v2^q)^+||_L2 <= slack * ||(h1 - h2)^+||_L2, both orientations,
+    each the positive part of one difference or of its negation; where the
+    potentials are ordered, the solutions must be ordered the same way."""
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
     v1, v2 = _solve_pair(mesh, op, q, lam, source, h1, h2)
-    margins = [CONTRACTION_SLACK * l2_norm_values(mesh, np.maximum(ha - hb, 0.0))
-               - l2_norm_diff_power(a, b, q, positive_part=True)
-               for a, b, ha, hb in ((v1, v2, h1, h2), (v2, v1, h2, h1))]
-    ordered_ok = True
-    if np.all(h1 <= h2):
-        ordered_ok = bool(np.all(v1.values <= v2.values + ORDERING_SLACK))
+    dh = h1 - h2
+    dv = _mean_powers(mesh, v1.values, q) - _mean_powers(mesh, v2.values, q)
+    # ||(h1 - h2)^+||, ||(h2 - h1)^+||, ||(v1^q - v2^q)^+||, ||(v2^q - v1^q)^+||:
+    # b - a is exactly -(a - b), so each orientation negates one difference
+    norms = np.array(l2_norm_values(mesh, np.maximum([dh, -dh, dv, -dv], 0.0)))
+    margins = CONTRACTION_SLACK * norms[:2] - norms[2:]
+    ordered_ok = all(np.all(va.values <= vb.values + ORDERING_SLACK)
+                     for va, vb, ha, hb in ((v1, v2, h1, h2), (v2, v1, h2, h1))
+                     if np.all(ha <= hb))
     return _report("contraction-elliptic", 2, margins, ("h1 vs h2", "h2 vs h1").__getitem__,
                    slack=CONTRACTION_SLACK, extra_pass=ordered_ok)
 
@@ -192,22 +200,18 @@ def check_contraction_elliptic(mesh, op, q, lam, source, h1, h2) -> CheckReport:
 def check_contraction_parabolic(traj1: Trajectory, traj2: Trajectory,
                                 h: PotentialField, g: PotentialField) -> CheckReport:
     """Discrete analogues of the two-trajectory contraction, plain and
-    positive-part form, at every step."""
+    positive-part form, at every step; both runs must share their time grid."""
     if traj1.fields[0].mesh is not traj2.fields[0].mesh:
         raise ValueError("trajectories live on different meshes")
-    if traj1.q != traj2.q or len(traj1.times) != len(traj2.times):
+    if traj1.q != traj2.q or not np.array_equal(traj1.times, traj2.times):
         raise ValueError("trajectories were run with different schemes")
     mesh = traj1.fields[0].mesh
     q = traj1.q
-    n_steps = len(traj1.times) - 1
-    t_end = float(traj1.times[-1])
     diff = _mean_powers(mesh, _stack(traj1), q) - _mean_powers(mesh, _stack(traj2), q)
-    # margins[n, form], form 0 plain and 1 positive part
-    margins = np.empty((n_steps + 1, 2))
-    for form, positive in enumerate((False, True)):
-        cum = time_integral_norm(mesh, h, g, t_end, n_steps, positive_part=positive)
-        lhs = np.array(l2_norm_values(mesh, np.maximum(diff, 0.0) if positive else diff))
-        margins[:, form] = CONTRACTION_SLACK * (lhs[0] + cum) + 1e-12 - lhs
+    # lhs[n, form] and margins[n, form], form 0 plain and 1 positive part
+    lhs = np.array(l2_norm_values(mesh, [diff, np.maximum(diff, 0.0)])).T
+    cum = time_integral_norm(mesh, h, g, float(traj1.times[-1]), len(traj1.times) - 1)
+    margins = CONTRACTION_SLACK * (lhs[0] + cum) + 1e-12 - lhs
     return _report("contraction-parabolic", margins.size, margins,
                    lambda i: f"t={traj1.times[i // 2]:.6g} "
                              f"({('plain', 'positive part')[i % 2]})",

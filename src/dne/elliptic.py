@@ -402,33 +402,15 @@ def solve_lambda_problem(lam: float, mesh: Mesh, op: LerayLionsOperator) -> Disc
     return field_
 
 
-def solve_subsolution_problem(mesh, op, q, source, lower_envelope, mu) -> DiscreteField:
-    """Positive solution of -div a = mu (h_lower w^(q-1) + f(x, w)) at fixed mu:
-    the stationary problem with potential mu * h_lower and source mu * f."""
-    if not (mu > 0.0):
-        raise InvalidProblem("mu must be positive")
-    if source is not None:
-        source = replace(source, g=mu * source.g)
-    return solve_stationary(mesh, op, q, mu * np.asarray(lower_envelope), source)
-
-
-def solve_supersolution_problem(mesh, op, q, source, sup_norm_h, kappa) -> DiscreteField:
-    """Positive solution of -div a = ||h||_inf w^(q-1) + f(x, w) + kappa: the
-    stationary problem with constant potential ||h||_inf and constant load."""
-    if not (kappa > 0.0):
-        raise InvalidProblem("kappa must be positive")
-    ne = mesh.n_elements
-    problem = EllipticProblem.stationary(mesh, op, q, np.full(ne, float(sup_norm_h)),
-                                         source, load=np.full(ne, float(kappa)))
-    return solve(problem, bump_seed(mesh))[0]
-
-
 def make_subsolution(mesh, op, q, source, lower_envelope, v0: DiscreteField):
-    """Halve mu from 1 until the subsolution sits below v0 nodally.
+    """Halve mu from 1 until the positive solution of
+    -div a = mu (h_lower w^(q-1) + f(x, w)), the stationary problem with
+    potential mu * h_lower and source mu * f, sits below v0 nodally.
     Returns (w_lower, mu_used)."""
     mu = 1.0
     while mu >= MU_FLOOR:
-        w = solve_subsolution_problem(mesh, op, q, source, lower_envelope, mu)
+        scaled = None if source is None else replace(source, g=mu * source.g)
+        w = solve_stationary(mesh, op, q, mu * np.asarray(lower_envelope), scaled)
         if np.all(w.values <= v0.values) and np.all(w.values[mesh.interior] > 0.0):
             return w, mu
         mu *= 0.5
@@ -436,11 +418,16 @@ def make_subsolution(mesh, op, q, source, lower_envelope, v0: DiscreteField):
 
 
 def make_supersolution(mesh, op, q, source, sup_norm_h, v0: DiscreteField):
-    """Double kappa from 1 until the supersolution dominates v0 nodally.
-    Returns (w_upper, kappa_used)."""
+    """Double kappa from 1 until the positive solution of
+    -div a = ||h||_inf w^(q-1) + f(x, w) + kappa, the stationary problem with
+    constant potential ||h||_inf and constant load kappa, dominates v0
+    nodally.  Returns (w_upper, kappa_used)."""
+    ne = mesh.n_elements
     kappa = 1.0
     while kappa <= KAPPA_CEIL:
-        w = solve_supersolution_problem(mesh, op, q, source, sup_norm_h, kappa)
+        problem = EllipticProblem.stationary(mesh, op, q, np.full(ne, float(sup_norm_h)),
+                                             source, load=np.full(ne, float(kappa)))
+        w = solve(problem, bump_seed(mesh))[0]
         if np.all(w.values >= v0.values):
             return w, kappa
         kappa *= 2.0

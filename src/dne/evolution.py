@@ -6,6 +6,10 @@ iterate satisfies
 
     ((v_n^q - v_{n-1}^q)/dt) v_n^{q-1} - div a(x, grad v_n) = h^n v_n^{q-1} + f(x, v_n).
 
+One 5-point Gauss-Legendre rule in time, `_gauss_sum`, gives both the
+potential average h^n of a step and `time_integral_norm`, the data term of
+the contraction estimates.
+
 `Run` advances the scheme alone, as far as it is read; `diagnose` walks a
 finished run: it sums the squared increments and the telescoped modular
 difference and compares them against the potential and source budget, beyond
@@ -76,7 +80,7 @@ class EvolutionSetup:
             raise ValueError("need a finite horizon > 0 and at least one step")
         if self.initial.mesh is not mesh:
             raise ValueError("initial datum lives on a different mesh")
-        delta = boundary_distance_field(mesh).quadrature
+        delta = boundary_distance_field(mesh)
         vb = self.initial.barycenter_values()
         if np.any(vb <= 0.0):
             raise ValueError("initial datum must be positive at interior quadrature points")
@@ -108,36 +112,43 @@ class Trajectory:
         return self.fields[-1]
 
 
+def _gauss_sum(f, t0, dt: float):
+    """sum_j w_j f(t0 + x_j) over the 5-point Gauss-Legendre rule on
+    [t0, t0 + dt] (nodes x_j in [0, dt], weights summing to 2), accumulated
+    node by node; t0 may be an array of window starts that f takes whole."""
+    acc = None
+    for x, w in zip((GAUSS_NODES + 1.0) * dt / 2.0, GAUSS_WEIGHTS):
+        term = w * f(t0 + x)
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def average_potential(h: PotentialField, n, dt: float) -> np.ndarray:
-    """h^n(x) = (1/dt) int_{t_{n-1}}^{t_n} h(s, x) ds by 5-point Gauss-Legendre.
-    An array of S step indices gives their averages as the rows of an
-    (S, n_points) array, accumulated node by node in the same order."""
+    """h^n(x) = (1/dt) int_{t_{n-1}}^{t_n} h(s, x) ds by `_gauss_sum`.  An
+    array of S step indices gives their averages as the rows of an
+    (S, n_points) array."""
     rows = isinstance(n, np.ndarray)
     if (n.min() if rows else n) < 1:
         raise ValueError("step index starts at 1")
-    t0 = (n - 1) * dt
-    acc = None
-    for x, w in zip((GAUSS_NODES + 1.0) * dt / 2.0, GAUSS_WEIGHTS):
-        term = w * (np.array([h(t) for t in t0 + x]) if rows else h(t0 + x))
-        acc = term if acc is None else acc + term
-    return acc / 2.0
+    sample = (lambda ts: np.array([h(t) for t in ts])) if rows else h
+    return _gauss_sum(sample, (n - 1) * dt, dt) / 2.0
 
 
 def time_integral_norm(mesh: Mesh, h: PotentialField, g: PotentialField,
-                       t_end: float, n_steps: int, positive_part: bool = False) -> np.ndarray:
-    """Cumulative integral_0^{t_n} ||(h - g)^(+)||_L2 ds for n = 0..n_steps by
-    per-step Gauss quadrature; returns the array over step indices."""
+                       t_end: float, n_steps: int) -> np.ndarray:
+    """Cumulative integral_0^{t_n} ||h - g||_L2 ds (column 0) and
+    integral_0^{t_n} ||(h - g)^+||_L2 ds (column 1) for n = 0..n_steps, by
+    `_gauss_sum` on each step; an (n_steps + 1, 2) array.  Each Gauss node
+    samples h - g once for every step and norms both forms in one call."""
     dt = t_end / n_steps
-    out = np.zeros(n_steps + 1)
-    for n in range(1, n_steps + 1):
-        ts = (n - 1) * dt + (GAUSS_NODES + 1.0) * dt / 2.0
-        val = 0.0
-        for t, w in zip(ts, GAUSS_WEIGHTS):
-            diff = h(t) - g(t)
-            if positive_part:
-                diff = np.maximum(diff, 0.0)
-            val += w * l2_norm_values(mesh, diff)
-        out[n] = out[n - 1] + val * dt / 2.0
+
+    def norms(ts):
+        diff = np.array([h(t) - g(t) for t in ts])
+        return np.array(l2_norm_values(mesh, [diff, np.maximum(diff, 0.0)])).T
+
+    out = np.zeros((n_steps + 1, 2))
+    steps = _gauss_sum(norms, np.arange(n_steps) * dt, dt)
+    out[1:] = np.cumsum(steps * dt / 2.0, axis=0)
     return out
 
 

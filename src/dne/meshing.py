@@ -228,14 +228,11 @@ def _mean_powers(mesh: Mesh, nodal_values: np.ndarray, power: float) -> np.ndarr
     return means ** power
 
 
-def l2_norm_diff_power(u: DiscreteField, v: DiscreteField, power: float,
-                       positive_part: bool = False) -> float:
-    """L2 norm of (u^power - v^power), or of its positive part."""
+def l2_norm_diff_power(u: DiscreteField, v: DiscreteField, power: float) -> float:
+    """L2 norm of (u^power - v^power)."""
     if u.mesh is not v.mesh:
         raise MeshMismatch("fields live on different meshes")
     diff = _mean_powers(u.mesh, u.values, power) - _mean_powers(v.mesh, v.values, power)
-    if positive_part:
-        diff = np.maximum(diff, 0.0)
     return l2_norm_values(u.mesh, diff)
 
 
@@ -245,12 +242,6 @@ def l2_norm_values(mesh: Mesh, element_values):
     vals = np.asarray(element_values, dtype=float)
     vals = np.broadcast_to(vals, vals.shape[:-1] + (mesh.n_elements,))
     return np.sqrt((mesh.measures * vals ** 2).sum(axis=-1)).tolist()
-
-
-@dataclass(frozen=True)
-class BoundaryDistance:
-    vertices: np.ndarray
-    quadrature: np.ndarray
 
 
 def _distance(points: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -276,7 +267,7 @@ def _unit_bump(points: np.ndarray, mesh: Mesh) -> np.ndarray:
     return out
 
 
-def boundary_distance_field(mesh: Mesh) -> BoundaryDistance:
-    """Exact distance to the boundary of the interval/rectangle."""
-    return BoundaryDistance(_distance(mesh.vertices, mesh),
-                            _distance(mesh.barycenters, mesh))
+def boundary_distance_field(mesh: Mesh) -> np.ndarray:
+    """Exact distance to the boundary of the interval/rectangle at each
+    element's quadrature point (its barycenter)."""
+    return _distance(mesh.barycenters, mesh)

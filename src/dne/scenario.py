@@ -195,7 +195,7 @@ def _source(sec: dict, mesh: Mesh, q: float) -> Optional[SourceTerm]:
     if sec.get("enabled", "false").lower() not in ("1", "true", "yes"):
         return None
     g = Primitive.parse(sec.get("g", "constant 1.0"))(mesh.barycenters, mesh)
-    return SourceTerm(g, boundary_distance_field(mesh).quadrature, gamma, beta, q)
+    return SourceTerm(g, boundary_distance_field(mesh), gamma, beta, q)
 
 
 def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:

@@ -22,7 +22,7 @@ def make_problem_data(mesh, p=2.5, q=1.25, beta=0.0, gamma=1.0):
     ne = mesh.n_elements
     exponent = ExponentField.constant(ne, p)
     op = LerayLionsOperator.isotropic(exponent, 1.0, ndim=mesh.dimension)
-    delta = boundary_distance_field(mesh).quadrature
+    delta = boundary_distance_field(mesh)
     source = SourceTerm(np.full(ne, 1.0), delta, gamma=gamma, beta=beta, q=q)
     xb = mesh.barycenters
     prof = np.ones(ne)

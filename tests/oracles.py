@@ -12,10 +12,13 @@ element state the same way the solver does.
 
 The run-check references (`sandwich_per_step`, `monotone_run_per_step`,
 `contraction_parabolic_per_step`, `stabilization_per_step`) walk a run one
-stored time at a time through `l2_norm_diff_power` and per-field minima, the
-reference for the stacked checks of `dne.checks`; `eval_at_points` evaluates
-a P1 field anywhere in a rectangle from `rectangle_mesh`'s triangle layout,
-the reference for the Hopf probes read along grid lines.
+stored time at a time through `l2_norm_diff_power`, `positive_part_norm` and
+per-field minima, the reference for the stacked checks of `dne.checks`;
+`time_integral_norm_per_step` integrates the potential difference one step,
+Gauss node and form at a time, and `contraction_elliptic_per_orientation`
+forms each orientation's differences in its own order; `eval_at_points`
+evaluates a P1 field anywhere in a rectangle from `rectangle_mesh`'s triangle
+layout, the reference for the Hopf probes read along grid lines.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ from dne.elliptic import (EllipticProblem, _energy_parts, _energy_terms,
                           _gradient_values, _point)
 from dne.evolution import (DISSIPATION_SLACK, EvolutionSetup, Run, StepDiagnostics,
                            Trajectory, average_potential)
-from dne.evolution import time_integral_norm
-from dne.meshing import (DiscreteField, Mesh, _cell_flipped, l2_norm_diff_power,
-                         l2_norm_values)
+from dne.meshing import (DiscreteField, Mesh, _cell_flipped, _mean_powers,
+                         l2_norm_diff_power, l2_norm_values)
 from dne.operators import (LerayLionsOperator, _blocks, _maybe_scalar, eval_A,
                            eval_flux, eval_source, seeded_rng)
 
@@ -207,14 +209,57 @@ def change_of_variables_u(traj: Trajectory) -> Trajectory:
                       q=traj.q)
 
 
+def positive_part_norm(u: DiscreteField, v: DiscreteField, power: float) -> float:
+    """L2 norm of (u^power - v^power)^+, from the element means
+    `l2_norm_diff_power` reads."""
+    diff = _mean_powers(u.mesh, u.values, power) - _mean_powers(v.mesh, v.values, power)
+    return l2_norm_values(u.mesh, np.maximum(diff, 0.0))
+
+
+def time_integral_norm_per_step(mesh: Mesh, h, g, t_end: float, n_steps: int):
+    """`evolution.time_integral_norm` one step, Gauss node and form at a
+    time: column 0 integrates ||h - g||, column 1 ||(h - g)^+||."""
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    dt = t_end / n_steps
+    out = np.zeros((n_steps + 1, 2))
+    for form, positive in enumerate((False, True)):
+        for n in range(1, n_steps + 1):
+            ts = (n - 1) * dt + (nodes + 1.0) * dt / 2.0
+            val = 0.0
+            for t, w in zip(ts, weights):
+                diff = h(t) - g(t)
+                if positive:
+                    diff = np.maximum(diff, 0.0)
+                val += w * l2_norm_values(mesh, diff)
+            out[n, form] = out[n - 1, form] + val * dt / 2.0
+    return out
+
+
 def contraction_ratio(mesh, op, q, lam, source, h1, h2) -> float:
     """lhs/rhs of the one-sided contraction for a refinement study."""
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
     v1, v2 = _solve_pair(mesh, op, q, lam, source, h1, h2)
-    lhs = l2_norm_diff_power(v1, v2, q, positive_part=True)
+    lhs = positive_part_norm(v1, v2, q)
     rhs = l2_norm_values(mesh, np.maximum(h1 - h2, 0.0))
     return lhs / rhs if rhs > 0 else 0.0
+
+
+def contraction_elliptic_per_orientation(mesh, op, q, lam, source, h1, h2):
+    """`checks.check_contraction_elliptic` one orientation at a time, each
+    difference formed in its own order."""
+    h1 = np.asarray(h1, dtype=float)
+    h2 = np.asarray(h2, dtype=float)
+    v1, v2 = _solve_pair(mesh, op, q, lam, source, h1, h2)
+    margins, ordered_ok = [], True
+    for a, b, ha, hb in ((v1, v2, h1, h2), (v2, v1, h2, h1)):
+        rhs = l2_norm_values(mesh, np.maximum(ha - hb, 0.0))
+        margins.append(checks.CONTRACTION_SLACK * rhs - positive_part_norm(a, b, q))
+        if np.all(ha <= hb):
+            ordered_ok = ordered_ok and bool(np.all(a.values <= b.values
+                                                    + checks.ORDERING_SLACK))
+    return _report("contraction-elliptic", 2, margins, ("h1 vs h2", "h2 vs h1").__getitem__,
+                   slack=checks.CONTRACTION_SLACK, extra_pass=ordered_ok)
 
 
 def sandwich_per_step(traj: Trajectory, sub: DiscreteField, sup: DiscreteField):
@@ -244,23 +289,21 @@ def monotone_run_per_step(traj: Trajectory, direction: str):
 
 def contraction_parabolic_per_step(traj1: Trajectory, traj2: Trajectory, h, g):
     """`checks.check_contraction_parabolic` one stored time at a time, each
-    norm from its own `l2_norm_diff_power` call."""
+    norm from its own `l2_norm_diff_power` or `positive_part_norm` call and
+    the data integrals from `time_integral_norm_per_step`."""
     mesh, q = traj1.fields[0].mesh, traj1.q
-    n_steps = len(traj1.times) - 1
-    t_end = float(traj1.times[-1])
-    cum_plain = time_integral_norm(mesh, h, g, t_end, n_steps)
-    cum_pos = time_integral_norm(mesh, h, g, t_end, n_steps, positive_part=True)
+    cum = time_integral_norm_per_step(mesh, h, g, float(traj1.times[-1]),
+                                      len(traj1.times) - 1)
     base_plain = l2_norm_diff_power(traj1.fields[0], traj2.fields[0], q)
-    base_pos = l2_norm_diff_power(traj1.fields[0], traj2.fields[0], q,
-                                  positive_part=True)
+    base_pos = positive_part_norm(traj1.fields[0], traj2.fields[0], q)
     margins, locs = [], []
     for n, (v, w) in enumerate(zip(traj1.fields, traj2.fields, strict=True)):
         lhs = l2_norm_diff_power(v, w, q)
-        margins.append(checks.CONTRACTION_SLACK * (base_plain + cum_plain[n])
+        margins.append(checks.CONTRACTION_SLACK * (base_plain + cum[n, 0])
                        + 1e-12 - lhs)
         locs.append(f"t={traj1.times[n]:.6g} (plain)")
-        lhs_p = l2_norm_diff_power(v, w, q, positive_part=True)
-        margins.append(checks.CONTRACTION_SLACK * (base_pos + cum_pos[n])
+        lhs_p = positive_part_norm(v, w, q)
+        margins.append(checks.CONTRACTION_SLACK * (base_pos + cum[n, 1])
                        + 1e-12 - lhs_p)
         locs.append(f"t={traj1.times[n]:.6g} (positive part)")
     return _report("contraction-parabolic", len(margins), margins, locs.__getitem__,

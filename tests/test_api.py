@@ -61,6 +61,11 @@ def test_no_fixed_knobs():
     assert offending_parameters(FIXED) == []
 
 
+def test_no_positive_part_flag():
+    # a contraction check takes the positive parts of its one difference itself
+    assert offending_parameters({"positive_part"}) == []
+
+
 def dne_imports(module_name):
     """The dne modules, relative or absolute, that a module's source imports."""
     tree = ast.parse(inspect.getsource(importlib.import_module(module_name)))

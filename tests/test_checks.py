@@ -19,7 +19,8 @@ from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            seeded_rng)
 from dne.scenario import load_scenario
 
-from oracles import (contraction_parabolic_per_step, contraction_ratio, evolve,
+from oracles import (contraction_elliptic_per_orientation,
+                     contraction_parabolic_per_step, contraction_ratio, evolve,
                      hopf_probe_quotients, monotone_run_per_step, sandwich_per_step,
                      stabilization_per_step, zero_field)
 
@@ -142,6 +143,32 @@ class TestContractionElliptic:
         report = check_contraction_elliptic(mesh_1d, op, Q, 1.0, src, h1, h1 + 0.1)
         assert report.passed
 
+    def test_crossing_potentials_match_per_orientation(self, mesh_1d, data_1d):
+        # both orientations from one difference and its negation, bitwise as
+        # each difference formed in its own order
+        op, src, _ = data_1d
+        xb = mesh_1d.barycenters[:, 0]
+        bump, sine = 4.0 * xb * (1.0 - xb), 0.5 + 0.4 * np.sin(3.0 * np.pi * xb)
+        for h1, h2 in [(bump, sine), (sine, bump)]:
+            report = check_contraction_elliptic(mesh_1d, op, Q, 1.0, src, h1, h2)
+            assert report == contraction_elliptic_per_orientation(mesh_1d, op, Q, 1.0,
+                                                                  src, h1, h2)
+
+    def test_ordering_checked_in_either_orientation(self, mesh_1d, data_1d, monkeypatch):
+        # h2 <= h1 needs v2 <= v1: a pair whose element means keep that order
+        # but whose nodes break it fails on the ordering alone
+        op, src, pot = data_1d
+        h2 = pot(0.0)
+        v1 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
+        raised = v1.values.copy()
+        raised[50] += 1e-4
+        raised[[49, 51]] -= 2e-4
+        v2 = v1.with_values(raised)
+        monkeypatch.setattr(checks, "_solve_pair", lambda *args: [v1, v2])
+        report = check_contraction_elliptic(mesh_1d, op, Q, 1.0, src, h2 + 0.1, h2)
+        assert report.worst_margin >= 0.0
+        assert not report.passed
+
     def test_ratio_below_slack_and_refining(self, data_1d):
         ratios = []
         for n in (50, 100):
@@ -204,9 +231,11 @@ class TestContractionParabolic:
         op, src, pot = data_1d
         traj1, _, _ = runs
         v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-        other = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, v0))
-        with pytest.raises(ValueError):
-            check_contraction_parabolic(traj1, other, pot, pot)
+        # fewer steps, or as many on another time grid
+        for horizon, steps in [(1.0, 10), (2.0, 20)]:
+            other = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, horizon, steps, v0))
+            with pytest.raises(ValueError):
+                check_contraction_parabolic(traj1, other, pot, pot)
 
 
 class TestSandwichAndMonotone:
@@ -408,9 +437,14 @@ class TestStackedRunChecks:
     def test_contraction_parabolic(self, run_pair):
         setup, traj, other, _ = run_pair
         pot = setup.potential
+        # a second potential whose difference from the first changes sign
+        phase = np.linspace(0.0, 6.0, setup.mesh.n_elements)
+        wave = PotentialField(lambda t: pot(t) * (1.0 + 0.5 * np.sin(3.0 * t + phase)),
+                              0.5 * pot.lower_envelope, 1.5 * pot.sup_norm)
         for a, b in [(traj, other), (other, traj)]:
-            assert (check_contraction_parabolic(a, b, pot, pot)
-                    == contraction_parabolic_per_step(a, b, pot, pot))
+            for h, g in [(pot, pot), (pot, wave), (wave, pot)]:
+                assert (check_contraction_parabolic(a, b, h, g)
+                        == contraction_parabolic_per_step(a, b, h, g))
 
     def test_stabilization(self, run_pair):
         setup, traj, other, v_stat = run_pair

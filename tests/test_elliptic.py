@@ -5,14 +5,13 @@ import scipy.sparse as sp
 from dne import elliptic
 from dne.elliptic import (EllipticProblem, InvalidProblem, NonConvergence,
                           bump_seed, make_subsolution, make_supersolution, solve,
-                          solve_lambda_problem, solve_stationary,
-                          solve_subsolution_problem, solve_supersolution_problem)
+                          solve_lambda_problem, solve_stationary)
 from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
                          interval_mesh, l2_norm_diff_power, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, SourceTerm,
                            eval_A, eval_source, flux_jacobian_batch, seeded_rng)
 
-from oracles import energy, energy_gradient, zero_field
+from oracles import energy, energy_gradient, positive_part_norm, zero_field
 
 
 def iso_op(mesh, p):
@@ -180,7 +179,7 @@ class TestHessian:
         xb = mesh.barycenters[:, 0]
         op = LerayLionsOperator.isotropic(ExponentField(2.2 + 0.5 * xb),
                                           1.0 + xb, ndim=dim)
-        delta = boundary_distance_field(mesh).quadrature
+        delta = boundary_distance_field(mesh)
         src = SourceTerm(np.ones(mesh.n_elements), delta, gamma=1.0, beta=beta, q=q)
         prob = problem_of_kind(kind, mesh, op, q, 0.5 + xb, src)
         rng = seeded_rng(47, f"hessian-{dim}d")
@@ -229,7 +228,7 @@ class TestBandedNewton:
         mesh = BANDED_MESHES[mesh_name]()
         op = banded_operator(mesh, op_kind)
         q = 1.25
-        delta = boundary_distance_field(mesh).quadrature
+        delta = boundary_distance_field(mesh)
         src = SourceTerm(np.ones(mesh.n_elements), delta, gamma=1.0, beta=0.1, q=q)
         prob = EllipticProblem.standard(mesh, op, q, 0.3, 0.5 + mesh.barycenters[:, 0],
                                         src)
@@ -444,7 +443,7 @@ class TestSolve:
     def test_rejects_source_checked_for_another_q(self, mesh_1d, data_1d):
         # beta = 0.4 satisfies (f_1) for q = 1.5 but not for q = 1.25
         op, _, pot = data_1d
-        delta = boundary_distance_field(mesh_1d).quadrature
+        delta = boundary_distance_field(mesh_1d)
         src = SourceTerm(np.ones(mesh_1d.n_elements), delta, 1.0, 0.4, 1.5)
         with pytest.raises(InvalidProblem, match="source was checked"):
             EllipticProblem.standard(mesh_1d, op, 1.25, 1.0, pot(0.0), src)
@@ -519,23 +518,38 @@ class TestSubSupersolutions:
         assert np.all(w.values[mesh_1d.interior] > 0.0)
         assert mu > 0.0
 
-    def test_mu_monotonicity(self, mesh_1d, data_1d):
+    def test_mu_monotonicity(self, mesh_1d, data_1d, monkeypatch):
+        # the fit's trial solutions shrink nodally as mu halves
         op, src, pot = data_1d
-        wa = solve_subsolution_problem(mesh_1d, op, 1.25, src, pot.lower_envelope, 0.25)
-        wb = solve_subsolution_problem(mesh_1d, op, 1.25, src, pot.lower_envelope, 0.5)
-        assert np.all(wa.values <= wb.values + 1e-10)
+        v0 = interpolate(mesh_1d, lambda x: 0.1 * np.sin(np.pi * x[:, 0]))
+        trials = []
+        stationary = elliptic.solve_stationary
+
+        def recorded(*args, **kwargs):
+            trials.append(stationary(*args, **kwargs))
+            return trials[-1]
+
+        monkeypatch.setattr(elliptic, "solve_stationary", recorded)
+        _, mu = make_subsolution(mesh_1d, op, 1.25, src, pot.lower_envelope, v0)
+        assert (mu, len(trials)) == (0.25, 3)
+        for wb, wa in zip(trials, trials[1:]):
+            assert np.all(wa.values <= wb.values + 1e-10)
 
     @pytest.mark.parametrize("kind", ["subsolution", "supersolution"])
     def test_subsolution_residual(self, kind, mesh_1d, data_1d):
-        # the returned field satisfies the frozen weak form to solver accuracy
+        # the fitted field satisfies the frozen weak form at the fitted mu or
+        # kappa to solver accuracy
         op, src, pot = data_1d
         ks = np.arange(mesh_1d.n_elements)
         if kind == "subsolution":
-            w = solve_subsolution_problem(mesh_1d, op, 1.25, src, pot.lower_envelope, 0.5)
-            scale, b, kappa = 0.5, pot.lower_envelope, 0.0
+            v0 = interpolate(mesh_1d, lambda x: 0.1 * np.sin(np.pi * x[:, 0]))
+            w, scale = make_subsolution(mesh_1d, op, 1.25, src, pot.lower_envelope, v0)
+            b, kappa = pot.lower_envelope, 0.0
         else:
-            w = solve_supersolution_problem(mesh_1d, op, 1.25, src, pot.sup_norm, 2.0)
-            scale, b, kappa = 1.0, pot.sup_norm, 2.0
+            v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
+            w, kappa = make_supersolution(mesh_1d, op, 1.25, src, pot.sup_norm, v0)
+            scale, b = 1.0, pot.sup_norm
+        assert (scale, kappa) in [(0.25, 0.0), (1.0, 4.0)]
         wb = np.maximum(w.barycenter_values(), 0.0)
         load = scale * (b * wb ** 0.25 + np.asarray(eval_source(src, ks, wb))) + kappa
         frozen = EllipticProblem(mesh_1d, op, load=load)
@@ -619,7 +633,7 @@ class TestContractionInvariant:
                       bump_seed(mesh_1d))
         diff_norm = float(np.sqrt(np.sum(mesh_1d.measures * (h1 - h2) ** 2)))
         for a, b, ha, hb in ((v1, v2, h1, h2), (v2, v1, h2, h1)):
-            lhs = l2_norm_diff_power(a, b, q, positive_part=True)
+            lhs = positive_part_norm(a, b, q)
             rhs = float(np.sqrt(np.sum(mesh_1d.measures
                                        * np.maximum(ha - hb, 0.0) ** 2)))
             assert lhs <= rhs + 1e-3 * diff_norm

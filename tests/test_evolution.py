@@ -17,7 +17,7 @@ from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
 from dne.scenario import load_scenario
 
 from oracles import (change_of_variables_u, diagnose_per_step, energy, evolve,
-                     zero_field)
+                     time_integral_norm_per_step, zero_field)
 
 Q = 1.25
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -203,7 +203,7 @@ class TestEvolve:
     def test_setup_rejects_source_checked_for_another_q(self, mesh_1d, data_1d):
         # beta = 0.4 satisfies (f_1) for q = 1.5 but not for the run's q = 1.25
         op, _, pot = data_1d
-        delta = boundary_distance_field(mesh_1d).quadrature
+        delta = boundary_distance_field(mesh_1d)
         src = SourceTerm(np.ones(mesh_1d.n_elements), delta, 1.0, 0.4, 1.5)
         v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
         with pytest.raises(ValueError, match="source was checked for q = 1.5"):
@@ -219,7 +219,7 @@ class TestEvolve:
         v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
         w_lo, _ = make_subsolution(mesh_1d, op, Q, src, pot.lower_envelope, v0)
         w_hi, _ = make_supersolution(mesh_1d, op, Q, src, pot.sup_norm, v0)
-        delta = boundary_distance_field(mesh_1d).quadrature
+        delta = boundary_distance_field(mesh_1d)
         c = max(np.max(w_hi.barycenter_values() / delta),
                 np.max(delta / w_lo.barycenter_values()))
         setup = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, v0)
@@ -642,7 +642,7 @@ class TestChangeOfVariables:
         setup = make_setup(mesh_1d, data_1d, horizon=0.5, steps=5)
         traj = evolve(setup)
         u_traj = change_of_variables_u(traj)
-        delta = boundary_distance_field(mesh_1d).quadrature
+        delta = boundary_distance_field(mesh_1d)
         c = setup.sandwich_constant * 1.5
         for u in u_traj.fields:
             ub = u.barycenter_values()
@@ -655,7 +655,25 @@ class TestTimeIntegralNorm:
         h = PotentialField(lambda t: np.full(ne, 2.0), np.full(ne, 2.0), 2.0)
         g = PotentialField(lambda t: np.full(ne, 1.0), np.full(ne, 1.0), 1.0)
         cum = time_integral_norm(mesh_1d, h, g, 2.0, 4)
-        np.testing.assert_allclose(cum, np.linspace(0.0, 2.0, 5), rtol=1e-12)
+        # h - g = 1 > 0: the plain and positive-part columns agree
+        np.testing.assert_allclose(cum, np.linspace(0.0, 2.0, 5)[:, None] * [1.0, 1.0],
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("n_steps", [1, 7, 50])
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_matches_per_step_integration(self, n_steps, dimension, mesh_1d, mesh_2d,
+                                          data_1d, data_2d):
+        # one sampled difference a Gauss node, both forms normed together,
+        # against one step, node and form at a time: bitwise equal for h = g
+        # and for a difference that changes sign, in both orientations
+        mesh, (_, _, bump) = (mesh_1d, data_1d) if dimension == 1 else (mesh_2d, data_2d)
+        phase = np.linspace(0.0, 6.0, mesh.n_elements)
+        wave = PotentialField(lambda t: bump(t) * (1.0 + 0.5 * np.sin(3.0 * t + phase)),
+                              0.5 * bump.lower_envelope, 1.5 * bump.sup_norm)
+        for h, g in [(bump, bump), (bump, wave), (wave, bump)]:
+            cum = time_integral_norm(mesh, h, g, 1.5, n_steps)
+            reference = time_integral_norm_per_step(mesh, h, g, 1.5, n_steps)
+            assert cum.tobytes() == reference.tobytes()
 
 
 def _owner_violations():
@@ -665,7 +683,7 @@ def _owner_violations():
     ne = mesh.n_elements
     p = ExponentField.constant(ne, 2.5)
     op = LerayLionsOperator.isotropic(p, 1.0, ndim=2)
-    delta = boundary_distance_field(mesh).quadrature
+    delta = boundary_distance_field(mesh)
     ones = np.ones(ne)
     pot = PotentialField.constant(ones)
     v0 = interpolate(mesh, lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))

@@ -7,7 +7,7 @@ from dne.meshing import (DiscreteField, MeshMismatch, boundary_distance_field,
                          l2_norm_diff_power, rectangle_mesh)
 from dne.operators import ExponentField, LerayLionsOperator, seeded_rng
 
-from oracles import energy, eval_at_points, zero_field
+from oracles import energy, eval_at_points, positive_part_norm, zero_field
 
 
 def iso_op(mesh, p, weight=1.0):
@@ -180,9 +180,9 @@ class TestL2NormDiffPower:
         u = interpolate(mesh_1d, lambda x: 2.0 * np.sin(np.pi * x[:, 0]))
         v = interpolate(mesh_1d, lambda x: np.sin(np.pi * x[:, 0]))
         full = l2_norm_diff_power(u, v, 1.5)
-        pos = l2_norm_diff_power(u, v, 1.5, positive_part=True)
+        pos = positive_part_norm(u, v, 1.5)
         assert pos == pytest.approx(full)
-        assert l2_norm_diff_power(v, u, 1.5, positive_part=True) == 0.0
+        assert positive_part_norm(v, u, 1.5) == 0.0
 
     def test_power_inequality_probe(self, mesh_1d):
         # quadrature version of |a-b|^(2q) <= (a^q - b^q)^2, q = 1.5
@@ -215,14 +215,18 @@ class TestBoundaryDistance:
     def test_interval_values(self):
         m = interval_mesh(0.0, 1.0, 10)
         d = boundary_distance_field(m)
-        assert d.vertices[3] == pytest.approx(0.3)
-        assert d.vertices[5] == pytest.approx(0.5)
+        assert d.shape == (m.n_elements,)
+        assert d[3] == pytest.approx(0.35)
+        assert d[5] == pytest.approx(0.45)
 
     def test_rectangle_min_side(self):
         m = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 5, 5)
         d = boundary_distance_field(m)
-        idx = np.argmin(np.abs(m.vertices - np.array([0.2, 0.4])).sum(axis=1))
-        assert d.vertices[idx] == pytest.approx(0.2)
+        # barycenters nearest the left side and nearest the bottom side
+        for point, dist in [((0.4 / 3, 1.4 / 3), 0.4 / 3), ((1.6 / 3, 0.2 / 3), 0.2 / 3)]:
+            k = np.argmin(np.abs(m.barycenters - np.array(point)).sum(axis=1))
+            np.testing.assert_allclose(m.barycenters[k], point, atol=1e-12)
+            assert d[k] == pytest.approx(dist)
 
 
 class TestEvalAtPoints:
