@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .meshing import DiscreteField, Mesh, _unit_bump, interpolate
-from .operators import LerayLionsOperator, eval_flux, flux_jacobian_batch
+from .operators import LerayLionsOperator, _blocks, eval_flux
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
@@ -145,9 +145,18 @@ def _point(mesh: Mesh, op: LerayLionsOperator, vals: np.ndarray) -> tuple:
     a(x, grad v)): the only views of the nodal values that the energy, its
     gradient and its Hessian read, so each point visited takes one pass over
     the mesh and one operator pass.  Nodal values of shape (S, n_vertices)
-    give the states of S iterates in one pass, each with that leading axis."""
+    give the states of S iterates in one pass, each with that leading axis.
+    A solve's final state goes on with its field to the next solve
+    (`_handed_point`), which computes none for its start."""
     gv = mesh.gradient_of(vals)
     return mesh.element_means(vals), gv, eval_flux(op, slice(None), gv)
+
+
+def _handed_point(mesh: Mesh, op: LerayLionsOperator, field_: DiscreteField):
+    """The element state that the solve returning `field_` handed on with it,
+    if it had this mesh and operator, else None; the values are read-only."""
+    return next((point for state_op, point in field_._handoff
+                 if state_op is op and field_.mesh is mesh), None)
 
 
 def _energy_terms(problem: EllipticProblem, point) -> list:
@@ -203,24 +212,32 @@ def _hessian_matrix(problem: EllipticProblem, point,
     storage of `Mesh.band_scatter`, shape (bandwidth + 1, n_interior), with
     the flux Jacobian regularized by HESSIAN_EPS max|grad v| (HESSIAN_EPS when
     grad v = 0); without `include_concave` the terms with negative
-    coefficients are dropped, which leaves a convex majorant."""
-    mesh = problem.mesh
+    coefficients are dropped, which leaves a convex majorant.  Per operator
+    block G_B J_B G_B^T = c G_B G_B^T + c2 (G_B xi_B)(G_B xi_B)^T, with
+    c2 = (p - 2) c / rho, is formed at the kept band pairs from the mesh's
+    G_B G_B^T (`BandScatter.products`), with no element Jacobian."""
+    mesh, op = problem.mesh, problem.op
+    scatter = mesh.band_scatter
     nloc = mesh.elements.shape[1]
     vb, gv, _ = point
     scale = float(np.sqrt(np.einsum("ed,ed->e", gv, gv).max()))
-    jac = flux_jacobian_batch(problem.op, slice(None), gv,
-                              eps=HESSIAN_EPS * (scale if scale > 0.0 else 1.0))
-    elem = (mesh.grads @ jac) @ mesh.grads.transpose(0, 2, 1)
-    elem *= (problem.lam * mesh.measures)[:, None, None]
+    eps = HESSIAN_EPS * (scale if scale > 0.0 else 1.0)
     vbp = np.maximum(vb, 0.0)
     dd = np.zeros(mesh.n_elements)
     for c, r in problem.terms:
         if include_concave or c.min() >= 0.0:
             dd += (r - 1.0) * c * _power(vbp, r - 2.0)
-    elem += (mesh.measures * dd)[:, None, None] / nloc ** 2
-    scatter = mesh.band_scatter
+    element, (first, second) = scatter.element, scatter.rows
+    pairs = (mesh.measures * dd / nloc ** 2).take(element)
+    weight = problem.lam * mesh.measures
+    for axes, rho, c in _blocks(op, slice(None), gv, eps):
+        c2 = (op.exponent.values - 2.0) * np.divide(c, rho, out=np.zeros_like(rho),
+                                                    where=rho > 0.0)
+        s = np.einsum("eld,ed->el", mesh.grads[..., axes], gv[:, axes]).ravel()
+        pairs += (weight * c).take(element) * scatter.products[axes].sum(axis=0)
+        pairs += ((weight * c2).repeat(nloc) * s).take(first) * s.take(second)
     n_diagonals = scatter.bandwidth + 1
-    band = np.bincount(scatter.index, weights=elem.ravel()[scatter.keep],
+    band = np.bincount(scatter.index, weights=pairs,
                        minlength=n_diagonals * mesh.interior.size)
     return band.reshape(n_diagonals, -1)
 
@@ -275,11 +292,12 @@ def _directions(problem: EllipticProblem, point, grad, descend: bool,
 
 
 def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
-              max_iterations: int) -> tuple[np.ndarray, SolverReport]:
+              max_iterations: int, point=None) -> tuple[np.ndarray, SolverReport, tuple]:
+    """The final iterate, its report and its element state; `point` is start's."""
     mesh, op = problem.mesh, problem.op
     vals = _project(mesh, np.array(start, dtype=float))
     report = SolverReport()
-    point = _point(mesh, op, vals)
+    point = _point(mesh, op, vals) if point is None else point
     e_now, s_now = _energy_parts(problem, point)
     grad = _gradient_values(problem, point)
     kkt = _kkt_norm(mesh, vals, grad)
@@ -293,7 +311,7 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
         # A start counts as converged only after one step: a warm start that
         # already meets the tolerance would otherwise never move.
         if (report.converged and it > 0) or it == max_iterations:
-            return vals, report
+            return vals, report, point
 
         moved, measured = False, None
         # steepest descent only while the residual is above the tolerance: a
@@ -336,7 +354,7 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
                         report.floor_steps += 1
                         break
         if not moved:
-            return vals, report
+            return vals, report, point
         # a floor step carries the gradient and residual its test measured
         if measured is None:
             grad = _gradient_values(problem, point)
@@ -369,7 +387,9 @@ def solve(problem: EllipticProblem,
     of it never falls back."""
     mesh, op = problem.mesh, problem.op
     tolerance = DEFAULT_TOL[mesh.dimension]
-    vals, report = _minimize(problem, guess.values, tolerance, MAX_ITERATIONS)
+    vals, report, point = _minimize(problem, guess.values, tolerance, MAX_ITERATIONS,
+                                    _handed_point(mesh, op, guess))
+    guess._handoff.clear()  # taken: a run's stored fields keep no states
     positive = (report.converged and report.energy < 0.0
                 and np.all(vals[mesh.interior] > 0.0))
     if not positive:
@@ -383,13 +403,15 @@ def solve(problem: EllipticProblem,
             start = 0.5 * start
         # a guess that is this start has been minimized already
         if np.any(start) and not np.array_equal(start, guess.values):
-            vals, report = _minimize(problem, start, tolerance, MAX_ITERATIONS)
+            vals, report, point = _minimize(problem, start, tolerance, MAX_ITERATIONS)
         report.fallback = True
     if not report.converged:
         raise NonConvergence(
             f"elliptic solve failed to reach tolerance {tolerance:g} "
             f"(residual {report.final_gradient_norm:g})", report)
-    return DiscreteField(mesh, vals), report
+    result = DiscreteField(mesh, vals)
+    result._handoff.append((op, point))
+    return result, report
 
 
 def solve_lambda_problem(lam: float, mesh: Mesh, op: LerayLionsOperator) -> DiscreteField:

@@ -36,7 +36,7 @@ from typing import List, Optional
 import numpy as np
 
 from .elliptic import (EllipticProblem, NonConvergence, SolverReport,
-                       _energy_terms, _point, solve)
+                       _energy_terms, _handed_point, _point, solve)
 from .meshing import (DiscreteField, Mesh, boundary_distance_field,
                       l2_norm_values)
 from .operators import (LerayLionsOperator, PotentialField, SourceTerm,
@@ -160,15 +160,17 @@ def step(setup: EvolutionSetup, previous: DiscreteField, h_n: np.ndarray,
     `last` is an earlier call's `(previous, h_n, field, report)` on this
     setup.  The step is a deterministic function of its inputs, so when they
     equal that call's bitwise its field is returned, with a copy of its
-    report marked `repeated`, and nothing is solved."""
+    report marked `repeated`, and nothing is solved.  The element means of a
+    `previous` that a solve returned are read from its handed state."""
     if last is not None:
         last_previous, last_h, last_field, last_report = last
         if (np.array_equal(h_n, last_h)
                 and np.array_equal(previous.values, last_previous.values)):
             return last_field, replace(last_report, repeated=True)
     dt = setup.dt
-    vbq = np.maximum(previous.barycenter_values(), 0.0) ** setup.q
-    h0 = dt * h_n + vbq
+    point = _handed_point(setup.mesh, setup.op, previous)
+    vb = previous.barycenter_values() if point is None else point[0]
+    h0 = dt * h_n + np.maximum(vb, 0.0) ** setup.q
     problem = EllipticProblem.standard(setup.mesh, setup.op, setup.q, dt, h0,
                                        setup.source)
     return solve(problem, previous)

@@ -8,7 +8,7 @@ piecewise-linear field is integrated exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -26,13 +26,16 @@ class BandScatter:
     (bandwidth + 1, n_interior) holding entry (i, j), i <= j, at
     [bandwidth + i - j, j].
 
-    `keep` masks the flattened (element, l, m) pairs whose two vertices are
-    both interior, at interior positions i <= j; `index` is the flat band
-    position of each kept pair."""
+    Pair k, an (element, l, m) whose vertices are interior with i <= j, lies
+    at band position `index[k]`, in `element[k]`, at `rows[:, k]` = element *
+    nloc + (l, m); `products[d, k]` = G[element, l, d] G[element, m, d], so
+    a block's sum over its axes d is its G_B G_B^T entry."""
 
     bandwidth: int
-    keep: np.ndarray
     index: np.ndarray
+    element: np.ndarray
+    rows: np.ndarray
+    products: np.ndarray
 
 
 class Mesh:
@@ -94,16 +97,17 @@ class Mesh:
         """Upper band scatter map of the interior block, built once from the
         element table; the bandwidth is measured from the pattern (1 on an
         interval, ny on a rectangle in the vertex order of `rectangle_mesh`)."""
-        n = self.interior.size
+        n, nloc = self.interior.size, self.elements.shape[1]
         pos = np.full(self.n_vertices, -1)
         pos[self.interior] = np.arange(n)
-        loc = pos[self.elements]
-        rows = np.repeat(loc, loc.shape[1], axis=1).ravel()
-        cols = np.tile(loc, (1, loc.shape[1])).ravel()
+        element, l, m = np.indices((self.n_elements, nloc, nloc)).reshape(3, -1)
+        rows, cols = pos[self.elements[element, l]], pos[self.elements[element, m]]
         keep = (rows >= 0) & (cols >= rows)
-        rows, cols = rows[keep], cols[keep]
+        element, l, m, rows, cols = (a[keep] for a in (element, l, m, rows, cols))
         bandwidth = int(np.max(cols - rows, initial=0))
-        return BandScatter(bandwidth, keep, (bandwidth + rows - cols) * n + cols)
+        return BandScatter(bandwidth, (bandwidth + rows - cols) * n + cols, element,
+                           element * nloc + np.stack([l, m]),
+                           (self.grads[element, l] * self.grads[element, m]).T.copy())
 
     @cached_property
     def coordinate_text(self) -> list[str]:
@@ -177,13 +181,16 @@ def rectangle_mesh(x0: float, x1: float, y0: float, y1: float,
 
 @dataclass(frozen=True)
 class DiscreteField:
-    """Nodal values of a P1 function with homogeneous Dirichlet boundary."""
+    """Nodal values of a P1 function with homogeneous Dirichlet boundary,
+    read-only; `_handoff` carries a solve's final state (`elliptic.solve`)."""
 
     mesh: Mesh
     values: np.ndarray
+    _handoff: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.mesh.n_vertices,):
             raise ValueError("nodal values do not match the mesh")

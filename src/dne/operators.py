@@ -2,12 +2,12 @@
 
 The energy density is A(x, xi) = sum_j g_j(x) * (sum_{i in P_j} xi_i^2)^(p(x)/2)
 over a partition (P_j) of the coordinate axes, with weights g_j(x) >= c > 0.
-Its flux a(x, xi) = (1/p(x)) * grad_xi A and the flux Jacobian read one owner
-of the block formula (`_blocks`); A itself is a(x, xi) . xi by Euler's
+Its flux a(x, xi) = (1/p(x)) * grad_xi A and the solver's Hessian read one
+owner of the block formula (`_blocks`); A itself is a(x, xi) . xi by Euler's
 identity.  The Picone gap the verification harness samples is built on these;
-the oracles for the operator's other pointwise inequalities (monotonicity,
-convexity defect, ellipticity floor, growth) are test code, in
-`tests/oracles.py`.
+the flux Jacobian and the oracles for the operator's other pointwise
+inequalities (monotonicity, convexity defect, ellipticity floor, growth) are
+test code, in `tests/oracles.py`.
 
 All evaluation functions broadcast: the point index `k` may be a scalar, an
 integer array or a slice (the solver passes `slice(None)`, every point, which
@@ -176,30 +176,6 @@ def eval_flux(op: LerayLionsOperator, k, xi):
     for axes, _, c in _blocks(op, k, xi):
         out[..., axes] = c[..., None] * xi[..., axes]
     return out
-
-
-def flux_jacobian_batch(op: LerayLionsOperator, k, xi: np.ndarray,
-                        eps: float = 0.0) -> np.ndarray:
-    """Vectorized flux Jacobian over rows of xi (m, N) -> (m, N, N); block j
-    is c_j I + (p-2) (c_j/rho_j) xi_Bj xi_Bj^T, the second term 0 where
-    rho_j = 0.
-
-    With eps > 0 every block norm is smoothed, rho -> rho + eps^2, which is the
-    regularized Newton preconditioner; the exact Jacobian is eps = 0.
-    """
-    xi = np.asarray(xi, dtype=float)
-    p = op.exponent.values[k]
-    m, n = xi.shape
-    jac = np.zeros((m, n, n))
-    for axes, rho, c in _blocks(op, k, xi, eps):
-        xb = xi[:, axes]
-        c2 = (p - 2.0) * np.divide(c, rho, out=np.zeros(m), where=rho > 0.0)
-        sub = c2[:, None, None] * (xb[:, :, None] * xb[:, None, :])
-        size = xb.shape[1]
-        sub.reshape(m, size * size)[:, ::size + 1] += c[:, None]  # + c_j I
-        # the (axes, axes) square: basic slicing, or an outer fancy index
-        jac[:, axes if isinstance(axes, slice) else axes[:, None], axes] = sub
-    return jac
 
 
 def picone_gap(op: LerayLionsOperator, k, grad_u_root, grad_v_root, ratio_grad, r: float):

@@ -2,10 +2,11 @@
 
 The operator oracles sample both sides of the prototype operator's pointwise
 inequalities (strong monotonicity, the Picone pair sum, the Clarkson-type
-convexity defect, the ellipticity floor and the growth sandwich); the energy
-helpers evaluate J and its nodal gradient at a field; `evolve` takes every
-step of a run and `diagnose_per_step` diagnoses it one step at a time, the
-reference for the chunked `evolution.diagnose`; the u = v^q change of
+convexity defect, the ellipticity floor and the growth sandwich), and
+`flux_jacobian_batch` is the flux Jacobian the Hessian tests build from; the
+energy helpers evaluate J and its nodal gradient at a field; `evolve` takes
+every step of a run and `diagnose_per_step` diagnoses it one step at a time,
+the reference for the chunked `evolution.diagnose`; the u = v^q change of
 variables and the contraction ratio of a refinement study feed the acceptance
 tests.  They read the library's private
 element state the same way the solver does.
@@ -56,6 +57,31 @@ def monotonicity_gap(op: LerayLionsOperator, k, xi, eta, gamma0: float = 1.0):
                    gamma0 * d ** np.maximum(p, 2.0),
                    gamma0 * d ** 2 / (1.0 + nx + ne) ** (2.0 - np.minimum(p, 2.0)))
     return _maybe_scalar(lhs), _maybe_scalar(rhs)
+
+
+def flux_jacobian_batch(op: LerayLionsOperator, k, xi: np.ndarray,
+                        eps: float = 0.0) -> np.ndarray:
+    """Vectorized flux Jacobian over rows of xi (m, N) -> (m, N, N); block j
+    is c_j I + (p-2) (c_j/rho_j) xi_Bj xi_Bj^T, the second term 0 where
+    rho_j = 0.
+
+    With eps > 0 every block norm is smoothed, rho -> rho + eps^2, as in the
+    solver's regularized Hessian, which assembles the same blocks as rank-one
+    updates and is tested against this; the exact Jacobian is eps = 0.
+    """
+    xi = np.asarray(xi, dtype=float)
+    p = op.exponent.values[k]
+    m, n = xi.shape
+    jac = np.zeros((m, n, n))
+    for axes, rho, c in _blocks(op, k, xi, eps):
+        xb = xi[:, axes]
+        c2 = (p - 2.0) * np.divide(c, rho, out=np.zeros(m), where=rho > 0.0)
+        sub = c2[:, None, None] * (xb[:, :, None] * xb[:, None, :])
+        size = xb.shape[1]
+        sub.reshape(m, size * size)[:, ::size + 1] += c[:, None]  # + c_j I
+        # the (axes, axes) square: basic slicing, or an outer fancy index
+        jac[:, axes if isinstance(axes, slice) else axes[:, None], axes] = sub
+    return jac
 
 
 def calibrate_gamma0(op: LerayLionsOperator, n_samples: int = 10 ** 6,

@@ -20,12 +20,12 @@ from dne.evolution import EvolutionSetup, time_integral_norm
 from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
                          interval_mesh, l2_norm_diff_power, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
-                           SourceTerm, eval_A, eval_flux, flux_jacobian_batch,
-                           seeded_rng)
+                           SourceTerm, eval_A, eval_flux, seeded_rng)
 
 from oracles import (calibrate_gamma0, contraction_ratio, ellipticity_floor,
-                     energy, energy_gradient, evolve, growth_envelope,
-                     monotonicity_gap, picone_pair_sum, positive_part_norm)
+                     energy, energy_gradient, evolve, flux_jacobian_batch,
+                     growth_envelope, monotonicity_gap, picone_pair_sum,
+                     positive_part_norm)
 
 SEED = 20240801
 

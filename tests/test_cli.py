@@ -11,7 +11,7 @@ import pytest
 
 from dne import checks, cli, elliptic
 from dne.cli import DEFAULT_CHECKS, main
-from dne.io_utils import field_from_csv, field_to_csv, write_field_csv
+from dne.io_utils import field_from_csv, field_to_csv, write_field_csv, write_json
 from dne.meshing import interpolate, interval_mesh, rectangle_mesh
 from dne.scenario import ParseError, ValidationError, load_scenario
 
@@ -130,6 +130,38 @@ class TestFieldCsvRoundTrip:
             for _ in range(2):
                 write_field_csv(field, str(path))
                 assert path.read_bytes() == expected[name].encode()
+
+
+class TestWriteJson:
+    @staticmethod
+    def nested_payload():
+        """Several hundred keys at three depths, with the value types a
+        manifest holds."""
+        return {f"key{i:03d}": {"index": i, "value": i / 7.0, "flag": i % 2 == 0,
+                                "none": None, "text": f"row {i}",
+                                "items": [i, -0.5 * i, [f"k{i}", 1e-300]]}
+                for i in range(300)}
+
+    def test_bytes_match_one_dumps(self, tmp_path):
+        payload = self.nested_payload()
+        path = tmp_path / "out.json"
+        write_json(payload, str(path))
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode()
+        assert sorted(os.listdir(tmp_path)) == ["out.json"]
+
+    def test_encoder_error_leaves_no_temporary_file(self, tmp_path):
+        # the unserializable value sorts last, so the encoder fails after the
+        # temporary file was made and many chunks were handed to it; an
+        # existing file is left as it was
+        payload = self.nested_payload()
+        payload["zzz"] = {"bad": object()}
+        path = tmp_path / "out.json"
+        path.write_text("old\n")
+        with pytest.raises(TypeError):
+            write_json(payload, str(path))
+        assert sorted(os.listdir(tmp_path)) == ["out.json"]
+        assert path.read_text() == "old\n"
 
 
 class TestCommands:

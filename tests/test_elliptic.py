@@ -9,9 +9,10 @@ from dne.elliptic import (EllipticProblem, InvalidProblem, NonConvergence,
 from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
                          interval_mesh, l2_norm_diff_power, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, SourceTerm,
-                           eval_A, eval_source, flux_jacobian_batch, seeded_rng)
+                           eval_A, eval_source, seeded_rng)
 
-from oracles import energy, energy_gradient, positive_part_norm, zero_field
+from oracles import (energy, energy_gradient, flux_jacobian_batch,
+                     positive_part_norm, zero_field)
 
 
 def iso_op(mesh, p):
@@ -206,15 +207,23 @@ BANDED_MESHES = {"interval-20": lambda: interval_mesh(0.0, 1.0, 20),
                  "rectangle-9x6": lambda: rectangle_mesh(0.0, 1.5, 0.0, 1.0, 9, 6)}
 
 
-def banded_operator(mesh, kind):
-    """Variable-exponent operator: one isotropic block, or the two axis blocks
-    ([0], [1]) with different weights."""
+def banded_operator(mesh, kind, p_low=2.2, p_rise=0.6):
+    """Variable-exponent operator, p rising in x from p_low by p_rise: one
+    isotropic block, or the two axis blocks ([0], [1]) with different weights."""
     xb = mesh.barycenters[:, 0]
-    exponent = ExponentField(2.2 + 0.6 * xb / xb.max())
+    exponent = ExponentField(p_low + p_rise * xb / xb.max())
     if kind == "isotropic":
         return LerayLionsOperator.isotropic(exponent, 1.0 + xb, ndim=mesh.dimension)
     yb = mesh.barycenters[:, 1]
     return LerayLionsOperator(exponent, ([0], [1]), [1.0 + xb, 2.0 - yb])
+
+
+def banded_problem(mesh, op):
+    """A time-step problem with every power term: mass, potential, source."""
+    q = 1.25
+    delta = boundary_distance_field(mesh)
+    src = SourceTerm(np.ones(mesh.n_elements), delta, gamma=1.0, beta=0.1, q=q)
+    return EllipticProblem.standard(mesh, op, q, 0.3, 0.5 + mesh.barycenters[:, 0], src)
 
 
 class TestBandedNewton:
@@ -226,12 +235,7 @@ class TestBandedNewton:
     def test_matches_dense_solve_of_coo_hessian(self, mesh_name, op_kind,
                                                 include_concave):
         mesh = BANDED_MESHES[mesh_name]()
-        op = banded_operator(mesh, op_kind)
-        q = 1.25
-        delta = boundary_distance_field(mesh)
-        src = SourceTerm(np.ones(mesh.n_elements), delta, gamma=1.0, beta=0.1, q=q)
-        prob = EllipticProblem.standard(mesh, op, q, 0.3, 0.5 + mesh.barycenters[:, 0],
-                                        src)
+        prob = banded_problem(mesh, banded_operator(mesh, op_kind))
         rng = seeded_rng(53, f"banded-{mesh_name}")
         vals = np.zeros(mesh.n_vertices)
         vals[mesh.interior] = rng.uniform(0.2, 1.2, mesh.interior.size)
@@ -248,6 +252,31 @@ class TestBandedNewton:
         assert np.all(d[mesh.boundary_mask] == 0.0)
         assert np.linalg.norm(d[ii] - expected) / np.linalg.norm(expected) < 1e-12
 
+    @pytest.mark.parametrize("include_concave", [True, False])
+    @pytest.mark.parametrize("mesh_name, op_kind", [
+        ("interval-20", "isotropic"), ("rectangle-6x9", "isotropic"),
+        ("rectangle-9x6", "anisotropic")])
+    def test_rank_one_assembly_at_flat_elements_and_p_below_two(
+            self, mesh_name, op_kind, include_concave):
+        # p(x) from 1.6 to 2.4, and a patch of equal interior values: the
+        # elements inside it are flat (grad v = 0), so every block norm there
+        # sits at the eps^2 floor, where c is largest for p < 2
+        mesh = BANDED_MESHES[mesh_name]()
+        op = banded_operator(mesh, op_kind, p_low=1.6, p_rise=0.8)
+        prob = banded_problem(mesh, op)
+        rng = seeded_rng(59, f"rank-one-{mesh_name}")
+        vals = np.zeros(mesh.n_vertices)
+        vals[mesh.interior] = rng.uniform(0.2, 1.2, mesh.interior.size)
+        vals[mesh.interior[: mesh.interior.size // 2]] = 0.7
+        point = elliptic._point(mesh, op, vals)
+        flat = ~point[1].any(axis=1)
+        assert flat.any() and not flat.all()
+        assert op.exponent.values[flat].min() < 2.0
+        hess = coo_interior_hessian(prob, vals, include_concave)
+        band = elliptic._hessian_matrix(prob, point, include_concave)
+        np.testing.assert_allclose(band_to_dense(band), hess,
+                                   rtol=0.0, atol=1e-13 * np.max(np.abs(hess)))
+
     def test_bandwidth_is_measured_and_scatter_built_once(self):
         interval = BANDED_MESHES["interval-20"]()
         assert interval.band_scatter.bandwidth == 1
@@ -257,15 +286,21 @@ class TestBandedNewton:
             assert scatter.bandwidth == mesh.resolution[1]
             assert mesh.band_scatter is scatter
             # every interior pair (i, j) with i <= j that the elements couple,
-            # and no other, is kept
+            # and no other, is kept, each with its element, its two rows and
+            # its per-axis gradient products
             nloc = mesh.elements.shape[1]
             pairs = np.stack([np.repeat(mesh.elements, nloc, axis=1).ravel(),
                               np.tile(mesh.elements, (1, nloc)).ravel()])
             interior = ~mesh.boundary_mask
             pos = np.cumsum(interior) - 1
+            kept = np.flatnonzero(interior[pairs[0]] & interior[pairs[1]]
+                                  & (pos[pairs[0]] <= pos[pairs[1]]))
+            element, (l, m) = kept // nloc ** 2, np.divmod(kept % nloc ** 2, nloc)
+            np.testing.assert_array_equal(scatter.element, element)
+            np.testing.assert_array_equal(scatter.rows,
+                                          [element * nloc + l, element * nloc + m])
             np.testing.assert_array_equal(
-                scatter.keep, interior[pairs[0]] & interior[pairs[1]]
-                & (pos[pairs[0]] <= pos[pairs[1]]))
+                scatter.products, (mesh.grads[element, l] * mesh.grads[element, m]).T)
 
     @staticmethod
     def indefinite_case(mesh):
@@ -299,8 +334,8 @@ class TestBandedNewton:
     def test_minimize_counts_majorant_directions(self, mesh_name):
         mesh = BANDED_MESHES[mesh_name]()
         prob, vals = self.indefinite_case(mesh)
-        _, report = elliptic._minimize(prob, vals, elliptic.DEFAULT_TOL[mesh.dimension],
-                                       elliptic.MAX_ITERATIONS)
+        _, report, _ = elliptic._minimize(prob, vals, elliptic.DEFAULT_TOL[mesh.dimension],
+                                          elliptic.MAX_ITERATIONS)
         assert report.converged
         assert report.majorant_directions > 0
 
@@ -343,7 +378,7 @@ class TestSolve:
         start = bump_seed(mesh_1d)
         energies, skipped = [energy(prob, start)], []
         for k in range(1, 200):
-            _, report = elliptic._minimize(prob, start.values, 1e-11, max_iterations=k)
+            _, report, _ = elliptic._minimize(prob, start.values, 1e-11, max_iterations=k)
             if report.iterations < k or report.floor_steps:
                 break
             energies.append(report.energy)
@@ -368,8 +403,8 @@ class TestSolve:
                 counts[_name] += 1
                 return _f(*args)
             monkeypatch.setattr(elliptic, name, counting)
-        w, report = elliptic._minimize(prob, v.values, elliptic.DEFAULT_TOL[1],
-                                       elliptic.MAX_ITERATIONS)
+        w, report, _ = elliptic._minimize(prob, v.values, elliptic.DEFAULT_TOL[1],
+                                          elliptic.MAX_ITERATIONS)
         assert report.converged
         assert report.searches_skipped >= 1
         assert counts["_energy_parts"] <= 2 and counts["_gradient_values"] <= 2

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from dne import cli, elliptic, evolution, meshing, operators
-from dne.elliptic import (EllipticProblem, NonConvergence, make_subsolution,
-                          make_supersolution, solve_stationary)
+from dne.elliptic import (EllipticProblem, NonConvergence, bump_seed,
+                          make_subsolution, make_supersolution, solve,
+                          solve_stationary)
 from dne.evolution import (EvolutionSetup, Run, Trajectory, average_potential,
                            diagnose, step, time_integral_norm)
 from dne.meshing import (DiscreteField, Mesh, boundary_distance_field,
@@ -287,7 +288,9 @@ class TestEvolve:
         # one element_means, one gradient_of and one eval_flux pass, shared
         # by the energy (density a . grad v), gradient and Hessian there
         # (recomputing them per evaluation made 322 element_means and 396
-        # gradient_of passes for 124 energies); eval_A is never called
+        # gradient_of passes for 124 energies), except the start of each
+        # solved step after the first, whose state the previous solve handed
+        # over; eval_A is never called
         setup = first_steps("default_1d", 50)
         counts = {"element_means": 0, "gradient_of": 0, "_energy_parts": 0,
                   "eval_flux": 0, "eval_A": 0}
@@ -319,11 +322,12 @@ class TestEvolve:
             for module in (operators, elliptic, evolution, meshing):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting(name, original))
-        evolve(setup)
+        traj = evolve(setup)
+        handed = sum(not r.repeated for r in traj.reports) - 1
         assert counts["_energy_parts"] >= setup.steps
-        assert counts["element_means"] == counts["_energy_parts"]
-        assert counts["gradient_of"] == counts["_energy_parts"]
-        assert counts["eval_flux"] == counts["_energy_parts"]
+        assert counts["element_means"] == counts["_energy_parts"] - handed
+        assert counts["gradient_of"] == counts["_energy_parts"] - handed
+        assert counts["eval_flux"] == counts["_energy_parts"] - handed
         assert counts["eval_A"] == 0
 
     def test_one_residual_per_gradient(self, monkeypatch):
@@ -339,17 +343,20 @@ class TestEvolve:
         assert len(residuals) == len(gradients)
 
     def test_one_element_state_per_step(self, monkeypatch):
-        # outside the solves, `evolve` reads each solved step's start through
-        # one element_means pass (in `step`) and computes no diagnostic: no
-        # gradient_of or eval_flux pass (the diagnostics made one of each per
-        # step, plus one for the initial datum)
+        # outside the solves, `evolve` reads the first step's start through
+        # one element_means pass (in `step`); every later solved step reads
+        # the means its previous solve handed over (one pass each before).
+        # It computes no diagnostic: no gradient_of or eval_flux pass (the
+        # diagnostics made one of each per step, plus one for the initial
+        # datum)
         setup = first_steps("default_1d", 50)
         outside = outside_solve(monkeypatch)
         counts = {name: count_calls(monkeypatch, Mesh, name, outside)
                   for name in ("element_means", "gradient_of")}
         counts["eval_flux"] = count_calls(monkeypatch, operators, "eval_flux", outside)
         traj = evolve(setup)
-        assert len(counts["element_means"]) == sum(not r.repeated for r in traj.reports)
+        assert sum(not r.repeated for r in traj.reports) > 1
+        assert len(counts["element_means"]) == 1
         assert counts["gradient_of"] == []
         assert counts["eval_flux"] == []
 
@@ -530,6 +537,63 @@ class TestRepeatedStep:
         assert v is v1
         assert report.repeated and report is not r1
         assert replace(report, repeated=False) == r1
+
+
+class TestHandoff:
+    """A solve hands its final element state on with its field; the next step
+    starting there reads it instead of computing it."""
+
+    @pytest.mark.parametrize("config, steps", [("decaying_1d", 30), ("smoke_2d", 6)])
+    def test_run_matches_steps_from_fresh_copies(self, monkeypatch, config, steps):
+        # bitwise the same fields, and one `_point` call fewer per solved step
+        # but the first, whose start no solve returned
+        setup = first_steps(config, steps)
+        iterates = count_iterates(monkeypatch)
+        traj = Run(setup).head()
+        handed = len(iterates)
+        iterates.clear()
+        fields, last = [setup.initial], None
+        for n in range(1, steps + 1):
+            h_n = average_potential(setup.potential, n, setup.dt)
+            fresh = DiscreteField(setup.mesh, fields[-1].values)
+            assert fresh._handoff == []
+            v, report = step(setup, fresh, h_n, last)
+            fields.append(v)
+            last = (fresh, h_n, v, report)
+        for a, b in zip(traj.fields, fields, strict=True):
+            np.testing.assert_array_equal(a.values, b.values)
+        solved = sum(not r.repeated for r in traj.reports)
+        assert solved > 1
+        assert len(iterates) - handed == solved - 1
+        # each state is taken by the solve it was handed to: only the last
+        # field of the run still holds one
+        assert {id(f) for f in traj.fields if f._handoff} == {id(traj.final)}
+
+    @pytest.mark.parametrize("same_operator", [True, False])
+    def test_state_is_taken_only_by_its_operator(self, mesh_1d, data_1d, monkeypatch,
+                                                 same_operator):
+        # a solve starting from a solve's field computes no start state when
+        # it has that solve's operator, and computes it (the handed state is
+        # not used) under another; either way its result is a fresh copy's
+        op, src, pot = data_1d
+        v, _ = solve(EllipticProblem.standard(mesh_1d, op, Q, 1.0, pot(0.0), src),
+                     bump_seed(mesh_1d))
+        assert len(v._handoff) == 1
+        with pytest.raises(ValueError):
+            v.values[1] = 0.0  # the state can never go stale
+        if not same_operator:
+            op = LerayLionsOperator.isotropic(
+                ExponentField.constant(mesh_1d.n_elements, 3.0), 1.0)
+        target = EllipticProblem.standard(mesh_1d, op, Q, 0.5, pot(0.0), src)
+        iterates = count_iterates(monkeypatch)
+        fresh, fresh_report = solve(target, DiscreteField(mesh_1d, v.values))
+        from_copy = len(iterates)
+        iterates.clear()
+        w, report = solve(target, v)
+        assert len(iterates) == from_copy - same_operator
+        assert v._handoff == []
+        np.testing.assert_array_equal(w.values, fresh.values)
+        assert report == fresh_report
 
 
 class TestDiagnose:

@@ -5,11 +5,11 @@ import pytest
 
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            Regime, SourceTerm, classify_regime, eval_A,
-                           eval_flux, eval_source, flux_jacobian_batch,
-                           picone_gap, seeded_rng)
+                           eval_flux, eval_source, picone_gap, seeded_rng)
 
-from oracles import (calibrate_gamma0, ellipticity_floor, growth_envelope,
-                     monotonicity_gap, morawetz_gap, picone_pair_sum)
+from oracles import (calibrate_gamma0, ellipticity_floor, flux_jacobian_batch,
+                     growth_envelope, monotonicity_gap, morawetz_gap,
+                     picone_pair_sum)
 
 
 def const_op(p, ndim=2, weight=1.0, n_points=8):
