@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpbsv, dptsv
 
 from .meshing import DiscreteField, Mesh, _unit_bump, interpolate
-from .operators import LerayLionsOperator, _blocks, eval_flux
+from .operators import LerayLionsOperator, _blocks, _flux, _square_norm
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
@@ -144,12 +144,13 @@ def _point(mesh: Mesh, op: LerayLionsOperator, vals: np.ndarray) -> tuple:
     """Element state of one iterate, (element means, element gradients, flux
     a(x, grad v)): the only views of the nodal values that the energy, its
     gradient and its Hessian read, so each point visited takes one pass over
-    the mesh and one operator pass.  Nodal values of shape (S, n_vertices)
-    give the states of S iterates in one pass, each with that leading axis.
-    A solve's final state goes on with its field to the next solve
-    (`_handed_point`), which computes none for its start."""
-    gv = mesh.gradient_of(vals)
-    return mesh.element_means(vals), gv, eval_flux(op, slice(None), gv)
+    the mesh (`Mesh.means_and_gradients`) and one operator pass.  Gradients
+    and flux are views of axis-major memory.  Nodal values of shape
+    (S, n_vertices) give the states of S iterates in one pass, each with that
+    leading axis.  A solve's final state goes on with its field to the next
+    solve (`_handed_point`), which computes none for its start."""
+    vb, gv = mesh.means_and_gradients(vals)
+    return vb, gv, _flux(op, slice(None), gv, np.empty_like(gv))
 
 
 def _handed_point(mesh: Mesh, op: LerayLionsOperator, field_: DiscreteField):
@@ -169,7 +170,11 @@ def _energy_terms(problem: EllipticProblem, point) -> list:
     mesh = problem.mesh
     vb, gv, flux = point
     vbp = np.maximum(vb, 0.0)
-    dens = np.einsum("...d,...d->...", flux, gv)
+    # a . grad v axis by axis: no product c xi_d xi_d is -0.0, so these are
+    # the sums of numpy's `einsum`
+    dens = flux[..., 0] * gv[..., 0]
+    for d in range(1, gv.shape[-1]):
+        dens = dens + flux[..., d] * gv[..., d]
     # the `sum` method: np.sum's summation order without its dispatch
     diffusion = (mesh.measures * dens / problem.op.exponent.values).sum(axis=-1)
     terms = [problem.lam * diffusion]
@@ -189,7 +194,7 @@ def _energy_parts(problem: EllipticProblem, point) -> tuple[float, float]:
 
 def _gradient_values(problem: EllipticProblem, point) -> np.ndarray:
     mesh = problem.mesh
-    nloc = mesh.elements.shape[1]
+    grads = mesh.corner_grads  # (nloc, dim, n_elements)
     vb, _, flux = point
     vbp = np.maximum(vb, 0.0)
     dens = np.zeros(mesh.n_elements)
@@ -197,10 +202,14 @@ def _gradient_values(problem: EllipticProblem, point) -> np.ndarray:
         dens += c * _power(vbp, r - 1.0)
     if problem.load is not None:
         dens -= problem.load
-    contrib = (mesh.measures * dens)[:, None] / nloc
-    contrib = contrib + problem.lam * mesh.measures[:, None] * np.einsum(
-        "ed,eld->el", flux, mesh.grads)
-    grad = np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
+    # a . grad phi_l per corner, axis by axis; the mass part is never -0.0,
+    # so the sign of a zero product does not reach the sum
+    flux_part = flux[:, 0] * grads[:, 0]
+    for d in range(1, grads.shape[1]):
+        flux_part += flux[:, d] * grads[:, d]
+    contrib = (mesh.measures * dens) / len(grads) + (problem.lam * mesh.measures) * flux_part
+    # element-major weights: each vertex sums its terms in element order
+    grad = np.bincount(mesh.elements.ravel(), weights=contrib.T.ravel(),
                        minlength=mesh.n_vertices)
     grad[mesh.boundary_mask] = 0.0
     return grad
@@ -215,12 +224,14 @@ def _hessian_matrix(problem: EllipticProblem, point,
     coefficients are dropped, which leaves a convex majorant.  Per operator
     block G_B J_B G_B^T = c G_B G_B^T + c2 (G_B xi_B)(G_B xi_B)^T, with
     c2 = (p - 2) c / rho, is formed at the kept band pairs from the mesh's
-    G_B G_B^T (`BandScatter.products`), with no element Jacobian."""
+    G_B G_B^T (`BandScatter.block_products`), with no element Jacobian.  The
+    mass part that every pair starts from is never -0.0, so no term's sign
+    of zero reaches the band."""
     mesh, op = problem.mesh, problem.op
     scatter = mesh.band_scatter
     nloc = mesh.elements.shape[1]
     vb, gv, _ = point
-    scale = float(np.sqrt(np.einsum("ed,ed->e", gv, gv).max()))
+    scale = float(np.sqrt(_square_norm(gv).max()))
     eps = HESSIAN_EPS * (scale if scale > 0.0 else 1.0)
     vbp = np.maximum(vb, 0.0)
     dd = np.zeros(mesh.n_elements)
@@ -233,9 +244,13 @@ def _hessian_matrix(problem: EllipticProblem, point,
     for axes, rho, c in _blocks(op, slice(None), gv, eps):
         c2 = (op.exponent.values - 2.0) * np.divide(c, rho, out=np.zeros_like(rho),
                                                     where=rho > 0.0)
-        s = np.einsum("eld,ed->el", mesh.grads[..., axes], gv[:, axes]).ravel()
-        pairs += (weight * c).take(element) * scatter.products[axes].sum(axis=0)
-        pairs += ((weight * c2).repeat(nloc) * s).take(first) * s.take(second)
+        # G_B xi_B per corner and element, corner-major like `rows`
+        grads, xb = mesh.corner_grads[:, axes], gv[:, axes]
+        s = grads[:, 0] * xb[:, 0]
+        for d in range(1, xb.shape[1]):
+            s += grads[:, d] * xb[:, d]
+        pairs += (weight * c).take(element) * scatter.block_products(axes)
+        pairs += (weight * c2 * s).take(first) * s.take(second)
     n_diagonals = scatter.bandwidth + 1
     band = np.bincount(scatter.index, weights=pairs,
                        minlength=n_diagonals * mesh.interior.size)
@@ -256,17 +271,22 @@ def _kkt_norm(mesh: Mesh, vals: np.ndarray, grad: np.ndarray) -> float:
 def _newton_direction(problem, point, grad, include_concave):
     """Newton direction on the interior nodes, or None when the Hessian is not
     positive definite or the solution is not a finite descent direction.  The
-    upper band of the Hessian is solved by banded Cholesky (tridiagonal LDL^T
-    in 1D); with `include_concave` the Hessian can be indefinite, and the
-    factorization then fails."""
+    upper band of the Hessian is solved by LAPACK's banded Cholesky, `dpbsv`,
+    or in 1D (bandwidth 1) its tridiagonal LDL^T, `dptsv`: the routines
+    `scipy.linalg.solveh_banded` calls, without its checks.  With
+    `include_concave` the Hessian can be indefinite, and the factorization
+    then fails (info > 0)."""
     band = _hessian_matrix(problem, point, include_concave)
     ii = problem.mesh.interior
     gi = grad[ii]
-    try:
-        di = solveh_banded(band, -gi, overwrite_ab=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(di).all() or float(gi @ di) >= 0.0:
+    if len(band) == 2:
+        *_, di, info = dptsv(band[1], band[0, 1:], -gi, overwrite_d=1, overwrite_e=1,
+                             overwrite_b=1)
+    else:
+        _, di, info = dpbsv(band, -gi, overwrite_ab=1, overwrite_b=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of the banded solve")
+    if info > 0 or not np.isfinite(di).all() or float(gi @ di) >= 0.0:
         return None
     d = np.zeros_like(grad)
     d[ii] = di

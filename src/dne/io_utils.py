@@ -68,8 +68,15 @@ def field_from_csv(mesh: Mesh, path: str) -> DiscreteField:
     return DiscreteField(mesh, values)
 
 
+JSON_BATCH = 512  # encoder chunks joined into one write (a few KB of text)
+
+
 def write_json(payload, path: str) -> None:
     """`json.dumps(payload, indent=2, sort_keys=True)` and a newline, written
-    chunk by chunk as the encoder produces it, without joining the text."""
+    as the encoder produces it, JSON_BATCH chunks joined at a time: the whole
+    text is never held, and `writelines` gets few strings, not one per key,
+    value and separator."""
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    atomic_write_text(path, itertools.chain(chunks, ["\n"]))
+    batches = ("".join(batch) for batch in
+               iter(lambda: list(itertools.islice(chunks, JSON_BATCH)), []))
+    atomic_write_text(path, itertools.chain(batches, ["\n"]))

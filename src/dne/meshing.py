@@ -27,19 +27,33 @@ class BandScatter:
     [bandwidth + i - j, j].
 
     Pair k, an (element, l, m) whose vertices are interior with i <= j, lies
-    at band position `index[k]`, in `element[k]`, at `rows[:, k]` = element *
-    nloc + (l, m); `products[d, k]` = G[element, l, d] G[element, m, d], so
-    a block's sum over its axes d is its G_B G_B^T entry."""
+    at band position `index[k]`, in `element[k]`, at `rows[:, k]` = (l, m) *
+    n_elements + element, its corners' places in a corner-major array;
+    `products[d, k]` = G[l, d, element] G[m, d, element], so a block's sum
+    over its axes d is its G_B G_B^T entry (`block_products`)."""
 
     bandwidth: int
     index: np.ndarray
     element: np.ndarray
     rows: np.ndarray
     products: np.ndarray
+    _block_sums: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
+
+    def block_products(self, axes) -> np.ndarray:
+        """G_B G_B^T at every pair for the operator block on `axes` (an entry
+        of `LerayLionsOperator.axes`): a view of `products` for one axis, the
+        sum over its axes, formed on first use, for several."""
+        key = (axes.start, axes.stop) if isinstance(axes, slice) else tuple(axes.tolist())
+        if key not in self._block_sums:
+            rows = self.products[axes]
+            self._block_sums[key] = rows[0] if len(rows) == 1 else rows.sum(axis=0)
+        return self._block_sums[key]
 
 
 class Mesh:
-    """Immutable simplicial mesh with cached P1 shape-function gradients, a
+    """Immutable simplicial mesh with cached P1 shape-function gradients
+    (`corner_grads`, in the corner-major layout of its element pass), a
     cached interior band scatter map (`band_scatter`) for Hessian assembly
     and cached coordinate text (`coordinate_text`) for field files."""
 
@@ -56,10 +70,11 @@ class Mesh:
 
     def _build_geometry(self):
         coords = self.vertices[self.elements]  # (ne, nloc, dim)
+        nloc = self.elements.shape[1]
         if self.dimension == 1:
             h = coords[:, 1, 0] - coords[:, 0, 0]
             self.measures = np.abs(h)
-            self.grads = np.stack([-1.0 / h, 1.0 / h], axis=1)[:, :, None]
+            grads = np.stack([-1.0 / h, 1.0 / h], axis=1)[:, :, None]
         else:
             a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
             jac = np.stack([b - a, c - a], axis=1)  # (ne, 2, 2)
@@ -72,9 +87,17 @@ class Mesh:
             inv_t[:, 1, 1] = jac[:, 0, 0]
             inv_t /= det[:, None, None]
             ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-            self.grads = np.einsum("ld,edk->elk", ref, inv_t)
+            grads = np.einsum("ld,edk->elk", ref, inv_t)
         if not np.all(self.measures > 0.0):
             raise ValueError("mesh has elements of nonpositive or undefined measure")
+        # Corner-major layouts of the element pass: corner l's vertices, and
+        # the weights of its nodal value in the element's corner sum (1) and
+        # in each gradient component.  `corner_grads`, shape
+        # (nloc, dim, n_elements), is a view of the latter: G[l, d, element].
+        self._corner_vertices = self.elements.T.copy()
+        self._corner_weights = np.ones((nloc, 1 + self.dimension, self.n_elements))
+        self._corner_weights[:, 1:] = grads.transpose(1, 2, 0)
+        self.corner_grads = self._corner_weights[:, 1:]
 
     @property
     def n_vertices(self) -> int:
@@ -105,9 +128,10 @@ class Mesh:
         keep = (rows >= 0) & (cols >= rows)
         element, l, m, rows, cols = (a[keep] for a in (element, l, m, rows, cols))
         bandwidth = int(np.max(cols - rows, initial=0))
+        g = self.corner_grads
         return BandScatter(bandwidth, (bandwidth + rows - cols) * n + cols, element,
-                           element * nloc + np.stack([l, m]),
-                           (self.grads[element, l] * self.grads[element, m]).T.copy())
+                           np.stack([l, m]) * self.n_elements + element,
+                           (g[l, :, element] * g[m, :, element]).T.copy())
 
     @cached_property
     def coordinate_text(self) -> list[str]:
@@ -116,17 +140,47 @@ class Mesh:
         field written on the mesh are the same."""
         return ["".join(f"{c!r}," for c in row) for row in self.vertices.tolist()]
 
-    # Both take nodal values of shape (..., n_vertices): a leading axis of
-    # iterates gives one row of element values per iterate.
+    # The passes take nodal values of shape (..., n_vertices), read through
+    # one gather per corner (`_corners`): a leading axis of iterates gives
+    # one row of element values per iterate.
+
+    def _corners(self, nodal_values) -> np.ndarray:
+        """Nodal values at each corner, shape (..., nloc, n_elements)."""
+        return np.asarray(nodal_values, dtype=float).take(self._corner_vertices, axis=-1)
+
+    def means_and_gradients(self, nodal_values: np.ndarray) -> tuple:
+        """Element means, shape (..., n_elements), and element gradients,
+        shape (..., n_elements, dim), in one pass: the gradients are a view
+        of axis-major memory, so each component `[..., d]` is contiguous."""
+        terms = self._corners(nodal_values)[..., None, :] * self._corner_weights
+        nloc = len(self._corner_weights)
+        sums = _corner_sum([terms[..., l, :, :] for l in range(nloc)])
+        return sums[..., 0, :] / nloc, sums[..., 1:, :].swapaxes(-1, -2)
+
+    # The two halves of `means_and_gradients`, each with its arithmetic: the
+    # checks pass whole runs as one array, and weighting them for both would
+    # hold (1 + dim) times their corner values.
 
     def element_means(self, nodal_values: np.ndarray) -> np.ndarray:
-        # the arithmetic of `mean` (a sum, then one division), without its dispatch
-        vals = np.asarray(nodal_values, dtype=float).take(self.elements, axis=-1)
-        return vals.sum(axis=-1) / self.elements.shape[1]
+        corners = self._corners(nodal_values)
+        nloc = len(self._corner_vertices)
+        return _corner_sum([corners[..., l, :] for l in range(nloc)]) / nloc
 
     def gradient_of(self, nodal_values: np.ndarray) -> np.ndarray:
-        vals = np.asarray(nodal_values, dtype=float).take(self.elements, axis=-1)
-        return np.einsum("...el,eld->...ed", vals, self.grads)
+        corners = self._corners(nodal_values)[..., None, :]
+        terms = [corners[..., l, :, :] * g for l, g in enumerate(self.corner_grads)]
+        return _corner_sum(terms).swapaxes(-1, -2)
+
+
+def _corner_sum(parts: list) -> np.ndarray:
+    """The sum of per-corner arrays as a left fold of plain adds, then
+    + 0.0: the sums numpy's `sum` and `einsum` give over a corner axis, which
+    start from 0.0 and so give 0.0, not -0.0, when every term is -0.0."""
+    total = parts[0] + parts[1]
+    for part in parts[2:]:
+        total += part
+    total += 0.0
+    return total
 
 
 def interval_mesh(a: float, b: float, n: int) -> Mesh:

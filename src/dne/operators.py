@@ -145,15 +145,26 @@ def _check_dim(op: LerayLionsOperator, xi: np.ndarray) -> None:
         raise ValueError(f"xi has {xi.shape[-1]} components, operator acts on {op.ndim}")
 
 
+def _square_norm(xi: np.ndarray) -> np.ndarray:
+    """|xi|^2 over the last axis, its squares added axis by axis: the sum
+    numpy's `sum` and `einsum` give, since no square is -0.0."""
+    out = xi[..., 0] ** 2
+    for i in range(1, xi.shape[-1]):
+        out = out + xi[..., i] ** 2
+    return out
+
+
 def _blocks(op: LerayLionsOperator, k, xi: np.ndarray, eps: float = 0.0):
     """Per block j: its axes (`op.axes`), rho_j = |xi_Bj|^2 + eps^2 and the
     coefficient c_j = g_j rho_j^((p-2)/2) of the flux a = c_j xi on the block.
     The one guard: c_j = 0 where rho_j = 0 and p < 2 (inf to a negative power
-    is 0); for p >= 2 the power's limit is g_j at p = 2 and 0 above."""
+    is 0); for p >= 2 the power's limit is g_j at p = 2 and 0 above, so an
+    operator with p_- >= 2 skips it."""
     power, at_least_two = op.exponent.flux_power[k], op.exponent.at_least_two[k]
+    guard = op.exponent.p_minus < 2.0
     for j, axes in enumerate(op.axes):
-        rho = (xi[..., axes] ** 2).sum(axis=-1) + eps ** 2
-        base = np.where((rho > 0.0) | at_least_two, rho, np.inf)
+        rho = _square_norm(xi[..., axes]) + eps ** 2
+        base = np.where((rho > 0.0) | at_least_two, rho, np.inf) if guard else rho
         yield axes, rho, op.weights[j][k] * base ** power
 
 
@@ -172,7 +183,12 @@ def eval_flux(op: LerayLionsOperator, k, xi):
     if k_shape != xi.shape[:-1]:
         shape = np.broadcast_shapes(k_shape, xi.shape[:-1])
         xi = np.broadcast_to(xi, shape + xi.shape[-1:])
-    out = np.empty(xi.shape)
+    return _flux(op, k, xi, np.empty(xi.shape))
+
+
+def _flux(op: LerayLionsOperator, k, xi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`eval_flux` without its checks, for an xi of the points' shape; the
+    flux is written to `out` (the solver passes memory laid out like xi)."""
     for axes, _, c in _blocks(op, k, xi):
         out[..., axes] = c[..., None] * xi[..., axes]
     return out

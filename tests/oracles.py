@@ -11,6 +11,13 @@ variables and the contraction ratio of a refinement study feed the acceptance
 tests.  They read the library's private
 element state the same way the solver does.
 
+The element-pass references (`element_means_reference`, `gradient_reference`,
+`blocks_reference`, `flux_reference`, `point_reference`,
+`energy_terms_reference`, `gradient_values_reference`,
+`hessian_band_reference`) are the solver's per-point formulas as numpy
+reductions and `einsum` calls over element-major arrays, the reference the
+corner-major, plain-add passes of the solver must match bit for bit.
+
 The run-check references (`sandwich_per_step`, `monotone_run_per_step`,
 `contraction_parabolic_per_step`, `stabilization_per_step`) walk a run one
 stored time at a time through `l2_norm_diff_power`, `positive_part_norm` and
@@ -30,8 +37,8 @@ import numpy as np
 
 from dne import checks
 from dne.checks import _report, _solve_pair
-from dne.elliptic import (EllipticProblem, _energy_parts, _energy_terms,
-                          _gradient_values, _point)
+from dne.elliptic import (HESSIAN_EPS, EllipticProblem, _energy_parts, _energy_terms,
+                          _gradient_values, _point, _power)
 from dne.evolution import (DISSIPATION_SLACK, EvolutionSetup, Run, StepDiagnostics,
                            Trajectory, average_potential)
 from dne.meshing import (DiscreteField, Mesh, _cell_flipped, _mean_powers,
@@ -170,6 +177,118 @@ def growth_envelope(op: LerayLionsOperator, k, xi):
     lower = op.weight_floor * np.minimum(1.0, p - 1.0) / (p - 1.0) * norm_p
     upper = op.weight_ceiling * nblocks ** np.maximum(0.0, 1.0 - p / 2.0) * norm_p
     return _maybe_scalar(lower), _maybe_scalar(upper)
+
+
+def element_grads(mesh: Mesh) -> np.ndarray:
+    """The mesh's shape-function gradients element-major, G[element, l, d]."""
+    return mesh.corner_grads.transpose(2, 0, 1)
+
+
+def element_means_reference(mesh: Mesh, nodal_values) -> np.ndarray:
+    """Element means: a gather by `elements` and numpy's sum over corners."""
+    vals = np.asarray(nodal_values, dtype=float).take(mesh.elements, axis=-1)
+    return vals.sum(axis=-1) / mesh.elements.shape[1]
+
+
+def gradient_reference(mesh: Mesh, nodal_values) -> np.ndarray:
+    """Element gradients: a gather by `elements` and one `einsum`."""
+    vals = np.asarray(nodal_values, dtype=float).take(mesh.elements, axis=-1)
+    return np.einsum("...el,eld->...ed", vals, element_grads(mesh))
+
+
+def blocks_reference(op: LerayLionsOperator, k, xi, eps: float = 0.0):
+    """`operators._blocks` with rho summed by numpy and the rho = 0 guard
+    applied at every exponent."""
+    power, at_least_two = op.exponent.flux_power[k], op.exponent.at_least_two[k]
+    for j, axes in enumerate(op.axes):
+        rho = (xi[..., axes] ** 2).sum(axis=-1) + eps ** 2
+        base = np.where((rho > 0.0) | at_least_two, rho, np.inf)
+        yield axes, rho, op.weights[j][k] * base ** power
+
+
+def flux_reference(op: LerayLionsOperator, k, xi) -> np.ndarray:
+    """`eval_flux` over `blocks_reference`, into a C-ordered array."""
+    xi = np.asarray(xi, dtype=float)
+    out = np.empty(np.broadcast_shapes(np.shape(op.exponent.values[k]), xi.shape[:-1])
+                   + xi.shape[-1:])
+    xi = np.broadcast_to(xi, out.shape)
+    for axes, _, c in blocks_reference(op, k, xi):
+        out[..., axes] = c[..., None] * xi[..., axes]
+    return out
+
+
+def point_reference(mesh: Mesh, op: LerayLionsOperator, vals) -> tuple:
+    """`elliptic._point` from the references above."""
+    gv = gradient_reference(mesh, vals)
+    return element_means_reference(mesh, vals), gv, flux_reference(op, slice(None), gv)
+
+
+def energy_terms_reference(problem: EllipticProblem, point) -> list:
+    """`elliptic._energy_terms` with the density a . grad v by `einsum`."""
+    mesh = problem.mesh
+    vb, gv, flux = point
+    vbp = np.maximum(vb, 0.0)
+    dens = np.einsum("...d,...d->...", flux, gv)
+    terms = [problem.lam * (mesh.measures * dens / problem.op.exponent.values).sum(axis=-1)]
+    for c, r in problem.terms:
+        terms.append((mesh.measures * c * vbp ** r).sum(axis=-1) / r)
+    if problem.load is not None:
+        terms.append(-(mesh.measures * problem.load * vb).sum(axis=-1))
+    return terms
+
+
+def gradient_values_reference(problem: EllipticProblem, point) -> np.ndarray:
+    """`elliptic._gradient_values` with a . grad phi_l by `einsum` and
+    element-major corner terms."""
+    mesh = problem.mesh
+    nloc = mesh.elements.shape[1]
+    vb, _, flux = point
+    vbp = np.maximum(vb, 0.0)
+    dens = np.zeros(mesh.n_elements)
+    for c, r in problem.terms:
+        dens += c * _power(vbp, r - 1.0)
+    if problem.load is not None:
+        dens -= problem.load
+    contrib = (mesh.measures * dens)[:, None] / nloc
+    contrib = contrib + problem.lam * mesh.measures[:, None] * np.einsum(
+        "ed,eld->el", flux, element_grads(mesh))
+    grad = np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.n_vertices)
+    grad[mesh.boundary_mask] = 0.0
+    return grad
+
+
+def hessian_band_reference(problem: EllipticProblem, point,
+                           include_concave: bool) -> np.ndarray:
+    """`elliptic._hessian_matrix` with `einsum` products, numpy's sums over
+    block axes and the rank-one weights `repeat`ed per corner, over
+    element-major corner terms."""
+    mesh, op = problem.mesh, problem.op
+    scatter = mesh.band_scatter
+    nloc = mesh.elements.shape[1]
+    vb, gv, _ = point
+    scale = float(np.sqrt(np.einsum("ed,ed->e", gv, gv).max()))
+    eps = HESSIAN_EPS * (scale if scale > 0.0 else 1.0)
+    vbp = np.maximum(vb, 0.0)
+    dd = np.zeros(mesh.n_elements)
+    for c, r in problem.terms:
+        if include_concave or c.min() >= 0.0:
+            dd += (r - 1.0) * c * _power(vbp, r - 2.0)
+    element = scatter.element
+    # the pairs' corners in an element-major (element, l) array
+    first, second = scatter.rows % mesh.n_elements * nloc + scatter.rows // mesh.n_elements
+    pairs = (mesh.measures * dd / nloc ** 2).take(element)
+    weight = problem.lam * mesh.measures
+    for axes, rho, c in blocks_reference(op, slice(None), gv, eps):
+        c2 = (op.exponent.values - 2.0) * np.divide(c, rho, out=np.zeros_like(rho),
+                                                    where=rho > 0.0)
+        s = np.einsum("eld,ed->el", element_grads(mesh)[..., axes], gv[:, axes]).ravel()
+        pairs += (weight * c).take(element) * scatter.products[axes].sum(axis=0)
+        pairs += ((weight * c2).repeat(nloc) * s).take(first) * s.take(second)
+    n_diagonals = scatter.bandwidth + 1
+    band = np.bincount(scatter.index, weights=pairs,
+                       minlength=n_diagonals * mesh.interior.size)
+    return band.reshape(n_diagonals, -1)
 
 
 def energy(problem: EllipticProblem, v: DiscreteField) -> float:

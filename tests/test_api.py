@@ -123,12 +123,13 @@ def scipy_imports(module_name):
 
 
 def test_one_newton_solve_path():
-    # the Newton systems are symmetric: one banded Cholesky solve, no LU or
-    # sparse path beside it
+    # the Newton systems are symmetric: LAPACK's banded Cholesky (and its
+    # tridiagonal form), called directly, with no LU or sparse path beside it
     imports = scipy_imports("dne.elliptic")
     names = {name for _, name in imports}
-    assert ("scipy.linalg", "solveh_banded") in imports
-    assert "solve_banded" not in names
+    assert ("scipy.linalg.lapack", "dpbsv") in imports
+    assert ("scipy.linalg.lapack", "dptsv") in imports
+    assert not names & {"solve_banded", "dgbsv", "lu_factor", "lu_solve", "lu", "solve"}
     assert not any(module.startswith("scipy.sparse") for module, _ in imports)
 
 

@@ -9,10 +9,13 @@ from dne.elliptic import (EllipticProblem, InvalidProblem, NonConvergence,
 from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
                          interval_mesh, l2_norm_diff_power, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, SourceTerm,
-                           eval_A, eval_source, seeded_rng)
+                           _square_norm, eval_A, eval_source, seeded_rng)
 
-from oracles import (energy, energy_gradient, flux_jacobian_batch,
-                     positive_part_norm, zero_field)
+from oracles import (blocks_reference, element_grads, energy, energy_gradient,
+                     energy_terms_reference,
+                     flux_jacobian_batch, gradient_values_reference,
+                     hessian_band_reference, point_reference, positive_part_norm,
+                     zero_field)
 
 
 def iso_op(mesh, p):
@@ -59,7 +62,7 @@ def coo_interior_hessian(problem, vals, include_concave):
     eps = elliptic.HESSIAN_EPS * (largest if largest > 0.0 else 1.0)
     jac = flux_jacobian_batch(problem.op, np.arange(mesh.n_elements), grads, eps=eps)
     elem = problem.lam * mesh.measures[:, None, None] * np.einsum(
-        "eld,edc,emc->elm", mesh.grads, jac, mesh.grads)
+        "eld,edc,emc->elm", element_grads(mesh), jac, element_grads(mesh))
     vbp = np.maximum(mesh.element_means(vals), 0.0)
     dd = np.zeros(mesh.n_elements)
     for c, r in problem.terms:
@@ -297,10 +300,11 @@ class TestBandedNewton:
                                   & (pos[pairs[0]] <= pos[pairs[1]]))
             element, (l, m) = kept // nloc ** 2, np.divmod(kept % nloc ** 2, nloc)
             np.testing.assert_array_equal(scatter.element, element)
-            np.testing.assert_array_equal(scatter.rows,
-                                          [element * nloc + l, element * nloc + m])
+            ne = mesh.n_elements
+            np.testing.assert_array_equal(scatter.rows, [l * ne + element, m * ne + element])
+            grads = element_grads(mesh)
             np.testing.assert_array_equal(
-                scatter.products, (mesh.grads[element, l] * mesh.grads[element, m]).T)
+                scatter.products, (grads[element, l] * grads[element, m]).T)
 
     @staticmethod
     def indefinite_case(mesh):
@@ -338,6 +342,112 @@ class TestBandedNewton:
                                           elliptic.MAX_ITERATIONS)
         assert report.converged
         assert report.majorant_directions > 0
+
+
+def assert_bitwise(actual, expected):
+    """Equal arrays with equal signs of zero."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class TestElementPassReference:
+    """The corner-major element pass, the flux from `_blocks` and the plain
+    adds of the energy, gradient and Hessian reproduce numpy's reductions and
+    `einsum` (`oracles.point_reference` and the rest) bit for bit, signs of
+    zero included."""
+
+    @staticmethod
+    def signed_zero_values(mesh, seed):
+        """Interior values in [0.2, 1.2] with a flat patch, runs of +0.0 and
+        -0.0 (elements whose corners are all -0.0, and +0.0 next to -0.0)
+        and a few negative values."""
+        rng = seeded_rng(seed, f"signed-zeros-{mesh.n_vertices}")
+        vals = np.zeros(mesh.n_vertices)
+        ii = mesh.interior
+        vals[ii] = rng.uniform(0.2, 1.2, ii.size)
+        vals[ii[ii.size // 3: ii.size // 2]] = 0.7
+        vals[ii[:ii.size // 3]] = -0.0
+        vals[ii[1:ii.size // 3:4]] = 0.0
+        vals[ii[-3:]] = -rng.uniform(0.1, 0.5, 3)
+        return vals
+
+    @staticmethod
+    def operator(mesh, kind):
+        if kind == "p=2":
+            return iso_op(mesh, 2.0)
+        if kind == "p<2":
+            return banded_operator(mesh, "isotropic", p_low=1.6, p_rise=0.8)
+        if kind == "anisotropic":
+            return banded_operator(mesh, "anisotropic", p_low=1.6, p_rise=0.8)
+        return banded_operator(mesh, "isotropic")
+
+    CASES = [("interval-20", kind) for kind in ("p>2", "p=2", "p<2")] + [
+        ("rectangle-6x9", kind) for kind in ("p>2", "p=2", "p<2", "anisotropic")]
+
+    @pytest.mark.parametrize("mesh_name, op_kind", CASES)
+    def test_point_of_one_and_of_stacked_iterates(self, mesh_name, op_kind):
+        mesh = BANDED_MESHES[mesh_name]()
+        op = self.operator(mesh, op_kind)
+        vals = self.signed_zero_values(mesh, 61)
+        assert np.signbit(vals).any() and (vals == 0.0).any()
+        stacked = np.stack([vals, 0.5 * vals, np.abs(vals), -vals])
+        for nodal in (vals, stacked):
+            point = elliptic._point(mesh, op, nodal)
+            expected = point_reference(mesh, op, nodal)
+            for actual, reference in zip(point, expected):
+                assert_bitwise(actual, reference)
+            assert_bitwise(mesh.element_means(nodal), expected[0])
+            assert_bitwise(mesh.gradient_of(nodal), expected[1])
+            # |grad v|^2, whose largest value scales the Hessian's smoothing
+            assert_bitwise(_square_norm(point[1]),
+                           np.einsum("...d,...d->...", expected[1], expected[1]))
+            prob = banded_problem(mesh, op)
+            for actual, reference in zip(elliptic._energy_terms(prob, point),
+                                         energy_terms_reference(prob, expected)):
+                assert_bitwise(actual, reference)
+        # some elements have only -0.0 corners, where a left fold of adds
+        # without the closing + 0.0 would give -0.0
+        assert np.signbit(vals.take(mesh.elements, axis=-1)).all(axis=-1).any()
+
+    @pytest.mark.parametrize("mesh_name, op_kind", CASES)
+    def test_gradient_and_hessian_band(self, mesh_name, op_kind):
+        mesh = BANDED_MESHES[mesh_name]()
+        op = self.operator(mesh, op_kind)
+        prob = banded_problem(mesh, op)
+        vals = self.signed_zero_values(mesh, 67)
+        point = elliptic._point(mesh, op, vals)
+        expected = point_reference(mesh, op, vals)
+        assert_bitwise(elliptic._gradient_values(prob, point),
+                       gradient_values_reference(prob, expected))
+        for include_concave in (True, False):
+            assert_bitwise(elliptic._hessian_matrix(prob, point, include_concave),
+                           hessian_band_reference(prob, expected, include_concave))
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_blocks_at_vanishing_block_norm(self, p):
+        # rho = 0 at +0.0 and -0.0 gradients: for p = 2 the guard is skipped
+        # (p_- >= 2) and c = g; for p < 2 it sets c = 0
+        mesh = BANDED_MESHES["rectangle-6x9"]()
+        ops = [LerayLionsOperator.isotropic(ExponentField.constant(mesh.n_elements, p),
+                                            1.5, ndim=2),
+               LerayLionsOperator(ExponentField.constant(mesh.n_elements, p),
+                                  ([0], [1]), [1.5, 0.5])]
+        xi = seeded_rng(71, "vanishing-blocks").normal(size=(mesh.n_elements, 2))
+        xi[::3] = 0.0
+        xi[1::3, 0] = -0.0
+        for op in ops:
+            for eps in (0.0, 1e-8):
+                blocks = zip(elliptic._blocks(op, slice(None), xi, eps),
+                             blocks_reference(op, slice(None), xi, eps))
+                for j, ((_, rho, c), (_, rho_ref, c_ref)) in enumerate(blocks):
+                    assert_bitwise(rho, rho_ref)
+                    assert_bitwise(c, c_ref)
+                    flat = rho == 0.0
+                    assert flat.any() == (eps == 0.0)
+                    np.testing.assert_array_equal(
+                        c[flat], op.weights[j][flat] if p == 2.0 else 0.0)
 
 
 class TestSolve:

@@ -285,14 +285,15 @@ class TestEvolve:
 
     def test_one_element_pass_per_point(self, monkeypatch):
         # inside the solves of 50 default_1d steps every point visited gets
-        # one element_means, one gradient_of and one eval_flux pass, shared
-        # by the energy (density a . grad v), gradient and Hessian there
-        # (recomputing them per evaluation made 322 element_means and 396
-        # gradient_of passes for 124 energies), except the start of each
-        # solved step after the first, whose state the previous solve handed
-        # over; eval_A is never called
+        # one element pass (`Mesh.means_and_gradients`), shared by the energy
+        # (density a . grad v), gradient and Hessian there (recomputing it
+        # per evaluation made 322 element_means and 396 gradient_of passes
+        # for 124 energies), except the start of each solved step after the
+        # first, whose state the previous solve handed over; the flux is
+        # built from the operator blocks, so eval_flux and eval_A are never
+        # called
         setup = first_steps("default_1d", 50)
-        counts = {"element_means": 0, "gradient_of": 0, "_energy_parts": 0,
+        counts = {"means_and_gradients": 0, "_energy_parts": 0,
                   "eval_flux": 0, "eval_A": 0}
         inside = []
 
@@ -313,8 +314,8 @@ class TestEvolve:
                 inside.pop()
 
         monkeypatch.setattr(evolution, "solve", solving)
-        for name in ("element_means", "gradient_of"):
-            monkeypatch.setattr(Mesh, name, counting(name, getattr(Mesh, name)))
+        monkeypatch.setattr(Mesh, "means_and_gradients",
+                            counting("means_and_gradients", Mesh.means_and_gradients))
         monkeypatch.setattr(elliptic, "_energy_parts",
                             counting("_energy_parts", elliptic._energy_parts))
         for name in ("eval_flux", "eval_A"):
@@ -325,9 +326,8 @@ class TestEvolve:
         traj = evolve(setup)
         handed = sum(not r.repeated for r in traj.reports) - 1
         assert counts["_energy_parts"] >= setup.steps
-        assert counts["element_means"] == counts["_energy_parts"] - handed
-        assert counts["gradient_of"] == counts["_energy_parts"] - handed
-        assert counts["eval_flux"] == counts["_energy_parts"] - handed
+        assert counts["means_and_gradients"] == counts["_energy_parts"] - handed
+        assert counts["eval_flux"] == 0
         assert counts["eval_A"] == 0
 
     def test_one_residual_per_gradient(self, monkeypatch):
