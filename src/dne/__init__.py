@@ -4,7 +4,7 @@ scaling and stabilization estimates the scheme is built on."""
 
 from .operators import (ExponentField, LerayLionsOperator, PotentialField,
                         Regime, SourceTerm, classify_regime, eval_A, eval_flux,
-                        eval_source, picone_gap)
+                        eval_source)
 from .meshing import (DiscreteField, Mesh, boundary_distance_field, gradient,
                       interpolate, interval_mesh, l2_norm_diff_power,
                       rectangle_mesh)

@@ -132,9 +132,11 @@ class EllipticProblem:
         return cls(mesh, op, 1.0, _forcing_terms(mesh, op, q, b, 1.0, source), load)
 
 
-def _power(vbp: np.ndarray, s: float) -> np.ndarray:
-    """vbp^s where vbp > 0 and exactly 0 elsewhere, for any exponent s."""
-    if vbp.min() > 0.0:
+def _power(vbp: np.ndarray, s: float, positive: bool) -> np.ndarray:
+    """vbp^s where vbp > 0 and exactly 0 elsewhere, for any exponent s;
+    `positive` says whether every entry is (vbp.min() > 0.0), which the
+    caller tests once for all its terms."""
+    if positive:
         return vbp ** s
     pos = vbp > 0.0
     return np.where(pos, np.where(pos, vbp, 1.0) ** s, 0.0)
@@ -197,9 +199,10 @@ def _gradient_values(problem: EllipticProblem, point) -> np.ndarray:
     grads = mesh.corner_grads  # (nloc, dim, n_elements)
     vb, _, flux = point
     vbp = np.maximum(vb, 0.0)
+    positive = vbp.min() > 0.0
     dens = np.zeros(mesh.n_elements)
     for c, r in problem.terms:
-        dens += c * _power(vbp, r - 1.0)
+        dens += c * _power(vbp, r - 1.0, positive)
     if problem.load is not None:
         dens -= problem.load
     # a . grad phi_l per corner, axis by axis; the mass part is never -0.0,
@@ -234,16 +237,19 @@ def _hessian_matrix(problem: EllipticProblem, point,
     scale = float(np.sqrt(_square_norm(gv).max()))
     eps = HESSIAN_EPS * (scale if scale > 0.0 else 1.0)
     vbp = np.maximum(vb, 0.0)
+    positive = vbp.min() > 0.0
     dd = np.zeros(mesh.n_elements)
+    # a term with r = 1 (the source at beta = 0) would add (r - 1) c vbp^-1,
+    # +-0.0, or 0 * inf = nan where a clipped mean is subnormal
     for c, r in problem.terms:
-        if include_concave or c.min() >= 0.0:
-            dd += (r - 1.0) * c * _power(vbp, r - 2.0)
+        if r != 1.0 and (include_concave or c.min() >= 0.0):
+            dd += (r - 1.0) * c * _power(vbp, r - 2.0, positive)
     element, (first, second) = scatter.element, scatter.rows
     pairs = (mesh.measures * dd / nloc ** 2).take(element)
     weight = problem.lam * mesh.measures
     for axes, rho, c in _blocks(op, slice(None), gv, eps):
-        c2 = (op.exponent.values - 2.0) * np.divide(c, rho, out=np.zeros_like(rho),
-                                                    where=rho > 0.0)
+        c2 = op.exponent.minus_two * np.divide(c, rho, out=np.zeros_like(rho),
+                                               where=rho > 0.0)
         # G_B xi_B per corner and element, corner-major like `rows`
         grads, xb = mesh.corner_grads[:, axes], gv[:, axes]
         s = grads[:, 0] * xb[:, 0]
@@ -345,7 +351,8 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
             else:
                 t = 1.0
                 for _ in range(MAX_BACKTRACKS):
-                    trial = _project(mesh, vals + t * d)
+                    # 1.0 * d is d, so the first trial is the full step
+                    trial = full if t == 1.0 else _project(mesh, vals + t * d)
                     step = trial - vals
                     if not step.any():
                         break

@@ -10,17 +10,19 @@ One 5-point Gauss-Legendre rule in time, `_gauss_sum`, gives both the
 potential average h^n of a step and `time_integral_norm`, the data term of
 the contraction estimates.
 
-`Run` advances the scheme alone, as far as it is read; `diagnose` walks a
-finished run: it sums the squared increments and the telescoped modular
-difference and compares them against the potential and source budget, beyond
-a stated slack.  Each step's diagnostics read one element state of its
-iterate (`elliptic._point`): the increment norm and the source ratio read its
-element means, and the stationary energy sums the stationary problem's term
-integrals, whose diffusion term (lam = 1) is the modular.  The solved steps
-are diagnosed in chunks of steps, each in one broadcast pass over a leading
-axis of iterates (h^n, element states, norms and energy terms), so a 1D
-mesh of 100 elements takes 40 steps a pass; the sums and the worst margin
-then walk the steps in order.
+`Run` advances the scheme alone, as far as it is read, and averages the
+potential of the steps it takes a chunk of steps per `average_potential`
+call, as the diagnostics do; `diagnose` walks a finished run: it sums the
+squared increments and the telescoped modular difference and compares them
+against the potential and source budget, beyond a stated slack.  Each step's
+diagnostics read one element state of its iterate (`elliptic._point`): the
+increment norm and the source ratio read its element means, and the
+stationary energy sums the stationary problem's term integrals, whose
+diffusion term (lam = 1) is the modular.  The solved steps are diagnosed in
+chunks of steps, each in one broadcast pass over a leading axis of iterates
+(h^n, element states, norms and energy terms), so a 1D mesh of 100 elements
+takes 40 steps a pass; the sums and the worst margin then walk the steps in
+order.
 
 A step is a deterministic function of its start and h^n, so `Run`
 hands each step the previous one's inputs and result: once the scheme has
@@ -176,6 +178,22 @@ def step(setup: EvolutionSetup, previous: DiscreteField, h_n: np.ndarray,
     return solve(problem, previous)
 
 
+def _step_averages(setup: EvolutionSetup, first: int, last: int):
+    """h^k for the steps k = first..last in order, averaged
+    DIAGNOSTIC_ELEMENT_STEPS // n_elements steps per `average_potential`
+    call, bitwise the averages of one step at a time.  When that chunk is one
+    step, each step takes the scalar call, which is cheaper than a one-row
+    batch."""
+    potential, dt = setup.potential, setup.dt
+    size = DIAGNOSTIC_ELEMENT_STEPS // setup.mesh.n_elements
+    if size <= 1:
+        for k in range(first, last + 1):
+            yield average_potential(potential, k, dt)
+        return
+    for k in range(first, last + 1, size):
+        yield from average_potential(potential, np.arange(k, min(k + size, last + 1)), dt)
+
+
 class Run:
     """One run of `setup`, advanced only as far as it is read: `head(n)` takes
     the steps up to n not yet taken, each once, and returns the first n (all by
@@ -189,12 +207,13 @@ class Run:
     taken = property(lambda self: self.head(len(self.reports)))
 
     def head(self, n: Optional[int] = None) -> Trajectory:
-        setup, dt = self.setup, self.setup.dt
+        setup = self.setup
         n = setup.steps if n is None else n
         if not 0 <= n <= setup.steps:
             raise ValueError(f"the run has steps 0..{setup.steps}, not {n}")
-        for k in range(len(self.reports) + 1, n + 1):
-            v, h_k = self.fields[-1], average_potential(setup.potential, k, dt)
+        first = len(self.reports) + 1
+        for k, h_k in zip(range(first, n + 1), _step_averages(setup, first, n)):
+            v = self.fields[-1]
             try:
                 v_new, report = step(setup, v, h_k, self._last)
             except NonConvergence as exc:

@@ -4,10 +4,11 @@ The energy density is A(x, xi) = sum_j g_j(x) * (sum_{i in P_j} xi_i^2)^(p(x)/2)
 over a partition (P_j) of the coordinate axes, with weights g_j(x) >= c > 0.
 Its flux a(x, xi) = (1/p(x)) * grad_xi A and the solver's Hessian read one
 owner of the block formula (`_blocks`); A itself is a(x, xi) . xi by Euler's
-identity.  The Picone gap the verification harness samples is built on these;
-the flux Jacobian and the oracles for the operator's other pointwise
-inequalities (monotonicity, convexity defect, ellipticity floor, growth) are
-test code, in `tests/oracles.py`.
+identity.  The Picone bound the verification harness samples
+(`checks.check_picone`) is built on these; the flux Jacobian, the per-sample
+Picone gap and the oracles for the operator's other pointwise inequalities
+(monotonicity, convexity defect, ellipticity floor, growth) are test code, in
+`tests/oracles.py`.
 
 All evaluation functions broadcast: the point index `k` may be a scalar, an
 integer array or a slice (the solver passes `slice(None)`, every point, which
@@ -43,12 +44,14 @@ def seeded_rng(seed: int, label: str) -> np.random.Generator:
 @dataclass(frozen=True)
 class ExponentField:
     """Variable exponent p sampled on a fixed point set; owns `1 < p_-` and
-    derives the extrema p_- and p_+, and for `_blocks` the power (p - 2)/2 of
-    a block norm in the flux and the mask p >= 2."""
+    derives the extrema p_- and p_+, p - 2 (the Hessian's rank-one factor),
+    and for `_blocks` the power (p - 2)/2 of a block norm in the flux and the
+    mask p >= 2."""
 
     values: np.ndarray
     p_minus: float = field(init=False)
     p_plus: float = field(init=False)
+    minus_two: np.ndarray = field(init=False, repr=False, compare=False)
     flux_power: np.ndarray = field(init=False, repr=False, compare=False)
     at_least_two: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -61,7 +64,8 @@ class ExponentField:
             raise ValidationError("1 < p_-", "exponent field requires 1 < p everywhere")
         object.__setattr__(self, "p_minus", float(v.min()))
         object.__setattr__(self, "p_plus", float(v.max()))
-        object.__setattr__(self, "flux_power", (v - 2.0) / 2.0)
+        object.__setattr__(self, "minus_two", v - 2.0)
+        object.__setattr__(self, "flux_power", self.minus_two / 2.0)
         object.__setattr__(self, "at_least_two", v >= 2.0)
 
     @classmethod
@@ -192,24 +196,6 @@ def _flux(op: LerayLionsOperator, k, xi: np.ndarray, out: np.ndarray) -> np.ndar
     for axes, _, c in _blocks(op, k, xi):
         out[..., axes] = c[..., None] * xi[..., axes]
     return out
-
-
-def picone_gap(op: LerayLionsOperator, k, grad_u_root, grad_v_root, ratio_grad, r: float):
-    """Both sides of the Picone-type bound for consistently supplied gradients
-    of u^(1/r), v^(1/r) and v/u^((r-1)/r):
-
-        a(x, grad u^(1/r)) . grad(v/u^((r-1)/r))
-            <= A^(r/p)(x, grad v^(1/r)) * A^((p-r)/p)(x, grad u^(1/r)).
-    """
-    p = np.asarray(op.exponent.values[k], dtype=float)
-    if r < 1.0 or np.any(r >= p):
-        raise ValueError("picone_gap requires 1 <= r < p(x) at every sampled point")
-    gu = np.asarray(grad_u_root, dtype=float)
-    lhs = np.sum(eval_flux(op, k, gu) * np.asarray(ratio_grad, dtype=float), axis=-1)
-    au = eval_A(op, k, gu)
-    av = eval_A(op, k, grad_v_root)
-    rhs = np.asarray(av) ** (r / p) * np.asarray(au) ** ((p - r) / p)
-    return _maybe_scalar(lhs), _maybe_scalar(rhs)
 
 
 @dataclass(frozen=True)

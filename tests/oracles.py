@@ -1,15 +1,17 @@
 """Oracles the tests read and no command runs.
 
 The operator oracles sample both sides of the prototype operator's pointwise
-inequalities (strong monotonicity, the Picone pair sum, the Clarkson-type
-convexity defect, the ellipticity floor and the growth sandwich), and
-`flux_jacobian_batch` is the flux Jacobian the Hessian tests build from; the
-energy helpers evaluate J and its nodal gradient at a field; `evolve` takes
-every step of a run and `diagnose_per_step` diagnoses it one step at a time,
-the reference for the chunked `evolution.diagnose`; the u = v^q change of
-variables and the contraction ratio of a refinement study feed the acceptance
-tests.  They read the library's private
-element state the same way the solver does.
+inequalities (strong monotonicity, the Picone gap, the Picone pair sum, the
+Clarkson-type convexity defect, the ellipticity floor and the growth
+sandwich), and `flux_jacobian_batch` is the flux Jacobian the Hessian tests
+build from; `picone_per_sample` is the `picone` check with every power
+evaluated per sample through `picone_gap`, the reference for the check's
+per-function tables; the energy helpers evaluate J and its nodal gradient at
+a field; `evolve` takes every step of a run and `diagnose_per_step` diagnoses
+it one step at a time, the reference for the chunked `evolution.diagnose`;
+the u = v^q change of variables and the contraction ratio of a refinement
+study feed the acceptance tests.  They read the library's private element
+state the same way the solver does.
 
 The element-pass references (`element_means_reference`, `gradient_reference`,
 `blocks_reference`, `flux_reference`, `point_reference`,
@@ -113,6 +115,55 @@ def calibrate_gamma0(op: LerayLionsOperator, n_samples: int = 10 ** 6,
     if not np.isfinite(worst) or worst <= 0.0:
         raise ValueError("calibration produced no positive monotonicity ratio")
     return 0.9 * worst
+
+
+def picone_gap(op: LerayLionsOperator, k, grad_u_root, grad_v_root, ratio_grad, r: float):
+    """Both sides of the Picone-type bound for consistently supplied gradients
+    of u^(1/r), v^(1/r) and v/u^((r-1)/r):
+
+        a(x, grad u^(1/r)) . grad(v/u^((r-1)/r))
+            <= A^(r/p)(x, grad v^(1/r)) * A^((p-r)/p)(x, grad u^(1/r)).
+    """
+    p = np.asarray(op.exponent.values[k], dtype=float)
+    if r < 1.0 or np.any(r >= p):
+        raise ValueError("picone_gap requires 1 <= r < p(x) at every sampled point")
+    gu = np.asarray(grad_u_root, dtype=float)
+    lhs = np.sum(eval_flux(op, k, gu) * np.asarray(ratio_grad, dtype=float), axis=-1)
+    au = eval_A(op, k, gu)
+    av = eval_A(op, k, grad_v_root)
+    rhs = np.asarray(av) ** (r / p) * np.asarray(au) ** ((p - r) / p)
+    return _maybe_scalar(lhs), _maybe_scalar(rhs)
+
+
+def picone_per_sample(mesh: Mesh, op: LerayLionsOperator, r: float,
+                      sample_count: int = 10 ** 5, seed: int = 0):
+    """`checks.check_picone` with every power of u and v evaluated per sample,
+    at the drawn points, through `picone_gap`: its margins[pair, sample] and
+    its report."""
+    if not (1.0 <= r < op.exponent.p_minus):
+        raise ValueError("check_picone requires r in [1, p_-)")
+    rng = seeded_rng(seed, "picone")
+    lib = checks.function_library(mesh)
+    margins, strict_ok = [], True
+    per_pair = max(1, sample_count // (len(lib) ** 2))
+    for iu, fu in enumerate(lib):
+        for iv, fv in enumerate(lib):
+            ks = rng.integers(0, mesh.n_elements, size=per_pair)
+            u, gu = fu["values"][ks], fu["grads"][ks]
+            v, gv = fv["values"][ks], fv["grads"][ks]
+            grad_u_root = (1.0 / r) * u[:, None] ** (1.0 / r - 1.0) * gu
+            grad_v_root = (1.0 / r) * v[:, None] ** (1.0 / r - 1.0) * gv
+            ratio_grad = (u[:, None] ** (-(r - 1.0) / r) * gv
+                          - ((r - 1.0) / r) * (v * u ** (-(r - 1.0) / r - 1.0))[:, None] * gu)
+            lhs, rhs = picone_gap(op, ks, grad_u_root, grad_v_root, ratio_grad, r)
+            margins.append(rhs - lhs + checks.PICONE_SLACK * np.maximum(1.0, np.abs(rhs)))
+            if r > 1.0 and iu != iv and np.min(rhs - lhs) <= 0.0:
+                strict_ok = False
+    names = [(fu["name"], fv["name"]) for fu in lib for fv in lib]
+    report = _report("picone", len(margins) * per_pair, margins,
+                     lambda i: "pair ({}, {})".format(*names[i // per_pair]),
+                     slack=checks.PICONE_SLACK, extra_pass=strict_ok)
+    return np.array(margins), report
 
 
 def picone_pair_sum(op: LerayLionsOperator, k, w1, w2, g1, g2, r: float):
@@ -246,7 +297,7 @@ def gradient_values_reference(problem: EllipticProblem, point) -> np.ndarray:
     vbp = np.maximum(vb, 0.0)
     dens = np.zeros(mesh.n_elements)
     for c, r in problem.terms:
-        dens += c * _power(vbp, r - 1.0)
+        dens += c * _power(vbp, r - 1.0, vbp.min() > 0.0)
     if problem.load is not None:
         dens -= problem.load
     contrib = (mesh.measures * dens)[:, None] / nloc
@@ -273,7 +324,7 @@ def hessian_band_reference(problem: EllipticProblem, point,
     dd = np.zeros(mesh.n_elements)
     for c, r in problem.terms:
         if include_concave or c.min() >= 0.0:
-            dd += (r - 1.0) * c * _power(vbp, r - 2.0)
+            dd += (r - 1.0) * c * _power(vbp, r - 2.0, vbp.min() > 0.0)
     element = scatter.element
     # the pairs' corners in an element-major (element, l) array
     first, second = scatter.rows % mesh.n_elements * nloc + scatter.rows // mesh.n_elements

@@ -21,8 +21,8 @@ from dne.scenario import load_scenario
 
 from oracles import (contraction_elliptic_per_orientation,
                      contraction_parabolic_per_step, contraction_ratio, evolve,
-                     hopf_probe_quotients, monotone_run_per_step, sandwich_per_step,
-                     stabilization_per_step, zero_field)
+                     hopf_probe_quotients, monotone_run_per_step, picone_per_sample,
+                     sandwich_per_step, stabilization_per_step, zero_field)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 Q = 1.25
@@ -57,6 +57,51 @@ class TestPicone:
         a = check_picone(mesh_1d, op, 1.5, sample_count=5_000, seed=9)
         b = check_picone(mesh_1d, op, 1.5, sample_count=5_000, seed=9)
         assert a.worst_margin == b.worst_margin
+
+
+def picone_operator(kind):
+    """A mesh and operator: constant or affine p on an interval, an affine p
+    rising from below 2 on an interval, and on a rectangle an affine p on one
+    block or on the two axis blocks with different weights."""
+    if kind.startswith("1d"):
+        mesh = interval_mesh(0.0, 1.0, 40)
+    else:
+        mesh = rectangle_mesh(0.0, 1.0, 0.0, 1.5, 6, 9)
+    if kind == "1d-constant":
+        return mesh, iso_op(mesh, 2.5)
+    xb = mesh.barycenters[:, 0]
+    p_low = {"1d-affine": 2.2, "1d-p<2": 1.6, "2d-affine": 2.2, "2d-anisotropic": 1.7}[kind]
+    exponent = ExponentField(p_low + 0.8 * xb / xb.max())
+    if kind == "2d-anisotropic":
+        yb = mesh.barycenters[:, 1]
+        return mesh, LerayLionsOperator(exponent, ([0], [1]), [1.0 + xb, 2.0 - yb])
+    return mesh, LerayLionsOperator.isotropic(exponent, 1.0 + xb, ndim=mesh.dimension)
+
+
+class TestPiconeTables:
+    """The tabulated `_picone_margins` reproduces the per-sample evaluation of
+    `oracles.picone_per_sample` bit for bit, signs of zero included, and
+    `check_picone` its report."""
+
+    @pytest.mark.parametrize("seed, sample_count", [(0, 4096), (11, 1001)])
+    @pytest.mark.parametrize("r_kind", ["one", "mid"])
+    @pytest.mark.parametrize("kind", ["1d-constant", "1d-affine", "1d-p<2",
+                                      "2d-affine", "2d-anisotropic"])
+    def test_margins_and_report_match_per_sample(self, kind, r_kind, seed,
+                                                  sample_count):
+        mesh, op = picone_operator(kind)
+        p_minus = op.exponent.p_minus
+        assert (p_minus < 2.0) == (kind in ("1d-p<2", "2d-anisotropic"))
+        r = 1.0 if r_kind == "one" else (1.0 + p_minus) / 2.0
+        lib = checks.function_library(mesh)
+        # 1001 samples: 62 for each of 16 pairs, 3 for each of 256
+        margins, gaps = checks._picone_margins(mesh, op, r, lib, sample_count, seed)
+        expected, report = picone_per_sample(mesh, op, r, sample_count, seed)
+        assert margins.shape == expected.shape == (len(lib) ** 2,
+                                                   sample_count // len(lib) ** 2)
+        assert margins.tobytes() == expected.tobytes()
+        assert gaps.shape == (len(lib), len(lib))
+        assert check_picone(mesh, op, r, sample_count, seed) == report
 
 
 class TestPiconePair:

@@ -67,7 +67,7 @@ def coo_interior_hessian(problem, vals, include_concave):
     dd = np.zeros(mesh.n_elements)
     for c, r in problem.terms:
         if include_concave or c.min() >= 0.0:
-            dd += (r - 1.0) * c * elliptic._power(vbp, r - 2.0)
+            dd += (r - 1.0) * c * elliptic._power(vbp, r - 2.0, vbp.min() > 0.0)
     elem = elem + (mesh.measures * dd)[:, None, None] / nloc ** 2
     rows = np.repeat(mesh.elements, nloc, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, nloc)).ravel()
@@ -87,14 +87,14 @@ class TestPower:
     def test_zero_with_negative_exponent_is_exact_zero_without_warning(self):
         # tier-1 turns a RuntimeWarning (here 0 ** -0.75) into an error
         vbp = np.array([0.0, 0.5, 0.0, 2.0])
-        out = elliptic._power(vbp, -0.75)
+        out = elliptic._power(vbp, -0.75, vbp.min() > 0.0)
         np.testing.assert_array_equal(out, [0.0, 0.5 ** -0.75, 0.0, 2.0 ** -0.75])
         assert not np.signbit(out).any()
 
     @pytest.mark.parametrize("s", [-0.75, 0.25, 1.5])
     def test_positive_input_is_the_plain_power(self, s):
         vbp = seeded_rng(3, "power").uniform(1e-12, 3.0, 64)
-        np.testing.assert_array_equal(elliptic._power(vbp, s), vbp ** s)
+        np.testing.assert_array_equal(elliptic._power(vbp, s, vbp.min() > 0.0), vbp ** s)
 
 
 class TestEnergy:
@@ -221,11 +221,12 @@ def banded_operator(mesh, kind, p_low=2.2, p_rise=0.6):
     return LerayLionsOperator(exponent, ([0], [1]), [1.0 + xb, 2.0 - yb])
 
 
-def banded_problem(mesh, op):
-    """A time-step problem with every power term: mass, potential, source."""
+def banded_problem(mesh, op, beta=0.1):
+    """A time-step problem with every power term: mass, potential, source
+    (of exponent r = beta + 1)."""
     q = 1.25
     delta = boundary_distance_field(mesh)
-    src = SourceTerm(np.ones(mesh.n_elements), delta, gamma=1.0, beta=0.1, q=q)
+    src = SourceTerm(np.ones(mesh.n_elements), delta, gamma=1.0, beta=beta, q=q)
     return EllipticProblem.standard(mesh, op, q, 0.3, 0.5 + mesh.barycenters[:, 0], src)
 
 
@@ -417,6 +418,24 @@ class TestElementPassReference:
         op = self.operator(mesh, op_kind)
         prob = banded_problem(mesh, op)
         vals = self.signed_zero_values(mesh, 67)
+        point = elliptic._point(mesh, op, vals)
+        expected = point_reference(mesh, op, vals)
+        assert_bitwise(elliptic._gradient_values(prob, point),
+                       gradient_values_reference(prob, expected))
+        for include_concave in (True, False):
+            assert_bitwise(elliptic._hessian_matrix(prob, point, include_concave),
+                           hessian_band_reference(prob, expected, include_concave))
+
+    @pytest.mark.parametrize("mesh_name, op_kind", CASES)
+    def test_hessian_band_skips_terms_with_r_one(self, mesh_name, op_kind):
+        # at beta = 0 the source term has r = 1, so its (r - 1) c v^(r-2)
+        # adds only +-0.0 to the Hessian: the band that skips it is the
+        # reference's, which adds it
+        mesh = BANDED_MESHES[mesh_name]()
+        op = self.operator(mesh, op_kind)
+        prob = banded_problem(mesh, op, beta=0.0)
+        assert [r for _, r in prob.terms][-1] == 1.0
+        vals = self.signed_zero_values(mesh, 71)
         point = elliptic._point(mesh, op, vals)
         expected = point_reference(mesh, op, vals)
         assert_bitwise(elliptic._gradient_values(prob, point),

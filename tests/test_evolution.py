@@ -460,6 +460,69 @@ class TestRun:
             assert calls == scenario.setup.steps
 
 
+AVERAGED_POTENTIALS = {
+    "constant": "kind = constant\nprofile = bump 1.0",
+    "decaying": "kind = decaying\nprofile = bump 1.0\neta = 0.5",
+    "tabulated": ("kind = tabulated\ntimes = 0 0.7 1.9 4\nprofile.1 = bump 1.0\n"
+                  "profile.2 = bump 1.5\nprofile.3 = bump 0.8\nprofile.4 = bump 1.0\n"
+                  "lower_envelope = bump 0.8"),
+}
+
+
+def averaged_setup(tmp_path, dimension, potential, steps):
+    """A setup over 4 time units: 100 elements on an interval, or 2178 on a
+    33 x 33 square, with one of AVERAGED_POTENTIALS."""
+    mesh = ("dimension = 1\nextents = 0 1\nresolution = 100" if dimension == 1
+            else "dimension = 2\nextents = 0 1 0 1\nresolution = 33")
+    text = (f"[mesh]\n{mesh}\n[exponent]\nkind = constant\nvalue = 2.5\n"
+            f"[problem]\nq = 1.25\n[potential]\n{AVERAGED_POTENTIALS[potential]}\n"
+            f"[initial]\nprofile = bump 0.5\n"
+            f"[run]\nhorizon = 4.0\nsteps = {steps}\n")
+    path = tmp_path / "averaged.cfg"
+    path.write_text(text)
+    return load_scenario(str(path)).setup
+
+
+class TestRunAverages:
+    """`Run.head` averages the potential of the steps it takes a chunk of
+    DIAGNOSTIC_ELEMENT_STEPS // n_elements steps per `average_potential`
+    call, or one scalar call a step when that is one step; each step gets
+    bitwise the average of the scalar call."""
+
+    @pytest.mark.parametrize("potential", sorted(AVERAGED_POTENTIALS))
+    @pytest.mark.parametrize("dimension, steps, heads, chunks", [
+        # 40 steps a call on 100 elements: heads ending at 7 and 45 end mid-chunk
+        (1, 100, [7, 45, 46, 100], [[7], [38], [1], [40, 14]]),
+        # 2178 elements: one scalar call per step
+        (2, 5, [2, 5], [[None] * 2, [None] * 3]),
+    ])
+    def test_rows_and_calls(self, tmp_path, monkeypatch, potential, dimension,
+                            steps, heads, chunks):
+        setup = averaged_setup(tmp_path, dimension, potential, steps)
+        size = evolution.DIAGNOSTIC_ELEMENT_STEPS // setup.mesh.n_elements
+        assert size == (40 if dimension == 1 else 1)
+        average, calls, seen = evolution.average_potential, [], []
+
+        def recording(h, n, dt):
+            # the rows of an array of steps, None for a scalar call
+            calls.append(len(n) if isinstance(n, np.ndarray) else None)
+            return average(h, n, dt)
+
+        def no_solve(setup, previous, h_n, last=None):
+            seen.append(h_n.tobytes())
+            return previous, elliptic.SolverReport()
+
+        rebind(monkeypatch, evolution, "average_potential", recording)
+        rebind(monkeypatch, evolution, "step", no_solve)
+        run = Run(setup)
+        for n, expected in zip(heads, chunks, strict=True):
+            calls.clear()
+            run.head(n)
+            assert calls == expected
+        assert seen == [average(setup.potential, k, setup.dt).tobytes()
+                        for k in range(1, steps + 1)]
+
+
 class TestRepeatedStep:
     def test_repeated_steps_are_exact(self, monkeypatch):
         # from step 49 on, each default_1d step returns its start under the

@@ -5,10 +5,10 @@ import pytest
 
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            Regime, SourceTerm, classify_regime, eval_A,
-                           eval_flux, eval_source, picone_gap, seeded_rng)
+                           eval_flux, eval_source, seeded_rng)
 
 from oracles import (calibrate_gamma0, ellipticity_floor, flux_jacobian_batch,
-                     growth_envelope, monotonicity_gap, morawetz_gap,
+                     growth_envelope, monotonicity_gap, morawetz_gap, picone_gap,
                      picone_pair_sum)
 
 
