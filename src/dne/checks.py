@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import EllipticProblem, bump_seed, solve, solve_lambda_problem
+from .elliptic import EllipticProblem, solve, solve_lambda_problem
 from .evolution import Trajectory, time_integral_norm
 from .meshing import (DiscreteField, Mesh, MeshMismatch, _mean_powers, gradient,
                       l2_norm_values)
@@ -203,9 +203,9 @@ def picone_pair_integral(mesh, op, r, w1, w2):
 
 
 def _solve_pair(mesh, op, q, lam, source, h1, h2):
-    """Time-step solutions for the two potentials, both from the bump seed."""
-    return [solve(EllipticProblem.standard(mesh, op, q, lam, h, source),
-                  bump_seed(mesh))[0] for h in (h1, h2)]
+    """Time-step solutions for the two potentials, both from `solve`'s cold start."""
+    return [solve(EllipticProblem.standard(mesh, op, q, lam, h, source))[0]
+            for h in (h1, h2)]
 
 
 def check_contraction_elliptic(mesh, op, q, lam, source, h1, h2) -> CheckReport:

@@ -12,7 +12,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import checks as ck
-from .elliptic import (EllipticProblem, FailedToFit, NonConvergence, bump_seed,
+from .elliptic import (EllipticProblem, FailedToFit, NonConvergence,
                        make_subsolution, make_supersolution, solve,
                        solve_lambda_problem, solve_stationary)
 from .evolution import Run, diagnose
@@ -45,7 +45,7 @@ def run_solve_elliptic(scenario: Scenario, out_dir: str, seed: int) -> int:
     setup = scenario.setup
     problem = EllipticProblem.standard(setup.mesh, setup.op, setup.q, scenario.lam,
                                        setup.potential(0.0), setup.source)
-    field_, report = solve(problem, bump_seed(setup.mesh))
+    field_, report = solve(problem)
     write_field_csv(field_, os.path.join(out_dir, "solution.csv"))
     manifest = _manifest_base(scenario, seed)
     manifest["solver_report"] = dataclasses.asdict(report)

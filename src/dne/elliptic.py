@@ -396,11 +396,11 @@ def bump_seed(mesh: Mesh) -> DiscreteField:
 
 
 def solve(problem: EllipticProblem,
-          guess: DiscreteField) -> tuple[DiscreteField, SolverReport]:
-    """One minimization from the caller's guess under the module's fixed
-    stopping policy: converged once the KKT residual is at most
-    DEFAULT_TOL[dimension] (1e-11 in 1D, 1e-8 in 2D) within MAX_ITERATIONS
-    (200) iterations, else NonConvergence.
+          guess: Optional[DiscreteField] = None) -> tuple[DiscreteField, SolverReport]:
+    """One minimization from the caller's guess, or from `bump_seed` without
+    one, under the module's fixed stopping policy: converged once the KKT
+    residual is at most DEFAULT_TOL[dimension] (1e-11 in 1D, 1e-8 in 2D)
+    within MAX_ITERATIONS (200) iterations, else NonConvergence.
 
     With a potential or source term the problem has exactly one positive
     solution, where J < 0; the only other KKT point is v = 0, with J(0) = 0
@@ -413,6 +413,7 @@ def solve(problem: EllipticProblem,
     problem is strictly convex with a positive minimizer, so a converged solve
     of it never falls back."""
     mesh, op = problem.mesh, problem.op
+    guess = bump_seed(mesh) if guess is None else guess
     tolerance = DEFAULT_TOL[mesh.dimension]
     vals, report, point = _minimize(problem, guess.values, tolerance, MAX_ITERATIONS,
                                     _handed_point(mesh, op, guess))
@@ -447,8 +448,7 @@ def solve_lambda_problem(lam: float, mesh: Mesh, op: LerayLionsOperator) -> Disc
     if not (lam > 0.0):
         raise InvalidProblem("lambda must be positive")
     problem = EllipticProblem(mesh, op, load=np.full(mesh.n_elements, float(lam)))
-    field_, _ = solve(problem, bump_seed(mesh))
-    return field_
+    return solve(problem)[0]
 
 
 def make_subsolution(mesh, op, q, source, lower_envelope, v0: DiscreteField):
@@ -476,7 +476,7 @@ def make_supersolution(mesh, op, q, source, sup_norm_h, v0: DiscreteField):
     while kappa <= KAPPA_CEIL:
         problem = EllipticProblem.stationary(mesh, op, q, np.full(ne, float(sup_norm_h)),
                                              source, load=np.full(ne, float(kappa)))
-        w = solve(problem, bump_seed(mesh))[0]
+        w = solve(problem)[0]
         if np.all(w.values >= v0.values):
             return w, kappa
         kappa *= 2.0
@@ -485,11 +485,9 @@ def make_supersolution(mesh, op, q, source, sup_norm_h, v0: DiscreteField):
 
 def solve_stationary(mesh, op, q, b, source=None) -> DiscreteField:
     """Global minimizer of the stationary energy with potential b >= 0, b != 0,
-    from the bump seed; a caller with its own start calls
+    from `solve`'s cold start; a caller with its own start calls
     `solve(EllipticProblem.stationary(...), start)`."""
     b = np.asarray(b, dtype=float)
     if b.min() < 0.0 or not np.any(b > 0.0):
         raise InvalidProblem("stationary potential must be nonnegative and nontrivial")
-    problem = EllipticProblem.stationary(mesh, op, q, b, source)
-    field_, _ = solve(problem, bump_seed(mesh))
-    return field_
+    return solve(EllipticProblem.stationary(mesh, op, q, b, source))[0]

@@ -178,15 +178,20 @@ def step(setup: EvolutionSetup, previous: DiscreteField, h_n: np.ndarray,
     return solve(problem, previous)
 
 
+def _chunk_steps(mesh: Mesh) -> int:
+    """Steps one diagnostic pass covers on `mesh`:
+    DIAGNOSTIC_ELEMENT_STEPS // n_elements, and at least one."""
+    return max(1, DIAGNOSTIC_ELEMENT_STEPS // mesh.n_elements)
+
+
 def _step_averages(setup: EvolutionSetup, first: int, last: int):
-    """h^k for the steps k = first..last in order, averaged
-    DIAGNOSTIC_ELEMENT_STEPS // n_elements steps per `average_potential`
-    call, bitwise the averages of one step at a time.  When that chunk is one
-    step, each step takes the scalar call, which is cheaper than a one-row
-    batch."""
+    """h^k for the steps k = first..last in order, averaged `_chunk_steps`
+    steps per `average_potential` call, bitwise the averages of one step at a
+    time.  When that chunk is one step, each step takes the scalar call, which
+    is cheaper than a one-row batch."""
     potential, dt = setup.potential, setup.dt
-    size = DIAGNOSTIC_ELEMENT_STEPS // setup.mesh.n_elements
-    if size <= 1:
+    size = _chunk_steps(setup.mesh)
+    if size == 1:
         for k in range(first, last + 1):
             yield average_potential(potential, k, dt)
         return
@@ -251,10 +256,10 @@ def diagnose(setup: EvolutionSetup,
 def _solved_steps(setup: EvolutionSetup, traj: Trajectory, vbq: np.ndarray):
     """(increment norm, budget, stationary energy terms) of each solved step
     of `traj` in order, whose start has (v+)^q = `vbq` at the element means.
-    The steps are evaluated DIAGNOSTIC_ELEMENT_STEPS // n_elements (at least
-    one) at a time; a chunk's arrays are freed before the next is built."""
+    The steps are evaluated `_chunk_steps` at a time; a chunk's arrays are
+    freed before the next is built."""
     solved = [n for n, report in enumerate(traj.reports, 1) if not report.repeated]
-    size = max(1, DIAGNOSTIC_ELEMENT_STEPS // setup.mesh.n_elements)
+    size = _chunk_steps(setup.mesh)
     for i in range(0, len(solved), size):
         values, vbq = _diagnose_chunk(setup, traj, solved[i:i + size], vbq)
         yield from values

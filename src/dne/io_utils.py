@@ -43,29 +43,24 @@ def write_field_csv(field: DiscreteField, path: str) -> None:
     atomic_write_text(path, [field_to_csv(field)])
 
 
-def read_field_csv(path: str):
-    """Returns (coords array, values array) from a field CSV."""
-    coords, values = [], []
-    try:
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = [float(p) for p in line.split(",")]
-                coords.append(parts[:-1])
-                values.append(parts[-1])
-    except OSError as exc:
-        raise OSError(f"cannot read field file {path}: {exc}") from exc
-    return np.asarray(coords), np.asarray(values)
+def read_field_csv(path: str, points: np.ndarray, where: str) -> np.ndarray:
+    """The value column of the field file at `path`, one row per point of
+    `points` (the mesh's `where`), whose coordinate columns must be those
+    points to VERTEX_TOL.  An unreadable file raises OSError, a malformed or
+    mismatched one ValueError."""
+    table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    if len(table) != len(points):
+        raise ValueError(f"file {path} has {len(table)} values for "
+                         f"{len(points)} {where}")
+    coords = table[:, :-1]
+    # negated, so that a nan coordinate is a mismatch too
+    if coords.shape != points.shape or not np.abs(coords - points).max() <= VERTEX_TOL:
+        raise ValueError(f"file {path} does not match the {where}")
+    return table[:, -1].copy()
 
 
 def field_from_csv(mesh: Mesh, path: str) -> DiscreteField:
-    coords, values = read_field_csv(path)
-    if (coords.shape != mesh.vertices.shape
-            or np.max(np.abs(coords - mesh.vertices)) > VERTEX_TOL):
-        raise ValueError(f"field file {path} does not match the mesh vertices")
-    return DiscreteField(mesh, values)
+    return DiscreteField(mesh, read_field_csv(path, mesh.vertices, "mesh vertices"))
 
 
 JSON_BATCH = 512  # encoder chunks joined into one write (a few KB of text)

@@ -95,8 +95,6 @@ class LerayLionsOperator:
     exponent: ExponentField
     partition: tuple
     weights: np.ndarray
-    weight_floor: float = field(init=False)
-    weight_ceiling: float = field(init=False)
     axes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -121,8 +119,6 @@ class LerayLionsOperator:
         if w.min() <= 0.0:
             raise ValidationError("(A_1)", "operator weights must satisfy "
                                   "g_j(x) >= c > 0")
-        object.__setattr__(self, "weight_floor", float(w.min()))
-        object.__setattr__(self, "weight_ceiling", float(w.max()))
 
     @classmethod
     def isotropic(cls, exponent: ExponentField, weight_values,

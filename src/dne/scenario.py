@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from .evolution import EvolutionSetup
-from .io_utils import VERTEX_TOL, field_from_csv, read_field_csv
+from .io_utils import field_from_csv, read_field_csv
 from .meshing import (DiscreteField, Mesh, _axis_bounds, _distance, _unit_bump,
                       boundary_distance_field, interpolate, interval_mesh, rectangle_mesh)
 from .operators import (ExponentField, LerayLionsOperator, PotentialField,
@@ -44,7 +44,7 @@ class Primitive:
         if name not in _PRIMITIVES:
             raise ParseError(f"unknown function primitive '{name}' "
                              f"(expected one of {sorted(_PRIMITIVES)})")
-        want = _PRIMITIVES[name]
+        want = _PRIMITIVES[name][0]
         try:
             params = tuple(float(p) for p in parts[1:])
         except ValueError as exc:
@@ -55,39 +55,32 @@ class Primitive:
         return cls(name, params)
 
     def __call__(self, points: np.ndarray, mesh: Mesh) -> np.ndarray:
-        points = np.atleast_2d(points)
-        if self.name == "constant":
-            return np.full(points.shape[0], self.params[0])
-        if self.name == "affine":
-            out = np.full(points.shape[0], self.params[0])
-            for axis in range(points.shape[1]):
-                if len(self.params) > axis + 1:
-                    out = out + self.params[axis + 1] * points[:, axis]
-            return out
-        if self.name == "bump":
-            return self.params[0] * _unit_bump(points, mesh)
-        if self.name == "sin-product":
-            return self.params[0] * _sin_product(points, mesh)
-        if self.name == "power-of-delta":
-            scale, expo = self.params
-            return scale * _distance(points, mesh) ** expo
-        raise AssertionError(self.name)
+        return _PRIMITIVES[self.name][1](np.atleast_2d(points), mesh, *self.params)
 
 
-_PRIMITIVES = {
-    "constant": {1},
-    "affine": {2, 3},
-    "bump": {1},
-    "sin-product": {1},
-    "power-of-delta": {2},
-}
+def _affine(points, mesh, a0, *slope):
+    out = np.full(points.shape[0], a0)
+    for axis in range(min(points.shape[1], len(slope))):
+        out = out + slope[axis] * points[:, axis]
+    return out
 
 
-def _sin_product(points, mesh):
+def _sin_product(points, mesh, scale):
     out = np.ones(points.shape[0])
     for axis, (lo, hi) in enumerate(_axis_bounds(mesh)):
         out = out * np.sin(np.pi * (points[:, axis] - lo) / (hi - lo))
-    return out
+    return scale * out
+
+
+# name: (the parameter counts it takes, its values at points of a mesh)
+_PRIMITIVES = {
+    "constant": ({1}, lambda points, mesh, c: np.full(points.shape[0], c)),
+    "affine": ({2, 3}, _affine),
+    "bump": ({1}, lambda points, mesh, scale: scale * _unit_bump(points, mesh)),
+    "sin-product": ({1}, _sin_product),
+    "power-of-delta": ({2}, lambda points, mesh, scale, expo:
+                       scale * _distance(points, mesh) ** expo),
+}
 
 
 @dataclass(frozen=True)
@@ -159,20 +152,13 @@ def _mesh(sec: dict) -> Mesh:
 def _exponent(sec: dict, mesh: Mesh) -> ExponentField:
     kind = sec.get("kind", "constant")
     if kind in ("constant", "affine"):
-        vals = np.full(mesh.n_elements, float(sec.get("value", "2.0")))
-        if kind == "affine":
-            slope = _floats(sec.get("slope", "0"))
-            for axis in range(min(mesh.dimension, len(slope))):
-                vals = vals + slope[axis] * mesh.barycenters[:, axis]
+        slope = _floats(sec.get("slope", "0")) if kind == "affine" else []
+        vals = _affine(mesh.barycenters, mesh, float(sec.get("value", "2.0")), *slope)
     elif kind == "tabulated":
-        coords, vals = read_field_csv(sec["file"])
-        if vals.size != mesh.n_elements:
-            raise ParseError(f"[exponent] file {sec['file']} has {vals.size} "
-                             f"values, one per element needs {mesh.n_elements}")
-        if (coords.shape != mesh.barycenters.shape
-                or np.max(np.abs(coords - mesh.barycenters)) > VERTEX_TOL):
-            raise ParseError(f"[exponent] file {sec['file']} does not match the "
-                             "element barycenters")
+        try:
+            vals = read_field_csv(sec["file"], mesh.barycenters, "element barycenters")
+        except ValueError as exc:
+            raise ParseError(f"[exponent] {exc}") from exc
     else:
         raise ParseError(f"unknown exponent kind '{kind}'")
     return ExponentField(vals)

@@ -29,6 +29,9 @@ Gauss node and form at a time, and `contraction_elliptic_per_orientation`
 forms each orientation's differences in its own order; `eval_at_points`
 evaluates a P1 field anywhere in a rectangle from `rectangle_mesh`'s triangle
 layout, the reference for the Hopf probes read along grid lines.
+
+`pure_load_solution` is the exact discrete solution of the 1D pure-load
+problem that `elliptic.solve_lambda_problem` solves.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 from functools import reduce
 
 import numpy as np
+from scipy.optimize import brentq
 
 from dne import checks
 from dne.checks import _report, _solve_pair
@@ -219,14 +223,15 @@ def ellipticity_floor(op: LerayLionsOperator, k, xi):
 
 def growth_envelope(op: LerayLionsOperator, k, xi):
     """Provable sandwich for the prototype on the sampled exponent range:
-    weight_floor * min(1, p-1)/(p-1) * |xi|^p <= A <= weight_ceiling * C_J(p) * |xi|^p
-    with C_J(p) = J^max(0, 1 - p/2) from the block structure."""
+    min g * min(1, p-1)/(p-1) * |xi|^p <= A <= max g * C_J(p) * |xi|^p
+    over the block weights g, with C_J(p) = J^max(0, 1 - p/2) from the block
+    structure."""
     xi = np.asarray(xi, dtype=float)
     p = np.asarray(op.exponent.values[k], dtype=float)
     norm_p = np.linalg.norm(xi, axis=-1) ** p
     nblocks = len(op.partition)
-    lower = op.weight_floor * np.minimum(1.0, p - 1.0) / (p - 1.0) * norm_p
-    upper = op.weight_ceiling * nblocks ** np.maximum(0.0, 1.0 - p / 2.0) * norm_p
+    lower = op.weights.min() * np.minimum(1.0, p - 1.0) / (p - 1.0) * norm_p
+    upper = op.weights.max() * nblocks ** np.maximum(0.0, 1.0 - p / 2.0) * norm_p
     return _maybe_scalar(lower), _maybe_scalar(upper)
 
 
@@ -571,3 +576,28 @@ def hopf_probe_quotients(field: DiscreteField) -> np.ndarray:
                   + [[x, y0 + j * hy] for j in range(cells, ny - cells + 1)
                      for x in (x0 + off, x1 - off)])
     return eval_at_points(field, np.array(probes).reshape(-1, mesh.dimension)) / off
+
+
+def pure_load_solution(mesh: Mesh, op: LerayLionsOperator, lam: float) -> np.ndarray:
+    """Nodal values of the exact discrete minimizer of the 1D pure-load
+    problem -(a(x, w'))' = lam, w = 0 at both ends, on `interval_mesh` with a
+    single-block operator, a = g |w'|^(p-2) w' per element.  Each interior
+    nodal equation makes the fluxes of its two elements differ by lam h, so
+    a_e = C - lam mid_e and w'_e = sign(a_e) (|a_e| / g_e)^(1/(p_e - 1)); C
+    is the root of sum_e h w'_e = 0, monotone in C, which is lam times the
+    interval's midpoint for constant p and weight.  The nodal values are the
+    cumulative sums of h w'_e."""
+    h, mid = mesh.measures, mesh.barycenters[:, 0]
+    p, g = op.exponent.values, op.weights[0]
+
+    def slopes(c):
+        a = c - lam * mid
+        return np.sign(a) * (np.abs(a) / g) ** (1.0 / (p - 1.0))
+
+    lo, hi = mesh.bounds
+    if op.exponent.is_constant and np.all(g == g[0]):
+        c = lam * (lo + hi) / 2.0
+    else:
+        c = brentq(lambda c: float(np.sum(h * slopes(c))), lam * lo, lam * hi,
+                   xtol=1e-300)
+    return np.concatenate([[0.0], np.cumsum(h * slopes(c))])

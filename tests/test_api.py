@@ -193,3 +193,52 @@ def test_every_public_function_has_a_library_caller():
         dead = public - used
     assert not dead, "no library caller: " + ", ".join(
         sorted(f"{module}.{name}" for module, name in dead))
+
+
+def test_only_elliptic_names_the_cold_start():
+    # `solve` starts from bump_seed when its caller passes no guess, so no
+    # other module chooses or builds that start
+    package = Path(dne.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "elliptic":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ({a.name for a in node.names} if isinstance(node, ast.ImportFrom)
+                     else {node.id} if isinstance(node, ast.Name)
+                     else {node.attr} if isinstance(node, ast.Attribute) else set())
+            if "bump_seed" in names:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def derived_fields(tree):
+    """(class, name) of each `field(init=False, ...)` attribute of the classes
+    of a parsed module: the values its constructor derives."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for statement in cls.body:
+            call = getattr(statement, "value", None)
+            if (isinstance(statement, ast.AnnAssign) and isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "field"
+                    and any(k.arg == "init" and getattr(k.value, "value", None) is False
+                            for k in call.keywords)):
+                yield cls, statement.target.id
+
+
+def test_every_derived_field_is_read():
+    # a value the constructor derives and stores is there for library code
+    # to read; one that only the constructor itself reads is dead weight
+    trees = module_trees()
+    unread = []
+    for module, tree in trees.items():
+        for cls, name in derived_fields(tree):
+            constructors = [f for f in cls.body if isinstance(f, ast.FunctionDef)
+                            and f.name == "__post_init__"]
+            skip = {id(node) for f in constructors for node in ast.walk(f)}
+            if not any(isinstance(node, ast.Attribute) and node.attr == name
+                       and isinstance(node.ctx, ast.Load) and id(node) not in skip
+                       for other in trees.values() for node in ast.walk(other)):
+                unread.append(f"{module}.{cls.name}.{name}")
+    assert unread == []

@@ -11,8 +11,10 @@ import pytest
 
 from dne import checks, cli, elliptic
 from dne.cli import DEFAULT_CHECKS, main
-from dne.io_utils import field_from_csv, field_to_csv, write_field_csv, write_json
-from dne.meshing import interpolate, interval_mesh, rectangle_mesh
+from dne.io_utils import (field_from_csv, field_to_csv, read_field_csv, write_field_csv,
+                          write_json)
+from dne.meshing import DiscreteField, interpolate, interval_mesh, rectangle_mesh
+from dne.operators import seeded_rng
 from dne.scenario import ParseError, ValidationError, load_scenario
 
 from oracles import evolve
@@ -73,6 +75,48 @@ class TestFieldCsvRoundTrip:
         write_field_csv(v, str(path))
         back = field_from_csv(mesh, str(path))
         np.testing.assert_array_equal(back.values, v.values)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_extreme_magnitudes(self, tmp_path, dim, mesh_1d, mesh_2d):
+        # repr text read back by np.loadtxt is the same double, 1e-300 to 1e300
+        mesh = mesh_1d if dim == 1 else mesh_2d
+        rng = seeded_rng(7, f"field-csv-{dim}d")
+        vals = np.zeros(mesh.n_vertices)
+        vals[mesh.interior] = (rng.choice([-1.0, 1.0], mesh.interior.size)
+                               * 10.0 ** rng.uniform(-300, 300, mesh.interior.size))
+        path = tmp_path / "field.csv"
+        write_field_csv(DiscreteField(mesh, vals), str(path))
+        back = read_field_csv(str(path), mesh.vertices, "mesh vertices")
+        assert back.tobytes() == vals.tobytes()
+
+    def write_rows(self, path, rows):
+        path.write_text("# columns: x,value\n"
+                        + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+        return str(path)
+
+    def test_wrong_row_count_rejected(self, tmp_path, mesh_1d):
+        xs = mesh_1d.vertices[:-1, 0].tolist()
+        path = self.write_rows(tmp_path / "f.csv", [(x, 0.0) for x in xs])
+        with pytest.raises(ValueError, match=f"has {len(xs)} values for "
+                                             f"{len(xs) + 1} mesh vertices"):
+            read_field_csv(path, mesh_1d.vertices, "mesh vertices")
+
+    @pytest.mark.parametrize("shift, extra", [(1e-9, False), (0.0, True),
+                                              (float("nan"), False)],
+                             ids=["off-the-points", "extra-column", "nan"])
+    def test_mismatched_coordinates_rejected(self, tmp_path, mesh_1d, shift, extra):
+        rows = [(x + shift, *([x] if extra else []), 0.0)
+                for x in mesh_1d.vertices[:, 0].tolist()]
+        path = self.write_rows(tmp_path / "f.csv", rows)
+        with pytest.raises(ValueError, match="does not match the mesh vertices"):
+            read_field_csv(path, mesh_1d.vertices, "mesh vertices")
+
+    def test_unreadable_path_is_oserror(self, tmp_path, mesh_1d):
+        # the CLI reports it as an i/o error with exit code 2
+        # (test_missing_initial_file_exit_code)
+        with pytest.raises(OSError):
+            read_field_csv(str(tmp_path / "missing.csv"), mesh_1d.vertices,
+                           "mesh vertices")
 
     def test_header_format(self, tmp_path, mesh_1d):
         path = tmp_path / "f.csv"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dne.operators import Regime, classify_regime
-from dne.scenario import ParseError, Primitive, ValidationError, load_scenario
+from dne.scenario import _PRIMITIVES, ParseError, Primitive, ValidationError, load_scenario
 
 MINIMAL = """
 [mesh]
@@ -159,6 +159,20 @@ class TestPrimitives:
             Primitive.parse("constant")
         with pytest.raises(ParseError):
             Primitive.parse("bump a")
+
+    @pytest.mark.parametrize("name", sorted(_PRIMITIVES))
+    def test_parameter_counts_from_the_table(self, name, mesh_1d):
+        # each primitive takes exactly the parameter counts its table entry lists
+        counts, _ = _PRIMITIVES[name]
+        for n in range(5):
+            text = " ".join([name] + ["1.5"] * n)
+            if n in counts:
+                values = Primitive.parse(text)(mesh_1d.barycenters, mesh_1d)
+                assert values.shape == (mesh_1d.n_elements,)
+            else:
+                with pytest.raises(ParseError, match=f"primitive '{name}' takes "
+                                                     f".* parameters, got {n}"):
+                    Primitive.parse(text)
 
     def test_evaluation(self, mesh_1d):
         pts = mesh_1d.vertices
