@@ -33,7 +33,7 @@ MAX_BACKTRACKS = 60
 # HESSIAN_EPS times the iterate's largest element gradient, so for p < 2 the
 # smoothing stays below the gradients of a tiny solution.
 HESSIAN_EPS = 1e-8
-# The stopping policy of every solve, read by `solve` alone.  Absolute bounds
+# The stopping policy of every solve, read by `_solve` alone.  Absolute bounds
 # on the nodal KKT residual: in 1D the nodal noise stays well below the 1e-8
 # ordering slack of the comparison checks; in 2D the tolerance equals that
 # slack.
@@ -74,8 +74,8 @@ class SolverReport:
     # Newton directions taken from the convex majorant because the full
     # Hessian was not positive definite or its step did not descend
     majorant_directions: int = 0
-    # the step repeated the previous call's inputs and returned its result
-    # without a solve (`evolution.step`); the other fields are that solve's
+    # the step repeated the inputs of the previous step's `Step` record and
+    # returned its field unsolved (`evolution.step`); the rest are its solve's
     repeated: bool = False
 
 
@@ -149,17 +149,10 @@ def _point(mesh: Mesh, op: LerayLionsOperator, vals: np.ndarray) -> tuple:
     the mesh (`Mesh.means_and_gradients`) and one operator pass.  Gradients
     and flux are views of axis-major memory.  Nodal values of shape
     (S, n_vertices) give the states of S iterates in one pass, each with that
-    leading axis.  A solve's final state goes on with its field to the next
-    solve (`_handed_point`), which computes none for its start."""
+    leading axis.  `_solve` returns its final state, which a run's next step
+    hands to the solve starting there (`evolution.step`)."""
     vb, gv = mesh.means_and_gradients(vals)
     return vb, gv, _flux(op, slice(None), gv, np.empty_like(gv))
-
-
-def _handed_point(mesh: Mesh, op: LerayLionsOperator, field_: DiscreteField):
-    """The element state that the solve returning `field_` handed on with it,
-    if it had this mesh and operator, else None; the values are read-only."""
-    return next((point for state_op, point in field_._handoff
-                 if state_op is op and field_.mesh is mesh), None)
 
 
 def _energy_terms(problem: EllipticProblem, point) -> list:
@@ -412,12 +405,16 @@ def solve(problem: EllipticProblem,
     load J >= 0 on the whole cone, so the halving is skipped.  The pure-load
     problem is strictly convex with a positive minimizer, so a converged solve
     of it never falls back."""
+    return _solve(problem, guess)[:2]
+
+
+def _solve(problem: EllipticProblem, guess: Optional[DiscreteField] = None,
+           state=None) -> tuple[DiscreteField, SolverReport, tuple]:
+    """`solve`, and the final element state; `state` is the guess's."""
     mesh, op = problem.mesh, problem.op
     guess = bump_seed(mesh) if guess is None else guess
     tolerance = DEFAULT_TOL[mesh.dimension]
-    vals, report, point = _minimize(problem, guess.values, tolerance, MAX_ITERATIONS,
-                                    _handed_point(mesh, op, guess))
-    guess._handoff.clear()  # taken: a run's stored fields keep no states
+    vals, report, point = _minimize(problem, guess.values, tolerance, MAX_ITERATIONS, state)
     positive = (report.converged and report.energy < 0.0
                 and np.all(vals[mesh.interior] > 0.0))
     if not positive:
@@ -437,9 +434,7 @@ def solve(problem: EllipticProblem,
         raise NonConvergence(
             f"elliptic solve failed to reach tolerance {tolerance:g} "
             f"(residual {report.final_gradient_norm:g})", report)
-    result = DiscreteField(mesh, vals)
-    result._handoff.append((op, point))
-    return result, report
+    return DiscreteField(mesh, vals), report, point
 
 
 def solve_lambda_problem(lam: float, mesh: Mesh, op: LerayLionsOperator) -> DiscreteField:

@@ -24,21 +24,21 @@ chunks of steps, each in one broadcast pass over a leading axis of iterates
 takes 40 steps a pass; the sums and the worst margin then walk the steps in
 order.
 
-A step is a deterministic function of its start and h^n, so `Run`
-hands each step the previous one's inputs and result: once the scheme has
-reached its discrete steady state under a constant h^n, a step whose inputs
-repeat the previous step's bitwise returns that step's field without a solve.
+A step is a deterministic function of its start and h^n, so each step's
+`Step` record goes to the next: a step whose inputs repeat it bitwise (the
+discrete steady state under a constant h^n) returns its field unsolved, and
+a solve from its field takes its element state instead of computing it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from .elliptic import (EllipticProblem, NonConvergence, SolverReport,
-                       _energy_terms, _handed_point, _point, solve)
+                       _energy_terms, _point, _solve)
 from .meshing import (DiscreteField, Mesh, boundary_distance_field,
                       l2_norm_values)
 from .operators import (LerayLionsOperator, PotentialField, SourceTerm,
@@ -154,28 +154,34 @@ def time_integral_norm(mesh: Mesh, h: PotentialField, g: PotentialField,
     return out
 
 
+class Step(NamedTuple):
+    """A step's start and h^n, and its field, report and element state."""
+
+    start: DiscreteField
+    h_n: np.ndarray
+    field: DiscreteField
+    report: SolverReport
+    state: tuple
+
+
 def step(setup: EvolutionSetup, previous: DiscreteField, h_n: np.ndarray,
-         last: Optional[tuple] = None) -> tuple[DiscreteField, SolverReport]:
+         last: Optional[Step] = None) -> Step:
     """One implicit Euler step of length `setup.dt`, warm-started from the
     previous iterate.
 
-    `last` is an earlier call's `(previous, h_n, field, report)` on this
-    setup.  The step is a deterministic function of its inputs, so when they
-    equal that call's bitwise its field is returned, with a copy of its
-    report marked `repeated`, and nothing is solved.  The element means of a
-    `previous` that a solve returned are read from its handed state."""
-    if last is not None:
-        last_previous, last_h, last_field, last_report = last
-        if (np.array_equal(h_n, last_h)
-                and np.array_equal(previous.values, last_previous.values)):
-            return last_field, replace(last_report, repeated=True)
-    dt = setup.dt
-    point = _handed_point(setup.mesh, setup.op, previous)
-    vb = previous.barycenter_values() if point is None else point[0]
-    h0 = dt * h_n + np.maximum(vb, 0.0) ** setup.q
-    problem = EllipticProblem.standard(setup.mesh, setup.op, setup.q, dt, h0,
+    `last` is the step before, on this setup.  When the inputs equal its
+    bitwise, it is returned with this start and a copy of its report marked
+    `repeated`, unsolved.  A `previous` that is `last.field` starts from
+    `last.state`, whose element means give h0."""
+    if last is not None and np.array_equal(h_n, last.h_n) and (previous is last.start
+            or np.array_equal(previous.values, last.start.values)):
+        return last._replace(start=previous, report=replace(last.report, repeated=True))
+    state = last.state if last is not None and previous is last.field else None
+    vb = previous.barycenter_values() if state is None else state[0]
+    h0 = setup.dt * h_n + np.maximum(vb, 0.0) ** setup.q
+    problem = EllipticProblem.standard(setup.mesh, setup.op, setup.q, setup.dt, h0,
                                        setup.source)
-    return solve(problem, previous)
+    return Step(previous, h_n, *_solve(problem, previous, state))
 
 
 def _chunk_steps(mesh: Mesh) -> int:
@@ -201,8 +207,9 @@ def _step_averages(setup: EvolutionSetup, first: int, last: int):
 
 class Run:
     """One run of `setup`, advanced only as far as it is read: `head(n)` takes
-    the steps up to n not yet taken, each once, and returns the first n (all by
-    default).  A failed step's error names it; the steps before stay in `taken`."""
+    the steps up to n not yet taken, each once and handed the `Step` before,
+    and returns the first n (all by default).  A failed step's error names it;
+    the steps before stay in `taken`."""
 
     def __init__(self, setup: EvolutionSetup):
         self.setup = setup
@@ -218,15 +225,13 @@ class Run:
             raise ValueError(f"the run has steps 0..{setup.steps}, not {n}")
         first = len(self.reports) + 1
         for k, h_k in zip(range(first, n + 1), _step_averages(setup, first, n)):
-            v = self.fields[-1]
             try:
-                v_new, report = step(setup, v, h_k, self._last)
+                self._last = step(setup, self.fields[-1], h_k, self._last)
             except NonConvergence as exc:
                 exc.args = (f"step {k}: {exc.args[0]}",)
                 raise
-            self.fields.append(v_new)
-            self.reports.append(report)
-            self._last = (v, h_k, v_new, report)
+            self.fields.append(self._last.field)
+            self.reports.append(self._last.report)
         return Trajectory(self.times[:n + 1], self.fields[:n + 1],
                           self.reports[:n], setup.q)
 

@@ -236,11 +236,10 @@ def rectangle_mesh(x0: float, x1: float, y0: float, y1: float,
 @dataclass(frozen=True)
 class DiscreteField:
     """Nodal values of a P1 function with homogeneous Dirichlet boundary,
-    read-only; `_handoff` carries a solve's final state (`elliptic.solve`)."""
+    read-only."""
 
     mesh: Mesh
     values: np.ndarray
-    _handoff: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)

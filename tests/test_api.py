@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -242,3 +243,9 @@ def test_every_derived_field_is_read():
                        for other in trees.values() for node in ast.walk(other)):
                 unread.append(f"{module}.{cls.name}.{name}")
     assert unread == []
+
+
+def test_a_field_is_its_mesh_and_values():
+    # a field carries no solver state: a solve's final element state goes on
+    # in the run's `evolution.Step` record, not with the field it returned
+    assert [f.name for f in dataclasses.fields(dne.DiscreteField)] == ["mesh", "values"]

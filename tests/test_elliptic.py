@@ -654,16 +654,21 @@ class TestColdStart:
 # The constant-exponent pure-load solves that stop short of the tolerance
 # today, with the KKT residual where each stops: the absolute stopping rule
 # rejects a solve at roundoff (ROADMAP B2), and the singular range p < 2
-# oscillates to the iteration cap (ROADMAP M).
-PURE_LOAD_FAILURES = {(100, 1.2): "residual 3.0e-5",
+# oscillates to the iteration cap or stalls where no direction descends
+# (ROADMAP M).  Every xfail is strict (`xfail_strict`), so a fix fails the
+# suite until its case leaves this table.
+PURE_LOAD_FAILURES = {(50, 1.2): "residual 3.3e-10 at roundoff (B2)",
+                      (100, 1.2): "residual 3.0e-5, stalled (M)",
+                      (200, 1.2): "residual 4.4e-4, stalled (M)",
+                      (400, 1.2): "residual 1.6e-3, stalled (M)",
                       (400, 1.3): "residual 9.1e-10 at roundoff (B2)",
                       (400, 1.5): "residual 0.024 at the iteration cap (M)"}
 PURE_LOAD_CASES = [
     pytest.param(n, p, id=f"n{n}-p{p}", marks=[pytest.mark.xfail(
-        strict=True, raises=NonConvergence, reason=PURE_LOAD_FAILURES[n, p])]
+        raises=NonConvergence, reason=PURE_LOAD_FAILURES[n, p])]
         if (n, p) in PURE_LOAD_FAILURES else [])
     for n, p in [(n, p) for n in (50, 100, 200, 400)
-                 for p in (1.5, 1.7, 2.0, 2.5, 3.0, 4.0)] + [(100, 1.2), (400, 1.3)]]
+                 for p in (1.2, 1.5, 1.7, 2.0, 2.5, 3.0, 4.0)] + [(400, 1.3)]]
 
 
 class TestPureLoadOracle:

@@ -85,8 +85,9 @@ def with_repeats(traj, repeated):
 
 
 def outside_solve(monkeypatch):
-    """A `counted` test for `count_calls`: no `elliptic.solve` is running."""
-    solve, inside = elliptic.solve, []
+    """A `counted` test for `count_calls`: no solve (`elliptic._solve`, which
+    every solve runs) is running."""
+    solve, inside = elliptic._solve, []
 
     def solving(*args, **kwargs):
         inside.append(1)
@@ -95,13 +96,14 @@ def outside_solve(monkeypatch):
         finally:
             inside.pop()
 
-    rebind(monkeypatch, elliptic, "solve", solving)
+    rebind(monkeypatch, elliptic, "_solve", solving)
     return lambda: not inside
 
 
 def fail_on_call(monkeypatch, n):
-    """Make the n-th `elliptic.solve` call from here on raise NonConvergence."""
-    solve, calls = elliptic.solve, []
+    """Make the n-th solve (`elliptic._solve` call) from here on raise
+    NonConvergence."""
+    solve, calls = elliptic._solve, []
 
     def failing(*args, **kwargs):
         calls.append(1)
@@ -109,7 +111,7 @@ def fail_on_call(monkeypatch, n):
             raise NonConvergence("injected failure")
         return solve(*args, **kwargs)
 
-    rebind(monkeypatch, elliptic, "solve", failing)
+    rebind(monkeypatch, elliptic, "_solve", failing)
 
 
 def make_setup(mesh, data, horizon, steps, scale=0.5):
@@ -164,7 +166,7 @@ class TestStep:
         v_stat = solve_stationary(mesh_1d, op, Q, pot.limit, src)
         setup = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, v_stat)
         h1 = average_potential(pot, 1, setup.dt)
-        v1, report = step(setup, v_stat, h1)
+        _, _, v1, report, _ = step(setup, v_stat, h1)
         assert report.converged
         assert l2_norm_diff_power(v1, v_stat, 1.0) <= 10 * 1e-10
 
@@ -174,8 +176,8 @@ class TestStep:
         large = interpolate(mesh_1d, lambda x: 0.6 * np.sin(np.pi * x[:, 0]))
         s_small = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, small)
         h1 = average_potential(pot, 1, s_small.dt)
-        v1, _ = step(s_small, small, h1)
-        w1, _ = step(s_small, large, h1)
+        v1 = step(s_small, small, h1).field
+        w1 = step(s_small, large, h1).field
         assert np.all(v1.values <= w1.values + 1e-8)
 
     def test_sandwich_preserved(self, mesh_1d, data_1d):
@@ -185,7 +187,7 @@ class TestStep:
         w_hi, _ = make_supersolution(mesh_1d, op, Q, src, pot.sup_norm, v0)
         setup = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, v0)
         h1 = average_potential(pot, 1, setup.dt)
-        v1, _ = step(setup, v0, h1)
+        v1 = step(setup, v0, h1).field
         assert np.all(v1.values >= w_lo.values - 1e-8)
         assert np.all(v1.values <= w_hi.values + 1e-8)
 
@@ -304,7 +306,7 @@ class TestEvolve:
                 return inner(*args, **kwargs)
             return wrapper
 
-        solve = evolution.solve
+        solve = evolution._solve
 
         def solving(*args):
             inside.append(1)
@@ -313,7 +315,7 @@ class TestEvolve:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(evolution, "solve", solving)
+        monkeypatch.setattr(evolution, "_solve", solving)
         monkeypatch.setattr(Mesh, "means_and_gradients",
                             counting("means_and_gradients", Mesh.means_and_gradients))
         monkeypatch.setattr(elliptic, "_energy_parts",
@@ -510,7 +512,8 @@ class TestRunAverages:
 
         def no_solve(setup, previous, h_n, last=None):
             seen.append(h_n.tobytes())
-            return previous, elliptic.SolverReport()
+            return evolution.Step(previous, h_n, previous, elliptic.SolverReport(),
+                                  None)
 
         rebind(monkeypatch, evolution, "average_potential", recording)
         rebind(monkeypatch, evolution, "step", no_solve)
@@ -577,7 +580,8 @@ class TestRepeatedStep:
         setup = make_setup(mesh_1d, data_1d, horizon=1.0, steps=10)
         v0, dt = setup.initial, setup.dt
         h1 = average_potential(setup.potential, 1, dt)
-        v1, r1 = step(setup, v0, h1)
+        first = step(setup, v0, h1)
+        v1, r1 = first.field, first.report
         minimizations = count_calls(monkeypatch, elliptic, "_minimize")
 
         def up(x):
@@ -587,24 +591,28 @@ class TestRepeatedStep:
         h_moved[0] = up(h_moved[0])
         start_moved[50] = up(start_moved[50])
         moved = DiscreteField(mesh_1d, start_moved)
-        for last in [(v0, h_moved, v1, r1), (moved, h1, v1, r1)]:
+        for last in [first._replace(h_n=h_moved), first._replace(start=moved)]:
             minimizations.clear()
-            v, report = step(setup, v0, h1, last)
+            _, _, v, report, _ = step(setup, v0, h1, last)
             assert len(minimizations) == 1
             assert not report.repeated
             assert v.values.tobytes() == v1.values.tobytes()
 
-        minimizations.clear()
-        v, report = step(setup, v0, h1, (v0, h1, v1, r1))
-        assert minimizations == []
-        assert v is v1
-        assert report.repeated and report is not r1
-        assert replace(report, repeated=False) == r1
+        # a copy of the start repeats too, and is the repeat's start
+        copy = DiscreteField(mesh_1d, v0.values)
+        for start in (v0, copy):
+            minimizations.clear()
+            repeat = step(setup, start, h1, first)
+            assert minimizations == []
+            assert repeat.start is start
+            assert repeat.field is v1 and repeat.state is first.state
+            assert repeat.report.repeated and repeat.report is not r1
+            assert replace(repeat.report, repeated=False) == r1
 
 
 class TestHandoff:
-    """A solve hands its final element state on with its field; the next step
-    starting there reads it instead of computing it."""
+    """A step's record holds its solve's final element state; the next step,
+    starting from that record's field, reads it instead of computing it."""
 
     @pytest.mark.parametrize("config, steps", [("decaying_1d", 30), ("smoke_2d", 6)])
     def test_run_matches_steps_from_fresh_copies(self, monkeypatch, config, steps):
@@ -618,45 +626,48 @@ class TestHandoff:
         fields, last = [setup.initial], None
         for n in range(1, steps + 1):
             h_n = average_potential(setup.potential, n, setup.dt)
-            fresh = DiscreteField(setup.mesh, fields[-1].values)
-            assert fresh._handoff == []
-            v, report = step(setup, fresh, h_n, last)
-            fields.append(v)
-            last = (fresh, h_n, v, report)
+            last = step(setup, DiscreteField(setup.mesh, fields[-1].values), h_n, last)
+            fields.append(last.field)
         for a, b in zip(traj.fields, fields, strict=True):
-            np.testing.assert_array_equal(a.values, b.values)
+            assert a.values.tobytes() == b.values.tobytes()
         solved = sum(not r.repeated for r in traj.reports)
         assert solved > 1
         assert len(iterates) - handed == solved - 1
-        # each state is taken by the solve it was handed to: only the last
-        # field of the run still holds one
-        assert {id(f) for f in traj.fields if f._handoff} == {id(traj.final)}
 
-    @pytest.mark.parametrize("same_operator", [True, False])
-    def test_state_is_taken_only_by_its_operator(self, mesh_1d, data_1d, monkeypatch,
-                                                 same_operator):
-        # a solve starting from a solve's field computes no start state when
-        # it has that solve's operator, and computes it (the handed state is
-        # not used) under another; either way its result is a fresh copy's
+    def test_state_is_handed_only_from_last_field(self, mesh_1d, data_1d, monkeypatch):
+        # a step from a copy of `last.field` computes its start's state and
+        # never reads `last.state`; its result is the handed step's, bitwise
+        setup = make_setup(mesh_1d, data_1d, horizon=1.0, steps=10)
+        h1, h2 = (average_potential(setup.potential, n, setup.dt) for n in (1, 2))
+        first = step(setup, setup.initial, h1)
+        with pytest.raises(ValueError):
+            first.field.values[1] = 0.0  # the state can never go stale
+        iterates = count_iterates(monkeypatch)
+        handed = step(setup, first.field, h2, first)
+        from_field = len(iterates)
+        iterates.clear()
+        unreadable = first._replace(state=object())
+        fresh = step(setup, DiscreteField(mesh_1d, first.field.values), h2, unreadable)
+        assert len(iterates) == from_field + 1
+        assert fresh.field.values.tobytes() == handed.field.values.tobytes()
+        assert fresh.report == handed.report
+        assert fresh.state[0].tobytes() == handed.state[0].tobytes()
+
+    def test_solve_leaves_its_guess_as_it_was(self, mesh_1d, data_1d, monkeypatch):
+        # `solve` reads its guess and returns a new field: two solves from a
+        # solve's result compute the same points and give the same answer
         op, src, pot = data_1d
         v, _ = solve(EllipticProblem.standard(mesh_1d, op, Q, 1.0, pot(0.0), src),
                      bump_seed(mesh_1d))
-        assert len(v._handoff) == 1
-        with pytest.raises(ValueError):
-            v.values[1] = 0.0  # the state can never go stale
-        if not same_operator:
-            op = LerayLionsOperator.isotropic(
-                ExponentField.constant(mesh_1d.n_elements, 3.0), 1.0)
         target = EllipticProblem.standard(mesh_1d, op, Q, 0.5, pot(0.0), src)
         iterates = count_iterates(monkeypatch)
-        fresh, fresh_report = solve(target, DiscreteField(mesh_1d, v.values))
-        from_copy = len(iterates)
-        iterates.clear()
         w, report = solve(target, v)
-        assert len(iterates) == from_copy - same_operator
-        assert v._handoff == []
-        np.testing.assert_array_equal(w.values, fresh.values)
-        assert report == fresh_report
+        first = len(iterates)
+        iterates.clear()
+        again, again_report = solve(target, v)
+        assert len(iterates) == first
+        assert again.values.tobytes() == w.values.tobytes()
+        assert again_report == report
 
 
 class TestDiagnose:
