@@ -5,9 +5,8 @@ scaling and stabilization estimates the scheme is built on."""
 from .operators import (ExponentField, LerayLionsOperator, PotentialField,
                         Regime, SourceTerm, classify_regime, eval_A, eval_flux,
                         eval_source)
-from .meshing import (DiscreteField, Mesh, boundary_distance_field, gradient,
-                      interpolate, interval_mesh, l2_norm_diff_power,
-                      rectangle_mesh)
+from .meshing import (DiscreteField, Mesh, boundary_distance_field, interpolate,
+                      interval_mesh, l2_norm_diff_power, rectangle_mesh)
 from .elliptic import (EllipticProblem, FailedToFit, InvalidProblem,
                        NonConvergence, SolverReport, make_subsolution,
                        make_supersolution, solve, solve_lambda_problem,

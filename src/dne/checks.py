@@ -1,15 +1,17 @@
 """Named, machine-runnable checks for every estimate the solver is built on.
 
-Each check samples or solves, measures one array of signed margins over its
-locations (>= 0 means the inequality holds with room) and returns the
-CheckReport that `_report` builds from it: the worst margin and where it
-lies.  A check on a run reads the run once, as one array with a leading axis
-of stored times: nodal values for the ordering checks, and (v+)^q element
-means, normed row by row, for the norm checks.  The two contraction checks
-take both of their forms from one difference: the plain norm and that of its
-positive part, or the positive parts of d and -d for the two orientations.
-Slacks are named constants; refinement is expected to improve every margin
-they cover.
+Each check enumerates, samples or solves, measures one array of signed
+margins over its locations (>= 0 means the inequality holds with room) and
+returns the CheckReport that `_report` builds from it: the worst margin and
+where it lies.  Only `alg-inequality` draws its locations; the two Picone
+checks take every point they tabulate: `picone` every library pair at every
+quadrature point, `picone-pair` all its field pairs in one pass.  A check on
+a run reads the run once, as one array with a leading axis of stored times:
+nodal values for the ordering checks, and (v+)^q element means, normed row
+by row, for the norm checks.  The two contraction checks take both of their
+forms from one difference: the plain norm and that of its positive part, or
+the positive parts of d and -d for the two orientations.  Slacks are named
+constants; refinement is expected to improve every margin they cover.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import numpy as np
 
 from .elliptic import EllipticProblem, solve, solve_lambda_problem
 from .evolution import Trajectory, time_integral_norm
-from .meshing import (DiscreteField, Mesh, MeshMismatch, _mean_powers, gradient,
-                      l2_norm_values)
+from .meshing import DiscreteField, Mesh, MeshMismatch, _mean_powers, l2_norm_values
 from .operators import (LerayLionsOperator, PotentialField, eval_A, eval_flux,
                         seeded_rng)
 
@@ -104,101 +105,94 @@ def function_library(mesh: Mesh):
     return out
 
 
-def check_picone(mesh: Mesh, op: LerayLionsOperator, r: float,
-                 sample_count: int = 10 ** 5, seed: int = 0) -> CheckReport:
-    """Pointwise Picone bound on consistent (u, v) pairs from the library; for
-    r > 1 and u/v nonconstant the margin must be strictly positive."""
+def check_picone(mesh: Mesh, op: LerayLionsOperator, r: float) -> CheckReport:
+    """Pointwise Picone bound on every (u, v) pair of the library at every
+    quadrature point, L^2 n_elements samples for a library of L functions;
+    for r > 1 and u/v nonconstant the margin must be strictly positive."""
     if not (1.0 <= r < op.exponent.p_minus):
         raise ValueError("check_picone requires r in [1, p_-)")
     lib = function_library(mesh)
-    margins, gaps = _picone_margins(mesh, op, r, lib, sample_count, seed)
+    margins, gaps = _picone_margins(op, r, lib)
     # a pair u = v has equality, so only the others must show room
     strict_ok = r == 1.0 or not np.any(gaps[~np.eye(len(lib), dtype=bool)] <= 0.0)
     names = [(fu["name"], fv["name"]) for fu in lib for fv in lib]
-    per_pair = margins.shape[1]
     return _report("picone", margins.size, margins,
-                   lambda i: "pair ({}, {})".format(*names[i // per_pair]),
+                   lambda i: "pair ({}, {})".format(*names[i // mesh.n_elements]),
                    slack=PICONE_SLACK, extra_pass=strict_ok)
 
 
-def _picone_margins(mesh: Mesh, op: LerayLionsOperator, r: float, lib: list,
-                    sample_count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """margins[pair, sample] of the Picone bound
+def _picone_margins(op: LerayLionsOperator, r: float,
+                    lib: list) -> tuple[np.ndarray, np.ndarray]:
+    """margins[pair, point] of the Picone bound
 
         a(x, grad u^(1/r)) . grad(v/u^((r-1)/r))
             <= A^(r/p)(x, grad v^(1/r)) * A^((p-r)/p)(x, grad u^(1/r)),
 
-    pairs (u, v) in library order, each at sample_count // len(lib)^2 (at
-    least one) quadrature points drawn from one seeded stream, and gaps[u, v],
-    each pair's smallest rhs - lhs.  Every power and the flux are tabulated
-    once per function at every quadrature point and gathered at the drawn
-    points, so each sample reads the values a per-sample evaluation computes,
-    bit for bit: the v side's A^(r/p) for all functions up front, the u
-    side's tables one u at a time."""
-    rng = seeded_rng(seed, "picone")
+    pairs (u, v) in library order at every quadrature point, and gaps[u, v],
+    each pair's smallest rhs - lhs.  The v side's A^(r/p) is taken for every
+    function at once, the u side's flux and powers one u at a time, each
+    against every v in one pass."""
     p, every = op.exponent.values, slice(None)
     s = (r - 1.0) / r
-
-    def root_gradient(f):
-        """grad f^(1/r) from f and grad f."""
-        return (1.0 / r) * f["values"][:, None] ** (1.0 / r - 1.0) * f["grads"]
-
-    v_bound = [eval_A(op, every, root_gradient(f)) ** (r / p) for f in lib]
-    per_pair = max(1, sample_count // (len(lib) ** 2))
-    margins = np.empty((len(lib), len(lib), per_pair))
+    values = np.array([f["values"] for f in lib])     # (L, n_elements)
+    grads = np.array([f["grads"] for f in lib])       # (L, n_elements, dim)
+    # grad f^(1/r) from f and grad f
+    roots = (1.0 / r) * values[..., None] ** (1.0 / r - 1.0) * grads
+    v_bound = eval_A(op, every, roots) ** (r / p)
+    axes = np.moveaxis(grads, -1, 0).copy()           # (dim, L, n_elements)
+    margins = np.empty((len(lib),) + values.shape)
     gaps = np.empty((len(lib), len(lib)))
-    for iu, fu in enumerate(lib):
-        u_root = root_gradient(fu)
-        flux = eval_flux(op, every, u_root)
+    for iu in range(len(lib)):
+        flux = eval_flux(op, every, roots[iu])
         # A = a(x, xi) . xi, as `eval_A` forms it, from the one flux pass
-        u_bound = np.sum(flux * u_root, axis=-1) ** ((p - r) / p)
-        # the two powers of u in grad(v/u^s) = u^-s grad v - s v u^(-s-1) grad u
-        u_power, u_power_less = fu["values"] ** -s, fu["values"] ** (-s - 1.0)
-        for iv, fv in enumerate(lib):
-            ks = rng.integers(0, mesh.n_elements, size=per_pair)
-            gu, v, gv = fu["grads"][ks], fv["values"][ks], fv["grads"][ks]
-            ratio_grad = (u_power[ks][:, None] * gv
-                          - s * (v * u_power_less[ks])[:, None] * gu)
-            lhs = np.sum(flux[ks] * ratio_grad, axis=-1)
-            rhs = v_bound[iv][ks] * u_bound[ks]
-            margins[iu, iv] = rhs - lhs + PICONE_SLACK * np.maximum(1.0, np.abs(rhs))
-            gaps[iu, iv] = np.min(rhs - lhs)
-    return margins.reshape(-1, per_pair), gaps
+        u_bound = np.sum(flux * roots[iu], axis=-1) ** ((p - r) / p)
+        # a . grad(v/u^s), grad(v/u^s) = u^-s grad v - s v u^(-s-1) grad u,
+        # for every v, axis by axis
+        u_power, weight = values[iu] ** -s, s * (values * values[iu] ** (-s - 1.0))
+        lhs = flux[:, 0] * (u_power * axes[0] - weight * axes[0, iu])
+        for d in range(1, len(axes)):
+            lhs = lhs + flux[:, d] * (u_power * axes[d] - weight * axes[d, iu])
+        # rhs is never -0.0, so the sign of a zero lhs does not reach rhs - lhs
+        rhs = v_bound * u_bound
+        gap = rhs - lhs
+        margins[iu] = gap + PICONE_SLACK * np.maximum(1.0, np.abs(rhs))
+        gaps[iu] = gap.min(axis=-1)
+    return margins.reshape(len(lib) ** 2, -1), gaps
 
 
 def check_picone_pair(mesh: Mesh, op: LerayLionsOperator, r: float,
                       pairs: Sequence[tuple[DiscreteField, DiscreteField]]) -> CheckReport:
     """Integrated two-function inequality on interpolated quotient fields,
-    for each pair (w1, w2) of strictly positive interior fields; the worst
-    pair is reported."""
+    for each pair (w1, w2) of strictly positive interior fields, all pairs in
+    one pass; the worst pair is reported."""
     if not (1.0 <= r < op.exponent.p_minus):
         raise ValueError("check_picone_pair requires r in [1, p_-)")
-    if any(np.any(w.values[mesh.interior] <= 0.0) for pair in pairs for w in pair):
+    w = np.array([[w1.values, w2.values] for w1, w2 in pairs])  # (pair, 2, n_vertices)
+    if np.any(w[..., mesh.interior] <= 0.0):
         raise ValueError("check_picone_pair requires strictly positive interior fields")
-    margins = []
-    for w1, w2 in pairs:
-        value, scale = picone_pair_integral(mesh, op, r, w1, w2)
-        margins.append(value + PICONE_PAIR_SLACK * max(scale, 1e-300))
+    value, scale = picone_pair_integral(mesh, op, r, w[:, 0], w[:, 1])
+    margins = value + PICONE_PAIR_SLACK * np.maximum(scale, 1e-300)
     return _report("picone-pair", mesh.n_elements, margins,
                    lambda i: "integrated quotient sum", slack=PICONE_PAIR_SLACK)
 
 
 def picone_pair_integral(mesh, op, r, w1, w2):
-    """Quadrature of a(grad w1).grad((w1^r - w2^r)/w1^(r-1)) + (1 <-> 2);
-    returns (value, scale) where scale sums the absolute contributions."""
+    """Quadrature of a(grad w1).grad((w1^r - w2^r)/w1^(r-1)) + (1 <-> 2) for
+    nodal values of shape (..., n_vertices); returns (value, scale), each of
+    shape (...), where scale sums the absolute contributions."""
+    ii = mesh.interior
 
-    def quotient(a: DiscreteField, b: DiscreteField) -> DiscreteField:
-        vals = np.zeros(mesh.n_vertices)
-        ii = mesh.interior
-        va, vb_ = a.values[ii], b.values[ii]
-        vals[ii] = (va ** r - vb_ ** r) / va ** (r - 1.0)
-        return DiscreteField(mesh, vals)
+    def term(a, b):
+        """a(grad a) . grad((a^r - b^r)/a^(r-1)) at every quadrature point."""
+        quotient = np.zeros(a.shape)
+        va, vb = a[..., ii], b[..., ii]
+        quotient[..., ii] = (va ** r - vb ** r) / va ** (r - 1.0)
+        flux = eval_flux(op, slice(None), mesh.gradient_of(a))
+        return np.sum(flux * mesh.gradient_of(quotient), axis=-1)
 
-    ks = np.arange(mesh.n_elements)
-    t1 = np.sum(eval_flux(op, ks, gradient(w1)) * gradient(quotient(w1, w2)), axis=1)
-    t2 = np.sum(eval_flux(op, ks, gradient(w2)) * gradient(quotient(w2, w1)), axis=1)
-    value = float(np.sum(mesh.measures * (t1 + t2)))
-    scale = float(np.sum(mesh.measures * (np.abs(t1) + np.abs(t2))))
+    t1, t2 = term(w1, w2), term(w2, w1)
+    value = (mesh.measures * (t1 + t2)).sum(axis=-1)
+    scale = (mesh.measures * (np.abs(t1) + np.abs(t2))).sum(axis=-1)
     return value, scale
 
 

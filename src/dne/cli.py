@@ -171,7 +171,7 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
 
     checks = {
         "alg-inequality": lambda: [ck.check_alg_inequality(q, seed=seed)],
-        "picone": lambda: [ck.check_picone(mesh, op, r_mid, seed=seed)],
+        "picone": lambda: [ck.check_picone(mesh, op, r_mid)],
         "picone-pair": picone_pair,
         "lambda-scaling": lambda_scaling,
         "positivity-hopf": lambda: [ck.check_positivity_hopf(stationary())],

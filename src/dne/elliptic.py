@@ -31,8 +31,11 @@ BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
 # Relative regularization of the flux Jacobian: block norms are smoothed by
 # HESSIAN_EPS times the iterate's largest element gradient, so for p < 2 the
-# smoothing stays below the gradients of a tiny solution.
+# smoothing stays below the gradients of a tiny solution.  Where that
+# gradient is at most HESSIAN_SCALE_FLOOR the smoothing is HESSIAN_EPS itself:
+# a relative eps^2 underflows below about 1e-154, and c / rho then overflows.
 HESSIAN_EPS = 1e-8
+HESSIAN_SCALE_FLOOR = 1e-90
 # The stopping policy of every solve, read by `_solve` alone.  Absolute bounds
 # on the nodal KKT residual: in 1D the nodal noise stays well below the 1e-8
 # ordering slack of the comparison checks; in 2D the tolerance equals that
@@ -216,8 +219,8 @@ def _hessian_matrix(problem: EllipticProblem, point,
     """Upper band of the interior block of the energy's Hessian in the LAPACK
     storage of `Mesh.band_scatter`, shape (bandwidth + 1, n_interior), with
     the flux Jacobian regularized by HESSIAN_EPS max|grad v| (HESSIAN_EPS when
-    grad v = 0); without `include_concave` the terms with negative
-    coefficients are dropped, which leaves a convex majorant.  Per operator
+    max|grad v| <= HESSIAN_SCALE_FLOOR); without `include_concave` the terms
+    with negative coefficients are dropped, which leaves a convex majorant.  Per operator
     block G_B J_B G_B^T = c G_B G_B^T + c2 (G_B xi_B)(G_B xi_B)^T, with
     c2 = (p - 2) c / rho, is formed at the kept band pairs from the mesh's
     G_B G_B^T (`BandScatter.block_products`), with no element Jacobian.  The
@@ -228,7 +231,7 @@ def _hessian_matrix(problem: EllipticProblem, point,
     nloc = mesh.elements.shape[1]
     vb, gv, _ = point
     scale = float(np.sqrt(_square_norm(gv).max()))
-    eps = HESSIAN_EPS * (scale if scale > 0.0 else 1.0)
+    eps = HESSIAN_EPS * (scale if scale > HESSIAN_SCALE_FLOOR else 1.0)
     vbp = np.maximum(vb, 0.0)
     positive = vbp.min() > 0.0
     dd = np.zeros(mesh.n_elements)

@@ -214,23 +214,20 @@ def rectangle_mesh(x0: float, x1: float, y0: float, y1: float,
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     vertices = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    elements = []
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if _cell_flipped(i, j, nx, ny):
-                elements.append((v00, v10, v01))
-                elements.append((v10, v11, v01))
-            else:
-                elements.append((v00, v10, v11))
-                elements.append((v00, v11, v01))
+    # cells (i, j) in row-major order, each with its corners v00 = (i, j),
+    # v10 = (i + 1, j), v01 = (i, j + 1), v11 = (i + 1, j + 1) and its two
+    # triangles in turn
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    v00 = (i * (ny + 1) + j).ravel()
+    v10, v01 = v00 + ny + 1, v00 + 1
+    v11 = v10 + 1
+    flipped = _cell_flipped(i, j, nx, ny).ravel()[:, None]
+    first = np.where(flipped, np.stack([v00, v10, v01], 1), np.stack([v00, v10, v11], 1))
+    second = np.where(flipped, np.stack([v10, v11, v01], 1), np.stack([v00, v11, v01], 1))
+    elements = np.stack([first, second], axis=1).reshape(-1, 3)
     boundary = ((vertices[:, 0] == x0) | (vertices[:, 0] == x1)
                 | (vertices[:, 1] == y0) | (vertices[:, 1] == y1))
-    return Mesh(2, (x0, x1, y0, y1), (nx, ny), vertices, np.array(elements), boundary)
+    return Mesh(2, (x0, x1, y0, y1), (nx, ny), vertices, elements, boundary)
 
 
 @dataclass(frozen=True)
@@ -269,11 +266,6 @@ def interpolate(mesh: Mesh, fn: Callable[[np.ndarray], np.ndarray]) -> DiscreteF
     vals = vals.copy()
     vals[mesh.boundary_mask] = 0.0
     return DiscreteField(mesh, vals)
-
-
-def gradient(field: DiscreteField) -> np.ndarray:
-    """Exact per-element gradient of the piecewise-linear interpolant, (ne, dim)."""
-    return field.mesh.gradient_of(field.values)
 
 
 def _mean_powers(mesh: Mesh, nodal_values: np.ndarray, power: float) -> np.ndarray:

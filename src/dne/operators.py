@@ -4,7 +4,7 @@ The energy density is A(x, xi) = sum_j g_j(x) * (sum_{i in P_j} xi_i^2)^(p(x)/2)
 over a partition (P_j) of the coordinate axes, with weights g_j(x) >= c > 0.
 Its flux a(x, xi) = (1/p(x)) * grad_xi A and the solver's Hessian read one
 owner of the block formula (`_blocks`); A itself is a(x, xi) . xi by Euler's
-identity.  The Picone bound the verification harness samples
+identity.  The Picone bound the verification harness evaluates
 (`checks.check_picone`) is built on these; the flux Jacobian, the per-sample
 Picone gap and the oracles for the operator's other pointwise inequalities
 (monotonicity, convexity defect, ellipticity floor, growth) are test code, in

@@ -4,13 +4,16 @@ The operator oracles sample both sides of the prototype operator's pointwise
 inequalities (strong monotonicity, the Picone gap, the Picone pair sum, the
 Clarkson-type convexity defect, the ellipticity floor and the growth
 sandwich), and `flux_jacobian_batch` is the flux Jacobian the Hessian tests
-build from; `picone_per_sample` is the `picone` check with every power
-evaluated per sample through `picone_gap`, the reference for the check's
-per-function tables; the energy helpers evaluate J and its nodal gradient at
-a field; `evolve` takes every step of a run and `diagnose_per_step` diagnoses
-it one step at a time, the reference for the chunked `evolution.diagnose`;
-the u = v^q change of variables and the contraction ratio of a refinement
-study feed the acceptance tests.  They read the library's private element
+build from; `picone_at_points` is the `picone` check with every power
+evaluated per sample through `picone_gap`, at every point the reference
+for the check's enumerated pass, and `picone_per_sample` draws its points
+as the check once sampled them; `picone_pair_per_pair` is the `picone-pair`
+integral one pair at a time, the reference for the batched pass; the energy
+helpers evaluate J and its nodal gradient at a field; `evolve` takes every
+step of a run and `diagnose_per_step` diagnoses it one step at a time, the
+reference for the chunked `evolution.diagnose`; the u = v^q change of
+variables and the contraction ratio of a refinement study feed the
+acceptance tests.  They read the library's private element
 state the same way the solver does.
 
 The element-pass references (`element_means_reference`, `gradient_reference`,
@@ -28,7 +31,8 @@ per-field minima, the reference for the stacked checks of `dne.checks`;
 Gauss node and form at a time, and `contraction_elliptic_per_orientation`
 forms each orientation's differences in its own order; `eval_at_points`
 evaluates a P1 field anywhere in a rectangle from `rectangle_mesh`'s triangle
-layout, the reference for the Hopf probes read along grid lines.
+layout, the reference for the Hopf probes read along grid lines, and
+`rectangle_elements_reference` builds that layout one cell at a time.
 
 `pure_load_solution` is the exact discrete solution of the 1D pure-load
 problem that `elliptic.solve_lambda_problem` solves.
@@ -43,8 +47,9 @@ from scipy.optimize import brentq
 
 from dne import checks
 from dne.checks import _report, _solve_pair
-from dne.elliptic import (HESSIAN_EPS, EllipticProblem, _energy_parts, _energy_terms,
-                          _gradient_values, _point, _power)
+from dne.elliptic import (HESSIAN_EPS, HESSIAN_SCALE_FLOOR, EllipticProblem,
+                          _energy_parts, _energy_terms, _gradient_values, _point,
+                          _power)
 from dne.evolution import (DISSIPATION_SLACK, EvolutionSetup, Run, StepDiagnostics,
                            Trajectory, average_potential)
 from dne.meshing import (DiscreteField, Mesh, _cell_flipped, _mean_powers,
@@ -141,29 +146,41 @@ def picone_gap(op: LerayLionsOperator, k, grad_u_root, grad_v_root, ratio_grad, 
 
 def picone_per_sample(mesh: Mesh, op: LerayLionsOperator, r: float,
                       sample_count: int = 10 ** 5, seed: int = 0):
-    """`checks.check_picone` with every power of u and v evaluated per sample,
-    at the drawn points, through `picone_gap`: its margins[pair, sample] and
-    its report."""
+    """The `picone` check as it once sampled: for each (u, v) pair in library
+    order, sample_count // L^2 (at least one) quadrature points drawn from
+    one seeded stream.  Returns the drawn points[pair, sample] and, from
+    `picone_at_points`, the margins there and their report."""
+    rng = seeded_rng(seed, "picone")
+    n_pairs = len(checks.function_library(mesh)) ** 2
+    per_pair = max(1, sample_count // n_pairs)
+    points = np.array([rng.integers(0, mesh.n_elements, size=per_pair)
+                       for _ in range(n_pairs)])
+    return (points,) + picone_at_points(mesh, op, r, points)
+
+
+def picone_at_points(mesh: Mesh, op: LerayLionsOperator, r: float, points):
+    """`checks.check_picone` with every power of u and v evaluated per sample
+    through `picone_gap`, at the quadrature points points[pair] of each
+    (u, v) pair in library order: its margins[pair, sample] and its report.
+    Every point of every pair, in element order, is the check itself."""
     if not (1.0 <= r < op.exponent.p_minus):
         raise ValueError("check_picone requires r in [1, p_-)")
-    rng = seeded_rng(seed, "picone")
     lib = checks.function_library(mesh)
     margins, strict_ok = [], True
-    per_pair = max(1, sample_count // (len(lib) ** 2))
-    for iu, fu in enumerate(lib):
-        for iv, fv in enumerate(lib):
-            ks = rng.integers(0, mesh.n_elements, size=per_pair)
-            u, gu = fu["values"][ks], fu["grads"][ks]
-            v, gv = fv["values"][ks], fv["grads"][ks]
-            grad_u_root = (1.0 / r) * u[:, None] ** (1.0 / r - 1.0) * gu
-            grad_v_root = (1.0 / r) * v[:, None] ** (1.0 / r - 1.0) * gv
-            ratio_grad = (u[:, None] ** (-(r - 1.0) / r) * gv
-                          - ((r - 1.0) / r) * (v * u ** (-(r - 1.0) / r - 1.0))[:, None] * gu)
-            lhs, rhs = picone_gap(op, ks, grad_u_root, grad_v_root, ratio_grad, r)
-            margins.append(rhs - lhs + checks.PICONE_SLACK * np.maximum(1.0, np.abs(rhs)))
-            if r > 1.0 and iu != iv and np.min(rhs - lhs) <= 0.0:
-                strict_ok = False
-    names = [(fu["name"], fv["name"]) for fu in lib for fv in lib]
+    pairs = [(iu, fu, iv, fv) for iu, fu in enumerate(lib) for iv, fv in enumerate(lib)]
+    for (iu, fu, iv, fv), ks in zip(pairs, points):
+        u, gu = fu["values"][ks], fu["grads"][ks]
+        v, gv = fv["values"][ks], fv["grads"][ks]
+        grad_u_root = (1.0 / r) * u[:, None] ** (1.0 / r - 1.0) * gu
+        grad_v_root = (1.0 / r) * v[:, None] ** (1.0 / r - 1.0) * gv
+        ratio_grad = (u[:, None] ** (-(r - 1.0) / r) * gv
+                      - ((r - 1.0) / r) * (v * u ** (-(r - 1.0) / r - 1.0))[:, None] * gu)
+        lhs, rhs = picone_gap(op, ks, grad_u_root, grad_v_root, ratio_grad, r)
+        margins.append(rhs - lhs + checks.PICONE_SLACK * np.maximum(1.0, np.abs(rhs)))
+        if r > 1.0 and iu != iv and np.min(rhs - lhs) <= 0.0:
+            strict_ok = False
+    names = [(fu["name"], fv["name"]) for _, fu, _, fv in pairs]
+    per_pair = np.shape(points)[1]
     report = _report("picone", len(margins) * per_pair, margins,
                      lambda i: "pair ({}, {})".format(*names[i // per_pair]),
                      slack=checks.PICONE_SLACK, extra_pass=strict_ok)
@@ -188,6 +205,28 @@ def picone_pair_sum(op: LerayLionsOperator, k, w1, w2, g1, g2, r: float):
     term1 = np.sum(eval_flux(op, k, g1) * grad1, axis=-1)
     term2 = np.sum(eval_flux(op, k, g2) * grad2, axis=-1)
     return _maybe_scalar(term1 + term2)
+
+
+def picone_pair_per_pair(mesh: Mesh, op: LerayLionsOperator, r: float, pairs):
+    """`checks.picone_pair_integral` one (w1, w2) pair of fields at a time,
+    each quotient a `DiscreteField` and the flux gathered at
+    `np.arange(n_elements)`: the values and the scales of the pairs."""
+    ii, ks = mesh.interior, np.arange(mesh.n_elements)
+
+    def quotient(a: DiscreteField, b: DiscreteField) -> DiscreteField:
+        vals = np.zeros(mesh.n_vertices)
+        va, vb = a.values[ii], b.values[ii]
+        vals[ii] = (va ** r - vb ** r) / va ** (r - 1.0)
+        return DiscreteField(mesh, vals)
+
+    values, scales = [], []
+    for w1, w2 in pairs:
+        t1, t2 = (np.sum(eval_flux(op, ks, mesh.gradient_of(a.values))
+                         * mesh.gradient_of(quotient(a, b).values), axis=1)
+                  for a, b in ((w1, w2), (w2, w1)))
+        values.append(float(np.sum(mesh.measures * (t1 + t2))))
+        scales.append(float(np.sum(mesh.measures * (np.abs(t1) + np.abs(t2)))))
+    return np.array(values), np.array(scales)
 
 
 def morawetz_gap(op: LerayLionsOperator, k, xi, eta):
@@ -324,7 +363,7 @@ def hessian_band_reference(problem: EllipticProblem, point,
     nloc = mesh.elements.shape[1]
     vb, gv, _ = point
     scale = float(np.sqrt(np.einsum("ed,ed->e", gv, gv).max()))
-    eps = HESSIAN_EPS * (scale if scale > 0.0 else 1.0)
+    eps = HESSIAN_EPS * (scale if scale > HESSIAN_SCALE_FLOOR else 1.0)
     vbp = np.maximum(vb, 0.0)
     dd = np.zeros(mesh.n_elements)
     for c, r in problem.terms:
@@ -528,6 +567,25 @@ def stabilization_per_step(traj: Trajectory, v_stat: DiscreteField):
     locs.append(f"r=2.0 final error {errs[-1]:.3g}")
     return _report("stabilization", len(margins), margins, locs.__getitem__,
                    slack=checks.STABILIZATION_GROWTH)
+
+
+def rectangle_elements_reference(nx: int, ny: int) -> np.ndarray:
+    """`rectangle_mesh`'s element table cell by cell, in row-major cell
+    order: two triangles per cell, split by `_cell_flipped`."""
+
+    def vid(i, j):
+        return i * (ny + 1) + j
+
+    elements = []
+    for i in range(nx):
+        for j in range(ny):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            if _cell_flipped(i, j, nx, ny):
+                elements += [(v00, v10, v01), (v10, v11, v01)]
+            else:
+                elements += [(v00, v10, v11), (v00, v11, v01)]
+    return np.array(elements)
 
 
 def eval_at_points(field: DiscreteField, points: np.ndarray) -> np.ndarray:

@@ -104,8 +104,8 @@ def test_criterion_1_pointwise_algebra_suite():
     op_mesh = LerayLionsOperator.isotropic(
         ExponentField(2.0 + 0.8 * np.sin(np.pi * mesh.barycenters[:, 0])),
         1.0)
-    picone = check_picone(mesh, op_mesh, 1.5, sample_count=100_000, seed=SEED)
-    assert picone.passed, "picone sampling"
+    picone = check_picone(mesh, op_mesh, 1.5)
+    assert picone.passed, "picone at every point"
 
     for qv in (1.2, 1.5, 3.0):
         rep = check_alg_inequality(qv, sample_count=1_000_000, seed=SEED)

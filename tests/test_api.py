@@ -213,6 +213,21 @@ def test_only_elliptic_names_the_cold_start():
     assert offenders == []
 
 
+def test_only_sampling_checks_open_a_stream():
+    # `picone` and `picone-pair`'s integral enumerate their points; a seeded
+    # stream draws only the power-inequality pairs and the paired fields
+    package = Path(dne.__file__).parent
+    labels = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and "seeded_rng" in (getattr(node.func, "id", None),
+                                         getattr(node.func, "attr", None))):
+                label = node.args[1] if len(node.args) > 1 else None
+                labels.append(getattr(label, "value", f"{path.name}:{node.lineno}"))
+    assert sorted(labels) == ["alg-inequality", "picone-pair-fields"]
+
+
 def derived_fields(tree):
     """(class, name) of each `field(init=False, ...)` attribute of the classes
     of a parsed module: the values its constructor derives."""

@@ -21,7 +21,8 @@ from dne.scenario import load_scenario
 
 from oracles import (contraction_elliptic_per_orientation,
                      contraction_parabolic_per_step, contraction_ratio, evolve,
-                     hopf_probe_quotients, monotone_run_per_step, picone_per_sample,
+                     hopf_probe_quotients, monotone_run_per_step, picone_at_points,
+                     picone_pair_per_pair, picone_per_sample,
                      sandwich_per_step, stabilization_per_step, zero_field)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -36,14 +37,15 @@ def iso_op(mesh, p):
 class TestPicone:
     def test_sampled_zero_violations(self, mesh_1d, data_1d):
         op, _, _ = data_1d
-        report = check_picone(mesh_1d, op, 1.5, sample_count=20_000, seed=3)
+        report = check_picone(mesh_1d, op, 1.5)
         assert report.passed
-        assert report.samples >= 16
+        # every library pair at every quadrature point
+        assert report.samples == 16 * mesh_1d.n_elements
 
     def test_equality_case_margin_near_zero(self, mesh_1d, data_1d):
         # r = 1 keeps the u = v diagonal pairs at equality
         op, _, _ = data_1d
-        report = check_picone(mesh_1d, op, 1.0, sample_count=5_000, seed=4)
+        report = check_picone(mesh_1d, op, 1.0)
         assert report.passed
         assert abs(report.worst_margin) < 1e-10
 
@@ -52,11 +54,12 @@ class TestPicone:
         with pytest.raises(ValueError):
             check_picone(mesh_1d, op, 2.5)
 
-    def test_deterministic_per_seed(self, mesh_1d, data_1d):
+    def test_deterministic(self, mesh_1d, data_1d):
         op, _, _ = data_1d
-        a = check_picone(mesh_1d, op, 1.5, sample_count=5_000, seed=9)
-        b = check_picone(mesh_1d, op, 1.5, sample_count=5_000, seed=9)
+        a = check_picone(mesh_1d, op, 1.5)
+        b = check_picone(mesh_1d, op, 1.5)
         assert a.worst_margin == b.worst_margin
+        assert a == b
 
 
 def picone_operator(kind):
@@ -79,36 +82,54 @@ def picone_operator(kind):
 
 
 class TestPiconeTables:
-    """The tabulated `_picone_margins` reproduces the per-sample evaluation of
-    `oracles.picone_per_sample` bit for bit, signs of zero included, and
-    `check_picone` its report."""
+    """The enumerated `_picone_margins` reproduces the per-sample evaluation
+    of `oracles.picone_at_points` bit for bit, signs of zero included: at the
+    points `oracles.picone_per_sample` draws as the check once sampled, and
+    at every point, where `check_picone` gives the oracle's report."""
 
-    @pytest.mark.parametrize("seed, sample_count", [(0, 4096), (11, 1001)])
-    @pytest.mark.parametrize("r_kind", ["one", "mid"])
-    @pytest.mark.parametrize("kind", ["1d-constant", "1d-affine", "1d-p<2",
-                                      "2d-affine", "2d-anisotropic"])
-    def test_margins_and_report_match_per_sample(self, kind, r_kind, seed,
-                                                  sample_count):
+    KINDS = ["1d-constant", "1d-affine", "1d-p<2", "2d-affine", "2d-anisotropic"]
+
+    @staticmethod
+    def case(kind, r_kind):
         mesh, op = picone_operator(kind)
         p_minus = op.exponent.p_minus
         assert (p_minus < 2.0) == (kind in ("1d-p<2", "2d-anisotropic"))
         r = 1.0 if r_kind == "one" else (1.0 + p_minus) / 2.0
-        lib = checks.function_library(mesh)
-        # 1001 samples: 62 for each of 16 pairs, 3 for each of 256
-        margins, gaps = checks._picone_margins(mesh, op, r, lib, sample_count, seed)
-        expected, report = picone_per_sample(mesh, op, r, sample_count, seed)
-        assert margins.shape == expected.shape == (len(lib) ** 2,
-                                                   sample_count // len(lib) ** 2)
-        assert margins.tobytes() == expected.tobytes()
+        return mesh, op, r, checks.function_library(mesh)
+
+    @pytest.mark.parametrize("seed, sample_count", [(0, 4096), (11, 1001)])
+    @pytest.mark.parametrize("r_kind", ["one", "mid"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_margins_at_the_drawn_points_match_per_sample(self, kind, r_kind, seed,
+                                                           sample_count):
+        mesh, op, r, lib = self.case(kind, r_kind)
+        margins, gaps = checks._picone_margins(op, r, lib)
+        assert margins.shape == (len(lib) ** 2, mesh.n_elements)
         assert gaps.shape == (len(lib), len(lib))
-        assert check_picone(mesh, op, r, sample_count, seed) == report
+        # 1001 samples: 62 for each of 16 pairs, 3 for each of 256
+        points, expected, _ = picone_per_sample(mesh, op, r, sample_count, seed)
+        assert points.shape == expected.shape == (len(lib) ** 2,
+                                                  sample_count // len(lib) ** 2)
+        drawn = np.take_along_axis(margins, points, axis=1)
+        assert drawn.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("r_kind", ["one", "mid"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_report_is_the_first_minimum_over_every_point(self, kind, r_kind):
+        mesh, op, r, lib = self.case(kind, r_kind)
+        every = np.tile(np.arange(mesh.n_elements), (len(lib) ** 2, 1))
+        expected, report = picone_at_points(mesh, op, r, every)
+        margins, _ = checks._picone_margins(op, r, lib)
+        assert margins.tobytes() == expected.tobytes()
+        assert report.samples == len(lib) ** 2 * mesh.n_elements
+        assert check_picone(mesh, op, r) == report
 
 
 class TestPiconePair:
     def test_equal_fields_give_zero(self, mesh_1d, data_1d):
         op, _, _ = data_1d
         w = interpolate(mesh_1d, lambda x: 0.4 + np.sin(np.pi * x[:, 0]))
-        value, scale = picone_pair_integral(mesh_1d, op, 1.3, w, w)
+        value, scale = picone_pair_integral(mesh_1d, op, 1.3, w.values, w.values)
         assert abs(value) <= 1e-8 * max(scale, 1.0)
 
     def test_scaled_pair_strictly_positive(self):
@@ -116,7 +137,7 @@ class TestPiconePair:
         op = iso_op(mesh, 2.5)
         w2 = interpolate(mesh, lambda x: 0.3 + x[:, 0] * (1.0 - x[:, 0]))
         w1 = w2.with_values(2.0 * w2.values)
-        value, _ = picone_pair_integral(mesh, op, 1.0, w1, w2)
+        value, _ = picone_pair_integral(mesh, op, 1.0, w1.values, w2.values)
         assert value > 0.0
 
     def test_random_pairs_never_negative(self, mesh_1d, data_1d):
@@ -160,6 +181,29 @@ class TestPiconePair:
         for shift in (k + 1, k - 2):
             rotated = pairs[shift:] + pairs[:shift]
             assert check_picone_pair(mesh_1d, op, 1.2, rotated) == singles[k]
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_batch_matches_a_per_pair_loop(self, dimension):
+        if dimension == 1:
+            mesh = interval_mesh(0.0, 1.0, 40)
+        else:
+            mesh = rectangle_mesh(0.0, 1.0, 0.0, 1.5, 6, 9)
+        xb = mesh.barycenters[:, 0]
+        op = LerayLionsOperator.isotropic(ExponentField(1.7 + 0.8 * xb), 1.0 + xb,
+                                          ndim=dimension)
+        pairs = self.positive_pairs(mesh, 8)
+        values, scales = picone_pair_per_pair(mesh, op, 1.2, pairs)
+        w1, w2 = (np.array([pair[i].values for pair in pairs]) for i in (0, 1))
+        value, scale = picone_pair_integral(mesh, op, 1.2, w1, w2)
+        assert value.tobytes() == values.tobytes()
+        assert scale.tobytes() == scales.tobytes()
+        margins = [v + checks.PICONE_PAIR_SLACK * max(s, 1e-300)
+                   for v, s in zip(values.tolist(), scales.tolist())]
+        worst = int(np.argmin(margins))
+        report = check_picone_pair(mesh, op, 1.2, pairs)
+        assert report.worst_margin == margins[worst]
+        assert report.samples == mesh.n_elements
+        assert report.passed
 
     def test_rejects_a_nonpositive_field_in_any_pair(self, mesh_1d, data_1d):
         op, _, _ = data_1d

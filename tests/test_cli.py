@@ -307,6 +307,19 @@ class TestCommands:
         assert [r["check_name"] for r in report] == ["alg-inequality", "picone"]
         assert all(r["passed"] for r in report)
 
+    def test_picone_report_does_not_depend_on_the_seed(self, config_path, tmp_path):
+        # `picone` enumerates its points; `alg-inequality` still samples
+        reports = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            assert main(["verify", "--config", config_path, "--out", str(out),
+                         "--check", "picone", "--check", "alg-inequality",
+                         "--seed", seed]) == 0
+            reports.append({r["check_name"]: r
+                            for r in json.load(open(out / "report.json"))})
+        assert reports[0]["picone"] == reports[1]["picone"]
+        assert reports[0]["alg-inequality"] != reports[1]["alg-inequality"]
+
     def test_sweep_slope(self, config_path, tmp_path):
         out = tmp_path / "o5"
         assert main(["sweep", "--config", config_path, "--out", str(out)]) == 0

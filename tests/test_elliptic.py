@@ -57,9 +57,10 @@ def coo_interior_hessian(problem, vals, include_concave):
     nloc = mesh.elements.shape[1]
     grads = mesh.gradient_of(vals)
     # regularized by HESSIAN_EPS times the largest element gradient, or by
-    # HESSIAN_EPS itself when every gradient vanishes
+    # HESSIAN_EPS itself when every gradient is at most HESSIAN_SCALE_FLOOR
     largest = np.sqrt((grads ** 2).sum(axis=1)).max()
-    eps = elliptic.HESSIAN_EPS * (largest if largest > 0.0 else 1.0)
+    eps = elliptic.HESSIAN_EPS * (largest if largest > elliptic.HESSIAN_SCALE_FLOOR
+                                  else 1.0)
     jac = flux_jacobian_batch(problem.op, np.arange(mesh.n_elements), grads, eps=eps)
     elem = problem.lam * mesh.measures[:, None, None] * np.einsum(
         "eld,edc,emc->elm", element_grads(mesh), jac, element_grads(mesh))
@@ -280,6 +281,31 @@ class TestBandedNewton:
         band = elliptic._hessian_matrix(prob, point, include_concave)
         np.testing.assert_allclose(band_to_dense(band), hess,
                                    rtol=0.0, atol=1e-13 * np.max(np.abs(hess)))
+
+    @pytest.mark.parametrize("p, size", [(2.0, 1e-155), (2.0, 1e-160), (1.05, 1e-150),
+                                         (1.5, 1e-155), (1.9, 1e-160), (2.05, 1e-160)])
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_finite_band_and_direction_at_tiny_gradients(self, dimension, p, size):
+        # every element gradient below 1e-149: a smoothing relative to it
+        # squares to 0 below about 1e-154, so c / rho overflows there (and
+        # (p - 2) c / rho is nan at p = 2); HESSIAN_EPS itself keeps it finite
+        if dimension == 1:
+            mesh = interval_mesh(0.0, 1.0, 20)
+        else:
+            mesh = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 6, 6)
+        vals = size * np.prod(np.sin(np.pi * mesh.vertices) ** 2, axis=1)
+        vals[mesh.boundary_mask] = 0.0
+        op = LerayLionsOperator.isotropic(ExponentField.constant(mesh.n_elements, p),
+                                          1.0, ndim=dimension)
+        prob = EllipticProblem.standard(mesh, op, (1.0 + p) / 2.0, 1.0,
+                                        np.full(mesh.n_elements, 0.5))
+        point = elliptic._point(mesh, op, vals)
+        assert 0.0 < np.sqrt(_square_norm(point[1]).max()) < 1e-149
+        for include_concave in (True, False):
+            band = elliptic._hessian_matrix(prob, point, include_concave)
+            assert np.isfinite(band).all()
+        grad = elliptic._gradient_values(prob, point)
+        assert elliptic._newton_direction(prob, point, grad, False) is not None
 
     def test_bandwidth_is_measured_and_scatter_built_once(self):
         interval = BANDED_MESHES["interval-20"]()

@@ -3,11 +3,12 @@ import pytest
 
 from dne.elliptic import EllipticProblem, InvalidProblem, _energy_terms, _point
 from dne.meshing import (DiscreteField, MeshMismatch, boundary_distance_field,
-                         gradient, interpolate, interval_mesh,
-                         l2_norm_diff_power, rectangle_mesh)
+                         interpolate, interval_mesh, l2_norm_diff_power,
+                         rectangle_mesh)
 from dne.operators import ExponentField, LerayLionsOperator, seeded_rng
 
-from oracles import energy, eval_at_points, positive_part_norm, zero_field
+from oracles import (energy, eval_at_points, positive_part_norm,
+                     rectangle_elements_reference, zero_field)
 
 
 def iso_op(mesh, p, weight=1.0):
@@ -52,6 +53,13 @@ class TestMeshGeometry:
                     | np.isin(m.vertices[:, 1], (0.0, 1.0))))
         np.testing.assert_array_equal(m.boundary_mask, on_edge)
 
+    @pytest.mark.parametrize("nx, ny", [(12, 12), (48, 48), (6, 9), (2, 2), (3, 7)])
+    def test_element_table_matches_the_cell_loop(self, nx, ny):
+        m = rectangle_mesh(0.0, 1.0, 0.0, 1.5, nx, ny)
+        expected = rectangle_elements_reference(nx, ny)
+        assert m.elements.dtype == expected.dtype
+        np.testing.assert_array_equal(m.elements, expected)
+
     def test_no_all_boundary_elements(self):
         for nx, ny in [(2, 2), (5, 3), (8, 8)]:
             m = rectangle_mesh(0.0, 1.0, 0.0, 1.0, nx, ny)
@@ -76,14 +84,14 @@ class TestGradient:
     def test_chord_slope_1d(self):
         m = interval_mesh(0.0, 1.0, 10)
         v = interpolate(m, lambda x: x[:, 0] * (1.0 - x[:, 0]))
-        g = gradient(v)[:, 0]
+        g = m.gradient_of(v.values)[:, 0]
         xl = m.vertices[m.elements[:, 0], 0]
         xr = m.vertices[m.elements[:, 1], 0]
         np.testing.assert_allclose(g, 1.0 - xl - xr, atol=1e-14)
 
     def test_zero_field(self):
         m = interval_mesh(0.0, 1.0, 8)
-        np.testing.assert_array_equal(gradient(zero_field(m)), 0.0)
+        np.testing.assert_array_equal(m.gradient_of(zero_field(m).values), 0.0)
 
     def test_linear_exact_2d(self):
         m = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 6, 6)
@@ -91,7 +99,7 @@ class TestGradient:
         vals[m.boundary_mask] = 0.0
         f = DiscreteField(m, vals)
         interior_elems = np.all(~m.boundary_mask[m.elements], axis=1)
-        got = gradient(f)[interior_elems]
+        got = m.gradient_of(f.values)[interior_elems]
         np.testing.assert_allclose(got, np.tile([2.0, -0.5], (got.shape[0], 1)),
                                    atol=1e-12)
 
