@@ -295,27 +295,25 @@ def _newton_direction(problem, point, grad, include_concave):
     return d
 
 
-def _directions(problem: EllipticProblem, point, grad, descend: bool,
-                report: SolverReport):
-    """Search directions in preference order, produced lazily: one Newton step
-    (the full one, or the convex-majorant step that drops the concave second
-    derivatives when the full Hessian is not positive definite or its step is
-    not a descent direction; the majorant is positive definite), then, if
-    `descend`, projected steepest descent."""
+def _direction(problem: EllipticProblem, point, grad, report: SolverReport):
+    """The iteration's one search direction: the full Newton step, else the
+    convex-majorant step, which drops the concave second derivatives and is
+    positive definite (counted in `majorant_directions`), else None."""
     d = _newton_direction(problem, point, grad, include_concave=True)
     if d is None:
         d = _newton_direction(problem, point, grad, include_concave=False)
         if d is not None:
             report.majorant_directions += 1
-    if d is not None:
-        yield d
-    if descend:
-        yield np.where(problem.mesh.boundary_mask, 0.0, -grad)
+    return d
 
 
 def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
               max_iterations: int, point=None) -> tuple[np.ndarray, SolverReport, tuple]:
-    """The final iterate, its report and its element state; `point` is start's."""
+    """Projected damped Newton from `start`: the final iterate, its report and
+    its element state; `point` is start's.  Each iteration takes one direction
+    (`_direction`) and accepts either its Armijo step or, at the energy's
+    roundoff floor, its full step; when there is no direction or neither step
+    is accepted, the minimization stops where it is."""
     mesh, op = problem.mesh, problem.op
     vals = _project(mesh, np.array(start, dtype=float))
     report = SolverReport()
@@ -335,55 +333,52 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
         if (report.converged and it > 0) or it == max_iterations:
             return vals, report, point
 
-        moved, measured = False, None
-        # steepest descent only while the residual is above the tolerance: a
-        # start inside it tries the Newton step alone
-        for d in _directions(problem, point, grad, kkt > tolerance, report):
-            full = _project(mesh, vals + d)
-            # Backtracking cannot resolve a predicted decrease of the full
-            # step below the energy's roundoff: go straight to the floor test.
-            if -float(grad @ (full - vals)) <= ROUNDOFF * s_now:
-                report.searches_skipped += 1
-            else:
-                t = 1.0
-                for _ in range(MAX_BACKTRACKS):
-                    # 1.0 * d is d, so the first trial is the full step
-                    trial = full if t == 1.0 else _project(mesh, vals + t * d)
-                    step = trial - vals
-                    if not step.any():
-                        break
-                    trial_point = _point(mesh, op, trial)
-                    e_trial, s_trial = _energy_parts(problem, trial_point)
-                    if e_trial < e_now and e_trial <= e_now + ARMIJO_C * float(grad @ step):
-                        vals, point, e_now, s_now = trial, trial_point, e_trial, s_trial
-                        moved = True
-                        break
-                    t *= BACKTRACK
-                if moved:
-                    break
-                report.line_search_failures += 1
-            # Roundoff floor of the energy: accept the full step when it still
-            # reduces the first-order residual without raising the energy
-            # beyond machine slack.
-            if (full - vals).any():
-                full_point = _point(mesh, op, full)
-                e_trial, s_trial = _energy_parts(problem, full_point)
-                if e_trial <= e_now + ROUNDOFF * (1.0 + abs(e_now)):
-                    g_trial = _gradient_values(problem, full_point)
-                    kkt_trial = _kkt_norm(mesh, full, g_trial)
-                    if kkt_trial < kkt:
-                        vals, point, e_now, s_now = full, full_point, e_trial, s_trial
-                        moved, measured = True, (g_trial, kkt_trial)
-                        report.floor_steps += 1
-                        break
-        if not moved:
+        d = _direction(problem, point, grad, report)
+        if d is None:
             return vals, report, point
-        # a floor step carries the gradient and residual its test measured
-        if measured is None:
-            grad = _gradient_values(problem, point)
-            kkt = _kkt_norm(mesh, vals, grad)
+        full = _project(mesh, vals + d)
+        # Backtracking cannot resolve a predicted decrease of the full step
+        # below the energy's roundoff: go straight to the floor test.
+        if -float(grad @ (full - vals)) <= ROUNDOFF * s_now:
+            report.searches_skipped += 1
         else:
-            grad, kkt = measured
+            t, accepted = 1.0, None
+            for _ in range(MAX_BACKTRACKS):
+                # 1.0 * d is d, so the first trial is the full step
+                trial = full if t == 1.0 else _project(mesh, vals + t * d)
+                step = trial - vals
+                if not step.any():
+                    break
+                trial_point = _point(mesh, op, trial)
+                e_trial, s_trial = _energy_parts(problem, trial_point)
+                if e_trial < e_now and e_trial <= e_now + ARMIJO_C * float(grad @ step):
+                    accepted = trial, trial_point, e_trial, s_trial
+                    break
+                t *= BACKTRACK
+            if accepted is not None:
+                vals, point, e_now, s_now = accepted
+                grad = _gradient_values(problem, point)
+                kkt = _kkt_norm(mesh, vals, grad)
+                continue
+            report.line_search_failures += 1
+        # Roundoff floor of the energy: accept the full step when it still
+        # reduces the first-order residual without raising the energy beyond
+        # machine slack.  The acceptance is written as the positive
+        # comparisons, which a NaN fails.
+        if (full - vals).any():
+            full_point = _point(mesh, op, full)
+            e_trial, s_trial = _energy_parts(problem, full_point)
+            if e_trial <= e_now + ROUNDOFF * (1.0 + abs(e_now)):
+                g_trial = _gradient_values(problem, full_point)
+                kkt_trial = _kkt_norm(mesh, full, g_trial)
+                if kkt_trial < kkt:
+                    # the floor step carries the gradient and residual its
+                    # test measured
+                    vals, point, e_now, s_now = full, full_point, e_trial, s_trial
+                    grad, kkt = g_trial, kkt_trial
+                    report.floor_steps += 1
+                    continue
+        return vals, report, point
 
 
 def bump_seed(mesh: Mesh) -> DiscreteField:

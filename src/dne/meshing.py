@@ -157,9 +157,9 @@ class Mesh:
         sums = _corner_sum([terms[..., l, :, :] for l in range(nloc)])
         return sums[..., 0, :] / nloc, sums[..., 1:, :].swapaxes(-1, -2)
 
-    # The two halves of `means_and_gradients`, each with its arithmetic: the
-    # checks pass whole runs as one array, and weighting them for both would
-    # hold (1 + dim) times their corner values.
+    # The element means keep their own arithmetic: the checks pass whole runs
+    # as one array, and weighting them for the gradients too would hold
+    # (1 + dim) times their corner values.
 
     def element_means(self, nodal_values: np.ndarray) -> np.ndarray:
         corners = self._corners(nodal_values)
@@ -167,9 +167,8 @@ class Mesh:
         return _corner_sum([corners[..., l, :] for l in range(nloc)]) / nloc
 
     def gradient_of(self, nodal_values: np.ndarray) -> np.ndarray:
-        corners = self._corners(nodal_values)[..., None, :]
-        terms = [corners[..., l, :, :] * g for l, g in enumerate(self.corner_grads)]
-        return _corner_sum(terms).swapaxes(-1, -2)
+        """The element gradients of `means_and_gradients`."""
+        return self.means_and_gradients(nodal_values)[1]
 
 
 def _corner_sum(parts: list) -> np.ndarray:

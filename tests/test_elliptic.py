@@ -495,6 +495,37 @@ class TestElementPassReference:
                         c[flat], op.weights[j][flat] if p == 2.0 else 0.0)
 
 
+class TestMinimize:
+    def test_no_newton_direction_ends_the_solve(self, mesh_1d, data_1d, monkeypatch):
+        # without a Newton direction the iteration has no direction at all:
+        # the minimization stops at its projected start, trying no step
+        op, src, pot = data_1d
+        prob = EllipticProblem.standard(mesh_1d, op, 1.25, 1.0, pot(0.0), src)
+        start = bump_seed(mesh_1d).values - 0.02
+        projected = elliptic._project(mesh_1d, start)
+        assert not np.array_equal(projected, start)
+        point = elliptic._point(mesh_1d, op, projected)
+        tolerance = elliptic.DEFAULT_TOL[1]
+        start_kkt = elliptic._kkt_norm(mesh_1d, projected,
+                                       elliptic._gradient_values(prob, point))
+        assert start_kkt > tolerance
+        point_of, points = elliptic._point, []
+
+        def counting_point(*args):
+            points.append(1)
+            return point_of(*args)
+
+        monkeypatch.setattr(elliptic, "_newton_direction", lambda *args, **kwargs: None)
+        monkeypatch.setattr(elliptic, "_point", counting_point)
+        vals, report, final = elliptic._minimize(prob, start, tolerance,
+                                                 elliptic.MAX_ITERATIONS, point)
+        assert report.iterations == 0 and not report.converged
+        assert report.final_gradient_norm == start_kkt
+        assert_bitwise(vals, projected)
+        assert final is point
+        assert points == []
+
+
 class TestSolve:
     def test_zero_data_gives_zero(self, mesh_1d, data_1d, monkeypatch):
         op, _, _ = data_1d
@@ -680,13 +711,13 @@ class TestColdStart:
 # The constant-exponent pure-load solves that stop short of the tolerance
 # today, with the KKT residual where each stops: the absolute stopping rule
 # rejects a solve at roundoff (ROADMAP B2), and the singular range p < 2
-# oscillates to the iteration cap or stalls where no direction descends
-# (ROADMAP M).  Every xfail is strict (`xfail_strict`), so a fix fails the
+# oscillates to the iteration cap or stalls where its Newton step passes
+# neither the Armijo nor the roundoff-floor test (ROADMAP M).  Every xfail is strict (`xfail_strict`), so a fix fails the
 # suite until its case leaves this table.
 PURE_LOAD_FAILURES = {(50, 1.2): "residual 3.3e-10 at roundoff (B2)",
-                      (100, 1.2): "residual 3.0e-5, stalled (M)",
-                      (200, 1.2): "residual 4.4e-4, stalled (M)",
-                      (400, 1.2): "residual 1.6e-3, stalled (M)",
+                      (100, 1.2): "residual 4.1e-4, stalled (M)",
+                      (200, 1.2): "residual 1.4e-3, stalled (M)",
+                      (400, 1.2): "residual 2.4e-3, stalled (M)",
                       (400, 1.3): "residual 9.1e-10 at roundoff (B2)",
                       (400, 1.5): "residual 0.024 at the iteration cap (M)"}
 PURE_LOAD_CASES = [
@@ -894,3 +925,73 @@ class TestContractionInvariant:
                                        * np.maximum(ha - hb, 0.0) ** 2)))
             assert lhs <= rhs + 1e-3 * diff_norm
         assert np.all(v1.values <= v2.values + 1e-10)
+
+
+class TestAdmissibleClass:
+    """Seeded draws from the paper's admissible class, `(A_0)` through
+    `(f_2)`, solved by `solve`: each must end at the positive solution."""
+
+    @staticmethod
+    def draw(seed):
+        """One problem and guess (None: the cold start), and its description.
+        p_- in [1.5, 4), constant or affine in x; q in (1, p_- - 0.1), which
+        keeps the positive solution's scale within double range; weights in
+        (0.5, 2), in two blocks in half the 2D draws; a source satisfying
+        `(f_1)` and `(f_2)` in half the draws."""
+        rng = np.random.default_rng(seed)
+        if rng.random() < 0.5:
+            mesh = interval_mesh(0.0, 1.0, int(rng.integers(10, 201)))
+        else:
+            nx, ny = rng.integers(4, 25, size=2)
+            mesh = rectangle_mesh(0.0, 1.0, 0.0, 1.0, int(nx), int(ny))
+        ne = mesh.n_elements
+        slope = rng.uniform(0.0, 1.0) if rng.random() < 0.5 else 0.0
+        exponent = ExponentField(rng.uniform(1.5, 4.0) + slope * mesh.barycenters[:, 0])
+        if mesh.dimension == 2 and rng.random() < 0.5:
+            op = LerayLionsOperator(exponent, ([0], [1]), list(rng.uniform(0.5, 2.0, (2, ne))))
+        else:
+            op = LerayLionsOperator.isotropic(exponent, rng.uniform(0.5, 2.0, ne),
+                                              ndim=mesh.dimension)
+        q = rng.uniform(1.0, exponent.p_minus - 0.1)
+        source = None
+        if rng.random() < 0.5:
+            beta = rng.uniform(0.0, q - 1.0)
+            gamma = q - 1.5 - beta + rng.uniform(0.05, 1.0)
+            source = SourceTerm(rng.uniform(0.5, 2.0, ne), boundary_distance_field(mesh),
+                                gamma, beta, q)
+        kind = ("step", "stationary", "pure-load")[int(rng.integers(3))]
+        potential = rng.uniform(0.5, 2.0, ne)
+        if kind == "step":
+            problem = EllipticProblem.standard(mesh, op, q, rng.uniform(0.01, 1.0),
+                                               potential, source)
+        elif kind == "stationary":
+            load = rng.uniform(0.5, 2.0, ne) if rng.random() < 0.5 else None
+            problem = EllipticProblem.stationary(mesh, op, q, potential, source, load)
+        else:
+            problem = EllipticProblem(mesh, op, load=rng.uniform(0.5, 2.0, ne))
+        guess = None
+        if rng.random() < 0.5:
+            bump = bump_seed(mesh)
+            guess = bump.with_values(bump.values * rng.uniform(0.1, 10.0)
+                                     * rng.uniform(0.5, 1.5, mesh.n_vertices))
+        described = (f"seed {seed}: {kind}, {mesh.dimension}D, {ne} elements, "
+                     f"p_- {exponent.p_minus:.4g}, slope {slope:.3g}, q {q:.4g}, "
+                     f"{len(op.partition)} block(s), source {source is not None}, "
+                     f"{'cold' if guess is None else 'warm'}")
+        return problem, guess, described
+
+    def test_draws_reach_the_positive_solution(self):
+        failures = []
+        for seed in range(120):
+            problem, guess, described = self.draw(seed)
+            mesh = problem.mesh
+            try:
+                v, report = solve(problem, guess)
+            except NonConvergence as err:
+                failures.append(f"{described}: {err}")
+                continue
+            if not (report.converged and report.energy < 0.0
+                    and np.all(v.values[mesh.interior] > 0.0)
+                    and report.final_gradient_norm <= elliptic.DEFAULT_TOL[mesh.dimension]):
+                failures.append(f"{described}: {report}")
+        assert failures == []
