@@ -36,10 +36,10 @@ MAX_BACKTRACKS = 60
 # a relative eps^2 underflows below about 1e-154, and c / rho then overflows.
 HESSIAN_EPS = 1e-8
 HESSIAN_SCALE_FLOOR = 1e-90
-# The stopping policy of every solve, read by `_solve` alone.  Absolute bounds
-# on the nodal KKT residual: in 1D the nodal noise stays well below the 1e-8
-# ordering slack of the comparison checks; in 2D the tolerance equals that
-# slack.
+# The stopping policy of every solve, which `_minimize` reads itself (`_solve`
+# names the tolerance only in its error).  Absolute bounds on the nodal KKT
+# residual: in 1D the nodal noise stays well below the 1e-8 ordering slack of
+# the comparison checks; in 2D the tolerance equals that slack.
 DEFAULT_TOL = {1: 1e-11, 2: 1e-8}
 MAX_ITERATIONS = 200
 MU_FLOOR = 1e-12
@@ -155,7 +155,7 @@ def _point(mesh: Mesh, op: LerayLionsOperator, vals: np.ndarray) -> tuple:
     leading axis.  `_solve` returns its final state, which a run's next step
     hands to the solve starting there (`evolution.step`)."""
     vb, gv = mesh.means_and_gradients(vals)
-    return vb, gv, _flux(op, slice(None), gv, np.empty_like(gv))
+    return vb, gv, _flux(op, gv, np.empty_like(gv))
 
 
 def _energy_terms(problem: EllipticProblem, point) -> list:
@@ -243,7 +243,7 @@ def _hessian_matrix(problem: EllipticProblem, point,
     element, (first, second) = scatter.element, scatter.rows
     pairs = (mesh.measures * dd / nloc ** 2).take(element)
     weight = problem.lam * mesh.measures
-    for axes, rho, c in _blocks(op, slice(None), gv, eps):
+    for axes, rho, c in _blocks(op, gv, eps):
         c2 = op.exponent.minus_two * np.divide(c, rho, out=np.zeros_like(rho),
                                                where=rho > 0.0)
         # G_B xi_B per corner and element, corner-major like `rows`
@@ -307,14 +307,16 @@ def _direction(problem: EllipticProblem, point, grad, report: SolverReport):
     return d
 
 
-def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
-              max_iterations: int, point=None) -> tuple[np.ndarray, SolverReport, tuple]:
-    """Projected damped Newton from `start`: the final iterate, its report and
-    its element state; `point` is start's.  Each iteration takes one direction
-    (`_direction`) and accepts either its Armijo step or, at the energy's
-    roundoff floor, its full step; when there is no direction or neither step
-    is accepted, the minimization stops where it is."""
+def _minimize(problem: EllipticProblem, start: np.ndarray,
+              point=None) -> tuple[np.ndarray, SolverReport, tuple]:
+    """Projected damped Newton from `start` under the stopping policy,
+    DEFAULT_TOL[dimension] and MAX_ITERATIONS: the final iterate, its report
+    and its element state; `point` is start's.  Each iteration takes one
+    direction (`_direction`) and accepts either its Armijo step or, at the
+    energy's roundoff floor, its full step; when there is no direction or
+    neither step is accepted, the minimization stops where it is."""
     mesh, op = problem.mesh, problem.op
+    tolerance = DEFAULT_TOL[mesh.dimension]
     vals = _project(mesh, np.array(start, dtype=float))
     report = SolverReport()
     point = _point(mesh, op, vals) if point is None else point
@@ -330,7 +332,7 @@ def _minimize(problem: EllipticProblem, start: np.ndarray, tolerance: float,
         report.converged = kkt <= tolerance
         # A start counts as converged only after one step: a warm start that
         # already meets the tolerance would otherwise never move.
-        if (report.converged and it > 0) or it == max_iterations:
+        if (report.converged and it > 0) or it == MAX_ITERATIONS:
             return vals, report, point
 
         d = _direction(problem, point, grad, report)
@@ -411,8 +413,7 @@ def _solve(problem: EllipticProblem, guess: Optional[DiscreteField] = None,
     """`solve`, and the final element state; `state` is the guess's."""
     mesh, op = problem.mesh, problem.op
     guess = bump_seed(mesh) if guess is None else guess
-    tolerance = DEFAULT_TOL[mesh.dimension]
-    vals, report, point = _minimize(problem, guess.values, tolerance, MAX_ITERATIONS, state)
+    vals, report, point = _minimize(problem, guess.values, state)
     positive = (report.converged and report.energy < 0.0
                 and np.all(vals[mesh.interior] > 0.0))
     if not positive:
@@ -426,11 +427,11 @@ def _solve(problem: EllipticProblem, guess: Optional[DiscreteField] = None,
             start = 0.5 * start
         # a guess that is this start has been minimized already
         if np.any(start) and not np.array_equal(start, guess.values):
-            vals, report, point = _minimize(problem, start, tolerance, MAX_ITERATIONS)
+            vals, report, point = _minimize(problem, start)
         report.fallback = True
     if not report.converged:
         raise NonConvergence(
-            f"elliptic solve failed to reach tolerance {tolerance:g} "
+            f"elliptic solve failed to reach tolerance {DEFAULT_TOL[mesh.dimension]:g} "
             f"(residual {report.final_gradient_norm:g})", report)
     return DiscreteField(mesh, vals), report, point
 

@@ -125,15 +125,12 @@ def _gauss_sum(f, t0, dt: float):
     return acc
 
 
-def average_potential(h: PotentialField, n, dt: float) -> np.ndarray:
-    """h^n(x) = (1/dt) int_{t_{n-1}}^{t_n} h(s, x) ds by `_gauss_sum`.  An
-    array of S step indices gives their averages as the rows of an
-    (S, n_points) array."""
-    rows = isinstance(n, np.ndarray)
-    if (n.min() if rows else n) < 1:
+def average_potential(h: PotentialField, steps: np.ndarray, dt: float) -> np.ndarray:
+    """h^n(x) = (1/dt) int_{t_{n-1}}^{t_n} h(s, x) ds by `_gauss_sum` for each
+    step index n of the array `steps`: the rows of an (S, n_points) array."""
+    if steps.min() < 1:
         raise ValueError("step index starts at 1")
-    sample = (lambda ts: np.array([h(t) for t in ts])) if rows else h
-    return _gauss_sum(sample, (n - 1) * dt, dt) / 2.0
+    return _gauss_sum(lambda ts: np.array([h(t) for t in ts]), (steps - 1) * dt, dt) / 2.0
 
 
 def time_integral_norm(mesh: Mesh, h: PotentialField, g: PotentialField,
@@ -193,14 +190,9 @@ def _chunk_steps(mesh: Mesh) -> int:
 def _step_averages(setup: EvolutionSetup, first: int, last: int):
     """h^k for the steps k = first..last in order, averaged `_chunk_steps`
     steps per `average_potential` call, bitwise the averages of one step at a
-    time.  When that chunk is one step, each step takes the scalar call, which
-    is cheaper than a one-row batch."""
+    time."""
     potential, dt = setup.potential, setup.dt
     size = _chunk_steps(setup.mesh)
-    if size == 1:
-        for k in range(first, last + 1):
-            yield average_potential(potential, k, dt)
-        return
     for k in range(first, last + 1, size):
         yield from average_potential(potential, np.arange(k, min(k + size, last + 1)), dt)
 
@@ -283,7 +275,7 @@ def _diagnose_chunk(setup: EvolutionSetup, traj: Trajectory, steps: list,
     # ||f(x, v) / v^(q-1)||^2 from the clipped element means
     f_sq = [0.0] * len(steps)
     if source is not None:
-        fv = eval_source(source, slice(None), vb)
+        fv = eval_source(source, vb)
         ratio = np.where(vb > 0.0, fv / np.where(vb > 0.0, vb, 1.0) ** (q - 1.0), 0.0)
         f_sq = [norm ** 2 for norm in l2_norm_values(mesh, ratio)]
     h_norms = l2_norm_values(mesh, h_n)

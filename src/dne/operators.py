@@ -10,9 +10,9 @@ Picone gap and the oracles for the operator's other pointwise inequalities
 (monotonicity, convexity defect, ellipticity floor, growth) are test code, in
 `tests/oracles.py`.
 
-All evaluation functions broadcast: the point index `k` may be a scalar, an
-integer array or a slice (the solver passes `slice(None)`, every point, which
-reads views instead of gathers), `xi` an array of shape (..., N).
+Every evaluation takes every point the operator is sampled on, as the energy
+reads it: `xi` has shape (..., n_points, N) and a source argument `s` shape
+(..., n_points), any leading axes batching iterates.
 """
 
 from __future__ import annotations
@@ -135,14 +135,9 @@ class LerayLionsOperator:
         return self.exponent.n_points
 
 
-def _maybe_scalar(x):
-    x = np.asarray(x)
-    return float(x) if x.ndim == 0 else x
-
-
 def _check_dim(op: LerayLionsOperator, xi: np.ndarray) -> None:
-    if xi.shape[-1] != op.ndim:
-        raise ValueError(f"xi has {xi.shape[-1]} components, operator acts on {op.ndim}")
+    if xi.shape[-2:] != (op.n_points, op.ndim):
+        raise ValueError(f"xi has shape {xi.shape}, not (..., {op.n_points}, {op.ndim})")
 
 
 def _square_norm(xi: np.ndarray) -> np.ndarray:
@@ -154,42 +149,39 @@ def _square_norm(xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blocks(op: LerayLionsOperator, k, xi: np.ndarray, eps: float = 0.0):
+def _blocks(op: LerayLionsOperator, xi: np.ndarray, eps: float = 0.0):
     """Per block j: its axes (`op.axes`), rho_j = |xi_Bj|^2 + eps^2 and the
     coefficient c_j = g_j rho_j^((p-2)/2) of the flux a = c_j xi on the block.
     The one guard: c_j = 0 where rho_j = 0 and p < 2 (inf to a negative power
     is 0); for p >= 2 the power's limit is g_j at p = 2 and 0 above, so an
     operator with p_- >= 2 skips it."""
-    power, at_least_two = op.exponent.flux_power[k], op.exponent.at_least_two[k]
+    power, at_least_two = op.exponent.flux_power, op.exponent.at_least_two
     guard = op.exponent.p_minus < 2.0
     for j, axes in enumerate(op.axes):
         rho = _square_norm(xi[..., axes]) + eps ** 2
         base = np.where((rho > 0.0) | at_least_two, rho, np.inf) if guard else rho
-        yield axes, rho, op.weights[j][k] * base ** power
+        yield axes, rho, op.weights[j] * base ** power
 
 
-def eval_A(op: LerayLionsOperator, k, xi):
-    """Energy density A(x_k, xi) = sum_j g_j (sum_{i in P_j} xi_i^2)^(p/2),
-    evaluated as a(x_k, xi) . xi by Euler's identity for the p-homogeneous A."""
-    return _maybe_scalar(np.sum(eval_flux(op, k, xi) * xi, axis=-1))
+def eval_A(op: LerayLionsOperator, xi):
+    """Energy density A(x, xi) = sum_j g_j (sum_{i in P_j} xi_i^2)^(p/2) at
+    every point, evaluated as a(x, xi) . xi by Euler's identity for the
+    p-homogeneous A."""
+    return np.sum(eval_flux(op, xi) * xi, axis=-1)
 
 
-def eval_flux(op: LerayLionsOperator, k, xi):
-    """Flux a(x_k, xi) = (1/p) grad_xi A; component i in block j is
-    g_j * rho_j^((p-2)/2) * xi_i, extended by 0 where the block vanishes."""
+def eval_flux(op: LerayLionsOperator, xi):
+    """Flux a(x, xi) = (1/p) grad_xi A at every point; component i in block j
+    is g_j * rho_j^((p-2)/2) * xi_i, extended by 0 where the block vanishes."""
     xi = np.asarray(xi, dtype=float)
     _check_dim(op, xi)
-    k_shape = np.shape(op.exponent.values[k])
-    if k_shape != xi.shape[:-1]:
-        shape = np.broadcast_shapes(k_shape, xi.shape[:-1])
-        xi = np.broadcast_to(xi, shape + xi.shape[-1:])
-    return _flux(op, k, xi, np.empty(xi.shape))
+    return _flux(op, xi, np.empty(xi.shape))
 
 
-def _flux(op: LerayLionsOperator, k, xi: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`eval_flux` without its checks, for an xi of the points' shape; the
-    flux is written to `out` (the solver passes memory laid out like xi)."""
-    for axes, _, c in _blocks(op, k, xi):
+def _flux(op: LerayLionsOperator, xi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`eval_flux` without its checks; the flux is written to `out` (the
+    solver passes memory laid out like xi)."""
+    for axes, _, c in _blocks(op, xi):
         out[..., axes] = c[..., None] * xi[..., axes]
     return out
 
@@ -237,15 +229,16 @@ class SourceTerm:
         object.__setattr__(self, "delta_power", d ** gamma)
 
 
-def eval_source(src: SourceTerm, k, s):
-    """f(x_k, s) = g delta^gamma s^beta for s > 0, and exactly 0 at s = 0."""
+def eval_source(src: SourceTerm, s):
+    """f(x, s) = g delta^gamma s^beta at every point for s > 0, and exactly 0
+    at s = 0."""
     s = np.asarray(s, dtype=float)
+    if s.shape[-1:] != src.g.shape:
+        raise ValueError(f"s has shape {s.shape}, not (..., {src.g.size})")
     if np.any(s < 0.0):
         raise ValueError("source is defined for s >= 0 only")
-    coef = src.g[k] * src.delta_power[k]
     pos = s > 0.0
-    out = np.where(pos, coef * np.where(pos, s, 1.0) ** src.beta, 0.0)
-    return _maybe_scalar(out)
+    return np.where(pos, src.g * src.delta_power * np.where(pos, s, 1.0) ** src.beta, 0.0)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@ The operator oracles sample both sides of the prototype operator's pointwise
 inequalities (strong monotonicity, the Picone gap, the Picone pair sum, the
 Clarkson-type convexity defect, the ellipticity floor and the growth
 sandwich), and `flux_jacobian_batch` is the flux Jacobian the Hessian tests
-build from; `picone_at_points` is the `picone` check with every power
-evaluated per sample through `picone_gap`, at every point the reference
-for the check's enumerated pass, and `picone_per_sample` draws its points
+build from.  Each takes its own point index k, an index array, a slice or
+(but for `flux_jacobian_batch`) a scalar, and evaluates `restrict(op, k)`,
+the operator on those points alone: the library evaluates every point of an
+operator at once.  `picone_at_points` is the `picone` check with every
+power evaluated per sample through `picone_gap`, at every point the
+reference for the check's enumerated pass, and `picone_per_sample` draws its points
 as the check once sampled them; `picone_pair_per_pair` is the `picone-pair`
 integral one pair at a time, the reference for the batched pass; the energy
 helpers evaluate J and its nodal gradient at a field; `evolve` takes every
@@ -54,8 +57,33 @@ from dne.evolution import (DISSIPATION_SLACK, EvolutionSetup, Run, StepDiagnosti
                            Trajectory, average_potential)
 from dne.meshing import (DiscreteField, Mesh, _cell_flipped, _mean_powers,
                          l2_norm_diff_power, l2_norm_values)
-from dne.operators import (LerayLionsOperator, _blocks, _maybe_scalar, eval_A,
+from dne.operators import (ExponentField, LerayLionsOperator, _blocks, eval_A,
                            eval_flux, eval_source, seeded_rng)
+
+
+def restrict(op: LerayLionsOperator, k) -> LerayLionsOperator:
+    """`op` on the points k alone, an index array or a slice: the operator
+    whose every-point evaluation is `op`'s at those points, bit for bit."""
+    return LerayLionsOperator(ExponentField(op.exponent.values[k]), op.partition,
+                              op.weights[:, k])
+
+
+def _maybe_scalar(x):
+    x = np.asarray(x)
+    return float(x) if x.ndim == 0 else x
+
+
+def _at_points(op: LerayLionsOperator, k, *xis):
+    """A sampling oracle's point index k (a scalar, an index array or a
+    slice) in the library's every-point form: `restrict(op, k)`, each xi as
+    an array over those points (a scalar k's xi gains a points axis of one),
+    and the map from a result over the points back to k's form, a float for
+    a scalar k."""
+    xis = [np.asarray(x, dtype=float) for x in xis]
+    if np.ndim(k) == 0 and not isinstance(k, slice):
+        return (restrict(op, [k]), [x[..., None, :] for x in xis],
+                lambda y: _maybe_scalar(y[..., 0]))
+    return restrict(op, k), xis, lambda y: y
 
 
 def monotonicity_gap(op: LerayLionsOperator, k, xi, eta, gamma0: float = 1.0):
@@ -63,35 +91,35 @@ def monotonicity_gap(op: LerayLionsOperator, k, xi, eta, gamma0: float = 1.0):
     <a(x,xi)-a(x,eta), xi-eta> >= gamma0 * |xi-eta|^p            (p > 2)
                                >= gamma0 * |xi-eta|^2 / (1+|xi|+|eta|)^(2-p)  (p <= 2).
     Returns (lhs, rhs); the caller asserts lhs >= rhs."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    p = op.exponent.values[k]
+    sub, (xi, eta), back = _at_points(op, k, xi, eta)
+    p = sub.exponent.values
     diff = xi - eta
-    lhs = np.sum((eval_flux(op, k, xi) - eval_flux(op, k, eta)) * diff, axis=-1)
+    lhs = np.sum((eval_flux(sub, xi) - eval_flux(sub, eta)) * diff, axis=-1)
     d = np.linalg.norm(diff, axis=-1)
-    nx = np.linalg.norm(np.broadcast_to(xi, diff.shape), axis=-1)
-    ne = np.linalg.norm(np.broadcast_to(eta, diff.shape), axis=-1)
+    nx = np.linalg.norm(xi, axis=-1)
+    ne = np.linalg.norm(eta, axis=-1)
     rhs = np.where(p > 2.0,
                    gamma0 * d ** np.maximum(p, 2.0),
                    gamma0 * d ** 2 / (1.0 + nx + ne) ** (2.0 - np.minimum(p, 2.0)))
-    return _maybe_scalar(lhs), _maybe_scalar(rhs)
+    return back(lhs), back(rhs)
 
 
 def flux_jacobian_batch(op: LerayLionsOperator, k, xi: np.ndarray,
                         eps: float = 0.0) -> np.ndarray:
-    """Vectorized flux Jacobian over rows of xi (m, N) -> (m, N, N); block j
-    is c_j I + (p-2) (c_j/rho_j) xi_Bj xi_Bj^T, the second term 0 where
-    rho_j = 0.
+    """Vectorized flux Jacobian over rows of xi (m, N) -> (m, N, N) at the m
+    points k, an index array or a slice; block j is
+    c_j I + (p-2) (c_j/rho_j) xi_Bj xi_Bj^T, the second term 0 where rho_j = 0.
 
     With eps > 0 every block norm is smoothed, rho -> rho + eps^2, as in the
     solver's regularized Hessian, which assembles the same blocks as rank-one
     updates and is tested against this; the exact Jacobian is eps = 0.
     """
     xi = np.asarray(xi, dtype=float)
-    p = op.exponent.values[k]
+    op = restrict(op, k)
+    p = op.exponent.values
     m, n = xi.shape
     jac = np.zeros((m, n, n))
-    for axes, rho, c in _blocks(op, k, xi, eps):
+    for axes, rho, c in _blocks(op, xi, eps):
         xb = xi[:, axes]
         c2 = (p - 2.0) * np.divide(c, rho, out=np.zeros(m), where=rho > 0.0)
         sub = c2[:, None, None] * (xb[:, :, None] * xb[:, None, :])
@@ -133,15 +161,14 @@ def picone_gap(op: LerayLionsOperator, k, grad_u_root, grad_v_root, ratio_grad, 
         a(x, grad u^(1/r)) . grad(v/u^((r-1)/r))
             <= A^(r/p)(x, grad v^(1/r)) * A^((p-r)/p)(x, grad u^(1/r)).
     """
-    p = np.asarray(op.exponent.values[k], dtype=float)
+    sub, (gu, gv, ratio_grad), back = _at_points(op, k, grad_u_root, grad_v_root,
+                                                 ratio_grad)
+    p = sub.exponent.values
     if r < 1.0 or np.any(r >= p):
         raise ValueError("picone_gap requires 1 <= r < p(x) at every sampled point")
-    gu = np.asarray(grad_u_root, dtype=float)
-    lhs = np.sum(eval_flux(op, k, gu) * np.asarray(ratio_grad, dtype=float), axis=-1)
-    au = eval_A(op, k, gu)
-    av = eval_A(op, k, grad_v_root)
-    rhs = np.asarray(av) ** (r / p) * np.asarray(au) ** ((p - r) / p)
-    return _maybe_scalar(lhs), _maybe_scalar(rhs)
+    lhs = np.sum(eval_flux(sub, gu) * ratio_grad, axis=-1)
+    rhs = eval_A(sub, gv) ** (r / p) * eval_A(sub, gu) ** ((p - r) / p)
+    return back(lhs), back(rhs)
 
 
 def picone_per_sample(mesh: Mesh, op: LerayLionsOperator, r: float,
@@ -193,8 +220,7 @@ def picone_pair_sum(op: LerayLionsOperator, k, w1, w2, g1, g2, r: float):
     for positive values w1, w2 with gradients g1, g2; nonnegative for r < p(x)."""
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
+    sub, (g1, g2), back = _at_points(op, k, g1, g2)
     if np.any(w1 <= 0.0) or np.any(w2 <= 0.0):
         raise ValueError("picone_pair_sum requires strictly positive values")
     # grad((w1^r - w2^r)/w1^(r-1)) = g1 - r (w2/w1)^(r-1) g2 - (1-r) (w2/w1)^r g1
@@ -202,16 +228,15 @@ def picone_pair_sum(op: LerayLionsOperator, k, w1, w2, g1, g2, r: float):
     q21 = (w1 / w2)[..., None]
     grad1 = g1 - r * q12 ** (r - 1.0) * g2 - (1.0 - r) * q12 ** r * g1
     grad2 = g2 - r * q21 ** (r - 1.0) * g1 - (1.0 - r) * q21 ** r * g2
-    term1 = np.sum(eval_flux(op, k, g1) * grad1, axis=-1)
-    term2 = np.sum(eval_flux(op, k, g2) * grad2, axis=-1)
-    return _maybe_scalar(term1 + term2)
+    term1 = np.sum(eval_flux(sub, g1) * grad1, axis=-1)
+    term2 = np.sum(eval_flux(sub, g2) * grad2, axis=-1)
+    return back(term1 + term2)
 
 
 def picone_pair_per_pair(mesh: Mesh, op: LerayLionsOperator, r: float, pairs):
     """`checks.picone_pair_integral` one (w1, w2) pair of fields at a time,
-    each quotient a `DiscreteField` and the flux gathered at
-    `np.arange(n_elements)`: the values and the scales of the pairs."""
-    ii, ks = mesh.interior, np.arange(mesh.n_elements)
+    each quotient a `DiscreteField`: the values and the scales of the pairs."""
+    ii = mesh.interior
 
     def quotient(a: DiscreteField, b: DiscreteField) -> DiscreteField:
         vals = np.zeros(mesh.n_vertices)
@@ -221,7 +246,7 @@ def picone_pair_per_pair(mesh: Mesh, op: LerayLionsOperator, r: float, pairs):
 
     values, scales = [], []
     for w1, w2 in pairs:
-        t1, t2 = (np.sum(eval_flux(op, ks, mesh.gradient_of(a.values))
+        t1, t2 = (np.sum(eval_flux(op, mesh.gradient_of(a.values))
                          * mesh.gradient_of(quotient(a, b).values), axis=1)
                   for a, b in ((w1, w2), (w2, w1)))
         values.append(float(np.sum(mesh.measures * (t1 + t2))))
@@ -233,16 +258,15 @@ def morawetz_gap(op: LerayLionsOperator, k, xi, eta):
     """Both sides of the Clarkson-type convexity-defect bound with
     s = min(1, p/2) and zeta = (1 - 2^(1-p))^(-s) for p < 2, 1/2 otherwise.
     Sampled only; asserted only for constant-exponent single-block operators."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    p = np.asarray(op.exponent.values[k], dtype=float)
+    sub, (xi, eta), back = _at_points(op, k, xi, eta)
+    p = sub.exponent.values
     s = np.minimum(1.0, p / 2.0)
     zeta = np.where(p < 2.0, (1.0 - 2.0 ** (1.0 - p)) ** (-s), 0.5)
-    a_sum = np.asarray(eval_A(op, k, xi) + eval_A(op, k, eta))
-    defect = np.maximum(a_sum - 2.0 * np.asarray(eval_A(op, k, (xi + eta) / 2.0)), 0.0)
-    lhs = eval_A(op, k, (xi - eta) / 2.0)
+    a_sum = eval_A(sub, xi) + eval_A(sub, eta)
+    defect = np.maximum(a_sum - 2.0 * eval_A(sub, (xi + eta) / 2.0), 0.0)
+    lhs = eval_A(sub, (xi - eta) / 2.0)
     rhs = zeta * a_sum ** (1.0 - s) * defect ** s
-    return _maybe_scalar(lhs), _maybe_scalar(rhs)
+    return back(lhs), back(rhs)
 
 
 def ellipticity_floor(op: LerayLionsOperator, k, xi):
@@ -254,10 +278,9 @@ def ellipticity_floor(op: LerayLionsOperator, k, xi):
     |xi|-based form of the literature bound fails and the blockwise floor is
     the honest statement.
     """
-    xi = np.asarray(xi, dtype=float)
-    p = op.exponent.values[k]
-    floor = reduce(np.minimum, (c for _, _, c in _blocks(op, k, xi)))
-    return _maybe_scalar(np.minimum(1.0, p - 1.0) * floor)
+    sub, (xi,), back = _at_points(op, k, xi)
+    floor = reduce(np.minimum, (c for _, _, c in _blocks(sub, xi)))
+    return back(np.minimum(1.0, sub.exponent.values - 1.0) * floor)
 
 
 def growth_envelope(op: LerayLionsOperator, k, xi):
@@ -291,23 +314,21 @@ def gradient_reference(mesh: Mesh, nodal_values) -> np.ndarray:
     return np.einsum("...el,eld->...ed", vals, element_grads(mesh))
 
 
-def blocks_reference(op: LerayLionsOperator, k, xi, eps: float = 0.0):
+def blocks_reference(op: LerayLionsOperator, xi, eps: float = 0.0):
     """`operators._blocks` with rho summed by numpy and the rho = 0 guard
     applied at every exponent."""
-    power, at_least_two = op.exponent.flux_power[k], op.exponent.at_least_two[k]
+    power, at_least_two = op.exponent.flux_power, op.exponent.at_least_two
     for j, axes in enumerate(op.axes):
         rho = (xi[..., axes] ** 2).sum(axis=-1) + eps ** 2
         base = np.where((rho > 0.0) | at_least_two, rho, np.inf)
-        yield axes, rho, op.weights[j][k] * base ** power
+        yield axes, rho, op.weights[j] * base ** power
 
 
-def flux_reference(op: LerayLionsOperator, k, xi) -> np.ndarray:
+def flux_reference(op: LerayLionsOperator, xi) -> np.ndarray:
     """`eval_flux` over `blocks_reference`, into a C-ordered array."""
     xi = np.asarray(xi, dtype=float)
-    out = np.empty(np.broadcast_shapes(np.shape(op.exponent.values[k]), xi.shape[:-1])
-                   + xi.shape[-1:])
-    xi = np.broadcast_to(xi, out.shape)
-    for axes, _, c in blocks_reference(op, k, xi):
+    out = np.empty(xi.shape)
+    for axes, _, c in blocks_reference(op, xi):
         out[..., axes] = c[..., None] * xi[..., axes]
     return out
 
@@ -315,7 +336,7 @@ def flux_reference(op: LerayLionsOperator, k, xi) -> np.ndarray:
 def point_reference(mesh: Mesh, op: LerayLionsOperator, vals) -> tuple:
     """`elliptic._point` from the references above."""
     gv = gradient_reference(mesh, vals)
-    return element_means_reference(mesh, vals), gv, flux_reference(op, slice(None), gv)
+    return element_means_reference(mesh, vals), gv, flux_reference(op, gv)
 
 
 def energy_terms_reference(problem: EllipticProblem, point) -> list:
@@ -374,7 +395,7 @@ def hessian_band_reference(problem: EllipticProblem, point,
     first, second = scatter.rows % mesh.n_elements * nloc + scatter.rows // mesh.n_elements
     pairs = (mesh.measures * dd / nloc ** 2).take(element)
     weight = problem.lam * mesh.measures
-    for axes, rho, c in blocks_reference(op, slice(None), gv, eps):
+    for axes, rho, c in blocks_reference(op, gv, eps):
         c2 = (op.exponent.values - 2.0) * np.divide(c, rho, out=np.zeros_like(rho),
                                                     where=rho > 0.0)
         s = np.einsum("eld,ed->el", element_grads(mesh)[..., axes], gv[:, axes]).ravel()
@@ -419,14 +440,14 @@ def diagnose_per_step(setup: EvolutionSetup, traj: Trajectory):
     worst_margin = np.inf
     for n, (v, report) in enumerate(zip(traj.fields[1:], traj.reports), 1):
         if not report.repeated:
-            h_n = average_potential(setup.potential, n, dt)
+            h_n = average_potential(setup.potential, np.array([n]), dt)[0]
             point = _point(mesh, op, v.values)
             vb = np.maximum(point[0], 0.0)
             vbq, vbq_prev = vb ** q, vbq
             inc = l2_norm_values(mesh, vbq - vbq_prev) / dt
             f_sq = 0.0
             if source is not None:
-                fv = np.asarray(eval_source(source, np.arange(mesh.n_elements), vb))
+                fv = eval_source(source, vb)
                 ratio = np.where(vb > 0.0, fv / np.where(vb > 0.0, vb, 1.0) ** (q - 1.0), 0.0)
                 f_sq = l2_norm_values(mesh, ratio) ** 2
             budget = dt * (l2_norm_values(mesh, h_n) ** 2 + f_sq)

@@ -5,6 +5,7 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dne
@@ -12,7 +13,8 @@ import dne
 # the solver's stopping policy and start values belong to dne.elliptic alone
 FORBIDDEN = {"tolerance", "max_iterations", "initial_guess"}
 # values no caller sets are module constants of checks, io_utils and operators
-FIXED = {"hopf_floor", "corner_cells", "burn_in", "tol", "r_norms", "threshold"}
+FIXED = {"hopf_floor", "corner_cells", "burn_in", "tol", "r_norms", "threshold",
+         "sample_count"}
 
 
 def public_callables():
@@ -60,6 +62,27 @@ def test_no_stopping_policy_or_start_overrides():
 
 def test_no_fixed_knobs():
     assert offending_parameters(FIXED) == []
+
+
+def test_operator_evaluations_take_every_point():
+    # the operator enters the energy only through its values at every
+    # quadrature point: no evaluation takes a point index, and a gradient
+    # array without a points axis is rejected, not broadcast
+    from dne.operators import eval_A, eval_flux, eval_source
+    for f in (eval_A, eval_flux):
+        assert list(inspect.signature(f).parameters) == ["op", "xi"]
+    assert list(inspect.signature(eval_source).parameters) == ["src", "s"]
+    op = dne.LerayLionsOperator.isotropic(dne.ExponentField.constant(4, 2.5), 1.0, ndim=2)
+    for f in (eval_A, eval_flux):
+        assert f(op, np.ones((3, 4, 2))).shape[:2] == (3, 4)
+        for xi in (np.ones((1, 2)), np.ones(2), np.ones((4, 3))):
+            with pytest.raises(ValueError):
+                f(op, xi)
+    src = dne.SourceTerm(np.ones(4), np.ones(4), gamma=0.0, beta=0.1, q=1.5)
+    assert eval_source(src, np.ones((3, 4))).shape == (3, 4)
+    for s in (np.ones(1), 1.0):
+        with pytest.raises(ValueError):
+            eval_source(src, s)
 
 
 def test_no_positive_part_flag():

@@ -430,22 +430,25 @@ class TestPositivityHopf:
 
 
 class TestAlgInequality:
-    def test_sampled(self):
+    def test_sampled(self, monkeypatch):
+        monkeypatch.setattr(checks, "ALG_SAMPLES", 100_000)
         for q in (1.2, 1.5, 3.0):
-            report = check_alg_inequality(q, sample_count=100_000, seed=21)
-            assert report.passed
+            report = check_alg_inequality(q, seed=21)
+            assert report.passed and report.samples == 100_000
 
-    def test_edge_cases(self):
+    def test_edge_cases(self, monkeypatch):
         # a = b gives 0 <= 0; b = 0 gives equality |a|^2q = (a^q)^2
-        report = check_alg_inequality(2.0, sample_count=1_000, seed=2)
+        monkeypatch.setattr(checks, "ALG_SAMPLES", 1_000)
+        report = check_alg_inequality(2.0, seed=2)
         assert report.passed
 
     def test_rejects_q_below_one(self):
         with pytest.raises(ValueError):
             check_alg_inequality(1.0)
 
-    def test_reports_are_serializable(self):
-        report = check_alg_inequality(1.5, sample_count=100, seed=0)
+    def test_reports_are_serializable(self, monkeypatch):
+        monkeypatch.setattr(checks, "ALG_SAMPLES", 100)
+        report = check_alg_inequality(1.5, seed=0)
         d = dataclasses.asdict(report)
         assert set(d) == {"check_name", "samples", "worst_margin", "location",
                           "passed", "slack"}

@@ -120,16 +120,21 @@ def make_setup(mesh, data, horizon, steps, scale=0.5):
     return EvolutionSetup(mesh, op, Q, src, pot, horizon, steps, v0)
 
 
+def step_average(h, n: int, dt: float) -> np.ndarray:
+    """h^n of the one step n, the one row of its `average_potential` call."""
+    return average_potential(h, np.array([n]), dt)[0]
+
+
 class TestAveragePotential:
     def test_constant_in_time(self, mesh_1d, data_1d):
         _, _, pot = data_1d
-        h1 = average_potential(pot, 1, 0.25)
+        h1 = step_average(pot, 1, 0.25)
         np.testing.assert_allclose(h1, pot(0.0), rtol=1e-14)
 
     def test_linear_in_time_exact(self, mesh_1d):
         ne = mesh_1d.n_elements
         pot = PotentialField(lambda t: np.full(ne, 0.5 + t), np.full(ne, 0.5), 1.5)
-        h1 = average_potential(pot, 1, 1.0)
+        h1 = step_average(pot, 1, 1.0)
         np.testing.assert_allclose(h1, 1.0, atol=1e-12)
 
     def test_sup_bound_over_window(self, mesh_1d, data_1d):
@@ -139,25 +144,32 @@ class TestAveragePotential:
         pot = PotentialField(lambda t: prof * (1.0 + (1.0 + t) ** (-1.5)),
                              prof, 2.0, limit=prof)
         for n in range(1, 6):
-            hn = average_potential(pot, n, 0.5)
+            hn = step_average(pot, n, 0.5)
             assert hn.max() <= pot.sup_norm + 1e-12
 
     def test_rejects_step_zero(self, data_1d):
         _, _, pot = data_1d
         with pytest.raises(ValueError):
-            average_potential(pot, 0, 0.1)
+            average_potential(pot, np.array([0]), 0.1)
         with pytest.raises(ValueError):
             average_potential(pot, np.array([2, 0, 1]), 0.1)
 
     def test_rows_are_each_steps_average(self):
         # an array of steps evaluates the same times and accumulates the same
-        # nodes in the same order as one step at a time: bitwise the same rows
+        # nodes in the same order as the 5-point Gauss-Legendre sum of one
+        # step, written out here: bitwise the same rows
         pot = load_scenario(str(CONFIGS / "decaying_1d.cfg")).setup.potential
-        steps = np.array([1, 2, 7, 40, 41])
-        rows = average_potential(pot, steps, 0.05)
+        steps, dt = np.array([1, 2, 7, 40, 41]), 0.05
+        nodes, weights = np.polynomial.legendre.leggauss(5)
+        rows = average_potential(pot, steps, dt)
         assert rows.shape == (steps.size, pot(0.0).size)
-        for n, row in zip(steps, rows, strict=True):
-            assert row.tobytes() == average_potential(pot, int(n), 0.05).tobytes()
+        for n, row in zip(steps.tolist(), rows, strict=True):
+            acc = None
+            for x, w in zip((nodes + 1.0) * dt / 2.0, weights):
+                term = w * pot((n - 1) * dt + x)
+                acc = term if acc is None else acc + term
+            assert row.tobytes() == (acc / 2.0).tobytes()
+            assert row.tobytes() == step_average(pot, n, dt).tobytes()
 
 
 class TestStep:
@@ -165,7 +177,7 @@ class TestStep:
         op, src, pot = data_1d
         v_stat = solve_stationary(mesh_1d, op, Q, pot.limit, src)
         setup = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, v_stat)
-        h1 = average_potential(pot, 1, setup.dt)
+        h1 = step_average(pot, 1, setup.dt)
         _, _, v1, report, _ = step(setup, v_stat, h1)
         assert report.converged
         assert l2_norm_diff_power(v1, v_stat, 1.0) <= 10 * 1e-10
@@ -175,7 +187,7 @@ class TestStep:
         small = interpolate(mesh_1d, lambda x: 0.3 * np.sin(np.pi * x[:, 0]))
         large = interpolate(mesh_1d, lambda x: 0.6 * np.sin(np.pi * x[:, 0]))
         s_small = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, small)
-        h1 = average_potential(pot, 1, s_small.dt)
+        h1 = step_average(pot, 1, s_small.dt)
         v1 = step(s_small, small, h1).field
         w1 = step(s_small, large, h1).field
         assert np.all(v1.values <= w1.values + 1e-8)
@@ -186,7 +198,7 @@ class TestStep:
         w_lo, _ = make_subsolution(mesh_1d, op, Q, src, pot.lower_envelope, v0)
         w_hi, _ = make_supersolution(mesh_1d, op, Q, src, pot.sup_norm, v0)
         setup = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, v0)
-        h1 = average_potential(pot, 1, setup.dt)
+        h1 = step_average(pot, 1, setup.dt)
         v1 = step(setup, v0, h1).field
         assert np.all(v1.values >= w_lo.values - 1e-8)
         assert np.all(v1.values <= w_hi.values + 1e-8)
@@ -373,7 +385,7 @@ class TestEvolve:
         assert len(diagnostics) == setup.steps
         for n, d in enumerate(diagnostics, 1):
             v_n, v_prev = traj.fields[n], traj.fields[n - 1]
-            h_n = average_potential(setup.potential, n, setup.dt)
+            h_n = step_average(setup.potential, n, setup.dt)
             problem = EllipticProblem.stationary(setup.mesh, setup.op, setup.q,
                                                  h_n, setup.source)
             assert d.stationary_energy == energy(problem, v_n)
@@ -487,16 +499,16 @@ def averaged_setup(tmp_path, dimension, potential, steps):
 
 class TestRunAverages:
     """`Run.head` averages the potential of the steps it takes a chunk of
-    DIAGNOSTIC_ELEMENT_STEPS // n_elements steps per `average_potential`
-    call, or one scalar call a step when that is one step; each step gets
-    bitwise the average of the scalar call."""
+    DIAGNOSTIC_ELEMENT_STEPS // n_elements steps (at least one) per
+    `average_potential` call; each step gets bitwise the average of its own
+    one-step call."""
 
     @pytest.mark.parametrize("potential", sorted(AVERAGED_POTENTIALS))
     @pytest.mark.parametrize("dimension, steps, heads, chunks", [
         # 40 steps a call on 100 elements: heads ending at 7 and 45 end mid-chunk
         (1, 100, [7, 45, 46, 100], [[7], [38], [1], [40, 14]]),
-        # 2178 elements: one scalar call per step
-        (2, 5, [2, 5], [[None] * 2, [None] * 3]),
+        # 2178 elements: one one-step call per step
+        (2, 5, [2, 5], [[1] * 2, [1] * 3]),
     ])
     def test_rows_and_calls(self, tmp_path, monkeypatch, potential, dimension,
                             steps, heads, chunks):
@@ -505,10 +517,9 @@ class TestRunAverages:
         assert size == (40 if dimension == 1 else 1)
         average, calls, seen = evolution.average_potential, [], []
 
-        def recording(h, n, dt):
-            # the rows of an array of steps, None for a scalar call
-            calls.append(len(n) if isinstance(n, np.ndarray) else None)
-            return average(h, n, dt)
+        def recording(h, steps, dt):
+            calls.append(len(steps))
+            return average(h, steps, dt)
 
         def no_solve(setup, previous, h_n, last=None):
             seen.append(h_n.tobytes())
@@ -522,7 +533,7 @@ class TestRunAverages:
             calls.clear()
             run.head(n)
             assert calls == expected
-        assert seen == [average(setup.potential, k, setup.dt).tobytes()
+        assert seen == [step_average(setup.potential, k, setup.dt).tobytes()
                         for k in range(1, steps + 1)]
 
 
@@ -554,7 +565,7 @@ class TestRepeatedStep:
             assert d.stationary_energy == e.stationary_energy
         assert margin == plain_margin
 
-        h = [average_potential(setup.potential, n, setup.dt)
+        h = [step_average(setup.potential, n, setup.dt)
              for n in range(1, setup.steps + 1)]
         expected = [n >= 2 and np.array_equal(h[n - 1], h[n - 2])
                     and np.array_equal(plain.fields[n - 1].values,
@@ -579,7 +590,7 @@ class TestRepeatedStep:
                                                      monkeypatch):
         setup = make_setup(mesh_1d, data_1d, horizon=1.0, steps=10)
         v0, dt = setup.initial, setup.dt
-        h1 = average_potential(setup.potential, 1, dt)
+        h1 = step_average(setup.potential, 1, dt)
         first = step(setup, v0, h1)
         v1, r1 = first.field, first.report
         minimizations = count_calls(monkeypatch, elliptic, "_minimize")
@@ -625,7 +636,7 @@ class TestHandoff:
         iterates.clear()
         fields, last = [setup.initial], None
         for n in range(1, steps + 1):
-            h_n = average_potential(setup.potential, n, setup.dt)
+            h_n = step_average(setup.potential, n, setup.dt)
             last = step(setup, DiscreteField(setup.mesh, fields[-1].values), h_n, last)
             fields.append(last.field)
         for a, b in zip(traj.fields, fields, strict=True):
@@ -638,7 +649,7 @@ class TestHandoff:
         # a step from a copy of `last.field` computes its start's state and
         # never reads `last.state`; its result is the handed step's, bitwise
         setup = make_setup(mesh_1d, data_1d, horizon=1.0, steps=10)
-        h1, h2 = (average_potential(setup.potential, n, setup.dt) for n in (1, 2))
+        h1, h2 = (step_average(setup.potential, n, setup.dt) for n in (1, 2))
         first = step(setup, setup.initial, h1)
         with pytest.raises(ValueError):
             first.field.values[1] = 0.0  # the state can never go stale

@@ -9,12 +9,17 @@ from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
 
 from oracles import (calibrate_gamma0, ellipticity_floor, flux_jacobian_batch,
                      growth_envelope, monotonicity_gap, morawetz_gap, picone_gap,
-                     picone_pair_sum)
+                     picone_pair_sum, restrict)
 
 
 def const_op(p, ndim=2, weight=1.0, n_points=8):
     return LerayLionsOperator.isotropic(ExponentField.constant(n_points, p),
                                         weight, ndim=ndim)
+
+
+def every(op, xi):
+    """The one gradient xi at every point of `op`."""
+    return np.broadcast_to(np.asarray(xi, dtype=float), (op.n_points, len(xi)))
 
 
 def random_op(rng, n_points=64, p_range=(1.2, 4.0)):
@@ -51,44 +56,48 @@ class TestOperatorConstruction:
 
 class TestEvalA:
     def test_p2_is_squared_norm(self):
-        assert eval_A(const_op(2.0), 0, [3.0, 4.0]) == pytest.approx(25.0)
+        op = const_op(2.0)
+        np.testing.assert_allclose(eval_A(op, every(op, [3.0, 4.0])), 25.0)
 
     def test_cubic_homogeneity(self):
         op = const_op(3.0)
-        xi = np.array([0.6, 0.8])
-        assert eval_A(op, 0, 2.0 * xi) == pytest.approx(8.0 * eval_A(op, 0, xi))
+        xi = every(op, [0.6, 0.8])
+        np.testing.assert_allclose(eval_A(op, 2.0 * xi), 8.0 * eval_A(op, xi))
 
     def test_two_blocks_with_weights(self):
         exponent = ExponentField.constant(4, 3.0)
         op = LerayLionsOperator(exponent, (np.array([0]), np.array([1])), [1.0, 2.0])
-        assert eval_A(op, 0, [1.0, 1.0]) == pytest.approx(3.0)
+        np.testing.assert_allclose(eval_A(op, every(op, [1.0, 1.0])), 3.0)
 
     def test_zero_only_at_zero(self):
         op = const_op(2.7)
-        assert eval_A(op, 0, [0.0, 0.0]) == 0.0
-        assert eval_A(op, 0, [1e-8, 0.0]) > 0.0
+        assert np.all(eval_A(op, every(op, [0.0, 0.0])) == 0.0)
+        assert np.all(eval_A(op, every(op, [1e-8, 0.0])) > 0.0)
 
 
 class TestEvalFlux:
     def test_identity_at_p2(self):
-        np.testing.assert_allclose(eval_flux(const_op(2.0), 0, [3.0, 4.0]),
-                                   [3.0, 4.0])
+        op = const_op(2.0)
+        np.testing.assert_allclose(eval_flux(op, every(op, [3.0, 4.0])),
+                                   every(op, [3.0, 4.0]))
 
     def test_p4_closed_form(self):
-        np.testing.assert_allclose(eval_flux(const_op(4.0), 0, [1.0, 0.0]),
-                                   [1.0, 0.0])
+        op = const_op(4.0)
+        np.testing.assert_allclose(eval_flux(op, every(op, [1.0, 0.0])),
+                                   every(op, [1.0, 0.0]))
 
     def test_zero_extension_for_singular_p(self):
-        np.testing.assert_array_equal(eval_flux(const_op(1.4), 0, [0.0, 0.0]),
-                                      [0.0, 0.0])
+        op = const_op(1.4)
+        np.testing.assert_array_equal(eval_flux(op, every(op, [0.0, 0.0])),
+                                      every(op, [0.0, 0.0]))
 
     def test_euler_identity_random(self):
         rng = seeded_rng(11, "euler")
         op = random_op(rng)
         ks = rng.integers(0, op.n_points, 5000)
         xi = rng.standard_normal((5000, 3)) * 10.0 ** rng.uniform(-2, 1, (5000, 1))
-        lhs = np.sum(eval_flux(op, ks, xi) * xi, axis=1)
-        rhs = np.asarray(eval_A(op, ks, xi))
+        lhs = np.sum(eval_flux(restrict(op, ks), xi) * xi, axis=1)
+        rhs = eval_A(restrict(op, ks), xi)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_A_matches_block_sum_of_powers(self):
@@ -101,7 +110,7 @@ class TestEvalFlux:
         p = op.exponent.values[ks]
         expected = (op.weights[0][ks] * (xi[:, 0] ** 2) ** (p / 2.0)
                     + op.weights[1][ks] * (xi[:, 1] ** 2 + xi[:, 2] ** 2) ** (p / 2.0))
-        np.testing.assert_allclose(eval_A(op, ks, xi), expected, rtol=1e-12)
+        np.testing.assert_allclose(eval_A(restrict(op, ks), xi), expected, rtol=1e-12)
 
 
 def exact_jacobian(op, k, xi):
@@ -141,11 +150,13 @@ class TestFluxJacobian:
             xi = rng.standard_normal(3)
             jac = exact_jacobian(op, k, xi)
             np.testing.assert_allclose(jac, jac.T, atol=1e-12)
+            at_k = restrict(op, [k])
             fd = np.zeros((3, 3))
             for i in range(3):
                 e = np.zeros(3)
                 e[i] = step
-                fd[:, i] = (eval_flux(op, k, xi + e) - eval_flux(op, k, xi - e)) / (2 * step)
+                fd[:, i] = (eval_flux(at_k, [xi + e])[0]
+                            - eval_flux(at_k, [xi - e])[0]) / (2 * step)
             np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-7)
 
     def test_eigenvalue_floor(self):
@@ -161,8 +172,9 @@ class TestFluxJacobian:
 
 
 class TestIndexForms:
-    """The solver passes k = slice(None) (views), the checks integer arrays or
-    scalars; every form must give the same bits."""
+    """The library evaluates every point of an operator; an oracle's point
+    index evaluates the operator restricted to its points, which must give
+    the bits of the every-point evaluation there."""
 
     def cases(self):
         rng = seeded_rng(11, "index-forms")
@@ -176,38 +188,18 @@ class TestIndexForms:
         return [(two_blocks, xi), (singular, vanishing)]
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
-    def test_jacobian_slice_array_and_scalar_agree(self, eps):
+    def test_restriction_matches_every_point(self, eps):
+        # index arrays with repeats, a strided slice and each single point
+        ks_forms = [np.array([3, 3, 0, 15, 7]), slice(1, None, 4)]
         for op, xi in self.cases():
-            n = op.n_points
-            by_slice = flux_jacobian_batch(op, slice(None), xi, eps=eps)
-            np.testing.assert_array_equal(
-                by_slice, flux_jacobian_batch(op, np.arange(n), xi, eps=eps))
-            for k in range(n):
+            flux, jac = eval_flux(op, xi), flux_jacobian_batch(op, slice(None), xi, eps=eps)
+            energy = eval_A(op, xi)
+            for ks in ks_forms + [[k] for k in range(op.n_points)]:
+                sub = restrict(op, ks)
+                np.testing.assert_array_equal(eval_flux(sub, xi[ks]), flux[ks])
+                np.testing.assert_array_equal(eval_A(sub, xi[ks]), energy[ks])
                 np.testing.assert_array_equal(
-                    by_slice[k], flux_jacobian_batch(op, k, xi[k:k + 1], eps=eps)[0])
-
-    def test_flux_slice_array_and_scalar_agree(self):
-        for op, xi in self.cases():
-            n = op.n_points
-            by_slice = eval_flux(op, slice(None), xi)
-            np.testing.assert_array_equal(by_slice, eval_flux(op, np.arange(n), xi))
-            for k in range(n):
-                np.testing.assert_array_equal(by_slice[k], eval_flux(op, k, xi[k]))
-
-    def test_broadcast_xi(self):
-        # one gradient at every point, and the checks' (samples, points) grid
-        for op, xi in self.cases():
-            n, one = op.n_points, xi[0]
-            by_slice = eval_flux(op, slice(None), one)
-            assert by_slice.shape == (n, 3)
-            np.testing.assert_array_equal(by_slice, eval_flux(op, np.arange(n), one))
-            for k in range(n):
-                np.testing.assert_array_equal(by_slice[k], eval_flux(op, k, one))
-            grid = eval_flux(op, np.arange(n), xi[:5, None, :])
-            assert grid.shape == (5, n, 3)
-            for s in range(5):
-                np.testing.assert_array_equal(grid[s], eval_flux(op, slice(None),
-                                                                 np.tile(xi[s], (n, 1))))
+                    flux_jacobian_batch(op, ks, xi[ks], eps=eps), jac[ks])
 
     def test_scattered_block_matches_its_permuted_contiguous_twin(self):
         # a block on axes {0, 2} is indexed by its array, not a slice
@@ -220,8 +212,8 @@ class TestIndexForms:
         assert contiguous.axes == (slice(0, 2), slice(2, 3))
         xi = rng.standard_normal((8, 3))
         swap = [0, 2, 1]
-        np.testing.assert_array_equal(eval_flux(scattered, slice(None), xi),
-                                      eval_flux(contiguous, slice(None), xi[:, swap])[:, swap])
+        np.testing.assert_array_equal(eval_flux(scattered, xi),
+                                      eval_flux(contiguous, xi[:, swap])[:, swap])
         np.testing.assert_array_equal(
             flux_jacobian_batch(scattered, slice(None), xi, eps=1e-3),
             flux_jacobian_batch(contiguous, slice(None), xi[:, swap],
@@ -302,8 +294,9 @@ class TestPiconePairSum:
         g1 = rng.standard_normal((m, 3))
         g2 = rng.standard_normal((m, 3))
         val = picone_pair_sum(op, ks, w1, w2, g1, g2, r=1.4)
-        scale = (np.abs(np.sum(eval_flux(op, ks, g1) * g1, axis=1))
-                 + np.abs(np.sum(eval_flux(op, ks, g2) * g2, axis=1)))
+        sub = restrict(op, ks)
+        scale = (np.abs(np.sum(eval_flux(sub, g1) * g1, axis=1))
+                 + np.abs(np.sum(eval_flux(sub, g2) * g2, axis=1)))
         assert np.all(val >= -1e-12 * np.maximum(1.0, scale))
 
     def test_zero_when_equal(self):
@@ -323,7 +316,7 @@ class TestGrowthAndConvexity:
         op = random_op(rng)
         ks = rng.integers(0, op.n_points, 20_000)
         xi = rng.standard_normal((20_000, 3)) * 10.0 ** rng.uniform(-1, 1, (20_000, 1))
-        a = np.asarray(eval_A(op, ks, xi))
+        a = eval_A(restrict(op, ks), xi)
         lo, hi = growth_envelope(op, ks, xi)
         assert np.all(a >= lo - 1e-10 * np.maximum(1.0, a))
         assert np.all(a <= hi + 1e-10 * np.maximum(1.0, a))
@@ -335,9 +328,9 @@ class TestGrowthAndConvexity:
         xi = rng.standard_normal((20_000, 3))
         eta = rng.standard_normal((20_000, 3))
         t = rng.uniform(0.0, 1.0, (20_000, 1))
-        mid = np.asarray(eval_A(op, ks, t * xi + (1.0 - t) * eta))
-        chord = (t[:, 0] * np.asarray(eval_A(op, ks, xi))
-                 + (1.0 - t[:, 0]) * np.asarray(eval_A(op, ks, eta)))
+        sub = restrict(op, ks)
+        mid = eval_A(sub, t * xi + (1.0 - t) * eta)
+        chord = t[:, 0] * eval_A(sub, xi) + (1.0 - t[:, 0]) * eval_A(sub, eta)
         assert np.all(mid <= chord + 1e-12 + 1e-12 * chord)
 
     def test_morawetz_constant_exponent(self):
@@ -357,22 +350,24 @@ class TestSource:
         return SourceTerm(np.full(n, 1.0), delta, gamma=gamma, beta=beta, q=q)
 
     def test_zero_at_zero(self):
-        assert eval_source(self.make(), 3, 0.0) == 0.0
+        assert np.all(eval_source(self.make(), np.zeros(16)) == 0.0)
 
     def test_linear_case(self):
         src = SourceTerm(np.full(4, 1.0), np.full(4, 1.0), gamma=0.0, beta=1.0, q=2.3)
-        assert eval_source(src, 0, 2.0) == pytest.approx(2.0)
+        np.testing.assert_allclose(eval_source(src, np.full(4, 2.0)), 2.0)
 
     def test_rejects_negative_s(self):
+        s = np.ones(16)
+        s[5] = -1.0
         with pytest.raises(ValueError):
-            eval_source(self.make(), 0, -1.0)
+            eval_source(self.make(), s)
 
     def test_ratio_nonincreasing(self):
         src = self.make(beta=0.2, q=1.5)
         s1, s2 = 0.3, 1.7
-        r1 = eval_source(src, 5, s1) / s1 ** (src.q - 1.0)
-        r2 = eval_source(src, 5, s2) / s2 ** (src.q - 1.0)
-        assert r1 >= r2
+        r1 = eval_source(src, np.full(16, s1)) / s1 ** (src.q - 1.0)
+        r2 = eval_source(src, np.full(16, s2)) / s2 ** (src.q - 1.0)
+        assert np.all(r1 >= r2)
 
     def test_delta_power_derived_once(self):
         # delta^gamma is derived at construction, out of repr and comparison,
@@ -384,10 +379,9 @@ class TestSource:
         assert moved.delta_power.tobytes() == ((2.0 * src.delta) ** 0.7).tobytes()
         scaled = replace(src, g=3.0 * src.g)
         assert scaled.delta_power.tobytes() == src.delta_power.tobytes()
-        ks = np.arange(src.g.size)
         s = np.linspace(0.0, 2.0, src.g.size)
         expected = np.where(s > 0.0, src.g * src.delta ** 0.7 * s ** 0.1, 0.0)
-        assert eval_source(src, ks, s).tobytes() == expected.tobytes()
+        assert eval_source(src, s).tobytes() == expected.tobytes()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
