@@ -16,6 +16,8 @@ constants; refinement is expected to improve every margin they cover.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,25 +86,20 @@ _PROFILES = [
 
 def function_library(mesh: Mesh):
     """Positive smooth test functions with closed-form gradients, evaluated at
-    the quadrature points: 1D profiles or tensor products of them in 2D."""
-    pts = mesh.barycenters
+    the quadrature points: the tensor products of the profiles over the axes,
+    a single profile in 1D, each gradient component its axis's derivative
+    times the other axes' values, in axis order."""
+    s = [(mesh.barycenters[:, axis] - lo) / (hi - lo)
+         for axis, (lo, hi) in enumerate(mesh.bounds)]
     out = []
-    if mesh.dimension == 1:
-        a, b = mesh.bounds
-        s = (pts[:, 0] - a) / (b - a)
-        for fv, fg, name in _PROFILES:
-            out.append({"name": name, "values": fv(s),
-                        "grads": (fg(s) / (b - a))[:, None]})
-    else:
-        x0, x1, y0, y1 = mesh.bounds
-        sx = (pts[:, 0] - x0) / (x1 - x0)
-        sy = (pts[:, 1] - y0) / (y1 - y0)
-        for fv1, fg1, n1 in _PROFILES:
-            for fv2, fg2, n2 in _PROFILES:
-                u1, d1 = fv1(sx), fg1(sx) / (x1 - x0)
-                u2, d2 = fv2(sy), fg2(sy) / (y1 - y0)
-                out.append({"name": f"{n1}*{n2}", "values": u1 * u2,
-                            "grads": np.stack([d1 * u2, u1 * d2], axis=1)})
+    for profiles in itertools.product(_PROFILES, repeat=mesh.dimension):
+        values = [fv(sa) for (fv, _, _), sa in zip(profiles, s)]
+        slopes = [fg(sa) / (hi - lo)
+                  for (_, fg, _), sa, (lo, hi) in zip(profiles, s, mesh.bounds)]
+        grads = [math.prod(values[:axis] + [slopes[axis]] + values[axis + 1:])
+                 for axis in range(mesh.dimension)]
+        out.append({"name": "*".join(name for _, _, name in profiles),
+                    "values": math.prod(values), "grads": np.stack(grads, axis=1)})
     return out
 
 
@@ -321,10 +318,10 @@ def check_positivity_hopf(field: DiscreteField) -> CheckReport:
     mesh = field.mesh
     off = 2.0 * mesh.spacing
     if mesh.dimension == 1:
-        a, b = mesh.bounds
+        (a, b), = mesh.bounds
         probes = np.interp([a + off, b - off], mesh.vertices[:, 0], field.values)
     else:
-        x0, x1, y0, y1 = mesh.bounds
+        (x0, x1), (y0, y1) = mesh.bounds
         nx, ny = mesh.resolution
         grid = field.values.reshape(nx + 1, ny + 1)  # [i, j] at (xs[i], ys[j])
         xs, ys = mesh.vertices[::ny + 1, 0], mesh.vertices[:ny + 1, 1]

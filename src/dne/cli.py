@@ -198,8 +198,8 @@ def _positive_field(mesh, rng):
     vals = np.zeros(mesh.n_vertices)
     interior = mesh.interior
     scale = float(rng.uniform(0.5, 2.0))
-    base = np.abs(np.sin(np.pi * (mesh.vertices[interior, 0] - mesh.bounds[0])
-                         / (mesh.bounds[1] - mesh.bounds[0])))
+    lo, hi = mesh.bounds[0]
+    base = np.abs(np.sin(np.pi * (mesh.vertices[interior, 0] - lo) / (hi - lo)))
     vals[interior] = scale * (0.2 + base + rng.uniform(0.0, 0.3, interior.size))
     return DiscreteField(mesh, vals)
 

@@ -52,14 +52,15 @@ class BandScatter:
 
 
 class Mesh:
-    """Immutable simplicial mesh with cached P1 shape-function gradients
+    """Immutable simplicial mesh of an interval or rectangle, one (lo, hi)
+    pair per axis in `bounds`, with cached P1 shape-function gradients
     (`corner_grads`, in the corner-major layout of its element pass), a
     cached interior band scatter map (`band_scatter`) for Hessian assembly
     and cached coordinate text (`coordinate_text`) for field files."""
 
-    def __init__(self, dimension, bounds, resolution, vertices, elements, boundary_mask):
-        self.dimension = int(dimension)
-        self.bounds = tuple(float(b) for b in bounds)  # (a, b) or (x0, x1, y0, y1)
+    def __init__(self, bounds, resolution, vertices, elements, boundary_mask):
+        self.bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+        self.dimension = len(self.bounds)
         self.resolution = tuple(int(r) for r in resolution)
         self.vertices = np.asarray(vertices, dtype=float)
         self.elements = np.asarray(elements, dtype=int)
@@ -109,11 +110,7 @@ class Mesh:
 
     @property
     def spacing(self) -> float:
-        if self.dimension == 1:
-            return (self.bounds[1] - self.bounds[0]) / self.resolution[0]
-        hx = (self.bounds[1] - self.bounds[0]) / self.resolution[0]
-        hy = (self.bounds[3] - self.bounds[2]) / self.resolution[1]
-        return max(hx, hy)
+        return max((hi - lo) / n for (lo, hi), n in zip(self.bounds, self.resolution))
 
     @cached_property
     def band_scatter(self) -> BandScatter:
@@ -191,7 +188,7 @@ def interval_mesh(a: float, b: float, n: int) -> Mesh:
     elements = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
     boundary = np.zeros(n + 1, dtype=bool)
     boundary[0] = boundary[-1] = True
-    return Mesh(1, (a, b), (n,), vertices, elements, boundary)
+    return Mesh(((a, b),), (n,), vertices, elements, boundary)
 
 
 def _cell_flipped(i, j, nx: int, ny: int):
@@ -226,7 +223,7 @@ def rectangle_mesh(x0: float, x1: float, y0: float, y1: float,
     elements = np.stack([first, second], axis=1).reshape(-1, 3)
     boundary = ((vertices[:, 0] == x0) | (vertices[:, 0] == x1)
                 | (vertices[:, 1] == y0) | (vertices[:, 1] == y1))
-    return Mesh(2, (x0, x1, y0, y1), (nx, ny), vertices, elements, boundary)
+    return Mesh(((x0, x1), (y0, y1)), (nx, ny), vertices, elements, boundary)
 
 
 @dataclass(frozen=True)
@@ -296,24 +293,14 @@ def l2_norm_values(mesh: Mesh, element_values):
 
 
 def _distance(points: np.ndarray, mesh: Mesh) -> np.ndarray:
-    if mesh.dimension == 1:
-        a, b = mesh.bounds
-        return np.minimum(points[:, 0] - a, b - points[:, 0])
-    x0, x1, y0, y1 = mesh.bounds
-    return np.minimum.reduce([points[:, 0] - x0, x1 - points[:, 0],
-                              points[:, 1] - y0, y1 - points[:, 1]])
-
-
-def _axis_bounds(mesh: Mesh):
-    if mesh.dimension == 1:
-        return [(mesh.bounds[0], mesh.bounds[1])]
-    return [(mesh.bounds[0], mesh.bounds[1]), (mesh.bounds[2], mesh.bounds[3])]
+    return np.minimum.reduce([side for axis, (lo, hi) in enumerate(mesh.bounds)
+                              for side in (points[:, axis] - lo, hi - points[:, axis])])
 
 
 def _unit_bump(points: np.ndarray, mesh: Mesh) -> np.ndarray:
     """Product over the axes of 4 (x - lo)(hi - x)/(hi - lo)^2, 1 at the centre."""
     out = np.ones(points.shape[0])
-    for axis, (lo, hi) in enumerate(_axis_bounds(mesh)):
+    for axis, (lo, hi) in enumerate(mesh.bounds):
         out = out * 4.0 * (points[:, axis] - lo) * (hi - points[:, axis]) / (hi - lo) ** 2
     return out
 

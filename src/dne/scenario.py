@@ -20,8 +20,8 @@ import numpy as np
 
 from .evolution import EvolutionSetup
 from .io_utils import field_from_csv, read_field_csv
-from .meshing import (DiscreteField, Mesh, _axis_bounds, _distance, _unit_bump,
-                      boundary_distance_field, interpolate, interval_mesh, rectangle_mesh)
+from .meshing import (DiscreteField, Mesh, _distance, _unit_bump, boundary_distance_field,
+                      interpolate, interval_mesh, rectangle_mesh)
 from .operators import (ExponentField, LerayLionsOperator, PotentialField,
                         SourceTerm, ValidationError)
 
@@ -30,32 +30,24 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Primitive:
-    name: str
-    params: tuple
-
-    @classmethod
-    def parse(cls, text: str) -> "Primitive":
-        parts = text.split()
-        if not parts:
-            raise ParseError("empty function primitive")
-        name = parts[0]
-        if name not in _PRIMITIVES:
-            raise ParseError(f"unknown function primitive '{name}' "
-                             f"(expected one of {sorted(_PRIMITIVES)})")
-        want = _PRIMITIVES[name][0]
-        try:
-            params = tuple(float(p) for p in parts[1:])
-        except ValueError as exc:
-            raise ParseError(f"bad parameters for primitive '{name}': {exc}") from exc
-        if len(params) not in want:
-            raise ParseError(f"primitive '{name}' takes {want} parameters, "
-                             f"got {len(params)}")
-        return cls(name, params)
-
-    def __call__(self, points: np.ndarray, mesh: Mesh) -> np.ndarray:
-        return _PRIMITIVES[self.name][1](np.atleast_2d(points), mesh, *self.params)
+def _primitive(text: str, points: np.ndarray, mesh: Mesh) -> np.ndarray:
+    """The values at `points` of the function primitive `text`."""
+    parts = text.split()
+    if not parts:
+        raise ParseError("empty function primitive")
+    name = parts[0]
+    if name not in _PRIMITIVES:
+        raise ParseError(f"unknown function primitive '{name}' "
+                         f"(expected one of {sorted(_PRIMITIVES)})")
+    want, evaluate = _PRIMITIVES[name]
+    try:
+        params = [float(p) for p in parts[1:]]
+    except ValueError as exc:
+        raise ParseError(f"bad parameters for primitive '{name}': {exc}") from exc
+    if len(params) not in want:
+        raise ParseError(f"primitive '{name}' takes {want} parameters, "
+                         f"got {len(params)}")
+    return evaluate(np.atleast_2d(points), mesh, *params)
 
 
 def _affine(points, mesh, a0, *slope):
@@ -67,7 +59,7 @@ def _affine(points, mesh, a0, *slope):
 
 def _sin_product(points, mesh, scale):
     out = np.ones(points.shape[0])
-    for axis, (lo, hi) in enumerate(_axis_bounds(mesh)):
+    for axis, (lo, hi) in enumerate(mesh.bounds):
         out = out * np.sin(np.pi * (points[:, axis] - lo) / (hi - lo))
     return scale * out
 
@@ -169,10 +161,9 @@ def _operator(sec: dict, mesh: Mesh, exponent: ExponentField) -> LerayLionsOpera
                         " | ".join(str(i + 1) for i in range(mesh.dimension)))
     blocks = [np.asarray([int(tok) - 1 for tok in blk.split()], dtype=int)
               for blk in part_text.split("|") if blk.strip()]
-    weights = [Primitive.parse(sec.get(f"weight.{j}", "constant 1.0"))
+    weights = [_primitive(sec.get(f"weight.{j}", "constant 1.0"), mesh.barycenters, mesh)
                for j in range(1, len(blocks) + 1)]
-    return LerayLionsOperator(exponent, blocks,
-                              [prim(mesh.barycenters, mesh) for prim in weights])
+    return LerayLionsOperator(exponent, blocks, weights)
 
 
 def _source(sec: dict, mesh: Mesh, q: float) -> Optional[SourceTerm]:
@@ -180,7 +171,7 @@ def _source(sec: dict, mesh: Mesh, q: float) -> Optional[SourceTerm]:
     beta = float(sec.get("beta", "0.0"))
     if sec.get("enabled", "false").lower() not in ("1", "true", "yes"):
         return None
-    g = Primitive.parse(sec.get("g", "constant 1.0"))(mesh.barycenters, mesh)
+    g = _primitive(sec.get("g", "constant 1.0"), mesh.barycenters, mesh)
     return SourceTerm(g, boundary_distance_field(mesh), gamma, beta, q)
 
 
@@ -195,7 +186,7 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
                                   and np.all(np.diff(times) > 0)):
             raise ParseError(f"[potential] times must be finite and increasing, "
                              f"got {times.tolist()}")
-        profiles = np.stack([Primitive.parse(sec[f"profile.{i}"])(pts, mesh)
+        profiles = np.stack([_primitive(sec[f"profile.{i}"], pts, mesh)
                              for i in range(1, times.size + 1)])
 
         def evaluator(t):
@@ -208,7 +199,7 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
         sup = float(np.abs(profiles).max())
         limit, knots = profiles[-1], times.tolist()
     elif kind in ("constant", "decaying"):
-        profile = Primitive.parse(sec.get("profile", "bump 1.0"))(pts, mesh)
+        profile = _primitive(sec.get("profile", "bump 1.0"), pts, mesh)
         limit = profile
         if kind == "constant":
             evaluator = lambda t: profile
@@ -222,7 +213,7 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
     else:
         raise ParseError(f"unknown potential kind '{kind}'")
     if "lower_envelope" in sec:
-        envelope = Primitive.parse(sec["lower_envelope"])(pts, mesh)
+        envelope = _primitive(sec["lower_envelope"], pts, mesh)
     else:
         envelope = limit
     pot = PotentialField(evaluator, envelope, sup, limit=limit)
@@ -233,8 +224,8 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
 def _initial(sec: dict, mesh: Mesh) -> DiscreteField:
     if "file" in sec:
         return field_from_csv(mesh, sec["file"])
-    prim = Primitive.parse(sec.get("profile", "bump 0.5"))
-    return interpolate(mesh, lambda pts: prim(pts, mesh))
+    profile = sec.get("profile", "bump 0.5")
+    return interpolate(mesh, lambda pts: _primitive(profile, pts, mesh))
 
 
 def load_scenario(path: str) -> Scenario:

@@ -16,6 +16,19 @@ def mesh_2d():
     return rectangle_mesh(0.0, 1.0, 0.0, 1.0, 12, 12)
 
 
+EXTENT_MESHES = {"interval": lambda: interval_mesh(-0.5, 2.0, 30),
+                 "12x12": lambda: rectangle_mesh(0.0, 1.0, 0.0, 1.0, 12, 12),
+                 "6x9": lambda: rectangle_mesh(0.0, 1.5, -0.5, 1.0, 6, 9)}
+
+
+@pytest.fixture(scope="session", params=list(EXTENT_MESHES))
+def extent_mesh(request):
+    """An interval off the origin, the unit square and a rectangle with
+    unequal, off-origin extents: the meshes the readers of `Mesh.bounds` are
+    checked on."""
+    return EXTENT_MESHES[request.param]()
+
+
 def make_problem_data(mesh, p=2.5, q=1.25, beta=0.0, gamma=1.0):
     """Constant-exponent isotropic operator with the prototype source and a
     bump potential on the given mesh."""
@@ -26,9 +39,7 @@ def make_problem_data(mesh, p=2.5, q=1.25, beta=0.0, gamma=1.0):
     source = SourceTerm(np.full(ne, 1.0), delta, gamma=gamma, beta=beta, q=q)
     xb = mesh.barycenters
     prof = np.ones(ne)
-    for axis in range(mesh.dimension):
-        lo = mesh.bounds[2 * axis]
-        hi = mesh.bounds[2 * axis + 1]
+    for axis, (lo, hi) in enumerate(mesh.bounds):
         prof = prof * 4.0 * (xb[:, axis] - lo) * (hi - xb[:, axis]) / (hi - lo) ** 2
     potential = PotentialField.constant(prof)
     return op, source, potential

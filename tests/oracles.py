@@ -36,6 +36,10 @@ forms each orientation's differences in its own order; `eval_at_points`
 evaluates a P1 field anywhere in a rectangle from `rectangle_mesh`'s triangle
 layout, the reference for the Hopf probes read along grid lines, and
 `rectangle_elements_reference` builds that layout one cell at a time.
+`spacing_reference`, `boundary_distance_reference` and
+`function_library_reference` read the mesh extents as one flat tuple, with
+a branch per dimension, the reference for the library's loops over the
+(lo, hi) pairs of `Mesh.bounds`.
 
 `pure_load_solution` is the exact discrete solution of the 1D pure-load
 problem that `elliptic.solve_lambda_problem` solves.
@@ -615,7 +619,7 @@ def eval_at_points(field: DiscreteField, points: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if mesh.dimension == 1:
         return np.interp(pts[:, 0], mesh.vertices[:, 0], field.values)
-    x0, x1, y0, y1 = mesh.bounds
+    (x0, x1), (y0, y1) = mesh.bounds
     nx, ny = mesh.resolution
     hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
     i = np.clip(((pts[:, 0] - x0) / hx).astype(int), 0, nx - 1)
@@ -643,10 +647,10 @@ def hopf_probe_quotients(field: DiscreteField) -> np.ndarray:
     mesh = field.mesh
     off = 2.0 * mesh.spacing
     if mesh.dimension == 1:
-        a, b = mesh.bounds
+        (a, b), = mesh.bounds
         probes = [[a + off], [b - off]]
     else:
-        x0, x1, y0, y1 = mesh.bounds
+        (x0, x1), (y0, y1) = mesh.bounds
         nx, ny = mesh.resolution
         hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
         cells = checks.HOPF_CORNER_CELLS
@@ -655,6 +659,57 @@ def hopf_probe_quotients(field: DiscreteField) -> np.ndarray:
                   + [[x, y0 + j * hy] for j in range(cells, ny - cells + 1)
                      for x in (x0 + off, x1 - off)])
     return eval_at_points(field, np.array(probes).reshape(-1, mesh.dimension)) / off
+
+
+# The mesh extents as the flat (a, b) or (x0, x1, y0, y1) tuple, and the
+# per-dimension formulas that read it: the references for the library's
+# readers of `Mesh.bounds`, one (lo, hi) pair per axis.
+
+def flat_bounds(mesh: Mesh) -> tuple:
+    return tuple(b for pair in mesh.bounds for b in pair)
+
+
+def spacing_reference(mesh: Mesh) -> float:
+    bounds = flat_bounds(mesh)
+    if mesh.dimension == 1:
+        return (bounds[1] - bounds[0]) / mesh.resolution[0]
+    hx = (bounds[1] - bounds[0]) / mesh.resolution[0]
+    hy = (bounds[3] - bounds[2]) / mesh.resolution[1]
+    return max(hx, hy)
+
+
+def boundary_distance_reference(mesh: Mesh) -> np.ndarray:
+    points = mesh.barycenters
+    if mesh.dimension == 1:
+        a, b = flat_bounds(mesh)
+        return np.minimum(points[:, 0] - a, b - points[:, 0])
+    x0, x1, y0, y1 = flat_bounds(mesh)
+    return np.minimum.reduce([points[:, 0] - x0, x1 - points[:, 0],
+                              points[:, 1] - y0, y1 - points[:, 1]])
+
+
+def function_library_reference(mesh: Mesh):
+    """`checks.function_library` with a branch per dimension: the 1D
+    profiles, or a double loop over them for the 2D tensor products."""
+    pts = mesh.barycenters
+    out = []
+    if mesh.dimension == 1:
+        a, b = flat_bounds(mesh)
+        s = (pts[:, 0] - a) / (b - a)
+        for fv, fg, name in checks._PROFILES:
+            out.append({"name": name, "values": fv(s),
+                        "grads": (fg(s) / (b - a))[:, None]})
+    else:
+        x0, x1, y0, y1 = flat_bounds(mesh)
+        sx = (pts[:, 0] - x0) / (x1 - x0)
+        sy = (pts[:, 1] - y0) / (y1 - y0)
+        for fv1, fg1, n1 in checks._PROFILES:
+            for fv2, fg2, n2 in checks._PROFILES:
+                u1, d1 = fv1(sx), fg1(sx) / (x1 - x0)
+                u2, d2 = fv2(sy), fg2(sy) / (y1 - y0)
+                out.append({"name": f"{n1}*{n2}", "values": u1 * u2,
+                            "grads": np.stack([d1 * u2, u1 * d2], axis=1)})
+    return out
 
 
 def pure_load_solution(mesh: Mesh, op: LerayLionsOperator, lam: float) -> np.ndarray:
@@ -673,7 +728,7 @@ def pure_load_solution(mesh: Mesh, op: LerayLionsOperator, lam: float) -> np.nda
         a = c - lam * mid
         return np.sign(a) * (np.abs(a) / g) ** (1.0 / (p - 1.0))
 
-    lo, hi = mesh.bounds
+    (lo, hi), = mesh.bounds
     if op.exponent.is_constant and np.all(g == g[0]):
         c = lam * (lo + hi) / 2.0
     else:

@@ -287,3 +287,22 @@ def test_a_field_is_its_mesh_and_values():
     # a field carries no solver state: a solve's final element state goes on
     # in the run's `evolution.Step` record, not with the field it returned
     assert [f.name for f in dataclasses.fields(dne.DiscreteField)] == ["mesh", "values"]
+
+
+def test_harness_contract():
+    # the benchmark harness (perfbench/) loads a scenario, reads its five
+    # views, wraps these two Mesh methods and times the module-level
+    # `evolution.step` wherever a dne module binds it
+    from dne import evolution, scenario
+    assert inspect.isfunction(evolution.step)
+    assert evolution.step.__module__ == "dne.evolution"
+    for attr in ("element_means", "gradient_of"):
+        assert inspect.isfunction(getattr(dne.Mesh, attr))
+    for view in ("dimension", "resolution", "steps", "horizon"):
+        assert isinstance(inspect.getattr_static(scenario.Scenario, view), property)
+    config = Path(__file__).resolve().parent.parent / "configs" / "smoke_2d.cfg"
+    loaded = scenario.load_scenario(str(config))
+    mesh = loaded.build_mesh()
+    assert mesh is loaded.setup.mesh
+    assert (loaded.dimension, loaded.resolution, loaded.steps, loaded.horizon) == (
+        2, (12, 12), 10, 0.5)

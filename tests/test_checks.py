@@ -21,7 +21,7 @@ from dne.scenario import load_scenario
 
 from oracles import (contraction_elliptic_per_orientation,
                      contraction_parabolic_per_step, contraction_ratio, evolve,
-                     hopf_probe_quotients, monotone_run_per_step, picone_at_points,
+                     function_library_reference, hopf_probe_quotients, monotone_run_per_step, picone_at_points,
                      picone_pair_per_pair, picone_per_sample,
                      sandwich_per_step, stabilization_per_step, zero_field)
 
@@ -79,6 +79,19 @@ def picone_operator(kind):
         yb = mesh.barycenters[:, 1]
         return mesh, LerayLionsOperator(exponent, ([0], [1]), [1.0 + xb, 2.0 - yb])
     return mesh, LerayLionsOperator.isotropic(exponent, 1.0 + xb, ndim=mesh.dimension)
+
+
+class TestFunctionLibrary:
+    def test_matches_the_per_dimension_reference(self, extent_mesh):
+        # names, order and every value and gradient, bit for bit
+        lib = checks.function_library(extent_mesh)
+        expected = function_library_reference(extent_mesh)
+        assert [f["name"] for f in lib] == [f["name"] for f in expected]
+        assert len(lib) == len(checks._PROFILES) ** extent_mesh.dimension
+        for got, want in zip(lib, expected):
+            for key in ("values", "grads"):
+                assert got[key].shape == want[key].shape
+                assert got[key].tobytes() == want[key].tobytes()
 
 
 class TestPiconeTables:
@@ -568,8 +581,7 @@ class TestStackedRunChecks:
 def _hopf_field(mesh):
     """Positive inside, zero on the boundary, a different slope at each side."""
     values = np.ones(mesh.n_vertices)
-    for axis in range(mesh.dimension):
-        lo, hi = mesh.bounds[2 * axis], mesh.bounds[2 * axis + 1]
+    for axis, (lo, hi) in enumerate(mesh.bounds):
         s = (mesh.vertices[:, axis] - lo) / (hi - lo)
         values = values * np.sin(np.pi * s) * (1.0 + s) * (1.5 - 0.3 * axis)
     values[mesh.boundary_mask] = 0.0

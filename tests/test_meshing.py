@@ -7,13 +7,30 @@ from dne.meshing import (DiscreteField, MeshMismatch, boundary_distance_field,
                          rectangle_mesh)
 from dne.operators import ExponentField, LerayLionsOperator, seeded_rng
 
-from oracles import (energy, eval_at_points, positive_part_norm,
-                     rectangle_elements_reference, zero_field)
+from oracles import (boundary_distance_reference, energy, eval_at_points,
+                     positive_part_norm, rectangle_elements_reference,
+                     spacing_reference, zero_field)
 
 
 def iso_op(mesh, p, weight=1.0):
     return LerayLionsOperator.isotropic(
         ExponentField.constant(mesh.n_elements, p), weight, ndim=mesh.dimension)
+
+
+class TestExtents:
+    def test_one_pair_per_axis(self, extent_mesh):
+        mesh = extent_mesh
+        assert mesh.dimension == len(mesh.bounds) == len(mesh.resolution)
+        assert mesh.dimension == mesh.vertices.shape[1]
+        for axis, (lo, hi) in enumerate(mesh.bounds):
+            assert (lo, hi) == (mesh.vertices[:, axis].min(), mesh.vertices[:, axis].max())
+
+    def test_spacing_and_distance_match_the_flat_formulas(self, extent_mesh):
+        assert extent_mesh.spacing == spacing_reference(extent_mesh)
+        distance = boundary_distance_field(extent_mesh)
+        expected = boundary_distance_reference(extent_mesh)
+        assert distance.shape == expected.shape == (extent_mesh.n_elements,)
+        assert distance.tobytes() == expected.tobytes()
 
 
 class TestMeshGeometry:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dne.operators import Regime, classify_regime
-from dne.scenario import _PRIMITIVES, ParseError, Primitive, ValidationError, load_scenario
+from dne.scenario import _PRIMITIVES, ParseError, ValidationError, _primitive, load_scenario
 
 MINIMAL = """
 [mesh]
@@ -152,13 +152,16 @@ class TestLoadScenario:
 
 
 class TestPrimitives:
-    def test_parse_errors(self):
-        with pytest.raises(ParseError):
-            Primitive.parse("unknown 1.0")
-        with pytest.raises(ParseError):
-            Primitive.parse("constant")
-        with pytest.raises(ParseError):
-            Primitive.parse("bump a")
+    def test_parse_errors(self, mesh_1d):
+        pts = mesh_1d.barycenters
+        with pytest.raises(ParseError, match="empty function primitive"):
+            _primitive("  ", pts, mesh_1d)
+        with pytest.raises(ParseError, match="unknown function primitive 'unknown'"):
+            _primitive("unknown 1.0", pts, mesh_1d)
+        with pytest.raises(ParseError, match="primitive 'constant' takes"):
+            _primitive("constant", pts, mesh_1d)
+        with pytest.raises(ParseError, match="bad parameters for primitive 'bump'"):
+            _primitive("bump a", pts, mesh_1d)
 
     @pytest.mark.parametrize("name", sorted(_PRIMITIVES))
     def test_parameter_counts_from_the_table(self, name, mesh_1d):
@@ -167,23 +170,23 @@ class TestPrimitives:
         for n in range(5):
             text = " ".join([name] + ["1.5"] * n)
             if n in counts:
-                values = Primitive.parse(text)(mesh_1d.barycenters, mesh_1d)
+                values = _primitive(text, mesh_1d.barycenters, mesh_1d)
                 assert values.shape == (mesh_1d.n_elements,)
             else:
                 with pytest.raises(ParseError, match=f"primitive '{name}' takes "
                                                      f".* parameters, got {n}"):
-                    Primitive.parse(text)
+                    _primitive(text, mesh_1d.barycenters, mesh_1d)
 
     def test_evaluation(self, mesh_1d):
         pts = mesh_1d.vertices
-        assert np.allclose(Primitive.parse("constant 2.5")(pts, mesh_1d), 2.5)
-        aff = Primitive.parse("affine 1.0 2.0")(pts, mesh_1d)
+        assert np.allclose(_primitive("constant 2.5", pts, mesh_1d), 2.5)
+        aff = _primitive("affine 1.0 2.0", pts, mesh_1d)
         assert np.allclose(aff, 1.0 + 2.0 * pts[:, 0])
-        bump = Primitive.parse("bump 3.0")(np.array([[0.5]]), mesh_1d)
+        bump = _primitive("bump 3.0", np.array([[0.5]]), mesh_1d)
         assert bump[0] == pytest.approx(3.0)
-        sp = Primitive.parse("sin-product 1.0")(np.array([[0.5]]), mesh_1d)
+        sp = _primitive("sin-product 1.0", np.array([[0.5]]), mesh_1d)
         assert sp[0] == pytest.approx(1.0)
-        pd = Primitive.parse("power-of-delta 2.0 1.0")(np.array([[0.25]]), mesh_1d)
+        pd = _primitive("power-of-delta 2.0 1.0", np.array([[0.25]]), mesh_1d)
         assert pd[0] == pytest.approx(0.5)
 
 
