@@ -339,7 +339,6 @@ def _minimize(problem: EllipticProblem, start: np.ndarray,
         if d is None:
             return vals, report, point
         full = _project(mesh, vals + d)
-        full_state = None  # the full step's element state and energy, once built
         # Backtracking cannot resolve a predicted decrease of the full step
         # below the energy's roundoff: go straight to the floor test.
         if -float(grad @ (full - vals)) <= ROUNDOFF * s_now:
@@ -354,8 +353,6 @@ def _minimize(problem: EllipticProblem, start: np.ndarray,
                     break
                 trial_point = _point(mesh, op, trial)
                 e_trial, s_trial = _energy_parts(problem, trial_point)
-                if t == 1.0:
-                    full_state = trial_point, e_trial, s_trial
                 if e_trial < e_now and e_trial <= e_now + ARMIJO_C * float(grad @ step):
                     accepted = trial, trial_point, e_trial, s_trial
                     break
@@ -371,10 +368,8 @@ def _minimize(problem: EllipticProblem, start: np.ndarray,
         # machine slack.  The acceptance is written as the positive
         # comparisons, which a NaN fails.
         if (full - vals).any():
-            if full_state is None:
-                full_point = _point(mesh, op, full)
-                full_state = full_point, *_energy_parts(problem, full_point)
-            full_point, e_trial, s_trial = full_state
+            full_point = _point(mesh, op, full)
+            e_trial, s_trial = _energy_parts(problem, full_point)
             if e_trial <= e_now + ROUNDOFF * (1.0 + abs(e_now)):
                 g_trial = _gradient_values(problem, full_point)
                 kkt_trial = _kkt_norm(mesh, full, g_trial)

