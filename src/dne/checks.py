@@ -106,11 +106,12 @@ def function_library(mesh: Mesh):
 def check_picone(mesh: Mesh, op: LerayLionsOperator, r: float) -> CheckReport:
     """Pointwise Picone bound on every (u, v) pair of the library at every
     quadrature point, L^2 n_elements samples for a library of L functions;
-    for r > 1 and u/v nonconstant the margin must be strictly positive."""
+    for r > 1 and u/v nonconstant the integrated gap must be strictly
+    positive (the pointwise gap is zero where grad log u = grad log v)."""
     if not (1.0 <= r < op.exponent.p_minus):
         raise ValueError("check_picone requires r in [1, p_-)")
     lib = function_library(mesh)
-    margins, gaps = _picone_margins(op, r, lib)
+    margins, gaps = _picone_margins(op, r, lib, mesh.measures)
     # a pair u = v has equality, so only the others must show room
     strict_ok = r == 1.0 or not np.any(gaps[~np.eye(len(lib), dtype=bool)] <= 0.0)
     names = [(fu["name"], fv["name"]) for fu in lib for fv in lib]
@@ -119,17 +120,17 @@ def check_picone(mesh: Mesh, op: LerayLionsOperator, r: float) -> CheckReport:
                    slack=PICONE_SLACK, extra_pass=strict_ok)
 
 
-def _picone_margins(op: LerayLionsOperator, r: float,
-                    lib: list) -> tuple[np.ndarray, np.ndarray]:
+def _picone_margins(op: LerayLionsOperator, r: float, lib: list,
+                    measures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """margins[pair, point] of the Picone bound
 
         a(x, grad u^(1/r)) . grad(v/u^((r-1)/r))
             <= A^(r/p)(x, grad v^(1/r)) * A^((p-r)/p)(x, grad u^(1/r)),
 
     pairs (u, v) in library order at every quadrature point, and gaps[u, v],
-    each pair's smallest rhs - lhs.  The v side's A^(r/p) is taken for every
-    function at once, the u side's flux and powers one u at a time, each
-    against every v in one pass."""
+    each pair's rhs - lhs integrated with the element `measures`.  The v
+    side's A^(r/p) is taken for every function at once, the u side's flux and
+    powers one u at a time, each against every v in one pass."""
     p = op.exponent.values
     s = (r - 1.0) / r
     values = np.array([f["values"] for f in lib])     # (L, n_elements)
@@ -154,7 +155,7 @@ def _picone_margins(op: LerayLionsOperator, r: float,
         rhs = v_bound * u_bound
         gap = rhs - lhs
         margins[iu] = gap + PICONE_SLACK * np.maximum(1.0, np.abs(rhs))
-        gaps[iu] = gap.min(axis=-1)
+        gaps[iu] = (measures * gap).sum(-1)
     return margins.reshape(len(lib) ** 2, -1), gaps
 
 

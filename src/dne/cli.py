@@ -16,7 +16,7 @@ from .elliptic import (EllipticProblem, FailedToFit, NonConvergence,
                        make_subsolution, make_supersolution, solve,
                        solve_lambda_problem, solve_stationary)
 from .evolution import Run, diagnose
-from .io_utils import atomic_write_text, field_to_csv, write_field_csv, write_json
+from .io_utils import atomic_open, field_to_csv, write_json
 from .meshing import DiscreteField, l2_norm_diff_power
 from .operators import (ExponentField, LerayLionsOperator, PotentialField,
                         classify_regime, seeded_rng)
@@ -46,9 +46,10 @@ def run_solve_elliptic(scenario: Scenario, out_dir: str, seed: int) -> int:
     problem = EllipticProblem.standard(setup.mesh, setup.op, setup.q, scenario.lam,
                                        setup.potential(0.0), setup.source)
     field_, report = solve(problem)
-    write_field_csv(field_, os.path.join(out_dir, "solution.csv"))
+    with atomic_open(os.path.join(out_dir, "solution.csv")) as handle:
+        handle.write(field_to_csv(field_))
     manifest = _manifest_base(scenario, seed)
-    manifest["solver_report"] = dataclasses.asdict(report)
+    manifest["solver_report"] = vars(report)
     manifest["sup_norm"] = field_.sup_norm
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return 0
@@ -58,7 +59,8 @@ def run_stationary(scenario: Scenario, out_dir: str, seed: int) -> int:
     setup = scenario.setup
     v_stat = solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,
                               setup.source)
-    write_field_csv(v_stat, os.path.join(out_dir, "stationary.csv"))
+    with atomic_open(os.path.join(out_dir, "stationary.csv")) as handle:
+        handle.write(field_to_csv(v_stat))
     manifest = _manifest_base(scenario, seed)
     manifest["sup_norm"] = v_stat.sup_norm
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
@@ -77,7 +79,8 @@ def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
         field_ = run.head(n).final
         if field_ is not written:
             written, text = field_, field_to_csv(field_)
-        atomic_write_text(os.path.join(out_dir, f"field_{n:05d}.csv"), [text])
+        with atomic_open(os.path.join(out_dir, f"field_{n:05d}.csv")) as handle:
+            handle.write(text)
     traj = run.head()
     diagnostics, margin = diagnose(setup, traj)
     v_stat = solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,
@@ -95,8 +98,6 @@ def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
             "index": n, "time": traj.times[n],
             "increment_norm": d.increment_norm,
             "stationary_energy": d.stationary_energy,
-            # the report's own field dict: its values are numbers, so the
-            # deep copy of `dataclasses.asdict` would write the same JSON
             "solver": vars(report),
         } for n, (d, report) in enumerate(zip(diagnostics, traj.reports), 1)],
     })
@@ -183,8 +184,7 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
             scenario_run(), stationary(), potential)],
     }
     reports = [rep for name in names for rep in checks[name]()]
-    payload = [dataclasses.asdict(r) for r in reports]
-    write_json(payload, os.path.join(out_dir, "report.json"))
+    write_json([vars(r) for r in reports], os.path.join(out_dir, "report.json"))
     failed = [r for r in reports if not r.passed]
     for r in reports:
         status = "pass" if r.passed else "FAIL"
@@ -237,8 +237,8 @@ def run_sweep(scenario: Scenario, out_dir: str, seed: int) -> int:
                 lines.append(f"{p!r},{qv!r},{regime},{v.sup_norm!r}")
     else:
         raise ParseError("scenario has no [sweep] section or unknown sweep kind")
-    atomic_write_text(os.path.join(out_dir, "summary.csv"),
-                      ["\n".join([header] + lines) + "\n"])
+    with atomic_open(os.path.join(out_dir, "summary.csv")) as handle:
+        handle.write("\n".join([header] + lines) + "\n")
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return 0
 

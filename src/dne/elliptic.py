@@ -400,11 +400,12 @@ def solve(problem: EllipticProblem,
     (Picone's identity), so a descent that starts below J = 0 cannot end
     there.  A warm result that is not positive is replaced by one minimization
     from the bump, halved until J < 0, and its report has `fallback` set.
-    When no halving gets below zero there is no positive solution (e.g. h0 = 0)
-    and the warm result stands; without a negative coefficient or a positive
-    load J >= 0 on the whole cone, so the halving is skipped.  The pure-load
-    problem is strictly convex with a positive minimizer, so a converged solve
-    of it never falls back."""
+    Without a negative coefficient or a positive load J >= 0 on the whole
+    cone, there is no positive solution (e.g. h0 = 0), the halving is skipped
+    and the warm result stands.  With one, a halving that reaches zero means
+    the positive solution is below double range: NonConvergence says so, with
+    the warm result's report.  The pure-load problem is strictly convex with
+    a positive minimizer, so a converged solve of it never falls back."""
     return _solve(problem, guess)[:2]
 
 
@@ -429,6 +430,9 @@ def _solve(problem: EllipticProblem, guess: Optional[DiscreteField] = None,
         if np.any(start) and not np.array_equal(start, guess.values):
             vals, report, point = _minimize(problem, start)
         report.fallback = True
+        if not (nonnegative or np.any(start)):
+            raise NonConvergence("no t > 0 gives J(t * bump) < 0 in double precision: "
+                                 "the positive solution is below double range", report)
     if not report.converged:
         raise NonConvergence(
             f"elliptic solve failed to reach tolerance {DEFAULT_TOL[mesh.dimension]:g} "

@@ -2,29 +2,29 @@
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import json
 import os
 import tempfile
-from typing import Iterable
 
 import numpy as np
 
-from .meshing import DiscreteField, Mesh
+from .meshing import DiscreteField
 
 VERTEX_TOL = 1e-12  # largest coordinate mismatch of a field file and the mesh
 
 
-def atomic_write_text(path: str, chunks: Iterable[str]) -> None:
-    """Write the strings `chunks` in order via a temporary file in the same
-    directory, then rename.  A single text is passed as `[text]`: a bare str
-    would be written one character at a time."""
+@contextlib.contextmanager
+def atomic_open(path: str):
+    """A text handle on a temporary file in the directory of `path`: the file
+    replaces `path` when the block ends, and is removed if the block raises,
+    leaving an existing `path` as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.writelines(chunks)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -37,10 +37,6 @@ def field_to_csv(field: DiscreteField) -> str:
     values = map(repr, field.values.tolist())
     rows = map(str.__add__, field.mesh.coordinate_text, values)
     return "\n".join([f"# columns: {cols}", *rows]) + "\n"
-
-
-def write_field_csv(field: DiscreteField, path: str) -> None:
-    atomic_write_text(path, [field_to_csv(field)])
 
 
 def read_field_csv(path: str, points: np.ndarray, where: str) -> np.ndarray:
@@ -59,19 +55,9 @@ def read_field_csv(path: str, points: np.ndarray, where: str) -> np.ndarray:
     return table[:, -1].copy()
 
 
-def field_from_csv(mesh: Mesh, path: str) -> DiscreteField:
-    return DiscreteField(mesh, read_field_csv(path, mesh.vertices, "mesh vertices"))
-
-
-JSON_BATCH = 512  # encoder chunks joined into one write (a few KB of text)
-
-
 def write_json(payload, path: str) -> None:
     """`json.dumps(payload, indent=2, sort_keys=True)` and a newline, written
-    as the encoder produces it, JSON_BATCH chunks joined at a time: the whole
-    text is never held, and `writelines` gets few strings, not one per key,
-    value and separator."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    batches = ("".join(batch) for batch in
-               iter(lambda: list(itertools.islice(chunks, JSON_BATCH)), []))
-    atomic_write_text(path, itertools.chain(batches, ["\n"]))
+    as the encoder produces it: the whole text is never held."""
+    with atomic_open(path) as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")

@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from .evolution import EvolutionSetup
-from .io_utils import field_from_csv, read_field_csv
+from .io_utils import read_field_csv
 from .meshing import (DiscreteField, Mesh, _distance, _unit_bump, boundary_distance_field,
                       interpolate, interval_mesh, rectangle_mesh)
 from .operators import (ExponentField, LerayLionsOperator, PotentialField,
@@ -223,7 +223,8 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
 
 def _initial(sec: dict, mesh: Mesh) -> DiscreteField:
     if "file" in sec:
-        return field_from_csv(mesh, sec["file"])
+        return DiscreteField(mesh, read_field_csv(sec["file"], mesh.vertices,
+                                                  "mesh vertices"))
     profile = sec.get("profile", "bump 0.5")
     return interpolate(mesh, lambda pts: _primitive(profile, pts, mesh))
 

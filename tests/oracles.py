@@ -192,8 +192,9 @@ def picone_per_sample(mesh: Mesh, op: LerayLionsOperator, r: float,
 def picone_at_points(mesh: Mesh, op: LerayLionsOperator, r: float, points):
     """`checks.check_picone` with every power of u and v evaluated per sample
     through `picone_gap`, at the quadrature points points[pair] of each
-    (u, v) pair in library order: its margins[pair, sample] and its report.
-    Every point of every pair, in element order, is the check itself."""
+    (u, v) pair in library order: its margins[pair, sample] and its report,
+    whose strictness asks each pair's gap integrated over its points.  Every
+    point of every pair, in element order, is the check itself."""
     if not (1.0 <= r < op.exponent.p_minus):
         raise ValueError("check_picone requires r in [1, p_-)")
     lib = checks.function_library(mesh)
@@ -208,7 +209,7 @@ def picone_at_points(mesh: Mesh, op: LerayLionsOperator, r: float, points):
                       - ((r - 1.0) / r) * (v * u ** (-(r - 1.0) / r - 1.0))[:, None] * gu)
         lhs, rhs = picone_gap(op, ks, grad_u_root, grad_v_root, ratio_grad, r)
         margins.append(rhs - lhs + checks.PICONE_SLACK * np.maximum(1.0, np.abs(rhs)))
-        if r > 1.0 and iu != iv and np.min(rhs - lhs) <= 0.0:
+        if r > 1.0 and iu != iv and (mesh.measures[ks] * (rhs - lhs)).sum() <= 0.0:
             strict_ok = False
     names = [(fu["name"], fv["name"]) for _, fu, _, fv in pairs]
     per_pair = np.shape(points)[1]

@@ -236,6 +236,37 @@ def test_only_elliptic_names_the_cold_start():
     assert offenders == []
 
 
+def test_only_io_utils_writes_files():
+    # every output file goes through `io_utils.atomic_open`, the one owner of
+    # the temporary file, the rename and the cleanup: no other module imports
+    # tempfile or json, calls os.replace or a pathlib write, or opens a file
+    # in a write mode
+    package = Path(dne.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "io_utils":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                bad = any(a.name.split(".")[0] in ("tempfile", "json") for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                bad = node.module in ("tempfile", "json") or (
+                    node.module == "os" and any(a.name == "replace" for a in node.names))
+            elif isinstance(node, ast.Attribute):
+                bad = node.attr in ("write_text", "write_bytes") or (
+                    node.attr == "replace" and getattr(node.value, "id", None) == "os")
+            elif isinstance(node, ast.Call) and {"open", "fdopen"} & {
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)}:
+                mode = (node.args[1:2] + [k.value for k in node.keywords
+                                          if k.arg == "mode"] or [ast.Constant("r")])[0]
+                bad = not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+            else:
+                bad = False
+            if bad:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_only_sampling_checks_open_a_stream():
     # `picone` and `picone-pair`'s integral enumerate their points; a seeded
     # stream draws only the power-inequality pairs and the paired fields

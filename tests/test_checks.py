@@ -116,7 +116,7 @@ class TestPiconeTables:
     def test_margins_at_the_drawn_points_match_per_sample(self, kind, r_kind, seed,
                                                            sample_count):
         mesh, op, r, lib = self.case(kind, r_kind)
-        margins, gaps = checks._picone_margins(op, r, lib)
+        margins, gaps = checks._picone_margins(op, r, lib, mesh.measures)
         assert margins.shape == (len(lib) ** 2, mesh.n_elements)
         assert gaps.shape == (len(lib), len(lib))
         # 1001 samples: 62 for each of 16 pairs, 3 for each of 256
@@ -132,7 +132,7 @@ class TestPiconeTables:
         mesh, op, r, lib = self.case(kind, r_kind)
         every = np.tile(np.arange(mesh.n_elements), (len(lib) ** 2, 1))
         expected, report = picone_at_points(mesh, op, r, every)
-        margins, _ = checks._picone_margins(op, r, lib)
+        margins, _ = checks._picone_margins(op, r, lib, mesh.measures)
         assert margins.tobytes() == expected.tobytes()
         assert report.samples == len(lib) ** 2 * mesh.n_elements
         assert check_picone(mesh, op, r) == report

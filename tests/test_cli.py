@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,7 @@ import pytest
 
 from dne import checks, cli, elliptic
 from dne.cli import DEFAULT_CHECKS, main
-from dne.io_utils import (field_from_csv, field_to_csv, read_field_csv, write_field_csv,
-                          write_json)
+from dne.io_utils import atomic_open, field_to_csv, read_field_csv, write_json
 from dne.meshing import DiscreteField, interpolate, interval_mesh, rectangle_mesh
 from dne.operators import seeded_rng
 from dne.scenario import ParseError, ValidationError, load_scenario
@@ -72,9 +72,9 @@ class TestFieldCsvRoundTrip:
         mesh = mesh_1d if dim == 1 else mesh_2d
         v = interpolate(mesh, lambda x: np.sin(np.pi * x[:, 0]) / 3.0)
         path = tmp_path / "field.csv"
-        write_field_csv(v, str(path))
-        back = field_from_csv(mesh, str(path))
-        np.testing.assert_array_equal(back.values, v.values)
+        path.write_text(field_to_csv(v))
+        back = read_field_csv(str(path), mesh.vertices, "mesh vertices")
+        np.testing.assert_array_equal(back, v.values)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_extreme_magnitudes(self, tmp_path, dim, mesh_1d, mesh_2d):
@@ -85,7 +85,7 @@ class TestFieldCsvRoundTrip:
         vals[mesh.interior] = (rng.choice([-1.0, 1.0], mesh.interior.size)
                                * 10.0 ** rng.uniform(-300, 300, mesh.interior.size))
         path = tmp_path / "field.csv"
-        write_field_csv(DiscreteField(mesh, vals), str(path))
+        path.write_text(field_to_csv(DiscreteField(mesh, vals)))
         back = read_field_csv(str(path), mesh.vertices, "mesh vertices")
         assert back.tobytes() == vals.tobytes()
 
@@ -120,14 +120,14 @@ class TestFieldCsvRoundTrip:
 
     def test_header_format(self, tmp_path, mesh_1d):
         path = tmp_path / "f.csv"
-        write_field_csv(interpolate(mesh_1d, lambda x: x[:, 0]), str(path))
+        path.write_text(field_to_csv(interpolate(mesh_1d, lambda x: x[:, 0])))
         assert open(path).readline().strip() == "# columns: x,value"
 
     def test_interior_row_text(self, tmp_path, mesh_2d):
         v = interpolate(mesh_2d, lambda x: np.sin(np.pi * x[:, 0])
                         * np.sin(np.pi * x[:, 1]) / 3.0)
         path = tmp_path / "f.csv"
-        write_field_csv(v, str(path))
+        path.write_text(field_to_csv(v))
         lines = open(path).read().splitlines()
         k = int(mesh_2d.interior[len(mesh_2d.interior) // 2])
         x, y = (float(c) for c in mesh_2d.vertices[k])
@@ -172,19 +172,19 @@ class TestFieldCsvRoundTrip:
             path = tmp_path / f"{name}.csv"
             # twice on one mesh: the second file reads the cached coordinates
             for _ in range(2):
-                write_field_csv(field, str(path))
+                path.write_text(field_to_csv(field))
                 assert path.read_bytes() == expected[name].encode()
 
 
 class TestWriteJson:
     @staticmethod
-    def nested_payload():
+    def nested_payload(keys=300):
         """Several hundred keys at three depths, with the value types a
         manifest holds."""
         return {f"key{i:03d}": {"index": i, "value": i / 7.0, "flag": i % 2 == 0,
                                 "none": None, "text": f"row {i}",
                                 "items": [i, -0.5 * i, [f"k{i}", 1e-300]]}
-                for i in range(300)}
+                for i in range(keys)}
 
     def test_bytes_match_one_dumps(self, tmp_path):
         payload = self.nested_payload()
@@ -206,6 +206,33 @@ class TestWriteJson:
             write_json(payload, str(path))
         assert sorted(os.listdir(tmp_path)) == ["out.json"]
         assert path.read_text() == "old\n"
+
+    def test_streams_the_text(self, tmp_path):
+        # the encoder's chunks go to the file as they come: the peak of the
+        # write stays below the length of the text (a joined `json.dumps`
+        # holds about 8 times it)
+        payload = self.nested_payload(3000)
+        length = len(json.dumps(payload, indent=2, sort_keys=True))
+        assert length > 500_000
+        tracemalloc.start()
+        try:
+            write_json(payload, str(tmp_path / "out.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < length
+
+
+class TestAtomicOpen:
+    # for a block that raises, see
+    # `TestWriteJson.test_encoder_error_leaves_no_temporary_file`
+    def test_replaces_the_file_in_a_new_directory(self, tmp_path):
+        path = tmp_path / "new" / "out.csv"
+        for text in ("first\n", "second\n"):
+            with atomic_open(str(path)) as handle:
+                handle.write(text)
+            assert sorted(os.listdir(path.parent)) == ["out.csv"]
+            assert path.read_text() == text
 
 
 class TestCommands:
@@ -586,3 +613,16 @@ class TestVerifyPipeline:
         assert main(["verify", "--config", str(CONFIGS / config),
                      "--out", str(out)]) == 0
         assert all(r["passed"] for r in json.load(open(out / "report.json")))
+
+    @pytest.mark.parametrize("resolution", [99, 100, 101])
+    def test_picone_passes_on_odd_and_even_1d_meshes(self, resolution, tmp_path):
+        # on an odd mesh a barycenter sits at the midpoint, where the
+        # symmetric library pairs have a pointwise gap of exactly 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text((CONFIGS / "default_1d.cfg").read_text().replace(
+            "resolution = 100", f"resolution = {resolution}"))
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--check", "picone"]) == 0
+        [report] = json.load(open(out / "report.json"))
+        assert report["passed"] and report["worst_margin"] > 0.0

@@ -746,18 +746,19 @@ class TestColdStart:
         assert cold.values.tobytes() == seeded.values.tobytes()
         assert cold_report == seeded_report
 
-    @pytest.mark.xfail(raises=AssertionError,
-                       reason="p - q = 0.0024: no representable t gives "
-                       "J(t * bump) < 0, so the cold solve accepts a near-zero "
-                       "point at J = +6.2e-19 (ROADMAP aim 3)")
-    def test_tiny_p_minus_q_reaches_the_positive_solution(self):
-        # the step problem has exactly one positive solution, where J < 0
+    def test_tiny_p_minus_q_says_the_positive_solution_is_out_of_range(self):
+        # the step problem has exactly one positive solution, where J < 0; with
+        # p - q = 0.0024 that needs J(t * bump) < 0, so t < ~1e-490, and no
+        # double t gets there: the solve says so and does not accept the
+        # near-zero point it reaches
         mesh = interval_mesh(0.0, 1.0, 100)
         op = LerayLionsOperator.isotropic(ExponentField.constant(mesh.n_elements, 2.3612),
                                           1.93)
         prob = EllipticProblem.standard(mesh, op, 2.3588, 0.5, np.ones(mesh.n_elements))
-        _, report = solve(prob)
-        assert report.energy < 0.0
+        with pytest.raises(NonConvergence, match="below double range") as failure:
+            solve(prob)
+        assert failure.value.report.fallback
+        assert failure.value.report.energy >= 0.0
 
 
 # The constant-exponent pure-load solves that stop short of the tolerance

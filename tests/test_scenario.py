@@ -237,13 +237,13 @@ class TestPotentialKinds:
 
 class TestInitialFromFile:
     def test_round_trip(self, tmp_path):
-        from dne.io_utils import write_field_csv
+        from dne.io_utils import field_to_csv
         from dne.meshing import interpolate
 
         mesh = load_scenario(write(tmp_path, MINIMAL)).setup.mesh
         v = interpolate(mesh, lambda x: 0.25 * np.sin(np.pi * x[:, 0]))
         path = tmp_path / "v0.csv"
-        write_field_csv(v, str(path))
+        path.write_text(field_to_csv(v))
         text = MINIMAL.replace("profile = bump 0.5", f"file = {path}")
         v2 = load_scenario(write(tmp_path, text, name="file_init.cfg")).setup.initial
         np.testing.assert_array_equal(v2.values, v.values)
