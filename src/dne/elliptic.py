@@ -16,12 +16,15 @@ positive-part truncation the energy is built on.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import PathFinder
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpbsv, dptsv
+import scipy
 
 from .meshing import DiscreteField, Mesh, _unit_bump, interpolate
 from .operators import LerayLionsOperator, _blocks, _flux, _square_norm
@@ -48,6 +51,29 @@ KAPPA_CEIL = 1e12
 # the energy's term scale is below what the Armijo test can resolve, and a
 # trial energy within ROUNDOFF (1 + |J|) of the current one is no increase.
 ROUNDOFF = 1e-13
+
+
+def _banded_solvers():
+    """LAPACK's `dpbsv` and `dptsv` from scipy's compiled wrappers,
+    `scipy.linalg._flapack`, loaded as the one extension module:
+    `from scipy.linalg.lapack import ...` would run all of
+    `scipy/linalg/__init__.py` for two routines.  Finding `scipy.linalg`'s
+    spec imports only the `scipy` package.  The module is registered under its
+    own name, so a later `scipy.linalg` import reuses it (and its routines)."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        path = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+        spec = PathFinder.find_spec(name, path)
+        if spec is None:
+            raise ImportError(f"{name} not found in scipy {scipy.__version__}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.dpbsv, module.dptsv
+
+
+dpbsv, dptsv = _banded_solvers()
 
 
 class InvalidProblem(ValueError):
@@ -275,7 +301,11 @@ def _newton_direction(problem, point, grad, include_concave):
     positive definite or the solution is not a finite descent direction.  The
     upper band of the Hessian is solved by LAPACK's banded Cholesky, `dpbsv`,
     or in 1D (bandwidth 1) its tridiagonal LDL^T, `dptsv`: the routines
-    `scipy.linalg.solveh_banded` calls, without its checks.  With
+    `scipy.linalg.solveh_banded` calls, without its checks, taken from
+    `scipy.linalg._flapack` by `_banded_solvers` so that set-up skips
+    `scipy.linalg`'s package import (about 0.16 s of the harness's 0.26 s
+    `verify-1d` set-up).  The module name is private; if scipy moves it,
+    `import dne` raises ImportError and `tests/test_api.py` fails.  With
     `include_concave` the Hessian can be indefinite, and the factorization
     then fails (info > 0)."""
     band = _hessian_matrix(problem, point, include_concave)

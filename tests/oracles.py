@@ -193,12 +193,13 @@ def picone_at_points(mesh: Mesh, op: LerayLionsOperator, r: float, points):
     """`checks.check_picone` with every power of u and v evaluated per sample
     through `picone_gap`, at the quadrature points points[pair] of each
     (u, v) pair in library order: its margins[pair, sample] and its report,
-    whose strictness asks each pair's gap integrated over its points.  Every
-    point of every pair, in element order, is the check itself."""
+    whose strictness asks each pair's gap integrated over its points and
+    which names the first pair that fails it.  Every point of every pair, in
+    element order, is the check itself."""
     if not (1.0 <= r < op.exponent.p_minus):
         raise ValueError("check_picone requires r in [1, p_-)")
     lib = checks.function_library(mesh)
-    margins, strict_ok = [], True
+    margins, failing = [], []
     pairs = [(iu, fu, iv, fv) for iu, fu in enumerate(lib) for iv, fv in enumerate(lib)]
     for (iu, fu, iv, fv), ks in zip(pairs, points):
         u, gu = fu["values"][ks], fu["grads"][ks]
@@ -209,13 +210,15 @@ def picone_at_points(mesh: Mesh, op: LerayLionsOperator, r: float, points):
                       - ((r - 1.0) / r) * (v * u ** (-(r - 1.0) / r - 1.0))[:, None] * gu)
         lhs, rhs = picone_gap(op, ks, grad_u_root, grad_v_root, ratio_grad, r)
         margins.append(rhs - lhs + checks.PICONE_SLACK * np.maximum(1.0, np.abs(rhs)))
-        if r > 1.0 and iu != iv and (mesh.measures[ks] * (rhs - lhs)).sum() <= 0.0:
-            strict_ok = False
+        gap = (mesh.measures[ks] * (rhs - lhs)).sum()
+        if r > 1.0 and iu != iv and gap <= 0.0:
+            failing.append(f"pair ({fu['name']}, {fv['name']}) integrated gap {gap:+.3e}")
     names = [(fu["name"], fv["name"]) for _, fu, _, fv in pairs]
     per_pair = np.shape(points)[1]
     report = _report("picone", len(margins) * per_pair, margins,
-                     lambda i: "pair ({}, {})".format(*names[i // per_pair]),
-                     slack=checks.PICONE_SLACK, extra_pass=strict_ok)
+                     lambda i: failing[0] if failing else
+                     "pair ({}, {})".format(*names[i // per_pair]),
+                     slack=checks.PICONE_SLACK, extra_pass=not failing)
     return np.array(margins), report
 
 

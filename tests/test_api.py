@@ -2,7 +2,12 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import re
+import subprocess
+import sys
+from importlib.machinery import PathFinder
 from pathlib import Path
 
 import numpy as np
@@ -148,13 +153,61 @@ def scipy_imports(module_name):
 
 def test_one_newton_solve_path():
     # the Newton systems are symmetric: LAPACK's banded Cholesky (and its
-    # tridiagonal form), called directly, with no LU or sparse path beside it
+    # tridiagonal form), scipy's own routines called directly, with no LU or
+    # sparse path beside it
+    import scipy.linalg.lapack
+    assert dne.elliptic.dpbsv is scipy.linalg.lapack.dpbsv
+    assert dne.elliptic.dptsv is scipy.linalg.lapack.dptsv
     imports = scipy_imports("dne.elliptic")
     names = {name for _, name in imports}
-    assert ("scipy.linalg.lapack", "dpbsv") in imports
-    assert ("scipy.linalg.lapack", "dptsv") in imports
     assert not names & {"solve_banded", "dgbsv", "lu_factor", "lu_solve", "lu", "solve"}
     assert not any(module.startswith("scipy.sparse") for module, _ in imports)
+
+
+# `import dne` loads LAPACK without scipy.linalg's package import, and the
+# routines stay scipy's own whichever of the two is imported first; a fresh
+# interpreter, since the tests import scipy
+IMPORT_PROBES = {
+    "dne first": """
+import sys
+import dne.cli, dne.scenario
+dne.scenario.load_scenario("configs/default_1d.cfg")
+assert "scipy.linalg" not in sys.modules, "scipy.linalg"
+assert "scipy.sparse" not in sys.modules, "scipy.sparse"
+import scipy.linalg.lapack as lapack, scipy.sparse.linalg
+assert dne.elliptic.dpbsv is lapack.dpbsv and dne.elliptic.dptsv is lapack.dptsv
+""",
+    "scipy.linalg first": """
+import scipy.linalg.lapack as lapack
+import dne.cli
+assert dne.elliptic.dpbsv is lapack.dpbsv and dne.elliptic.dptsv is lapack.dptsv
+""",
+}
+
+
+@pytest.mark.parametrize("order", list(IMPORT_PROBES))
+def test_lapack_loads_without_scipy_linalg(order):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                     env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBES[order]], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_lapack_load_names_a_moved_module(monkeypatch):
+    # scipy >= 1.10 ships `scipy.linalg._flapack`; if a release moves it,
+    # `import dne` says so instead of failing on a missing spec
+    import scipy
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    find_spec = PathFinder.find_spec
+    monkeypatch.setattr(PathFinder, "find_spec", staticmethod(
+        lambda name, path=None, target=None:
+        None if name == "scipy.linalg._flapack" else find_spec(name, path, target)))
+    with pytest.raises(ImportError, match=re.escape(
+            f"scipy.linalg._flapack not found in scipy {scipy.__version__}")):
+        dne.elliptic._banded_solvers()
 
 
 def module_trees():

@@ -54,6 +54,28 @@ class TestPicone:
         with pytest.raises(ValueError):
             check_picone(mesh_1d, op, 2.5)
 
+    def test_names_the_pair_that_fails_strictness(self, mesh_1d, data_1d, monkeypatch):
+        # every pointwise margin holds while one pair's integrated gap is 0:
+        # the report fails and names that pair, not the worst margin's; the
+        # u = v diagonal and later failing pairs do not take its place
+        op, _, _ = data_1d
+        passing = check_picone(mesh_1d, op, 1.5)
+        margins_of = checks._picone_margins
+
+        def with_gaps(*args):
+            margins, gaps = margins_of(*args)
+            gaps[[0, 1, 3], [0, 2, 0]] = 0.0
+            return margins, gaps
+
+        monkeypatch.setattr(checks, "_picone_margins", with_gaps)
+        report = check_picone(mesh_1d, op, 1.5)
+        names = [f["name"] for f in checks.function_library(mesh_1d)]
+        assert not report.passed
+        assert report.worst_margin == passing.worst_margin > 0.0
+        assert report.location == f"pair ({names[1]}, {names[2]}) integrated gap +0.000e+00"
+        # r = 1 asks no strictness
+        assert check_picone(mesh_1d, op, 1.0).passed
+
     def test_deterministic(self, mesh_1d, data_1d):
         op, _, _ = data_1d
         a = check_picone(mesh_1d, op, 1.5)
