@@ -7,10 +7,9 @@ from .operators import (ExponentField, LerayLionsOperator, PotentialField,
                         eval_source)
 from .meshing import (DiscreteField, Mesh, boundary_distance_field, interpolate,
                       interval_mesh, l2_norm_diff_power, rectangle_mesh)
-from .elliptic import (EllipticProblem, FailedToFit, InvalidProblem,
-                       NonConvergence, SolverReport, make_subsolution,
-                       make_supersolution, solve, solve_lambda_problem,
-                       solve_stationary)
+from .elliptic import (EllipticProblem, NonConvergence, SolverReport,
+                       make_subsolution, make_supersolution, solve,
+                       solve_lambda_problem, solve_stationary)
 from .evolution import (EvolutionSetup, Run, Trajectory, average_potential,
                         diagnose, step)
 from .checks import CheckReport

@@ -25,7 +25,7 @@ import numpy as np
 
 from .elliptic import EllipticProblem, solve, solve_lambda_problem
 from .evolution import Trajectory, time_integral_norm
-from .meshing import DiscreteField, Mesh, MeshMismatch, _mean_powers, l2_norm_values
+from .meshing import DiscreteField, Mesh, _mean_powers, l2_norm_values
 from .operators import (LerayLionsOperator, PotentialField, eval_A, eval_flux,
                         seeded_rng)
 
@@ -281,7 +281,7 @@ def check_stabilization(traj: Trajectory, v_stat: DiscreteField,
         raise ValueError("stabilization requires the potential's large-time limit")
     mesh, q = v_stat.mesh, traj.q
     if traj.fields[0].mesh is not mesh:
-        raise MeshMismatch("fields live on different meshes")
+        raise ValueError("fields live on different meshes")
     burn_in = (len(traj.times) - 1) // 5
     errs = np.array(l2_norm_values(mesh, _mean_powers(mesh, _stack(traj), q)
                                    - _mean_powers(mesh, v_stat.values, q)))

@@ -12,9 +12,9 @@ from typing import List, Optional
 import numpy as np
 
 from . import checks as ck
-from .elliptic import (EllipticProblem, FailedToFit, NonConvergence,
-                       make_subsolution, make_supersolution, solve,
-                       solve_lambda_problem, solve_stationary)
+from .elliptic import (EllipticProblem, NonConvergence, make_subsolution,
+                       make_supersolution, solve, solve_lambda_problem,
+                       solve_stationary)
 from .evolution import Run, diagnose
 from .io_utils import atomic_open, field_to_csv, write_json
 from .meshing import DiscreteField, l2_norm_diff_power
@@ -264,7 +264,6 @@ def run(command: str, scenario: Scenario, out_dir: str,
             raise ParseError(f"unknown check '{unknown[0]}' "
                              f"(available: {', '.join(DEFAULT_CHECKS)})")
         checks = list(dict.fromkeys(checks))
-    os.makedirs(out_dir, exist_ok=True)
     actual_seed = seed if seed is not None else scenario.seed
     if command == "verify":
         return run_verify(scenario, out_dir, checks, actual_seed)
@@ -292,7 +291,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergence, FailedToFit) as exc:
+    except NonConvergence as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

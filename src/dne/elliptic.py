@@ -27,7 +27,8 @@ import numpy as np
 import scipy
 
 from .meshing import DiscreteField, Mesh, _unit_bump, interpolate
-from .operators import LerayLionsOperator, _blocks, _flux, _square_norm
+from .operators import (LerayLionsOperator, ValidationError, _blocks, _flux,
+                        _square_norm)
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
@@ -76,18 +77,10 @@ def _banded_solvers():
 dpbsv, dptsv = _banded_solvers()
 
 
-class InvalidProblem(ValueError):
-    pass
-
-
 class NonConvergence(RuntimeError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-class FailedToFit(RuntimeError):
-    pass
 
 
 @dataclass
@@ -113,13 +106,15 @@ def _forcing_terms(mesh, op, q, h0, lam, source) -> tuple:
     (-lam g delta^gamma, beta + 1), after checking q, h0 and that the source
     was checked for this q."""
     if not (1.0 < q < op.exponent.p_minus):
-        raise InvalidProblem("q must lie in (1, p_-)")
+        raise ValidationError("q ∈ (1, p_-)", "q must lie in (1, p_-)")
     if source is not None and source.q != q:
-        raise InvalidProblem(f"source was checked for q = {source.q}, "
-                             f"the problem has q = {q}")
+        raise ValueError(f"source was checked for q = {source.q}, "
+                         f"the problem has q = {q}")
     h0 = np.asarray(h0, dtype=float)
-    if h0.shape[-1:] != (mesh.n_elements,) or h0.min() < 0.0:
-        raise InvalidProblem("h0 must be a nonnegative per-element field")
+    if h0.shape[-1:] != (mesh.n_elements,):
+        raise ValueError("h0 must be a nonnegative per-element field")
+    if h0.min() < 0.0:
+        raise ValidationError("(H_h)", "h0 must be a nonnegative per-element field")
     if source is None:
         return ((-h0, q),)
     return ((-h0, q), (-lam * source.g * source.delta_power, source.beta + 1.0))
@@ -141,12 +136,12 @@ class EllipticProblem:
 
     def __post_init__(self):
         if self.op.n_points != self.mesh.n_elements or self.op.ndim != self.mesh.dimension:
-            raise InvalidProblem("operator does not match the mesh quadrature")
+            raise ValueError("operator does not match the mesh quadrature")
         if not (self.lam > 0.0):
-            raise InvalidProblem("lambda must be positive")
+            raise ValueError("lambda must be positive")
         terms = tuple((np.asarray(c, dtype=float), float(r)) for c, r in self.terms)
         if any(c.shape[-1:] != (self.mesh.n_elements,) for c, _ in terms):
-            raise InvalidProblem("term coefficients must be per-element fields")
+            raise ValueError("term coefficients must be per-element fields")
         object.__setattr__(self, "terms", terms)
         if self.load is not None:
             object.__setattr__(self, "load", np.asarray(self.load, dtype=float))
@@ -270,8 +265,8 @@ def _hessian_matrix(problem: EllipticProblem, point,
     pairs = (mesh.measures * dd / nloc ** 2).take(element)
     weight = problem.lam * mesh.measures
     for axes, rho, c in _blocks(op, gv, eps):
-        c2 = op.exponent.minus_two * np.divide(c, rho, out=np.zeros_like(rho),
-                                               where=rho > 0.0)
+        # rho >= eps^2 >= (HESSIAN_EPS HESSIAN_SCALE_FLOOR)^2 > 0
+        c2 = op.exponent.minus_two * (c / rho)
         # G_B xi_B per corner and element, corner-major like `rows`
         grads, xb = mesh.corner_grads[:, axes], gv[:, axes]
         s = grads[:, 0] * xb[:, 0]
@@ -474,7 +469,7 @@ def solve_lambda_problem(lam: float, mesh: Mesh, op: LerayLionsOperator) -> Disc
     """Solution of the pure-load problem -div a(x, grad w) = lam, w = 0 on the
     boundary; monotone and power-law scaling in lam for constant exponents."""
     if not (lam > 0.0):
-        raise InvalidProblem("lambda must be positive")
+        raise ValueError("lambda must be positive")
     problem = EllipticProblem(mesh, op, load=np.full(mesh.n_elements, float(lam)))
     return solve(problem)[0]
 
@@ -491,7 +486,7 @@ def make_subsolution(mesh, op, q, source, lower_envelope, v0: DiscreteField):
         if np.all(w.values <= v0.values) and np.all(w.values[mesh.interior] > 0.0):
             return w, mu
         mu *= 0.5
-    raise FailedToFit("no mu above the floor produced a subsolution below v0")
+    raise NonConvergence("no mu above the floor produced a subsolution below v0")
 
 
 def make_supersolution(mesh, op, q, source, sup_norm_h, v0: DiscreteField):
@@ -508,7 +503,7 @@ def make_supersolution(mesh, op, q, source, sup_norm_h, v0: DiscreteField):
         if np.all(w.values >= v0.values):
             return w, kappa
         kappa *= 2.0
-    raise FailedToFit("no kappa below the ceiling produced a supersolution above v0")
+    raise NonConvergence("no kappa below the ceiling produced a supersolution above v0")
 
 
 def solve_stationary(mesh, op, q, b, source=None) -> DiscreteField:
@@ -517,5 +512,6 @@ def solve_stationary(mesh, op, q, b, source=None) -> DiscreteField:
     `solve(EllipticProblem.stationary(...), start)`."""
     b = np.asarray(b, dtype=float)
     if b.min() < 0.0 or not np.any(b > 0.0):
-        raise InvalidProblem("stationary potential must be nonnegative and nontrivial")
+        raise ValidationError("(H_h)", "stationary potential must be nonnegative and "
+                              "nontrivial")
     return solve(EllipticProblem.stationary(mesh, op, q, b, source))[0]

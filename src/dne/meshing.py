@@ -15,10 +15,6 @@ from typing import Callable
 import numpy as np
 
 
-class MeshMismatch(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class BandScatter:
     """Where the element-local matrix entries of a symmetric P1 assembly land
@@ -265,21 +261,17 @@ def interpolate(mesh: Mesh, fn: Callable[[np.ndarray], np.ndarray]) -> DiscreteF
 
 
 def _mean_powers(mesh: Mesh, nodal_values: np.ndarray, power: float) -> np.ndarray:
-    """Element means of nodal values of shape (..., n_vertices) raised to
-    `power`; a non-integer power needs nonnegative values and is taken of
-    the means clipped at zero."""
-    means = mesh.element_means(nodal_values)
-    if abs(power - round(power)) > 1e-14:
-        if np.min(nodal_values) < 0.0:
-            raise ValueError("non-integer powers require nonnegative fields")
-        means = np.maximum(means, 0.0)
-    return means ** power
+    """Element means of nonnegative nodal values of shape (..., n_vertices),
+    clipped at zero and raised to `power`."""
+    if np.min(nodal_values) < 0.0:
+        raise ValueError("powers require nonnegative fields")
+    return np.maximum(mesh.element_means(nodal_values), 0.0) ** power
 
 
 def l2_norm_diff_power(u: DiscreteField, v: DiscreteField, power: float) -> float:
     """L2 norm of (u^power - v^power)."""
     if u.mesh is not v.mesh:
-        raise MeshMismatch("fields live on different meshes")
+        raise ValueError("fields live on different meshes")
     diff = _mean_powers(u.mesh, u.values, power) - _mean_powers(v.mesh, v.values, power)
     return l2_norm_values(u.mesh, diff)
 

@@ -272,7 +272,9 @@ class PotentialField:
         return np.asarray(self.evaluator(t), dtype=float)
 
     def check_envelope(self, times: Sequence[float]) -> None:
-        """`(H_h)` at the sampled times: h(t, .) >= h_lower up to roundoff."""
+        """`(H_h)` at the sampled times: h(t, .) >= h_lower up to roundoff,
+        and h(t, .) >= 0 exactly and not identically zero, as the elliptic
+        problems' potential term needs."""
         for t in times:
             sample = self(t)
             if not np.all(np.isfinite(sample)):
@@ -280,6 +282,10 @@ class PotentialField:
             if np.any(sample < self.lower_envelope - ENVELOPE_TOL):
                 raise ValidationError("(H_h)", "potential drops below its lower "
                                       f"envelope at t={t}")
+            if np.any(sample < 0.0):
+                raise ValidationError("(H_h)", f"potential is negative at t={t}")
+            if not np.any(sample > 0.0):
+                raise ValidationError("(H_h)", f"potential is identically zero at t={t}")
 
     @classmethod
     def constant(cls, values) -> "PotentialField":

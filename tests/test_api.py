@@ -138,6 +138,18 @@ def test_scenario_constructs_no_validation_error():
     assert dne.ValidationError is dne.operators.ValidationError
 
 
+def test_one_error_type_per_failure_kind():
+    # a malformed file is a ParseError, a violated hypothesis a ValidationError
+    # naming its tag and a failed solve NonConvergence, each of which `dne`
+    # reports and exits 2 on; any other failure is a plain ValueError
+    defined = {f"{module}.{name}" for module in module_trees() if module != "dne.__main__"
+               for name, obj in vars(importlib.import_module(module)).items()
+               if inspect.isclass(obj) and issubclass(obj, BaseException)
+               and obj.__module__ == module}
+    assert defined == {"dne.scenario.ParseError", "dne.operators.ValidationError",
+                       "dne.elliptic.NonConvergence"}
+
+
 def scipy_imports(module_name):
     """The (module, name) pairs a module's source imports from scipy; a plain
     `import` gives the name None."""

@@ -58,6 +58,30 @@ kind = lambda
 lambdas = 0.5 1 2 4
 """
 
+# a scenario whose potential is set by the caller's [potential] lines
+CONE_CONFIG = """
+[mesh]
+dimension = 1
+resolution = 100
+
+[exponent]
+value = 2.5
+
+[problem]
+q = 1.25
+
+[potential]
+kind = constant
+{potential}
+
+[initial]
+profile = bump 0.5
+
+[run]
+horizon = 1.0
+steps = 5
+"""
+
 
 @pytest.fixture()
 def config_path(tmp_path):
@@ -463,6 +487,25 @@ class TestCommands:
         # other case is a malformed value
         with pytest.raises(error):
             load_scenario(str(bad))
+
+    # h within ENVELOPE_TOL of its envelope but negative near x = 0 (the
+    # envelope is about 1e-72 there), and h identically zero above a nonzero
+    # envelope below 1e-12: both are rejected at load, before --out exists
+    @pytest.mark.parametrize("command", ["stationary", "solve-elliptic", "evolve",
+                                         "verify"])
+    @pytest.mark.parametrize("potential", [
+        "profile = affine -1e-13 1e-11\nlower_envelope = power-of-delta 1e-3 30",
+        "profile = constant 0.0\nlower_envelope = constant 1e-13",
+    ], ids=["negative", "zero"])
+    def test_potential_outside_the_cone_exit_code(self, tmp_path, capsys, command,
+                                                  potential):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONE_CONFIG.format(potential=potential))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [(H_h)] ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_negative_seed_option_exit_code(self, config_path, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,13 +3,14 @@ import pytest
 import scipy.sparse as sp
 
 from dne import elliptic
-from dne.elliptic import (EllipticProblem, InvalidProblem, NonConvergence,
-                          bump_seed, make_subsolution, make_supersolution, solve,
+from dne.elliptic import (EllipticProblem, NonConvergence, bump_seed,
+                          make_subsolution, make_supersolution, solve,
                           solve_lambda_problem, solve_stationary)
 from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
                          interval_mesh, l2_norm_diff_power, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, SourceTerm,
-                           _square_norm, eval_A, eval_source, seeded_rng)
+                           ValidationError, _square_norm, eval_A, eval_source,
+                           seeded_rng)
 
 from oracles import (blocks_reference, element_grads, energy, energy_gradient,
                      energy_terms_reference,
@@ -697,7 +698,7 @@ class TestSolve:
 
     def test_rejects_bad_q(self, mesh_1d, data_1d):
         op, _, pot = data_1d
-        with pytest.raises(InvalidProblem):
+        with pytest.raises(ValidationError, match=r"^\[q ∈ \(1, p_-\)\] "):
             EllipticProblem.standard(mesh_1d, op, 2.6, 1.0, pot(0.0))
 
     def test_rejects_source_checked_for_another_q(self, mesh_1d, data_1d):
@@ -705,7 +706,7 @@ class TestSolve:
         op, _, pot = data_1d
         delta = boundary_distance_field(mesh_1d)
         src = SourceTerm(np.ones(mesh_1d.n_elements), delta, 1.0, 0.4, 1.5)
-        with pytest.raises(InvalidProblem, match="source was checked"):
+        with pytest.raises(ValueError, match="source was checked"):
             EllipticProblem.standard(mesh_1d, op, 1.25, 1.0, pot(0.0), src)
 
     def test_tiny_solution_with_p_below_two_converges(self):
@@ -956,7 +957,7 @@ class TestStationary:
 
     def test_rejects_trivial_potential(self, mesh_1d, data_1d):
         op, src, _ = data_1d
-        with pytest.raises(InvalidProblem):
+        with pytest.raises(ValidationError, match=r"^\[\(H_h\)\] "):
             solve_stationary(mesh_1d, op, 1.25, np.zeros(mesh_1d.n_elements), src)
 
 

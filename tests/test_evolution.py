@@ -837,6 +837,12 @@ def _owner_violations():
     pot = PotentialField.constant(ones)
     v0 = interpolate(mesh, lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
     falling = PotentialField(lambda t: ones * (1.0 - t), ones, 1.0)
+    tiny = 1e-13 * ones
+
+    def sampled(h):
+        # h within ENVELOPE_TOL of its envelope, but not h >= 0 and h != 0
+        PotentialField(lambda t: h, tiny, 1.0).check_envelope([0.0])
+
     return [
         pytest.param("1 < p_-", lambda: ExponentField(np.linspace(1.0, 2.0, ne)),
                      id="p-minus"),
@@ -854,6 +860,8 @@ def _owner_violations():
                      id="Hh-envelope"),
         pytest.param("(H_h)", lambda: falling.check_envelope([0.0, 0.5]),
                      id="Hh-sampled"),
+        pytest.param("(H_h)", lambda: sampled(-tiny), id="Hh-sampled-negative"),
+        pytest.param("(H_h)", lambda: sampled(0.0 * tiny), id="Hh-sampled-zero"),
         pytest.param("q ∈ (1, p_-)",
                      lambda: EvolutionSetup(mesh, op, 2.5, None, pot, 1.0, 4, v0),
                      id="q-range"),
