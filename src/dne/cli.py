@@ -29,45 +29,26 @@ DEFAULT_CHECKS = [
 ]
 
 
-def _manifest_base(scenario: Scenario, seed: int) -> dict:
-    exponent, q = scenario.setup.op.exponent, scenario.setup.q
-    return {
-        "config_echo": scenario.raw_text,
-        "seed": seed,
-        "regime": classify_regime(exponent, q).value,
-        "p_minus": exponent.p_minus,
-        "p_plus": exponent.p_plus,
-        "q": q,
-    }
-
-
-def run_solve_elliptic(scenario: Scenario, out_dir: str, seed: int) -> int:
+def run_solve_elliptic(scenario: Scenario, out_dir: str) -> dict:
     setup = scenario.setup
     problem = EllipticProblem.standard(setup.mesh, setup.op, setup.q, scenario.lam,
                                        setup.potential(0.0), setup.source)
     field_, report = solve(problem)
     with atomic_open(os.path.join(out_dir, "solution.csv")) as handle:
         handle.write(field_to_csv(field_))
-    manifest = _manifest_base(scenario, seed)
-    manifest["solver_report"] = vars(report)
-    manifest["sup_norm"] = field_.sup_norm
-    write_json(manifest, os.path.join(out_dir, "manifest.json"))
-    return 0
+    return {"solver_report": vars(report), "sup_norm": field_.sup_norm}
 
 
-def run_stationary(scenario: Scenario, out_dir: str, seed: int) -> int:
+def run_stationary(scenario: Scenario, out_dir: str) -> dict:
     setup = scenario.setup
     v_stat = solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,
                               setup.source)
     with atomic_open(os.path.join(out_dir, "stationary.csv")) as handle:
         handle.write(field_to_csv(v_stat))
-    manifest = _manifest_base(scenario, seed)
-    manifest["sup_norm"] = v_stat.sup_norm
-    write_json(manifest, os.path.join(out_dir, "manifest.json"))
-    return 0
+    return {"sup_norm": v_stat.sup_norm}
 
 
-def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
+def run_evolve(scenario: Scenario, out_dir: str) -> dict:
     setup = scenario.setup
     run = Run(setup)
     # each field is written as the run reaches it; the stride never drops the last.
@@ -86,8 +67,7 @@ def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
     v_stat = solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,
                               setup.source)
     e_final = l2_norm_diff_power(traj.final, v_stat, setup.q)
-    manifest = _manifest_base(scenario, seed)
-    manifest.update({
+    return {
         "times": traj.times.tolist(),
         "stored_indices": stored,
         "dissipation_ok": margin >= 0.0,
@@ -100,13 +80,10 @@ def run_evolve(scenario: Scenario, out_dir: str, seed: int) -> int:
             "stationary_energy": d.stationary_energy,
             "solver": vars(report),
         } for n, (d, report) in enumerate(zip(diagnostics, traj.reports), 1)],
-    })
-    write_json(manifest, os.path.join(out_dir, "manifest.json"))
-    return 0
+    }
 
 
-def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
-               seed: int) -> int:
+def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]]) -> int:
     """Run the named checks (default suite if none) against one setup.
 
     The scenario's own datum is evolved once, only as far as the checks read
@@ -116,7 +93,7 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
     names = names or DEFAULT_CHECKS
     setup = scenario.setup
     mesh, op, source, potential = setup.mesh, setup.op, setup.source, setup.potential
-    q = setup.q
+    q, seed = setup.q, scenario.seed
     r_mid = (1.0 + op.exponent.p_minus) / 2.0
     short_steps = min(setup.steps, 50)
 
@@ -180,8 +157,7 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]],
         "contraction-parabolic": contraction_parabolic,
         "sandwich": lambda: [ck.check_sandwich(scenario_run(short_steps), *bracket())],
         "monotone": monotone,
-        "stabilization": lambda: [ck.check_stabilization(
-            scenario_run(), stationary(), potential)],
+        "stabilization": lambda: [ck.check_stabilization(scenario_run(), stationary())],
     }
     reports = [rep for name in names for rep in checks[name]()]
     write_json([vars(r) for r in reports], os.path.join(out_dir, "report.json"))
@@ -204,9 +180,9 @@ def _positive_field(mesh, rng):
     return DiscreteField(mesh, vals)
 
 
-def run_sweep(scenario: Scenario, out_dir: str, seed: int) -> int:
+def run_sweep(scenario: Scenario, out_dir: str) -> dict:
     mesh, op = scenario.setup.mesh, scenario.setup.op
-    manifest = _manifest_base(scenario, seed)
+    entries = {}
     lines = []
     if scenario.sweep_kind == "lambda":
         sups = []
@@ -218,8 +194,8 @@ def run_sweep(scenario: Scenario, out_dir: str, seed: int) -> int:
         if op.exponent.is_constant and len(sups) >= 3:
             slope = float(np.polyfit(np.log(scenario.sweep_lambdas),
                                      np.log(sups), 1)[0])
-            manifest["fitted_slope"] = slope
-            manifest["expected_slope"] = 1.0 / (op.exponent.p_minus - 1.0)
+            entries["fitted_slope"] = slope
+            entries["expected_slope"] = 1.0 / (op.exponent.p_minus - 1.0)
     elif scenario.sweep_kind == "pq":
         # the grid q generally breaks the scenario source's (f_1)/(f_2)
         # constraints, so the stationary solves run without the source term
@@ -236,11 +212,10 @@ def run_sweep(scenario: Scenario, out_dir: str, seed: int) -> int:
                 v = solve_stationary(mesh, op_pq, qv, limit, None)
                 lines.append(f"{p!r},{qv!r},{regime},{v.sup_norm!r}")
     else:
-        raise ParseError("scenario has no [sweep] section or unknown sweep kind")
+        raise ParseError("scenario has no [sweep] kind")
     with atomic_open(os.path.join(out_dir, "summary.csv")) as handle:
         handle.write("\n".join([header] + lines) + "\n")
-    write_json(manifest, os.path.join(out_dir, "manifest.json"))
-    return 0
+    return entries
 
 
 _COMMANDS = {
@@ -253,7 +228,10 @@ _COMMANDS = {
 
 
 def run(command: str, scenario: Scenario, out_dir: str,
-        checks: Optional[List[str]] = None, seed: Optional[int] = None) -> int:
+        checks: Optional[List[str]] = None) -> int:
+    """Run one command.  Every command but `verify` returns its own manifest
+    entries, and `run` writes them with the entries common to all commands
+    to `manifest.json`, after the command's own files."""
     if command not in _COMMANDS:
         raise ParseError(f"unknown command '{command}'")
     if checks is not None:
@@ -264,10 +242,15 @@ def run(command: str, scenario: Scenario, out_dir: str,
             raise ParseError(f"unknown check '{unknown[0]}' "
                              f"(available: {', '.join(DEFAULT_CHECKS)})")
         checks = list(dict.fromkeys(checks))
-    actual_seed = seed if seed is not None else scenario.seed
     if command == "verify":
-        return run_verify(scenario, out_dir, checks, actual_seed)
-    return _COMMANDS[command](scenario, out_dir, actual_seed)
+        return run_verify(scenario, out_dir, checks)
+    entries = _COMMANDS[command](scenario, out_dir)
+    exponent, q = scenario.setup.op.exponent, scenario.setup.q
+    write_json({"config_echo": scenario.raw_text, "seed": scenario.seed,
+                "regime": classify_regime(exponent, q).value,
+                "p_minus": exponent.p_minus, "p_plus": exponent.p_plus, "q": q,
+                **entries}, os.path.join(out_dir, "manifest.json"))
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -280,14 +263,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--check", action="append", default=None,
                         help="verify: run this named check (repeatable)")
-    parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
-    if args.seed is not None and args.seed < 0:
-        parser.error(f"--seed must be nonnegative, got {args.seed}")
     try:
         scenario = load_scenario(args.config)
-        return run(args.command, scenario, args.out, checks=args.check,
-                   seed=args.seed)
+        return run(args.command, scenario, args.out, checks=args.check)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -297,7 +276,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

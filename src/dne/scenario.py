@@ -51,9 +51,12 @@ def _primitive(text: str, points: np.ndarray, mesh: Mesh) -> np.ndarray:
 
 
 def _affine(points, mesh, a0, *slope):
+    if len(slope) > mesh.dimension:
+        raise ParseError(f"an affine function takes at most one slope per axis, "
+                         f"got {len(slope)} on a {mesh.dimension}D mesh")
     out = np.full(points.shape[0], a0)
-    for axis in range(min(points.shape[1], len(slope))):
-        out = out + slope[axis] * points[:, axis]
+    for axis, slope_axis in enumerate(slope):
+        out = out + slope_axis * points[:, axis]
     return out
 
 
@@ -275,6 +278,8 @@ def load_scenario(path: str) -> Scenario:
         if stride < 1:
             raise ParseError(f"[run] store_stride = {stride} must be at least 1")
         sweep_sec = _section(cp, "sweep")
+        if sweep_sec.get("kind") not in (None, "lambda", "pq"):
+            raise ParseError(f"unknown sweep kind '{sweep_sec['kind']}'")
         lambdas = _floats(sweep_sec.get("lambdas", ""))
         if not all(0.0 < v < np.inf for v in lambdas):
             raise ParseError(f"[sweep] lambdas must all be positive and finite, "

@@ -389,7 +389,7 @@ class TestStabilization:
         v0 = v_stat.with_values(
             np.where(mesh_1d.boundary_mask, 0.0, 1.3 * v_stat.values))
         traj = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 50.0, 250, v0))
-        report = check_stabilization(traj, v_stat, pot)
+        report = check_stabilization(traj, v_stat)
         assert report.passed
 
     def test_bracketing_runs_meet(self, mesh_1d, data_1d):
@@ -400,16 +400,6 @@ class TestStabilization:
         lo = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 50.0, 250, w_lo))
         hi = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 50.0, 250, w_hi))
         assert l2_norm_diff_power(lo.final, hi.final, 1.0) <= 2e-4
-
-    def test_requires_limit(self, mesh_1d, data_1d):
-        op, src, pot = data_1d
-        ne = mesh_1d.n_elements
-        no_limit = PotentialField(lambda t: np.ones(ne), np.ones(ne), 1.0)
-        v_stat = solve_stationary(mesh_1d, op, Q, pot.limit, src)
-        v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-        traj = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 0.5, 5, v0))
-        with pytest.raises(ValueError):
-            check_stabilization(traj, v_stat, no_limit)
 
 
 class TestLambdaScaling:
@@ -576,7 +566,7 @@ class TestStackedRunChecks:
     def test_stabilization(self, run_pair):
         setup, traj, other, v_stat = run_pair
         for run in (traj, other):
-            assert (check_stabilization(run, v_stat, setup.potential)
+            assert (check_stabilization(run, v_stat)
                     == stabilization_per_step(run, v_stat))
 
     def test_worst_at_the_initial_time(self, mesh_1d, data_1d, bracketing):
@@ -597,7 +587,7 @@ class TestStackedRunChecks:
         mesh = interval_mesh(0.0, 1.0, 7)
         v_other = interpolate(mesh, lambda x: np.sin(np.pi * x[:, 0]))
         with pytest.raises(ValueError):
-            check_stabilization(traj, v_other, pot)
+            check_stabilization(traj, v_other)
 
 
 def _hopf_field(mesh):

@@ -352,20 +352,22 @@ class TestCommands:
         # a name given twice runs once, where it is first named
         code = main(["verify", "--config", config_path, "--out", str(out),
                      "--check", "alg-inequality", "--check", "picone",
-                     "--check", "alg-inequality", "--seed", "7"])
+                     "--check", "alg-inequality"])
         assert code == 0
         report = json.load(open(out / "report.json"))
         assert [r["check_name"] for r in report] == ["alg-inequality", "picone"]
         assert all(r["passed"] for r in report)
 
-    def test_picone_report_does_not_depend_on_the_seed(self, config_path, tmp_path):
+    def test_picone_report_does_not_depend_on_the_seed(self, tmp_path):
         # `picone` enumerates its points; `alg-inequality` still samples
         reports = []
         for seed in ("1", "2"):
+            cfg = tmp_path / f"seed{seed}.cfg"
+            cfg.write_text(textwrap.dedent(CONFIG).replace("seed = 4242",
+                                                           f"seed = {seed}"))
             out = tmp_path / f"seed{seed}"
-            assert main(["verify", "--config", config_path, "--out", str(out),
-                         "--check", "picone", "--check", "alg-inequality",
-                         "--seed", seed]) == 0
+            assert main(["verify", "--config", str(cfg), "--out", str(out),
+                         "--check", "picone", "--check", "alg-inequality"]) == 0
             reports.append({r["check_name"]: r
                             for r in json.load(open(out / "report.json"))})
         assert reports[0]["picone"] == reports[1]["picone"]
@@ -454,6 +456,16 @@ class TestCommands:
          "profile.2 = bump 1.0", ParseError),
         ("extents = 0 1", "extents = 0 inf", ParseError),
         ("profile = bump 1.0", "profile = constant inf", ParseError),
+        ("kind = constant\nvalue = 2.5", "kind = affine\nvalue = 2.5\nslope = 0.0 5.0",
+         ParseError),
+        ("profile = bump 1.0", "profile = affine 1.0 0.0 7.0", ParseError),
+        ("kind = lambda", "kind = lamda", ParseError),
+        ("dimension = 1", "dimension = 3", ParseError),
+        ("extents = 0 1", "extents = 0 1 2", ParseError),
+        ("resolution = 40", "resolution = 40 40", ParseError),
+        ("kind = constant\nvalue = 2.5", "kind = cubic\nvalue = 2.5", ParseError),
+        ("kind = constant\nprofile = bump 1.0", "kind = periodic\nprofile = bump 1.0",
+         ParseError),
         # (H_h) fails only off the evenly sampled times: at a knot, or in the
         # large-time limit
         ("kind = constant\nprofile = bump 1.0",
@@ -472,7 +484,9 @@ class TestCommands:
             "stride-0", "stride-negative", "lambda", "sweep-lambdas",
             "horizon-inf", "horizon-nan", "lambda-inf", "gamma-inf", "beta-nan",
             "seed-negative", "sweep-p-inf", "tabulated-times-nan", "extents-inf",
-            "potential-inf", "tabulated-dip-between-samples",
+            "potential-inf", "exponent-slope-past-axes", "potential-slope-past-axes",
+            "sweep-kind", "dimension", "extents-count", "resolution-count",
+            "exponent-kind", "potential-kind", "tabulated-dip-between-samples",
             "tabulated-limit-past-horizon", "decaying-limit-below-envelope"])
     def test_invalid_config_exit_code(self, tmp_path, capsys, old, new, error):
         # a violated hypothesis or a malformed value is a configuration error
@@ -507,14 +521,45 @@ class TestCommands:
         assert err.startswith("error: [(H_h)] ") and "Traceback" not in err
         assert not out.exists()
 
-    def test_negative_seed_option_exit_code(self, config_path, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--config", config_path, "--out", str(tmp_path / "o"),
-                  "--check", "alg-inequality", "--seed", "-1"])
-        assert exc.value.code == 2
+    def test_sweep_without_a_kind_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "nosweep.cfg"
+        cfg.write_text(textwrap.dedent(CONFIG).split("[sweep]")[0])
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: scenario has no [sweep] kind\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bound, value, message", [
+        ("MU_FLOOR", 2.0, "no mu above the floor"),
+        ("KAPPA_CEIL", 0.5, "no kappa below the ceiling"),
+    ])
+    def test_no_sandwich_bracket_exit_code(self, config_path, tmp_path, capsys,
+                                           monkeypatch, bound, value, message):
+        # a sub- or supersolution that no scaling fits is a failed solve
+        monkeypatch.setattr(elliptic, bound, value)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", config_path, "--out", str(out),
+                     "--check", "sandwich"]) == 2
         err = capsys.readouterr().err
-        assert "--seed" in err and "Traceback" not in err
-        assert not (tmp_path / "o").exists()
+        assert err.startswith(f"solver failure: {message}") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve-elliptic", "stationary", "evolve",
+                                         "sweep"])
+    def test_manifest_opens_with_the_scenario(self, tmp_path, command):
+        # p(x) = 2.5 + 0.5 x at the barycenters of the 40 cells spans
+        # [2.50625, 2.99375], above 2q = 2.5: slow diffusion
+        text = textwrap.dedent(CONFIG).replace(
+            "kind = constant\nvalue = 2.5", "kind = affine\nvalue = 2.5\nslope = 0.5")
+        cfg = tmp_path / "affine.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.load(open(out / "manifest.json"))
+        head = {"config_echo": text, "seed": 4242, "regime": "slow-diffusion",
+                "p_minus": pytest.approx(2.50625), "p_plus": pytest.approx(2.99375),
+                "q": 1.25}
+        assert {key: manifest[key] for key in head} == head
 
     def test_unknown_command_rejected(self, config_path, tmp_path):
         with pytest.raises(ParseError, match="unknown command 'nope'"):

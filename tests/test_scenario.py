@@ -164,14 +164,21 @@ class TestPrimitives:
             _primitive("bump a", pts, mesh_1d)
 
     @pytest.mark.parametrize("name", sorted(_PRIMITIVES))
-    def test_parameter_counts_from_the_table(self, name, mesh_1d):
-        # each primitive takes exactly the parameter counts its table entry lists
+    def test_parameter_counts_from_the_table(self, name, mesh_1d, mesh_2d):
+        # each primitive takes exactly the parameter counts its table entry
+        # lists; `affine`'s third, a slope in y, only on a rectangle
         counts, _ = _PRIMITIVES[name]
         for n in range(5):
             text = " ".join([name] + ["1.5"] * n)
             if n in counts:
-                values = _primitive(text, mesh_1d.barycenters, mesh_1d)
-                assert values.shape == (mesh_1d.n_elements,)
+                for mesh in (mesh_1d, mesh_2d):
+                    if (name, n, mesh.dimension) == ("affine", 3, 1):
+                        with pytest.raises(ParseError, match="at most one slope per "
+                                                             "axis, got 2 on a 1D mesh"):
+                            _primitive(text, mesh.barycenters, mesh)
+                    else:
+                        values = _primitive(text, mesh.barycenters, mesh)
+                        assert values.shape == (mesh.n_elements,)
             else:
                 with pytest.raises(ParseError, match=f"primitive '{name}' takes "
                                                      f".* parameters, got {n}"):
