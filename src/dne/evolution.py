@@ -201,14 +201,12 @@ class Run:
     """One run of `setup`, advanced only as far as it is read: `head(n)` takes
     the steps up to n not yet taken, each once and handed the `Step` before,
     and returns the first n (all by default).  A failed step's error names it;
-    the steps before stay in `taken`."""
+    the steps before stay in `fields` and `reports`."""
 
     def __init__(self, setup: EvolutionSetup):
         self.setup = setup
         self.times = np.linspace(0.0, setup.horizon, setup.steps + 1)
         self.fields, self.reports, self._last = [setup.initial], [], None
-
-    taken = property(lambda self: self.head(len(self.reports)))
 
     def head(self, n: Optional[int] = None) -> Trajectory:
         setup = self.setup

@@ -5,7 +5,9 @@ Values are scalars, space-separated lists, or named function primitives
 `power-of-delta s e`).  `load_scenario` parses each section straight into its
 runtime object (mesh, exponent, operator, source, potential, initial datum)
 and returns a `Scenario` holding the `EvolutionSetup` that every command runs
-on.  A malformed value raises a ParseError; a violated hypothesis raises the
+on.  Each section's reader pops the keys it reads, so a key still left once
+every value is checked (one the scenario's own choices leave unread, too) is
+a ParseError, as is a malformed value; a violated hypothesis raises the
 ValidationError, naming its tag, of the object that owns it.  The full
 grammar is documented in the README.
 """
@@ -13,6 +15,7 @@ grammar is documented in the README.
 from __future__ import annotations
 
 import configparser
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -119,8 +122,10 @@ class Scenario:
         return self.setup.mesh
 
 
-def _section(cp: configparser.ConfigParser, name: str) -> dict:
-    return dict(cp[name]) if cp.has_section(name) else {}
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+# sweep kind: {each list it reads: the bound below its values}
+_SWEEP_LISTS = {None: {}, "lambda": {"lambdas": 0.0},
+                "pq": {"p_values": -np.inf, "q_values": -np.inf}}
 
 
 def _floats(text: str) -> List[float]:
@@ -128,13 +133,13 @@ def _floats(text: str) -> List[float]:
 
 
 def _mesh(sec: dict) -> Mesh:
-    dimension = int(sec.get("dimension", "1"))
+    dimension = int(sec.pop("dimension", "1"))
     if dimension not in (1, 2):
         raise ParseError("dimension must be 1 or 2")
-    extents = _floats(sec.get("extents", "0 1" if dimension == 1 else "0 1 0 1"))
+    extents = _floats(sec.pop("extents", "0 1" if dimension == 1 else "0 1 0 1"))
     if len(extents) != 2 * dimension:
         raise ParseError("extents must list 2 values per axis")
-    res = [int(n) for n in sec.get("resolution", "100").split()]
+    res = [int(n) for n in sec.pop("resolution", "100").split()]
     if dimension == 2 and len(res) == 1:
         res = [res[0], res[0]]
     if len(res) != dimension:
@@ -145,13 +150,13 @@ def _mesh(sec: dict) -> Mesh:
 
 
 def _exponent(sec: dict, mesh: Mesh) -> ExponentField:
-    kind = sec.get("kind", "constant")
+    kind = sec.pop("kind", "constant")
     if kind in ("constant", "affine"):
-        slope = _floats(sec.get("slope", "0")) if kind == "affine" else []
-        vals = _affine(mesh.barycenters, mesh, float(sec.get("value", "2.0")), *slope)
+        slope = _floats(sec.pop("slope", "0")) if kind == "affine" else []
+        vals = _affine(mesh.barycenters, mesh, float(sec.pop("value", "2.0")), *slope)
     elif kind == "tabulated":
         try:
-            vals = read_field_csv(sec["file"], mesh.barycenters, "element barycenters")
+            vals = read_field_csv(sec.pop("file"), mesh.barycenters, "element barycenters")
         except ValueError as exc:
             raise ParseError(f"[exponent] {exc}") from exc
     else:
@@ -160,36 +165,39 @@ def _exponent(sec: dict, mesh: Mesh) -> ExponentField:
 
 
 def _operator(sec: dict, mesh: Mesh, exponent: ExponentField) -> LerayLionsOperator:
-    part_text = sec.get("partition",
+    part_text = sec.pop("partition",
                         " | ".join(str(i + 1) for i in range(mesh.dimension)))
     blocks = [np.asarray([int(tok) - 1 for tok in blk.split()], dtype=int)
               for blk in part_text.split("|") if blk.strip()]
-    weights = [_primitive(sec.get(f"weight.{j}", "constant 1.0"), mesh.barycenters, mesh)
+    weights = [_primitive(sec.pop(f"weight.{j}", "constant 1.0"), mesh.barycenters, mesh)
                for j in range(1, len(blocks) + 1)]
     return LerayLionsOperator(exponent, blocks, weights)
 
 
 def _source(sec: dict, mesh: Mesh, q: float) -> Optional[SourceTerm]:
-    gamma = float(sec.get("gamma", "1.0"))
-    beta = float(sec.get("beta", "0.0"))
-    if sec.get("enabled", "false").lower() not in ("1", "true", "yes"):
+    word = sec.pop("enabled", "false")
+    if word.lower() not in _BOOLEANS:
+        raise ParseError(f"[source] enabled = {word!r} must be one of "
+                         f"{', '.join(_BOOLEANS)}")
+    if not _BOOLEANS[word.lower()]:
         return None
-    g = _primitive(sec.get("g", "constant 1.0"), mesh.barycenters, mesh)
+    gamma = float(sec.pop("gamma", "1.0"))
+    beta = float(sec.pop("beta", "0.0"))
+    g = _primitive(sec.pop("g", "constant 1.0"), mesh.barycenters, mesh)
     return SourceTerm(g, boundary_distance_field(mesh), gamma, beta, q)
 
 
 def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
     pts = mesh.barycenters
-    kind = sec.get("kind", "constant")
-    eta = float(sec.get("eta", "0.5"))
+    kind = sec.pop("kind", "constant")
     knots = []  # a tabulated h takes its extremes at its knots; h(inf) is its limit
     if kind == "tabulated":
-        times = np.asarray(_floats(sec["times"]))
+        times = np.asarray(_floats(sec.pop("times")))
         if times.size < 2 or not (np.all(np.isfinite(times))
                                   and np.all(np.diff(times) > 0)):
             raise ParseError(f"[potential] times must be finite and increasing, "
                              f"got {times.tolist()}")
-        profiles = np.stack([_primitive(sec[f"profile.{i}"], pts, mesh)
+        profiles = np.stack([_primitive(sec.pop(f"profile.{i}"), pts, mesh)
                              for i in range(1, times.size + 1)])
 
         def evaluator(t):
@@ -202,12 +210,13 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
         sup = float(np.abs(profiles).max())
         limit, knots = profiles[-1], times.tolist()
     elif kind in ("constant", "decaying"):
-        profile = _primitive(sec.get("profile", "bump 1.0"), pts, mesh)
+        profile = _primitive(sec.pop("profile", "bump 1.0"), pts, mesh)
         limit = profile
         if kind == "constant":
             evaluator = lambda t: profile
             sup = float(np.abs(profile).max())
         else:  # decaying toward the limit at rate (1+t)^-(1+eta)
+            eta = float(sec.pop("eta", "0.5"))
             if not eta > -1.0:
                 raise ParseError(f"[potential] eta = {eta} must exceed -1, or h "
                                  f"does not decay to its profile")
@@ -215,10 +224,8 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
             sup = float(2.0 * np.abs(profile).max())
     else:
         raise ParseError(f"unknown potential kind '{kind}'")
-    if "lower_envelope" in sec:
-        envelope = _primitive(sec["lower_envelope"], pts, mesh)
-    else:
-        envelope = limit
+    envelope = sec.pop("lower_envelope", None)
+    envelope = limit if envelope is None else _primitive(envelope, pts, mesh)
     pot = PotentialField(evaluator, envelope, sup, limit=limit)
     pot.check_envelope([*np.linspace(0.0, max(horizon, 1e-9), 7), *knots, np.inf])
     return pot
@@ -226,9 +233,9 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
 
 def _initial(sec: dict, mesh: Mesh) -> DiscreteField:
     if "file" in sec:
-        return DiscreteField(mesh, read_field_csv(sec["file"], mesh.vertices,
+        return DiscreteField(mesh, read_field_csv(sec.pop("file"), mesh.vertices,
                                                   "mesh vertices"))
-    profile = sec.get("profile", "bump 0.5")
+    profile = sec.pop("profile", "bump 0.5")
     return interpolate(mesh, lambda pts: _primitive(profile, pts, mesh))
 
 
@@ -246,54 +253,53 @@ def load_scenario(path: str) -> Scenario:
     cp.optionxform = str
     try:
         cp.read_string(raw)
+        # each reader pops the keys it reads, so a key left over is one dne
+        # ignores; dict() interpolates every value, and may fail on a stray %
+        sections = defaultdict(dict, {name: dict(sec) for name, sec in cp.items()})
     except configparser.Error as exc:
         raise ParseError(f"malformed scenario file {path}: {exc}") from exc
-
     try:
-        run_sec = _section(cp, "run")
-        if "tolerance" in run_sec:
-            raise ParseError("[run] tolerance was removed: the solver tolerance "
-                             "is fixed")
-        horizon = float(run_sec.get("horizon", "1.0"))
+        run = sections["run"]
+        horizon = float(run.pop("horizon", "1.0"))
         # before the potential is sampled on [0, horizon]
         if not np.isfinite(horizon):
             raise ParseError(f"[run] horizon = {horizon} must be finite")
-        mesh = _mesh(_section(cp, "mesh"))
-        op = _operator(_section(cp, "operator"), mesh,
-                       _exponent(_section(cp, "exponent"), mesh))
-        q = float(_section(cp, "problem").get("q", "1.25"))
+        mesh = _mesh(sections["mesh"])
+        op = _operator(sections["operator"], mesh, _exponent(sections["exponent"], mesh))
+        q = float(sections["problem"].pop("q", "1.25"))
         setup = EvolutionSetup(
-            mesh, op, q, _source(_section(cp, "source"), mesh, q),
-            _potential(_section(cp, "potential"), mesh, horizon), horizon,
-            int(run_sec.get("steps", "20")), _initial(_section(cp, "initial"), mesh))
+            mesh, op, q, _source(sections["source"], mesh, q),
+            _potential(sections["potential"], mesh, horizon), horizon,
+            int(run.pop("steps", "20")), _initial(sections["initial"], mesh))
         # solve-elliptic and every solve of a lambda sweep need lambda > 0
-        lam = float(run_sec.get("lambda", "1.0"))
+        lam = float(run.pop("lambda", "1.0"))
         if not 0.0 < lam < np.inf:
             raise ParseError(f"[run] lambda = {lam} must be positive and finite")
         # the seed feeds numpy's SeedSequence, which takes no negative entropy
-        seed = int(run_sec.get("seed", "20240801"))
+        seed = int(run.pop("seed", "20240801"))
         if seed < 0:
             raise ParseError(f"[run] seed = {seed} must be nonnegative")
-        stride = int(run_sec.get("store_stride", "1"))
+        stride = int(run.pop("store_stride", "1"))
         if stride < 1:
             raise ParseError(f"[run] store_stride = {stride} must be at least 1")
-        sweep_sec = _section(cp, "sweep")
-        if sweep_sec.get("kind") not in (None, "lambda", "pq"):
-            raise ParseError(f"unknown sweep kind '{sweep_sec['kind']}'")
-        lambdas = _floats(sweep_sec.get("lambdas", ""))
-        if not all(0.0 < v < np.inf for v in lambdas):
-            raise ParseError(f"[sweep] lambdas must all be positive and finite, "
-                             f"got {lambdas}")
+        sweep = sections["sweep"]
+        kind = sweep.pop("kind", None)
+        if kind not in _SWEEP_LISTS:
+            raise ParseError(f"unknown sweep kind '{kind}'")
         # a finite p <= 1 or q outside (1, p) is an `invalid` grid row, not an error
-        grid = {key: _floats(sweep_sec.get(key, ""))
-                for key in ("p_values", "q_values")}
-        for key, values in grid.items():
-            if not np.all(np.isfinite(values)):
-                raise ParseError(f"[sweep] {key} must all be finite, got {values}")
+        lists = {key: _floats(sweep.pop(key, "")) for key in _SWEEP_LISTS[kind]}
+        for key, low in _SWEEP_LISTS[kind].items():
+            if not (lists[key] and all(low < v < np.inf for v in lists[key])):
+                raise ParseError(f"[sweep] {key} must list one or more values in "
+                                 f"({low}, inf), got {lists[key]}")
+        leftover = [f"[{name}] {key}" for name, sec in sections.items() for key in sec]
+        if leftover:
+            raise ParseError(f"{leftover[0]} is not a setting dne reads")
         return Scenario(
             raw_text=raw, setup=setup, lam=lam, seed=seed, store_stride=stride,
-            sweep_kind=sweep_sec.get("kind"), sweep_lambdas=lambdas,
-            sweep_p_values=grid["p_values"], sweep_q_values=grid["q_values"])
+            sweep_kind=kind, sweep_lambdas=lists.get("lambdas", []),
+            sweep_p_values=lists.get("p_values", []),
+            sweep_q_values=lists.get("q_values", []))
     except (ParseError, ValidationError):
         raise
     except (KeyError, ValueError) as exc:

@@ -450,7 +450,8 @@ class TestCommands:
         ("gamma = 1.0", "gamma = inf", ParseError),
         ("beta = 0.0", "beta = nan", ParseError),
         ("seed = 4242", "seed = -3", ParseError),
-        ("lambdas = 0.5 1 2 4", "lambdas = 0.5 1 2 4\np_values = inf 2.5", ParseError),
+        ("kind = lambda\nlambdas = 0.5 1 2 4", "kind = pq\np_values = inf 2.5\n"
+         "q_values = 1.2", ParseError),
         ("kind = constant\nprofile = bump 1.0",
          "kind = tabulated\ntimes = 0 nan\nprofile.1 = bump 1.0\n"
          "profile.2 = bump 1.0", ParseError),
@@ -466,6 +467,11 @@ class TestCommands:
         ("kind = constant\nvalue = 2.5", "kind = cubic\nvalue = 2.5", ParseError),
         ("kind = constant\nprofile = bump 1.0", "kind = periodic\nprofile = bump 1.0",
          ParseError),
+        ("kind = lambda\nlambdas = 0.5 1 2 4", "kind = lambda", ParseError),
+        ("kind = lambda\nlambdas = 0.5 1 2 4", "kind = pq\np_values = 2.5", ParseError),
+        ("kind = lambda\nlambdas = 0.5 1 2 4", "kind = pq\np_values = 2.5\n"
+         "q_values = 1.2 nan", ParseError),
+        ("enabled = true", "enabled = ture", ParseError),
         # (H_h) fails only off the evenly sampled times: at a knot, or in the
         # large-time limit
         ("kind = constant\nprofile = bump 1.0",
@@ -486,7 +492,8 @@ class TestCommands:
             "seed-negative", "sweep-p-inf", "tabulated-times-nan", "extents-inf",
             "potential-inf", "exponent-slope-past-axes", "potential-slope-past-axes",
             "sweep-kind", "dimension", "extents-count", "resolution-count",
-            "exponent-kind", "potential-kind", "tabulated-dip-between-samples",
+            "exponent-kind", "potential-kind", "sweep-lambda-empty", "sweep-pq-empty",
+            "sweep-pq-q-nan", "source-enabled-word", "tabulated-dip-between-samples",
             "tabulated-limit-past-horizon", "decaying-limit-below-envelope"])
     def test_invalid_config_exit_code(self, tmp_path, capsys, old, new, error):
         # a violated hypothesis or a malformed value is a configuration error
@@ -501,6 +508,44 @@ class TestCommands:
         # other case is a malformed value
         with pytest.raises(error):
             load_scenario(str(bad))
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("steps = 5", "stepz = 5", "[run] stepz"),
+        ("steps = 5", "Steps = 5", "[run] Steps"),
+        ("[potential]", "[potentail]", "[potentail] kind"),
+        ("value = 2.5", "value = 2.5\nslope = 0.5", "[exponent] slope"),
+        ("[problem]", "[operator]\npartition = 1\nweight.2 = constant 2.0\n\n[problem]",
+         "[operator] weight.2"),
+        ("profile = bump 0.5", "file = {v0}\nprofile = bump 0.5", "[initial] profile"),
+        ("enabled = true", "enabled = false", "[source] g"),
+        ("[mesh]", "[DEFAULT]\nresolution = 40\n\n[mesh]", "[DEFAULT] resolution"),
+        ("lambdas = 0.5 1 2 4", "lambdas = 0.5 1 2 4\np_values = 2.5", "[sweep] p_values"),
+    ], ids=["misspelt", "capitalised", "misspelt-section", "slope-under-constant",
+            "weight-past-blocks", "profile-beside-file", "g-when-disabled",
+            "default-section", "grid-under-lambda"])
+    def test_unread_key_exit_code(self, tmp_path, capsys, old, new, key):
+        # a key dne does not read would change nothing, so it is an error, not
+        # a setting silently dropped
+        v0 = tmp_path / "v0.csv"
+        v0.write_text(field_to_csv(interpolate(interval_mesh(0.0, 1.0, 40),
+                                               lambda x: np.sin(np.pi * x[:, 0]))))
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(textwrap.dedent(CONFIG).replace(old, new.format(v0=v0), 1))
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {key} is not a setting dne reads\n"
+        assert not out.exists()
+
+    def test_stray_percent_exit_code(self, tmp_path, capsys):
+        # configparser interpolates every value as the sections are read, an
+        # unread section's too: a lone % is a malformed file, not a traceback
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(textwrap.dedent(CONFIG) + "\n[notes]\nx = 50% faster\n")
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", str(bad), "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: malformed scenario file {bad}: '%' must be")
+        assert not out.exists()
 
     # h within ENVELOPE_TOL of its envelope but negative near x = 0 (the
     # envelope is about 1e-72 there), and h identically zero above a nonzero

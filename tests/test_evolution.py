@@ -436,7 +436,7 @@ class TestRun:
         fail_on_call(monkeypatch, 3)
         with pytest.raises(NonConvergence, match="^step 3: "):
             run.head()
-        taken = run.taken
+        taken = run.head(len(run.reports))
         assert len(taken.fields) == 3 and len(taken.reports) == 2
         np.testing.assert_array_equal(taken.times, [0.0, setup.dt, 2 * setup.dt])
 

@@ -1,5 +1,6 @@
 import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,29 +126,48 @@ class TestLoadScenario:
         # the solver's stopping policy is fixed; the old override must not be
         # silently ignored
         text = MINIMAL + "\n[run]\ntolerance = 1e-6\n"
-        with pytest.raises(ParseError, match="removed.*fixed"):
+        with pytest.raises(ParseError, match=r"^\[run\] tolerance is not a setting"):
             load_scenario(write(tmp_path, text))
+
+    @pytest.mark.parametrize("word, enabled", [
+        ("on", True), ("Yes", True), ("1", True), ("OFF", False), ("no", False)])
+    def test_source_enabled_words(self, tmp_path, word, enabled):
+        # configparser's boolean words, in any case; a disabled source reads
+        # no other key
+        text = MINIMAL + f"\n[source]\nenabled = {word}\n"
+        assert (load_scenario(write(tmp_path, text)).setup.source is not None) is enabled
+
+    def test_readme_grammar_block_loads(self, tmp_path):
+        # every key the README documents under "Scenario configuration" is one
+        # a section reader takes
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Scenario configuration")[1].split("```ini\n")[1]
+        sc = load_scenario(write(tmp_path, block.split("```")[0]))
+        assert sc.setup.mesh.resolution == (200,) and sc.setup.source is not None
+        assert sc.sweep_kind == "lambda" and sc.sweep_lambdas == [0.5, 1, 2, 4]
 
     def test_bad_run_value_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError, match="store_stride"):
             load_scenario(write(tmp_path, MINIMAL + "\n[run]\nstore_stride = 0\n"))
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
-    @pytest.mark.parametrize("section, line", [
-        ("run", "horizon = {}"),
-        ("run", "lambda = {}"),
-        ("sweep", "lambdas = 1 {}"),
-        ("sweep", "p_values = {} 2.5"),
-        ("sweep", "q_values = 1.2 {}"),
+    @pytest.mark.parametrize("section, others, line", [
+        ("run", "", "horizon = {}"),
+        ("run", "", "lambda = {}"),
+        ("sweep", "kind = lambda", "lambdas = 1 {}"),
+        ("sweep", "kind = pq\nq_values = 1.2", "p_values = {} 2.5"),
+        ("sweep", "kind = pq\np_values = 2.5", "q_values = 1.2 {}"),
     ], ids=["horizon", "lambda", "sweep-lambdas", "sweep-p", "sweep-q"])
-    def test_nonfinite_run_value_is_parse_error(self, tmp_path, section, line, value):
-        text = MINIMAL + f"\n[{section}]\n{line.format(value)}\n"
+    def test_nonfinite_run_value_is_parse_error(self, tmp_path, section, others, line,
+                                                value):
+        text = MINIMAL + f"\n[{section}]\n{others}\n{line.format(value)}\n"
         key = line.split()[0]
-        # rejected before the potential is sampled on [0, horizon], so no
-        # numpy warning on the way
+        # rejected by the value's own check, not as a key left unread, and
+        # before the potential is sampled on [0, horizon], so no numpy warning
+        # on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ParseError, match=rf"\[{section}\] {key}"):
+            with pytest.raises(ParseError, match=rf"^\[{section}\] {key}( = \S+)? must"):
                 load_scenario(write(tmp_path, text))
 
 
