@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import os
 import sys
 from dataclasses import dataclass, replace
 from importlib.machinery import PathFinder
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from .meshing import DiscreteField, Mesh, _unit_bump, interpolate
 from .operators import (LerayLionsOperator, ValidationError, _blocks, _flux,
@@ -58,15 +58,19 @@ def _banded_solvers():
     """LAPACK's `dpbsv` and `dptsv` from scipy's compiled wrappers,
     `scipy.linalg._flapack`, loaded as the one extension module:
     `from scipy.linalg.lapack import ...` would run all of
-    `scipy/linalg/__init__.py` for two routines.  Finding `scipy.linalg`'s
-    spec imports only the `scipy` package.  The module is registered under its
-    own name, so a later `scipy.linalg` import reuses it (and its routines)."""
+    `scipy/linalg/__init__.py` for two routines.  The module is found in the
+    `linalg` directory of scipy's spec, which `find_spec("scipy")` returns
+    without running `scipy/__init__.py`, so no package is imported.  It is
+    registered under its own name, so a later `scipy.linalg` import reuses it
+    (and its routines)."""
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
-        path = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+        path = [os.path.join(location, "linalg") for location in
+                importlib.util.find_spec("scipy").submodule_search_locations]
         spec = PathFinder.find_spec(name, path)
         if spec is None:
+            import scipy
             raise ImportError(f"{name} not found in scipy {scipy.__version__}")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -238,7 +242,7 @@ def _gradient_values(problem: EllipticProblem, point) -> np.ndarray:
 def _hessian_matrix(problem: EllipticProblem, point,
                     include_concave: bool) -> np.ndarray:
     """Upper band of the interior block of the energy's Hessian in the LAPACK
-    storage of `Mesh.band_scatter`, shape (bandwidth + 1, n_interior), with
+    storage and layout of `Mesh.band_scatter` (`BandScatter.assemble`), with
     the flux Jacobian regularized by HESSIAN_EPS max|grad v| (HESSIAN_EPS when
     max|grad v| <= HESSIAN_SCALE_FLOOR); without `include_concave` the terms
     with negative coefficients are dropped, which leaves a convex majorant.  Per operator
@@ -274,10 +278,7 @@ def _hessian_matrix(problem: EllipticProblem, point,
             s += grads[:, d] * xb[:, d]
         pairs += (weight * c).take(element) * scatter.block_products(axes)
         pairs += (weight * c2 * s).take(first) * s.take(second)
-    n_diagonals = scatter.bandwidth + 1
-    band = np.bincount(scatter.index, weights=pairs,
-                       minlength=n_diagonals * mesh.interior.size)
-    return band.reshape(n_diagonals, -1)
+    return scatter.assemble(pairs)
 
 
 def _project(mesh: Mesh, vals: np.ndarray) -> np.ndarray:
@@ -297,12 +298,13 @@ def _newton_direction(problem, point, grad, include_concave):
     upper band of the Hessian is solved by LAPACK's banded Cholesky, `dpbsv`,
     or in 1D (bandwidth 1) its tridiagonal LDL^T, `dptsv`: the routines
     `scipy.linalg.solveh_banded` calls, without its checks, taken from
-    `scipy.linalg._flapack` by `_banded_solvers` so that set-up skips
-    `scipy.linalg`'s package import (about 0.16 s of the harness's 0.26 s
-    `verify-1d` set-up).  The module name is private; if scipy moves it,
-    `import dne` raises ImportError and `tests/test_api.py` fails.  With
-    `include_concave` the Hessian can be indefinite, and the factorization
-    then fails (info > 0)."""
+    `scipy.linalg._flapack` by `_banded_solvers` so that set-up imports
+    neither `scipy` nor `scipy.linalg` as a package.  The band comes in the
+    layout each routine reads (`BandScatter`), so neither call copies it:
+    `dpbsv` factors the Fortran-ordered band in place, `dptsv` its two rows.
+    The module name is private; if scipy moves it, `import dne` raises
+    ImportError and `tests/test_api.py` fails.  With `include_concave` the
+    Hessian can be indefinite, and the factorization then fails (info > 0)."""
     band = _hessian_matrix(problem, point, include_concave)
     ii = problem.mesh.interior
     gi = grad[ii]

@@ -44,7 +44,12 @@ from .meshing import (DiscreteField, Mesh, boundary_distance_field,
 from .operators import (LerayLionsOperator, PotentialField, SourceTerm,
                         ValidationError, eval_source)
 
-GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# `numpy.polynomial.legendre.leggauss(5)`, written out bit for bit, so that
+# set-up does not import `numpy.polynomial` for one constant
+GAUSS_NODES = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                        0.5384693101056831, 0.906179845938664])
+GAUSS_WEIGHTS = np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                          0.4786286704993663, 0.23692688505618928])
 DISSIPATION_SLACK = 1.05
 # Element-steps one diagnostic pass covers: its steps times the mesh's
 # elements, and at least one step a pass.

@@ -20,7 +20,9 @@ class BandScatter:
     """Where the element-local matrix entries of a symmetric P1 assembly land
     in LAPACK upper band storage of the interior block, an array of shape
     (bandwidth + 1, n_interior) holding entry (i, j), i <= j, at
-    [bandwidth + i - j, j].
+    [bandwidth + i - j, j], laid out in `order`: Fortran, which `dpbsv`
+    factors in place, or at bandwidth 1 C, whose two rows are the contiguous
+    diagonals `dptsv` reads (`assemble`).
 
     Pair k, an (element, l, m) whose vertices are interior with i <= j, lies
     at band position `index[k]`, in `element[k]`, at `rows[:, k]` = (l, m) *
@@ -28,13 +30,23 @@ class BandScatter:
     `products[d, k]` = G[l, d, element] G[m, d, element], so a block's sum
     over its axes d is its G_B G_B^T entry (`block_products`)."""
 
-    bandwidth: int
+    shape: tuple
+    order: str
     index: np.ndarray
     element: np.ndarray
     rows: np.ndarray
     products: np.ndarray
     _block_sums: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
+
+    @property
+    def bandwidth(self) -> int:
+        return self.shape[0] - 1
+
+    def assemble(self, pairs) -> np.ndarray:
+        """The band that sums each pair's value at its place, in pair order."""
+        band = np.bincount(self.index, weights=pairs, minlength=self.shape[0] * self.shape[1])
+        return band.reshape(self.shape, order=self.order)
 
     def block_products(self, axes) -> np.ndarray:
         """G_B G_B^T at every pair for the operator block on `axes` (an entry
@@ -121,8 +133,10 @@ class Mesh:
         keep = (rows >= 0) & (cols >= rows)
         element, l, m, rows, cols = (a[keep] for a in (element, l, m, rows, cols))
         bandwidth = int(np.max(cols - rows, initial=0))
+        shape, order = (bandwidth + 1, n), "C" if bandwidth == 1 else "F"
+        index = np.ravel_multi_index((bandwidth + rows - cols, cols), shape, order=order)
         g = self.corner_grads
-        return BandScatter(bandwidth, (bandwidth + rows - cols) * n + cols, element,
+        return BandScatter(shape, order, index, element,
                            np.stack([l, m]) * self.n_elements + element,
                            (g[l, :, element] * g[m, :, element]).T.copy())
 

@@ -386,7 +386,8 @@ def hessian_band_reference(problem: EllipticProblem, point,
                            include_concave: bool) -> np.ndarray:
     """`elliptic._hessian_matrix` with `einsum` products, numpy's sums over
     block axes and the rank-one weights `repeat`ed per corner, over
-    element-major corner terms."""
+    element-major corner terms, added at the band places of each pair's
+    vertices in pair order (`np.add.at`), not through `BandScatter.index`."""
     mesh, op = problem.mesh, problem.op
     scatter = mesh.band_scatter
     nloc = mesh.elements.shape[1]
@@ -409,10 +410,13 @@ def hessian_band_reference(problem: EllipticProblem, point,
         s = np.einsum("eld,ed->el", element_grads(mesh)[..., axes], gv[:, axes]).ravel()
         pairs += (weight * c).take(element) * scatter.products[axes].sum(axis=0)
         pairs += ((weight * c2).repeat(nloc) * s).take(first) * s.take(second)
-    n_diagonals = scatter.bandwidth + 1
-    band = np.bincount(scatter.index, weights=pairs,
-                       minlength=n_diagonals * mesh.interior.size)
-    return band.reshape(n_diagonals, -1)
+    # each pair at (kd + i - j, j), from its own vertices' interior positions
+    kd = scatter.bandwidth
+    pos = np.cumsum(~mesh.boundary_mask) - 1
+    i, j = pos[mesh.elements[element, scatter.rows // mesh.n_elements]]
+    band = np.zeros((kd + 1, mesh.interior.size))
+    np.add.at(band, (kd + i - j, j), pairs)
+    return band
 
 
 def energy(problem: EllipticProblem, v: DiscreteField) -> float:

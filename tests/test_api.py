@@ -176,9 +176,10 @@ def test_one_newton_solve_path():
     assert not any(module.startswith("scipy.sparse") for module, _ in imports)
 
 
-# `import dne` loads LAPACK without scipy.linalg's package import, and the
-# routines stay scipy's own whichever of the two is imported first; a fresh
-# interpreter, since the tests import scipy
+# `import dne` loads LAPACK without importing scipy or scipy.linalg as
+# packages, and numpy.polynomial not at all, and the routines stay scipy's own
+# whichever of the two is imported first; a fresh interpreter, since the tests
+# import scipy
 IMPORT_PROBES = {
     "dne first": """
 import sys
@@ -186,6 +187,9 @@ import dne.cli, dne.scenario
 dne.scenario.load_scenario("configs/default_1d.cfg")
 assert "scipy.linalg" not in sys.modules, "scipy.linalg"
 assert "scipy.sparse" not in sys.modules, "scipy.sparse"
+assert "scipy" not in sys.modules, "scipy"
+assert "numpy.polynomial" not in sys.modules, "numpy.polynomial"
+assert "scipy.linalg._flapack" in sys.modules, "scipy.linalg._flapack"
 import scipy.linalg.lapack as lapack, scipy.sparse.linalg
 assert dne.elliptic.dpbsv is lapack.dpbsv and dne.elliptic.dptsv is lapack.dptsv
 """,

@@ -334,6 +334,24 @@ class TestBandedNewton:
             np.testing.assert_array_equal(
                 scatter.products, (grads[element, l] * grads[element, m]).T)
 
+    @pytest.mark.parametrize("mesh_name", list(BANDED_MESHES))
+    def test_band_layout_of_the_lapack_call(self, mesh_name):
+        # a rectangle's band is Fortran-ordered, so `dpbsv` factors it in
+        # place instead of a copy; an interval's two rows are the contiguous
+        # diagonals `dptsv` reads
+        mesh = BANDED_MESHES[mesh_name]()
+        prob = banded_problem(mesh, banded_operator(mesh, "isotropic"))
+        vals = np.zeros(mesh.n_vertices)
+        vals[mesh.interior] = seeded_rng(61, mesh_name).uniform(0.2, 1.2, mesh.interior.size)
+        band = elliptic._hessian_matrix(prob, elliptic._point(mesh, prob.op, vals), False)
+        if mesh.dimension == 1:
+            assert band.flags.c_contiguous
+            return
+        factor, _, info = elliptic.dpbsv(band, np.ones(mesh.interior.size),
+                                         overwrite_ab=1, overwrite_b=1)
+        assert info == 0
+        assert np.shares_memory(factor, band)
+
     @staticmethod
     def indefinite_case(mesh):
         """A strong potential at a tiny flat iterate: the concave potential

@@ -154,6 +154,12 @@ class TestAveragePotential:
         with pytest.raises(ValueError):
             average_potential(pot, np.array([2, 0, 1]), 0.1)
 
+    def test_gauss_rule_is_leggauss(self):
+        # the written-out constants are numpy's 5-point rule, bit for bit
+        nodes, weights = np.polynomial.legendre.leggauss(5)
+        assert evolution.GAUSS_NODES.tobytes() == nodes.tobytes()
+        assert evolution.GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_rows_are_each_steps_average(self):
         # an array of steps evaluates the same times and accumulates the same
         # nodes in the same order as the 5-point Gauss-Legendre sum of one
