@@ -5,13 +5,15 @@ Every problem minimizes the one energy
     J(v) = lam int A(x, grad v)/p(x)  +  sum_(c, r) int c (v+)^r / r  -  int load * v
 
 over the nonnegative cone of the P1 space, with per-element coefficients c.
-The constructors differ only in the power terms (c, r) they set:
-`standard` (the implicit Euler step) has the mass term (1, 2q), the potential
-term (-h0, q) and the source term (-lam g delta^gamma, beta + 1); `stationary`
-has lam = 1, the potential and source terms and an optional load (the
-supersolution problem); the pure-load problem is the bare constructor with a
-load and no terms.  Iterates are projected onto {v >= 0}, realizing the
-positive-part truncation the energy is built on.
+The constructors differ only in the power terms (c, r) they set, each a
+`PowerTerm`: `standard` (the implicit Euler step) has the mass term (1, 2q),
+the potential term (-h0, q) and the source term (-lam g delta^gamma,
+beta + 1); `stationary` has lam = 1, the potential and source terms and an
+optional load (the supersolution problem); the pure-load problem is the bare
+constructor with a load and no terms.  Iterates are projected onto
+{v >= 0}, realizing the positive-part truncation the energy is built on.
+The energy, its gradient and its Hessian read an iterate's element state
+(`_State`), which caches each term's values by term.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import itertools
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib.machinery import PathFinder
 from typing import Optional
 
@@ -105,28 +108,51 @@ class SolverReport:
     repeated: bool = False
 
 
-def _forcing_terms(mesh, op, q, h0, lam, source) -> tuple:
-    """The potential term (-h0, q) and, with a source, the source term
-    (-lam g delta^gamma, beta + 1), after checking q, h0 and that the source
-    was checked for this q."""
+class PowerTerm:
+    """The energy term int c (v+)^r / r: per-element coefficients c (a
+    read-only copy), the power r and the quadrature weight |e| c.  A term
+    equals only itself, so an element state caches its values by term."""
+
+    def __init__(self, mesh: Mesh, c, r: float):
+        c = np.array(c, dtype=float)
+        if c.shape[-1:] != (mesh.n_elements,):
+            raise ValueError("term coefficients must be per-element fields")
+        c.flags.writeable = False
+        self.c, self.r, self.weight = c, float(r), mesh.measures * c
+
+
+def mass_term(mesh: Mesh, q: float) -> PowerTerm:
+    """The time-step problem's mass term (1, 2q)."""
+    return PowerTerm(mesh, np.ones(mesh.n_elements), 2.0 * q)
+
+
+def source_terms(mesh, op, q, lam, source) -> tuple:
+    """With a source, its term (-lam g delta^gamma, beta + 1), and none
+    without, after checking q and that the source was checked for this q."""
     if not (1.0 < q < op.exponent.p_minus):
         raise ValidationError("q ∈ (1, p_-)", "q must lie in (1, p_-)")
-    if source is not None and source.q != q:
+    if source is None:
+        return ()
+    if source.q != q:
         raise ValueError(f"source was checked for q = {source.q}, "
                          f"the problem has q = {q}")
+    return (PowerTerm(mesh, -lam * source.g * source.delta_power, source.beta + 1.0),)
+
+
+def potential_term(mesh: Mesh, q: float, h0) -> PowerTerm:
+    """The potential term (-h0, q), after checking that h0 is a nonnegative
+    per-element field (`(H_h)`)."""
     h0 = np.asarray(h0, dtype=float)
     if h0.shape[-1:] != (mesh.n_elements,):
         raise ValueError("h0 must be a nonnegative per-element field")
     if h0.min() < 0.0:
         raise ValidationError("(H_h)", "h0 must be a nonnegative per-element field")
-    if source is None:
-        return ((-h0, q),)
-    return ((-h0, q), (-lam * source.g * source.delta_power, source.beta + 1.0))
+    return PowerTerm(mesh, -h0, q)
 
 
 @dataclass(frozen=True)
 class EllipticProblem:
-    """One elliptic solve: diffusion weight lam, power terms (c, r) with
+    """One elliptic solve: diffusion weight lam, `PowerTerm`s (c, r) with
     per-element coefficients c, and an optional per-element linear load.
     A coefficient of shape (S, n_elements) holds one row per iterate of a
     point with that leading axis (`evolution.diagnose`); `solve` takes
@@ -143,68 +169,98 @@ class EllipticProblem:
             raise ValueError("operator does not match the mesh quadrature")
         if not (self.lam > 0.0):
             raise ValueError("lambda must be positive")
-        terms = tuple((np.asarray(c, dtype=float), float(r)) for c, r in self.terms)
-        if any(c.shape[-1:] != (self.mesh.n_elements,) for c, _ in terms):
-            raise ValueError("term coefficients must be per-element fields")
-        object.__setattr__(self, "terms", terms)
         if self.load is not None:
             object.__setattr__(self, "load", np.asarray(self.load, dtype=float))
 
     @classmethod
     def standard(cls, mesh, op, q, lam, h0, source=None):
-        mass = (np.ones(mesh.n_elements), 2.0 * q)
-        return cls(mesh, op, lam, (mass,) + _forcing_terms(mesh, op, q, h0, lam, source))
+        sources = source_terms(mesh, op, q, lam, source)
+        return cls(mesh, op, lam, (mass_term(mesh, q), potential_term(mesh, q, h0)) + sources)
 
     @classmethod
     def stationary(cls, mesh, op, q, b, source=None, load=None):
-        return cls(mesh, op, 1.0, _forcing_terms(mesh, op, q, b, 1.0, source), load)
+        sources = source_terms(mesh, op, q, 1.0, source)
+        return cls(mesh, op, 1.0, (potential_term(mesh, q, b),) + sources, load)
 
 
 def _power(vbp: np.ndarray, s: float, positive: bool) -> np.ndarray:
     """vbp^s where vbp > 0 and exactly 0 elsewhere, for any exponent s;
     `positive` says whether every entry is (vbp.min() > 0.0), which the
-    caller tests once for all its terms."""
+    caller tests once for all its terms (`_State.positive`)."""
     if positive:
         return vbp ** s
     pos = vbp > 0.0
     return np.where(pos, np.where(pos, vbp, 1.0) ** s, 0.0)
 
 
-def _point(mesh: Mesh, op: LerayLionsOperator, vals: np.ndarray) -> tuple:
-    """Element state of one iterate, (element means, element gradients, flux
-    a(x, grad v)): the only views of the nodal values that the energy, its
-    gradient and its Hessian read, so each point visited takes one pass over
-    the mesh (`Mesh.means_and_gradients`) and one operator pass.  Gradients
-    and flux are views of axis-major memory.  Nodal values of shape
-    (S, n_vertices) give the states of S iterates in one pass, each with that
-    leading axis.  `_solve` returns its final state, which a run's next step
-    hands to the solve starting there (`evolution.step`)."""
+class _State:
+    """Element state of one iterate (`_point`): element means, gradients and
+    flux under `op`, the clipped means (v_b)^+ (the means themselves when
+    all are positive, `positive`) and, formed on first use, the modular and
+    each `PowerTerm`'s energy integral and gradient density, cached by term.
+    A run's next step starts from its last solve's state (`evolution.step`),
+    so it evaluates only its new potential term there."""
+
+    def __init__(self, mesh: Mesh, op: LerayLionsOperator, means, grads, flux):
+        self.mesh, self.op = mesh, op
+        self.means, self.grads, self.flux = means, grads, flux
+        self.positive = means.min() > 0.0
+        self.clipped = means if self.positive else np.maximum(means, 0.0)
+        self._energies, self._densities = {}, {}
+
+    @cached_property
+    def modular(self):
+        """int A(x, grad v)/p(x), with A = a(x, grad v) . grad v."""
+        flux, gv = self.flux, self.grads
+        # a . grad v axis by axis: no product c xi_d xi_d is -0.0, so these are
+        # the sums of numpy's `einsum`
+        dens = flux[..., 0] * gv[..., 0]
+        for d in range(1, gv.shape[-1]):
+            dens = dens + flux[..., d] * gv[..., d]
+        # the `sum` method: np.sum's summation order without its dispatch
+        return (self.mesh.measures * dens / self.op.exponent.values).sum(axis=-1)
+
+    def energy(self, term: PowerTerm):
+        """int c (v+)^r / r."""
+        value = self._energies.get(term)
+        if value is None:
+            value = self._energies[term] = ((term.weight * self.clipped ** term.r)
+                                            .sum(axis=-1) / term.r)
+        return value
+
+    def density(self, term: PowerTerm) -> np.ndarray:
+        """c (v_b+)^(r-1), the term's gradient density."""
+        value = self._densities.get(term)
+        if value is None:
+            value = self._densities[term] = term.c * _power(self.clipped, term.r - 1.0,
+                                                            self.positive)
+        return value
+
+
+def _point(mesh: Mesh, op: LerayLionsOperator, vals: np.ndarray) -> _State:
+    """Element state of one iterate: the only views of the nodal values that
+    the energy, its gradient and its Hessian read, so each point visited
+    takes one pass over the mesh (`Mesh.means_and_gradients`) and one
+    operator pass.  Gradients and flux are views of axis-major memory.  Nodal
+    values of shape (S, n_vertices) give the states of S iterates in one
+    pass, each with that leading axis.  `_solve` returns its final state,
+    which a run's next step hands to the solve starting there
+    (`evolution.step`)."""
     vb, gv = mesh.means_and_gradients(vals)
-    return vb, gv, _flux(op, gv, np.empty_like(gv))
+    return _State(mesh, op, vb, gv, _flux(op, gv, np.empty_like(gv)))
 
 
-def _energy_terms(problem: EllipticProblem, point) -> list:
+def _energy_terms(problem: EllipticProblem, point: _State) -> list:
     """The signed integrals of the energy's terms: the diffusion term
-    lam int A(x, grad v)/p(x), with A = a(x, grad v) . grad v, each power term
-    int c (v+)^r / r, and minus the load term, in that order; J is their sum.
-    Each is a numpy scalar, or for a point with a leading axis of S iterates
-    the array of their S values: every integral sums over the last axis,
-    which numpy reduces row by row as it reduces one iterate's array."""
-    mesh = problem.mesh
-    vb, gv, flux = point
-    vbp = np.maximum(vb, 0.0)
-    # a . grad v axis by axis: no product c xi_d xi_d is -0.0, so these are
-    # the sums of numpy's `einsum`
-    dens = flux[..., 0] * gv[..., 0]
-    for d in range(1, gv.shape[-1]):
-        dens = dens + flux[..., d] * gv[..., d]
-    # the `sum` method: np.sum's summation order without its dispatch
-    diffusion = (mesh.measures * dens / problem.op.exponent.values).sum(axis=-1)
-    terms = [problem.lam * diffusion]
-    for c, r in problem.terms:
-        terms.append((mesh.measures * c * vbp ** r).sum(axis=-1) / r)
+    lam int A(x, grad v)/p(x), each power term int c (v+)^r / r, and minus
+    the load term, in that order; J is their sum.  Each is a numpy scalar,
+    or for a point with a leading axis of S iterates the array of their S
+    values: every integral sums over the last axis, which numpy reduces row
+    by row as it reduces one iterate's array."""
+    terms = [problem.lam * point.modular]
+    terms += [point.energy(term) for term in problem.terms]
     if problem.load is not None:
-        terms.append(-(mesh.measures * problem.load * vb).sum(axis=-1))
+        terms.append(-(problem.mesh.measures * problem.load * point.means).sum(axis=-1))
     return terms
 
 
@@ -215,19 +271,16 @@ def _energy_parts(problem: EllipticProblem, point) -> tuple[float, float]:
     return sum(terms), sum(map(abs, terms))
 
 
-def _gradient_values(problem: EllipticProblem, point) -> np.ndarray:
+def _gradient_values(problem: EllipticProblem, point: _State) -> np.ndarray:
     mesh = problem.mesh
-    grads = mesh.corner_grads  # (nloc, dim, n_elements)
-    vb, _, flux = point
-    vbp = np.maximum(vb, 0.0)
-    positive = vbp.min() > 0.0
     dens = np.zeros(mesh.n_elements)
-    for c, r in problem.terms:
-        dens += c * _power(vbp, r - 1.0, positive)
+    for term in problem.terms:
+        dens += point.density(term)
     if problem.load is not None:
         dens -= problem.load
     # a . grad phi_l per corner, axis by axis; the mass part is never -0.0,
     # so the sign of a zero product does not reach the sum
+    grads, flux = mesh.corner_grads, point.flux  # (nloc, dim, n_elements)
     flux_part = flux[:, 0] * grads[:, 0]
     for d in range(1, grads.shape[1]):
         flux_part += flux[:, d] * grads[:, d]
@@ -254,17 +307,16 @@ def _hessian_matrix(problem: EllipticProblem, point,
     mesh, op = problem.mesh, problem.op
     scatter = mesh.band_scatter
     nloc = mesh.elements.shape[1]
-    vb, gv, _ = point
+    gv = point.grads
     scale = float(np.sqrt(_square_norm(gv).max()))
     eps = HESSIAN_EPS * (scale if scale > HESSIAN_SCALE_FLOOR else 1.0)
-    vbp = np.maximum(vb, 0.0)
-    positive = vbp.min() > 0.0
     dd = np.zeros(mesh.n_elements)
     # a term with r = 1 (the source at beta = 0) would add (r - 1) c vbp^-1,
     # +-0.0, or 0 * inf = nan where a clipped mean is subnormal
-    for c, r in problem.terms:
-        if r != 1.0 and (include_concave or c.min() >= 0.0):
-            dd += (r - 1.0) * c * _power(vbp, r - 2.0, positive)
+    for term in problem.terms:
+        r = term.r
+        if r != 1.0 and (include_concave or term.c.min() >= 0.0):
+            dd += (r - 1.0) * term.c * _power(point.clipped, r - 2.0, point.positive)
     element, (first, second) = scatter.element, scatter.rows
     pairs = (mesh.measures * dd / nloc ** 2).take(element)
     weight = problem.lam * mesh.measures
@@ -335,7 +387,7 @@ def _direction(problem: EllipticProblem, point, grad, report: SolverReport):
 
 
 def _minimize(problem: EllipticProblem, start: np.ndarray,
-              point=None) -> tuple[np.ndarray, SolverReport, tuple]:
+              point: Optional[_State] = None) -> tuple[np.ndarray, SolverReport, _State]:
     """Projected damped Newton from `start` under the stopping policy,
     DEFAULT_TOL[dimension] and MAX_ITERATIONS: the final iterate, its report
     and its element state; `point` is start's.  Each iteration takes one
@@ -437,18 +489,18 @@ def solve(problem: EllipticProblem,
 
 
 def _solve(problem: EllipticProblem, guess: Optional[DiscreteField] = None,
-           state=None) -> tuple[DiscreteField, SolverReport, tuple]:
+           state: Optional[_State] = None) -> tuple[DiscreteField, SolverReport, _State]:
     """`solve`, and the final element state; `state` is the guess's."""
     mesh, op = problem.mesh, problem.op
     guess = bump_seed(mesh) if guess is None else guess
     vals, report, point = _minimize(problem, guess.values, state)
     positive = (report.converged and report.energy < 0.0
-                and np.all(vals[mesh.interior] > 0.0))
+                and (vals[mesh.interior] > 0.0).all())
     if not positive:
         # J(t * bump) ~ a t^p - b t^q near t = 0, so J < 0 can need a tiny t
         # when p - q is small; halving is exact and reaches zero only when no
         # t gives J < 0
-        nonnegative = (all(c.min() >= 0.0 for c, _ in problem.terms)
+        nonnegative = (all(term.c.min() >= 0.0 for term in problem.terms)
                        and (problem.load is None or problem.load.max() <= 0.0))
         start = np.zeros_like(vals) if nonnegative else bump_seed(mesh).values
         while np.any(start) and _energy_parts(problem, _point(mesh, op, start))[0] >= 0.0:

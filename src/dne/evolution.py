@@ -8,7 +8,7 @@ iterate satisfies
 
 One 5-point Gauss-Legendre rule in time, `_gauss_sum`, gives both the
 potential average h^n of a step and `time_integral_norm`, the data term of
-the contraction estimates.
+the contraction estimates, each node with one potential call for all steps.
 
 `Run` advances the scheme alone, as far as it is read, and averages the
 potential of the steps it takes a chunk of steps per `average_potential`
@@ -28,6 +28,8 @@ A step is a deterministic function of its start and h^n, so each step's
 `Step` record goes to the next: a step whose inputs repeat it bitwise (the
 discrete steady state under a constant h^n) returns its field unsolved, and
 a solve from its field takes its element state instead of computing it.
+The step problems share the mass and source terms built once per run
+(`EvolutionSetup.step_terms`), whose values the state has cached.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from .elliptic import (EllipticProblem, NonConvergence, SolverReport,
-                       _energy_terms, _point, _solve)
+                       _energy_terms, _point, _solve, _State, mass_term, potential_term,
+                       source_terms)
 from .meshing import (DiscreteField, Mesh, boundary_distance_field,
                       l2_norm_values)
 from .operators import (LerayLionsOperator, PotentialField, SourceTerm,
@@ -61,7 +64,9 @@ class EvolutionSetup:
     """A validated run description; owns `q ∈ (1, p_-)` and, for the operator
     on this mesh, `(A_0)`.  `sandwich_constant` is the smallest c with
     delta/c <= v0 <= c*delta at the interior quadrature points.  It says what
-    to compute, not what to write: its `Run` keeps every step taken."""
+    to compute, not what to write: its `Run` keeps every step taken.
+    `step_terms` are the step problem's mass term and, with a source, its
+    source term, the same for every step."""
 
     mesh: Mesh
     op: LerayLionsOperator
@@ -72,6 +77,7 @@ class EvolutionSetup:
     steps: int
     initial: DiscreteField
     sandwich_constant: float = field(init=False)
+    step_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mesh, q, p_minus = self.mesh, self.q, self.op.exponent.p_minus
@@ -93,6 +99,8 @@ class EvolutionSetup:
             raise ValueError("initial datum must be positive at interior quadrature points")
         object.__setattr__(self, "sandwich_constant",
                            float(max(np.max(vb / delta), np.max(delta / vb))))
+        object.__setattr__(self, "step_terms", (mass_term(mesh, q),) + source_terms(
+            mesh, self.op, q, self.dt, self.source))
 
     @property
     def dt(self) -> float:
@@ -135,7 +143,7 @@ def average_potential(h: PotentialField, steps: np.ndarray, dt: float) -> np.nda
     step index n of the array `steps`: the rows of an (S, n_points) array."""
     if steps.min() < 1:
         raise ValueError("step index starts at 1")
-    return _gauss_sum(lambda ts: np.array([h(t) for t in ts]), (steps - 1) * dt, dt) / 2.0
+    return _gauss_sum(h.at, (steps - 1) * dt, dt) / 2.0
 
 
 def time_integral_norm(mesh: Mesh, h: PotentialField, g: PotentialField,
@@ -147,7 +155,7 @@ def time_integral_norm(mesh: Mesh, h: PotentialField, g: PotentialField,
     dt = t_end / n_steps
 
     def norms(ts):
-        diff = np.array([h(t) - g(t) for t in ts])
+        diff = h.at(ts) - g.at(ts)
         return np.array(l2_norm_values(mesh, [diff, np.maximum(diff, 0.0)])).T
 
     out = np.zeros((n_steps + 1, 2))
@@ -163,7 +171,7 @@ class Step(NamedTuple):
     h_n: np.ndarray
     field: DiscreteField
     report: SolverReport
-    state: tuple
+    state: _State
 
 
 def step(setup: EvolutionSetup, previous: DiscreteField, h_n: np.ndarray,
@@ -174,15 +182,16 @@ def step(setup: EvolutionSetup, previous: DiscreteField, h_n: np.ndarray,
     `last` is the step before, on this setup.  When the inputs equal its
     bitwise, it is returned with this start and a copy of its report marked
     `repeated`, unsolved.  A `previous` that is `last.field` starts from
-    `last.state`, whose element means give h0."""
+    `last.state`, whose clipped element means give h0; the problem adds only
+    its potential term (-h0, q) to `setup.step_terms`."""
     if last is not None and np.array_equal(h_n, last.h_n) and (previous is last.start
             or np.array_equal(previous.values, last.start.values)):
         return last._replace(start=previous, report=replace(last.report, repeated=True))
     state = last.state if last is not None and previous is last.field else None
-    vb = previous.barycenter_values() if state is None else state[0]
-    h0 = setup.dt * h_n + np.maximum(vb, 0.0) ** setup.q
-    problem = EllipticProblem.standard(setup.mesh, setup.op, setup.q, setup.dt, h0,
-                                       setup.source)
+    vbp = np.maximum(previous.barycenter_values(), 0.0) if state is None else state.clipped
+    mass, *sources = setup.step_terms
+    potential = potential_term(setup.mesh, setup.q, setup.dt * h_n + vbp ** setup.q)
+    problem = EllipticProblem(setup.mesh, setup.op, setup.dt, (mass, potential, *sources))
     return Step(previous, h_n, *_solve(problem, previous, state))
 
 
@@ -205,8 +214,9 @@ def _step_averages(setup: EvolutionSetup, first: int, last: int):
 class Run:
     """One run of `setup`, advanced only as far as it is read: `head(n)` takes
     the steps up to n not yet taken, each once and handed the `Step` before,
-    and returns the first n (all by default).  A failed step's error names it;
-    the steps before stay in `fields` and `reports`."""
+    and returns the first n (all by default); the last `Step` is kept only
+    while steps remain.  A failed step's error names it; the steps before
+    stay in `fields` and `reports`."""
 
     def __init__(self, setup: EvolutionSetup):
         self.setup = setup
@@ -227,6 +237,8 @@ class Run:
                 raise
             self.fields.append(self._last.field)
             self.reports.append(self._last.report)
+        if len(self.reports) == setup.steps:
+            self._last = None  # no step follows: free the last element state
         return Trajectory(self.times[:n + 1], self.fields[:n + 1],
                           self.reports[:n], setup.q)
 
@@ -237,8 +249,8 @@ def diagnose(setup: EvolutionSetup,
     margin; a repeated step has its predecessor's field, h^n and values."""
     mesh, op, q, dt = setup.mesh, setup.op, setup.q, setup.dt
     point = _point(mesh, op, traj.fields[0].values)
-    mod0 = float(_energy_terms(EllipticProblem(mesh, op), point)[0])
-    solved_values = _solved_steps(setup, traj, np.maximum(point[0], 0.0) ** q)
+    mod0 = float(point.modular)  # the diffusion term at lam = 1
+    solved_values = _solved_steps(setup, traj, point.clipped ** q)
     diagnostics = []
     inc_sq_sum = budget_sum = 0.0
     worst_margin = np.inf
@@ -272,7 +284,7 @@ def _diagnose_chunk(setup: EvolutionSetup, traj: Trajectory, steps: list,
     mesh, op, q, dt, source = setup.mesh, setup.op, setup.q, setup.dt, setup.source
     h_n = average_potential(setup.potential, np.array(steps), dt)
     point = _point(mesh, op, np.array([traj.fields[n].values for n in steps]))
-    vb = np.maximum(point[0], 0.0)
+    vb = point.clipped
     rows = vb ** q
     incs = l2_norm_values(mesh, np.diff(rows, axis=0, prepend=vbq[None]))
     # ||f(x, v) / v^(q-1)||^2 from the clipped element means

@@ -250,9 +250,9 @@ class DiscreteField:
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.mesh.n_vertices,):
             raise ValueError("nodal values do not match the mesh")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("nodal values must be finite")
-        if np.any(vals[self.mesh.boundary_mask] != 0.0):
+        if (vals[self.mesh.boundary_mask] != 0.0).any():
             raise ValueError("boundary nodal values must vanish")
 
     def with_values(self, values) -> "DiscreteField":

@@ -245,13 +245,14 @@ def eval_source(src: SourceTerm, s):
 class PotentialField:
     """Time-dependent potential h(t, x) on the quadrature points.
 
-    `evaluator` maps a time to the per-point values; `lower_envelope` is the
+    `evaluator` maps an array of S times to the (S, n_points) array of the
+    values at each, one row per time (`at`); `lower_envelope` is the
     nonnegative, not identically zero floor h(t,.) >= h_lower required of
     admissible potentials (`(H_h)`, checked here and, at sampled times, by
     `check_envelope`), and `limit` the large-time profile when one exists.
     """
 
-    evaluator: Callable[[float], np.ndarray]
+    evaluator: Callable[[np.ndarray], np.ndarray]
     lower_envelope: np.ndarray
     sup_norm: float
     limit: Optional[np.ndarray] = None
@@ -269,28 +270,34 @@ class PotentialField:
                                   "not identically zero")
 
     def __call__(self, t: float) -> np.ndarray:
-        return np.asarray(self.evaluator(t), dtype=float)
+        """h(t, .) at one time: the one row of `at([t])`."""
+        return self.at([t])[0]
+
+    def at(self, times) -> np.ndarray:
+        """h(t, .) at each of the times, the rows of an (S, n_points) array,
+        from one evaluator call."""
+        return np.asarray(self.evaluator(np.asarray(times, dtype=float)), dtype=float)
 
     def check_envelope(self, times: Sequence[float]) -> None:
-        """`(H_h)` at the sampled times: h(t, .) >= h_lower up to roundoff,
-        and h(t, .) >= 0 exactly and not identically zero, as the elliptic
-        problems' potential term needs."""
-        for t in times:
-            sample = self(t)
-            if not np.all(np.isfinite(sample)):
+        """`(H_h)` at the sampled times, in order: h(t, .) >= h_lower up to
+        roundoff, and h(t, .) >= 0 exactly and not identically zero, as the
+        elliptic problems' potential term needs."""
+        for t, sample in zip(times, self.at(times)):
+            if not np.isfinite(sample).all():
                 raise ValueError(f"potential is not finite at t={t}")
-            if np.any(sample < self.lower_envelope - ENVELOPE_TOL):
+            if (sample < self.lower_envelope - ENVELOPE_TOL).any():
                 raise ValidationError("(H_h)", "potential drops below its lower "
                                       f"envelope at t={t}")
-            if np.any(sample < 0.0):
+            if (sample < 0.0).any():
                 raise ValidationError("(H_h)", f"potential is negative at t={t}")
-            if not np.any(sample > 0.0):
+            if not (sample > 0.0).any():
                 raise ValidationError("(H_h)", f"potential is identically zero at t={t}")
 
     @classmethod
     def constant(cls, values) -> "PotentialField":
         values = np.asarray(values, dtype=float)
-        return cls(lambda t: values, values, float(np.abs(values).max()), limit=values)
+        return cls(lambda ts: np.broadcast_to(values, (ts.size, values.size)), values,
+                   float(np.abs(values).max()), limit=values)
 
 
 class Regime(enum.Enum):

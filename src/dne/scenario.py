@@ -200,11 +200,10 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
         profiles = np.stack([_primitive(sec.pop(f"profile.{i}"), pts, mesh)
                              for i in range(1, times.size + 1)])
 
-        def evaluator(t):
-            t = np.clip(t, times[0], times[-1])
-            i = int(np.searchsorted(times, t, side="right") - 1)
-            i = min(i, len(times) - 2)
-            w = (t - times[i]) / (times[i + 1] - times[i])
+        def evaluator(ts):
+            ts = np.clip(ts, times[0], times[-1])
+            i = np.minimum(np.searchsorted(times, ts, side="right") - 1, len(times) - 2)
+            w = ((ts - times[i]) / (times[i + 1] - times[i]))[:, None]
             return (1.0 - w) * profiles[i] + w * profiles[i + 1]
 
         sup = float(np.abs(profiles).max())
@@ -213,14 +212,20 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
         profile = _primitive(sec.pop("profile", "bump 1.0"), pts, mesh)
         limit = profile
         if kind == "constant":
-            evaluator = lambda t: profile
+            evaluator = lambda ts: np.broadcast_to(profile, (ts.size, profile.size))
             sup = float(np.abs(profile).max())
         else:  # decaying toward the limit at rate (1+t)^-(1+eta)
             eta = float(sec.pop("eta", "0.5"))
             if not eta > -1.0:
                 raise ParseError(f"[potential] eta = {eta} must exceed -1, or h "
                                  f"does not decay to its profile")
-            evaluator = lambda t: profile * (1.0 + (1.0 + t) ** (-(1.0 + eta)))
+
+            def evaluator(ts):
+                # a scalar power per time: numpy's array power can differ
+                # from it in the last bit
+                factor = [1.0 + (1.0 + t) ** (-(1.0 + eta)) for t in ts.tolist()]
+                return profile * np.array(factor)[:, None]
+
             sup = float(2.0 * np.abs(profile).max())
     else:
         raise ParseError(f"unknown potential kind '{kind}'")

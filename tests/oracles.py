@@ -42,7 +42,8 @@ a branch per dimension, the reference for the library's loops over the
 (lo, hi) pairs of `Mesh.bounds`.
 
 `pure_load_solution` is the exact discrete solution of the 1D pure-load
-problem that `elliptic.solve_lambda_problem` solves.
+problem that `elliptic.solve_lambda_problem` solves, and `per_time` makes
+a `PotentialField` evaluator of a function of one time.
 """
 
 from __future__ import annotations
@@ -70,6 +71,12 @@ def restrict(op: LerayLionsOperator, k) -> LerayLionsOperator:
     whose every-point evaluation is `op`'s at those points, bit for bit."""
     return LerayLionsOperator(ExponentField(op.exponent.values[k]), op.partition,
                               op.weights[:, k])
+
+
+def per_time(h):
+    """The `PotentialField` evaluator of `h`, a function of one time: the
+    rows h(t) for an array of times, stacked."""
+    return lambda times: np.array([h(t) for t in times])
 
 
 def _maybe_scalar(x):
@@ -354,8 +361,8 @@ def energy_terms_reference(problem: EllipticProblem, point) -> list:
     vbp = np.maximum(vb, 0.0)
     dens = np.einsum("...d,...d->...", flux, gv)
     terms = [problem.lam * (mesh.measures * dens / problem.op.exponent.values).sum(axis=-1)]
-    for c, r in problem.terms:
-        terms.append((mesh.measures * c * vbp ** r).sum(axis=-1) / r)
+    for term in problem.terms:
+        terms.append((mesh.measures * term.c * vbp ** term.r).sum(axis=-1) / term.r)
     if problem.load is not None:
         terms.append(-(mesh.measures * problem.load * vb).sum(axis=-1))
     return terms
@@ -369,8 +376,8 @@ def gradient_values_reference(problem: EllipticProblem, point) -> np.ndarray:
     vb, _, flux = point
     vbp = np.maximum(vb, 0.0)
     dens = np.zeros(mesh.n_elements)
-    for c, r in problem.terms:
-        dens += c * _power(vbp, r - 1.0, vbp.min() > 0.0)
+    for term in problem.terms:
+        dens += term.c * _power(vbp, term.r - 1.0, vbp.min() > 0.0)
     if problem.load is not None:
         dens -= problem.load
     contrib = (mesh.measures * dens)[:, None] / nloc
@@ -396,9 +403,9 @@ def hessian_band_reference(problem: EllipticProblem, point,
     eps = HESSIAN_EPS * (scale if scale > HESSIAN_SCALE_FLOOR else 1.0)
     vbp = np.maximum(vb, 0.0)
     dd = np.zeros(mesh.n_elements)
-    for c, r in problem.terms:
-        if include_concave or c.min() >= 0.0:
-            dd += (r - 1.0) * c * _power(vbp, r - 2.0, vbp.min() > 0.0)
+    for term in problem.terms:
+        if include_concave or term.c.min() >= 0.0:
+            dd += (term.r - 1.0) * term.c * _power(vbp, term.r - 2.0, vbp.min() > 0.0)
     element = scatter.element
     # the pairs' corners in an element-major (element, l) array
     first, second = scatter.rows % mesh.n_elements * nloc + scatter.rows // mesh.n_elements
@@ -446,7 +453,7 @@ def diagnose_per_step(setup: EvolutionSetup, traj: Trajectory):
     mesh, op, q, dt, source = setup.mesh, setup.op, setup.q, setup.dt, setup.source
     point = _point(mesh, op, traj.fields[0].values)
     mod0 = float(_energy_terms(EllipticProblem(mesh, op), point)[0])
-    vbq = np.maximum(point[0], 0.0) ** q
+    vbq = np.maximum(point.means, 0.0) ** q
     diagnostics = []
     inc_sq_sum = budget_sum = 0.0
     worst_margin = np.inf
@@ -454,7 +461,7 @@ def diagnose_per_step(setup: EvolutionSetup, traj: Trajectory):
         if not report.repeated:
             h_n = average_potential(setup.potential, np.array([n]), dt)[0]
             point = _point(mesh, op, v.values)
-            vb = np.maximum(point[0], 0.0)
+            vb = np.maximum(point.means, 0.0)
             vbq, vbq_prev = vb ** q, vbq
             inc = l2_norm_values(mesh, vbq - vbq_prev) / dt
             f_sq = 0.0

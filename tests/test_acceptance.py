@@ -26,7 +26,7 @@ from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
 from oracles import (calibrate_gamma0, contraction_ratio, ellipticity_floor,
                      energy, energy_gradient, evolve, flux_jacobian_batch,
                      growth_envelope, monotonicity_gap, picone_pair_sum,
-                     positive_part_norm, restrict)
+                     per_time, positive_part_norm, restrict)
 
 SEED = 20240801
 
@@ -193,7 +193,7 @@ def test_criterion_4_parabolic_contraction():
     q = 1.25
     mesh, op, src, h_inf = _fixture_1d(200)
     pot_h = PotentialField.constant(h_inf)
-    pot_g = PotentialField(lambda t: h_inf * (1.0 + 0.3 * np.exp(-t)), h_inf,
+    pot_g = PotentialField(per_time(lambda t: h_inf * (1.0 + 0.3 * np.exp(-t))), h_inf,
                            1.3 * float(h_inf.max()), limit=h_inf)
     v0 = interpolate(mesh, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
     w0 = v0.with_values(0.7 * v0.values)
@@ -253,7 +253,7 @@ def test_criterion_6_stabilization():
     q = 1.25
     mesh, op, src, h_inf = _fixture_1d(100)
     pot_const = PotentialField.constant(h_inf)
-    pot_decay = PotentialField(lambda t: h_inf * (1.0 + (1.0 + t) ** (-1.5)),
+    pot_decay = PotentialField(per_time(lambda t: h_inf * (1.0 + (1.0 + t) ** (-1.5))),
                                h_inf, 2.0 * float(h_inf.max()), limit=h_inf)
     v_stat = solve_stationary(mesh, op, q, h_inf, src)
     v0 = interpolate(mesh, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
@@ -319,7 +319,7 @@ def test_criterion_8_self_convergence_in_dt():
     t0 = time.perf_counter()
     q = 1.25
     mesh, op, src, h_inf = _fixture_1d(100)
-    pot = PotentialField(lambda t: h_inf * (1.0 + 0.5 * np.exp(-t)), h_inf,
+    pot = PotentialField(per_time(lambda t: h_inf * (1.0 + 0.5 * np.exp(-t))), h_inf,
                          1.5 * float(h_inf.max()), limit=h_inf)
     v0 = interpolate(mesh, lambda x: 0.4 * np.sin(np.pi * x[:, 0]))
     T = 1.0

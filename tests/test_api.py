@@ -189,6 +189,7 @@ assert "scipy.linalg" not in sys.modules, "scipy.linalg"
 assert "scipy.sparse" not in sys.modules, "scipy.sparse"
 assert "scipy" not in sys.modules, "scipy"
 assert "numpy.polynomial" not in sys.modules, "numpy.polynomial"
+assert "numpy.random" not in sys.modules, "numpy.random"
 assert "scipy.linalg._flapack" in sys.modules, "scipy.linalg._flapack"
 import scipy.linalg.lapack as lapack, scipy.sparse.linalg
 assert dne.elliptic.dpbsv is lapack.dpbsv and dne.elliptic.dptsv is lapack.dptsv
@@ -389,7 +390,7 @@ def test_a_field_is_its_mesh_and_values():
     assert [f.name for f in dataclasses.fields(dne.DiscreteField)] == ["mesh", "values"]
 
 
-def test_harness_contract():
+def test_harness_contract(monkeypatch):
     # the benchmark harness (perfbench/) loads a scenario, reads its five
     # views, wraps these two Mesh methods and times the module-level
     # `evolution.step` wherever a dne module binds it
@@ -406,3 +407,20 @@ def test_harness_contract():
     assert (loaded.dimension, loaded.resolution, loaded.steps, loaded.horizon) == (
         setup.mesh.dimension, setup.mesh.resolution, setup.steps, setup.horizon)
     assert isinstance(loaded.build_mesh(), dne.Mesh)
+    # `Run.head(k)` calls the rebound step k times, solved and repeated steps
+    # alike: default_1d's steps repeat their predecessor's from step 50 on
+    config = Path(__file__).resolve().parent.parent / "configs" / "default_1d.cfg"
+    full = scenario.load_scenario(str(config)).setup
+    setup = dataclasses.replace(full, horizon=60 * full.dt, steps=60)
+    original, calls = evolution.step, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "step", counting)
+    run = evolution.Run(setup)
+    for k in (1, 30, 60):
+        reports = run.head(k).reports
+        assert len(calls) == k == len(reports)
+    assert 0 < sum(r.repeated for r in reports) < 60

@@ -22,7 +22,7 @@ from dne.scenario import load_scenario
 from oracles import (contraction_elliptic_per_orientation,
                      contraction_parabolic_per_step, contraction_ratio, evolve,
                      function_library_reference, hopf_probe_quotients, monotone_run_per_step, picone_at_points,
-                     picone_pair_per_pair, picone_per_sample,
+                     per_time, picone_pair_per_pair, picone_per_sample,
                      sandwich_per_step, stabilization_per_step, zero_field)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -343,7 +343,7 @@ class TestContractionParabolic:
     def test_different_potentials(self, mesh_1d, data_1d):
         op, src, pot = data_1d
         prof = pot.limit
-        pot2 = PotentialField(lambda t: prof * (1.0 + 0.3 * np.exp(-t)), prof,
+        pot2 = PotentialField(per_time(lambda t: prof * (1.0 + 0.3 * np.exp(-t))), prof,
                               1.3 * float(prof.max()), limit=prof)
         v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
         s1 = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 20, v0)
@@ -556,7 +556,7 @@ class TestStackedRunChecks:
         pot = setup.potential
         # a second potential whose difference from the first changes sign
         phase = np.linspace(0.0, 6.0, setup.mesh.n_elements)
-        wave = PotentialField(lambda t: pot(t) * (1.0 + 0.5 * np.sin(3.0 * t + phase)),
+        wave = PotentialField(per_time(lambda t: pot(t) * (1.0 + 0.5 * np.sin(3.0 * t + phase))),
                               0.5 * pot.lower_envelope, 1.5 * pot.sup_norm)
         for a, b in [(traj, other), (other, traj)]:
             for h, g in [(pot, pot), (pot, wave), (wave, pot)]:

@@ -1,22 +1,28 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dne import elliptic
+from dne import elliptic, evolution
 from dne.elliptic import (EllipticProblem, NonConvergence, bump_seed,
                           make_subsolution, make_supersolution, solve,
                           solve_lambda_problem, solve_stationary)
 from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
                          interval_mesh, l2_norm_diff_power, rectangle_mesh)
+from dne.evolution import average_potential
 from dne.operators import (ExponentField, LerayLionsOperator, SourceTerm,
                            ValidationError, _square_norm, eval_A, eval_source,
                            seeded_rng)
+from dne.scenario import load_scenario
 
 from oracles import (blocks_reference, element_grads, energy, energy_gradient,
                      energy_terms_reference,
                      flux_jacobian_batch, gradient_values_reference,
                      hessian_band_reference, point_reference, positive_part_norm,
                      pure_load_solution, zero_field)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def iso_op(mesh, p):
@@ -67,9 +73,10 @@ def coo_interior_hessian(problem, vals, include_concave):
         "eld,edc,emc->elm", element_grads(mesh), jac, element_grads(mesh))
     vbp = np.maximum(mesh.element_means(vals), 0.0)
     dd = np.zeros(mesh.n_elements)
-    for c, r in problem.terms:
-        if include_concave or c.min() >= 0.0:
-            dd += (r - 1.0) * c * elliptic._power(vbp, r - 2.0, vbp.min() > 0.0)
+    for term in problem.terms:
+        if include_concave or term.c.min() >= 0.0:
+            dd += (term.r - 1.0) * term.c * elliptic._power(vbp, term.r - 2.0,
+                                                             vbp.min() > 0.0)
     elem = elem + (mesh.measures * dd)[:, None, None] / nloc ** 2
     rows = np.repeat(mesh.elements, nloc, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, nloc)).ravel()
@@ -133,8 +140,8 @@ class TestEnergy:
         m, vb = mesh_1d, mesh_1d.element_means(v.values)
         dens = eval_A(op, m.gradient_of(v.values))
         terms = ([np.sum(m.measures * dens / op.exponent.values)]
-                 + [np.sum(m.measures * c * np.maximum(vb, 0.0) ** r) / r
-                    for c, r in prob.terms]
+                 + [np.sum(m.measures * t.c * np.maximum(vb, 0.0) ** t.r) / t.r
+                    for t in prob.terms]
                  + [-np.sum(m.measures * load * vb)])
         assert len(terms) == 4
         assert j == pytest.approx(sum(terms), rel=1e-12)
@@ -275,7 +282,7 @@ class TestBandedNewton:
         vals[mesh.interior] = rng.uniform(0.2, 1.2, mesh.interior.size)
         vals[mesh.interior[: mesh.interior.size // 2]] = 0.7
         point = elliptic._point(mesh, op, vals)
-        flat = ~point[1].any(axis=1)
+        flat = ~point.grads.any(axis=1)
         assert flat.any() and not flat.all()
         assert op.exponent.values[flat].min() < 2.0
         hess = coo_interior_hessian(prob, vals, include_concave)
@@ -301,7 +308,7 @@ class TestBandedNewton:
         prob = EllipticProblem.standard(mesh, op, (1.0 + p) / 2.0, 1.0,
                                         np.full(mesh.n_elements, 0.5))
         point = elliptic._point(mesh, op, vals)
-        assert 0.0 < np.sqrt(_square_norm(point[1]).max()) < 1e-149
+        assert 0.0 < np.sqrt(_square_norm(point.grads).max()) < 1e-149
         for include_concave in (True, False):
             band = elliptic._hessian_matrix(prob, point, include_concave)
             assert np.isfinite(band).all()
@@ -441,12 +448,13 @@ class TestElementPassReference:
         for nodal in (vals, stacked):
             point = elliptic._point(mesh, op, nodal)
             expected = point_reference(mesh, op, nodal)
-            for actual, reference in zip(point, expected):
+            for actual, reference in zip((point.means, point.grads, point.flux),
+                                         expected, strict=True):
                 assert_bitwise(actual, reference)
             assert_bitwise(mesh.element_means(nodal), expected[0])
             assert_bitwise(mesh.gradient_of(nodal), expected[1])
             # |grad v|^2, whose largest value scales the Hessian's smoothing
-            assert_bitwise(_square_norm(point[1]),
+            assert_bitwise(_square_norm(point.grads),
                            np.einsum("...d,...d->...", expected[1], expected[1]))
             prob = banded_problem(mesh, op)
             for actual, reference in zip(elliptic._energy_terms(prob, point),
@@ -478,7 +486,7 @@ class TestElementPassReference:
         mesh = BANDED_MESHES[mesh_name]()
         op = self.operator(mesh, op_kind)
         prob = banded_problem(mesh, op, beta=0.0)
-        assert [r for _, r in prob.terms][-1] == 1.0
+        assert prob.terms[-1].r == 1.0
         vals = self.signed_zero_values(mesh, 71)
         point = elliptic._point(mesh, op, vals)
         expected = point_reference(mesh, op, vals)
@@ -510,6 +518,63 @@ class TestElementPassReference:
                     assert flat.any() == (eps == 0.0)
                     np.testing.assert_array_equal(
                         c[flat], op.weights[j][flat] if p == 2.0 else 0.0)
+
+
+class TestStateCache:
+    """An element state caches each `PowerTerm`'s energy integral and gradient
+    density by term; the start state of a run's step, handed over by the
+    step before, serves the run-level mass and source terms from it."""
+
+    @pytest.mark.parametrize("config", ["decaying_1d", "smoke_2d"])
+    def test_new_potential_term_at_a_handed_state(self, config):
+        setup = load_scenario(str(CONFIGS / f"{config}.cfg")).setup
+        h1, h2 = average_potential(setup.potential, np.array([1, 2]), setup.dt)
+        last = evolution.step(setup, setup.initial, h1)
+        state, (mass, *sources) = last.state, setup.step_terms
+        assert all(term in state._energies and term in state._densities
+                   for term in setup.step_terms)
+        potential = elliptic.potential_term(setup.mesh, setup.q,
+                                            setup.dt * h2 + state.clipped ** setup.q)
+        problem = EllipticProblem(setup.mesh, setup.op, setup.dt,
+                                  (mass, potential, *sources))
+        fresh = elliptic._point(setup.mesh, setup.op, last.field.values)
+        for cached, computed in zip(elliptic._energy_terms(problem, state),
+                                    elliptic._energy_terms(problem, fresh), strict=True):
+            assert_bitwise(cached, computed)
+        assert (elliptic._energy_parts(problem, state)
+                == elliptic._energy_parts(problem, fresh))
+        assert_bitwise(elliptic._gradient_values(problem, state),
+                       elliptic._gradient_values(problem, fresh))
+        for include_concave in (True, False):
+            assert_bitwise(elliptic._hessian_matrix(problem, state, include_concave),
+                           elliptic._hessian_matrix(problem, fresh, include_concave))
+
+    def test_rebuilt_coefficients_are_never_served_stale(self, mesh_1d, data_1d):
+        # each pass frees the previous pass's h0, terms and problem, so a
+        # cache keyed by an array's address can meet a reused one; keyed by
+        # the term, which the cache keeps alive, it never serves another's
+        op, src, pot = data_1d
+        v = interpolate(mesh_1d, lambda x: 0.3 * np.sin(np.pi * x[:, 0]))
+        state = elliptic._point(mesh_1d, op, v.values)
+        energies = set()
+        for k in range(60):
+            problem = EllipticProblem.standard(mesh_1d, op, 1.25, 0.5,
+                                               (1.0 + 0.01 * k) * pot(0.0), src)
+            fresh = elliptic._point(mesh_1d, op, v.values)
+            parts = elliptic._energy_parts(problem, state)
+            assert parts == elliptic._energy_parts(problem, fresh)
+            assert_bitwise(elliptic._gradient_values(problem, state),
+                           elliptic._gradient_values(problem, fresh))
+            energies.add(parts[0])
+        assert len(energies) == 60
+
+    def test_term_coefficients_are_a_read_only_copy(self, mesh_1d):
+        c = np.ones(mesh_1d.n_elements)
+        term = elliptic.PowerTerm(mesh_1d, c, 2.0)
+        c[0] = 2.0
+        assert term.c[0] == 1.0
+        with pytest.raises(ValueError):
+            term.c[0] = 2.0
 
 
 class TestMinimize:

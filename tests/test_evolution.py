@@ -11,14 +11,14 @@ from dne.elliptic import (EllipticProblem, NonConvergence, bump_seed,
                           solve_stationary)
 from dne.evolution import (EvolutionSetup, Run, Trajectory, average_potential,
                            diagnose, step, time_integral_norm)
-from dne.meshing import (DiscreteField, Mesh, boundary_distance_field,
+from dne.meshing import (DiscreteField, Mesh, _unit_bump, boundary_distance_field,
                          interpolate, l2_norm_diff_power, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
-                           SourceTerm, ValidationError)
+                           SourceTerm, ValidationError, seeded_rng)
 from dne.scenario import load_scenario
 
 from oracles import (change_of_variables_u, diagnose_per_step, energy, evolve,
-                     time_integral_norm_per_step, zero_field)
+                     per_time, time_integral_norm_per_step, zero_field)
 
 Q = 1.25
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -133,7 +133,7 @@ class TestAveragePotential:
 
     def test_linear_in_time_exact(self, mesh_1d):
         ne = mesh_1d.n_elements
-        pot = PotentialField(lambda t: np.full(ne, 0.5 + t), np.full(ne, 0.5), 1.5)
+        pot = PotentialField(per_time(lambda t: np.full(ne, 0.5 + t)), np.full(ne, 0.5), 1.5)
         h1 = step_average(pot, 1, 1.0)
         np.testing.assert_allclose(h1, 1.0, atol=1e-12)
 
@@ -141,7 +141,7 @@ class TestAveragePotential:
         op, src, _ = data_1d
         ne = mesh_1d.n_elements
         prof = np.ones(ne)
-        pot = PotentialField(lambda t: prof * (1.0 + (1.0 + t) ** (-1.5)),
+        pot = PotentialField(per_time(lambda t: prof * (1.0 + (1.0 + t) ** (-1.5))),
                              prof, 2.0, limit=prof)
         for n in range(1, 6):
             hn = step_average(pot, n, 0.5)
@@ -271,7 +271,7 @@ class TestEvolve:
         minimize, calls = elliptic._minimize, []
 
         def counting(*args):
-            calls.append([r for _, r in args[0].terms])
+            calls.append([term.r for term in args[0].terms])
             return minimize(*args)
 
         monkeypatch.setattr(elliptic, "_minimize", counting)
@@ -543,6 +543,68 @@ class TestRunAverages:
                         for k in range(1, steps + 1)]
 
 
+def averaged_potential_reference(potential, mesh):
+    """h(t, .) of AVERAGED_POTENTIALS[potential] at one time, by the one-time
+    formula of its kind (a decaying factor is a scalar power)."""
+    bump = lambda s: s * _unit_bump(mesh.barycenters, mesh)
+    if potential == "constant":
+        return lambda t: bump(1.0)
+    if potential == "decaying":
+        return lambda t: bump(1.0) * (1.0 + (1.0 + t) ** (-(1.0 + 0.5)))
+    knots = np.array([0.0, 0.7, 1.9, 4.0])
+    profiles = [bump(1.0), bump(1.5), bump(0.8), bump(1.0)]
+
+    def tabulated(t):
+        t = np.clip(t, knots[0], knots[-1])
+        i = min(int(np.searchsorted(knots, t, side="right") - 1), len(knots) - 2)
+        w = (t - knots[i]) / (knots[i + 1] - knots[i])
+        return (1.0 - w) * profiles[i] + w * profiles[i + 1]
+
+    return tabulated
+
+
+class TestPotentialRows:
+    """A potential's evaluator takes an array of times and returns one row per
+    time, each bitwise that time's value, so `average_potential` over any
+    chunk of steps is bitwise each step's own average."""
+
+    STEPS, DT = 2000, 0.002
+
+    def gauss_times(self):
+        """The times `_gauss_sum` samples over steps 1..STEPS, node by node,
+        and some beyond the horizon."""
+        starts = np.arange(self.STEPS) * self.DT
+        nodes = (evolution.GAUSS_NODES + 1.0) * self.DT / 2.0
+        return np.concatenate([starts + x for x in nodes] + [[4.0, 5.0, np.inf]])
+
+    @pytest.mark.parametrize("potential", sorted(AVERAGED_POTENTIALS) + ["field-constant"])
+    def test_rows_are_each_times_value(self, tmp_path, potential):
+        kind = "constant" if potential == "field-constant" else potential
+        setup = averaged_setup(tmp_path, 1, kind, 10)
+        mesh, times = setup.mesh, self.gauss_times()
+        pot, reference = setup.potential, averaged_potential_reference(kind, mesh)
+        if potential == "field-constant":
+            values = seeded_rng(3, "field-constant").uniform(0.5, 1.5, mesh.n_elements)
+            pot, reference = PotentialField.constant(values), lambda t: values
+        rows = pot.at(times)
+        assert rows.shape == (times.size, mesh.n_elements)
+        expected = np.array([reference(t) for t in times])
+        assert rows.tobytes() == expected.tobytes()
+        for t in times[::101]:
+            assert pot(t).tobytes() == reference(t).tobytes()
+
+    @pytest.mark.parametrize("potential", sorted(AVERAGED_POTENTIALS))
+    def test_chunk_averages_are_one_step_averages(self, tmp_path, potential):
+        pot = averaged_setup(tmp_path, 1, potential, 10).potential
+        one_step = np.array([step_average(pot, n, self.DT)
+                             for n in range(1, self.STEPS + 1)])
+        for size in (7, 40, self.STEPS):
+            chunks = [average_potential(pot, np.arange(k, min(k + size, self.STEPS + 1)),
+                                        self.DT)
+                      for k in range(1, self.STEPS + 1, size)]
+            assert np.concatenate(chunks).tobytes() == one_step.tobytes()
+
+
 class TestRepeatedStep:
     def test_repeated_steps_are_exact(self, monkeypatch):
         # from step 49 on, each default_1d step returns its start under the
@@ -651,6 +713,25 @@ class TestHandoff:
         assert solved > 1
         assert len(iterates) - handed == solved - 1
 
+    @pytest.mark.parametrize("config, steps", [
+        ("decaying_1d", 40), ("default_1d", 60), ("smoke_2d", 6)])
+    def test_handed_states_give_the_run_without_them(self, monkeypatch, config, steps):
+        # a run whose steps start from the states their predecessors hand
+        # over, whose cached terms serve the run-level mass and source terms,
+        # equals one where every step computes its start's state, bitwise
+        setup = first_steps(config, steps)
+        handed = Run(setup).head()
+        original = evolution.step
+        monkeypatch.setattr(evolution, "step", lambda setup, previous, h_n, last=None:
+                            original(setup, previous, h_n,
+                                     None if last is None else last._replace(state=None)))
+        fresh = Run(setup).head()
+        for a, b in zip(handed.fields, fresh.fields, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+        assert handed.reports == fresh.reports
+        if config == "default_1d":
+            assert any(r.repeated for r in handed.reports)
+
     def test_state_is_handed_only_from_last_field(self, mesh_1d, data_1d, monkeypatch):
         # a step from a copy of `last.field` computes its start's state and
         # never reads `last.state`; its result is the handed step's, bitwise
@@ -668,7 +749,7 @@ class TestHandoff:
         assert len(iterates) == from_field + 1
         assert fresh.field.values.tobytes() == handed.field.values.tobytes()
         assert fresh.report == handed.report
-        assert fresh.state[0].tobytes() == handed.state[0].tobytes()
+        assert fresh.state.means.tobytes() == handed.state.means.tobytes()
 
     def test_solve_leaves_its_guess_as_it_was(self, mesh_1d, data_1d, monkeypatch):
         # `solve` reads its guess and returns a new field: two solves from a
@@ -807,8 +888,8 @@ class TestChangeOfVariables:
 class TestTimeIntegralNorm:
     def test_constant_difference(self, mesh_1d, data_1d):
         ne = mesh_1d.n_elements
-        h = PotentialField(lambda t: np.full(ne, 2.0), np.full(ne, 2.0), 2.0)
-        g = PotentialField(lambda t: np.full(ne, 1.0), np.full(ne, 1.0), 1.0)
+        h = PotentialField(per_time(lambda t: np.full(ne, 2.0)), np.full(ne, 2.0), 2.0)
+        g = PotentialField(per_time(lambda t: np.full(ne, 1.0)), np.full(ne, 1.0), 1.0)
         cum = time_integral_norm(mesh_1d, h, g, 2.0, 4)
         # h - g = 1 > 0: the plain and positive-part columns agree
         np.testing.assert_allclose(cum, np.linspace(0.0, 2.0, 5)[:, None] * [1.0, 1.0],
@@ -823,7 +904,7 @@ class TestTimeIntegralNorm:
         # and for a difference that changes sign, in both orientations
         mesh, (_, _, bump) = (mesh_1d, data_1d) if dimension == 1 else (mesh_2d, data_2d)
         phase = np.linspace(0.0, 6.0, mesh.n_elements)
-        wave = PotentialField(lambda t: bump(t) * (1.0 + 0.5 * np.sin(3.0 * t + phase)),
+        wave = PotentialField(per_time(lambda t: bump(t) * (1.0 + 0.5 * np.sin(3.0 * t + phase))),
                               0.5 * bump.lower_envelope, 1.5 * bump.sup_norm)
         for h, g in [(bump, bump), (bump, wave), (wave, bump)]:
             cum = time_integral_norm(mesh, h, g, 1.5, n_steps)
@@ -842,12 +923,12 @@ def _owner_violations():
     ones = np.ones(ne)
     pot = PotentialField.constant(ones)
     v0 = interpolate(mesh, lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
-    falling = PotentialField(lambda t: ones * (1.0 - t), ones, 1.0)
+    falling = PotentialField(per_time(lambda t: ones * (1.0 - t)), ones, 1.0)
     tiny = 1e-13 * ones
 
     def sampled(h):
         # h within ENVELOPE_TOL of its envelope, but not h >= 0 and h != 0
-        PotentialField(lambda t: h, tiny, 1.0).check_envelope([0.0])
+        PotentialField(per_time(lambda t: h), tiny, 1.0).check_envelope([0.0])
 
     return [
         pytest.param("1 < p_-", lambda: ExponentField(np.linspace(1.0, 2.0, ne)),
@@ -862,7 +943,7 @@ def _owner_violations():
         pytest.param("(f_0)", lambda: SourceTerm(-ones, delta, 1.0, 0.0, 1.25), id="f0"),
         pytest.param("(f_1)", lambda: SourceTerm(ones, delta, 1.0, 0.25, 1.25), id="f1"),
         pytest.param("(f_2)", lambda: SourceTerm(ones, delta, -0.3, 0.0, 1.25), id="f2"),
-        pytest.param("(H_h)", lambda: PotentialField(lambda t: ones, 0.0 * ones, 1.0),
+        pytest.param("(H_h)", lambda: PotentialField(per_time(lambda t: ones), 0.0 * ones, 1.0),
                      id="Hh-envelope"),
         pytest.param("(H_h)", lambda: falling.check_envelope([0.0, 0.5]),
                      id="Hh-sampled"),

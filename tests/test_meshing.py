@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dne.elliptic import EllipticProblem, _energy_terms, _point
+from dne.elliptic import EllipticProblem, PowerTerm, _energy_terms, _point
 from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
                          interval_mesh, l2_norm_diff_power, rectangle_mesh)
 from dne.operators import ExponentField, LerayLionsOperator, seeded_rng
@@ -176,8 +176,8 @@ class TestLqIntegral:
     @staticmethod
     def lq_integral(v, weight, exponent):
         mesh = v.mesh
-        problem = EllipticProblem(mesh, iso_op(mesh, 2.0),
-                                  terms=((np.full(mesh.n_elements, weight), exponent),))
+        problem = EllipticProblem(mesh, iso_op(mesh, 2.0), terms=(
+            PowerTerm(mesh, np.full(mesh.n_elements, weight), exponent),))
         return exponent * _energy_terms(problem, _point(mesh, problem.op, v.values))[1]
 
     def test_zero_field(self, mesh_1d):

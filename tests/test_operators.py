@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
-                           Regime, SourceTerm, classify_regime, eval_A,
-                           eval_flux, eval_source, seeded_rng)
+                           Regime, SourceTerm, ValidationError, classify_regime,
+                           eval_A, eval_flux, eval_source, seeded_rng)
 
 from oracles import (calibrate_gamma0, ellipticity_floor, flux_jacobian_batch,
                      growth_envelope, monotonicity_gap, morawetz_gap, picone_gap,
-                     picone_pair_sum, restrict)
+                     per_time, picone_pair_sum, restrict)
 
 
 def const_op(p, ndim=2, weight=1.0, n_points=8):
@@ -393,19 +393,38 @@ class TestSource:
 class TestPotential:
     def test_envelope_must_be_nontrivial(self):
         with pytest.raises(ValueError):
-            PotentialField(lambda t: np.ones(4), np.zeros(4), 1.0)
+            PotentialField(per_time(lambda t: np.ones(4)), np.zeros(4), 1.0)
 
     def test_envelope_violation_detected(self):
-        pot = PotentialField(lambda t: np.full(4, 0.5 - t), np.full(4, 0.25), 0.5)
+        pot = PotentialField(per_time(lambda t: np.full(4, 0.5 - t)), np.full(4, 0.25), 0.5)
         pot.check_envelope([0.0, 0.25])
         with pytest.raises(ValueError):
             pot.check_envelope([0.5])
+
+    def test_check_names_the_first_failing_time(self):
+        # one evaluator call for every sampled time; the first time that
+        # fails any check is named, by the first check it fails there
+        calls = []
+
+        def rows(times):
+            calls.append(len(times))
+            return np.array([np.full(4, 0.5 - t) if t < 0.9 else np.full(4, np.inf)
+                             for t in times])
+
+        pot = PotentialField(rows, np.full(4, 0.25), 0.5)
+        with pytest.raises(ValidationError, match=r"envelope at t=0\.3$"):
+            pot.check_envelope([0.0, 0.3, 0.6, 0.9])
+        with pytest.raises(ValidationError, match=r"envelope at t=0\.6$"):
+            pot.check_envelope([0.0, 0.6, 0.3])
+        with pytest.raises(ValueError, match=r"not finite at t=0\.9$"):
+            pot.check_envelope([0.9, 0.3])
+        assert calls == [4, 3, 2]
 
     def test_rejects_infinite_values(self):
         # an infinite potential used to load and fail at the first solve
         with pytest.raises(ValueError, match="finite"):
             PotentialField.constant(np.full(4, np.inf))
-        pot = PotentialField(lambda t: np.full(4, 1.0 if t == 0.0 else np.inf),
+        pot = PotentialField(per_time(lambda t: np.full(4, 1.0 if t == 0.0 else np.inf)),
                              np.ones(4), 1.0)
         with pytest.raises(ValueError, match="finite"):
             pot.check_envelope([0.0, 1.0])
