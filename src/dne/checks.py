@@ -1,11 +1,11 @@
 """Named, machine-runnable checks for every estimate the solver is built on.
 
-Each check enumerates, samples or solves, measures one array of signed
+Each check enumerates or solves, measures one array of signed
 margins over its locations (>= 0 means the inequality holds with room) and
 returns the CheckReport that `_report` builds from it: the worst margin and
-where it lies.  Only `alg-inequality` draws its locations; the two Picone
-checks take every point they tabulate: `picone` every library pair at every
-quadrature point, `picone-pair` all its field pairs in one pass.  A check on
+where it lies.  No check draws its locations: `alg-inequality` takes a fixed
+grid of ratios, `picone` every library pair at every quadrature point, and
+`picone-pair` the fixed field pairs of `pair_fields` in one pass.  A check on
 a run reads the run once, as one array with a leading axis of stored times:
 nodal values for the ordering checks, and (v+)^q element means, normed row
 by row, for the norm checks.  The two contraction checks take both of their
@@ -26,15 +26,14 @@ import numpy as np
 from .elliptic import EllipticProblem, solve, solve_lambda_problem
 from .evolution import Trajectory, time_integral_norm
 from .meshing import DiscreteField, Mesh, _mean_powers, l2_norm_values
-from .operators import (LerayLionsOperator, PotentialField, eval_A, eval_flux,
-                        seeded_rng)
+from .operators import LerayLionsOperator, PotentialField, eval_A, eval_flux
 
 CONTRACTION_SLACK = 1.02          # multiplicative, discrete contraction checks
 ORDERING_SLACK = 1e-8             # additive, nodal comparison checks
 PICONE_PAIR_SLACK = 1e-10         # relative, integrated two-function sum
 PICONE_SLACK = 1e-12              # relative, pointwise Picone margin
-ALG_SLACK = 1e-14                 # absolute, scalar power inequality
-ALG_SAMPLES = 10 ** 5             # drawn pairs of the scalar power inequality
+ALG_GRID = 10 ** 5                # grid intervals of the power inequality's ratio
+PICONE_PAIRS = 8                  # field pairs of the two-function Picone check
 STABILIZATION_GROWTH = 1e-6       # relative per-step growth allowed after burn-in
 STABILIZATION_THRESHOLD = 1e-3    # largest final L2 distance to the stationary state
 HOPF_FLOOR = 1e-6                 # smallest admissible boundary difference quotient
@@ -101,6 +100,25 @@ def function_library(mesh: Mesh):
         out.append({"name": "*".join(name for _, _, name in profiles),
                     "values": math.prod(values), "grads": np.stack(grads, axis=1)})
     return out
+
+
+def pair_fields(mesh: Mesh):
+    """PICONE_PAIRS pairs of fields for `picone-pair`, positive at the interior
+    vertices and zero on the boundary: scale * (0.2 + |sin(pi s)| + 0.3 u),
+    s the first coordinate scaled to [0, 1].  The u are the fixed sequence
+    u_m = frac(m (sqrt(5) - 1)/2), m = 1, 2, ..., taken in blocks, one a
+    field, fields in pair order: a field's scale is 0.5 + 1.5 u at the first u
+    of its block, and the rest are its interior u."""
+    interior, n_fields = mesh.interior, 2 * PICONE_PAIRS
+    block = 1 + interior.size
+    m = np.arange(1, n_fields * block + 1)
+    u = np.modf(m * ((math.sqrt(5.0) - 1.0) / 2.0))[0].reshape(n_fields, block)
+    lo, hi = mesh.bounds[0]
+    base = np.abs(np.sin(np.pi * (mesh.vertices[interior, 0] - lo) / (hi - lo)))
+    values = np.zeros((n_fields, mesh.n_vertices))
+    values[:, interior] = (0.5 + 1.5 * u[:, :1]) * (0.2 + base + 0.3 * u[:, 1:])
+    fields = [DiscreteField(mesh, v) for v in values]
+    return list(zip(fields[::2], fields[1::2]))
 
 
 def check_picone(mesh: Mesh, op: LerayLionsOperator, r: float) -> CheckReport:
@@ -171,7 +189,7 @@ def check_picone_pair(mesh: Mesh, op: LerayLionsOperator, r: float,
                       pairs: Sequence[tuple[DiscreteField, DiscreteField]]) -> CheckReport:
     """Integrated two-function inequality on interpolated quotient fields,
     for each pair (w1, w2) of strictly positive interior fields, all pairs in
-    one pass; the worst pair is reported."""
+    one pass: one margin a pair, and the worst pair is reported by its index."""
     if not (1.0 <= r < op.exponent.p_minus):
         raise ValueError("check_picone_pair requires r in [1, p_-)")
     w = np.array([[w1.values, w2.values] for w1, w2 in pairs])  # (pair, 2, n_vertices)
@@ -179,8 +197,8 @@ def check_picone_pair(mesh: Mesh, op: LerayLionsOperator, r: float,
         raise ValueError("check_picone_pair requires strictly positive interior fields")
     value, scale = picone_pair_integral(mesh, op, r, w[:, 0], w[:, 1])
     margins = value + PICONE_PAIR_SLACK * np.maximum(scale, 1e-300)
-    return _report("picone-pair", mesh.n_elements, margins,
-                   lambda i: "integrated quotient sum", slack=PICONE_PAIR_SLACK)
+    return _report("picone-pair", len(pairs), margins,
+                   lambda i: f"pair {i} integrated quotient sum", slack=PICONE_PAIR_SLACK)
 
 
 def picone_pair_integral(mesh, op, r, w1, w2):
@@ -346,16 +364,15 @@ def check_positivity_hopf(field: DiscreteField) -> CheckReport:
                    slack=HOPF_FLOOR)
 
 
-def check_alg_inequality(q: float, seed: int = 0) -> CheckReport:
-    """|a - b|^(2q) <= (a^q - b^q)^2 for ALG_SAMPLES nonnegative pairs and
-    q > 1."""
+def check_alg_inequality(q: float) -> CheckReport:
+    """|a - b|^(2q) <= (a^q - b^q)^2 for a >= b >= 0 and q > 1.  Both sides
+    are homogeneous of degree 2q, so a = 1 and s = b/a in [0, 1] cover every
+    pair: the margins (1 - s^q)^2 - (1 - s)^(2q), with no slack, on the open
+    grid s = k/ALG_GRID, k = 1 .. ALG_GRID - 1.  Its two ends are excluded,
+    since both are exact equalities: s = 0 is b = 0, and s = 1 is a = b."""
     if q <= 1.0:
         raise ValueError("the power inequality needs q > 1")
-    rng, n = seeded_rng(seed, "alg-inequality"), ALG_SAMPLES
-    a = rng.uniform(0.0, 2.0, size=n)
-    b = rng.uniform(0.0, 2.0, size=n)
-    a[: n // 100] = b[: n // 100]        # equality edge
-    b[n // 100: n // 50] = 0.0           # b = 0 edge
-    margins = (a ** q - b ** q) ** 2 + ALG_SLACK - np.abs(a - b) ** (2.0 * q)
-    return _report("alg-inequality", n, margins,
-                   lambda i: f"(a, b) = ({a[i]:.6g}, {b[i]:.6g})", slack=ALG_SLACK)
+    s = np.arange(1, ALG_GRID) / ALG_GRID
+    margins = (1.0 - s ** q) ** 2 - (1.0 - s) ** (2.0 * q)
+    return _report("alg-inequality", s.size, margins,
+                   lambda i: f"s = b/a = {s[i]:.6g}, equalities s = 0, 1 excluded")

@@ -129,8 +129,9 @@ def mass_term(mesh: Mesh, q: float) -> PowerTerm:
 def source_terms(mesh, op, q, lam, source) -> tuple:
     """With a source, its term (-lam g delta^gamma, beta + 1), and none
     without, after checking q and that the source was checked for this q."""
-    if not (1.0 < q < op.exponent.p_minus):
-        raise ValidationError("q ∈ (1, p_-)", "q must lie in (1, p_-)")
+    p_minus = op.exponent.p_minus
+    if not (1.0 < q < p_minus):
+        raise ValidationError("q ∈ (1, p_-)", f"q = {q} is outside (1, {p_minus})")
     if source is None:
         return ()
     if source.q != q:

@@ -61,12 +61,13 @@ DIAGNOSTIC_ELEMENT_STEPS = 4096
 
 @dataclass(frozen=True)
 class EvolutionSetup:
-    """A validated run description; owns `q ∈ (1, p_-)` and, for the operator
-    on this mesh, `(A_0)`.  `sandwich_constant` is the smallest c with
-    delta/c <= v0 <= c*delta at the interior quadrature points.  It says what
-    to compute, not what to write: its `Run` keeps every step taken.
-    `step_terms` are the step problem's mass term and, with a source, its
-    source term, the same for every step."""
+    """A validated run description; owns `(A_0)` for the operator on this
+    mesh, and checks that the operator is sampled at the mesh's quadrature
+    points.  `sandwich_constant` is the smallest c with delta/c <= v0 <=
+    c*delta at the interior quadrature points.  It says what to compute, not
+    what to write: its `Run` keeps every step taken.  `step_terms` are the
+    step problem's mass term and, with a source, its source term, the same for
+    every step; building them checks `q ∈ (1, p_-)` and the source's q."""
 
     mesh: Mesh
     op: LerayLionsOperator
@@ -80,17 +81,16 @@ class EvolutionSetup:
     step_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mesh, q, p_minus = self.mesh, self.q, self.op.exponent.p_minus
+        mesh, q = self.mesh, self.q
         if self.op.ndim != mesh.dimension:
             raise ValidationError("(A_0)", "partition must cover every mesh axis "
                                   "exactly once")
-        if not (1.0 < q < p_minus):
-            raise ValidationError("q ∈ (1, p_-)", f"q = {q} is outside (1, {p_minus})")
-        if self.source is not None and self.source.q != q:
-            raise ValueError(f"source was checked for q = {self.source.q}, "
-                             f"the run has q = {q}")
+        if self.op.n_points != mesh.n_elements:
+            raise ValueError("operator does not match the mesh quadrature")
         if not 0.0 < self.horizon < np.inf or self.steps < 1:
             raise ValueError("need a finite horizon > 0 and at least one step")
+        object.__setattr__(self, "step_terms", (mass_term(mesh, q),) + source_terms(
+            mesh, self.op, q, self.dt, self.source))
         if self.initial.mesh is not mesh:
             raise ValueError("initial datum lives on a different mesh")
         delta = boundary_distance_field(mesh)
@@ -99,8 +99,6 @@ class EvolutionSetup:
             raise ValueError("initial datum must be positive at interior quadrature points")
         object.__setattr__(self, "sandwich_constant",
                            float(max(np.max(vb / delta), np.max(delta / vb))))
-        object.__setattr__(self, "step_terms", (mass_term(mesh, q),) + source_terms(
-            mesh, self.op, q, self.dt, self.source))
 
     @property
     def dt(self) -> float:

@@ -18,7 +18,6 @@ reads it: `xi` has shape (..., n_points, N) and a source argument `s` shape
 from __future__ import annotations
 
 import enum
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -34,11 +33,6 @@ class ValidationError(ValueError):
     def __init__(self, tag: str, message: str):
         super().__init__(f"[{tag}] {message}")
         self.tag = tag
-
-
-def seeded_rng(seed: int, label: str) -> np.random.Generator:
-    """Deterministic per-purpose generator: one stream per (seed, label)."""
-    return np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(label.encode())]))
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,13 @@ a branch per dimension, the reference for the library's loops over the
 
 `pure_load_solution` is the exact discrete solution of the 1D pure-load
 problem that `elliptic.solve_lambda_problem` solves, and `per_time` makes
-a `PotentialField` evaluator of a function of one time.
+a `PotentialField` evaluator of a function of one time.  `seeded_rng` is
+the tests' one source of random draws: no command draws any.
 """
 
 from __future__ import annotations
 
+import zlib
 from functools import reduce
 
 import numpy as np
@@ -63,7 +65,12 @@ from dne.evolution import (DISSIPATION_SLACK, EvolutionSetup, Run, StepDiagnosti
 from dne.meshing import (DiscreteField, Mesh, _cell_flipped, _mean_powers,
                          l2_norm_diff_power, l2_norm_values)
 from dne.operators import (ExponentField, LerayLionsOperator, _blocks, eval_A,
-                           eval_flux, eval_source, seeded_rng)
+                           eval_flux, eval_source)
+
+
+def seeded_rng(seed: int, label: str) -> np.random.Generator:
+    """Deterministic per-purpose generator: one stream per (seed, label)."""
+    return np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(label.encode())]))
 
 
 def restrict(op: LerayLionsOperator, k) -> LerayLionsOperator:

@@ -202,15 +202,32 @@ assert dne.elliptic.dpbsv is lapack.dpbsv and dne.elliptic.dptsv is lapack.dptsv
 }
 
 
-@pytest.mark.parametrize("order", list(IMPORT_PROBES))
-def test_lapack_loads_without_scipy_linalg(order):
+def run_probe(code, *args):
+    """Run `code` in a fresh interpreter at the repository root, with `dne`
+    importable; fails the test with its stderr if it fails."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
                                                      env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBES[order]], cwd=root,
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], cwd=root,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("order", list(IMPORT_PROBES))
+def test_lapack_loads_without_scipy_linalg(order):
+    run_probe(IMPORT_PROBES[order])
+
+
+def test_default_verify_never_loads_numpy_random(tmp_path):
+    # no check draws, so a whole default suite runs without the module
+    run_probe("""
+import sys
+import dne.cli
+assert dne.cli.main(["verify", "--config", "configs/default_1d.cfg",
+                     "--out", sys.argv[1]]) == 0
+assert "numpy.random" not in sys.modules, "numpy.random"
+""", tmp_path / "o")
 
 
 def test_lapack_load_names_a_moved_module(monkeypatch):
@@ -337,19 +354,30 @@ def test_only_io_utils_writes_files():
     assert offenders == []
 
 
-def test_only_sampling_checks_open_a_stream():
-    # `picone` and `picone-pair`'s integral enumerate their points; a seeded
-    # stream draws only the power-inequality pairs and the paired fields
+def test_no_module_names_a_random_number_source():
+    # the checks enumerate their locations and the tests own their draws
+    # (`oracles.seeded_rng`): no module imports numpy.random or zlib, or
+    # names seeded_rng
     package = Path(dne.__file__).parent
-    labels = []
+    offenders = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Call)
-                    and "seeded_rng" in (getattr(node.func, "id", None),
-                                         getattr(node.func, "attr", None))):
-                label = node.args[1] if len(node.args) > 1 else None
-                labels.append(getattr(label, "value", f"{path.name}:{node.lineno}"))
-    assert sorted(labels) == ["alg-inequality", "picone-pair-fields"]
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [f"{getattr(node.value, 'id', '')}.{node.attr}", node.attr]
+            elif isinstance(node, (ast.Name, ast.FunctionDef)):
+                names = [getattr(node, "id", None) or node.name]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            if any(name.split(".")[0] == "zlib" or name == "seeded_rng"
+                   or name.startswith(("numpy.random", "np.random")) for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def derived_fields(tree):

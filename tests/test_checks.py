@@ -15,15 +15,15 @@ from dne.elliptic import (make_subsolution, make_supersolution,
 from dne.evolution import EvolutionSetup
 from dne.meshing import (DiscreteField, interpolate, interval_mesh,
                          l2_norm_diff_power, rectangle_mesh)
-from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
-                           seeded_rng)
+from dne.operators import ExponentField, LerayLionsOperator, PotentialField
 from dne.scenario import load_scenario
 
 from oracles import (contraction_elliptic_per_orientation,
                      contraction_parabolic_per_step, contraction_ratio, evolve,
                      function_library_reference, hopf_probe_quotients, monotone_run_per_step, picone_at_points,
                      per_time, picone_pair_per_pair, picone_per_sample,
-                     sandwich_per_step, stabilization_per_step, zero_field)
+                     sandwich_per_step, seeded_rng, stabilization_per_step,
+                     zero_field)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 Q = 1.25
@@ -215,7 +215,10 @@ class TestPiconePair:
         k = int(np.argmin(margins))
         for shift in (k + 1, k - 2):
             rotated = pairs[shift:] + pairs[:shift]
-            assert check_picone_pair(mesh_1d, op, 1.2, rotated) == singles[k]
+            report = check_picone_pair(mesh_1d, op, 1.2, rotated)
+            assert report.worst_margin == singles[k].worst_margin
+            assert report.samples == len(pairs)
+            assert report.location == f"pair {(k - shift) % len(pairs)} integrated quotient sum"
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_batch_matches_a_per_pair_loop(self, dimension):
@@ -237,8 +240,34 @@ class TestPiconePair:
         worst = int(np.argmin(margins))
         report = check_picone_pair(mesh, op, 1.2, pairs)
         assert report.worst_margin == margins[worst]
-        assert report.samples == mesh.n_elements
+        assert report.samples == len(pairs)
+        assert report.location == f"pair {worst} integrated quotient sum"
         assert report.passed
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_pair_fields_follow_the_fixed_sequence(self, dimension):
+        # field j of the flat pair order reads u_m = frac(m (sqrt 5 - 1)/2) at
+        # m = j * block + 1 .. (j + 1) * block: its scale, then its interior
+        if dimension == 1:
+            mesh = interval_mesh(0.0, 1.0, 40)
+        else:
+            mesh = rectangle_mesh(0.0, 1.0, 0.0, 1.5, 6, 9)
+        pairs = checks.pair_fields(mesh)
+        assert len(pairs) == checks.PICONE_PAIRS
+        ii = mesh.interior
+        block = 1 + ii.size
+        golden = (5.0 ** 0.5 - 1.0) / 2.0
+        for j, field_ in enumerate(f for pair in pairs for f in pair):
+            u = [(m * golden) % 1.0 for m in range(j * block + 1, (j + 1) * block + 1)]
+            x = mesh.vertices[ii, 0]
+            expected = (0.5 + 1.5 * u[0]) * (0.2 + np.abs(np.sin(np.pi * x))
+                                              + 0.3 * np.array(u[1:]))
+            np.testing.assert_allclose(field_.values[ii], expected, rtol=1e-12)
+            assert np.all(field_.values[ii] > 0.0)
+            assert np.all(np.delete(field_.values, ii) == 0.0)
+        again = checks.pair_fields(mesh)
+        assert all(a.values.tobytes() == b.values.tobytes()
+                   for pa, pb in zip(pairs, again) for a, b in zip(pa, pb))
 
     def test_rejects_a_nonpositive_field_in_any_pair(self, mesh_1d, data_1d):
         op, _, _ = data_1d
@@ -455,25 +484,34 @@ class TestPositivityHopf:
 
 
 class TestAlgInequality:
-    def test_sampled(self, monkeypatch):
-        monkeypatch.setattr(checks, "ALG_SAMPLES", 100_000)
-        for q in (1.2, 1.5, 3.0):
-            report = check_alg_inequality(q, seed=21)
-            assert report.passed and report.samples == 100_000
+    @pytest.mark.parametrize("q", [1.0 + 1e-6, 1.01, 1.25, 3.0, 3.5, 5.0, 50.0])
+    def test_every_grid_margin_is_positive_without_slack(self, q):
+        report = check_alg_inequality(q)
+        assert report.passed and report.worst_margin > 0.0
+        assert report.slack == 0.0
+        assert report.samples == checks.ALG_GRID - 1
 
-    def test_edge_cases(self, monkeypatch):
-        # a = b gives 0 <= 0; b = 0 gives equality |a|^2q = (a^q)^2
-        monkeypatch.setattr(checks, "ALG_SAMPLES", 1_000)
-        report = check_alg_inequality(2.0, seed=2)
-        assert report.passed
+    def test_excluded_ends_are_equalities(self):
+        # s = 0 is b = 0 and s = 1 is a = b: both sides agree exactly, so the
+        # grid leaves them out and its margins need no slack
+        for q in (1.25, 3.0, 50.0):
+            for s in (0.0, 1.0):
+                assert (1.0 - s ** q) ** 2 - (1.0 - s) ** (2.0 * q) == 0.0
+        report = check_alg_inequality(1.25)
+        assert report.location.endswith("equalities s = 0, 1 excluded")
+
+    def test_worst_margin_lies_at_the_grid_point_next_to_a_equals_b(self):
+        report = check_alg_inequality(1.25)
+        assert report.location.startswith("s = b/a = 0.99999,")
+        s = (checks.ALG_GRID - 1) / checks.ALG_GRID
+        assert report.worst_margin == (1.0 - s ** 1.25) ** 2 - (1.0 - s) ** 2.5
 
     def test_rejects_q_below_one(self):
         with pytest.raises(ValueError):
             check_alg_inequality(1.0)
 
-    def test_reports_are_serializable(self, monkeypatch):
-        monkeypatch.setattr(checks, "ALG_SAMPLES", 100)
-        report = check_alg_inequality(1.5, seed=0)
+    def test_reports_are_serializable(self):
+        report = check_alg_inequality(1.5)
         d = dataclasses.asdict(report)
         assert set(d) == {"check_name", "samples", "worst_margin", "location",
                           "passed", "slack"}

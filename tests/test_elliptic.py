@@ -12,15 +12,14 @@ from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
                          interval_mesh, l2_norm_diff_power, rectangle_mesh)
 from dne.evolution import average_potential
 from dne.operators import (ExponentField, LerayLionsOperator, SourceTerm,
-                           ValidationError, _square_norm, eval_A, eval_source,
-                           seeded_rng)
+                           ValidationError, _square_norm, eval_A, eval_source)
 from dne.scenario import load_scenario
 
 from oracles import (blocks_reference, element_grads, energy, energy_gradient,
                      energy_terms_reference,
                      flux_jacobian_batch, gradient_values_reference,
                      hessian_band_reference, point_reference, positive_part_norm,
-                     pure_load_solution, zero_field)
+                     pure_load_solution, seeded_rng, zero_field)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -12,13 +12,14 @@ from dne.elliptic import (EllipticProblem, NonConvergence, bump_seed,
 from dne.evolution import (EvolutionSetup, Run, Trajectory, average_potential,
                            diagnose, step, time_integral_norm)
 from dne.meshing import (DiscreteField, Mesh, _unit_bump, boundary_distance_field,
-                         interpolate, l2_norm_diff_power, rectangle_mesh)
+                         interpolate, interval_mesh, l2_norm_diff_power,
+                         rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
-                           SourceTerm, ValidationError, seeded_rng)
+                           SourceTerm, ValidationError)
 from dne.scenario import load_scenario
 
 from oracles import (change_of_variables_u, diagnose_per_step, energy, evolve,
-                     per_time, time_integral_norm_per_step, zero_field)
+                     per_time, seeded_rng, time_integral_norm_per_step, zero_field)
 
 Q = 1.25
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -229,6 +230,29 @@ class TestEvolve:
         v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
         with pytest.raises(ValueError, match="source was checked for q = 1.5"):
             EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 4, v0)
+
+    def test_setup_rejects_an_operator_sampled_on_another_mesh(self):
+        # 30 operator points on a 20-element mesh: the setup says so, not the
+        # first step's solve
+        mesh = interval_mesh(0.0, 1.0, 20)
+        op = LerayLionsOperator.isotropic(ExponentField.constant(30, 2.5), 1.0)
+        pot = PotentialField.constant(np.ones(mesh.n_elements))
+        v0 = interpolate(mesh, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
+        with pytest.raises(ValueError, match="operator does not match the mesh quadrature"):
+            EvolutionSetup(mesh, op, Q, None, pot, 1.0, 4, v0)
+
+    def test_every_step_problem_names_q_outside_its_range(self, mesh_1d, data_1d):
+        # one check, in the step terms' builder, serves the setup and both
+        # elliptic constructors
+        op, _, pot = data_1d
+        v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
+        h = np.ones(mesh_1d.n_elements)
+        for build in (lambda: EvolutionSetup(mesh_1d, op, 3.0, None, pot, 1.0, 4, v0),
+                      lambda: EllipticProblem.standard(mesh_1d, op, 3.0, 1.0, h),
+                      lambda: EllipticProblem.stationary(mesh_1d, op, 3.0, h)):
+            with pytest.raises(ValidationError, match=r"^\[q ∈ \(1, p_-\)\] "
+                                                      r"q = 3.0 is outside \(1, 2.5\)$"):
+                build()
 
     @pytest.mark.parametrize("horizon", [np.inf, np.nan], ids=["inf", "nan"])
     def test_setup_rejects_nonfinite_horizon(self, mesh_1d, data_1d, horizon):

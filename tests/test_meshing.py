@@ -4,10 +4,10 @@ import pytest
 from dne.elliptic import EllipticProblem, PowerTerm, _energy_terms, _point
 from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
                          interval_mesh, l2_norm_diff_power, rectangle_mesh)
-from dne.operators import ExponentField, LerayLionsOperator, seeded_rng
+from dne.operators import ExponentField, LerayLionsOperator
 
 from oracles import (boundary_distance_reference, energy, eval_at_points,
-                     positive_part_norm, rectangle_elements_reference,
+                     positive_part_norm, rectangle_elements_reference, seeded_rng,
                      spacing_reference, zero_field)
 
 

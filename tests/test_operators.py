@@ -5,11 +5,11 @@ import pytest
 
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            Regime, SourceTerm, ValidationError, classify_regime,
-                           eval_A, eval_flux, eval_source, seeded_rng)
+                           eval_A, eval_flux, eval_source)
 
 from oracles import (calibrate_gamma0, ellipticity_floor, flux_jacobian_batch,
                      growth_envelope, monotonicity_gap, morawetz_gap, picone_gap,
-                     per_time, picone_pair_sum, restrict)
+                     per_time, picone_pair_sum, restrict, seeded_rng)
 
 
 def const_op(p, ndim=2, weight=1.0, n_points=8):
