@@ -26,7 +26,7 @@ import numpy as np
 from .elliptic import EllipticProblem, solve, solve_lambda_problem
 from .evolution import Trajectory, time_integral_norm
 from .meshing import DiscreteField, Mesh, _mean_powers, l2_norm_values
-from .operators import LerayLionsOperator, PotentialField, eval_A, eval_flux
+from .operators import LerayLionsOperator, eval_A, eval_flux
 
 CONTRACTION_SLACK = 1.02          # multiplicative, discrete contraction checks
 ORDERING_SLACK = 1e-8             # additive, nodal comparison checks
@@ -248,20 +248,21 @@ def check_contraction_elliptic(mesh, op, q, lam, source, h1, h2) -> CheckReport:
                    slack=CONTRACTION_SLACK, extra_pass=ordered_ok)
 
 
-def check_contraction_parabolic(traj1: Trajectory, traj2: Trajectory,
-                                h: PotentialField, g: PotentialField) -> CheckReport:
+def check_contraction_parabolic(traj1: Trajectory, traj2: Trajectory) -> CheckReport:
     """Discrete analogues of the two-trajectory contraction, plain and
-    positive-part form, at every step; both runs must share their time grid."""
-    if traj1.fields[0].mesh is not traj2.fields[0].mesh:
+    positive-part form, at every step: traj1 runs under its potential h and
+    traj2 under its g, and the data term integrates ||h - g||.  Both runs
+    must share their mesh, q, dt and time grid."""
+    s1, s2 = traj1.setup, traj2.setup
+    if s1.mesh is not s2.mesh:
         raise ValueError("trajectories live on different meshes")
-    if traj1.q != traj2.q or not np.array_equal(traj1.times, traj2.times):
+    if s1.q != s2.q or s1.dt != s2.dt or not np.array_equal(traj1.times, traj2.times):
         raise ValueError("trajectories were run with different schemes")
-    mesh = traj1.fields[0].mesh
-    q = traj1.q
+    mesh, q = s1.mesh, s1.q
     diff = _mean_powers(mesh, _stack(traj1), q) - _mean_powers(mesh, _stack(traj2), q)
     # lhs[n, form] and margins[n, form], form 0 plain and 1 positive part
     lhs = np.array(l2_norm_values(mesh, [diff, np.maximum(diff, 0.0)])).T
-    cum = time_integral_norm(mesh, h, g, float(traj1.times[-1]), len(traj1.times) - 1)
+    cum = time_integral_norm(mesh, s1.potential, s2.potential, s1.dt, len(traj1.times) - 1)
     margins = CONTRACTION_SLACK * (lhs[0] + cum) + 1e-12 - lhs
     return _report("contraction-parabolic", margins.size, margins,
                    lambda i: f"t={traj1.times[i // 2]:.6g} "
@@ -294,8 +295,8 @@ def check_stabilization(traj: Trajectory, v_stat: DiscreteField) -> CheckReport:
     """Decay of ||v^q(t) - v_stat^q||_{L^2}: nonincreasing after a burn-in of
     the first fifth of the steps, and below STABILIZATION_THRESHOLD at the
     final time."""
-    mesh, q = v_stat.mesh, traj.q
-    if traj.fields[0].mesh is not mesh:
+    mesh, q = v_stat.mesh, traj.setup.q
+    if traj.setup.mesh is not mesh:
         raise ValueError("fields live on different meshes")
     burn_in = (len(traj.times) - 1) // 5
     errs = np.array(l2_norm_values(mesh, _mean_powers(mesh, _stack(traj), q)

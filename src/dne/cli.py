@@ -63,7 +63,7 @@ def run_evolve(scenario: Scenario, out_dir: str) -> dict:
         with atomic_open(os.path.join(out_dir, f"field_{n:05d}.csv")) as handle:
             handle.write(text)
     traj = run.head()
-    diagnostics, margin = diagnose(setup, traj)
+    diagnostics, margin = diagnose(traj)
     v_stat = solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,
                               setup.source)
     e_final = l2_norm_diff_power(traj.final, v_stat, setup.q)
@@ -131,8 +131,7 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]]) -> 
     def contraction_parabolic():
         shrunk = setup.initial.with_values(0.7 * setup.initial.values)
         return [ck.check_contraction_parabolic(scenario_run(short_steps),
-                                               short_run(shrunk),
-                                               potential, potential)]
+                                               short_run(shrunk))]
 
     def monotone():
         # time monotonicity from a sub/supersolution needs an h that does not

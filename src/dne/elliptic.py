@@ -128,16 +128,23 @@ def mass_term(mesh: Mesh, q: float) -> PowerTerm:
 
 def source_terms(mesh, op, q, lam, source) -> tuple:
     """With a source, its term (-lam g delta^gamma, beta + 1), and none
-    without, after checking q and that the source was checked for this q."""
+    without, after checking q ∈ (1, p_-) and the source's exponents against
+    q: beta in [0, q-1) (`(f_1)`) and beta + gamma > q - 3/2 (`(f_2)`), so
+    that f/s^(q-1) is nonincreasing and the boundary-weighted ratio
+    f/v^(q-1) stays square integrable along distance-comparable fields."""
     p_minus = op.exponent.p_minus
     if not (1.0 < q < p_minus):
         raise ValidationError("q ∈ (1, p_-)", f"q = {q} is outside (1, {p_minus})")
     if source is None:
         return ()
-    if source.q != q:
-        raise ValueError(f"source was checked for q = {source.q}, "
-                         f"the problem has q = {q}")
-    return (PowerTerm(mesh, -lam * source.g * source.delta_power, source.beta + 1.0),)
+    beta, gamma = source.beta, source.gamma
+    if not (0.0 <= beta < q - 1.0):
+        raise ValidationError("(f_1)", f"beta = {beta} must lie in "
+                              f"[0, q-1) = [0, {q - 1.0})")
+    if not (beta + gamma > q - 1.5):
+        raise ValidationError("(f_2)", f"beta + gamma = {beta + gamma} must "
+                              f"exceed q - 3/2 = {q - 1.5}")
+    return (PowerTerm(mesh, -lam * source.g * source.delta_power, beta + 1.0),)
 
 
 def potential_term(mesh: Mesh, q: float, h0) -> PowerTerm:

@@ -67,7 +67,7 @@ class EvolutionSetup:
     c*delta at the interior quadrature points.  It says what to compute, not
     what to write: its `Run` keeps every step taken.  `step_terms` are the
     step problem's mass term and, with a source, its source term, the same for
-    every step; building them checks `q ∈ (1, p_-)` and the source's q."""
+    every step; building them checks `q ∈ (1, p_-)`, `(f_1)` and `(f_2)`."""
 
     mesh: Mesh
     op: LerayLionsOperator
@@ -93,6 +93,8 @@ class EvolutionSetup:
             mesh, self.op, q, self.dt, self.source))
         if self.initial.mesh is not mesh:
             raise ValueError("initial datum lives on a different mesh")
+        if np.any(self.initial.values < 0.0):
+            raise ValueError("initial datum must be nonnegative at the mesh vertices")
         delta = boundary_distance_field(mesh)
         vb = self.initial.barycenter_values()
         if np.any(vb <= 0.0):
@@ -113,12 +115,13 @@ class StepDiagnostics:
 
 @dataclass
 class Trajectory:
-    """`fields[n]` is the iterate at `times[n]`; `reports[n - 1]` reports step n."""
+    """`fields[n]` is the iterate at `times[n]`; `reports[n - 1]` reports step
+    n of a run of `setup`, which owns the run's q, dt, mesh and potential."""
 
     times: np.ndarray
     fields: List[DiscreteField]
     reports: List[SolverReport]
-    q: float
+    setup: EvolutionSetup
 
     @property
     def final(self) -> DiscreteField:
@@ -145,12 +148,12 @@ def average_potential(h: PotentialField, steps: np.ndarray, dt: float) -> np.nda
 
 
 def time_integral_norm(mesh: Mesh, h: PotentialField, g: PotentialField,
-                       t_end: float, n_steps: int) -> np.ndarray:
+                       dt: float, n_steps: int) -> np.ndarray:
     """Cumulative integral_0^{t_n} ||h - g||_L2 ds (column 0) and
-    integral_0^{t_n} ||(h - g)^+||_L2 ds (column 1) for n = 0..n_steps, by
-    `_gauss_sum` on each step; an (n_steps + 1, 2) array.  Each Gauss node
-    samples h - g once for every step and norms both forms in one call."""
-    dt = t_end / n_steps
+    integral_0^{t_n} ||(h - g)^+||_L2 ds (column 1) for n = 0..n_steps,
+    t_n = n dt, by `_gauss_sum` on each step; an (n_steps + 1, 2) array.
+    Each Gauss node samples h - g once for every step and norms both forms
+    in one call."""
 
     def norms(ts):
         diff = h.at(ts) - g.at(ts)
@@ -238,17 +241,17 @@ class Run:
         if len(self.reports) == setup.steps:
             self._last = None  # no step follows: free the last element state
         return Trajectory(self.times[:n + 1], self.fields[:n + 1],
-                          self.reports[:n], setup.q)
+                          self.reports[:n], setup)
 
 
-def diagnose(setup: EvolutionSetup,
-             traj: Trajectory) -> tuple[List[StepDiagnostics], float]:
-    """Each step's diagnostics of a run of `setup` and its worst dissipation
-    margin; a repeated step has its predecessor's field, h^n and values."""
+def diagnose(traj: Trajectory) -> tuple[List[StepDiagnostics], float]:
+    """Each step's diagnostics of a run and its worst dissipation margin; a
+    repeated step has its predecessor's field, h^n and values."""
+    setup = traj.setup
     mesh, op, q, dt = setup.mesh, setup.op, setup.q, setup.dt
     point = _point(mesh, op, traj.fields[0].values)
     mod0 = float(point.modular)  # the diffusion term at lam = 1
-    solved_values = _solved_steps(setup, traj, point.clipped ** q)
+    solved_values = _solved_steps(traj, point.clipped ** q)
     diagnostics = []
     inc_sq_sum = budget_sum = 0.0
     worst_margin = np.inf
@@ -263,22 +266,22 @@ def diagnose(setup: EvolutionSetup,
     return diagnostics, worst_margin
 
 
-def _solved_steps(setup: EvolutionSetup, traj: Trajectory, vbq: np.ndarray):
+def _solved_steps(traj: Trajectory, vbq: np.ndarray):
     """(increment norm, budget, stationary energy terms) of each solved step
     of `traj` in order, whose start has (v+)^q = `vbq` at the element means.
     The steps are evaluated `_chunk_steps` at a time; a chunk's arrays are
     freed before the next is built."""
     solved = [n for n, report in enumerate(traj.reports, 1) if not report.repeated]
-    size = _chunk_steps(setup.mesh)
+    size = _chunk_steps(traj.setup.mesh)
     for i in range(0, len(solved), size):
-        values, vbq = _diagnose_chunk(setup, traj, solved[i:i + size], vbq)
+        values, vbq = _diagnose_chunk(traj, solved[i:i + size], vbq)
         yield from values
 
 
-def _diagnose_chunk(setup: EvolutionSetup, traj: Trajectory, steps: list,
-                    vbq: np.ndarray) -> tuple[list, np.ndarray]:
+def _diagnose_chunk(traj: Trajectory, steps: list, vbq: np.ndarray) -> tuple[list, np.ndarray]:
     """The values of `_solved_steps` for `steps`, in one pass over their
     iterates with a leading axis of steps, and their last (v+)^q."""
+    setup = traj.setup
     mesh, op, q, dt, source = setup.mesh, setup.op, setup.q, setup.dt, setup.source
     h_n = average_potential(setup.potential, np.array(steps), dt)
     point = _point(mesh, op, np.array([traj.fields[n].values for n in steps]))

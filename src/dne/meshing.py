@@ -39,10 +39,6 @@ class BandScatter:
     _block_sums: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
-    @property
-    def bandwidth(self) -> int:
-        return self.shape[0] - 1
-
     def assemble(self, pairs) -> np.ndarray:
         """The band that sums each pair's value at its place, in pair order."""
         band = np.bincount(self.index, weights=pairs, minlength=self.shape[0] * self.shape[1])
@@ -276,10 +272,10 @@ def interpolate(mesh: Mesh, fn: Callable[[np.ndarray], np.ndarray]) -> DiscreteF
 
 def _mean_powers(mesh: Mesh, nodal_values: np.ndarray, power: float) -> np.ndarray:
     """Element means of nonnegative nodal values of shape (..., n_vertices),
-    clipped at zero and raised to `power`."""
+    raised to `power`; the means are never -0.0 (`_corner_sum`)."""
     if np.min(nodal_values) < 0.0:
         raise ValueError("powers require nonnegative fields")
-    return np.maximum(mesh.element_means(nodal_values), 0.0) ** power
+    return mesh.element_means(nodal_values) ** power
 
 
 def l2_norm_diff_power(u: DiscreteField, v: DiscreteField, power: float) -> float:

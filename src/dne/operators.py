@@ -182,19 +182,16 @@ def _flux(op: LerayLionsOperator, xi: np.ndarray, out: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class SourceTerm:
-    """Prototype source f(x, s) = g(x) * delta(x)^gamma * s^beta with f(x,0) = 0,
-    checked for the doubling exponent q; owns `(f_0)`, `(f_1)` and `(f_2)`.
-
-    Requires beta in [0, q-1) and beta + gamma > q - 3/2 so that f/s^(q-1) is
-    nonincreasing and the boundary-weighted ratio f/v^(q-1) stays square
-    integrable along distance-comparable fields.  Derives delta^gamma once.
+    """Prototype source f(x, s) = g(x) * delta(x)^gamma * s^beta with f(x,0) = 0;
+    owns `(f_0)`.  Its exponents' bounds against q, `(f_1)` and `(f_2)`, are
+    checked where a problem meets its q (`elliptic.source_terms`).  Derives
+    delta^gamma once.
     """
 
     g: np.ndarray
     delta: np.ndarray
     gamma: float
     beta: float
-    q: float
     delta_power: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -202,16 +199,10 @@ class SourceTerm:
         d = np.asarray(self.delta, dtype=float)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "delta", d)
-        beta, gamma, q = self.beta, self.gamma, self.q
+        beta, gamma = self.beta, self.gamma
         if not (np.isfinite(beta) and np.isfinite(gamma)):
             raise ValueError(f"source exponents must be finite, got "
                              f"beta = {beta}, gamma = {gamma}")
-        if not (0.0 <= beta < q - 1.0):
-            raise ValidationError("(f_1)", f"beta = {beta} must lie in "
-                                  f"[0, q-1) = [0, {q - 1.0})")
-        if not (beta + gamma > q - 1.5):
-            raise ValidationError("(f_2)", f"beta + gamma = {beta + gamma} must "
-                                  f"exceed q - 3/2 = {q - 1.5}")
         if g.shape != d.shape:
             raise ValueError("g and delta must live on the same point set")
         if not np.all(np.isfinite(g)):

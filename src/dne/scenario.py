@@ -174,7 +174,7 @@ def _operator(sec: dict, mesh: Mesh, exponent: ExponentField) -> LerayLionsOpera
     return LerayLionsOperator(exponent, blocks, weights)
 
 
-def _source(sec: dict, mesh: Mesh, q: float) -> Optional[SourceTerm]:
+def _source(sec: dict, mesh: Mesh) -> Optional[SourceTerm]:
     word = sec.pop("enabled", "false")
     if word.lower() not in _BOOLEANS:
         raise ParseError(f"[source] enabled = {word!r} must be one of "
@@ -184,7 +184,7 @@ def _source(sec: dict, mesh: Mesh, q: float) -> Optional[SourceTerm]:
     gamma = float(sec.pop("gamma", "1.0"))
     beta = float(sec.pop("beta", "0.0"))
     g = _primitive(sec.pop("g", "constant 1.0"), mesh.barycenters, mesh)
-    return SourceTerm(g, boundary_distance_field(mesh), gamma, beta, q)
+    return SourceTerm(g, boundary_distance_field(mesh), gamma, beta)
 
 
 def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
@@ -273,7 +273,7 @@ def load_scenario(path: str) -> Scenario:
         op = _operator(sections["operator"], mesh, _exponent(sections["exponent"], mesh))
         q = float(sections["problem"].pop("q", "1.25"))
         setup = EvolutionSetup(
-            mesh, op, q, _source(sections["source"], mesh, q),
+            mesh, op, q, _source(sections["source"], mesh),
             _potential(sections["potential"], mesh, horizon), horizon,
             int(run.pop("steps", "20")), _initial(sections["initial"], mesh))
         # solve-elliptic and every solve of a lambda sweep need lambda > 0

@@ -29,14 +29,14 @@ def extent_mesh(request):
     return EXTENT_MESHES[request.param]()
 
 
-def make_problem_data(mesh, p=2.5, q=1.25, beta=0.0, gamma=1.0):
+def make_problem_data(mesh, p=2.5, beta=0.0, gamma=1.0):
     """Constant-exponent isotropic operator with the prototype source and a
     bump potential on the given mesh."""
     ne = mesh.n_elements
     exponent = ExponentField.constant(ne, p)
     op = LerayLionsOperator.isotropic(exponent, 1.0, ndim=mesh.dimension)
     delta = boundary_distance_field(mesh)
-    source = SourceTerm(np.full(ne, 1.0), delta, gamma=gamma, beta=beta, q=q)
+    source = SourceTerm(np.full(ne, 1.0), delta, gamma=gamma, beta=beta)
     xb = mesh.barycenters
     prof = np.ones(ne)
     for axis, (lo, hi) in enumerate(mesh.bounds):
@@ -52,4 +52,4 @@ def data_1d(mesh_1d):
 
 @pytest.fixture(scope="session")
 def data_2d(mesh_2d):
-    return make_problem_data(mesh_2d, p=2.4, q=1.3)
+    return make_problem_data(mesh_2d, p=2.4)

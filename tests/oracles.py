@@ -425,7 +425,7 @@ def hessian_band_reference(problem: EllipticProblem, point,
         pairs += (weight * c).take(element) * scatter.products[axes].sum(axis=0)
         pairs += ((weight * c2).repeat(nloc) * s).take(first) * s.take(second)
     # each pair at (kd + i - j, j), from its own vertices' interior positions
-    kd = scatter.bandwidth
+    kd = scatter.shape[0] - 1
     pos = np.cumsum(~mesh.boundary_mask) - 1
     i, j = pos[mesh.elements[element, scatter.rows // mesh.n_elements]]
     band = np.zeros((kd + 1, mesh.interior.size))
@@ -454,9 +454,10 @@ def evolve(setup: EvolutionSetup) -> Trajectory:
     return Run(setup).head()
 
 
-def diagnose_per_step(setup: EvolutionSetup, traj: Trajectory):
+def diagnose_per_step(traj: Trajectory):
     """`evolution.diagnose` one solved step at a time: each step's h^n, element
     state, norms and stationary energy terms from its own 1-D arrays."""
+    setup = traj.setup
     mesh, op, q, dt, source = setup.mesh, setup.op, setup.q, setup.dt, setup.source
     point = _point(mesh, op, traj.fields[0].values)
     mod0 = float(_energy_terms(EllipticProblem(mesh, op), point)[0])
@@ -490,10 +491,10 @@ def diagnose_per_step(setup: EvolutionSetup, traj: Trajectory):
 def change_of_variables_u(traj: Trajectory) -> Trajectory:
     """Nodal power map u = v^q; the transformed run solves the operator-form
     problem and inherits the distance sandwich with exponent q."""
-    fields = [DiscreteField(f.mesh, np.maximum(f.values, 0.0) ** traj.q)
+    fields = [DiscreteField(f.mesh, np.maximum(f.values, 0.0) ** traj.setup.q)
               for f in traj.fields]
     return Trajectory(times=traj.times, fields=fields, reports=traj.reports,
-                      q=traj.q)
+                      setup=traj.setup)
 
 
 def positive_part_norm(u: DiscreteField, v: DiscreteField, power: float) -> float:
@@ -503,11 +504,10 @@ def positive_part_norm(u: DiscreteField, v: DiscreteField, power: float) -> floa
     return l2_norm_values(u.mesh, np.maximum(diff, 0.0))
 
 
-def time_integral_norm_per_step(mesh: Mesh, h, g, t_end: float, n_steps: int):
+def time_integral_norm_per_step(mesh: Mesh, h, g, dt: float, n_steps: int):
     """`evolution.time_integral_norm` one step, Gauss node and form at a
     time: column 0 integrates ||h - g||, column 1 ||(h - g)^+||."""
     nodes, weights = np.polynomial.legendre.leggauss(5)
-    dt = t_end / n_steps
     out = np.zeros((n_steps + 1, 2))
     for form, positive in enumerate((False, True)):
         for n in range(1, n_steps + 1):
@@ -574,12 +574,14 @@ def monotone_run_per_step(traj: Trajectory, direction: str):
                    slack=checks.ORDERING_SLACK)
 
 
-def contraction_parabolic_per_step(traj1: Trajectory, traj2: Trajectory, h, g):
+def contraction_parabolic_per_step(traj1: Trajectory, traj2: Trajectory):
     """`checks.check_contraction_parabolic` one stored time at a time, each
     norm from its own `l2_norm_diff_power` or `positive_part_norm` call and
-    the data integrals from `time_integral_norm_per_step`."""
-    mesh, q = traj1.fields[0].mesh, traj1.q
-    cum = time_integral_norm_per_step(mesh, h, g, float(traj1.times[-1]),
+    the data integrals of the runs' own potentials h and g from
+    `time_integral_norm_per_step`."""
+    s1, s2 = traj1.setup, traj2.setup
+    mesh, q = s1.mesh, s1.q
+    cum = time_integral_norm_per_step(mesh, s1.potential, s2.potential, s1.dt,
                                       len(traj1.times) - 1)
     base_plain = l2_norm_diff_power(traj1.fields[0], traj2.fields[0], q)
     base_pos = positive_part_norm(traj1.fields[0], traj2.fields[0], q)
@@ -601,7 +603,7 @@ def stabilization_per_step(traj: Trajectory, v_stat: DiscreteField):
     """`checks.check_stabilization` with one `l2_norm_diff_power` call per
     stored time."""
     burn_in = (len(traj.times) - 1) // 5
-    errs = np.array([l2_norm_diff_power(field, v_stat, traj.q)
+    errs = np.array([l2_norm_diff_power(field, v_stat, traj.setup.q)
                      for field in traj.fields])
     tail = errs[burn_in:]
     margins, locs = [], []

@@ -83,7 +83,7 @@ def test_operator_evaluations_take_every_point():
         for xi in (np.ones((1, 2)), np.ones(2), np.ones((4, 3))):
             with pytest.raises(ValueError):
                 f(op, xi)
-    src = dne.SourceTerm(np.ones(4), np.ones(4), gamma=0.0, beta=0.1, q=1.5)
+    src = dne.SourceTerm(np.ones(4), np.ones(4), gamma=0.0, beta=0.1)
     assert eval_source(src, np.ones((3, 4))).shape == (3, 4)
     for s in (np.ones(1), 1.0):
         with pytest.raises(ValueError):
@@ -416,6 +416,19 @@ def test_a_field_is_its_mesh_and_values():
     # a field carries no solver state: a solve's final element state goes on
     # in the run's `evolution.Step` record, not with the field it returned
     assert [f.name for f in dataclasses.fields(dne.DiscreteField)] == ["mesh", "values"]
+
+
+def test_q_has_one_owner():
+    # a run's q lives in its setup alone: a run carries its setup, and a
+    # source is checked against the q of each problem it enters
+    modules = [importlib.import_module(f"dne.{info.name}")
+               for info in pkgutil.iter_modules(dne.__path__)
+               if not info.name.startswith("_")]
+    owners = {cls.__qualname__ for module in modules
+              for cls in vars(module).values()
+              if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+              and "q" in {f.name for f in dataclasses.fields(cls)}}
+    assert owners == {"EvolutionSetup"}
 
 
 def test_harness_contract(monkeypatch):

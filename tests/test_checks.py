@@ -12,7 +12,7 @@ from dne.checks import (check_alg_inequality, check_contraction_elliptic,
                         check_stabilization, picone_pair_integral)
 from dne.elliptic import (make_subsolution, make_supersolution,
                           solve_lambda_problem, solve_stationary)
-from dne.evolution import EvolutionSetup
+from dne.evolution import EvolutionSetup, time_integral_norm
 from dne.meshing import (DiscreteField, interpolate, interval_mesh,
                          l2_norm_diff_power, rectangle_mesh)
 from dne.operators import ExponentField, LerayLionsOperator, PotentialField
@@ -362,7 +362,7 @@ class TestContractionParabolic:
 
     def test_same_potential_different_data(self, runs):
         traj1, traj2, pot = runs
-        report = check_contraction_parabolic(traj1, traj2, pot, pot)
+        report = check_contraction_parabolic(traj1, traj2)
         assert report.passed
         # the difference also shrinks from its initial value
         lhs0 = l2_norm_diff_power(traj1.fields[0], traj2.fields[0], Q)
@@ -377,8 +377,15 @@ class TestContractionParabolic:
         v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
         s1 = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 20, v0)
         s2 = EvolutionSetup(mesh_1d, op, Q, src, pot2, 1.0, 20, v0)
-        report = check_contraction_parabolic(evolve(s1), evolve(s2), pot, pot2)
+        traj1, traj2 = evolve(s1), evolve(s2)
+        report = check_contraction_parabolic(traj1, traj2)
         assert report.passed
+        # one datum, so the runs part only through their potentials: with no
+        # data term every margin after t = 0 would be 1e-12 - lhs < 0, and
+        # the check passes on the integral of ||h - g|| it reads from the runs
+        assert time_integral_norm(mesh_1d, pot, pot2, s1.dt, s1.steps)[-1, 0] > 0.0
+        assert l2_norm_diff_power(traj1.final, traj2.final, Q) > 1e-9
+        assert report == contraction_parabolic_per_step(traj1, traj2)
 
     def test_rejects_mismatched_runs(self, mesh_1d, data_1d, runs):
         op, src, pot = data_1d
@@ -388,7 +395,7 @@ class TestContractionParabolic:
         for horizon, steps in [(1.0, 10), (2.0, 20)]:
             other = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, horizon, steps, v0))
             with pytest.raises(ValueError):
-                check_contraction_parabolic(traj1, other, pot, pot)
+                check_contraction_parabolic(traj1, other)
 
 
 class TestSandwichAndMonotone:
@@ -590,16 +597,20 @@ class TestStackedRunChecks:
                         == monotone_run_per_step(run, direction))
 
     def test_contraction_parabolic(self, run_pair):
+        # each run holds its potential: for each (h, g), the datum runs under
+        # h and 0.7 times it under g, checked in both orientations
         setup, traj, other, _ = run_pair
         pot = setup.potential
         # a second potential whose difference from the first changes sign
         phase = np.linspace(0.0, 6.0, setup.mesh.n_elements)
         wave = PotentialField(per_time(lambda t: pot(t) * (1.0 + 0.5 * np.sin(3.0 * t + phase))),
                               0.5 * pot.lower_envelope, 1.5 * pot.sup_norm)
-        for a, b in [(traj, other), (other, traj)]:
-            for h, g in [(pot, pot), (pot, wave), (wave, pot)]:
-                assert (check_contraction_parabolic(a, b, h, g)
-                        == contraction_parabolic_per_step(a, b, h, g))
+        traj_wave, other_wave = (evolve(dataclasses.replace(run.setup, potential=wave))
+                                 for run in (traj, other))
+        for a, b in [(traj, other), (traj, other_wave), (traj_wave, other)]:
+            for x, y in [(a, b), (b, a)]:
+                assert (check_contraction_parabolic(x, y)
+                        == contraction_parabolic_per_step(x, y))
 
     def test_stabilization(self, run_pair):
         setup, traj, other, v_stat = run_pair
@@ -611,10 +622,9 @@ class TestStackedRunChecks:
         # the two runs differ most at t = 0; the bracket's margin is the slack
         # at the boundary nodes from t = 0 on, and the first worst is reported
         _, traj, other = _data_1d_runs(mesh_1d, data_1d, True)
-        pot = data_1d[2]
-        report = check_contraction_parabolic(traj, other, pot, pot)
+        report = check_contraction_parabolic(traj, other)
         assert report.location == "t=0 (plain)"
-        assert report == contraction_parabolic_per_step(traj, other, pot, pot)
+        assert report == contraction_parabolic_per_step(traj, other)
         _, w_lo, w_hi = bracketing
         report = check_sandwich(traj, w_lo, w_hi)
         assert report.location == "t=0 lower"

@@ -617,6 +617,43 @@ class TestCommands:
         assert capsys.readouterr().err == "error: scenario has no [sweep] kind\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("beta = 0.0", "beta = 0.3", "[(f_1)] beta = 0.3 must lie in [0, q-1) = [0, 0.25)"),
+        ("gamma = 1.0", "gamma = -0.5",
+         "[(f_2)] beta + gamma = -0.5 must exceed q - 3/2 = -0.25"),
+    ], ids=["f1", "f2"])
+    def test_source_exponents_outside_the_q_bounds_exit_code(self, tmp_path, capsys,
+                                                             old, new, message):
+        # the setup checks the source's exponents against its q at load
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(textwrap.dedent(CONFIG).replace(old, new, 1))
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    def test_initial_datum_with_a_negative_node_exit_code(self, tmp_path, capsys,
+                                                          command):
+        # one node of 41 at -1e-3 leaves every element mean positive: the
+        # setup rejects the datum at load, before a solve projects it or a
+        # check raises a power of it
+        mesh = interval_mesh(0.0, 1.0, 40)
+        v0 = interpolate(mesh, lambda x: 2.0 * x[:, 0] * (1.0 - x[:, 0]))
+        values = v0.values.copy()
+        values[20] = -1e-3
+        field_file = tmp_path / "v0.csv"
+        field_file.write_text(field_to_csv(v0.with_values(values)))
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(textwrap.dedent(CONFIG).replace("profile = bump 0.5",
+                                                       f"file = {field_file}", 1))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.rstrip().endswith("initial datum must be nonnegative at the mesh vertices")
+        assert not out.exists()
+
     @pytest.mark.parametrize("bound, value, message", [
         ("MU_FLOOR", 2.0, "no mu above the floor"),
         ("KAPPA_CEIL", 0.5, "no kappa below the ceiling"),

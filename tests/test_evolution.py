@@ -8,7 +8,7 @@ import pytest
 from dne import cli, elliptic, evolution, meshing, operators
 from dne.elliptic import (EllipticProblem, NonConvergence, bump_seed,
                           make_subsolution, make_supersolution, solve,
-                          solve_stationary)
+                          solve_stationary, source_terms)
 from dne.evolution import (EvolutionSetup, Run, Trajectory, average_potential,
                            diagnose, step, time_integral_norm)
 from dne.meshing import (DiscreteField, Mesh, _unit_bump, boundary_distance_field,
@@ -82,7 +82,7 @@ def with_repeats(traj, repeated):
             v, report = fields[-1], replace(reports[-1], repeated=True)
         fields.append(v)
         reports.append(report)
-    return Trajectory(traj.times, fields, reports, traj.q)
+    return Trajectory(traj.times, fields, reports, traj.setup)
 
 
 def outside_solve(monkeypatch):
@@ -218,18 +218,29 @@ class TestEvolve:
         assert l2_norm_diff_power(traj.final, setup.initial, 1.0) <= 1e-3
 
     def test_setup_requires_positive_initial(self, mesh_1d, data_1d):
+        # one slightly negative node leaves every element mean positive; the
+        # setup rejects it, not the first check that powers the run
         op, src, pot = data_1d
-        with pytest.raises(ValueError):
-            EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 4, zero_field(mesh_1d))
+        v0 = interpolate(mesh_1d, lambda x: 2.0 * x[:, 0] * (1.0 - x[:, 0]))
+        values = v0.values.copy()
+        values[mesh_1d.n_vertices // 2] = -1e-3
+        negative_node = v0.with_values(values)
+        assert negative_node.barycenter_values().min() > 0.0
+        for initial in (zero_field(mesh_1d), negative_node):
+            with pytest.raises(ValueError):
+                EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 4, initial)
 
-    def test_setup_rejects_source_checked_for_another_q(self, mesh_1d, data_1d):
-        # beta = 0.4 satisfies (f_1) for q = 1.5 but not for the run's q = 1.25
+    def test_setup_checks_the_source_against_its_q(self, mesh_1d, data_1d):
+        # beta = 0.4 satisfies (f_1) for q = 1.5 but not for q = 1.25: the
+        # source holds no q, and each setup checks it against its own
         op, _, pot = data_1d
         delta = boundary_distance_field(mesh_1d)
-        src = SourceTerm(np.ones(mesh_1d.n_elements), delta, 1.0, 0.4, 1.5)
+        src = SourceTerm(np.ones(mesh_1d.n_elements), delta, 1.0, 0.4)
         v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-        with pytest.raises(ValueError, match="source was checked for q = 1.5"):
+        assert EvolutionSetup(mesh_1d, op, 1.5, src, pot, 1.0, 4, v0).source is src
+        with pytest.raises(ValidationError) as err:
             EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 4, v0)
+        assert err.value.tag == "(f_1)"
 
     def test_setup_rejects_an_operator_sampled_on_another_mesh(self):
         # 30 operator points on a 20-element mesh: the setup says so, not the
@@ -276,14 +287,14 @@ class TestEvolve:
 
     def test_dissipation_bound_flag(self, mesh_1d, data_1d):
         setup = make_setup(mesh_1d, data_1d, horizon=1.0, steps=20)
-        diagnostics, margin = diagnose(setup, evolve(setup))
+        diagnostics, margin = diagnose(evolve(setup))
         assert len(diagnostics) == setup.steps
         assert margin >= 0.0
 
     def test_increment_sum_stable_under_dt_refinement(self, mesh_1d, data_1d):
         def inc_sum(steps):
             setup = make_setup(mesh_1d, data_1d, horizon=0.5, steps=steps, scale=0.3)
-            diagnostics, _ = diagnose(setup, evolve(setup))
+            diagnostics, _ = diagnose(evolve(setup))
             dt = 0.5 / steps
             return sum(dt * d.increment_norm ** 2 for d in diagnostics)
 
@@ -410,7 +421,7 @@ class TestEvolve:
         # ||v_n^q - v_{n-1}^q|| / dt
         setup = first_steps("default_1d", 50)
         traj = evolve(setup)
-        diagnostics, margin = diagnose(setup, traj)
+        diagnostics, margin = diagnose(traj)
         assert len(traj.fields) == setup.steps + 1
         assert len(diagnostics) == setup.steps
         for n, d in enumerate(diagnostics, 1):
@@ -650,8 +661,8 @@ class TestRepeatedStep:
             assert replace(r, repeated=False) == e
         # a repeated step reuses its predecessor's diagnostics, which are
         # bitwise those computed afresh
-        diagnostics, margin = diagnose(setup, traj)
-        plain_diagnostics, plain_margin = diagnose(setup, plain)
+        diagnostics, margin = diagnose(traj)
+        plain_diagnostics, plain_margin = diagnose(plain)
         for d, e in zip(diagnostics, plain_diagnostics, strict=True):
             assert d.increment_norm == e.increment_norm
             assert d.stationary_energy == e.stationary_energy
@@ -804,7 +815,7 @@ class TestDiagnose:
         setup = load_scenario(str(CONFIGS / f"{config}.cfg")).setup
         traj = evolve(setup)
         iterates = count_iterates(monkeypatch)
-        diagnose(setup, traj)
+        diagnose(traj)
         assert sum(iterates) == points
         assert points == sum(not r.repeated for r in traj.reports) + 1
         passes = {"default_1d": 3, "decaying_1d": 51, "smoke_2d": 2}
@@ -824,12 +835,12 @@ class TestDiagnose:
         assert sum(every) > points
 
     @staticmethod
-    def assert_matches_per_step(setup, traj):
+    def assert_matches_per_step(traj):
         # bitwise: every chunk row is reduced over its last axis as a 1-D
         # array is, and the walk adds the same floats in the same order
-        diagnostics, margin = diagnose(setup, traj)
-        reference, reference_margin = diagnose_per_step(setup, traj)
-        assert len(diagnostics) == len(reference) == setup.steps
+        diagnostics, margin = diagnose(traj)
+        reference, reference_margin = diagnose_per_step(traj)
+        assert len(diagnostics) == len(reference) == traj.setup.steps
         for d, e in zip(diagnostics, reference):
             assert d.increment_norm == e.increment_norm
             assert d.stationary_energy == e.stationary_energy
@@ -850,7 +861,7 @@ class TestDiagnose:
         solved = sum(not r.repeated for r in traj.reports)
         size = evolution.DIAGNOSTIC_ELEMENT_STEPS // setup.mesh.n_elements
         assert -(-solved // size) == chunks
-        self.assert_matches_per_step(setup, traj)
+        self.assert_matches_per_step(traj)
 
     @pytest.mark.parametrize("budget", [300, 4096])
     def test_repeats_around_chunk_boundaries(self, monkeypatch, budget):
@@ -864,7 +875,7 @@ class TestDiagnose:
         solved = [n for n in range(1, 101) if n not in repeated]
         boundaries = solved[size - 1::size]
         assert any(n + 1 in repeated for n in boundaries)
-        self.assert_matches_per_step(setup, traj)
+        self.assert_matches_per_step(traj)
 
     def test_mesh_beyond_the_budget_takes_one_step_a_pass(self, monkeypatch,
                                                           tmp_path):
@@ -877,9 +888,9 @@ class TestDiagnose:
         setup = replace(full, horizon=3 * full.dt, steps=3)
         traj = evolve(setup)
         iterates = count_iterates(monkeypatch)
-        diagnose(setup, traj)
+        diagnose(traj)
         assert iterates == [1, 1, 1, 1]
-        self.assert_matches_per_step(setup, traj)
+        self.assert_matches_per_step(traj)
 
 
 class TestChangeOfVariables:
@@ -889,10 +900,10 @@ class TestChangeOfVariables:
         for v, u in zip(traj.fields, u_traj.fields):
             np.testing.assert_allclose(u.values ** (1.0 / Q), v.values, atol=1e-14)
 
-    def test_zero_trajectory_maps_to_zero(self, mesh_1d):
+    def test_zero_trajectory_maps_to_zero(self, mesh_1d, data_1d):
         z = zero_field(mesh_1d)
-        traj = Trajectory(times=np.array([0.0, 1.0]), fields=[z, z],
-                          reports=[], q=Q)
+        traj = Trajectory(times=np.array([0.0, 1.0]), fields=[z, z], reports=[],
+                          setup=make_setup(mesh_1d, data_1d, horizon=1.0, steps=1))
         u_traj = change_of_variables_u(traj)
         for u in u_traj.fields:
             np.testing.assert_array_equal(u.values, 0.0)
@@ -914,7 +925,7 @@ class TestTimeIntegralNorm:
         ne = mesh_1d.n_elements
         h = PotentialField(per_time(lambda t: np.full(ne, 2.0)), np.full(ne, 2.0), 2.0)
         g = PotentialField(per_time(lambda t: np.full(ne, 1.0)), np.full(ne, 1.0), 1.0)
-        cum = time_integral_norm(mesh_1d, h, g, 2.0, 4)
+        cum = time_integral_norm(mesh_1d, h, g, 0.5, 4)
         # h - g = 1 > 0: the plain and positive-part columns agree
         np.testing.assert_allclose(cum, np.linspace(0.0, 2.0, 5)[:, None] * [1.0, 1.0],
                                    rtol=1e-12)
@@ -931,8 +942,8 @@ class TestTimeIntegralNorm:
         wave = PotentialField(per_time(lambda t: bump(t) * (1.0 + 0.5 * np.sin(3.0 * t + phase))),
                               0.5 * bump.lower_envelope, 1.5 * bump.sup_norm)
         for h, g in [(bump, bump), (bump, wave), (wave, bump)]:
-            cum = time_integral_norm(mesh, h, g, 1.5, n_steps)
-            reference = time_integral_norm_per_step(mesh, h, g, 1.5, n_steps)
+            cum = time_integral_norm(mesh, h, g, 1.5 / n_steps, n_steps)
+            reference = time_integral_norm_per_step(mesh, h, g, 1.5 / n_steps, n_steps)
             assert cum.tobytes() == reference.tobytes()
 
 
@@ -964,9 +975,11 @@ def _owner_violations():
             1.0, 4, v0), id="A0-mesh"),
         pytest.param("(A_1)", lambda: LerayLionsOperator(p, ([0, 1],), [ones - 1.0]),
                      id="A1"),
-        pytest.param("(f_0)", lambda: SourceTerm(-ones, delta, 1.0, 0.0, 1.25), id="f0"),
-        pytest.param("(f_1)", lambda: SourceTerm(ones, delta, 1.0, 0.25, 1.25), id="f1"),
-        pytest.param("(f_2)", lambda: SourceTerm(ones, delta, -0.3, 0.0, 1.25), id="f2"),
+        pytest.param("(f_0)", lambda: SourceTerm(-ones, delta, 1.0, 0.0), id="f0"),
+        pytest.param("(f_1)", lambda: source_terms(mesh, op, 1.25, 1.0,
+                                                   SourceTerm(ones, delta, 1.0, 0.25)), id="f1"),
+        pytest.param("(f_2)", lambda: source_terms(mesh, op, 1.25, 1.0,
+                                                   SourceTerm(ones, delta, -0.3, 0.0)), id="f2"),
         pytest.param("(H_h)", lambda: PotentialField(per_time(lambda t: ones), 0.0 * ones, 1.0),
                      id="Hh-envelope"),
         pytest.param("(H_h)", lambda: falling.check_envelope([0.0, 0.5]),

@@ -345,15 +345,15 @@ class TestGrowthAndConvexity:
 
 
 class TestSource:
-    def make(self, beta=0.0, gamma=1.0, q=1.25, n=16):
+    def make(self, beta=0.0, gamma=1.0, n=16):
         delta = np.linspace(0.01, 0.5, n)
-        return SourceTerm(np.full(n, 1.0), delta, gamma=gamma, beta=beta, q=q)
+        return SourceTerm(np.full(n, 1.0), delta, gamma=gamma, beta=beta)
 
     def test_zero_at_zero(self):
         assert np.all(eval_source(self.make(), np.zeros(16)) == 0.0)
 
     def test_linear_case(self):
-        src = SourceTerm(np.full(4, 1.0), np.full(4, 1.0), gamma=0.0, beta=1.0, q=2.3)
+        src = SourceTerm(np.full(4, 1.0), np.full(4, 1.0), gamma=0.0, beta=1.0)
         np.testing.assert_allclose(eval_source(src, np.full(4, 2.0)), 2.0)
 
     def test_rejects_negative_s(self):
@@ -363,10 +363,11 @@ class TestSource:
             eval_source(self.make(), s)
 
     def test_ratio_nonincreasing(self):
-        src = self.make(beta=0.2, q=1.5)
+        # f/s^(q-1) for a q whose (f_1) holds at beta = 0.2
+        src, q = self.make(beta=0.2), 1.5
         s1, s2 = 0.3, 1.7
-        r1 = eval_source(src, np.full(16, s1)) / s1 ** (src.q - 1.0)
-        r2 = eval_source(src, np.full(16, s2)) / s2 ** (src.q - 1.0)
+        r1 = eval_source(src, np.full(16, s1)) / s1 ** (q - 1.0)
+        r2 = eval_source(src, np.full(16, s2)) / s2 ** (q - 1.0)
         assert np.all(r1 >= r2)
 
     def test_delta_power_derived_once(self):
@@ -383,11 +384,6 @@ class TestSource:
         expected = np.where(s > 0.0, src.g * src.delta ** 0.7 * s ** 0.1, 0.0)
         assert eval_source(src, s).tobytes() == expected.tobytes()
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            self.make(beta=0.5, q=1.25)          # beta >= q - 1
-        with pytest.raises(ValueError):
-            self.make(beta=0.0, gamma=-0.5, q=1.25)  # beta + gamma <= q - 3/2
 
 
 class TestPotential:

@@ -83,30 +83,6 @@ class TestLoadScenario:
             load_scenario(write(tmp_path, text))
         assert err.value.tag == "(H_h)"
 
-    def test_source_beta_violation_tagged(self, tmp_path):
-        text = MINIMAL + textwrap.dedent("""
-            [source]
-            enabled = true
-            g = constant 1.0
-            gamma = 1.0
-            beta = 0.3
-            """)
-        with pytest.raises(ValidationError) as err:
-            load_scenario(write(tmp_path, text))
-        assert err.value.tag == "(f_1)"
-
-    def test_source_gamma_violation_tagged(self, tmp_path):
-        text = MINIMAL + textwrap.dedent("""
-            [source]
-            enabled = true
-            g = constant 1.0
-            gamma = -0.3
-            beta = 0.0
-            """)
-        with pytest.raises(ValidationError) as err:
-            load_scenario(write(tmp_path, text))
-        assert err.value.tag == "(f_2)"
-
     def test_negative_weight_tagged(self, tmp_path):
         text = MINIMAL + "\n[operator]\npartition = 1\nweight.1 = constant -1.0\n"
         with pytest.raises(ValidationError) as err:
