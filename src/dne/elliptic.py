@@ -12,8 +12,8 @@ beta + 1); `stationary` has lam = 1, the potential and source terms and an
 optional load (the supersolution problem); the pure-load problem is the bare
 constructor with a load and no terms.  Iterates are projected onto
 {v >= 0}, realizing the positive-part truncation the energy is built on.
-The energy, its gradient and its Hessian read an iterate's element state
-(`_State`), which caches each term's values by term.
+The energy, its gradient and its Hessian combine an iterate's element state
+(`_point`), formed once, with the problem's and the terms' constants.
 """
 
 from __future__ import annotations
@@ -22,16 +22,15 @@ import importlib.util
 import itertools
 import os
 import sys
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from importlib.machinery import PathFinder
 from typing import Optional
 
 import numpy as np
 
 from .meshing import DiscreteField, Mesh, _unit_bump, interpolate
-from .operators import (LerayLionsOperator, ValidationError, _blocks, _flux,
-                        _square_norm)
+from .operators import (LerayLionsOperator, ValidationError, _block_norms,
+                        _coefficient, _flux)
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
@@ -109,9 +108,9 @@ class SolverReport:
 
 
 class PowerTerm:
-    """The energy term int c (v+)^r / r: per-element coefficients c (a
-    read-only copy), the power r and the quadrature weight |e| c.  A term
-    equals only itself, so an element state caches its values by term."""
+    """The energy term int c (v+)^r / r: per-element coefficients c (a read-only
+    copy), the power r, the weight |e| c and the Hessian's (r - 1) c (None at
+    r = 1).  A term equals only itself, so a state caches its values by term."""
 
     def __init__(self, mesh: Mesh, c, r: float):
         c = np.array(c, dtype=float)
@@ -119,6 +118,7 @@ class PowerTerm:
             raise ValueError("term coefficients must be per-element fields")
         c.flags.writeable = False
         self.c, self.r, self.weight = c, float(r), mesh.measures * c
+        self.curvature = None if self.r == 1.0 else (self.r - 1.0) * c
 
 
 def mass_term(mesh: Mesh, q: float) -> PowerTerm:
@@ -164,13 +164,16 @@ class EllipticProblem:
     per-element coefficients c, and an optional per-element linear load.
     A coefficient of shape (S, n_elements) holds one row per iterate of a
     point with that leading axis (`evolution.diagnose`); `solve` takes
-    per-element fields."""
+    per-element fields.  It holds the diffusion weight lam |e| (`weight`) and
+    each operator block's G_B G_B^T by block index (`products`)."""
 
     mesh: Mesh
     op: LerayLionsOperator
     lam: float = 1.0
     terms: tuple = ()
     load: Optional[np.ndarray] = None
+    weight: np.ndarray = field(init=False, repr=False, compare=False)
+    products: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.op.n_points != self.mesh.n_elements or self.op.ndim != self.mesh.dimension:
@@ -179,6 +182,9 @@ class EllipticProblem:
             raise ValueError("lambda must be positive")
         if self.load is not None:
             object.__setattr__(self, "load", np.asarray(self.load, dtype=float))
+        object.__setattr__(self, "weight", self.lam * self.mesh.measures)
+        object.__setattr__(self, "products", tuple(
+            map(self.mesh.band_scatter.block_products, self.op.axes)))
 
     @classmethod
     def standard(cls, mesh, op, q, lam, h0, source=None):
@@ -202,31 +208,20 @@ def _power(vbp: np.ndarray, s: float, positive: bool) -> np.ndarray:
 
 
 class _State:
-    """Element state of one iterate (`_point`): element means, gradients and
-    flux under `op`, the clipped means (v_b)^+ (the means themselves when
-    all are positive, `positive`) and, formed on first use, the modular and
-    each `PowerTerm`'s energy integral and gradient density, cached by term.
-    A run's next step starts from its last solve's state (`evolution.step`),
-    so it evaluates only its new potential term there."""
+    """Element state of one iterate (`_point`): its element means, gradients
+    and each operator block's |grad v_B|^2 (`norms`), its flux and modular,
+    the clipped means (v_b)^+ (the means themselves when all are positive,
+    `positive`) and, formed on first use, each `PowerTerm`'s energy integral
+    and gradient density, cached by term.  A run's next step starts from its
+    last solve's state (`evolution.step`), so it evaluates only its new
+    potential term there."""
 
-    def __init__(self, mesh: Mesh, op: LerayLionsOperator, means, grads, flux):
-        self.mesh, self.op = mesh, op
-        self.means, self.grads, self.flux = means, grads, flux
+    def __init__(self, means, grads, norms, flux, modular):
+        self.means, self.grads, self.norms, self.flux = means, grads, norms, flux
+        self.modular = modular
         self.positive = means.min() > 0.0
         self.clipped = means if self.positive else np.maximum(means, 0.0)
         self._energies, self._densities = {}, {}
-
-    @cached_property
-    def modular(self):
-        """int A(x, grad v)/p(x), with A = a(x, grad v) . grad v."""
-        flux, gv = self.flux, self.grads
-        # a . grad v axis by axis: no product c xi_d xi_d is -0.0, so these are
-        # the sums of numpy's `einsum`
-        dens = flux[..., 0] * gv[..., 0]
-        for d in range(1, gv.shape[-1]):
-            dens = dens + flux[..., d] * gv[..., d]
-        # the `sum` method: np.sum's summation order without its dispatch
-        return (self.mesh.measures * dens / self.op.exponent.values).sum(axis=-1)
 
     def energy(self, term: PowerTerm):
         """int c (v+)^r / r."""
@@ -247,15 +242,24 @@ class _State:
 
 def _point(mesh: Mesh, op: LerayLionsOperator, vals: np.ndarray) -> _State:
     """Element state of one iterate: the only views of the nodal values that
-    the energy, its gradient and its Hessian read, so each point visited
-    takes one pass over the mesh (`Mesh.means_and_gradients`) and one
-    operator pass.  Gradients and flux are views of axis-major memory.  Nodal
-    values of shape (S, n_vertices) give the states of S iterates in one
-    pass, each with that leading axis.  `_solve` returns its final state,
-    which a run's next step hands to the solve starting there
-    (`evolution.step`)."""
+    the energy, its gradient and its Hessian read, each formed once in one
+    pass over the mesh (`Mesh.means_and_gradients`) and one operator pass,
+    with the modular int A(x, grad v)/p(x), A = a(x, grad v) . grad v.
+    Gradients and flux are views of axis-major memory.  Nodal values of
+    shape (S, n_vertices) give the states of S iterates in one pass, each
+    with that leading axis.  `_solve` returns its final state, which a run's
+    next step hands to the solve starting there (`evolution.step`)."""
     vb, gv = mesh.means_and_gradients(vals)
-    return _State(mesh, op, vb, gv, _flux(op, gv, np.empty_like(gv)))
+    norms = _block_norms(op, gv)
+    flux = _flux(op, gv, norms)
+    # a . grad v axis by axis: no product c xi_d xi_d is -0.0, so these are
+    # the sums of numpy's `einsum`
+    dens = flux[..., 0] * gv[..., 0]
+    for d in range(1, gv.shape[-1]):
+        dens = dens + flux[..., d] * gv[..., d]
+    # the `sum` method: np.sum's summation order without its dispatch
+    modular = (mesh.measures * dens / op.exponent.values).sum(axis=-1)
+    return _State(vb, gv, norms, flux, modular)
 
 
 def _energy_terms(problem: EllipticProblem, point: _State) -> list:
@@ -292,7 +296,7 @@ def _gradient_values(problem: EllipticProblem, point: _State) -> np.ndarray:
     flux_part = flux[:, 0] * grads[:, 0]
     for d in range(1, grads.shape[1]):
         flux_part += flux[:, d] * grads[:, d]
-    contrib = (mesh.measures * dens) / len(grads) + (problem.lam * mesh.measures) * flux_part
+    contrib = (mesh.measures * dens) / len(grads) + problem.weight * flux_part
     # element-major weights: each vertex sums its terms in element order
     grad = np.bincount(mesh.elements.ravel(), weights=contrib.T.ravel(),
                        minlength=mesh.n_vertices)
@@ -308,35 +312,37 @@ def _hessian_matrix(problem: EllipticProblem, point,
     max|grad v| <= HESSIAN_SCALE_FLOOR); without `include_concave` the terms
     with negative coefficients are dropped, which leaves a convex majorant.  Per operator
     block G_B J_B G_B^T = c G_B G_B^T + c2 (G_B xi_B)(G_B xi_B)^T, with
-    c2 = (p - 2) c / rho, is formed at the kept band pairs from the mesh's
-    G_B G_B^T (`BandScatter.block_products`), with no element Jacobian.  The
+    c2 = (p - 2) c / rho, is formed at the kept band pairs from the problem's
+    G_B G_B^T (`EllipticProblem.products`), with no element Jacobian.  The
     mass part that every pair starts from is never -0.0, so no term's sign
     of zero reaches the band."""
     mesh, op = problem.mesh, problem.op
     scatter = mesh.band_scatter
     nloc = mesh.elements.shape[1]
-    gv = point.grads
-    scale = float(np.sqrt(_square_norm(gv).max()))
+    gv, norms = point.grads, point.norms
+    # |grad v|^2: one block's norm, or two one-axis blocks' same two squares
+    scale = float(np.sqrt(sum(norms[1:], norms[0]).max()))
     eps = HESSIAN_EPS * (scale if scale > HESSIAN_SCALE_FLOOR else 1.0)
     dd = np.zeros(mesh.n_elements)
     # a term with r = 1 (the source at beta = 0) would add (r - 1) c vbp^-1,
     # +-0.0, or 0 * inf = nan where a clipped mean is subnormal
     for term in problem.terms:
-        r = term.r
-        if r != 1.0 and (include_concave or term.c.min() >= 0.0):
-            dd += (r - 1.0) * term.c * _power(point.clipped, r - 2.0, point.positive)
+        if term.curvature is not None and (include_concave or term.c.min() >= 0.0):
+            dd += term.curvature * _power(point.clipped, term.r - 2.0, point.positive)
     element, (first, second) = scatter.element, scatter.rows
     pairs = (mesh.measures * dd / nloc ** 2).take(element)
-    weight = problem.lam * mesh.measures
-    for axes, rho, c in _blocks(op, gv, eps):
+    weight = problem.weight
+    for j, axes in enumerate(op.axes):
         # rho >= eps^2 >= (HESSIAN_EPS HESSIAN_SCALE_FLOOR)^2 > 0
+        rho = norms[j] + eps ** 2
+        c = _coefficient(op, j, rho)
         c2 = op.exponent.minus_two * (c / rho)
         # G_B xi_B per corner and element, corner-major like `rows`
         grads, xb = mesh.corner_grads[:, axes], gv[:, axes]
         s = grads[:, 0] * xb[:, 0]
         for d in range(1, xb.shape[1]):
             s += grads[:, d] * xb[:, d]
-        pairs += (weight * c).take(element) * scatter.block_products(axes)
+        pairs += (weight * c).take(element) * problem.products[j]
         pairs += (weight * c2 * s).take(first) * s.take(second)
     return scatter.assemble(pairs)
 
@@ -377,7 +383,7 @@ def _newton_direction(problem, point, grad, include_concave):
         raise ValueError(f"illegal value in argument {-info} of the banded solve")
     if info > 0 or not np.isfinite(di).all() or float(gi @ di) >= 0.0:
         return None
-    d = np.zeros_like(grad)
+    d = np.zeros(grad.shape)
     d[ii] = di
     return d
 
@@ -404,7 +410,7 @@ def _minimize(problem: EllipticProblem, start: np.ndarray,
     neither step is accepted, the minimization stops where it is."""
     mesh, op = problem.mesh, problem.op
     tolerance = DEFAULT_TOL[mesh.dimension]
-    vals = _project(mesh, np.array(start, dtype=float))
+    vals = _project(mesh, np.asarray(start, dtype=float))
     report = SolverReport()
     point = _point(mesh, op, vals) if point is None else point
     e_now, s_now = _energy_parts(problem, point)
@@ -426,21 +432,28 @@ def _minimize(problem: EllipticProblem, start: np.ndarray,
         if d is None:
             return vals, report, point
         full = _project(mesh, vals + d)
+        full_step = full - vals
+        slope = float(grad @ full_step)
+        at_full = None  # the full step's point and energy, once evaluated
         # Backtracking cannot resolve a predicted decrease of the full step
         # below the energy's roundoff: go straight to the floor test.
-        if -float(grad @ (full - vals)) <= ROUNDOFF * s_now:
+        if -slope <= ROUNDOFF * s_now:
             report.searches_skipped += 1
         else:
             t, accepted = 1.0, None
             for _ in range(MAX_BACKTRACKS):
                 # 1.0 * d is d, so the first trial is the full step
-                trial = full if t == 1.0 else _project(mesh, vals + t * d)
-                step = trial - vals
+                first = t == 1.0
+                trial = full if first else _project(mesh, vals + t * d)
+                step = full_step if first else trial - vals
                 if not step.any():
                     break
                 trial_point = _point(mesh, op, trial)
                 e_trial, s_trial = _energy_parts(problem, trial_point)
-                if e_trial < e_now and e_trial <= e_now + ARMIJO_C * float(grad @ step):
+                if first:
+                    at_full = trial_point, e_trial, s_trial
+                if e_trial < e_now and e_trial <= e_now + ARMIJO_C * (
+                        slope if first else float(grad @ step)):
                     accepted = trial, trial_point, e_trial, s_trial
                     break
                 t *= BACKTRACK
@@ -454,9 +467,11 @@ def _minimize(problem: EllipticProblem, start: np.ndarray,
         # reduces the first-order residual without raising the energy beyond
         # machine slack.  The acceptance is written as the positive
         # comparisons, which a NaN fails.
-        if (full - vals).any():
-            full_point = _point(mesh, op, full)
-            e_trial, s_trial = _energy_parts(problem, full_point)
+        if full_step.any():
+            if at_full is None:
+                full_point = _point(mesh, op, full)
+                at_full = full_point, *_energy_parts(problem, full_point)
+            full_point, e_trial, s_trial = at_full
             if e_trial <= e_now + ROUNDOFF * (1.0 + abs(e_now)):
                 g_trial = _gradient_values(problem, full_point)
                 kkt_trial = _kkt_norm(mesh, full, g_trial)

@@ -12,17 +12,18 @@ the contraction estimates, each node with one potential call for all steps.
 
 `Run` advances the scheme alone, as far as it is read, and averages the
 potential of the steps it takes a chunk of steps per `average_potential`
-call, as the diagnostics do; `diagnose` walks a finished run: it sums the
-squared increments and the telescoped modular difference and compares them
-against the potential and source budget, beyond a stated slack.  Each step's
-diagnostics read one element state of its iterate (`elliptic._point`): the
-increment norm and the source ratio read its element means, and the
-stationary energy sums the stationary problem's term integrals, whose
-diffusion term (lam = 1) is the modular.  The solved steps are diagnosed in
-chunks of steps, each in one broadcast pass over a leading axis of iterates
-(h^n, element states, norms and energy terms), so a 1D mesh of 100 elements
-takes 40 steps a pass; the sums and the worst margin then walk the steps in
-order.
+call, as the diagnostics do, but a steady potential once per run
+(`EvolutionSetup.steady_average`), one array every step and chunk reads.
+`diagnose` walks a finished run: it sums the squared increments and the
+telescoped modular difference and compares them against the potential and
+source budget, beyond a stated slack.  Each step's diagnostics read one
+element state of its iterate (`elliptic._point`): the increment norm and the
+source ratio read its element means, and the stationary energy sums the
+stationary problem's term integrals, whose diffusion term (lam = 1) is the
+modular.  The solved steps are diagnosed in chunks of steps, each in one
+broadcast pass over a leading axis of iterates (h^n, element states, norms
+and energy terms), so a 1D mesh of 100 elements takes 40 steps a pass; the
+sums and the worst margin then walk the steps in order.
 
 A step is a deterministic function of its start and h^n, so each step's
 `Step` record goes to the next: a step whose inputs repeat it bitwise (the
@@ -35,6 +36,7 @@ The step problems share the mass and source terms built once per run
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -105,6 +107,12 @@ class EvolutionSetup:
     @property
     def dt(self) -> float:
         return self.horizon / self.steps
+
+    @cached_property
+    def steady_average(self) -> Optional[np.ndarray]:
+        """Every step's h^n under a steady potential, else None."""
+        if self.potential.steady:
+            return average_potential(self.potential, np.array([1]), self.dt)[0]
 
 
 @dataclass
@@ -181,12 +189,13 @@ def step(setup: EvolutionSetup, previous: DiscreteField, h_n: np.ndarray,
     previous iterate.
 
     `last` is the step before, on this setup.  When the inputs equal its
-    bitwise, it is returned with this start and a copy of its report marked
-    `repeated`, unsolved.  A `previous` that is `last.field` starts from
-    `last.state`, whose clipped element means give h0; the problem adds only
-    its potential term (-h0, q) to `setup.step_terms`."""
-    if last is not None and np.array_equal(h_n, last.h_n) and (previous is last.start
-            or np.array_equal(previous.values, last.start.values)):
+    bitwise (a steady potential's h^n by identity), it is returned with this
+    start and a copy of its report marked `repeated`, unsolved.  A
+    `previous` that is `last.field` starts from `last.state`, whose clipped
+    element means give h0; the problem adds only its potential term
+    (-h0, q) to `setup.step_terms`."""
+    if last is not None and (h_n is last.h_n or np.array_equal(h_n, last.h_n)) and (
+            previous is last.start or np.array_equal(previous.values, last.start.values)):
         return last._replace(start=previous, report=replace(last.report, repeated=True))
     state = last.state if last is not None and previous is last.field else None
     vbp = np.maximum(previous.barycenter_values(), 0.0) if state is None else state.clipped
@@ -203,13 +212,14 @@ def _chunk_steps(mesh: Mesh) -> int:
 
 
 def _step_averages(setup: EvolutionSetup, first: int, last: int):
-    """h^k for the steps k = first..last in order, averaged `_chunk_steps`
-    steps per `average_potential` call, bitwise the averages of one step at a
-    time."""
-    potential, dt = setup.potential, setup.dt
-    size = _chunk_steps(setup.mesh)
-    for k in range(first, last + 1, size):
-        yield from average_potential(potential, np.arange(k, min(k + size, last + 1)), dt)
+    """h^k for the steps k = first..last in order (`steady_average`, or
+    averaged `_chunk_steps` steps per `average_potential` call, as they are
+    read), bitwise the averages of one step at a time."""
+    if setup.steady_average is not None:
+        return [setup.steady_average] * (last - first + 1)
+    potential, dt, size = setup.potential, setup.dt, _chunk_steps(setup.mesh)
+    return (h for k in range(first, last + 1, size)
+            for h in average_potential(potential, np.arange(k, min(k + size, last + 1)), dt))
 
 
 class Run:
@@ -283,7 +293,9 @@ def _diagnose_chunk(traj: Trajectory, steps: list, vbq: np.ndarray) -> tuple[lis
     iterates with a leading axis of steps, and their last (v+)^q."""
     setup = traj.setup
     mesh, op, q, dt, source = setup.mesh, setup.op, setup.q, setup.dt, setup.source
-    h_n = average_potential(setup.potential, np.array(steps), dt)
+    h_n = (average_potential(setup.potential, np.array(steps), dt)
+           if setup.steady_average is None
+           else np.broadcast_to(setup.steady_average, (len(steps), mesh.n_elements)))
     point = _point(mesh, op, np.array([traj.fields[n].values for n in steps]))
     vb = point.clipped
     rows = vb ** q

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import tempfile
@@ -12,6 +13,7 @@ import numpy as np
 from .meshing import DiscreteField
 
 VERTEX_TOL = 1e-12  # largest coordinate mismatch of a field file and the mesh
+JSON_BATCH = 512  # encoder chunks `write_json` joins per write
 
 
 @contextlib.contextmanager
@@ -57,7 +59,10 @@ def read_field_csv(path: str, points: np.ndarray, where: str) -> np.ndarray:
 
 def write_json(payload, path: str) -> None:
     """`json.dumps(payload, indent=2, sort_keys=True)` and a newline, written
-    as the encoder produces it: the whole text is never held."""
+    as the encoder produces it, JSON_BATCH chunks joined per write: the whole
+    text is never held, and the file takes one write per batch, not a chunk."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
     with atomic_open(path) as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        while batch := list(itertools.islice(chunks, JSON_BATCH)):
+            handle.write("".join(batch))
         handle.write("\n")

@@ -156,31 +156,27 @@ class Mesh:
         shape (..., n_elements, dim), in one pass: the gradients are a view
         of axis-major memory, so each component `[..., d]` is contiguous."""
         terms = self._corners(nodal_values)[..., None, :] * self._corner_weights
-        nloc = len(self._corner_weights)
-        sums = _corner_sum([terms[..., l, :, :] for l in range(nloc)])
-        return sums[..., 0, :] / nloc, sums[..., 1:, :].swapaxes(-1, -2)
+        sums = _corner_sum(terms, -3)
+        return sums[..., 0, :] / len(self._corner_weights), sums[..., 1:, :].swapaxes(-1, -2)
 
     # The element means keep their own arithmetic: the checks pass whole runs
     # as one array, and weighting them for the gradients too would hold
     # (1 + dim) times their corner values.
 
     def element_means(self, nodal_values: np.ndarray) -> np.ndarray:
-        corners = self._corners(nodal_values)
-        nloc = len(self._corner_vertices)
-        return _corner_sum([corners[..., l, :] for l in range(nloc)]) / nloc
+        return _corner_sum(self._corners(nodal_values), -2) / len(self._corner_vertices)
 
     def gradient_of(self, nodal_values: np.ndarray) -> np.ndarray:
         """The element gradients of `means_and_gradients`."""
         return self.means_and_gradients(nodal_values)[1]
 
 
-def _corner_sum(parts: list) -> np.ndarray:
-    """The sum of per-corner arrays as a left fold of plain adds, then
-    + 0.0: the sums numpy's `sum` and `einsum` give over a corner axis, which
-    start from 0.0 and so give 0.0, not -0.0, when every term is -0.0."""
-    total = parts[0] + parts[1]
-    for part in parts[2:]:
-        total += part
+def _corner_sum(values: np.ndarray, axis: int) -> np.ndarray:
+    """The sum over the corner axis `axis`, an outer axis, which numpy adds
+    corner by corner (a left fold), then + 0.0: the sums numpy's `sum` and
+    `einsum` give over an inner corner axis, which start from 0.0 and so give
+    0.0, not -0.0, when every term is -0.0."""
+    total = np.add.reduce(values, axis=axis)
     total += 0.0
     return total
 

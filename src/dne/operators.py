@@ -3,8 +3,8 @@
 The energy density is A(x, xi) = sum_j g_j(x) * (sum_{i in P_j} xi_i^2)^(p(x)/2)
 over a partition (P_j) of the coordinate axes, with weights g_j(x) >= c > 0.
 Its flux a(x, xi) = (1/p(x)) * grad_xi A and the solver's Hessian read one
-owner of the block formula (`_blocks`); A itself is a(x, xi) . xi by Euler's
-identity.  The Picone bound the verification harness evaluates
+owner of the block formula (`_coefficient`); A itself is a(x, xi) . xi by
+Euler's identity.  The Picone bound the verification harness evaluates
 (`checks.check_picone`) is built on these; the flux Jacobian, the per-sample
 Picone gap and the oracles for the operator's other pointwise inequalities
 (monotonicity, convexity defect, ellipticity floor, growth) are test code, in
@@ -39,8 +39,8 @@ class ValidationError(ValueError):
 class ExponentField:
     """Variable exponent p sampled on a fixed point set; owns `1 < p_-` and
     derives the extrema p_- and p_+, p - 2 (the Hessian's rank-one factor),
-    and for `_blocks` the power (p - 2)/2 of a block norm in the flux and the
-    mask p >= 2."""
+    and for `_coefficient` the power (p - 2)/2 of a block norm in the flux and
+    the mask p >= 2."""
 
     values: np.ndarray
     p_minus: float = field(init=False)
@@ -83,13 +83,15 @@ class LerayLionsOperator:
     `partition` holds 0-based axis index arrays; `weights` takes one scalar or
     per-point array per block and is stored with shape (n_blocks, n_points).
     `axes` indexes the same blocks, each a slice when its axes are a
-    contiguous ascending run (a view of xi, not a gather).
+    contiguous ascending run (a view of xi, not a gather); `block_of` gives
+    each axis its block's index.
     """
 
     exponent: ExponentField
     partition: tuple
     weights: np.ndarray
     axes: tuple = field(init=False, repr=False, compare=False)
+    block_of: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(np.asarray(b, dtype=int) for b in self.partition)
@@ -102,6 +104,8 @@ class LerayLionsOperator:
             slice(int(b[0]), int(b[-1]) + 1)
             if b.size and np.array_equal(b, np.arange(b[0], b[-1] + 1)) else b
             for b in blocks))
+        object.__setattr__(self, "block_of", tuple(
+            j for axis in range(flat.size) for j, b in enumerate(blocks) if axis in b))
         if len(self.weights) != len(blocks):
             raise ValueError("weights must hold one entry per partition block")
         w = np.vstack([np.broadcast_to(np.asarray(wj, dtype=float),
@@ -122,7 +126,7 @@ class LerayLionsOperator:
 
     @property
     def ndim(self) -> int:
-        return sum(len(b) for b in self.partition)
+        return len(self.block_of)
 
     @property
     def n_points(self) -> int:
@@ -143,18 +147,21 @@ def _square_norm(xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blocks(op: LerayLionsOperator, xi: np.ndarray, eps: float = 0.0):
-    """Per block j: its axes (`op.axes`), rho_j = |xi_Bj|^2 + eps^2 and the
-    coefficient c_j = g_j rho_j^((p-2)/2) of the flux a = c_j xi on the block.
-    The one guard: c_j = 0 where rho_j = 0 and p < 2 (inf to a negative power
-    is 0); for p >= 2 the power's limit is g_j at p = 2 and 0 above, so an
+def _block_norms(op: LerayLionsOperator, xi: np.ndarray) -> list:
+    """|xi_Bj|^2 of each block j of `op.axes`, in block order."""
+    return [_square_norm(xi[..., axes]) for axes in op.axes]
+
+
+def _coefficient(op: LerayLionsOperator, j: int, rho: np.ndarray) -> np.ndarray:
+    """c_j = g_j rho^((p-2)/2), the coefficient of the flux a = c_j xi on
+    block j, at rho = |xi_Bj|^2 (plus eps^2 in the solver's Hessian).  The
+    one guard: c_j = 0 where rho = 0 and p < 2 (inf to a negative power is
+    0); for p >= 2 the power's limit is g_j at p = 2 and 0 above, so an
     operator with p_- >= 2 skips it."""
-    power, at_least_two = op.exponent.flux_power, op.exponent.at_least_two
-    guard = op.exponent.p_minus < 2.0
-    for j, axes in enumerate(op.axes):
-        rho = _square_norm(xi[..., axes]) + eps ** 2
-        base = np.where((rho > 0.0) | at_least_two, rho, np.inf) if guard else rho
-        yield axes, rho, op.weights[j] * base ** power
+    exponent = op.exponent
+    if exponent.p_minus < 2.0:
+        rho = np.where((rho > 0.0) | exponent.at_least_two, rho, np.inf)
+    return op.weights[j] * rho ** exponent.flux_power
 
 
 def eval_A(op: LerayLionsOperator, xi):
@@ -169,15 +176,16 @@ def eval_flux(op: LerayLionsOperator, xi):
     is g_j * rho_j^((p-2)/2) * xi_i, extended by 0 where the block vanishes."""
     xi = np.asarray(xi, dtype=float)
     _check_dim(op, xi)
-    return _flux(op, xi, np.empty(xi.shape))
+    return _flux(op, xi, _block_norms(op, xi))
 
 
-def _flux(op: LerayLionsOperator, xi: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`eval_flux` without its checks; the flux is written to `out` (the
-    solver passes memory laid out like xi)."""
-    for axes, _, c in _blocks(op, xi):
-        out[..., axes] = c[..., None] * xi[..., axes]
-    return out
+def _flux(op: LerayLionsOperator, xi: np.ndarray, norms: list) -> np.ndarray:
+    """`eval_flux` from the block norms of xi (`_block_norms`), without its
+    checks: xi times its axes' block coefficients, laid out like xi."""
+    cs = [_coefficient(op, j, rho) for j, rho in enumerate(norms)]
+    coefficients = (cs[0][..., None] if len(cs) == 1
+                    else np.stack([cs[j] for j in op.block_of], axis=-1))
+    return coefficients * xi
 
 
 @dataclass(frozen=True)
@@ -241,6 +249,7 @@ class PotentialField:
     lower_envelope: np.ndarray
     sup_norm: float
     limit: Optional[np.ndarray] = None
+    steady: bool = field(default=False, init=False, compare=False)
 
     def __post_init__(self):
         env = np.asarray(self.lower_envelope, dtype=float)
@@ -279,10 +288,14 @@ class PotentialField:
                 raise ValidationError("(H_h)", f"potential is identically zero at t={t}")
 
     @classmethod
-    def constant(cls, values) -> "PotentialField":
+    def constant(cls, values, lower_envelope=None) -> "PotentialField":
+        """The `steady` potential h(t, .) = values, its own envelope by default."""
         values = np.asarray(values, dtype=float)
-        return cls(lambda ts: np.broadcast_to(values, (ts.size, values.size)), values,
-                   float(np.abs(values).max()), limit=values)
+        pot = cls(lambda ts: np.broadcast_to(values, (ts.size, values.size)),
+                  values if lower_envelope is None else lower_envelope,
+                  float(np.abs(values).max()), limit=values)
+        object.__setattr__(pot, "steady", True)
+        return pot
 
 
 class Regime(enum.Enum):

@@ -211,10 +211,7 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
     elif kind in ("constant", "decaying"):
         profile = _primitive(sec.pop("profile", "bump 1.0"), pts, mesh)
         limit = profile
-        if kind == "constant":
-            evaluator = lambda ts: np.broadcast_to(profile, (ts.size, profile.size))
-            sup = float(np.abs(profile).max())
-        else:  # decaying toward the limit at rate (1+t)^-(1+eta)
+        if kind == "decaying":  # toward the limit at rate (1+t)^-(1+eta)
             eta = float(sec.pop("eta", "0.5"))
             if not eta > -1.0:
                 raise ParseError(f"[potential] eta = {eta} must exceed -1, or h "
@@ -231,7 +228,8 @@ def _potential(sec: dict, mesh: Mesh, horizon: float) -> PotentialField:
         raise ParseError(f"unknown potential kind '{kind}'")
     envelope = sec.pop("lower_envelope", None)
     envelope = limit if envelope is None else _primitive(envelope, pts, mesh)
-    pot = PotentialField(evaluator, envelope, sup, limit=limit)
+    pot = (PotentialField.constant(limit, envelope) if kind == "constant"
+           else PotentialField(evaluator, envelope, sup, limit=limit))
     pot.check_envelope([*np.linspace(0.0, max(horizon, 1e-9), 7), *knots, np.inf])
     return pot
 

@@ -64,8 +64,8 @@ from dne.evolution import (DISSIPATION_SLACK, EvolutionSetup, Run, StepDiagnosti
                            Trajectory, average_potential)
 from dne.meshing import (DiscreteField, Mesh, _cell_flipped, _mean_powers,
                          l2_norm_diff_power, l2_norm_values)
-from dne.operators import (ExponentField, LerayLionsOperator, _blocks, eval_A,
-                           eval_flux, eval_source)
+from dne.operators import (ExponentField, LerayLionsOperator, eval_A, eval_flux,
+                           eval_source)
 
 
 def seeded_rng(seed: int, label: str) -> np.random.Generator:
@@ -137,7 +137,7 @@ def flux_jacobian_batch(op: LerayLionsOperator, k, xi: np.ndarray,
     p = op.exponent.values
     m, n = xi.shape
     jac = np.zeros((m, n, n))
-    for axes, rho, c in _blocks(op, xi, eps):
+    for axes, rho, c in blocks_reference(op, xi, eps):
         xb = xi[:, axes]
         c2 = (p - 2.0) * np.divide(c, rho, out=np.zeros(m), where=rho > 0.0)
         sub = c2[:, None, None] * (xb[:, :, None] * xb[:, None, :])
@@ -301,7 +301,7 @@ def ellipticity_floor(op: LerayLionsOperator, k, xi):
     the honest statement.
     """
     sub, (xi,), back = _at_points(op, k, xi)
-    floor = reduce(np.minimum, (c for _, _, c in _blocks(sub, xi)))
+    floor = reduce(np.minimum, (c for _, _, c in blocks_reference(sub, xi)))
     return back(np.minimum(1.0, sub.exponent.values - 1.0) * floor)
 
 
@@ -337,7 +337,10 @@ def gradient_reference(mesh: Mesh, nodal_values) -> np.ndarray:
 
 
 def blocks_reference(op: LerayLionsOperator, xi, eps: float = 0.0):
-    """`operators._blocks` with rho summed by numpy and the rho = 0 guard
+    """Per block j: its axes, rho_j = |xi_Bj|^2 + eps^2 and the coefficient
+    c_j = g_j rho_j^((p-2)/2) of the flux a = c_j xi on the block: the
+    block norms and coefficients of `operators._block_norms` and
+    `operators._coefficient` with rho summed by numpy and the rho = 0 guard
     applied at every exponent."""
     power, at_least_two = op.exponent.flux_power, op.exponent.at_least_two
     for j, axes in enumerate(op.axes):

@@ -12,7 +12,8 @@ from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
                          interval_mesh, l2_norm_diff_power, rectangle_mesh)
 from dne.evolution import average_potential
 from dne.operators import (ExponentField, LerayLionsOperator, SourceTerm,
-                           ValidationError, _square_norm, eval_A, eval_source)
+                           ValidationError, _block_norms, _coefficient, _square_norm,
+                           eval_A, eval_source)
 from dne.scenario import load_scenario
 
 from oracles import (blocks_reference, element_grads, energy, energy_gradient,
@@ -404,7 +405,8 @@ def assert_bitwise(actual, expected):
 
 
 class TestElementPassReference:
-    """The corner-major element pass, the flux from `_blocks` and the plain
+    """The corner-major element pass, the flux from the block norms and
+    coefficients (`_block_norms`, `_coefficient`) and the plain
     adds of the energy, gradient and Hessian reproduce numpy's reductions and
     `einsum` (`oracles.point_reference` and the rest) bit for bit, signs of
     zero included."""
@@ -509,8 +511,11 @@ class TestElementPassReference:
         xi[1::3, 0] = -0.0
         for op in ops:
             for eps in (0.0, 1e-8):
-                blocks = zip(elliptic._blocks(op, xi, eps), blocks_reference(op, xi, eps))
-                for j, ((_, rho, c), (_, rho_ref, c_ref)) in enumerate(blocks):
+                blocks = zip(_block_norms(op, xi), blocks_reference(op, xi, eps))
+                for j, (norm, (_, rho_ref, c_ref)) in enumerate(blocks):
+                    # + 0.0 at eps = 0 changes no norm: no square is -0.0
+                    rho = norm + eps ** 2
+                    c = _coefficient(op, j, rho)
                     assert_bitwise(rho, rho_ref)
                     assert_bitwise(c, c_ref)
                     flat = rho == 0.0
@@ -620,9 +625,9 @@ class TestMinimize:
         mesh, prob, v = self.line_search_case()
         point_of, points = elliptic._point, []
 
-        def counting_point(*args):
-            points.append(1)
-            return point_of(*args)
+        def counting_point(mesh, op, vals):
+            points.append(vals.tobytes())
+            return point_of(mesh, op, vals)
 
         monkeypatch.setattr(elliptic, "_point", counting_point)
         # no trial passes Armijo: from near the solution each search halves
@@ -635,6 +640,9 @@ class TestMinimize:
         assert report.iterations == report.line_search_failures == report.floor_steps == 2
         assert report.searches_skipped == 0
         assert len(points) < report.iterations * elliptic.MAX_BACKTRACKS
+        # the floor test takes the full step's point and energy from the
+        # search's first trial: one element pass per distinct trial
+        assert len(points) == len(set(points))
         assert np.max(np.abs(vals - v.values)) <= 1e-12
         # with no backtracking at all every search fails at once (or is
         # skipped at the roundoff floor) and every iteration is a floor step

@@ -541,8 +541,9 @@ def averaged_setup(tmp_path, dimension, potential, steps):
 class TestRunAverages:
     """`Run.head` averages the potential of the steps it takes a chunk of
     DIAGNOSTIC_ELEMENT_STEPS // n_elements steps (at least one) per
-    `average_potential` call; each step gets bitwise the average of its own
-    one-step call."""
+    `average_potential` call, and a steady potential once per run, by one
+    one-step call whose array every step gets; each step gets bitwise the
+    average of its own one-step call."""
 
     @pytest.mark.parametrize("potential", sorted(AVERAGED_POTENTIALS))
     @pytest.mark.parametrize("dimension, steps, heads, chunks", [
@@ -563,9 +564,13 @@ class TestRunAverages:
             return average(h, steps, dt)
 
         def no_solve(setup, previous, h_n, last=None):
-            seen.append(h_n.tobytes())
+            seen.append(h_n)
             return evolution.Step(previous, h_n, previous, elliptic.SolverReport(),
                                   None)
+
+        if potential == "constant":
+            assert setup.potential.steady
+            chunks = [[1]] + [[]] * (len(heads) - 1)
 
         rebind(monkeypatch, evolution, "average_potential", recording)
         rebind(monkeypatch, evolution, "step", no_solve)
@@ -574,8 +579,9 @@ class TestRunAverages:
             calls.clear()
             run.head(n)
             assert calls == expected
-        assert seen == [step_average(setup.potential, k, setup.dt).tobytes()
-                        for k in range(1, steps + 1)]
+        assert [h.tobytes() for h in seen] == [
+            step_average(setup.potential, k, setup.dt).tobytes() for k in range(1, steps + 1)]
+        assert (len({id(h) for h in seen}) == 1) == (potential == "constant")
 
 
 def averaged_potential_reference(potential, mesh):
@@ -722,6 +728,39 @@ class TestRepeatedStep:
             assert repeat.field is v1 and repeat.state is first.state
             assert repeat.report.repeated and repeat.report is not r1
             assert replace(repeat.report, repeated=False) == r1
+
+
+class TestSteadyPotential:
+    """A steady potential (`PotentialField.constant`) is averaged once per run,
+    and every step and every diagnostic chunk reads that one array; the run,
+    its repeats and its diagnostics are bitwise those under a plain evaluator
+    of the same values."""
+
+    @pytest.mark.parametrize("config, steps", [("default_1d", 60), ("smoke_2d", 10)])
+    def test_same_run_as_a_plain_evaluator(self, monkeypatch, config, steps):
+        setup = first_steps(config, steps)
+        h = setup.potential.limit
+        steady = replace(setup, potential=PotentialField.constant(h))
+        plain = replace(setup, potential=PotentialField(
+            per_time(lambda t: h), h, float(np.abs(h).max()), limit=h))
+        assert steady.potential.steady and not plain.potential.steady
+        averages = count_calls(monkeypatch, evolution, "average_potential")
+        runs = []
+        for s in (steady, plain):
+            averages.clear()
+            traj = evolve(s)
+            diagnostics, margin = diagnose(traj)
+            runs.append((traj, diagnostics, margin, len(averages)))
+        (traj, diagnostics, margin, calls), (expected, plain_diagnostics, plain_margin, _) = runs
+        assert calls == 1
+        for f, g in zip(traj.fields, expected.fields, strict=True):
+            assert f.values.tobytes() == g.values.tobytes()
+        assert traj.reports == expected.reports
+        assert any(r.repeated for r in traj.reports) == (config == "default_1d")
+        rows = [np.array([[d.increment_norm, d.stationary_energy] for d in ds]).tobytes()
+                for ds in (diagnostics, plain_diagnostics)]
+        assert rows[0] == rows[1]
+        assert np.array(margin).tobytes() == np.array(plain_margin).tobytes()
 
 
 class TestHandoff:
