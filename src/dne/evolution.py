@@ -10,20 +10,21 @@ One 5-point Gauss-Legendre rule in time, `_gauss_sum`, gives both the
 potential average h^n of a step and `time_integral_norm`, the data term of
 the contraction estimates, each node with one potential call for all steps.
 
-`Run` advances the scheme alone, as far as it is read, and averages the
-potential of the steps it takes a chunk of steps per `average_potential`
-call, as the diagnostics do, but a steady potential once per run
-(`EvolutionSetup.steady_average`), one array every step and chunk reads.
-`diagnose` walks a finished run: it sums the squared increments and the
-telescoped modular difference and compares them against the potential and
-source budget, beyond a stated slack.  Each step's diagnostics read one
-element state of its iterate (`elliptic._point`): the increment norm and the
-source ratio read its element means, and the stationary energy sums the
-stationary problem's term integrals, whose diffusion term (lam = 1) is the
-modular.  The solved steps are diagnosed in chunks of steps, each in one
-broadcast pass over a leading axis of iterates (h^n, element states, norms
-and energy terms), so a 1D mesh of 100 elements takes 40 steps a pass; the
-sums and the worst margin then walk the steps in order.
+`Run` advances the scheme alone, as far as it is read, and is the only
+producer of h^n: one `average_potential` call per chunk of `_chunk_steps`
+steps as it reaches the chunk, or one array every step shares under a
+steady potential.  Its trajectory records them, steps times elements floats
+under a moving potential.  `diagnose` walks a finished run and evaluates no
+potential: it sums the squared increments and the telescoped modular
+difference and compares them against the recorded h^n and the source
+budget, beyond a stated slack.  Each step's diagnostics read one element
+state of its iterate (`elliptic._point`): the increment norm and the source
+ratio read its element means, and the stationary energy sums the stationary
+problem's term integrals, whose diffusion term (lam = 1) is the modular.
+The solved steps are diagnosed in chunks of steps, each in one broadcast
+pass over a leading axis of iterates (h^n, element states, norms and energy
+terms), so a 1D mesh of 100 elements takes 40 steps a pass; the sums and
+the worst margin then walk the steps in order.
 
 A step is a deterministic function of its start and h^n, so each step's
 `Step` record goes to the next: a step whose inputs repeat it bitwise (the
@@ -36,7 +37,6 @@ The step problems share the mass and source terms built once per run
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -108,12 +108,6 @@ class EvolutionSetup:
     def dt(self) -> float:
         return self.horizon / self.steps
 
-    @cached_property
-    def steady_average(self) -> Optional[np.ndarray]:
-        """Every step's h^n under a steady potential, else None."""
-        if self.potential.steady:
-            return average_potential(self.potential, np.array([1]), self.dt)[0]
-
 
 @dataclass
 class StepDiagnostics:
@@ -124,11 +118,13 @@ class StepDiagnostics:
 @dataclass
 class Trajectory:
     """`fields[n]` is the iterate at `times[n]`; `reports[n - 1]` reports step
-    n of a run of `setup`, which owns the run's q, dt, mesh and potential."""
+    n of a run of `setup`, which owns the run's q, dt, mesh and potential, and
+    `averages[n - 1]` is the h^n step n ran with."""
 
     times: np.ndarray
     fields: List[DiscreteField]
     reports: List[SolverReport]
+    averages: List[np.ndarray]
     setup: EvolutionSetup
 
     @property
@@ -206,43 +202,45 @@ def step(setup: EvolutionSetup, previous: DiscreteField, h_n: np.ndarray,
 
 
 def _chunk_steps(mesh: Mesh) -> int:
-    """Steps one diagnostic pass covers on `mesh`:
+    """Steps one potential average and one diagnostic pass cover on `mesh`:
     DIAGNOSTIC_ELEMENT_STEPS // n_elements, and at least one."""
     return max(1, DIAGNOSTIC_ELEMENT_STEPS // mesh.n_elements)
 
 
-def _step_averages(setup: EvolutionSetup, first: int, last: int):
-    """h^k for the steps k = first..last in order (`steady_average`, or
-    averaged `_chunk_steps` steps per `average_potential` call, as they are
-    read), bitwise the averages of one step at a time."""
-    if setup.steady_average is not None:
-        return [setup.steady_average] * (last - first + 1)
-    potential, dt, size = setup.potential, setup.dt, _chunk_steps(setup.mesh)
-    return (h for k in range(first, last + 1, size)
-            for h in average_potential(potential, np.arange(k, min(k + size, last + 1)), dt))
+def _step_averages(setup: EvolutionSetup, first: int) -> list:
+    """h^k of every step under a steady potential (one shared array), else of
+    the `_chunk_steps` steps from `first` on, bitwise the averages of one step
+    at a time: one `average_potential` call."""
+    if setup.potential.steady:
+        return [average_potential(setup.potential, np.array([1]), setup.dt)[0]] * setup.steps
+    last = min(first + _chunk_steps(setup.mesh), setup.steps + 1)
+    return list(average_potential(setup.potential, np.arange(first, last), setup.dt))
 
 
 class Run:
     """One run of `setup`, advanced only as far as it is read: `head(n)` takes
     the steps up to n not yet taken, each once and handed the `Step` before,
     and returns the first n (all by default); the last `Step` is kept only
-    while steps remain.  A failed step's error names it; the steps before
-    stay in `fields` and `reports`."""
+    while steps remain.  `averages` holds h^n of every step of each chunk
+    (`_step_averages`) the run has reached.  A failed step's error names it;
+    the steps before stay in `fields` and `reports`."""
 
     def __init__(self, setup: EvolutionSetup):
         self.setup = setup
         self.times = np.linspace(0.0, setup.horizon, setup.steps + 1)
-        self.fields, self.reports, self._last = [setup.initial], [], None
+        self.fields, self.reports, self.averages = [setup.initial], [], []
+        self._last = None
 
     def head(self, n: Optional[int] = None) -> Trajectory:
         setup = self.setup
         n = setup.steps if n is None else n
         if not 0 <= n <= setup.steps:
             raise ValueError(f"the run has steps 0..{setup.steps}, not {n}")
-        first = len(self.reports) + 1
-        for k, h_k in zip(range(first, n + 1), _step_averages(setup, first, n)):
+        for k in range(len(self.reports) + 1, n + 1):
+            if k > len(self.averages):
+                self.averages += _step_averages(setup, k)
             try:
-                self._last = step(setup, self.fields[-1], h_k, self._last)
+                self._last = step(setup, self.fields[-1], self.averages[k - 1], self._last)
             except NonConvergence as exc:
                 exc.args = (f"step {k}: {exc.args[0]}",)
                 raise
@@ -251,7 +249,7 @@ class Run:
         if len(self.reports) == setup.steps:
             self._last = None  # no step follows: free the last element state
         return Trajectory(self.times[:n + 1], self.fields[:n + 1],
-                          self.reports[:n], setup)
+                          self.reports[:n], self.averages[:n], setup)
 
 
 def diagnose(traj: Trajectory) -> tuple[List[StepDiagnostics], float]:
@@ -293,9 +291,7 @@ def _diagnose_chunk(traj: Trajectory, steps: list, vbq: np.ndarray) -> tuple[lis
     iterates with a leading axis of steps, and their last (v+)^q."""
     setup = traj.setup
     mesh, op, q, dt, source = setup.mesh, setup.op, setup.q, setup.dt, setup.source
-    h_n = (average_potential(setup.potential, np.array(steps), dt)
-           if setup.steady_average is None
-           else np.broadcast_to(setup.steady_average, (len(steps), mesh.n_elements)))
+    h_n = np.array([traj.averages[n - 1] for n in steps])
     point = _point(mesh, op, np.array([traj.fields[n].values for n in steps]))
     vb = point.clipped
     rows = vb ** q

@@ -278,7 +278,7 @@ def load_scenario(path: str) -> Scenario:
         lam = float(run.pop("lambda", "1.0"))
         if not 0.0 < lam < np.inf:
             raise ParseError(f"[run] lambda = {lam} must be positive and finite")
-        # the seed feeds numpy's SeedSequence, which takes no negative entropy
+        # only echoed to the manifest: kept because the benchmark's configs write it
         seed = int(run.pop("seed", "20240801"))
         if seed < 0:
             raise ParseError(f"[run] seed = {seed} must be nonnegative")

@@ -497,7 +497,7 @@ def change_of_variables_u(traj: Trajectory) -> Trajectory:
     fields = [DiscreteField(f.mesh, np.maximum(f.values, 0.0) ** traj.setup.q)
               for f in traj.fields]
     return Trajectory(times=traj.times, fields=fields, reports=traj.reports,
-                      setup=traj.setup)
+                      averages=traj.averages, setup=traj.setup)
 
 
 def positive_part_norm(u: DiscreteField, v: DiscreteField, power: float) -> float:

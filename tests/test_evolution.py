@@ -82,7 +82,7 @@ def with_repeats(traj, repeated):
             v, report = fields[-1], replace(reports[-1], repeated=True)
         fields.append(v)
         reports.append(report)
-    return Trajectory(traj.times, fields, reports, traj.setup)
+    return Trajectory(traj.times, fields, reports, traj.averages, traj.setup)
 
 
 def outside_solve(monkeypatch):
@@ -539,16 +539,18 @@ def averaged_setup(tmp_path, dimension, potential, steps):
 
 
 class TestRunAverages:
-    """`Run.head` averages the potential of the steps it takes a chunk of
-    DIAGNOSTIC_ELEMENT_STEPS // n_elements steps (at least one) per
-    `average_potential` call, and a steady potential once per run, by one
-    one-step call whose array every step gets; each step gets bitwise the
-    average of its own one-step call."""
+    """`Run.head` averages the potential on a fixed grid of chunks of
+    DIAGNOSTIC_ELEMENT_STEPS // n_elements steps (at least one), one
+    `average_potential` call a chunk as it first reaches the chunk, however
+    it is read, and a steady potential once per run, by one one-step call
+    whose array every step gets; each step gets bitwise the average of its
+    own one-step call, and the trajectory records what each step got."""
 
     @pytest.mark.parametrize("potential", sorted(AVERAGED_POTENTIALS))
     @pytest.mark.parametrize("dimension, steps, heads, chunks", [
-        # 40 steps a call on 100 elements: heads ending at 7 and 45 end mid-chunk
-        (1, 100, [7, 45, 46, 100], [[7], [38], [1], [40, 14]]),
+        # 40 steps a call on 100 elements: heads ending at 7 and 45 end
+        # mid-chunk, and the head to 46 stays inside the chunk 41-80
+        (1, 100, [7, 45, 46, 100], [[40], [40], [], [20]]),
         # 2178 elements: one one-step call per step
         (2, 5, [2, 5], [[1] * 2, [1] * 3]),
     ])
@@ -577,10 +579,12 @@ class TestRunAverages:
         run = Run(setup)
         for n, expected in zip(heads, chunks, strict=True):
             calls.clear()
-            run.head(n)
+            traj = run.head(n)
             assert calls == expected
+            assert len(traj.averages) == n
         assert [h.tobytes() for h in seen] == [
             step_average(setup.potential, k, setup.dt).tobytes() for k in range(1, steps + 1)]
+        assert all(h is g for h, g in zip(traj.averages, seen, strict=True))
         assert (len({id(h) for h in seen}) == 1) == (potential == "constant")
 
 
@@ -916,6 +920,35 @@ class TestDiagnose:
         assert any(n + 1 in repeated for n in boundaries)
         self.assert_matches_per_step(traj)
 
+    @pytest.mark.parametrize("potential", ["decaying", "tabulated"])
+    def test_evaluates_no_potential(self, tmp_path, monkeypatch, potential):
+        # the run records each step's h^n, so diagnosing it averages nothing
+        # and samples no potential
+        setup = averaged_setup(tmp_path, 1, potential, 100)
+        pot, sampling = setup.potential, [True]
+
+        def evaluator(times):
+            if not sampling:
+                raise AssertionError("the potential was sampled")
+            return pot.evaluator(times)
+
+        def averaging(h, steps, dt):
+            raise AssertionError("the potential was averaged")
+
+        setup = replace(setup, potential=PotentialField(
+            evaluator, pot.lower_envelope, pot.sup_norm, limit=pot.limit))
+        traj = Run(setup).head()
+        reference, reference_margin = diagnose_per_step(traj)
+        sampling.clear()
+        rebind(monkeypatch, evolution, "average_potential", averaging)
+        with pytest.raises(AssertionError, match="sampled"):
+            setup.potential(0.0)
+        diagnostics, margin = diagnose(traj)
+        for d, e in zip(diagnostics, reference, strict=True):
+            assert d.increment_norm == e.increment_norm
+            assert d.stationary_energy == e.stationary_energy
+        assert margin == reference_margin
+
     def test_mesh_beyond_the_budget_takes_one_step_a_pass(self, monkeypatch,
                                                           tmp_path):
         # smoke_2d at resolution 48 has 4608 elements: one step a chunk
@@ -942,7 +975,7 @@ class TestChangeOfVariables:
     def test_zero_trajectory_maps_to_zero(self, mesh_1d, data_1d):
         z = zero_field(mesh_1d)
         traj = Trajectory(times=np.array([0.0, 1.0]), fields=[z, z], reports=[],
-                          setup=make_setup(mesh_1d, data_1d, horizon=1.0, steps=1))
+                          averages=[], setup=make_setup(mesh_1d, data_1d, horizon=1.0, steps=1))
         u_traj = change_of_variables_u(traj)
         for u in u_traj.fields:
             np.testing.assert_array_equal(u.values, 0.0)
