@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import EllipticProblem, solve, solve_lambda_problem
-from .evolution import Trajectory, time_integral_norm
+from .evolution import EvolutionSetup, Trajectory, time_integral_norm
 from .meshing import DiscreteField, Mesh, _mean_powers, l2_norm_values
 from .operators import LerayLionsOperator, eval_A, eval_flux
 
@@ -221,20 +221,22 @@ def picone_pair_integral(mesh, op, r, w1, w2):
     return value, scale
 
 
-def _solve_pair(mesh, op, q, lam, source, h1, h2):
-    """Time-step solutions for the two potentials, both from `solve`'s cold start."""
-    return [solve(EllipticProblem.standard(mesh, op, q, lam, h, source))[0]
-            for h in (h1, h2)]
+def _solve_pair(setup: EvolutionSetup, lam, h1, h2):
+    """The setup's time-step solutions for both potentials, from cold starts."""
+    return [solve(EllipticProblem.standard(setup.mesh, setup.op, setup.q, lam, h,
+                                           setup.source))[0] for h in (h1, h2)]
 
 
-def check_contraction_elliptic(mesh, op, q, lam, source, h1, h2) -> CheckReport:
+def check_contraction_elliptic(setup: EvolutionSetup, lam, h1, h2) -> CheckReport:
     """Discrete one-sided contraction of the time-step problem in the potential:
     ||(v1^q - v2^q)^+||_L2 <= slack * ||(h1 - h2)^+||_L2, both orientations,
     each the positive part of one difference or of its negation; where the
-    potentials are ordered, the solutions must be ordered the same way."""
+    potentials are ordered, the solutions must be ordered the same way.  The
+    problem is the setup's mesh, operator, q and source with weight lam."""
+    mesh, q = setup.mesh, setup.q
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
-    v1, v2 = _solve_pair(mesh, op, q, lam, source, h1, h2)
+    v1, v2 = _solve_pair(setup, lam, h1, h2)
     dh = h1 - h2
     dv = _mean_powers(mesh, v1.values, q) - _mean_powers(mesh, v2.values, q)
     # ||(h1 - h2)^+||, ||(h2 - h1)^+||, ||(v1^q - v2^q)^+||, ||(v2^q - v1^q)^+||:

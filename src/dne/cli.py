@@ -12,12 +12,12 @@ from typing import List, Optional
 import numpy as np
 
 from . import checks as ck
-from .elliptic import (EllipticProblem, NonConvergence, make_subsolution,
-                       make_supersolution, solve, solve_lambda_problem,
+from .elliptic import (EllipticProblem, NonConvergence, solve, solve_lambda_problem,
                        solve_stationary)
-from .evolution import Run, diagnose
+from .evolution import (EvolutionSetup, Run, diagnose, make_subsolution,
+                        make_supersolution)
 from .io_utils import atomic_open, field_to_csv, write_json
-from .meshing import l2_norm_diff_power
+from .meshing import DiscreteField, l2_norm_diff_power
 from .operators import (ExponentField, LerayLionsOperator, PotentialField,
                         classify_regime)
 from .scenario import ParseError, Scenario, ValidationError, load_scenario
@@ -27,6 +27,12 @@ DEFAULT_CHECKS = [
     "contraction-elliptic", "contraction-parabolic", "sandwich", "monotone",
     "stabilization",
 ]
+
+
+def _stationary_state(setup: EvolutionSetup) -> DiscreteField:
+    """The stationary state runs of `setup` settle to, at the potential's limit."""
+    return solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,
+                            setup.source)
 
 
 def run_solve_elliptic(scenario: Scenario, out_dir: str) -> dict:
@@ -40,9 +46,7 @@ def run_solve_elliptic(scenario: Scenario, out_dir: str) -> dict:
 
 
 def run_stationary(scenario: Scenario, out_dir: str) -> dict:
-    setup = scenario.setup
-    v_stat = solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,
-                              setup.source)
+    v_stat = _stationary_state(scenario.setup)
     with atomic_open(os.path.join(out_dir, "stationary.csv")) as handle:
         handle.write(field_to_csv(v_stat))
     return {"sup_norm": v_stat.sup_norm}
@@ -64,9 +68,7 @@ def run_evolve(scenario: Scenario, out_dir: str) -> dict:
             handle.write(text)
     traj = run.head()
     diagnostics, margin = diagnose(traj)
-    v_stat = solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,
-                              setup.source)
-    e_final = l2_norm_diff_power(traj.final, v_stat, setup.q)
+    e_final = l2_norm_diff_power(traj.final, _stationary_state(setup), setup.q)
     return {
         "times": traj.times.tolist(),
         "stored_indices": stored,
@@ -94,7 +96,7 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]]) -> 
     `[run] seed`."""
     names = names or DEFAULT_CHECKS
     setup = scenario.setup
-    mesh, op, source, potential = setup.mesh, setup.op, setup.source, setup.potential
+    mesh, op, potential = setup.mesh, setup.op, setup.potential
     q, r_mid = setup.q, (1.0 + op.exponent.p_minus) / 2.0
     short_steps = min(setup.steps, 50)
 
@@ -107,15 +109,9 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]]) -> 
 
     @functools.cache
     def bracket():
-        w_lo, _ = make_subsolution(mesh, op, q, source, potential.lower_envelope,
-                                   setup.initial)
-        w_hi, _ = make_supersolution(mesh, op, q, source, potential.sup_norm,
-                                     setup.initial)
-        return w_lo, w_hi
+        return make_subsolution(setup)[0], make_supersolution(setup)[0]
 
-    @functools.cache
-    def stationary():
-        return solve_stationary(mesh, op, q, potential.limit, source)
+    stationary = functools.cache(functools.partial(_stationary_state, setup))
 
     def lambda_scaling():
         op_const = LerayLionsOperator(
@@ -125,8 +121,7 @@ def run_verify(scenario: Scenario, out_dir: str, names: Optional[List[str]]) -> 
 
     def contraction_elliptic():
         h1 = potential(0.0)
-        return [ck.check_contraction_elliptic(mesh, op, q, scenario.lam, source,
-                                              h1, h1 + 0.1)]
+        return [ck.check_contraction_elliptic(setup, scenario.lam, h1, h1 + 0.1)]
 
     def contraction_parabolic():
         shrunk = setup.initial.with_values(0.7 * setup.initial.values)

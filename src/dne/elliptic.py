@@ -9,9 +9,10 @@ The constructors differ only in the power terms (c, r) they set, each a
 `PowerTerm`: `standard` (the implicit Euler step) has the mass term (1, 2q),
 the potential term (-h0, q) and the source term (-lam g delta^gamma,
 beta + 1); `stationary` has lam = 1, the potential and source terms and an
-optional load (the supersolution problem); the pure-load problem is the bare
-constructor with a load and no terms.  Iterates are projected onto
-{v >= 0}, realizing the positive-part truncation the energy is built on.
+optional load (`dne.evolution`'s supersolution); the pure-load problem is
+the bare constructor with a load and no terms.  No problem knows a run.
+Iterates are projected onto {v >= 0}, realizing the positive-part
+truncation the energy is built on.
 The energy, its gradient and its Hessian combine an iterate's element state
 (`_point`), formed once, with the problem's and the terms' constants.
 """
@@ -22,7 +23,7 @@ import importlib.util
 import itertools
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib.machinery import PathFinder
 from typing import Optional
 
@@ -48,8 +49,6 @@ HESSIAN_SCALE_FLOOR = 1e-90
 # the comparison checks; in 2D the tolerance equals that slack.
 DEFAULT_TOL = {1: 1e-11, 2: 1e-8}
 MAX_ITERATIONS = 200
-MU_FLOOR = 1e-12
-KAPPA_CEIL = 1e12
 # Relative roundoff of the energy.  A predicted decrease at most ROUNDOFF times
 # the energy's term scale is below what the Armijo test can resolve, and a
 # trial energy within ROUNDOFF (1 + |J|) of the current one is no increase.
@@ -549,38 +548,6 @@ def solve_lambda_problem(lam: float, mesh: Mesh, op: LerayLionsOperator) -> Disc
         raise ValueError("lambda must be positive")
     problem = EllipticProblem(mesh, op, load=np.full(mesh.n_elements, float(lam)))
     return solve(problem)[0]
-
-
-def make_subsolution(mesh, op, q, source, lower_envelope, v0: DiscreteField):
-    """Halve mu from 1 until the positive solution of
-    -div a = mu (h_lower w^(q-1) + f(x, w)), the stationary problem with
-    potential mu * h_lower and source mu * f, sits below v0 nodally.
-    Returns (w_lower, mu_used)."""
-    mu = 1.0
-    while mu >= MU_FLOOR:
-        scaled = None if source is None else replace(source, g=mu * source.g)
-        w = solve_stationary(mesh, op, q, mu * np.asarray(lower_envelope), scaled)
-        if np.all(w.values <= v0.values) and np.all(w.values[mesh.interior] > 0.0):
-            return w, mu
-        mu *= 0.5
-    raise NonConvergence("no mu above the floor produced a subsolution below v0")
-
-
-def make_supersolution(mesh, op, q, source, sup_norm_h, v0: DiscreteField):
-    """Double kappa from 1 until the positive solution of
-    -div a = ||h||_inf w^(q-1) + f(x, w) + kappa, the stationary problem with
-    constant potential ||h||_inf and constant load kappa, dominates v0
-    nodally.  Returns (w_upper, kappa_used)."""
-    ne = mesh.n_elements
-    kappa = 1.0
-    while kappa <= KAPPA_CEIL:
-        problem = EllipticProblem.stationary(mesh, op, q, np.full(ne, float(sup_norm_h)),
-                                             source, load=np.full(ne, float(kappa)))
-        w = solve(problem)[0]
-        if np.all(w.values >= v0.values):
-            return w, kappa
-        kappa *= 2.0
-    raise NonConvergence("no kappa below the ceiling produced a supersolution above v0")
 
 
 def solve_stationary(mesh, op, q, b, source=None) -> DiscreteField:

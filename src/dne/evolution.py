@@ -32,6 +32,8 @@ discrete steady state under a constant h^n) returns its field unsolved, and
 a solve from its field takes its element state instead of computing it.
 The step problems share the mass and source terms built once per run
 (`EvolutionSetup.step_terms`), whose values the state has cached.
+`make_subsolution` and `make_supersolution` fit the comparison bracket of
+the datum from the setup alone.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 
 from .elliptic import (EllipticProblem, NonConvergence, SolverReport,
                        _energy_terms, _point, _solve, _State, mass_term, potential_term,
-                       source_terms)
+                       solve, solve_stationary, source_terms)
 from .meshing import (DiscreteField, Mesh, boundary_distance_field,
                       l2_norm_values)
 from .operators import (LerayLionsOperator, PotentialField, SourceTerm,
@@ -59,6 +61,8 @@ DISSIPATION_SLACK = 1.05
 # Element-steps one diagnostic pass covers: its steps times the mesh's
 # elements, and at least one step a pass.
 DIAGNOSTIC_ELEMENT_STEPS = 4096
+MU_FLOOR = 1e-12
+KAPPA_CEIL = 1e12
 
 
 @dataclass(frozen=True)
@@ -250,6 +254,38 @@ class Run:
             self._last = None  # no step follows: free the last element state
         return Trajectory(self.times[:n + 1], self.fields[:n + 1],
                           self.reports[:n], self.averages[:n], setup)
+
+
+def make_subsolution(setup: EvolutionSetup) -> tuple[DiscreteField, float]:
+    """Halve mu from 1 until the positive solution of the setup's stationary
+    problem -div a = mu (h_lower w^(q-1) + f(x, w)), h_lower its potential's
+    `lower_envelope`, sits below its initial datum nodally: (w_lower, mu)."""
+    mesh, source, v0 = setup.mesh, setup.source, setup.initial
+    mu = 1.0
+    while mu >= MU_FLOOR:
+        scaled = None if source is None else replace(source, g=mu * source.g)
+        w = solve_stationary(mesh, setup.op, setup.q,
+                             mu * setup.potential.lower_envelope, scaled)
+        if np.all(w.values <= v0.values) and np.all(w.values[mesh.interior] > 0.0):
+            return w, mu
+        mu *= 0.5
+    raise NonConvergence("no mu above the floor produced a subsolution below v0")
+
+
+def make_supersolution(setup: EvolutionSetup) -> tuple[DiscreteField, float]:
+    """Double kappa from 1 until the positive solution of the setup's stationary
+    problem -div a = ||h||_inf w^(q-1) + f(x, w) + kappa, ||h||_inf its
+    potential's `sup_norm`, dominates its initial datum nodally: (w_upper, kappa)."""
+    ne = setup.mesh.n_elements
+    kappa = 1.0
+    while kappa <= KAPPA_CEIL:
+        w = solve(EllipticProblem.stationary(
+            setup.mesh, setup.op, setup.q, np.full(ne, float(setup.potential.sup_norm)),
+            setup.source, load=np.full(ne, float(kappa))))[0]
+        if np.all(w.values >= setup.initial.values):
+            return w, kappa
+        kappa *= 2.0
+    raise NonConvergence("no kappa below the ceiling produced a supersolution above v0")
 
 
 def diagnose(traj: Trajectory) -> tuple[List[StepDiagnostics], float]:

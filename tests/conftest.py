@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from dne.meshing import boundary_distance_field, interval_mesh, rectangle_mesh
+from dne.evolution import EvolutionSetup
+from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
+                         interval_mesh, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            SourceTerm)
 
@@ -43,6 +45,16 @@ def make_problem_data(mesh, p=2.5, beta=0.0, gamma=1.0):
         prof = prof * 4.0 * (xb[:, axis] - lo) * (hi - xb[:, axis]) / (hi - lo) ** 2
     potential = PotentialField.constant(prof)
     return op, source, potential
+
+
+def make_setup(mesh, data, initial=0.5, q=1.25, horizon=1.0, steps=10):
+    """The run of the `(op, source, potential)` data that `make_problem_data`
+    returns on `mesh`, from `initial`: a field, or the height of the bump
+    initial * sin(pi x) on a unit interval."""
+    if not isinstance(initial, DiscreteField):
+        scale = initial
+        initial = interpolate(mesh, lambda x: scale * np.sin(np.pi * x[:, 0]))
+    return EvolutionSetup(mesh, data[0], q, data[1], data[2], horizon, steps, initial)
 
 
 @pytest.fixture(scope="session")

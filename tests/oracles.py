@@ -525,26 +525,26 @@ def time_integral_norm_per_step(mesh: Mesh, h, g, dt: float, n_steps: int):
     return out
 
 
-def contraction_ratio(mesh, op, q, lam, source, h1, h2) -> float:
+def contraction_ratio(setup: EvolutionSetup, lam, h1, h2) -> float:
     """lhs/rhs of the one-sided contraction for a refinement study."""
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
-    v1, v2 = _solve_pair(mesh, op, q, lam, source, h1, h2)
-    lhs = positive_part_norm(v1, v2, q)
-    rhs = l2_norm_values(mesh, np.maximum(h1 - h2, 0.0))
+    v1, v2 = _solve_pair(setup, lam, h1, h2)
+    lhs = positive_part_norm(v1, v2, setup.q)
+    rhs = l2_norm_values(setup.mesh, np.maximum(h1 - h2, 0.0))
     return lhs / rhs if rhs > 0 else 0.0
 
 
-def contraction_elliptic_per_orientation(mesh, op, q, lam, source, h1, h2):
+def contraction_elliptic_per_orientation(setup: EvolutionSetup, lam, h1, h2):
     """`checks.check_contraction_elliptic` one orientation at a time, each
     difference formed in its own order."""
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
-    v1, v2 = _solve_pair(mesh, op, q, lam, source, h1, h2)
+    v1, v2 = _solve_pair(setup, lam, h1, h2)
     margins, ordered_ok = [], True
     for a, b, ha, hb in ((v1, v2, h1, h2), (v2, v1, h2, h1)):
-        rhs = l2_norm_values(mesh, np.maximum(ha - hb, 0.0))
-        margins.append(checks.CONTRACTION_SLACK * rhs - positive_part_norm(a, b, q))
+        rhs = l2_norm_values(setup.mesh, np.maximum(ha - hb, 0.0))
+        margins.append(checks.CONTRACTION_SLACK * rhs - positive_part_norm(a, b, setup.q))
         if np.all(ha <= hb):
             ordered_ok = ordered_ok and bool(np.all(a.values <= b.values
                                                     + checks.ORDERING_SLACK))

@@ -5,6 +5,7 @@ sampling oracle computed here, or a self-convergence reference run.  Slacks
 are the stated ones; runtime budgets are asserted with perf_counter.
 """
 
+import dataclasses
 import json
 import textwrap
 import time
@@ -14,14 +15,15 @@ import numpy as np
 from dne.checks import (check_alg_inequality, check_monotone_run, check_picone,
                         check_sandwich)
 from dne.cli import main
-from dne.elliptic import (EllipticProblem, make_subsolution, make_supersolution,
-                          solve_lambda_problem, solve_stationary)
-from dne.evolution import EvolutionSetup, time_integral_norm
+from dne.elliptic import EllipticProblem, solve_lambda_problem, solve_stationary
+from dne.evolution import (EvolutionSetup, make_subsolution, make_supersolution,
+                           time_integral_norm)
 from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
                          interval_mesh, l2_norm_diff_power, rectangle_mesh)
 from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            SourceTerm, eval_A, eval_flux)
 
+from conftest import make_setup
 from oracles import (calibrate_gamma0, contraction_ratio, ellipticity_floor,
                      energy, energy_gradient, evolve, flux_jacobian_batch,
                      growth_envelope, monotonicity_gap, picone_pair_sum,
@@ -160,9 +162,10 @@ def test_criterion_3_elliptic_contraction_refinement():
         h1 = 4.0 * x * (1.0 - x)
         h2 = h1 + 0.1
         h3 = 0.5 + 0.4 * np.sin(np.pi * x)
-        history["shifted"].append(contraction_ratio(mesh, op, q, 1.0, src, h2, h1))
-        history["sine-vs-bump"].append(contraction_ratio(mesh, op, q, 1.0, src, h3, h1))
-        history["bump-vs-sine"].append(contraction_ratio(mesh, op, q, 1.0, src, h1, h3))
+        setup = make_setup(mesh, (op, src, PotentialField.constant(h1)), q=q)
+        history["shifted"].append(contraction_ratio(setup, 1.0, h2, h1))
+        history["sine-vs-bump"].append(contraction_ratio(setup, 1.0, h3, h1))
+        history["bump-vs-sine"].append(contraction_ratio(setup, 1.0, h1, h3))
     for name, ratios in history.items():
         assert all(r <= 1.02 for r in ratios), f"{name}: ratio exceeds slack"
         # the discrete ratio approaches its continuum value from below at the
@@ -225,13 +228,13 @@ def test_criterion_5_sandwich_and_monotone_bracketing():
     t0 = time.perf_counter()
     q = 1.25
     mesh, op, src, h_inf = _fixture_1d(100)
-    pot = PotentialField.constant(h_inf)
-    v0 = interpolate(mesh, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-    w_lo, _ = make_subsolution(mesh, op, q, src, pot.lower_envelope, v0)
-    w_hi, _ = make_supersolution(mesh, op, q, src, pot.sup_norm, v0)
     T, steps = 2.0, 40
-    runs = {start: evolve(EvolutionSetup(mesh, op, q, src, pot, T, steps, field))
-            for start, field in (("lo", w_lo), ("mid", v0), ("hi", w_hi))}
+    setup = make_setup(mesh, (op, src, PotentialField.constant(h_inf)), q=q,
+                       horizon=T, steps=steps)
+    w_lo, _ = make_subsolution(setup)
+    w_hi, _ = make_supersolution(setup)
+    runs = {start: evolve(dataclasses.replace(setup, initial=field))
+            for start, field in (("lo", w_lo), ("mid", setup.initial), ("hi", w_hi))}
     for n in range(steps + 1):
         lo = runs["lo"].fields[n].values
         mid = runs["mid"].fields[n].values
@@ -254,17 +257,15 @@ def test_criterion_6_stabilization():
     pot_decay = PotentialField(per_time(lambda t: h_inf * (1.0 + (1.0 + t) ** (-1.5))),
                                h_inf, 2.0 * float(h_inf.max()), limit=h_inf)
     v_stat = solve_stationary(mesh, op, q, h_inf, src)
-    v0 = interpolate(mesh, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
     T, steps = 100.0, 2000
+    setup = make_setup(mesh, (op, src, pot_const), q=q, horizon=T, steps=steps)
     errs = {}
     for name, pot in (("constant", pot_const), ("decaying", pot_decay)):
-        traj = evolve(EvolutionSetup(mesh, op, q, src, pot, T, steps, v0))
+        traj = evolve(dataclasses.replace(setup, potential=pot))
         errs[name] = l2_norm_diff_power(traj.final, v_stat, q)
         assert errs[name] <= 1e-3, f"{name}: e(T) = {errs[name]:.2e} > 1e-3"
-    w_lo, _ = make_subsolution(mesh, op, q, src, pot_const.lower_envelope, v0)
-    w_hi, _ = make_supersolution(mesh, op, q, src, pot_const.sup_norm, v0)
-    lo = evolve(EvolutionSetup(mesh, op, q, src, pot_const, T, steps, w_lo))
-    hi = evolve(EvolutionSetup(mesh, op, q, src, pot_const, T, steps, w_hi))
+    lo = evolve(dataclasses.replace(setup, initial=make_subsolution(setup)[0]))
+    hi = evolve(dataclasses.replace(setup, initial=make_supersolution(setup)[0]))
     gap = l2_norm_diff_power(lo.final, hi.final, 1.0)
     assert gap <= 2e-4, f"bracketing runs differ by {gap:.2e}"
     elapsed = time.perf_counter() - t0

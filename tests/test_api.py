@@ -431,6 +431,37 @@ def test_q_has_one_owner():
     assert owners == {"EvolutionSetup"}
 
 
+def test_run_builders_read_the_setup():
+    # the comparison bracket and the step-problem contraction read a run's
+    # mesh, operator, q, source, potential and datum from its setup, so no
+    # caller can hand them a datum or potential of another run
+    from dne import checks, evolution
+    for f, params in [(evolution.make_subsolution, ["setup"]),
+                      (evolution.make_supersolution, ["setup"]),
+                      (checks.check_contraction_elliptic, ["setup", "lam", "h1", "h2"])]:
+        assert list(inspect.signature(f).parameters) == params
+
+
+def test_elliptic_knows_no_run():
+    # dne.elliptic poses one problem from its own arguments: no public
+    # callable there takes a run's datum or setup or names its potential
+    offenders = []
+    for name, obj in public_callables().items():
+        if not name.startswith("dne.elliptic."):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+            source = inspect.getsource(obj)
+        except (TypeError, ValueError, OSError):
+            continue
+        offenders += [f"{name}({p})" for p in params if p in {"v0", "initial", "setup"}]
+        if "PotentialField" in source:
+            offenders.append(f"{name} names PotentialField")
+    assert offenders == []
+    assert not {"make_subsolution", "make_supersolution", "MU_FLOOR",
+                "KAPPA_CEIL"} & set(vars(dne.elliptic))
+
+
 def test_harness_contract(monkeypatch):
     # the benchmark harness (perfbench/) loads a scenario, reads its five
     # views, wraps these two Mesh methods and times the module-level

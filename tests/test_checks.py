@@ -10,14 +10,15 @@ from dne.checks import (check_alg_inequality, check_contraction_elliptic,
                         check_picone_pair, check_monotone_run, check_picone,
                         check_positivity_hopf, check_sandwich,
                         check_stabilization, picone_pair_integral)
-from dne.elliptic import (make_subsolution, make_supersolution,
-                          solve_lambda_problem, solve_stationary)
-from dne.evolution import EvolutionSetup, time_integral_norm
+from dne.elliptic import solve_lambda_problem, solve_stationary
+from dne.evolution import (EvolutionSetup, make_subsolution, make_supersolution,
+                           time_integral_norm)
 from dne.meshing import (DiscreteField, interpolate, interval_mesh,
                          l2_norm_diff_power, rectangle_mesh)
 from dne.operators import ExponentField, LerayLionsOperator, PotentialField
 from dne.scenario import load_scenario
 
+from conftest import make_setup
 from oracles import (contraction_elliptic_per_orientation,
                      contraction_parabolic_per_step, contraction_ratio, evolve,
                      function_library_reference, hopf_probe_quotients, monotone_run_per_step, picone_at_points,
@@ -282,43 +283,42 @@ class TestPiconePair:
 
 class TestContractionElliptic:
     def test_identical_potentials(self, mesh_1d, data_1d):
-        op, src, pot = data_1d
-        h = pot(0.0)
-        report = check_contraction_elliptic(mesh_1d, op, Q, 1.0, src, h, h)
+        setup = make_setup(mesh_1d, data_1d)
+        h = setup.potential(0.0)
+        report = check_contraction_elliptic(setup, 1.0, h, h)
         assert report.passed
         # both sides vanish: lhs below solver noise
-        ratio = contraction_ratio(mesh_1d, op, Q, 1.0, src, h, h)
+        ratio = contraction_ratio(setup, 1.0, h, h)
         assert ratio == 0.0
 
     def test_shifted_potential(self, mesh_1d, data_1d):
-        op, src, pot = data_1d
-        h1 = pot(0.0)
-        report = check_contraction_elliptic(mesh_1d, op, Q, 1.0, src, h1, h1 + 0.1)
+        setup = make_setup(mesh_1d, data_1d)
+        h1 = setup.potential(0.0)
+        report = check_contraction_elliptic(setup, 1.0, h1, h1 + 0.1)
         assert report.passed
 
     def test_crossing_potentials_match_per_orientation(self, mesh_1d, data_1d):
         # both orientations from one difference and its negation, bitwise as
         # each difference formed in its own order
-        op, src, _ = data_1d
+        setup = make_setup(mesh_1d, data_1d)
         xb = mesh_1d.barycenters[:, 0]
         bump, sine = 4.0 * xb * (1.0 - xb), 0.5 + 0.4 * np.sin(3.0 * np.pi * xb)
         for h1, h2 in [(bump, sine), (sine, bump)]:
-            report = check_contraction_elliptic(mesh_1d, op, Q, 1.0, src, h1, h2)
-            assert report == contraction_elliptic_per_orientation(mesh_1d, op, Q, 1.0,
-                                                                  src, h1, h2)
+            report = check_contraction_elliptic(setup, 1.0, h1, h2)
+            assert report == contraction_elliptic_per_orientation(setup, 1.0, h1, h2)
 
     def test_ordering_checked_in_either_orientation(self, mesh_1d, data_1d, monkeypatch):
         # h2 <= h1 needs v2 <= v1: a pair whose element means keep that order
         # but whose nodes break it fails on the ordering alone
-        op, src, pot = data_1d
-        h2 = pot(0.0)
+        setup = make_setup(mesh_1d, data_1d)
+        h2 = setup.potential(0.0)
         v1 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
         raised = v1.values.copy()
         raised[50] += 1e-4
         raised[[49, 51]] -= 2e-4
         v2 = v1.with_values(raised)
         monkeypatch.setattr(checks, "_solve_pair", lambda *args: [v1, v2])
-        report = check_contraction_elliptic(mesh_1d, op, Q, 1.0, src, h2 + 0.1, h2)
+        report = check_contraction_elliptic(setup, 1.0, h2 + 0.1, h2)
         assert report.worst_margin >= 0.0
         assert not report.passed
 
@@ -326,37 +326,29 @@ class TestContractionElliptic:
         ratios = []
         for n in (50, 100):
             mesh = interval_mesh(0.0, 1.0, n)
-            op = iso_op(mesh, 2.5)
             xb = mesh.barycenters[:, 0]
             h1 = 4.0 * xb * (1.0 - xb)
-            ratios.append(contraction_ratio(mesh, op, Q, 1.0, None, h1 + 0.1, h1))
+            setup = make_setup(mesh, (iso_op(mesh, 2.5), None, PotentialField.constant(h1)))
+            ratios.append(contraction_ratio(setup, 1.0, h1 + 0.1, h1))
         assert all(r <= 1.02 for r in ratios)
 
 
 @pytest.fixture(scope="module")
 def runs(mesh_1d, data_1d):
-    op, src, pot = data_1d
-    v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-    w0 = v0.with_values(0.7 * v0.values)
-    s1 = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 20, v0)
-    s2 = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 20, w0)
-    return evolve(s1), evolve(s2), pot
+    s1 = make_setup(mesh_1d, data_1d, steps=20)
+    s2 = dataclasses.replace(s1, initial=s1.initial.with_values(0.7 * s1.initial.values))
+    return evolve(s1), evolve(s2), s1.potential
 
 
 @pytest.fixture(scope="module")
 def bracketing(mesh_1d, data_1d):
-    op, src, pot = data_1d
-    v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-    w_lo, _ = make_subsolution(mesh_1d, op, Q, src, pot.lower_envelope, v0)
-    w_hi, _ = make_supersolution(mesh_1d, op, Q, src, pot.sup_norm, v0)
-    return v0, w_lo, w_hi
+    setup = make_setup(mesh_1d, data_1d)
+    return setup.initial, make_subsolution(setup)[0], make_supersolution(setup)[0]
 
 
 class TestContractionParabolic:
     def test_identical_runs_agree(self, mesh_1d, data_1d):
-        op, src, pot = data_1d
-        v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-        s = EvolutionSetup(mesh_1d, op, Q, src, pot, 0.5, 10, v0)
+        s = make_setup(mesh_1d, data_1d, horizon=0.5)
         t1, t2 = evolve(s), evolve(s)
         assert l2_norm_diff_power(t1.final, t2.final, Q) <= 10 * 1e-11
 
@@ -370,13 +362,11 @@ class TestContractionParabolic:
         assert lhsT <= 1.02 * lhs0
 
     def test_different_potentials(self, mesh_1d, data_1d):
-        op, src, pot = data_1d
-        prof = pot.limit
+        s1 = make_setup(mesh_1d, data_1d, steps=20)
+        pot, prof = s1.potential, s1.potential.limit
         pot2 = PotentialField(per_time(lambda t: prof * (1.0 + 0.3 * np.exp(-t))), prof,
                               1.3 * float(prof.max()), limit=prof)
-        v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-        s1 = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 20, v0)
-        s2 = EvolutionSetup(mesh_1d, op, Q, src, pot2, 1.0, 20, v0)
+        s2 = dataclasses.replace(s1, potential=pot2)
         traj1, traj2 = evolve(s1), evolve(s2)
         report = check_contraction_parabolic(traj1, traj2)
         assert report.passed
@@ -388,29 +378,25 @@ class TestContractionParabolic:
         assert report == contraction_parabolic_per_step(traj1, traj2)
 
     def test_rejects_mismatched_runs(self, mesh_1d, data_1d, runs):
-        op, src, pot = data_1d
         traj1, _, _ = runs
-        v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
         # fewer steps, or as many on another time grid
         for horizon, steps in [(1.0, 10), (2.0, 20)]:
-            other = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, horizon, steps, v0))
+            other = evolve(make_setup(mesh_1d, data_1d, horizon=horizon, steps=steps))
             with pytest.raises(ValueError):
                 check_contraction_parabolic(traj1, other)
 
 
 class TestSandwichAndMonotone:
     def test_run_stays_bracketed(self, mesh_1d, data_1d, bracketing):
-        op, src, pot = data_1d
         v0, w_lo, w_hi = bracketing
-        traj = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 15, v0))
+        traj = evolve(make_setup(mesh_1d, data_1d, initial=v0, steps=15))
         report = check_sandwich(traj, w_lo, w_hi)
         assert report.passed
 
     def test_monotone_bracketing_runs(self, mesh_1d, data_1d, bracketing):
-        op, src, pot = data_1d
         _, w_lo, w_hi = bracketing
-        lo_run = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 15, w_lo))
-        hi_run = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 15, w_hi))
+        lo_run = evolve(make_setup(mesh_1d, data_1d, initial=w_lo, steps=15))
+        hi_run = evolve(make_setup(mesh_1d, data_1d, initial=w_hi, steps=15))
         assert check_monotone_run(lo_run, "nondecreasing").passed
         assert check_monotone_run(hi_run, "nonincreasing").passed
         assert check_sandwich(lo_run, w_lo, w_hi).passed
@@ -424,17 +410,14 @@ class TestStabilization:
         v_stat = solve_stationary(mesh_1d, op, Q, pot.limit, src)
         v0 = v_stat.with_values(
             np.where(mesh_1d.boundary_mask, 0.0, 1.3 * v_stat.values))
-        traj = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 50.0, 250, v0))
+        traj = evolve(make_setup(mesh_1d, data_1d, initial=v0, horizon=50.0, steps=250))
         report = check_stabilization(traj, v_stat)
         assert report.passed
 
     def test_bracketing_runs_meet(self, mesh_1d, data_1d):
-        op, src, pot = data_1d
-        v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-        w_lo, _ = make_subsolution(mesh_1d, op, Q, src, pot.lower_envelope, v0)
-        w_hi, _ = make_supersolution(mesh_1d, op, Q, src, pot.sup_norm, v0)
-        lo = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 50.0, 250, w_lo))
-        hi = evolve(EvolutionSetup(mesh_1d, op, Q, src, pot, 50.0, 250, w_hi))
+        setup = make_setup(mesh_1d, data_1d, horizon=50.0, steps=250)
+        lo = evolve(dataclasses.replace(setup, initial=make_subsolution(setup)[0]))
+        hi = evolve(dataclasses.replace(setup, initial=make_supersolution(setup)[0]))
         assert l2_norm_diff_power(lo.final, hi.final, 1.0) <= 2e-4
 
 

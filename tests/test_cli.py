@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dne import checks, cli, elliptic
+from dne import checks, cli, elliptic, evolution
 from dne.cli import DEFAULT_CHECKS, main
 from dne.io_utils import atomic_open, field_to_csv, read_field_csv, write_json
 from dne.meshing import DiscreteField, interpolate, interval_mesh, rectangle_mesh
@@ -661,7 +661,7 @@ class TestCommands:
     def test_no_sandwich_bracket_exit_code(self, config_path, tmp_path, capsys,
                                            monkeypatch, bound, value, message):
         # a sub- or supersolution that no scaling fits is a failed solve
-        monkeypatch.setattr(elliptic, bound, value)
+        monkeypatch.setattr(evolution, bound, value)
         out = tmp_path / "o"
         assert main(["verify", "--config", config_path, "--out", str(out),
                      "--check", "sandwich"]) == 2

@@ -5,17 +5,17 @@ import pytest
 import scipy.sparse as sp
 
 from dne import elliptic, evolution
-from dne.elliptic import (EllipticProblem, NonConvergence, bump_seed,
-                          make_subsolution, make_supersolution, solve,
+from dne.elliptic import (EllipticProblem, NonConvergence, bump_seed, solve,
                           solve_lambda_problem, solve_stationary)
 from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
                          interval_mesh, l2_norm_diff_power, rectangle_mesh)
-from dne.evolution import average_potential
+from dne.evolution import average_potential, make_subsolution, make_supersolution
 from dne.operators import (ExponentField, LerayLionsOperator, SourceTerm,
                            ValidationError, _block_norms, _coefficient, _square_norm,
                            eval_A, eval_source)
 from dne.scenario import load_scenario
 
+from conftest import make_setup
 from oracles import (blocks_reference, element_grads, energy, energy_gradient,
                      energy_terms_reference,
                      flux_jacobian_batch, gradient_values_reference,
@@ -950,26 +950,23 @@ class TestPureLambda:
 
 class TestSubSupersolutions:
     def test_subsolution_sits_below_v0(self, mesh_1d, data_1d):
-        op, src, pot = data_1d
-        v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-        w, mu = make_subsolution(mesh_1d, op, 1.25, src, pot.lower_envelope, v0)
-        assert np.all(w.values <= v0.values)
+        setup = make_setup(mesh_1d, data_1d)
+        w, mu = make_subsolution(setup)
+        assert np.all(w.values <= setup.initial.values)
         assert np.all(w.values[mesh_1d.interior] > 0.0)
         assert mu > 0.0
 
     def test_mu_monotonicity(self, mesh_1d, data_1d, monkeypatch):
         # the fit's trial solutions shrink nodally as mu halves
-        op, src, pot = data_1d
-        v0 = interpolate(mesh_1d, lambda x: 0.1 * np.sin(np.pi * x[:, 0]))
         trials = []
-        stationary = elliptic.solve_stationary
+        stationary = evolution.solve_stationary
 
         def recorded(*args, **kwargs):
             trials.append(stationary(*args, **kwargs))
             return trials[-1]
 
-        monkeypatch.setattr(elliptic, "solve_stationary", recorded)
-        _, mu = make_subsolution(mesh_1d, op, 1.25, src, pot.lower_envelope, v0)
+        monkeypatch.setattr(evolution, "solve_stationary", recorded)
+        _, mu = make_subsolution(make_setup(mesh_1d, data_1d, initial=0.1))
         assert (mu, len(trials)) == (0.25, 3)
         for wb, wa in zip(trials, trials[1:]):
             assert np.all(wa.values <= wb.values + 1e-10)
@@ -980,12 +977,10 @@ class TestSubSupersolutions:
         # kappa to solver accuracy
         op, src, pot = data_1d
         if kind == "subsolution":
-            v0 = interpolate(mesh_1d, lambda x: 0.1 * np.sin(np.pi * x[:, 0]))
-            w, scale = make_subsolution(mesh_1d, op, 1.25, src, pot.lower_envelope, v0)
+            w, scale = make_subsolution(make_setup(mesh_1d, data_1d, initial=0.1))
             b, kappa = pot.lower_envelope, 0.0
         else:
-            v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-            w, kappa = make_supersolution(mesh_1d, op, 1.25, src, pot.sup_norm, v0)
+            w, kappa = make_supersolution(make_setup(mesh_1d, data_1d))
             scale, b = 1.0, pot.sup_norm
         assert (scale, kappa) in [(0.25, 0.0), (1.0, 4.0)]
         wb = np.maximum(w.barycenter_values(), 0.0)
@@ -996,8 +991,7 @@ class TestSubSupersolutions:
 
     def test_one_minimization_per_fit_trial(self, mesh_1d, data_1d, monkeypatch):
         # each mu or kappa tried is one stationary solve: one minimization
-        op, src, pot = data_1d
-        v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
+        setup = make_setup(mesh_1d, data_1d)
         calls = []
         minimize = elliptic._minimize
 
@@ -1006,29 +1000,27 @@ class TestSubSupersolutions:
             return minimize(*args, **kwargs)
 
         monkeypatch.setattr(elliptic, "_minimize", counted)
-        _, mu = make_subsolution(mesh_1d, op, 1.25, src, pot.lower_envelope, v0)
+        _, mu = make_subsolution(setup)
         assert (mu, len(calls)) == (1.0, 1)
         calls.clear()
-        _, kappa = make_supersolution(mesh_1d, op, 1.25, src, pot.sup_norm, v0)
+        _, kappa = make_supersolution(setup)
         assert (kappa, len(calls)) == (4.0, 3)
 
     def test_subsolution_near_singular_exponents(self, mesh_1d, data_1d):
         # p = 1.6, q = 1.5, no source: the positive solution is tiny (sup
         # ~3e-9), close to where the absolute 1D tolerance is out of reach
-        _, _, pot = data_1d
-        v0 = interpolate(mesh_1d, lambda x: 0.05 * np.sin(np.pi * x[:, 0]))
-        w, mu = make_subsolution(mesh_1d, iso_op(mesh_1d, 1.6), 1.5, None,
-                                 pot.lower_envelope, v0)
+        setup = make_setup(mesh_1d, (iso_op(mesh_1d, 1.6), None, data_1d[2]),
+                           initial=0.05, q=1.5)
+        w, mu = make_subsolution(setup)
         assert mu == 1.0
-        assert np.all(w.values <= v0.values)
+        assert np.all(w.values <= setup.initial.values)
         assert np.all(w.values[mesh_1d.interior] > 0.0)
 
     def test_supersolution_dominates(self, mesh_1d, data_1d):
-        op, src, pot = data_1d
-        v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-        w_hi, kappa = make_supersolution(mesh_1d, op, 1.25, src, pot.sup_norm, v0)
-        assert np.all(w_hi.values >= v0.values)
-        w_lo, _ = make_subsolution(mesh_1d, op, 1.25, src, pot.lower_envelope, v0)
+        setup = make_setup(mesh_1d, data_1d)
+        w_hi, kappa = make_supersolution(setup)
+        assert np.all(w_hi.values >= setup.initial.values)
+        w_lo, _ = make_subsolution(setup)
         assert np.all(w_lo.values <= w_hi.values)
 
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from dne import cli, elliptic, evolution, meshing, operators
-from dne.elliptic import (EllipticProblem, NonConvergence, bump_seed,
-                          make_subsolution, make_supersolution, solve,
+from dne.elliptic import (EllipticProblem, NonConvergence, bump_seed, solve,
                           solve_stationary, source_terms)
 from dne.evolution import (EvolutionSetup, Run, Trajectory, average_potential,
-                           diagnose, step, time_integral_norm)
+                           diagnose, make_subsolution, make_supersolution, step,
+                           time_integral_norm)
 from dne.meshing import (DiscreteField, Mesh, _unit_bump, boundary_distance_field,
                          interpolate, interval_mesh, l2_norm_diff_power,
                          rectangle_mesh)
@@ -18,6 +18,7 @@ from dne.operators import (ExponentField, LerayLionsOperator, PotentialField,
                            SourceTerm, ValidationError)
 from dne.scenario import load_scenario
 
+from conftest import make_setup
 from oracles import (change_of_variables_u, diagnose_per_step, energy, evolve,
                      per_time, seeded_rng, time_integral_norm_per_step, zero_field)
 
@@ -115,12 +116,6 @@ def fail_on_call(monkeypatch, n):
     rebind(monkeypatch, elliptic, "_solve", failing)
 
 
-def make_setup(mesh, data, horizon, steps, scale=0.5):
-    op, src, pot = data
-    v0 = interpolate(mesh, lambda x: scale * np.sin(np.pi * x[:, 0]))
-    return EvolutionSetup(mesh, op, Q, src, pot, horizon, steps, v0)
-
-
 def step_average(h, n: int, dt: float) -> np.ndarray:
     """h^n of the one step n, the one row of its `average_potential` call."""
     return average_potential(h, np.array([n]), dt)[0]
@@ -200,13 +195,11 @@ class TestStep:
         assert np.all(v1.values <= w1.values + 1e-8)
 
     def test_sandwich_preserved(self, mesh_1d, data_1d):
-        op, src, pot = data_1d
-        v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-        w_lo, _ = make_subsolution(mesh_1d, op, Q, src, pot.lower_envelope, v0)
-        w_hi, _ = make_supersolution(mesh_1d, op, Q, src, pot.sup_norm, v0)
-        setup = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, v0)
-        h1 = step_average(pot, 1, setup.dt)
-        v1 = step(setup, v0, h1).field
+        setup = make_setup(mesh_1d, data_1d)
+        w_lo, _ = make_subsolution(setup)
+        w_hi, _ = make_supersolution(setup)
+        h1 = step_average(setup.potential, 1, setup.dt)
+        v1 = step(setup, setup.initial, h1).field
         assert np.all(v1.values >= w_lo.values - 1e-8)
         assert np.all(v1.values <= w_hi.values + 1e-8)
 
@@ -271,14 +264,12 @@ class TestEvolve:
             make_setup(mesh_1d, data_1d, horizon=horizon, steps=4)
 
     def test_distance_sandwich_along_run(self, mesh_1d, data_1d):
-        op, src, pot = data_1d
-        v0 = interpolate(mesh_1d, lambda x: 0.5 * np.sin(np.pi * x[:, 0]))
-        w_lo, _ = make_subsolution(mesh_1d, op, Q, src, pot.lower_envelope, v0)
-        w_hi, _ = make_supersolution(mesh_1d, op, Q, src, pot.sup_norm, v0)
+        setup = make_setup(mesh_1d, data_1d)
+        w_lo, _ = make_subsolution(setup)
+        w_hi, _ = make_supersolution(setup)
         delta = boundary_distance_field(mesh_1d)
         c = max(np.max(w_hi.barycenter_values() / delta),
                 np.max(delta / w_lo.barycenter_values()))
-        setup = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, v0)
         traj = evolve(setup)
         for f in traj.fields:
             vb = f.barycenter_values()
@@ -293,7 +284,7 @@ class TestEvolve:
 
     def test_increment_sum_stable_under_dt_refinement(self, mesh_1d, data_1d):
         def inc_sum(steps):
-            setup = make_setup(mesh_1d, data_1d, horizon=0.5, steps=steps, scale=0.3)
+            setup = make_setup(mesh_1d, data_1d, horizon=0.5, steps=steps, initial=0.3)
             diagnostics, _ = diagnose(evolve(setup))
             dt = 0.5 / steps
             return sum(dt * d.increment_norm ** 2 for d in diagnostics)

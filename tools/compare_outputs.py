@@ -3,15 +3,23 @@
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding the `dne` package, such as the
-`src` of two checkouts.  Each tree runs `evolve`, `verify`, `stationary` and
-`solve-elliptic` on every shipped config (`configs/*.cfg`) and on the seed-0
-config of every benchmark workload (`perfbench/workloads.make_config`), and
-`sweep` on `configs/default_1d.cfg`; each command is one fresh process with
-BLAS and OpenMP pinned to one thread, run with relative paths from a work
-directory of its own.  The tool then compares, per command, every file it
-wrote, its stdout, its stderr and its exit code, prints each difference and
-exits 1 if there is any, else 0.  The configs and workloads are those of the
-checkout holding this script.
+`src` of two checkouts.  Each tree runs:
+
+- `evolve`, `verify`, `stationary` and `solve-elliptic` on every shipped
+  config (`configs/*.cfg`) and on the seed-0 config of every benchmark
+  workload (`perfbench/workloads.make_config`);
+- `sweep` on `configs/default_1d.cfg` (the lambda sweep) and on
+  `default_1d_pq`, its `[sweep] kind = pq` variant, whose grid holds an
+  invalid cell (p = 0.9);
+- `evolve` and `verify` on `decaying_1d_tabulated`, `configs/decaying_1d.cfg`
+  with a tabulated potential whose lower envelope lies below its limit.
+
+The tool writes the two variants from the shipped configs.  Each command is
+one fresh process with BLAS and OpenMP pinned to one thread, run with
+relative paths from a work directory of its own.  The tool then compares,
+per command, every file it wrote, its stdout, its stderr and its exit code,
+prints each difference and exits 1 if there is any, else 0.  The configs and
+workloads are those of the checkout holding this script.
 """
 
 from __future__ import annotations
@@ -32,17 +40,37 @@ THREADS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                   "MKL_NUM_THREADS")}
 
 
+# name: (shipped config, its text replaced, the replacement, commands run)
+VARIANTS = {
+    "default_1d_pq": (
+        "default_1d", "kind = lambda\nlambdas = 0.5 1 2 4",
+        "kind = pq\np_values = 0.9 2.5 3.0\nq_values = 1.2 1.4", ["sweep"]),
+    "decaying_1d_tabulated": (
+        "decaying_1d", "kind = decaying\nprofile = bump 1.0\neta = 0.5",
+        "kind = tabulated\ntimes = 0 0.7 1.9 4\nprofile.1 = bump 1.0\n"
+        "profile.2 = bump 1.5\nprofile.3 = bump 0.8\nprofile.4 = bump 1.0\n"
+        "lower_envelope = bump 0.8", ["evolve", "verify"]),
+}
+
+
 def configs() -> dict:
-    """Config text by name: the shipped configs and the seed-0 workloads."""
+    """Config text by name: the shipped configs, the seed-0 workloads and
+    the VARIANTS of shipped configs."""
     texts = {path.stem: path.read_text() for path in sorted((ROOT / "configs").glob("*.cfg"))}
     texts.update({name: make_config(name, DEFAULT_SEED) for name in WORKLOADS})
+    for name, (base, old, new, _) in VARIANTS.items():
+        if old not in texts[base]:
+            raise ValueError(f"{base}.cfg no longer holds {old!r}: update {name}")
+        texts[name] = texts[base].replace(old, new)
     return texts
 
 
 def runs(texts: dict) -> list:
     """(command, config name) of every run."""
-    return [(command, name) for name in texts for command in COMMANDS] + [
-        ("sweep", "default_1d")]
+    return [(command, name) for name in texts if name not in VARIANTS
+            for command in COMMANDS] + [("sweep", "default_1d")] + [
+        (command, name) for name, (*_, commands) in VARIANTS.items()
+        for command in commands]
 
 
 def run_tree(src: Path, work: Path, texts: dict) -> dict:
