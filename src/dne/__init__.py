@@ -7,8 +7,7 @@ from .operators import (ExponentField, LerayLionsOperator, PotentialField,
                         eval_source)
 from .meshing import (DiscreteField, Mesh, boundary_distance_field, interpolate,
                       interval_mesh, l2_norm_diff_power, rectangle_mesh)
-from .elliptic import (EllipticProblem, NonConvergence, SolverReport, solve,
-                       solve_lambda_problem, solve_stationary)
+from .elliptic import EllipticProblem, NonConvergence, SolverReport, solve
 from .evolution import (EvolutionSetup, Run, Trajectory, average_potential,
                         diagnose, make_subsolution, make_supersolution, step)
 from .checks import CheckReport

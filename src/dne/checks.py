@@ -11,7 +11,9 @@ nodal values for the ordering checks, and (v+)^q element means, normed row
 by row, for the norm checks.  The two contraction checks take both of their
 forms from one difference: the plain norm and that of its positive part, or
 the positive parts of d and -d for the two orientations.  Slacks are named
-constants; refinement is expected to improve every margin they cover.
+constants.  That refinement improves the margins they cover is untested: on
+`default_1d` refined from 25 to 400 elements, 8 of the 11 margins of the
+default suite do not move, each sitting at a slack or a grid edge.
 """
 
 from __future__ import annotations
@@ -23,13 +25,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import EllipticProblem, solve, solve_lambda_problem
+from .elliptic import EllipticProblem, solve
 from .evolution import EvolutionSetup, Trajectory, time_integral_norm
 from .meshing import DiscreteField, Mesh, _mean_powers, l2_norm_values
 from .operators import LerayLionsOperator, eval_A, eval_flux
 
 CONTRACTION_SLACK = 1.02          # multiplicative, discrete contraction checks
 ORDERING_SLACK = 1e-8             # additive, nodal comparison checks
+LAMBDA_ORDERING_SLACK = 1e-10     # additive, nodal monotonicity in lambda
+PARABOLIC_FLOOR = 1e-12           # additive, parabolic contraction margins
+STABILIZATION_FLOOR = 1e-13       # absolute per-step growth allowed after burn-in
 PICONE_PAIR_SLACK = 1e-10         # relative, integrated two-function sum
 PICONE_SLACK = 1e-12              # relative, pointwise Picone margin
 ALG_GRID = 10 ** 5                # grid intervals of the power inequality's ratio
@@ -221,22 +226,18 @@ def picone_pair_integral(mesh, op, r, w1, w2):
     return value, scale
 
 
-def _solve_pair(setup: EvolutionSetup, lam, h1, h2):
-    """The setup's time-step solutions for both potentials, from cold starts."""
-    return [solve(EllipticProblem.standard(setup.mesh, setup.op, setup.q, lam, h,
-                                           setup.source))[0] for h in (h1, h2)]
-
-
 def check_contraction_elliptic(setup: EvolutionSetup, lam, h1, h2) -> CheckReport:
     """Discrete one-sided contraction of the time-step problem in the potential:
     ||(v1^q - v2^q)^+||_L2 <= slack * ||(h1 - h2)^+||_L2, both orientations,
     each the positive part of one difference or of its negation; where the
     potentials are ordered, the solutions must be ordered the same way.  The
-    problem is the setup's mesh, operator, q and source with weight lam."""
+    problem is the setup's mesh, operator, q and source with weight lam, each
+    solved from a cold start."""
     mesh, q = setup.mesh, setup.q
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
-    v1, v2 = _solve_pair(setup, lam, h1, h2)
+    v1, v2 = [solve(EllipticProblem.standard(mesh, setup.op, q, lam, h, setup.source))[0]
+              for h in (h1, h2)]
     dh = h1 - h2
     dv = _mean_powers(mesh, v1.values, q) - _mean_powers(mesh, v2.values, q)
     # ||(h1 - h2)^+||, ||(h2 - h1)^+||, ||(v1^q - v2^q)^+||, ||(v2^q - v1^q)^+||:
@@ -265,7 +266,7 @@ def check_contraction_parabolic(traj1: Trajectory, traj2: Trajectory) -> CheckRe
     # lhs[n, form] and margins[n, form], form 0 plain and 1 positive part
     lhs = np.array(l2_norm_values(mesh, [diff, np.maximum(diff, 0.0)])).T
     cum = time_integral_norm(mesh, s1.potential, s2.potential, s1.dt, len(traj1.times) - 1)
-    margins = CONTRACTION_SLACK * (lhs[0] + cum) + 1e-12 - lhs
+    margins = CONTRACTION_SLACK * (lhs[0] + cum) + PARABOLIC_FLOOR - lhs
     return _report("contraction-parabolic", margins.size, margins,
                    lambda i: f"t={traj1.times[i // 2]:.6g} "
                              f"({('plain', 'positive part')[i % 2]})",
@@ -306,9 +307,9 @@ def check_stabilization(traj: Trajectory, v_stat: DiscreteField) -> CheckReport:
     tail = errs[burn_in:]
     margins, locs = [], []
     if tail.size > 1:
-        # the 1e-13 absolute term guards the comparison once e(t) sits at
-        # the solver-noise floor, where relative slack alone is meaningless
-        growth = tail[1:] - tail[:-1] * (1.0 + STABILIZATION_GROWTH) - 1e-13
+        # the absolute term guards the comparison once e(t) sits at the
+        # solver-noise floor, where relative slack alone is meaningless
+        growth = tail[1:] - tail[:-1] * (1.0 + STABILIZATION_GROWTH) - STABILIZATION_FLOOR
         margins.append(float(-np.max(growth)))
         locs.append("r=2.0 monotone tail")
     margins.append(STABILIZATION_THRESHOLD - float(errs[-1]))
@@ -324,11 +325,14 @@ def check_lambda_scaling(mesh, op, lambdas: Sequence[float]) -> CheckReport:
         raise ValueError("need at least three lambdas to fit a slope")
     if not op.exponent.is_constant:
         raise ValueError("the power law is exact only for constant exponents")
+    if not all(lam > 0.0 for lam in lambdas):
+        raise ValueError("lambda must be positive")
     p = op.exponent.p_minus
-    sols = [solve_lambda_problem(lam, mesh, op) for lam in lambdas]
+    sols = [solve(EllipticProblem(mesh, op, load=np.full(mesh.n_elements, float(lam))))[0]
+            for lam in lambdas]
     sups = np.array([s.sup_norm for s in sols])
     slope = float(np.polyfit(np.log(lambdas), np.log(sups), 1)[0])
-    monotone = np.diff([s.values for s in sols], axis=0).min(axis=1) + 1e-10
+    monotone = np.diff([s.values for s in sols], axis=0).min(axis=1) + LAMBDA_ORDERING_SLACK
     margins = np.concatenate([[SLOPE_TOL - abs(slope - 1.0 / (p - 1.0))], monotone])
     return _report("lambda-scaling", len(lambdas), margins,
                    lambda i: (f"monotonicity {lambdas[i - 1]} -> {lambdas[i]}" if i

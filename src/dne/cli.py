@@ -12,8 +12,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import checks as ck
-from .elliptic import (EllipticProblem, NonConvergence, solve, solve_lambda_problem,
-                       solve_stationary)
+from .elliptic import EllipticProblem, NonConvergence, solve
 from .evolution import (EvolutionSetup, Run, diagnose, make_subsolution,
                         make_supersolution)
 from .io_utils import atomic_open, field_to_csv, write_json
@@ -31,8 +30,8 @@ DEFAULT_CHECKS = [
 
 def _stationary_state(setup: EvolutionSetup) -> DiscreteField:
     """The stationary state runs of `setup` settle to, at the potential's limit."""
-    return solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,
-                            setup.source)
+    return solve(EllipticProblem.stationary(setup.mesh, setup.op, setup.q,
+                                            setup.potential.limit, setup.source))[0]
 
 
 def run_solve_elliptic(scenario: Scenario, out_dir: str) -> dict:
@@ -166,7 +165,7 @@ def run_sweep(scenario: Scenario, out_dir: str) -> dict:
     if scenario.sweep_kind == "lambda":
         sups = []
         for lam in scenario.sweep_lambdas:
-            w = solve_lambda_problem(lam, mesh, op)
+            w = solve(EllipticProblem(mesh, op, load=np.full(mesh.n_elements, float(lam))))[0]
             sups.append(w.sup_norm)
             lines.append(f"{lam!r},{w.sup_norm!r}")
         header = "# columns: lambda,sup_norm"
@@ -188,7 +187,7 @@ def run_sweep(scenario: Scenario, out_dir: str) -> dict:
                 exponent = ExponentField.constant(mesh.n_elements, p)
                 op_pq = LerayLionsOperator.isotropic(exponent, 1.0, mesh.dimension)
                 regime = classify_regime(exponent, qv).value
-                v = solve_stationary(mesh, op_pq, qv, limit, None)
+                v = solve(EllipticProblem.stationary(mesh, op_pq, qv, limit))[0]
                 lines.append(f"{p!r},{qv!r},{regime},{v.sup_norm!r}")
     else:
         raise ParseError("scenario has no [sweep] kind")

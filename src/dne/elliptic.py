@@ -9,8 +9,11 @@ The constructors differ only in the power terms (c, r) they set, each a
 `PowerTerm`: `standard` (the implicit Euler step) has the mass term (1, 2q),
 the potential term (-h0, q) and the source term (-lam g delta^gamma,
 beta + 1); `stationary` has lam = 1, the potential and source terms and an
-optional load (`dne.evolution`'s supersolution); the pure-load problem is
-the bare constructor with a load and no terms.  No problem knows a run.
+optional load (`dne.evolution`'s supersolution), and checks that its
+potential is nonnegative and nontrivial (`(H_h)`); the pure-load problem is
+the bare constructor with a load and no terms.  Each problem is posed by its
+constructor and solved by `solve`, the one solve entry.  No problem knows a
+run.
 Iterates are projected onto {v >= 0}, realizing the positive-part
 truncation the energy is built on.
 The energy, its gradient and its Hessian combine an iterate's element state
@@ -192,6 +195,10 @@ class EllipticProblem:
 
     @classmethod
     def stationary(cls, mesh, op, q, b, source=None, load=None):
+        b = np.asarray(b, dtype=float)
+        if b.min() < 0.0 or not np.any(b > 0.0):
+            raise ValidationError("(H_h)", "stationary potential must be nonnegative and "
+                                  "nontrivial")
         sources = source_terms(mesh, op, q, 1.0, source)
         return cls(mesh, op, 1.0, (potential_term(mesh, q, b),) + sources, load)
 
@@ -540,22 +547,3 @@ def _solve(problem: EllipticProblem, guess: Optional[DiscreteField] = None,
             f"(residual {report.final_gradient_norm:g})", report)
     return DiscreteField(mesh, vals), report, point
 
-
-def solve_lambda_problem(lam: float, mesh: Mesh, op: LerayLionsOperator) -> DiscreteField:
-    """Solution of the pure-load problem -div a(x, grad w) = lam, w = 0 on the
-    boundary; monotone and power-law scaling in lam for constant exponents."""
-    if not (lam > 0.0):
-        raise ValueError("lambda must be positive")
-    problem = EllipticProblem(mesh, op, load=np.full(mesh.n_elements, float(lam)))
-    return solve(problem)[0]
-
-
-def solve_stationary(mesh, op, q, b, source=None) -> DiscreteField:
-    """Global minimizer of the stationary energy with potential b >= 0, b != 0,
-    from `solve`'s cold start; a caller with its own start calls
-    `solve(EllipticProblem.stationary(...), start)`."""
-    b = np.asarray(b, dtype=float)
-    if b.min() < 0.0 or not np.any(b > 0.0):
-        raise ValidationError("(H_h)", "stationary potential must be nonnegative and "
-                              "nontrivial")
-    return solve(EllipticProblem.stationary(mesh, op, q, b, source))[0]

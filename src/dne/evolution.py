@@ -45,7 +45,7 @@ import numpy as np
 
 from .elliptic import (EllipticProblem, NonConvergence, SolverReport,
                        _energy_terms, _point, _solve, _State, mass_term, potential_term,
-                       solve, solve_stationary, source_terms)
+                       solve, source_terms)
 from .meshing import (DiscreteField, Mesh, boundary_distance_field,
                       l2_norm_values)
 from .operators import (LerayLionsOperator, PotentialField, SourceTerm,
@@ -264,8 +264,8 @@ def make_subsolution(setup: EvolutionSetup) -> tuple[DiscreteField, float]:
     mu = 1.0
     while mu >= MU_FLOOR:
         scaled = None if source is None else replace(source, g=mu * source.g)
-        w = solve_stationary(mesh, setup.op, setup.q,
-                             mu * setup.potential.lower_envelope, scaled)
+        w = solve(EllipticProblem.stationary(mesh, setup.op, setup.q,
+                                             mu * setup.potential.lower_envelope, scaled))[0]
         if np.all(w.values <= v0.values) and np.all(w.values[mesh.interior] > 0.0):
             return w, mu
         mu *= 0.5

@@ -42,9 +42,9 @@ a branch per dimension, the reference for the library's loops over the
 (lo, hi) pairs of `Mesh.bounds`.
 
 `pure_load_solution` is the exact discrete solution of the 1D pure-load
-problem that `elliptic.solve_lambda_problem` solves, and `per_time` makes
-a `PotentialField` evaluator of a function of one time.  `seeded_rng` is
-the tests' one source of random draws: no command draws any.
+problem, an `EllipticProblem` with a constant load and no terms, and
+`per_time` makes a `PotentialField` evaluator of a function of one time.
+`seeded_rng` is the tests' one source of random draws: no command draws any.
 """
 
 from __future__ import annotations
@@ -56,10 +56,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from dne import checks
-from dne.checks import _report, _solve_pair
+from dne.checks import _report
 from dne.elliptic import (HESSIAN_EPS, HESSIAN_SCALE_FLOOR, EllipticProblem,
                           _energy_parts, _energy_terms, _gradient_values, _point,
-                          _power)
+                          _power, solve)
 from dne.evolution import (DISSIPATION_SLACK, EvolutionSetup, Run, StepDiagnostics,
                            Trajectory, average_potential)
 from dne.meshing import (DiscreteField, Mesh, _cell_flipped, _mean_powers,
@@ -529,7 +529,8 @@ def contraction_ratio(setup: EvolutionSetup, lam, h1, h2) -> float:
     """lhs/rhs of the one-sided contraction for a refinement study."""
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
-    v1, v2 = _solve_pair(setup, lam, h1, h2)
+    v1, v2 = [solve(EllipticProblem.standard(setup.mesh, setup.op, setup.q, lam, h,
+                                             setup.source))[0] for h in (h1, h2)]
     lhs = positive_part_norm(v1, v2, setup.q)
     rhs = l2_norm_values(setup.mesh, np.maximum(h1 - h2, 0.0))
     return lhs / rhs if rhs > 0 else 0.0
@@ -540,7 +541,8 @@ def contraction_elliptic_per_orientation(setup: EvolutionSetup, lam, h1, h2):
     difference formed in its own order."""
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
-    v1, v2 = _solve_pair(setup, lam, h1, h2)
+    v1, v2 = [solve(EllipticProblem.standard(setup.mesh, setup.op, setup.q, lam, h,
+                                             setup.source))[0] for h in (h1, h2)]
     margins, ordered_ok = [], True
     for a, b, ha, hb in ((v1, v2, h1, h2), (v2, v1, h2, h1)):
         rhs = l2_norm_values(setup.mesh, np.maximum(ha - hb, 0.0))

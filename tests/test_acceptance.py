@@ -15,7 +15,7 @@ import numpy as np
 from dne.checks import (check_alg_inequality, check_monotone_run, check_picone,
                         check_sandwich)
 from dne.cli import main
-from dne.elliptic import EllipticProblem, solve_lambda_problem, solve_stationary
+from dne.elliptic import EllipticProblem, solve
 from dne.evolution import (EvolutionSetup, make_subsolution, make_supersolution,
                            time_integral_norm)
 from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
@@ -134,7 +134,7 @@ def test_criterion_2_lambda_problem_regression():
             ExponentField.constant(mesh.n_elements, p), 1.0)
         sups = []
         for lam in lambdas:
-            w = solve_lambda_problem(lam, mesh, op)
+            w, _ = solve(EllipticProblem(mesh, op, load=np.full(mesh.n_elements, lam)))
             err = np.max(np.abs(w.values - lambda_closed_form(
                 mesh.vertices[:, 0], p, lam)))
             assert err <= tol, f"p={p}, lambda={lam}: max error {err:.2e} > {tol}"
@@ -256,7 +256,7 @@ def test_criterion_6_stabilization():
     pot_const = PotentialField.constant(h_inf)
     pot_decay = PotentialField(per_time(lambda t: h_inf * (1.0 + (1.0 + t) ** (-1.5))),
                                h_inf, 2.0 * float(h_inf.max()), limit=h_inf)
-    v_stat = solve_stationary(mesh, op, q, h_inf, src)
+    v_stat, _ = solve(EllipticProblem.stationary(mesh, op, q, h_inf, src))
     T, steps = 100.0, 2000
     setup = make_setup(mesh, (op, src, pot_const), q=q, horizon=T, steps=steps)
     errs = {}

@@ -44,10 +44,18 @@ def public_callables():
 
 def test_walk_covers_the_solve_api():
     names = public_callables()
-    for name in ("dne.elliptic.solve", "dne.elliptic.solve_stationary",
+    for name in ("dne.elliptic.solve", "dne.elliptic.EllipticProblem.stationary",
                  "dne.evolution.EvolutionSetup", "dne.checks.check_contraction_elliptic",
                  "dne.scenario.Scenario"):
         assert name in names
+
+
+def test_one_solve_entry():
+    # each elliptic problem is posed by an `EllipticProblem` constructor and
+    # solved by `solve`: no other public callable is named as a solve
+    solves = [name for name in public_callables()
+              if name.rsplit(".", 1)[-1].startswith("solve")]
+    assert solves == ["dne.elliptic.solve"]
 
 
 def offending_parameters(forbidden):

@@ -10,7 +10,7 @@ from dne.checks import (check_alg_inequality, check_contraction_elliptic,
                         check_picone_pair, check_monotone_run, check_picone,
                         check_positivity_hopf, check_sandwich,
                         check_stabilization, picone_pair_integral)
-from dne.elliptic import solve_lambda_problem, solve_stationary
+from dne.elliptic import EllipticProblem, solve
 from dne.evolution import (EvolutionSetup, make_subsolution, make_supersolution,
                            time_integral_norm)
 from dne.meshing import (DiscreteField, interpolate, interval_mesh,
@@ -317,7 +317,8 @@ class TestContractionElliptic:
         raised[50] += 1e-4
         raised[[49, 51]] -= 2e-4
         v2 = v1.with_values(raised)
-        monkeypatch.setattr(checks, "_solve_pair", lambda *args: [v1, v2])
+        solutions = iter([v1, v2])
+        monkeypatch.setattr(checks, "solve", lambda problem: (next(solutions), None))
         report = check_contraction_elliptic(setup, 1.0, h2 + 0.1, h2)
         assert report.worst_margin >= 0.0
         assert not report.passed
@@ -407,7 +408,7 @@ class TestStabilization:
     def test_constant_potential_perturbed_start(self, mesh_1d, data_1d, monkeypatch):
         monkeypatch.setattr(checks, "STABILIZATION_THRESHOLD", 1e-4)
         op, src, pot = data_1d
-        v_stat = solve_stationary(mesh_1d, op, Q, pot.limit, src)
+        v_stat, _ = solve(EllipticProblem.stationary(mesh_1d, op, Q, pot.limit, src))
         v0 = v_stat.with_values(
             np.where(mesh_1d.boundary_mask, 0.0, 1.3 * v_stat.values))
         traj = evolve(make_setup(mesh_1d, data_1d, initial=v0, horizon=50.0, steps=250))
@@ -440,12 +441,17 @@ class TestLambdaScaling:
         with pytest.raises(ValueError):
             check_lambda_scaling(mesh_1d, op, [0.5, 1.0, 2.0])
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_rejects_nonpositive_lambda(self, mesh_1d, lam):
+        with pytest.raises(ValueError, match="^lambda must be positive$"):
+            check_lambda_scaling(mesh_1d, iso_op(mesh_1d, 2.0), [0.5, lam, 2.0])
+
 
 class TestPositivityHopf:
     def test_lambda_problem_slope(self):
         # p = 2, lambda = 1: solution x(1-x)/2 has boundary slope 1/2
         mesh = interval_mesh(0.0, 1.0, 2000)
-        w = solve_lambda_problem(1.0, mesh, iso_op(mesh, 2.0))
+        w, _ = solve(EllipticProblem(mesh, iso_op(mesh, 2.0), load=np.full(2000, 1.0)))
         report = check_positivity_hopf(w)
         assert report.passed
         off = 2.0 * mesh.spacing
@@ -454,7 +460,7 @@ class TestPositivityHopf:
 
     def test_stationary_solution_positive(self, mesh_1d, data_1d):
         op, src, pot = data_1d
-        v = solve_stationary(mesh_1d, op, Q, pot.limit, src)
+        v, _ = solve(EllipticProblem.stationary(mesh_1d, op, Q, pot.limit, src))
         assert check_positivity_hopf(v).passed
 
     def test_zero_field_designed_failure(self, mesh_1d):
@@ -558,8 +564,8 @@ def run_pair(request, mesh_1d, data_1d):
     else:
         runs = _shipped_runs(request.param, 40 if "1d" in request.param else 10)
     setup = runs[0]
-    v_stat = solve_stationary(setup.mesh, setup.op, setup.q, setup.potential.limit,
-                              setup.source)
+    v_stat, _ = solve(EllipticProblem.stationary(setup.mesh, setup.op, setup.q,
+                                                 setup.potential.limit, setup.source))
     return (*runs, v_stat)
 
 

@@ -757,13 +757,13 @@ class TestVerifyPipeline:
             return wrapper
 
         for name in ("Run", "make_subsolution", "make_supersolution",
-                     "solve_stationary"):
+                     "_stationary_state"):
             monkeypatch.setattr(cli, name, counting(name))
         main(["verify", "--config", config_path, "--out", str(tmp_path / "o")])
         # the scenario's own run (shared by sandwich, contraction-parabolic
         # and stabilization), the shrunk start and the two bracket runs
         assert calls == {"Run": 4, "make_subsolution": 1,
-                         "make_supersolution": 1, "solve_stationary": 1}
+                         "make_supersolution": 1, "_stationary_state": 1}
 
     def test_every_report_is_built_by_one_constructor(self, config_path, tmp_path,
                                                      monkeypatch):

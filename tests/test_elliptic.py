@@ -5,8 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from dne import elliptic, evolution
-from dne.elliptic import (EllipticProblem, NonConvergence, bump_seed, solve,
-                          solve_lambda_problem, solve_stationary)
+from dne.elliptic import EllipticProblem, NonConvergence, bump_seed, solve
 from dne.meshing import (DiscreteField, boundary_distance_field, interpolate,
                          interval_mesh, l2_norm_diff_power, rectangle_mesh)
 from dne.evolution import average_potential, make_subsolution, make_supersolution
@@ -881,12 +880,12 @@ PURE_LOAD_CASES = [
 
 
 class TestPureLoadOracle:
-    """`solve_lambda_problem` against the exact discrete solution of the 1D
-    pure-load problem, `oracles.pure_load_solution`."""
+    """The solved pure-load problem against its exact discrete solution in 1D,
+    `oracles.pure_load_solution`."""
 
     @staticmethod
     def assert_exact(mesh, op):
-        w = solve_lambda_problem(1.0, mesh, op)
+        w, _ = solve(EllipticProblem(mesh, op, load=np.full(mesh.n_elements, 1.0)))
         exact = pure_load_solution(mesh, op, 1.0)
         assert np.max(np.abs(w.values - exact)) <= 1e-12 * np.max(np.abs(exact))
 
@@ -914,37 +913,37 @@ class TestPureLoadOracle:
 class TestPureLambda:
     def test_p2_closed_form(self):
         mesh = interval_mesh(0.0, 1.0, 200)
-        w = solve_lambda_problem(1.0, mesh, iso_op(mesh, 2.0))
+        w, _ = solve(EllipticProblem(mesh, iso_op(mesh, 2.0), load=np.full(200, 1.0)))
         exact = lambda_closed_form(mesh.vertices[:, 0], 2.0, 1.0)
         assert np.max(np.abs(w.values - exact)) < 1e-6
         assert w.sup_norm == pytest.approx(0.125, abs=1e-6)
 
     def test_p3_closed_form(self):
         mesh = interval_mesh(0.0, 1.0, 400)
-        w = solve_lambda_problem(1.0, mesh, iso_op(mesh, 3.0))
+        w, _ = solve(EllipticProblem(mesh, iso_op(mesh, 3.0), load=np.full(400, 1.0)))
         exact = lambda_closed_form(mesh.vertices[:, 0], 3.0, 1.0)
         assert np.max(np.abs(w.values - exact)) < 1e-3
         assert w.sup_norm == pytest.approx((2.0 / 3.0) * 0.5 ** 1.5, abs=1e-3)
 
     def test_vanishing_lambda_limit(self, mesh_1d, data_1d):
         op, _, _ = data_1d
-        sups = [solve_lambda_problem(lam, mesh_1d, op).sup_norm
-                for lam in (1e-1, 1e-2, 1e-3)]
+        sups = [solve(EllipticProblem(mesh_1d, op, load=np.full(mesh_1d.n_elements, lam)))[0]
+                .sup_norm for lam in (1e-1, 1e-2, 1e-3)]
         assert sups[0] > sups[1] > sups[2]
         assert sups[2] < 0.1 * sups[0]
 
     def test_doubling_ratio_constant_p(self):
         mesh = interval_mesh(0.0, 1.0, 400)
         for p in (2.0, 3.0):
-            op = iso_op(mesh, p)
-            r = (solve_lambda_problem(2.0, mesh, op).sup_norm
-                 / solve_lambda_problem(1.0, mesh, op).sup_norm)
+            w2, w1 = (solve(EllipticProblem(mesh, iso_op(mesh, p), load=np.full(400, lam)))[0]
+                      for lam in (2.0, 1.0))
+            r = w2.sup_norm / w1.sup_norm
             assert r == pytest.approx(2.0 ** (1.0 / (p - 1.0)), rel=0.02)
 
     def test_nodal_monotonicity(self, mesh_1d, data_1d):
         op, _, _ = data_1d
-        w1 = solve_lambda_problem(1.0, mesh_1d, op)
-        w2 = solve_lambda_problem(2.0, mesh_1d, op)
+        w1, w2 = (solve(EllipticProblem(mesh_1d, op, load=np.full(mesh_1d.n_elements, lam)))[0]
+                  for lam in (1.0, 2.0))
         assert np.all(w1.values <= w2.values + 1e-10)
 
 
@@ -959,13 +958,13 @@ class TestSubSupersolutions:
     def test_mu_monotonicity(self, mesh_1d, data_1d, monkeypatch):
         # the fit's trial solutions shrink nodally as mu halves
         trials = []
-        stationary = evolution.solve_stationary
 
         def recorded(*args, **kwargs):
-            trials.append(stationary(*args, **kwargs))
-            return trials[-1]
+            result = solve(*args, **kwargs)
+            trials.append(result[0])
+            return result
 
-        monkeypatch.setattr(evolution, "solve_stationary", recorded)
+        monkeypatch.setattr(evolution, "solve", recorded)
         _, mu = make_subsolution(make_setup(mesh_1d, data_1d, initial=0.1))
         assert (mu, len(trials)) == (0.25, 3)
         for wb, wa in zip(trials, trials[1:]):
@@ -1027,28 +1026,27 @@ class TestSubSupersolutions:
 class TestStationary:
     def test_unique_limit_from_different_starts(self, mesh_1d, data_1d):
         op, src, pot = data_1d
-        b = pot.limit
-        v1 = solve_stationary(mesh_1d, op, 1.25, b, src)
-        v2, _ = solve(EllipticProblem.stationary(mesh_1d, op, 1.25, b, src),
-                      interpolate(mesh_1d, lambda x: 2.0 * np.sin(np.pi * x[:, 0])))
+        prob = EllipticProblem.stationary(mesh_1d, op, 1.25, pot.limit, src)
+        v1, _ = solve(prob)
+        v2, _ = solve(prob, interpolate(mesh_1d, lambda x: 2.0 * np.sin(np.pi * x[:, 0])))
         assert l2_norm_diff_power(v1, v2, 1.0) < 1e-6
 
     def test_positive_interior(self, mesh_1d, data_1d):
         op, src, pot = data_1d
-        v = solve_stationary(mesh_1d, op, 1.25, pot.limit, src)
+        v, _ = solve(EllipticProblem.stationary(mesh_1d, op, 1.25, pot.limit, src))
         assert np.all(v.values[mesh_1d.interior] > 0.0)
 
     def test_residual_at_solution(self, mesh_1d, data_1d):
         op, src, pot = data_1d
-        v = solve_stationary(mesh_1d, op, 1.25, pot.limit, src)
         prob = EllipticProblem.stationary(mesh_1d, op, 1.25, pot.limit, src)
+        v, _ = solve(prob)
         g = energy_gradient(prob, v).values
         assert np.max(np.abs(g[mesh_1d.interior])) < 1e-10
 
     def test_rejects_trivial_potential(self, mesh_1d, data_1d):
         op, src, _ = data_1d
         with pytest.raises(ValidationError, match=r"^\[\(H_h\)\] "):
-            solve_stationary(mesh_1d, op, 1.25, np.zeros(mesh_1d.n_elements), src)
+            EllipticProblem.stationary(mesh_1d, op, 1.25, np.zeros(mesh_1d.n_elements), src)
 
 
 class TestContractionInvariant:

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from dne import cli, elliptic, evolution, meshing, operators
-from dne.elliptic import (EllipticProblem, NonConvergence, bump_seed, solve,
-                          solve_stationary, source_terms)
+from dne.elliptic import EllipticProblem, NonConvergence, bump_seed, solve, source_terms
 from dne.evolution import (EvolutionSetup, Run, Trajectory, average_potential,
                            diagnose, make_subsolution, make_supersolution, step,
                            time_integral_norm)
@@ -177,7 +176,7 @@ class TestAveragePotential:
 class TestStep:
     def test_stationary_fixed_point(self, mesh_1d, data_1d):
         op, src, pot = data_1d
-        v_stat = solve_stationary(mesh_1d, op, Q, pot.limit, src)
+        v_stat, _ = solve(EllipticProblem.stationary(mesh_1d, op, Q, pot.limit, src))
         setup = EvolutionSetup(mesh_1d, op, Q, src, pot, 1.0, 10, v_stat)
         h1 = step_average(pot, 1, setup.dt)
         _, _, v1, report, _ = step(setup, v_stat, h1)

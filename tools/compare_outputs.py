@@ -11,10 +11,13 @@ OLD_SRC and NEW_SRC are directories holding the `dne` package, such as the
 - `sweep` on `configs/default_1d.cfg` (the lambda sweep) and on
   `default_1d_pq`, its `[sweep] kind = pq` variant, whose grid holds an
   invalid cell (p = 0.9);
+- `sweep` on `smoke_2d_lambda`, `configs/smoke_2d.cfg` with a lambda sweep
+  appended: 2D pure-load solves under an affine exponent, so its manifest
+  carries no fitted slope;
 - `evolve` and `verify` on `decaying_1d_tabulated`, `configs/decaying_1d.cfg`
   with a tabulated potential whose lower envelope lies below its limit.
 
-The tool writes the two variants from the shipped configs.  Each command is
+The tool writes the three variants from the shipped configs.  Each command is
 one fresh process with BLAS and OpenMP pinned to one thread, run with
 relative paths from a work directory of its own.  The tool then compares,
 per command, every file it wrote, its stdout, its stderr and its exit code,
@@ -45,6 +48,9 @@ VARIANTS = {
     "default_1d_pq": (
         "default_1d", "kind = lambda\nlambdas = 0.5 1 2 4",
         "kind = pq\np_values = 0.9 2.5 3.0\nq_values = 1.2 1.4", ["sweep"]),
+    "smoke_2d_lambda": (
+        "smoke_2d", "seed = 20240801\n",
+        "seed = 20240801\n\n[sweep]\nkind = lambda\nlambdas = 0.5 1 2 4\n", ["sweep"]),
     "decaying_1d_tabulated": (
         "decaying_1d", "kind = decaying\nprofile = bump 1.0\neta = 0.5",
         "kind = tabulated\ntimes = 0 0.7 1.9 4\nprofile.1 = bump 1.0\n"
